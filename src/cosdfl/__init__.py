@@ -28,10 +28,11 @@ from .instance_costs import (BaselineReport, EnsembleModel, apply_instance_costs
                              baseline_regrets, compute_instance_costs,
                              costs_from_predictions, ensemble_costs,
                              iterative_costs)
-from .losses import (BaseError, LossSpec, LossValueGrad, OneSidedMode,
-                     base_error, evaluate_loss, lawless_loss, normalize,
-                     one_sided_mask, one_sided_weights, parse_loss,
-                     pinball_loss, spo_plus_loss)
+from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
+                     base_error, evaluate_loss, evaluate_loss_batch,
+                     lawless_loss, normalize, one_sided_mask,
+                     one_sided_weights, parse_loss, pinball_loss,
+                     spo_plus_loss, stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, model_from_json, model_to_json,
                     save_model, train)

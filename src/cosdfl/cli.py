@@ -130,7 +130,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)
     emit_pareto(reports, out)
-    failed = [r for r in reports if r.error is not None]
     for row in aggregate_rows(reports):
         if row.get("n", 0) == 0:
             print(f"{row['loss']}: all runs failed")
@@ -140,10 +139,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"{row['loss']}: regret_norm={norm_text} "
               f"regret_abs={row['regret_abs_mean']:.4f} "
               f"time_s={row['time_s_mean']:.1f}")
-    for r in failed:
-        print(f"FAILED {r.loss} seed={r.seed}: {r.error}", file=sys.stderr)
+    failed = _report_failures(reports)
     print(f"wrote {out / 'results.csv'}")
     return 1 if failed else 0
+
+
+def _report_failures(reports) -> bool:
+    """Print each failed cell on stderr; True when there was one."""
+    failed = [r for r in reports if r.error is not None]
+    for r in failed:
+        print(f"FAILED {r.loss} seed={r.seed}: {r.error}", file=sys.stderr)
+    return bool(failed)
 
 
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
@@ -155,10 +161,12 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
     write_monotonicity(report, out)
     for name in sorted(report.subset_means):
         print(f"{name}: mean_norm={report.subset_means[name]:.4f}")
-    if report.regressions:
-        for step in report.regressions:
-            print(f"REGRESSION {step.order} at {step.loss}: "
-                  f"{step.previous_norm:.4f} -> {step.mean_norm:.4f}", file=sys.stderr)
+    for step in report.regressions:
+        print(f"REGRESSION {step.order} at {step.loss}: "
+              f"{step.previous_norm:.4f} -> {step.mean_norm:.4f}", file=sys.stderr)
+    # a failed cell leaves its subset mean NaN or short of seeds, and no
+    # comparison with NaN flags a regression
+    if _report_failures(reports) or report.regressions:
         return 1
     print("no component made regret worse beyond tolerance "
           f"({report.tolerance:.0%}) in any addition order")

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DataInstance, Dataset, Problem, instance_regret
-from .losses import LossSpec, evaluate_loss
+from .losses import LossSpec, evaluate_loss_batch, stack_loss_data
 from .model import LinearModel, TrainConfig, init_model, train
 
 DEGENERATE_LOSS_TOL = 1e-12
@@ -96,12 +96,14 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
                          f"got {predictions.shape}")
     counter = getattr(problem, "counter", None)
     calls_before = counter.count if counter is not None else 0
-    losses = np.empty(len(indices))
-    regrets = np.empty(len(indices))
-    for row, i in enumerate(indices):
-        inst = dataset.instances[i]
-        losses[row] = evaluate_loss(base_spec, predictions[row], inst, problem.sense).value
-        regrets[row] = instance_regret(problem, predictions[row], inst)
+    insts = [dataset.instances[i] for i in indices]
+    losses = np.empty(0)
+    if insts:  # an empty split has nothing to stack
+        losses, _ = evaluate_loss_batch(base_spec, predictions,
+                                        stack_loss_data(base_spec, insts, indices),
+                                        slice(None), problem.sense)
+    regrets = np.array([instance_regret(problem, predictions[row], inst)
+                        for row, inst in enumerate(insts)])
     costs, degenerate, all_zero = _costs_from_values(losses, regrets)
     calls = (counter.count - calls_before) if counter is not None else len(indices)
     return BaselineReport(

@@ -10,9 +10,17 @@ components:
   S   evaluate on L2-normalized vectors so only the predicted direction
       matters.
 
-Every evaluation returns the loss value together with its gradient in the
-prediction. Masks and pinball indicators are treated as locally constant, so
-the gradient is the almost-everywhere derivative (zero subgradient on the
+There is one implementation, :func:`evaluate_loss_batch`, which returns the
+values and prediction-gradients of a whole mini-batch in one array pass.
+What it reads from the instances (true costs, normalized under S; the C or
+regret weights; which coordinates of X* sit at a bound; the mask
+thresholds; tau) is stacked once into a :class:`LossData` by
+:func:`stack_loss_data`, which also raises the missing-cache errors.
+:func:`evaluate_loss` is the one-row call of the kernel. Only ``spo+``
+needs the solver and is evaluated row by row by :func:`spo_plus_loss`.
+
+Masks and pinball indicators are treated as locally constant, so the
+gradient is the almost-everywhere derivative (zero subgradient on the
 measure-zero boundaries). With S the gradient is chained through the full
 normalization Jacobian (I - u u') / ||c_hat||, u = c_hat / ||c_hat||.
 """
@@ -226,6 +234,21 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+def _at_bounds(decision_values: np.ndarray, var_lower: float | np.ndarray = 0.0,
+               var_upper: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Which coordinates of a decision sit at their upper and lower bound."""
+    return (np.isclose(decision_values, var_upper, atol=1e-9),
+            np.isclose(decision_values, var_lower, atol=1e-9))
+
+
+def _masked(predicted: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+            at_upper: np.ndarray, at_lower: np.ndarray, sense: Sense) -> np.ndarray:
+    """True where the prediction errs only in the direction the decision ignores."""
+    if sense is Sense.MAXIMIZE:
+        return (at_upper & (predicted > lower)) | (at_lower & (predicted < upper))
+    return (at_upper & (predicted < upper)) | (at_lower & (predicted > lower))
+
+
 def one_sided_weights(predicted: np.ndarray, true: np.ndarray,
                       decision_values: np.ndarray, sense: Sense,
                       mode: OneSidedMode,
@@ -245,19 +268,14 @@ def one_sided_weights(predicted: np.ndarray, true: np.ndarray,
     """
     if mode is OneSidedMode.OFF:
         return np.ones_like(true)
-    at_upper = np.isclose(decision_values, var_upper, atol=1e-9)
-    at_lower = np.isclose(decision_values, var_lower, atol=1e-9)
+    at_upper, at_lower = _at_bounds(decision_values, var_lower, var_upper)
     if mode is OneSidedMode.OPTIMAL:
         hi, lo = true, true
     else:
         if range_lower is None or range_upper is None:
             raise MissingRanges("sensitivity masking requires cached cost ranges")
         lo, hi = range_lower, range_upper
-    if sense is Sense.MAXIMIZE:
-        masked = (at_upper & (predicted > lo)) | (at_lower & (predicted < hi))
-    else:
-        masked = (at_upper & (predicted < hi)) | (at_lower & (predicted > lo))
-    return np.where(masked, 0.0, 1.0)
+    return np.where(_masked(predicted, lo, hi, at_upper, at_lower, sense), 0.0, 1.0)
 
 
 def one_sided_mask(predicted: np.ndarray, instance: DataInstance, sense: Sense,
@@ -278,81 +296,158 @@ def one_sided_mask(predicted: np.ndarray, instance: DataInstance, sense: Sense,
 
 # --- composed evaluation ------------------------------------------------------
 
-def _instance_factor(spec: LossSpec, instance: DataInstance) -> float:
+@dataclass(frozen=True)
+class LossData:
+    """The per-instance arrays a loss reads, stacked once per set of instances.
+
+    Row r describes dataset instance ``indices[r]``. ``true`` holds the true
+    costs in evaluation space (unit-norm rows when the spec has S) and
+    ``factor`` the C or regret weight (ones without one). The one-sided
+    fields are set only for a spec with O or O_S: which coordinates of X*
+    sit at their upper and lower bound, and the thresholds the prediction
+    is compared against (the true costs, or the O_S range bounds). ``tau``
+    is set only for a pinball-weighted spec.
+    """
+
+    indices: np.ndarray
+    true: np.ndarray
+    factor: np.ndarray
+    at_upper: np.ndarray | None = None
+    at_lower: np.ndarray | None = None
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+
+def _instance_factors(spec: LossSpec, instances: tuple[DataInstance, ...],
+                      indices: np.ndarray) -> np.ndarray:
+    costs = [inst.instance_cost for inst in instances]
     if spec.instance_costs:
-        if instance.instance_cost is None:
-            raise MissingInstanceCost("loss has component C but the instance "
+        if None in costs:
+            i = indices[costs.index(None)]
+            raise MissingInstanceCost(f"loss has component C but instance {i} "
                                       "carries no cost weight")
-        return instance.instance_cost
-    if spec.lawless_w is not None:
-        w = spec.lawless_w
-        if w == 0.0:
-            return 1.0
-        if instance.instance_cost is None:
+        return np.array(costs, dtype=float)
+    if spec.lawless_w is not None and spec.lawless_w != 0.0:
+        if None in costs:
+            i = indices[costs.index(None)]
             raise MissingBaselineRegret("regret-weighted loss requires the cached "
-                                        "baseline regret")
-        return w * instance.instance_cost + (1.0 - w)
-    return 1.0
+                                        f"baseline regret of instance {i}")
+        w = spec.lawless_w
+        return w * np.array(costs, dtype=float) + (1.0 - w)
+    return np.ones(len(instances))
+
+
+def stack_loss_data(spec: LossSpec, instances, indices=None) -> LossData:
+    """Stack what ``spec`` needs from ``instances``; ``indices`` are their
+    dataset indices (0..n-1 when omitted), used to name a failing instance.
+
+    Raises the missing-cache errors (and ZeroVector for an all-zero true cost
+    vector under S) here, before any evaluation.
+    """
+    if spec.spo_plus:
+        raise ValueError("spo+ is evaluated via spo_plus_loss (it needs the problem oracle)")
+    instances = tuple(instances)
+    indices = np.arange(len(instances)) if indices is None else np.asarray(indices)
+    factor = _instance_factors(spec, instances, indices)
+    if spec.scale_invariant:
+        true = np.stack([normalize(inst.true_costs) for inst in instances])
+    else:
+        true = np.stack([inst.true_costs for inst in instances])
+    d = true.shape[1]
+    fields: dict = {}
+    if spec.one_sided is not OneSidedMode.OFF:
+        for i, inst in zip(indices, instances):
+            if inst.optimal_decision is None:
+                raise MissingOptimalDecision("one-sided loss requires the cached "
+                                             f"optimal decision of instance {i}")
+        fields["at_upper"], fields["at_lower"] = _at_bounds(
+            np.stack([inst.optimal_decision.values for inst in instances]))
+        if spec.one_sided is OneSidedMode.SENSITIVITY:
+            for i, inst in zip(indices, instances):
+                if inst.sensitivity_ranges is None:
+                    raise MissingRanges("sensitivity loss requires cached cost "
+                                        f"ranges of instance {i}")
+            fields["lower"] = np.stack([inst.sensitivity_ranges.lower for inst in instances])
+            fields["upper"] = np.stack([inst.sensitivity_ranges.upper for inst in instances])
+        else:
+            fields["lower"] = fields["upper"] = true
+    elif spec.tau is not None:
+        tau = np.full(d, spec.tau) if np.isscalar(spec.tau) else np.asarray(spec.tau, dtype=float)
+        if tau.shape[0] != d:
+            raise ValueError(f"tau must be scalar or length {d}")
+        fields["tau"] = tau
+    return LossData(indices=indices, true=true, factor=factor, **fields)
+
+
+def coordinate_weights(spec: LossSpec, predicted: np.ndarray, data: LossData,
+                       rows, sense: Sense) -> np.ndarray:
+    """(B, d) weights of the base error at evaluation-space predictions: the
+    one-sided 0/1 mask, the pinball tau / 1 - tau, or ones."""
+    if spec.one_sided is not OneSidedMode.OFF:
+        masked = _masked(predicted, data.lower[rows], data.upper[rows],
+                         data.at_upper[rows], data.at_lower[rows], sense)
+        return np.where(masked, 0.0, 1.0)
+    if spec.tau is not None:
+        return np.where(predicted <= data.true[rows], data.tau, 1.0 - data.tau)
+    return np.ones_like(predicted)
+
+
+def check_finite(values: np.ndarray, gradients: np.ndarray, indices) -> None:
+    """Raise NonFiniteGradient naming the first instance whose loss value or
+    gradient is NaN or infinite; ``indices`` gives each row's instance."""
+    bad = ~(np.isfinite(values) & np.isfinite(gradients).all(axis=1))
+    if bad.any():
+        raise NonFiniteGradient(f"loss or gradient of instance "
+                                f"{indices[int(np.argmax(bad))]} evaluated to a "
+                                "non-finite value")
+
+
+def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
+                        rows, sense: Sense) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B,) and prediction-gradients (B, d) of a composed loss.
+
+    Row b of ``predicted`` is the prediction for row ``rows[b]`` of ``data``;
+    ``rows`` is an index array or a slice. Nothing in ``data`` is written.
+    With S the masks and the O_S ranges are read in normalized space, and a
+    (near-)zero prediction row gets a finite penalty whose gradient points
+    back toward the true direction.
+    """
+    true = data.true[rows]
+    factor = data.factor[rows]
+    d = true.shape[1]
+    if spec.scale_invariant:
+        norms = np.sqrt((predicted * predicted).sum(axis=1))
+        zero = norms <= NORM_EPS
+        norms[zero] = 1.0
+        pred = predicted / norms[:, None]
+    else:
+        pred = predicted
+    weights = coordinate_weights(spec, pred, data, rows, sense)
+    errors, derror = base_error(pred, true, spec.base)
+    values = factor * (weights * errors).sum(axis=1) / d
+    grads = (factor / d)[:, None] * weights * derror
+    if spec.scale_invariant:
+        # chain through the normalization Jacobian (I - u u') / ||c_hat||
+        grads = (grads - pred * (pred * grads).sum(axis=1)[:, None]) / norms[:, None]
+        values[zero] = factor[zero] * ZERO_PREDICTION_PENALTY / d
+        grads[zero] = -factor[zero, None] * true[zero]
+    check_finite(values, grads, data.indices[rows])
+    return values, grads
 
 
 def evaluate_loss(spec: LossSpec, predicted: np.ndarray, instance: DataInstance,
                   sense: Sense) -> LossValueGrad:
     """Value and prediction-gradient of a composed loss on one instance.
 
-    With S, the instance's cached sensitivity ranges are interpreted as
-    already living in normalized space (they must be computed from the
-    normalized true costs). Masks are evaluated wherever the base error is,
-    i.e. in normalized space when S is on.
+    A one-row call of :func:`evaluate_loss_batch`. With S, the instance's
+    cached sensitivity ranges are interpreted as already living in
+    normalized space (they must be computed from the normalized true costs).
     """
-    if spec.spo_plus:
-        raise ValueError("spo+ is evaluated via spo_plus_loss (it needs the problem oracle)")
     predicted = as_vector(predicted, name="predicted costs", length=instance.d)
-    true = instance.true_costs
-    d = true.shape[0]
-    factor = _instance_factor(spec, instance)
-
-    if spec.scale_invariant:
-        true_eval = normalize(true)  # raises ZeroVector for degenerate data
-        pred_norm = float(np.linalg.norm(predicted))
-        if pred_norm <= NORM_EPS:
-            # finite escape penalty pointing back toward the true direction
-            value = factor * ZERO_PREDICTION_PENALTY / d
-            return LossValueGrad(value, -factor * true_eval)
-        pred_eval = predicted / pred_norm
-    else:
-        true_eval, pred_eval = true, predicted
-
-    if spec.one_sided is not OneSidedMode.OFF:
-        if instance.optimal_decision is None:
-            raise MissingOptimalDecision("one-sided loss requires the cached optimal decision")
-        lo = hi = None
-        if spec.one_sided is OneSidedMode.SENSITIVITY:
-            if instance.sensitivity_ranges is None:
-                raise MissingRanges("sensitivity loss requires cached cost ranges")
-            lo = instance.sensitivity_ranges.lower
-            hi = instance.sensitivity_ranges.upper
-        weights = one_sided_weights(pred_eval, true_eval,
-                                    instance.optimal_decision.values, sense,
-                                    spec.one_sided, range_lower=lo, range_upper=hi)
-    elif spec.tau is not None:
-        tau = np.full(d, spec.tau) if np.isscalar(spec.tau) else np.asarray(spec.tau, dtype=float)
-        if tau.shape[0] != d:
-            raise ValueError(f"tau must be scalar or length {d}")
-        weights = np.where(pred_eval <= true_eval, tau, 1.0 - tau)
-    else:
-        weights = np.ones(d)
-
-    errors, derror = base_error(pred_eval, true_eval, spec.base)
-    value = factor * float(weights @ errors) / d
-    grad_eval = (factor / d) * weights * derror
-    if spec.scale_invariant:
-        # chain through the normalization Jacobian (I - u u') / ||c_hat||
-        grad = (grad_eval - pred_eval * float(pred_eval @ grad_eval)) / pred_norm
-    else:
-        grad = grad_eval
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("loss or gradient evaluated to a non-finite value")
-    return LossValueGrad(value, grad)
+    data = stack_loss_data(spec, [instance])
+    values, grads = evaluate_loss_batch(spec, predicted[None, :], data, slice(None), sense)
+    return LossValueGrad(float(values[0]), grads[0])
 
 
 def spo_plus_loss(predicted: np.ndarray, instance: DataInstance,

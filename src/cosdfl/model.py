@@ -1,9 +1,13 @@
 """Linear multi-output predictor trained by hand-written gradients.
 
 The model is c_hat = W z + b. Training runs seeded mini-batch gradient
-descent (SGD or Adam) against any composed loss; the per-instance loss
-gradients come straight from the loss module, so no autodiff is involved.
-Given the same seed and config, training is bit-for-bit reproducible.
+descent (SGD or Adam) against any composed loss. The loss arrays of the
+training and validation instances are stacked once per run, and each
+mini-batch (and each epoch's validation pass) is one call of the batched
+loss kernel, whose (B, d) prediction-gradients chain into W and b by one
+matrix product; no autodiff is involved. Only ``spo+`` evaluates row by
+row, since each row calls the solver. Given the same seed and config,
+training is bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -16,8 +20,11 @@ from enum import Enum
 import numpy as np
 
 from .core import Dataset, Sense, as_vector, frozen_array
-from .errors import DimensionMismatch, NonFiniteLoss
-from .losses import LossSpec, evaluate_loss, spo_plus_loss
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
+from .losses import (LossSpec, check_finite, evaluate_loss_batch,
+                     spo_plus_loss, stack_loss_data)
+# Not called here; perfbench's tracer test reads this binding (see perfbench/).
+from .losses import evaluate_loss  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CDFLLM01"
 
@@ -193,6 +200,10 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     val_insts = [dataset.instances[i] for i in val_idx]
     val_feats = np.stack([inst.features for inst in val_insts]) if val_insts else None
     val_spec = spec.validation_variant()
+    if not spec.spo_plus:
+        data = stack_loss_data(spec, insts, train_idx)
+    if val_insts:
+        val_data = stack_loss_data(val_spec, val_insts, val_idx)
 
     rng = np.random.default_rng(config.seed)
     w = model.weights.copy()
@@ -201,6 +212,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     adam_b = _AdamState(b.shape)
     step = 0
     n = len(insts)
+    train_indices = np.asarray(train_idx)
 
     def count_solves() -> int:
         counter = getattr(problem, "counter", None)
@@ -221,17 +233,21 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             batch = order[lo_idx:lo_idx + config.batch_size]
             zb = feats[batch]
             preds = zb @ w.T + b
-            grads = np.empty_like(preds)
-            for row, i in enumerate(batch):
+            try:
                 if spec.spo_plus:
-                    out = spo_plus_loss(preds[row], insts[i], problem)
+                    values = np.empty(len(batch))
+                    grads = np.empty_like(preds)
+                    for row, i in enumerate(batch):
+                        out = spo_plus_loss(preds[row], insts[i], problem)
+                        values[row] = out.value
+                        grads[row] = out.gradient
+                        loss_sum += out.value
+                    check_finite(values, grads, train_indices[batch])
                 else:
-                    out = evaluate_loss(spec, preds[row], insts[i], sense)
-                loss_sum += out.value
-                grads[row] = out.gradient
-            if not np.isfinite(loss_sum) or not np.all(np.isfinite(grads)):
-                raise NonFiniteLoss(f"non-finite loss in epoch {epoch}, "
-                                    f"batch starting at {lo_idx}")
+                    values, grads = evaluate_loss_batch(spec, preds, data, batch, sense)
+                    loss_sum += float(values.sum())
+            except NonFiniteGradient as exc:
+                raise NonFiniteLoss(f"training batch of epoch {epoch}: {exc}") from exc
             gw = grads.T @ zb / len(batch)
             gb = grads.mean(axis=0)
             if config.optimizer is Optimizer.SGD:
@@ -246,10 +262,12 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
         train_loss = loss_sum / n
 
         if val_insts:
-            val_preds = val_feats @ w.T + b
-            val_loss = float(np.mean([
-                evaluate_loss(val_spec, val_preds[row], inst, sense).value
-                for row, inst in enumerate(val_insts)]))
+            try:
+                values, _ = evaluate_loss_batch(val_spec, val_feats @ w.T + b,
+                                                val_data, slice(None), sense)
+            except NonFiniteGradient as exc:
+                raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
+            val_loss = float(np.mean(values))
         else:
             val_loss = train_loss
 

@@ -143,3 +143,82 @@ def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
             best_x, best_val = x, val
     assert best_x is not None, "brute LP found no feasible vertex"
     return best_x, best_val
+
+
+# --- composed losses -----------------------------------------------------------
+#
+# Per-row reference for the batched loss kernel. It reads the LossSpec fields
+# and the enum values only, and does its own normalization, masking and
+# weighting one coordinate at a time.
+
+# np.isclose(x, 1, atol=1e-9) with its default rtol=1e-5 relative to 1
+AT_UPPER_TOL = 1e-9 + 1e-5
+AT_LOWER_TOL = 1e-9
+ZERO_NORM = 1e-12
+
+
+def brute_weights(spec, pred_eval, true_eval, x_star, lower, upper,
+                  maximize: bool) -> np.ndarray:
+    """Per-coordinate weights of the base error at an evaluation-space
+    prediction: the one-sided 0/1 mask, the pinball tau, or ones."""
+    d = len(pred_eval)
+    weights = np.ones(d)
+    for j in range(d):
+        p, t = float(pred_eval[j]), float(true_eval[j])
+        if spec.one_sided.value != "off":
+            if spec.one_sided.value == "sensitivity":
+                lo, hi = float(lower[j]), float(upper[j])
+            else:
+                lo = hi = t
+            selected = abs(float(x_star[j]) - 1.0) <= AT_UPPER_TOL
+            unselected = abs(float(x_star[j])) <= AT_LOWER_TOL
+            if maximize:
+                harmless = (selected and p > lo) or (unselected and p < hi)
+            else:
+                harmless = (selected and p < hi) or (unselected and p > lo)
+            weights[j] = 0.0 if harmless else 1.0
+        elif spec.tau is not None:
+            tau = spec.tau if np.isscalar(spec.tau) else spec.tau[j]
+            weights[j] = tau if p <= t else 1.0 - tau
+    return weights
+
+
+def brute_loss(spec, predicted, instance, maximize: bool
+               ) -> tuple[float, np.ndarray]:
+    """Value and prediction-gradient of a composed loss on one instance."""
+    predicted = np.asarray(predicted, dtype=float)
+    true = np.asarray(instance.true_costs, dtype=float)
+    d = len(true)
+    factor = 1.0
+    if spec.instance_costs:
+        factor = instance.instance_cost
+    elif spec.lawless_w is not None and spec.lawless_w > 0.0:
+        factor = spec.lawless_w * instance.instance_cost + (1.0 - spec.lawless_w)
+
+    if spec.scale_invariant:
+        true_eval = true / np.sqrt(sum(v * v for v in true))
+        pred_norm = float(np.sqrt(sum(v * v for v in predicted)))
+        if pred_norm <= ZERO_NORM:
+            return factor * 4.0 / d, -factor * true_eval
+        pred_eval = predicted / pred_norm
+    else:
+        true_eval, pred_eval = true, predicted
+
+    x_star = lower = upper = None
+    if spec.one_sided.value != "off":
+        x_star = instance.optimal_decision.values
+        if spec.one_sided.value == "sensitivity":
+            lower = instance.sensitivity_ranges.lower
+            upper = instance.sensitivity_ranges.upper
+    weights = brute_weights(spec, pred_eval, true_eval, x_star, lower, upper, maximize)
+
+    diff = pred_eval - true_eval
+    if spec.base.value == "squared":
+        errors, derror = diff * diff, 2.0 * diff
+    else:
+        errors, derror = np.abs(diff), np.sign(diff)
+    value = factor * sum(w * e for w, e in zip(weights, errors)) / d
+    grad = factor / d * weights * derror
+    if spec.scale_invariant:
+        grad = (grad - pred_eval * sum(u * g for u, g in zip(pred_eval, grad))) / pred_norm
+    return float(value), grad

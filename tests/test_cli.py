@@ -1,8 +1,10 @@
 import csv
 import json
 
+from cosdfl import harness
 from cosdfl.cli import main
 from cosdfl.core import load_dataset
+from cosdfl.errors import SolveFailure
 from cosdfl.model import load_model
 
 GEN_ARGS = ["--n-train", "10", "--n-val", "4", "--n-test", "6", "--k", "4"]
@@ -76,6 +78,25 @@ def test_monotonicity_writes_report(tmp_path):
     with open(out / "monotonicity.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 19  # header + 6 orders x 3 steps
+
+
+def test_monotonicity_fails_on_a_failed_cell(tmp_path, monkeypatch, capsys):
+    # every other cell has the same regret, so only the failure can fail the run
+    def fake_run_single(config, loss, seed):
+        if loss == "mse+c+o":
+            raise SolveFailure("oracle broke")
+        return harness.RunReport(problem=config.problem, loss=loss, seed=seed,
+                                 regret_abs=1.0, regret_norm=None, time_s=0.0,
+                                 counts=harness.SolveCounts(), exact=True)
+
+    monkeypatch.setattr(harness, "run_single", fake_run_single)
+    code = main(["monotonicity", "--problem", "ks6", "--seeds", "0,1",
+                 "--out-dir", str(tmp_path / "mono"), *GEN_ARGS, *TRAIN_ARGS])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAILED mse+c+o seed=0: SolveFailure: oracle broke" in captured.err
+    assert "FAILED mse+c+o seed=1" in captured.err
+    assert "no component made regret worse" not in captured.out
 
 
 def test_sensitivity_check_exit_code():

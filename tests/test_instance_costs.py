@@ -92,6 +92,15 @@ def test_costs_from_predictions_validation(ks_setup):
         costs_from_predictions(problem, dataset, good[:2], parse_loss("mse"))
 
 
+def test_costs_from_predictions_on_an_empty_split():
+    problem = make_knapsack(d=6, seed=0)
+    dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0),
+                       problem, cache_decisions=True)
+    report = costs_from_predictions(problem, dataset, np.zeros((0, 6)),
+                                    parse_loss("mse"), split="val")
+    assert report.costs.shape == (0,) and report.solver_calls == 0
+
+
 def test_report_round_trip_and_serialization(ks_setup, tmp_path):
     problem, dataset = ks_setup
     model = init_model(dataset.k, dataset.d, seed=1)

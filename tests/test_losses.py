@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosdfl.core import (CostRangeVector, DataInstance, Decision, Sense,
-                         instance_regret)
+from cosdfl.core import (CostRangeVector, DataInstance, Decision, DecisionKind,
+                         Sense, instance_regret)
 from cosdfl.errors import (MissingBaselineRegret, MissingInstanceCost,
                            MissingOptimalDecision, MissingRanges, ZeroVector)
 from cosdfl.losses import (BaseError, LossSpec, OneSidedMode, base_error,
-                           evaluate_loss, lawless_loss, normalize,
+                           coordinate_weights, evaluate_loss,
+                           evaluate_loss_batch, lawless_loss, normalize,
                            one_sided_mask, one_sided_weights, parse_loss,
-                           pinball_loss, spo_plus_loss)
+                           pinball_loss, spo_plus_loss, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, KnapsackSpec, ShortestPathOracle, GridSpec
 from cosdfl.simplex import cost_ranging, relax, solve_lp
+
+from brute import brute_loss, brute_weights
 
 
 def fd_grad(f, x, h=1e-6):
@@ -317,6 +322,107 @@ def test_gradients_match_finite_differences():
                                                   Sense.MAXIMIZE).value, predicted)
             scale = max(np.linalg.norm(out.gradient), np.linalg.norm(num), 1e-6)
             assert np.linalg.norm(out.gradient - num) / scale < 1e-5, name
+
+
+# --- the batched kernel against the per-row reference -------------------------
+
+REFERENCE_SPECS = ([f"{b}{s}" for b in ("mse", "mae")
+                    for s in ("", "+c", "+o", "+s", "+c+o", "+c+s", "+o+s", "+c+o+s")]
+                   + ["mse+o_s", "mse+o_s+s", "mae+o_s", "mae+o_s+s", "mse+tau:0.7",
+                      "mae+tau:0.2", "tau per coordinate", "lawless:0",
+                      "lawless:0.4", "mae+lawless:0.4"])
+REFERENCE_ROWS = 32
+
+
+def reference_case(name, seed):
+    """A spec, REFERENCE_ROWS instances carrying every cache, and predictions
+    with exact ties to the truth and, under S, one exactly-zero row."""
+    rng = np.random.default_rng(seed)
+    n, d = REFERENCE_ROWS, int(rng.integers(2, 9))
+    if name == "tau per coordinate":
+        spec = replace(parse_loss("mse+tau:0.5"), tau=tuple(rng.uniform(0.0, 1.0, d)))
+    else:
+        spec = parse_loss(name)
+    true = rng.normal(0.0, 3.0, (n, d))
+    # mostly binary decisions; the rest sit just inside or just outside the
+    # bound tolerances (1e-5 relative at 1, 1e-9 absolute at 0) or in between
+    x_star = rng.choice([0.0, 1.0, 0.5, 1.0 - 5e-6, 1.0 - 2e-5, 5e-10, 2e-9],
+                        p=[0.4, 0.4, 0.04, 0.04, 0.04, 0.04, 0.04], size=(n, d))
+    centre = true / np.linalg.norm(true, axis=1, keepdims=True) \
+        if spec.scale_invariant else true
+    lower = np.where(rng.random((n, d)) < 0.2, -np.inf,
+                     centre - rng.uniform(0.0, 0.5, (n, d)))
+    upper = np.where(rng.random((n, d)) < 0.2, np.inf,
+                     centre + rng.uniform(0.0, 0.5, (n, d)))
+    instances = [DataInstance(np.zeros(1), true[r],
+                              optimal_decision=Decision(x_star[r],
+                                                        kind=DecisionKind.CONTINUOUS),
+                              sensitivity_ranges=CostRangeVector(lower[r], upper[r]),
+                              instance_cost=float(rng.uniform(0.0, 5.0)))
+                 for r in range(n)]
+    predicted = true * (1.0 + rng.normal(0.0, 0.3, (n, d)))
+    ties = rng.random((n, d)) < 0.1
+    predicted[ties] = true[ties]
+    if spec.scale_invariant:
+        predicted[int(rng.integers(n))] = 0.0
+    return spec, instances, predicted
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(REFERENCE_SPECS), seed=st.integers(0, 2 ** 32 - 1),
+       maximize=st.booleans())
+def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
+    spec, instances, predicted = reference_case(name, seed)
+    sense = Sense.MAXIMIZE if maximize else Sense.MINIMIZE
+    data = stack_loss_data(spec, instances)
+    order = np.random.default_rng(seed).permutation(REFERENCE_ROWS)
+    per_size = []
+    for size in (1, 7, REFERENCE_ROWS):
+        values = np.empty(REFERENCE_ROWS)
+        grads = np.empty_like(predicted)
+        for start in range(0, REFERENCE_ROWS, size):
+            rows = order[start:start + size]
+            values[rows], grads[rows] = evaluate_loss_batch(spec, predicted[rows],
+                                                            data, rows, sense)
+        per_size.append((values, grads))
+    for values, grads in per_size[1:]:
+        np.testing.assert_array_equal(values, per_size[0][0])
+        np.testing.assert_array_equal(grads, per_size[0][1])
+
+    values, grads = per_size[0]
+    for r, inst in enumerate(instances):
+        value, grad = brute_loss(spec, predicted[r], inst, maximize)
+        np.testing.assert_allclose(values[r], value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[r], grad, rtol=1e-12, atol=1e-12)
+
+    # masks on identical evaluation-space inputs, with coordinates set exactly
+    # onto the thresholds they are compared against
+    norms = np.linalg.norm(predicted, axis=1, keepdims=True)
+    pred_eval = predicted / np.where(norms > 0.0, norms, 1.0) \
+        if spec.scale_invariant else predicted.copy()
+    ranges = [inst.sensitivity_ranges for inst in instances]
+    lower = np.stack([rv.lower for rv in ranges])
+    upper = np.stack([rv.upper for rv in ranges])
+    rng = np.random.default_rng(seed + 1)
+    for threshold in (data.true, lower, upper):
+        pick = (rng.random(pred_eval.shape) < 0.1) & np.isfinite(threshold)
+        pred_eval[pick] = threshold[pick]
+    rows = np.arange(REFERENCE_ROWS)
+    weights = coordinate_weights(spec, pred_eval, data, rows, sense)
+    for r, inst in enumerate(instances):
+        expected = brute_weights(spec, pred_eval[r], data.true[r],
+                                 inst.optimal_decision.values, lower[r], upper[r],
+                                 maximize)
+        np.testing.assert_array_equal(weights[r], expected)
+
+
+def test_stacking_names_the_instance_missing_a_cache():
+    insts = [DataInstance(np.zeros(1), np.array([1.0, 2.0]), instance_cost=1.0),
+             DataInstance(np.zeros(1), np.array([2.0, 1.0]))]
+    with pytest.raises(MissingInstanceCost, match="instance 7"):
+        stack_loss_data(parse_loss("mse+c"), insts, [3, 7])
+    with pytest.raises(MissingOptimalDecision, match="instance 3"):
+        stack_loss_data(parse_loss("mse+o"), insts, [3, 7])
 
 
 # --- spo+ ----------------------------------------------------------------------

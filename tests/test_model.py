@@ -3,6 +3,7 @@ import pytest
 
 from cosdfl.core import DataInstance, Dataset, Split
 from cosdfl.datagen import GenSpec, generate
+from cosdfl.errors import NonFiniteLoss
 from cosdfl.losses import evaluate_loss, parse_loss
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           TrainConfig, init_model, load_model,
@@ -160,6 +161,23 @@ def test_training_requirements():
     with pytest.raises(ValueError):
         train(init_model(dataset.k, dataset.d), empty, parse_loss("mse"),
               TrainConfig(epochs=1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_loss_names_the_instance_and_the_phase():
+    # a squared error of 1e200 overflows; the error names the instance
+    dataset, _ = linear_dataset()
+    config = TrainConfig(epochs=2, batch_size=8, seed=0)
+    for index, phase in ((5, "training batch of epoch 0"),
+                         (27, "validation after epoch 0")):
+        inst = dataset.instances[index]
+        broken = dataset.with_replaced(
+            {index: DataInstance(inst.features, np.full(dataset.d, 1e200))})
+        with pytest.raises(NonFiniteLoss) as info:
+            train(init_model(dataset.k, dataset.d, seed=0), broken,
+                  parse_loss("mse"), config)
+        assert phase in str(info.value)
+        assert f"instance {index} " in str(info.value)
 
 
 def test_zero_patience_stops_after_first_plateau():
