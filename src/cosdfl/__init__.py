@@ -9,7 +9,8 @@ an experiment harness with per-phase solver-call accounting.
 """
 from .core import (REGRET_TOL, DataInstance, Dataset, Decision, DecisionKind,
                    CostRangeVector, Sense, Split, decision_value,
-                   export_instances_csv, instance_regret, load_dataset,
+                   export_instances_csv, instance_regret, instance_regrets,
+                   load_dataset,
                    normalized_regret, regret, regret_from_decisions,
                    save_dataset, total_regret)
 from .datagen import GenSpec, generate, latent_costs
@@ -32,7 +33,7 @@ from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
                      base_error, evaluate_loss, evaluate_loss_batch,
                      lawless_loss, normalize, one_sided_mask,
                      one_sided_weights, parse_loss, pinball_loss,
-                     spo_plus_loss, stack_loss_data)
+                     spo_plus_batch, spo_plus_loss, stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, model_from_json, model_to_json,
                     save_model, train)

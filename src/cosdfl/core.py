@@ -237,6 +237,8 @@ class Problem(Protocol):
 
     def solve(self, costs: np.ndarray) -> Decision: ...
 
+    def solve_many(self, costs: np.ndarray) -> np.ndarray: ...
+
 
 def decision_value(costs: np.ndarray, decision: Decision) -> float:
     return float(np.dot(costs, decision.values))
@@ -249,9 +251,15 @@ def regret_from_decisions(problem: Problem, true_costs: np.ndarray,
     A gap below -REGRET_TOL means the cached "optimal" decision was beaten,
     which indicates a solver bug or a stale cache, and raises SolveFailure.
     """
-    v_star = decision_value(true_costs, optimal_decision)
-    v_hat = decision_value(true_costs, predicted_decision)
-    gap = v_star - v_hat if problem.sense is Sense.MAXIMIZE else v_hat - v_star
+    return _regret(problem.sense, true_costs, optimal_decision.values,
+                   predicted_decision.values)
+
+
+def _regret(sense: Sense, true_costs: np.ndarray, x_star: np.ndarray,
+            x_hat: np.ndarray) -> float:
+    v_star = float(np.dot(true_costs, x_star))
+    v_hat = float(np.dot(true_costs, x_hat))
+    gap = v_star - v_hat if sense is Sense.MAXIMIZE else v_hat - v_star
     if gap < -REGRET_TOL:
         raise SolveFailure(
             f"negative regret {gap:.3e}: the cached optimal decision was beaten")
@@ -277,11 +285,41 @@ def instance_regret(problem: Problem, predicted: np.ndarray, instance: DataInsta
     Costs exactly one solver call when the cache is present.
     """
     predicted = as_vector(predicted, name="predicted costs", length=problem.d)
-    x_star = instance.optimal_decision
-    if x_star is None:
-        x_star = problem.solve(instance.true_costs)
-    x_hat = problem.solve(predicted)
-    return regret_from_decisions(problem, instance.true_costs, x_star, x_hat)
+    return float(instance_regrets(problem, predicted[None, :], [instance])[0])
+
+
+def instance_regrets(problem: Problem, predictions, instances: Sequence[DataInstance],
+                     indices: Sequence[int] | None = None) -> np.ndarray:
+    """Regret of each prediction row on its instance, from one batched solve.
+
+    The batch holds the predictions plus the true costs of the instances
+    that have no cached optimal decision, so it costs one solve per row and
+    one more per uncached instance. ``indices`` are the instances' dataset
+    indices (0..n-1 when omitted); a non-finite prediction (ValueError) or
+    a negative regret (SolveFailure) raises an error naming the instance.
+    """
+    n = len(instances)
+    predictions = np.asarray(predictions, dtype=float).reshape(n, problem.d)
+    indices = range(n) if indices is None else indices
+    finite = np.isfinite(predictions).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"predicted costs of instance {indices[int(np.argmin(finite))]} "
+                         "contain non-finite entries")
+    uncached = [r for r, inst in enumerate(instances) if inst.optimal_decision is None]
+    true = np.reshape([instances[r].true_costs for r in uncached], (-1, problem.d))
+    decisions = problem.solve_many(np.vstack([true, predictions]))
+    x_star = [None if inst.optimal_decision is None else inst.optimal_decision.values
+              for inst in instances]
+    for k, r in enumerate(uncached):
+        x_star[r] = decisions[k]
+    x_hat = decisions[len(uncached):]
+    out = np.empty(n)
+    for r, (i, inst) in enumerate(zip(indices, instances)):
+        try:
+            out[r] = _regret(problem.sense, inst.true_costs, x_star[r], x_hat[r])
+        except SolveFailure as exc:
+            raise SolveFailure(f"instance {i}: {exc}") from exc
+    return out
 
 
 class Predictor(Protocol):
@@ -298,13 +336,11 @@ def total_regret(problem: Problem, model: Predictor, dataset: Dataset,
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}")
     indices = dataset.split.part(split)
+    insts = [dataset.instances[i] for i in indices]
     total = 0.0
-    for i in indices:
-        inst = dataset.instances[i]
-        try:
-            total += instance_regret(problem, model.predict(inst.features), inst)
-        except SolveFailure as exc:
-            raise SolveFailure(f"instance {i}: {exc}") from exc
+    for value in instance_regrets(problem, [model.predict(inst.features) for inst in insts],
+                                  insts, indices).tolist():
+        total += value
     if reduction == "mean":
         return total / len(indices) if indices else 0.0
     return total

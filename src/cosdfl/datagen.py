@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataInstance, Dataset, Problem, Split
+from .core import DataInstance, Dataset, Decision, Problem, Split
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,10 @@ def generate(spec: GenSpec, problem: Problem, cache_decisions: bool = True) -> D
         test=tuple(range(spec.n_train + spec.n_val, n)),
     )
     instances = []
-    cached = set(split.train + split.val) if cache_decisions else set()
+    cached = list(split.train + split.val) if cache_decisions else []
+    decisions = dict(zip(cached, problem.solve_many(costs[cached])))
     for i in range(n):
-        decision = problem.solve(costs[i]) if i in cached else None
+        decision = Decision(decisions[i]) if i in decisions else None
         instances.append(DataInstance(features=features[i], true_costs=costs[i],
                                       optimal_decision=decision))
     return Dataset(instances=tuple(instances), split=split, k=spec.k, d=d,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Sense, normalized_regret, total_regret
+from .core import Dataset, Decision, Sense, normalized_regret, total_regret
 from .datagen import GenSpec, generate
 from .errors import CosdflError
 from .instance_costs import (apply_instance_costs, baseline_regrets,
@@ -47,14 +47,14 @@ PARETO_TIME_BAND_S = 30.0
 
 def attach_decisions(dataset: Dataset, problem: ProblemOracle,
                      splits: tuple[str, ...] = ("train", "val")) -> Dataset:
-    """Fill in missing optimal decisions; one solve per uncached instance."""
-    updates = {}
-    for split in splits:
-        for i in dataset.split.part(split):
-            inst = dataset.instances[i]
-            if inst.optimal_decision is None:
-                updates[i] = inst.with_decision(problem.solve(inst.true_costs))
-    return dataset.with_replaced(updates)
+    """Fill in missing optimal decisions; one batched solve over the uncached
+    instances of ``splits``, one solve each."""
+    missing = [i for split in splits for i in dataset.split.part(split)
+               if dataset.instances[i].optimal_decision is None]
+    decisions = problem.solve_many(
+        np.reshape([dataset.instances[i].true_costs for i in missing], (-1, problem.d)))
+    return dataset.with_replaced({i: dataset.instances[i].with_decision(Decision(x))
+                                  for i, x in zip(missing, decisions)})
 
 
 def attach_ranges(dataset: Dataset, problem: ProblemOracle,

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DataInstance, Dataset, Problem, instance_regret
+from .core import DataInstance, Dataset, Problem, instance_regrets
 from .losses import LossSpec, evaluate_loss_batch, stack_loss_data
 from .model import LinearModel, TrainConfig, init_model, train
 
@@ -83,7 +83,7 @@ def _costs_from_values(base_losses: np.ndarray, regrets: np.ndarray
 def costs_from_predictions(problem: Problem, dataset: Dataset,
                            predictions: np.ndarray, base_spec: LossSpec,
                            split: str = "train") -> BaselineReport:
-    """Instance weights from explicit predictions; one solver call per instance.
+    """Instance weights from explicit predictions; one batched solve per split.
 
     Assumes optimal decisions are already cached on the split's instances
     (each regret evaluation then costs exactly one solve).
@@ -102,8 +102,7 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
         losses, _ = evaluate_loss_batch(base_spec, predictions,
                                         stack_loss_data(base_spec, insts, indices),
                                         slice(None), problem.sense)
-    regrets = np.array([instance_regret(problem, predictions[row], inst)
-                        for row, inst in enumerate(insts)])
+    regrets = instance_regrets(problem, predictions, insts, indices)
     costs, degenerate, all_zero = _costs_from_values(losses, regrets)
     calls = (counter.count - calls_before) if counter is not None else len(indices)
     return BaselineReport(
@@ -144,11 +143,9 @@ def baseline_regrets(problem: Problem, baseline: LinearModel, dataset: Dataset,
                      split: str = "train") -> np.ndarray:
     """Raw per-instance baseline regrets (the weights of the regret-weighted loss)."""
     indices = dataset.split.part(split)
-    out = np.empty(len(indices))
-    for row, i in enumerate(indices):
-        inst = dataset.instances[i]
-        out[row] = instance_regret(problem, baseline.predict(inst.features), inst)
-    return out
+    insts = [dataset.instances[i] for i in indices]
+    return instance_regrets(problem, [baseline.predict(inst.features) for inst in insts],
+                            insts, indices)
 
 
 # --- iterative and ensemble refinement ---------------------------------------

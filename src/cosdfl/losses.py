@@ -17,7 +17,8 @@ regret weights; which coordinates of X* sit at a bound; the mask
 thresholds; tau) is stacked once into a :class:`LossData` by
 :func:`stack_loss_data`, which also raises the missing-cache errors.
 :func:`evaluate_loss` is the one-row call of the kernel. Only ``spo+``
-needs the solver and is evaluated row by row by :func:`spo_plus_loss`.
+needs the solver: :func:`spo_plus_batch` makes one batched oracle solve per
+mini-batch, and :func:`spo_plus_loss` is its one-row call.
 
 Masks and pinball indicators are treated as locally constant, so the
 gradient is the almost-everywhere derivative (zero subgradient on the
@@ -306,7 +307,8 @@ class LossData:
     fields are set only for a spec with O or O_S: which coordinates of X*
     sit at their upper and lower bound, and the thresholds the prediction
     is compared against (the true costs, or the O_S range bounds). ``tau``
-    is set only for a pinball-weighted spec.
+    is set only for a pinball-weighted spec, ``x_star`` (X* itself) only
+    for spo+.
     """
 
     indices: np.ndarray
@@ -317,6 +319,7 @@ class LossData:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     tau: np.ndarray | None = None
+    x_star: np.ndarray | None = None
 
 
 def _instance_factors(spec: LossSpec, instances: tuple[DataInstance, ...],
@@ -345,8 +348,6 @@ def stack_loss_data(spec: LossSpec, instances, indices=None) -> LossData:
     Raises the missing-cache errors (and ZeroVector for an all-zero true cost
     vector under S) here, before any evaluation.
     """
-    if spec.spo_plus:
-        raise ValueError("spo+ is evaluated via spo_plus_loss (it needs the problem oracle)")
     instances = tuple(instances)
     indices = np.arange(len(instances)) if indices is None else np.asarray(indices)
     factor = _instance_factors(spec, instances, indices)
@@ -356,13 +357,16 @@ def stack_loss_data(spec: LossSpec, instances, indices=None) -> LossData:
         true = np.stack([inst.true_costs for inst in instances])
     d = true.shape[1]
     fields: dict = {}
-    if spec.one_sided is not OneSidedMode.OFF:
+    if spec.requires_decisions:
         for i, inst in zip(indices, instances):
             if inst.optimal_decision is None:
-                raise MissingOptimalDecision("one-sided loss requires the cached "
+                raise MissingOptimalDecision(f"{spec.name} requires the cached "
                                              f"optimal decision of instance {i}")
-        fields["at_upper"], fields["at_lower"] = _at_bounds(
-            np.stack([inst.optimal_decision.values for inst in instances]))
+        x_star = np.stack([inst.optimal_decision.values for inst in instances])
+    if spec.spo_plus:
+        fields["x_star"] = x_star
+    elif spec.one_sided is not OneSidedMode.OFF:
+        fields["at_upper"], fields["at_lower"] = _at_bounds(x_star)
         if spec.one_sided is OneSidedMode.SENSITIVITY:
             for i, inst in zip(indices, instances):
                 if inst.sensitivity_ranges is None:
@@ -450,30 +454,42 @@ def evaluate_loss(spec: LossSpec, predicted: np.ndarray, instance: DataInstance,
     return LossValueGrad(float(values[0]), grads[0])
 
 
+def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
+                   problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B,) and prediction-gradients (B, d) of spo+; one batched solve.
+
+    Solves the problem at 2*predicted - true for every row in one
+    ``solve_many`` call and compares against the stacked optimal decisions
+    X* of ``data`` (from :func:`stack_loss_data` with the spo+ spec). The
+    gradient is the standard subgradient +/- 2 (x(2c_hat - c) - x(c)).
+    """
+    true = data.true[rows]
+    x_star = data.x_star[rows]
+    shifted = 2.0 * predicted - true
+    x_shift = problem.solve_many(shifted)
+    maximize = problem.sense is Sense.MAXIMIZE
+    values = np.empty(shifted.shape[0])
+    for r in range(shifted.shape[0]):  # row dot products, as a one-row call takes them
+        shift_value = float(shifted[r] @ x_shift[r])
+        pred_value = float(predicted[r] @ x_star[r])
+        true_value = float(true[r] @ x_star[r])
+        values[r] = (shift_value - 2.0 * pred_value + true_value if maximize
+                     else -shift_value + 2.0 * pred_value - true_value)
+    grads = 2.0 * (x_shift - x_star) if maximize else 2.0 * (x_star - x_shift)
+    check_finite(values, grads, data.indices[rows])
+    return values, grads
+
+
 def spo_plus_loss(predicted: np.ndarray, instance: DataInstance,
                   problem: Problem) -> LossValueGrad:
     """Convex surrogate that upper-bounds regret; costs one solver call.
 
-    Solves the problem at 2*predicted - true and compares against the cached
-    optimal decision. The gradient is the standard subgradient
-    +/- 2 (x(2c_hat - c) - x(c)).
+    A one-row call of :func:`spo_plus_batch`.
     """
     predicted = as_vector(predicted, name="predicted costs", length=problem.d)
-    if instance.optimal_decision is None:
-        raise MissingOptimalDecision("spo+ requires the cached optimal decision")
-    true = instance.true_costs
-    x_star = instance.optimal_decision.values
-    shifted = 2.0 * predicted - true
-    x_shift = problem.solve(shifted).values
-    if problem.sense is Sense.MAXIMIZE:
-        value = float(shifted @ x_shift) - 2.0 * float(predicted @ x_star) \
-            + float(true @ x_star)
-        grad = 2.0 * (x_shift - x_star)
-    else:
-        value = -float(shifted @ x_shift) + 2.0 * float(predicted @ x_star) \
-            - float(true @ x_star)
-        grad = 2.0 * (x_star - x_shift)
-    return LossValueGrad(value, grad)
+    data = stack_loss_data(LossSpec(spo_plus=True), [instance])
+    values, grads = spo_plus_batch(predicted[None, :], data, slice(None), problem)
+    return LossValueGrad(float(values[0]), grads[0])
 
 
 def lawless_loss(w: float, predicted: np.ndarray, instance: DataInstance,

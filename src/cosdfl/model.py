@@ -5,9 +5,9 @@ descent (SGD or Adam) against any composed loss. The loss arrays of the
 training and validation instances are stacked once per run, and each
 mini-batch (and each epoch's validation pass) is one call of the batched
 loss kernel, whose (B, d) prediction-gradients chain into W and b by one
-matrix product; no autodiff is involved. Only ``spo+`` evaluates row by
-row, since each row calls the solver. Given the same seed and config,
-training is bit-for-bit reproducible.
+matrix product; no autodiff is involved. A ``spo+`` mini-batch makes one
+batched oracle solve. Given the same seed and config, training is
+bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import Dataset, Sense, as_vector, frozen_array
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
-from .losses import (LossSpec, check_finite, evaluate_loss_batch,
-                     spo_plus_loss, stack_loss_data)
+from .losses import (LossSpec, evaluate_loss_batch, spo_plus_batch,
+                     stack_loss_data)
 # Not called here; perfbench's tracer test reads this binding (see perfbench/).
 from .losses import evaluate_loss  # noqa: F401
 
@@ -200,8 +200,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     val_insts = [dataset.instances[i] for i in val_idx]
     val_feats = np.stack([inst.features for inst in val_insts]) if val_insts else None
     val_spec = spec.validation_variant()
-    if not spec.spo_plus:
-        data = stack_loss_data(spec, insts, train_idx)
+    data = stack_loss_data(spec, insts, train_idx)
     if val_insts:
         val_data = stack_loss_data(val_spec, val_insts, val_idx)
 
@@ -212,7 +211,6 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     adam_b = _AdamState(b.shape)
     step = 0
     n = len(insts)
-    train_indices = np.asarray(train_idx)
 
     def count_solves() -> int:
         counter = getattr(problem, "counter", None)
@@ -235,14 +233,9 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             preds = zb @ w.T + b
             try:
                 if spec.spo_plus:
-                    values = np.empty(len(batch))
-                    grads = np.empty_like(preds)
-                    for row, i in enumerate(batch):
-                        out = spo_plus_loss(preds[row], insts[i], problem)
-                        values[row] = out.value
-                        grads[row] = out.gradient
-                        loss_sum += out.value
-                    check_finite(values, grads, train_indices[batch])
+                    values, grads = spo_plus_batch(preds, data, batch, problem)
+                    for value in values.tolist():  # summed row by row, in batch order
+                        loss_sum += value
                 else:
                     values, grads = evaluate_loss_batch(spec, preds, data, batch, sense)
                     loss_sum += float(values.sum())

@@ -222,3 +222,83 @@ def brute_loss(spec, predicted, instance, maximize: bool
     if spec.scale_invariant:
         grad = (grad - pred_eval * sum(u * g for u, g in zip(pred_eval, grad))) / pred_norm
     return float(value), grad
+
+
+# --- spo+ training ---------------------------------------------------------------
+#
+# Per-row reference for batched spo+ training: the epoch body solves one
+# row at a time through ``problem.solve`` and accumulates the loss row by
+# row. Batching, shuffling, the optimizer and model selection follow
+# ``cosdfl.model.train`` (training and validation merged, the epoch's mean
+# training loss as the validation metric).
+
+def _adam_step(state, grad, config, t):
+    m, v = state
+    m = config.beta1 * m + (1.0 - config.beta1) * grad
+    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+    m_hat = m / (1.0 - config.beta1 ** t)
+    v_hat = v / (1.0 - config.beta2 ** t)
+    return (m, v), config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+def brute_spo_plus_train(model, dataset, config, problem):
+    """spo+ training with one oracle solve per row; returns a TrainTrace."""
+    from cosdfl.model import EpochRecord, LinearModel, Optimizer, TrainTrace
+
+    maximize = problem.sense.value == "max"
+    idx = list(dataset.split.train) + list(dataset.split.val)
+    insts = [dataset.instances[i] for i in idx]
+    feats = np.stack([inst.features for inst in insts])
+    rng = np.random.default_rng(config.seed)
+    w, b = model.weights.copy(), model.bias.copy()
+    state_w = (np.zeros(w.shape), np.zeros(w.shape))
+    state_b = (np.zeros(b.shape), np.zeros(b.shape))
+    step = 0
+    n = len(insts)
+    solves_start = problem.counter.count
+    records = []
+    best_val, best_epoch = np.inf, -1
+    best_w, best_b = w.copy(), b.copy()
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            zb = feats[batch]
+            preds = zb @ w.T + b
+            grads = np.empty_like(preds)
+            for row, i in enumerate(batch):
+                true = insts[i].true_costs
+                x_star = insts[i].optimal_decision.values
+                shifted = 2.0 * preds[row] - true
+                x_shift = problem.solve(shifted).values
+                if maximize:
+                    value = float(shifted @ x_shift) - 2.0 * float(preds[row] @ x_star) \
+                        + float(true @ x_star)
+                    grads[row] = 2.0 * (x_shift - x_star)
+                else:
+                    value = -float(shifted @ x_shift) + 2.0 * float(preds[row] @ x_star) \
+                        - float(true @ x_star)
+                    grads[row] = 2.0 * (x_star - x_shift)
+                loss_sum += value
+            gw = grads.T @ zb / len(batch)
+            gb = grads.mean(axis=0)
+            if config.optimizer is Optimizer.SGD:
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+            else:
+                step += 1
+                state_w, dw = _adam_step(state_w, gw, config, step)
+                state_b, db = _adam_step(state_b, gb, config, step)
+                w -= dw
+                b -= db
+        train_loss = loss_sum / n
+        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=train_loss,
+                                   seconds=0.0,
+                                   solver_calls=problem.counter.count - solves_start))
+        if train_loss < best_val:
+            best_val, best_epoch = train_loss, epoch
+            best_w, best_b = w.copy(), b.copy()
+    return TrainTrace(records=tuple(records), best_epoch=best_epoch,
+                      best_model=LinearModel(best_w, best_b),
+                      final_model=LinearModel(w, b))

@@ -133,6 +133,20 @@ def test_total_regret_sum_and_mean(tiny_knapsack):
         total_regret(tiny_knapsack, model, ds, reduction="median")
 
 
+def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):
+    c = np.array([3.0, 4.0, 5.0, 6.0])
+    insts = tuple(DataInstance(np.array([float(i)]), c) for i in range(3))
+    ds = Dataset(instances=insts, split=Split(train=(0,), test=(1, 2)), k=1, d=4)
+
+    class NanForInstance2:
+        def predict(self, features):
+            return c * (np.nan if features[0] == 2.0 else 1.0)
+
+    with pytest.raises(ValueError, match="instance 2 "):
+        total_regret(tiny_knapsack, NanForInstance2(), ds)
+    assert tiny_knapsack.counter.count == 0
+
+
 def test_dataset_roundtrip(tmp_path, tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
     inst = DataInstance(np.array([0.5, -1.5]), c,

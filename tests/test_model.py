@@ -8,7 +8,9 @@ from cosdfl.losses import evaluate_loss, parse_loss
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           TrainConfig, init_model, load_model,
                           model_from_json, model_to_json, save_model, train)
-from cosdfl.problems import make_knapsack
+from cosdfl.problems import make_knapsack, problem_from_name
+
+from brute import brute_spo_plus_train
 
 
 def linear_dataset(n_train=24, n_val=8, k=3, d=4, seed=0):
@@ -135,6 +137,25 @@ def test_spo_plus_merges_validation_and_counts_solves():
     assert trace.records[-1].solver_calls == 4 * 15
     for r in trace.records:
         assert r.val_loss == r.train_loss
+
+
+@pytest.mark.parametrize("name, optimizer", [("sp5x5", Optimizer.ADAM),
+                                             ("ks16", Optimizer.ADAM),
+                                             ("tsp5", Optimizer.ADAM),
+                                             ("ks16", Optimizer.SGD)])
+def test_batched_spo_plus_matches_per_row_training(name, optimizer):
+    # sp5x5 and tsp5 minimize, ks16 maximizes; 26 rows in batches of 8 leave
+    # a short last batch
+    problem = problem_from_name(name, seed=3)
+    dataset = generate(GenSpec(n_train=20, n_val=6, n_test=2, k=3, seed=3),
+                       problem, cache_decisions=True)
+    config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.05,
+                         optimizer=optimizer, seed=3)
+    start = init_model(3, problem.d, seed=3)
+    batched = train(start, dataset, parse_loss("spo+"), config, problem=problem)
+    reference = brute_spo_plus_train(start, dataset, config, problem)
+    assert batched.deterministic_fields() == reference.deterministic_fields()
+    assert batched.records[-1].solver_calls == 4 * 26
 
 
 def test_solver_free_specs_touch_no_oracle():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosdfl import problems
 from cosdfl.core import Sense
-from cosdfl.errors import ModeMismatch
+from cosdfl.errors import DimensionMismatch, ModeMismatch
 from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, GridSpec,
                              KnapsackOracle, KnapsackSpec, ShortestPathOracle,
                              TspMode, TspOracle, TspSpec, load_problem,
@@ -250,3 +251,104 @@ def test_make_helpers():
     assert make_grid(rows=3, cols=7).d == 3 * 6 + 2 * 7
     assert make_tsp(n_nodes=12).exact
     assert not make_tsp(n_nodes=14).exact
+
+
+# --- batched solves -------------------------------------------------------------
+
+BATCH_FAMILIES = ("ks", "sp", "tsp", "tsp-heuristic")
+
+
+def batch_case(family, rng):
+    """An oracle, a cost batch of 1-8 rows for it, and the brute-force solver
+    of one row. Half the batches have small integer costs, with many ties."""
+    rows = int(rng.integers(1, 9))
+    integer = bool(rng.integers(0, 2))
+    if family == "ks":
+        d = int(rng.integers(2, 9))
+        q = int(rng.integers(1, 3))
+        spec = KnapsackSpec(weights=rng.integers(1, 5, size=(q, d)).astype(float),
+                            capacities=rng.integers(d, 2 * d + 1, size=q).astype(float))
+        oracle = KnapsackOracle(spec)
+        costs = (rng.integers(-2, 4, size=(rows, d)).astype(float) if integer
+                 else rng.normal(1.0, 2.0, size=(rows, d)))
+        return oracle, costs, lambda c: brute_knapsack(spec.weights, spec.capacities, c)
+    if family == "sp":
+        r, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        oracle = ShortestPathOracle(GridSpec(r, c))
+        costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
+                 else rng.normal(0.0, 1.0, size=(rows, oracle.d)))
+        return oracle, costs, lambda x: brute_shortest_path(r, c, x)
+    n = int(rng.integers(3, 7))
+    mode = TspMode.EXACT if family == "tsp" else TspMode.HEURISTIC
+    oracle = TspOracle(TspSpec(n, mode))
+    costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
+             else rng.uniform(0.5, 5.0, size=(rows, oracle.d)))
+    return oracle, costs, lambda x: brute_tsp(n, x)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(BATCH_FAMILIES), st.integers(0, 2 ** 32 - 1))
+def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
+    rng = np.random.default_rng(seed)
+    oracle, costs, brute = batch_case(family, rng)
+    x = oracle.solve_many(costs)
+    assert x.shape == costs.shape
+    assert oracle.counter.count == costs.shape[0]  # one step of B
+    for r, c in enumerate(costs):
+        np.testing.assert_array_equal(x[r], oracle.solve(c).values)
+        x_brute, v_brute = brute(c)
+        if family in ("ks", "sp"):
+            np.testing.assert_array_equal(x[r], x_brute)
+        elif family == "tsp":
+            assert float(c @ x[r]) == pytest.approx(v_brute, abs=1e-9)
+        else:
+            assert float(c @ x[r]) >= v_brute - 1e-9
+    assert oracle.counter.count == 2 * costs.shape[0]
+
+
+def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
+    oracle = make_tsp(6)
+    costs = np.random.default_rng(1).integers(0, 3, size=(7, oracle.d)).astype(float)
+    whole = oracle.solve_many(costs)
+    monkeypatch.setattr(problems, "HELD_KARP_CHUNK_STATES", 3 * 2 ** 5 * 5)  # 3 rows
+    np.testing.assert_array_equal(oracle.solve_many(costs), whole)
+
+
+@pytest.mark.parametrize("name", ["ks6", "sp3x3", "tsp5", "tsp14"])
+def test_solve_many_on_an_empty_batch_counts_nothing(name):
+    oracle = problem_from_name(name, seed=0)
+    x = oracle.solve_many(np.zeros((0, oracle.d)))
+    assert x.shape == (0, oracle.d)
+    assert oracle.counter.count == 0
+
+
+def test_solve_many_validates_the_batch():
+    oracle = problem_from_name("sp3x3")
+    with pytest.raises(DimensionMismatch):
+        oracle.solve_many(np.zeros(oracle.d))
+    with pytest.raises(DimensionMismatch):
+        oracle.solve_many(np.zeros((2, oracle.d + 1)))
+    costs = np.ones((3, oracle.d))
+    costs[1, 4] = np.nan
+    with pytest.raises(ValueError, match="row 1"):
+        oracle.solve_many(costs)
+    assert oracle.counter.count == 0
+
+
+class OneBadRowOracle(ShortestPathOracle):
+    """Drops one arc of the path in row 2 of every batch."""
+
+    bad_row = 2
+
+    def _solve_many(self, costs):
+        x = super()._solve_many(costs)
+        x[self.bad_row, np.argmax(x[self.bad_row])] = 0.0
+        return x
+
+
+def test_batched_feasibility_check_names_the_infeasible_row():
+    oracle = OneBadRowOracle(GridSpec(3, 4), name="sp3x4")
+    costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, oracle.d))
+    with pytest.raises(AssertionError, match="sp3x4: solved row 2 of the batch"):
+        oracle.solve_many(costs)
+    ShortestPathOracle(GridSpec(3, 4)).solve_many(costs)  # the intact oracle passes
