@@ -21,7 +21,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/desk")
     parser.add_argument("--seeds", default="0,1,2,3,4")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     sp_losses = (component_subset_losses("mse") + ["mae+o+s", "spo+"]
@@ -34,8 +33,6 @@ def run(argv: list[str] | None = None) -> int:
         cli_args = ["experiment", "--problem", problem,
                     "--losses", ",".join(losses), "--seeds", args.seeds,
                     "--out-dir", str(out)]
-        if args.threads:
-            cli_args += ["--threads", str(args.threads)]
         code = max(code, cli_main(cli_args))
     return code
 

@@ -19,14 +19,13 @@ from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
 from .datagen import GenSpec, generate
-from .harness import (ExperimentConfig, SolveCounts, aggregate_rows,
-                      emit_pareto, monotonicity_report, prepare_dataset,
-                      run_experiment, sensitivity_soundness_check,
-                      write_monotonicity, write_results)
+from .harness import (ExperimentConfig, aggregate_rows, emit_pareto, fit,
+                      monotonicity_report, run_experiment,
+                      sensitivity_soundness_check, write_monotonicity,
+                      write_results)
 from .instance_costs import save_baseline_report
 from .losses import parse_loss
-from .model import (Optimizer, TrainConfig, init_model, load_model,
-                    save_model, train)
+from .model import Optimizer, TrainConfig, load_model, save_model
 from .problems import problem_from_name
 
 
@@ -68,6 +67,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     problem = problem_from_name(args.problem, seed=args.seed)
     spec = parse_loss(args.loss)
+    if args.emit_costs and not spec.requires_instance_cost:
+        print("--emit-costs requires a loss with instance weighting (+c)",
+              file=sys.stderr)
+        return 1
     if args.dataset:
         dataset = load_dataset(args.dataset)
     else:
@@ -76,19 +79,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                             batch_size=args.batch_size,
                             optimizer=Optimizer(args.optimizer), seed=args.seed)
-    dataset, counts, report = prepare_dataset(problem, dataset, spec, train_cfg,
-                                              dataset.k)
+    trace, counts, report = fit(problem, dataset, spec, train_cfg)
     if args.emit_costs:
-        if report is None:
-            print("--emit-costs requires a loss with instance weighting (+c)",
-                  file=sys.stderr)
-            return 1
         save_baseline_report(report, args.emit_costs)
-    before = problem.counter.count
-    trace = train(init_model(dataset.k, problem.d, seed=args.seed), dataset, spec,
-                  train_cfg, problem=problem if spec.spo_plus else None,
-                  sense=problem.sense)
-    counts.training_solves = problem.counter.count - before
     save_model(trace.best_model, args.out)
     print(f"loss={spec.name} best_epoch={trace.best_epoch} "
           f"best_val={trace.best_val_loss:.6g}")
@@ -119,7 +112,7 @@ def _experiment_config(args: argparse.Namespace, losses: list[str]) -> Experimen
         k=args.k, deg=args.deg, noise_width=args.noise_width,
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         optimizer=args.optimizer, normalize_against=args.normalize_against,
-        deterministic_output=args.deterministic_output, threads=args.threads)
+        deterministic_output=args.deterministic_output)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -129,7 +122,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     write_results(reports, out, deterministic_output=config.deterministic_output)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)
-    emit_pareto(reports, out)
+    emit_pareto(reports, out, deterministic_output=config.deterministic_output)
     for row in aggregate_rows(reports):
         if row.get("n", 0) == 0:
             print(f"{row['loss']}: all runs failed")
@@ -230,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-against", default="mse")
     p.add_argument("--deterministic-output", action="store_true",
                    help="zero wall-clock columns so outputs are byte-identical")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${'{'}COSDFL_THREADS{'}'} or 1)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_experiment)
 
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--normalize-against", default="mse")
     p.add_argument("--deterministic-output", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_monotonicity)
 

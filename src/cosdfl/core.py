@@ -2,12 +2,11 @@
 
 Vectors are plain numpy float64 arrays. Every type here is immutable after
 construction (arrays are frozen via ``setflags``) so instances can be shared
-across worker threads without copying. Caches such as optimal decisions are
+between datasets without copying. Caches such as optimal decisions are
 attached by building a replacement instance, never by mutation.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -346,19 +345,6 @@ def total_regret(problem: Problem, model: Predictor, dataset: Dataset,
     return total
 
 
-def normalized_regret(problem: Problem, model: Predictor, baseline: Predictor,
-                      dataset: Dataset, split: str = "test") -> float:
-    """Total regret of ``model`` divided by total regret of ``baseline``.
-
-    Both zero yields 1.0; a zero baseline with nonzero model regret yields inf.
-    """
-    ours = total_regret(problem, model, dataset, split)
-    base = total_regret(problem, baseline, dataset, split)
-    if base <= 0.0:
-        return 1.0 if ours <= 0.0 else float("inf")
-    return ours / base
-
-
 # --- serialization ---------------------------------------------------------
 
 def dataset_to_dict(dataset: Dataset) -> dict:
@@ -415,13 +401,3 @@ def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         return dataset_from_dict(json.load(fh))
 
-
-def export_instances_csv(dataset: Dataset, path) -> None:
-    """Write one row per instance with z_0..z_{k-1}, c_0..c_{d-1} columns."""
-    header = [f"z_{i}" for i in range(dataset.k)] + [f"c_{j}" for j in range(dataset.d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for inst in dataset.instances:
-            writer.writerow([repr(float(v)) for v in inst.features] +
-                            [repr(float(v)) for v in inst.true_costs])

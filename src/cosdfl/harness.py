@@ -11,35 +11,32 @@ calls are attributed to four phases:
   training_solves       oracle calls made by the loss during epochs
 
 Test-set evaluation happens after the pipeline and is excluded from these
-counters (it is identical for every loss). Reports merge in (loss, seed)
-order regardless of worker scheduling, so re-running a config reproduces
+counters (it is identical for every loss). Cells run one after another and
+reports come back in (loss, seed) order, so re-running a config reproduces
 results exactly; wall-clock columns can be zeroed via ``deterministic_output``
-to make the CSV byte-identical across runs.
+to make the output files byte-identical across runs.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Decision, Sense, normalized_regret, total_regret
+from .core import Dataset, Decision, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import CosdflError
 from .instance_costs import (apply_instance_costs, baseline_regrets,
                              compute_instance_costs)
 from .losses import LossSpec, normalize, parse_loss
-from .model import LinearModel, Optimizer, TrainConfig, init_model, train
+from .model import Optimizer, TrainConfig, init_model, train
 from .problems import ProblemOracle, problem_from_name
 from .simplex import LinearProgram, SolveStatus, cost_ranging, relax, solve_lp
 
-THREADS_ENV = "COSDFL_THREADS"
 PARETO_TIME_BAND_S = 30.0
 
 
@@ -104,7 +101,6 @@ class ExperimentConfig:
     optimizer: str = "adam"
     normalize_against: str = "mse"
     deterministic_output: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(self.losses))
@@ -132,12 +128,7 @@ class ExperimentConfig:
             "batch_size": self.batch_size, "optimizer": self.optimizer,
             "normalize_against": self.normalize_against,
             "deterministic_output": self.deterministic_output,
-            "threads": self.threads,
         }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ExperimentConfig":
-        return ExperimentConfig(**payload)
 
 
 @dataclass
@@ -226,24 +217,30 @@ def prepare_dataset(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
     return dataset, counts, report
 
 
+def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
+        train_cfg: TrainConfig):
+    """Prepare the caches ``spec`` needs, then train a fresh model under it.
+
+    Returns the training trace, the solver calls of all four phases, and the
+    instance-weight report (None unless ``spec`` has C).
+    """
+    dataset, counts, report = prepare_dataset(problem, dataset, spec, train_cfg,
+                                              dataset.k)
+    before = problem.counter.count
+    trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset, spec,
+                  train_cfg, problem=problem if spec.spo_plus else None,
+                  sense=problem.sense)
+    counts.training_solves = problem.counter.count - before
+    return trace, counts, report
+
+
 def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
     """One (loss, seed) cell: generate, precompute, train, evaluate."""
     problem = problem_from_name(config.problem, seed=seed)
-    spec = parse_loss(loss)
-    counter = problem.counter
     dataset = generate(config.gen_spec(seed), problem, cache_decisions=False)
-    counter.reset()  # generation is not part of the pipeline accounting
-    train_cfg = config.train_config(seed)
+    problem.counter.reset()  # generation is not part of the pipeline accounting
     t0 = time.perf_counter()
-
-    dataset, counts, _ = prepare_dataset(problem, dataset, spec, train_cfg, config.k)
-
-    before = counter.count
-    trace = train(init_model(config.k, problem.d, seed=seed), dataset, spec,
-                  train_cfg, problem=problem if spec.spo_plus else None,
-                  sense=problem.sense)
-    counts.training_solves = counter.count - before
-
+    trace, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(seed))
     regret_abs = total_regret(problem, trace.best_model, dataset, split="test")
     elapsed = time.perf_counter() - t0
     return RunReport(problem=config.problem, loss=loss, seed=seed,
@@ -254,14 +251,6 @@ def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
 
 # --- the grid -------------------------------------------------------------------
 
-def _worker_count(config: ExperimentConfig, n_cells: int) -> int:
-    if config.threads is not None:
-        workers = config.threads
-    else:
-        workers = int(os.environ.get(THREADS_ENV, "1"))
-    return max(1, min(workers, n_cells))
-
-
 def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     """Run the full grid; reports come back sorted by (loss, seed).
 
@@ -270,10 +259,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     by the same-seed run of ``config.normalize_against`` when that loss is
     part of the grid.
     """
-    cells = list(itertools.product(config.losses, config.seeds))
-
-    def cell(args) -> RunReport:
-        loss, seed = args
+    def cell(loss: str, seed: int) -> RunReport:
         try:
             return run_single(config, loss, seed)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -282,12 +268,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
                              time_s=float("nan"), counts=SolveCounts(),
                              exact=False, error=f"{type(exc).__name__}: {exc}")
 
-    workers = _worker_count(config, len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(cell, cells))
-    else:
-        reports = [cell(c) for c in cells]
+    reports = [cell(loss, seed)
+               for loss, seed in itertools.product(config.losses, config.seeds)]
     reports.sort(key=lambda r: (r.loss, r.seed))
 
     baseline = {r.seed: r.regret_abs for r in reports
@@ -392,9 +374,17 @@ def pareto_flags(points: list[tuple[float, float]],
 
 
 def emit_pareto(reports: list[RunReport], out_dir=None,
-                band_seconds: float = PARETO_TIME_BAND_S) -> list[dict]:
-    """Per-loss mean (regret, runtime) points with Pareto-optimality flags."""
+                band_seconds: float = PARETO_TIME_BAND_S,
+                deterministic_output: bool = False) -> list[dict]:
+    """Per-loss mean (regret, runtime) points with Pareto-optimality flags.
+
+    With ``deterministic_output`` the runtimes are zeroed before flagging,
+    so both the times and the flags of pareto.csv are reproducible.
+    """
     rows = [r for r in aggregate_rows(reports) if r.get("n", 0) > 0]
+    if deterministic_output:
+        for row in rows:
+            row["time_s_mean"] = 0.0
     points = [(row["regret_abs_mean"], row["time_s_mean"]) for row in rows]
     flags = pareto_flags(points, band_seconds)
     for row, flag in zip(rows, flags):

@@ -6,23 +6,18 @@ regret over the instances where the baseline actually regrets anything.
 Instances with zero regret receive the mean weight of the regretting ones;
 a (pathological) near-zero base loss with positive regret is capped at the
 99th percentile of the finite weights instead of exploding.
-
-Two refinements re-estimate the weights between training rounds: an
-iterative scheme that retrains a single model against the latest weights,
-and an ensemble scheme that averages all models trained so far and derives
-the next weights from the ensemble's predictions.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import DataInstance, Dataset, Problem, instance_regrets
+from .core import Dataset, Problem, instance_regrets
 from .losses import LossSpec, evaluate_loss_batch, stack_loss_data
-from .model import LinearModel, TrainConfig, init_model, train
+from .model import LinearModel
 
 DEGENERATE_LOSS_TOL = 1e-12
 
@@ -147,116 +142,3 @@ def baseline_regrets(problem: Problem, baseline: LinearModel, dataset: Dataset,
     return instance_regrets(problem, [baseline.predict(inst.features) for inst in insts],
                             insts, indices)
 
-
-# --- iterative and ensemble refinement ---------------------------------------
-
-Trainer = Callable[[Dataset, int], LinearModel]
-
-
-def _default_trainer(problem: Problem, base_spec: LossSpec,
-                     config: TrainConfig) -> Trainer:
-    weighted_spec = replace(base_spec, instance_costs=True)
-
-    def trainer(ds: Dataset, round_index: int) -> LinearModel:
-        start = init_model(ds.k, ds.d, seed=config.seed)
-        trace = train(start, ds, weighted_spec, config, sense=problem.sense)
-        return trace.best_model
-
-    return trainer
-
-
-@dataclass(frozen=True)
-class IterativeCostsResult:
-    model: LinearModel
-    costs: np.ndarray
-    reports: tuple[BaselineReport, ...]
-
-    @property
-    def solver_calls(self) -> int:
-        return sum(r.solver_calls for r in self.reports)
-
-
-def iterative_costs(problem: Problem, dataset: Dataset, base_spec: LossSpec,
-                    rounds: int, config: TrainConfig | None = None,
-                    trainer: Trainer | None = None) -> IterativeCostsResult:
-    """Alternate (train against current weights) and (re-derive weights).
-
-    Round one trains with unit weights, so a single round reproduces the
-    plain baseline training plus one weight computation. Each round spends
-    one solver call per training instance on the weight update.
-    """
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    if trainer is None:
-        trainer = _default_trainer(problem, base_spec, config or TrainConfig())
-    n_train = len(dataset.split.train)
-    costs = np.ones(n_train)
-    reports: list[BaselineReport] = []
-    model: LinearModel | None = None
-    for round_index in range(1, rounds + 1):
-        ds = apply_instance_costs(dataset, costs)
-        model = trainer(ds, round_index)
-        indices = dataset.split.part("train")
-        preds = np.stack([model.predict(dataset.instances[i].features) for i in indices])
-        report = costs_from_predictions(problem, dataset, preds, base_spec)
-        costs = report.costs
-        reports.append(report)
-    return IterativeCostsResult(model=model, costs=costs, reports=tuple(reports))
-
-
-class EnsembleModel:
-    """Uniform average of member predictions."""
-
-    def __init__(self, members: Sequence[LinearModel]) -> None:
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        self.members = tuple(members)
-
-    @property
-    def k(self) -> int:
-        return self.members[0].k
-
-    @property
-    def d(self) -> int:
-        return self.members[0].d
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.mean([m.predict(features) for m in self.members], axis=0)
-
-
-@dataclass(frozen=True)
-class EnsembleCostsResult:
-    model: EnsembleModel
-    costs: np.ndarray
-    reports: tuple[BaselineReport, ...]
-
-    @property
-    def solver_calls(self) -> int:
-        return sum(r.solver_calls for r in self.reports)
-
-
-def ensemble_costs(problem: Problem, dataset: Dataset, base_spec: LossSpec,
-                   rounds: int, config: TrainConfig | None = None,
-                   trainer: Trainer | None = None) -> EnsembleCostsResult:
-    """Like :func:`iterative_costs`, but each round's weights come from the
-    running average of all member models trained so far."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    if trainer is None:
-        trainer = _default_trainer(problem, base_spec, config or TrainConfig())
-    n_train = len(dataset.split.train)
-    costs = np.ones(n_train)
-    members: list[LinearModel] = []
-    reports: list[BaselineReport] = []
-    ensemble: EnsembleModel | None = None
-    indices = dataset.split.part("train")
-    for round_index in range(1, rounds + 1):
-        ds = apply_instance_costs(dataset, costs)
-        members.append(trainer(ds, round_index))
-        ensemble = EnsembleModel(members)
-        preds = np.stack([ensemble.predict(dataset.instances[i].features)
-                          for i in indices])
-        report = costs_from_predictions(problem, dataset, preds, base_spec)
-        costs = report.costs
-        reports.append(report)
-    return EnsembleCostsResult(model=ensemble, costs=costs, reports=tuple(reports))

@@ -38,6 +38,10 @@ from .errors import (MissingBaselineRegret, MissingInstanceCost,
                      ZeroVector)
 
 NORM_EPS = 1e-12
+# absolute errors this small are ties: the two sides of a unit-vector
+# comparison are normalized by differently rounded norms, so a prediction
+# parallel to the truth would otherwise get a subgradient of rounding noise
+TIE_EPS = 1e-15
 # value assigned when a scale-invariant loss sees a (near-)zero prediction:
 # twice the maximum of the normalized squared error, scaled by 2/d at use site
 ZERO_PREDICTION_PENALTY = 2.0 * 2.0
@@ -118,10 +122,6 @@ class LossSpec:
     @property
     def requires_baseline_regret(self) -> bool:
         return self.lawless_w is not None and self.lawless_w > 0.0
-
-    @property
-    def solver_free(self) -> bool:
-        return not self.spo_plus
 
     def validation_variant(self) -> "LossSpec":
         """The loss used on validation instances, which carry no cost weights."""
@@ -213,17 +213,7 @@ def base_error(predicted: np.ndarray, true: np.ndarray, base: BaseError
     diff = predicted - true
     if base is BaseError.SQUARED:
         return diff * diff, 2.0 * diff
-    return np.abs(diff), np.sign(diff)
-
-
-def pinball_loss(predicted: float, true: float, tau: float,
-                 base: BaseError = BaseError.ABSOLUTE) -> float:
-    """Asymmetric scalar error: tau * e if predicted <= true else (1-tau) * e."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    e, _ = base_error(np.asarray([float(predicted)]), np.asarray([float(true)]), base)
-    weight = tau if predicted <= true else 1.0 - tau
-    return float(weight * e[0])
+    return np.abs(diff), np.where(np.abs(diff) <= TIE_EPS, 0.0, np.sign(diff))
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:
@@ -248,51 +238,6 @@ def _masked(predicted: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     if sense is Sense.MAXIMIZE:
         return (at_upper & (predicted > lower)) | (at_lower & (predicted < upper))
     return (at_upper & (predicted < upper)) | (at_lower & (predicted > lower))
-
-
-def one_sided_weights(predicted: np.ndarray, true: np.ndarray,
-                      decision_values: np.ndarray, sense: Sense,
-                      mode: OneSidedMode,
-                      range_lower: np.ndarray | None = None,
-                      range_upper: np.ndarray | None = None,
-                      var_lower: float | np.ndarray = 0.0,
-                      var_upper: float | np.ndarray = 1.0) -> np.ndarray:
-    """0/1 weights zeroing error directions the optimizer is indifferent to.
-
-    A coordinate at its upper bound (selected) keeps its decision when the
-    prediction errs toward making it more attractive: overprediction for
-    Maximize, underprediction for Minimize. Coordinates at the lower bound
-    mirror this; coordinates strictly between their bounds are never masked.
-    In SENSITIVITY mode the safe region is widened to the coefficient's
-    stability range, so e.g. a selected Maximize coordinate is masked
-    whenever the prediction stays above the range's lower endpoint.
-    """
-    if mode is OneSidedMode.OFF:
-        return np.ones_like(true)
-    at_upper, at_lower = _at_bounds(decision_values, var_lower, var_upper)
-    if mode is OneSidedMode.OPTIMAL:
-        hi, lo = true, true
-    else:
-        if range_lower is None or range_upper is None:
-            raise MissingRanges("sensitivity masking requires cached cost ranges")
-        lo, hi = range_lower, range_upper
-    return np.where(_masked(predicted, lo, hi, at_upper, at_lower, sense), 0.0, 1.0)
-
-
-def one_sided_mask(predicted: np.ndarray, instance: DataInstance, sense: Sense,
-                   mode: OneSidedMode) -> np.ndarray:
-    """Mask for a raw-space prediction against an instance's cached caches."""
-    predicted = as_vector(predicted, name="predicted costs", length=instance.d)
-    if instance.optimal_decision is None:
-        raise MissingOptimalDecision("one-sided masking requires the cached optimal decision")
-    lo = hi = None
-    if mode is OneSidedMode.SENSITIVITY:
-        if instance.sensitivity_ranges is None:
-            raise MissingRanges("sensitivity masking requires cached cost ranges")
-        lo, hi = instance.sensitivity_ranges.lower, instance.sensitivity_ranges.upper
-    return one_sided_weights(predicted, instance.true_costs,
-                             instance.optimal_decision.values, sense, mode,
-                             range_lower=lo, range_upper=hi)
 
 
 # --- composed evaluation ------------------------------------------------------
@@ -336,6 +281,7 @@ def _instance_factors(spec: LossSpec, instances: tuple[DataInstance, ...],
             i = indices[costs.index(None)]
             raise MissingBaselineRegret("regret-weighted loss requires the cached "
                                         f"baseline regret of instance {i}")
+        # (w * C + (1 - w)), with C the raw baseline regret, not a ratio
         w = spec.lawless_w
         return w * np.array(costs, dtype=float) + (1.0 - w)
     return np.ones(len(instances))
@@ -387,7 +333,17 @@ def stack_loss_data(spec: LossSpec, instances, indices=None) -> LossData:
 def coordinate_weights(spec: LossSpec, predicted: np.ndarray, data: LossData,
                        rows, sense: Sense) -> np.ndarray:
     """(B, d) weights of the base error at evaluation-space predictions: the
-    one-sided 0/1 mask, the pinball tau / 1 - tau, or ones."""
+    one-sided 0/1 mask, the pinball tau / 1 - tau, or ones.
+
+    The one-sided mask zeroes the error directions the optimizer is
+    indifferent to. A coordinate of X* at its upper bound (selected) keeps
+    its decision when the prediction errs toward making it more attractive:
+    overprediction for Maximize, underprediction for Minimize. Coordinates
+    at the lower bound mirror this; coordinates strictly between their
+    bounds are never masked. Under O_S the safe region is widened to the
+    coefficient's stability range, so e.g. a selected Maximize coordinate is
+    masked whenever the prediction stays above the range's lower endpoint.
+    """
     if spec.one_sided is not OneSidedMode.OFF:
         masked = _masked(predicted, data.lower[rows], data.upper[rows],
                          data.at_upper[rows], data.at_lower[rows], sense)
@@ -491,13 +447,3 @@ def spo_plus_loss(predicted: np.ndarray, instance: DataInstance,
     values, grads = spo_plus_batch(predicted[None, :], data, slice(None), problem)
     return LossValueGrad(float(values[0]), grads[0])
 
-
-def lawless_loss(w: float, predicted: np.ndarray, instance: DataInstance,
-                 base: BaseError = BaseError.SQUARED) -> LossValueGrad:
-    """Baseline-regret-weighted base loss: (w * C + (1 - w)) * base_loss.
-
-    C is the instance's cached raw baseline regret (not a regret/loss ratio).
-    """
-    spec = LossSpec(base=base, lawless_w=float(w))
-    # sense is irrelevant: no mask component can be active here
-    return evaluate_loss(spec, predicted, instance, Sense.MINIMIZE)

@@ -11,7 +11,6 @@ bit-for-bit reproducible.
 """
 from __future__ import annotations
 
-import json
 import struct
 import time
 from dataclasses import dataclass
@@ -58,12 +57,6 @@ class LinearModel:
         features = as_vector(features, name="features", length=self.k)
         return self.weights @ features + self.bias
 
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != self.k:
-            raise DimensionMismatch(f"expected (n, {self.k}) features, got {features.shape}")
-        return features @ self.weights.T + self.bias
-
 
 def init_model(k: int, d: int, seed: int = 0) -> LinearModel:
     """Uniform(-1/sqrt(k), 1/sqrt(k)) weights, zero bias, seeded."""
@@ -94,18 +87,6 @@ def load_model(path) -> LinearModel:
     return LinearModel(w, b)
 
 
-def model_to_json(model: LinearModel) -> str:
-    return json.dumps({"k": model.k, "d": model.d,
-                       "weights": model.weights.tolist(),
-                       "bias": model.bias.tolist()})
-
-
-def model_from_json(text: str) -> LinearModel:
-    payload = json.loads(text)
-    return LinearModel(np.asarray(payload["weights"], dtype=float),
-                       np.asarray(payload["bias"], dtype=float))
-
-
 # --- training ----------------------------------------------------------------
 
 class Optimizer(Enum):
@@ -123,8 +104,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    # optional wall-clock early stop; keeping it None preserves determinism
-    patience_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -222,7 +201,6 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     best_epoch = -1
     best_w, best_b = w.copy(), b.copy()
     t_start = time.monotonic()
-    last_improvement = t_start
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -272,10 +250,6 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             best_val = val_loss
             best_epoch = epoch
             best_w, best_b = w.copy(), b.copy()
-            last_improvement = now
-        if (config.patience_seconds is not None
-                and now - last_improvement > config.patience_seconds):
-            break
 
     if best_epoch < 0:
         best_epoch = len(records) - 1

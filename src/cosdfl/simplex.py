@@ -310,29 +310,3 @@ def relax(problem) -> LinearProgram:
             f"{type(problem).__name__} does not expose an LP relaxation")
     return lp_form()
 
-
-# --- plain-text round trip (test fixture format) ---------------------------
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Serialize as: header "m d sense", A rows, rhs, lower, upper, objective.
-
-    Floats use repr (shortest round-trip); infinities render as inf/-inf.
-    """
-    lines = [f"{lp.m} {lp.d} {lp.sense.value}"]
-    for row in lp.constraint_matrix:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for vec in (lp.rhs, lp.lower, lp.upper, lp.objective):
-        lines.append(" ".join(repr(float(v)) for v in vec))
-    return "\n".join(lines) + "\n"
-
-
-def lp_from_text(text: str) -> LinearProgram:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    m_str, d_str, sense_str = lines[0].split()
-    m, d = int(m_str), int(d_str)
-    if len(lines) != 1 + m + 4:
-        raise ValueError(f"expected {1 + m + 4} lines, got {len(lines)}")
-    parse = lambda ln: np.array([float(tok) for tok in ln.split()], dtype=float)
-    a = np.vstack([parse(lines[1 + i]) for i in range(m)]) if m else np.zeros((0, d))
-    rhs, lower, upper, objective = (parse(lines[1 + m + i]) for i in range(4))
-    return LinearProgram(a, rhs, objective, Sense(sense_str), lower, upper)

@@ -1,7 +1,9 @@
 import csv
 import json
 
-from cosdfl import harness
+import pytest
+
+from cosdfl import cli, harness
 from cosdfl.cli import main
 from cosdfl.core import load_dataset
 from cosdfl.errors import SolveFailure
@@ -36,14 +38,29 @@ def test_train_eval_roundtrip(tmp_path):
                  "--model", str(model)]) == 0
 
 
-def test_emit_costs_requires_cost_weighting(tmp_path):
+def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):
     data = tmp_path / "data.json"
     main(["generate", "--problem", "ks6", "--seed", "0", "--out", str(data),
           *GEN_ARGS])
+    # rejected before any cache is attached or any solve is spent
+    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit was called"))
     code = main(["train", "--problem", "ks6", "--loss", "mse",
                  "--dataset", str(data), "--out", str(tmp_path / "m.bin"),
                  "--emit-costs", str(tmp_path / "c.json"), *TRAIN_ARGS])
     assert code != 0
+
+
+@pytest.mark.parametrize("loss", ["mse+c+o+s", "spo+"])
+def test_train_counts_solves_like_run_single(tmp_path, capsys, loss):
+    assert main(["train", "--problem", "ks6", "--loss", loss, "--seed", "0",
+                 "--out", str(tmp_path / "m.bin"), *GEN_ARGS, *TRAIN_ARGS]) == 0
+    config = harness.ExperimentConfig(problem="ks6", losses=(loss,), seeds=(0,),
+                                      n_train=10, n_val=4, n_test=6, k=4,
+                                      epochs=2, batch_size=4)
+    counts = harness.run_single(config, loss, 0).counts
+    assert counts.pre_total > 0
+    assert (f"solves: pre={counts.pre_total} train={counts.training_solves}\n"
+            in capsys.readouterr().out)
 
 
 def test_experiment_outputs(tmp_path):
@@ -65,9 +82,12 @@ def test_experiment_deterministic_flag_byte_identical(tmp_path):
             "0", *GEN_ARGS, *TRAIN_ARGS, "--deterministic-output"]
     assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
     assert main([*args, "--out-dir", str(tmp_path / "b")]) == 0
-    first = (tmp_path / "a" / "results.csv").read_bytes()
-    second = (tmp_path / "b" / "results.csv").read_bytes()
-    assert first == second
+    for name in ("results.csv", "pareto.csv", "runs.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes(), name
+    with open(tmp_path / "a" / "pareto.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["time_s_mean"] for row in rows] == ["0.000"]
 
 
 def test_monotonicity_writes_report(tmp_path):

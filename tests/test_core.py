@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cosdfl.core import (REGRET_TOL, CostRangeVector, DataInstance, Dataset,
                          Decision, DecisionKind, Sense, Split, as_vector,
                          dataset_from_dict, dataset_to_dict, decision_value,
-                         export_instances_csv, instance_regret, load_dataset,
+                         instance_regret, load_dataset,
                          regret, regret_from_decisions, save_dataset,
                          total_regret)
 from cosdfl.errors import DimensionMismatch, SolveFailure
@@ -165,14 +165,6 @@ def test_dataset_roundtrip(tmp_path, tiny_knapsack):
     assert dataset_to_dict(back) == dataset_to_dict(ds)
 
 
-def test_export_instances_csv(tmp_path):
-    ds = Dataset(instances=(DataInstance(np.array([1.5]), np.array([2.0, 3.0])),),
-                 split=Split(train=(0,)), k=1, d=2)
-    path = tmp_path / "inst.csv"
-    export_instances_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "z_0,c_0,c_1"
-    assert lines[1] == "1.5,2.0,3.0"
 
 
 @given(st.integers(0, 2 ** 6 - 1), st.integers(0, 2 ** 32 - 1))

@@ -5,14 +5,12 @@ import pytest
 
 from cosdfl.core import instance_regret
 from cosdfl.datagen import GenSpec, generate
-from cosdfl.instance_costs import (BaselineReport, EnsembleModel,
-                                   apply_instance_costs, baseline_regrets,
-                                   compute_instance_costs,
-                                   costs_from_predictions, ensemble_costs,
-                                   iterative_costs, save_baseline_report,
+from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
+                                   baseline_regrets, compute_instance_costs,
+                                   costs_from_predictions, save_baseline_report,
                                    _costs_from_values)
 from cosdfl.losses import evaluate_loss, parse_loss
-from cosdfl.model import TrainConfig, init_model, train
+from cosdfl.model import init_model
 from cosdfl.problems import make_knapsack
 
 
@@ -135,61 +133,6 @@ def test_baseline_regrets_matches_direct_loop(ks_setup):
         inst = dataset.instances[i]
         expected = instance_regret(problem, model.predict(inst.features), inst)
         assert regs[row] == pytest.approx(expected, abs=1e-12)
-
-
-# --- iterative and ensemble refinement --------------------------------------------
-
-def test_single_round_equals_plain_baseline(ks_setup):
-    problem, dataset = ks_setup
-    config = TrainConfig(epochs=3, batch_size=4, seed=0)
-    result = iterative_costs(problem, dataset, parse_loss("mse"), rounds=1,
-                             config=config)
-    trace = train(init_model(dataset.k, dataset.d, seed=0), dataset,
-                  parse_loss("mse"), config, sense=problem.sense)
-    direct = compute_instance_costs(problem, trace.best_model, dataset,
-                                    parse_loss("mse"))
-    np.testing.assert_allclose(result.costs, direct.costs, atol=1e-12)
-    np.testing.assert_allclose(result.model.weights, trace.best_model.weights,
-                               atol=1e-12)
-    assert len(result.reports) == 1
-    assert result.solver_calls == len(dataset.split.train)
-
-
-def test_iterative_rounds_refine_weights(ks_setup):
-    problem, dataset = ks_setup
-    config = TrainConfig(epochs=3, batch_size=4, seed=0)
-    result = iterative_costs(problem, dataset, parse_loss("mse"), rounds=3,
-                             config=config)
-    assert len(result.reports) == 3
-    assert result.solver_calls == 3 * len(dataset.split.train)
-    with pytest.raises(ValueError):
-        iterative_costs(problem, dataset, parse_loss("mse"), rounds=0)
-
-
-def test_ensemble_averages_member_predictions(ks_setup):
-    problem, dataset = ks_setup
-    fixed = [init_model(dataset.k, dataset.d, seed=s) for s in (1, 2, 3)]
-    calls = []
-
-    def canned_trainer(ds, round_index):
-        calls.append(round_index)
-        return fixed[round_index - 1]
-
-    result = ensemble_costs(problem, dataset, parse_loss("mse"), rounds=3,
-                            trainer=canned_trainer)
-    assert calls == [1, 2, 3]
-    assert len(result.model.members) == 3
-    z = dataset.instances[dataset.split.train[0]].features
-    expected = np.mean([m.predict(z) for m in fixed], axis=0)
-    np.testing.assert_allclose(result.model.predict(z), expected, atol=1e-12)
-    # the final report was computed from the full-ensemble predictions
-    np.testing.assert_allclose(result.reports[-1].predictions[0], expected,
-                               atol=1e-12)
-
-
-def test_ensemble_model_validation():
-    with pytest.raises(ValueError):
-        EnsembleModel([])
 
 
 def test_weighted_total_loss_equals_total_regret_on_positive_set(ks_setup):

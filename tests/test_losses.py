@@ -9,11 +9,10 @@ from cosdfl.core import (CostRangeVector, DataInstance, Decision, DecisionKind,
                          Sense, instance_regret)
 from cosdfl.errors import (MissingBaselineRegret, MissingInstanceCost,
                            MissingOptimalDecision, MissingRanges, ZeroVector)
-from cosdfl.losses import (BaseError, LossSpec, OneSidedMode, base_error,
+from cosdfl.losses import (BaseError, LossSpec, base_error,
                            coordinate_weights, evaluate_loss,
-                           evaluate_loss_batch, lawless_loss, normalize,
-                           one_sided_mask, one_sided_weights, parse_loss,
-                           pinball_loss, spo_plus_loss, stack_loss_data)
+                           evaluate_loss_batch, normalize, parse_loss,
+                           spo_plus_loss, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, KnapsackSpec, ShortestPathOracle, GridSpec
 from cosdfl.simplex import cost_ranging, relax, solve_lp
 
@@ -33,6 +32,22 @@ def pick_one_of_two():
     # maximize over {choose item 0, choose item 1, choose none}
     return KnapsackOracle(KnapsackSpec(weights=np.array([[1.0, 1.0]]),
                                        capacities=np.array([1.0])))
+
+
+def one_row_weights(loss, predicted, instance, sense):
+    """coordinate_weights of one instance, through a one-row stack_loss_data;
+    ``predicted`` is in evaluation space (normalized under S)."""
+    spec = parse_loss(loss)
+    data = stack_loss_data(spec, [instance])
+    return coordinate_weights(spec, np.asarray(predicted, dtype=float)[None, :],
+                              data, slice(None), sense)[0]
+
+
+def masked_instance(true, x_star, kind=DecisionKind.BINARY, lower=None, upper=None):
+    ranges = None if lower is None else CostRangeVector(lower, upper)
+    return DataInstance(np.zeros(1), np.asarray(true, dtype=float),
+                        optimal_decision=Decision(np.asarray(x_star, dtype=float), kind),
+                        sensitivity_ranges=ranges)
 
 
 # --- parsing and spec algebra --------------------------------------------------
@@ -66,9 +81,6 @@ def test_spec_requirement_flags():
     assert parse_loss("mse+c").requires_instance_cost
     assert parse_loss("lawless:0.4").requires_baseline_regret
     assert not parse_loss("lawless:0").requires_baseline_regret
-    assert parse_loss("mse").solver_free
-    assert parse_loss("mse+s").solver_free
-    assert not parse_loss("spo+").solver_free
 
 
 def test_validation_variant_strips_weighting():
@@ -80,13 +92,18 @@ def test_validation_variant_strips_weighting():
 # --- primitives -----------------------------------------------------------------
 
 def test_pinball_frozen_values():
+    def pinball(predicted, true, tau, base):
+        inst = DataInstance(np.zeros(1), np.array([true]))
+        return evaluate_loss(LossSpec(base=base, tau=tau), np.array([predicted]), inst,
+                             Sense.MAXIMIZE).value
+
     # overprediction at tau=0.5 halves the squared error 4 -> 2
-    assert pinball_loss(3.0, 1.0, 0.5, base=BaseError.SQUARED) == pytest.approx(2.0)
+    assert pinball(3.0, 1.0, 0.5, BaseError.SQUARED) == pytest.approx(2.0)
     # underprediction at tau=0.9 weighs the absolute error by 0.9
-    assert pinball_loss(0.0, 1.0, 0.9, base=BaseError.ABSOLUTE) == pytest.approx(0.9)
-    assert pinball_loss(1.0, 1.0, 0.3) == 0.0
+    assert pinball(0.0, 1.0, 0.9, BaseError.ABSOLUTE) == pytest.approx(0.9)
+    assert pinball(1.0, 1.0, 0.3, BaseError.ABSOLUTE) == 0.0
     with pytest.raises(ValueError):
-        pinball_loss(1.0, 2.0, 1.5)
+        LossSpec(base=BaseError.ABSOLUTE, tau=1.5)
 
 
 def test_base_error_values_and_derivatives():
@@ -107,36 +124,30 @@ def test_normalize_frozen_and_zero_rejection():
 # --- one-sided masks --------------------------------------------------------------
 
 def test_optimal_mask_directions_maximize():
-    x_star = np.array([1.0, 0.0])
     true = np.array([2.0, 1.9])
+    inst = masked_instance(true, [1.0, 0.0])
     # selected coordinate: overprediction is harmless; underprediction is not
-    w = one_sided_weights(np.array([2.5, 1.0]), true, x_star, Sense.MAXIMIZE,
-                          OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o", [2.5, 1.0], inst, Sense.MAXIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
-    w = one_sided_weights(np.array([1.5, 2.5]), true, x_star, Sense.MAXIMIZE,
-                          OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o", [1.5, 2.5], inst, Sense.MAXIMIZE)
     np.testing.assert_array_equal(w, [1.0, 1.0])
     # exact equality is never masked (and has zero error anyway)
-    w = one_sided_weights(true, true, x_star, Sense.MAXIMIZE, OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o", true, inst, Sense.MAXIMIZE)
     np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
 def test_optimal_mask_directions_minimize():
-    x_star = np.array([1.0, 0.0])
-    true = np.array([1.0, 2.0])
+    inst = masked_instance([1.0, 2.0], [1.0, 0.0])
     # selected coordinate of a minimizer: underprediction is harmless
-    w = one_sided_weights(np.array([0.5, 3.0]), true, x_star, Sense.MINIMIZE,
-                          OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o", [0.5, 3.0], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
-    w = one_sided_weights(np.array([1.5, 1.0]), true, x_star, Sense.MINIMIZE,
-                          OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o", [1.5, 1.0], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
 def test_fractional_coordinates_are_never_masked():
-    w = one_sided_weights(np.array([9.0, -9.0]), np.array([1.0, 1.0]),
-                          np.array([0.5, 0.5]), Sense.MAXIMIZE,
-                          OneSidedMode.OPTIMAL)
+    inst = masked_instance([1.0, 1.0], [0.5, 0.5], kind=DecisionKind.CONTINUOUS)
+    w = one_row_weights("mse+o", [9.0, -9.0], inst, Sense.MAXIMIZE)
     np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
@@ -160,34 +171,27 @@ def test_sensitivity_mask_widens_safe_region():
     os_loss = evaluate_loss(parse_loss("mse+o_s"), predicted, inst, oracle.sense)
     assert o_loss.value > 0.0
     assert os_loss.value == 0.0
-    mask = one_sided_mask(predicted, inst, oracle.sense, OneSidedMode.SENSITIVITY)
+    mask = one_row_weights("mse+o_s", predicted, inst, oracle.sense)
     np.testing.assert_array_equal(mask, [0.0, 0.0])
 
 
 def test_sensitivity_mask_minimize_directions():
     # minimize: a selected coordinate is masked while predicted below the
     # range's upper endpoint; unselected while above its lower endpoint
-    x_star = np.array([1.0, 0.0])
-    true = np.array([1.0, 2.0])
-    lo = np.array([0.0, 1.0])
-    hi = np.array([2.0, 5.0])
-    w = one_sided_weights(np.array([1.8, 1.5]), true, x_star, Sense.MINIMIZE,
-                          OneSidedMode.SENSITIVITY, range_lower=lo, range_upper=hi)
+    inst = masked_instance([1.0, 2.0], [1.0, 0.0], lower=[0.0, 1.0], upper=[2.0, 5.0])
+    w = one_row_weights("mse+o_s", [1.8, 1.5], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
-    w = one_sided_weights(np.array([2.5, 0.5]), true, x_star, Sense.MINIMIZE,
-                          OneSidedMode.SENSITIVITY, range_lower=lo, range_upper=hi)
+    w = one_row_weights("mse+o_s", [2.5, 0.5], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
 def test_mask_requires_caches():
     inst = DataInstance(np.zeros(1), np.array([1.0, 2.0]))
     with pytest.raises(MissingOptimalDecision):
-        one_sided_mask(np.array([1.0, 1.0]), inst, Sense.MAXIMIZE,
-                       OneSidedMode.OPTIMAL)
+        stack_loss_data(parse_loss("mse+o"), [inst])
     inst = inst.with_decision(Decision(np.array([1.0, 0.0])))
     with pytest.raises(MissingRanges):
-        one_sided_mask(np.array([1.0, 1.0]), inst, Sense.MAXIMIZE,
-                       OneSidedMode.SENSITIVITY)
+        stack_loss_data(parse_loss("mse+o_s"), [inst])
 
 
 # --- composed evaluation -------------------------------------------------------
@@ -226,12 +230,15 @@ def test_instance_cost_factor_and_errors():
 def test_lawless_factor_and_errors():
     bare = DataInstance(np.zeros(1), np.array([1.0, 2.0]))
     with pytest.raises(MissingBaselineRegret):
-        lawless_loss(0.4, np.array([0.0, 0.0]), bare)
+        evaluate_loss(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), bare,
+                      Sense.MINIMIZE)
     # w=0 ignores the missing weight entirely and equals plain mse
-    out0 = lawless_loss(0.0, np.array([0.0, 0.0]), bare)
+    out0 = evaluate_loss(parse_loss("lawless:0"), np.array([0.0, 0.0]), bare,
+                         Sense.MINIMIZE)
     assert out0.value == pytest.approx(2.5)
     inst = bare.with_instance_cost(6.0)  # raw baseline regret
-    out = lawless_loss(0.4, np.array([0.0, 0.0]), inst)
+    out = evaluate_loss(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), inst,
+                        Sense.MINIMIZE)
     assert out.value == pytest.approx((0.4 * 6.0 + 0.6) * 2.5)
 
 
@@ -273,6 +280,17 @@ def test_scale_invariance_property():
                          Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
 
 
+def test_parallel_prediction_is_stationary_under_absolute_error():
+    # the two sides are normalized by differently rounded norms; a prediction
+    # parallel to the truth must still get the zero subgradient of a tie
+    c = np.array([-0.45, 0.72, 2.97])
+    inst = DataInstance(np.zeros(1), c)
+    for predicted in (c, 2.0 * c):
+        out = evaluate_loss(parse_loss("mae+s"), predicted, inst, Sense.MAXIMIZE)
+        assert out.value == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_array_equal(out.gradient, np.zeros(3))
+
+
 def test_zero_prediction_gets_finite_escape():
     inst = DataInstance(np.zeros(1), np.array([3.0, 4.0]), instance_cost=2.0)
     out = evaluate_loss(parse_loss("mse+c+s"), np.zeros(2), inst, Sense.MAXIMIZE)
@@ -288,13 +306,11 @@ def test_masks_follow_normalized_space_when_scale_invariant():
     inst = DataInstance(np.zeros(1), true,
                         optimal_decision=Decision(np.array([1.0, 0.0])))
     predicted = np.array([2.1, 5.0])
-    raw_mask = one_sided_weights(predicted, true, np.array([1.0, 0.0]),
-                                 Sense.MAXIMIZE, OneSidedMode.OPTIMAL)
+    raw_mask = one_row_weights("mse+o", predicted, inst, Sense.MAXIMIZE)
     assert raw_mask[0] == 0.0
     out = evaluate_loss(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
     u_hat, u = normalize(predicted), normalize(true)
-    w = one_sided_weights(u_hat, u, np.array([1.0, 0.0]), Sense.MAXIMIZE,
-                          OneSidedMode.OPTIMAL)
+    w = one_row_weights("mse+o+s", u_hat, inst, Sense.MAXIMIZE)
     assert w[0] == 1.0
     expected = float(w @ (u_hat - u) ** 2) / 2.0
     assert out.value == pytest.approx(expected, abs=1e-12)

@@ -6,8 +6,8 @@ from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NonFiniteLoss
 from cosdfl.losses import evaluate_loss, parse_loss
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
-                          TrainConfig, init_model, load_model,
-                          model_from_json, model_to_json, save_model, train)
+                          TrainConfig, init_model, load_model, save_model,
+                          train)
 from cosdfl.problems import make_knapsack, problem_from_name
 
 from brute import brute_spo_plus_train
@@ -37,12 +37,6 @@ def test_init_model_bounds_and_determinism():
     assert not np.array_equal(a.weights, c.weights)
 
 
-def test_predict_and_batch_agree():
-    model = init_model(k=3, d=2, seed=0)
-    z = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 1.0]])
-    batch = model.predict_batch(z)
-    np.testing.assert_allclose(batch[0], model.predict(z[0]))
-    np.testing.assert_allclose(batch[1], model.predict(z[1]))
 
 
 def test_model_binary_roundtrip(tmp_path):
@@ -60,11 +54,6 @@ def test_model_binary_roundtrip(tmp_path):
         load_model(bad)
 
 
-def test_model_json_roundtrip():
-    model = init_model(k=2, d=3, seed=1)
-    back = model_from_json(model_to_json(model))
-    np.testing.assert_array_equal(back.weights, model.weights)
-    np.testing.assert_array_equal(back.bias, model.bias)
 
 
 def test_train_config_defaults():
@@ -73,7 +62,6 @@ def test_train_config_defaults():
     assert config.epochs == 50
     assert config.batch_size == 32
     assert config.optimizer is Optimizer.ADAM
-    assert config.patience_seconds is None
 
 
 def test_training_learns_linear_ground_truth():
@@ -201,14 +189,6 @@ def test_non_finite_loss_names_the_instance_and_the_phase():
         assert f"instance {index} " in str(info.value)
 
 
-def test_zero_patience_stops_after_first_plateau():
-    dataset, _ = linear_dataset()
-    config = TrainConfig(epochs=10, batch_size=8, learning_rate=0.0,
-                         patience_seconds=0.0, seed=0)
-    trace = train(init_model(dataset.k, dataset.d, seed=0), dataset,
-                  parse_loss("mse"), config)
-    # lr=0 never improves after the first epoch, so the clock stops the run
-    assert len(trace.records) == 2
 
 
 def test_sgd_optimizer_path():

@@ -7,8 +7,8 @@ from cosdfl.core import Sense
 from cosdfl.errors import NoRelaxationAvailable, NotOptimal
 from cosdfl.problems import (GridSpec, KnapsackOracle, KnapsackSpec,
                              ShortestPathOracle, solve_shortest_path)
-from cosdfl.simplex import (LinearProgram, SolveStatus, cost_ranging,
-                            lp_from_text, lp_to_text, relax, solve_lp)
+from cosdfl.simplex import (LinearProgram, SolveStatus, cost_ranging, relax,
+                            solve_lp)
 
 from brute import brute_lp
 
@@ -202,15 +202,3 @@ def test_relax_grid_matches_dp_exactly(rng):
         sol = solve_lp(lp.with_objective(c))
         x_dp = solve_shortest_path(spec, c)
         assert sol.objective_value == pytest.approx(float(c @ x_dp), abs=1e-8)
-
-
-def test_lp_text_roundtrip():
-    lp = LinearProgram(np.array([[1.0, 2.0], [0.5, 1.5]]), np.array([3.0, 4.0]),
-                       np.array([-1.0, 2.5]), Sense.MINIMIZE,
-                       lower=np.zeros(2), upper=np.array([1.0, np.inf]))
-    back = lp_from_text(lp_to_text(lp))
-    np.testing.assert_array_equal(back.constraint_matrix, lp.constraint_matrix)
-    np.testing.assert_array_equal(back.rhs, lp.rhs)
-    np.testing.assert_array_equal(back.objective, lp.objective)
-    np.testing.assert_array_equal(back.upper, lp.upper)
-    assert back.sense is Sense.MINIMIZE
