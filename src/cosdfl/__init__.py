@@ -7,10 +7,9 @@ masking, scale invariance), exact oracles for knapsack / shortest-path / TSP
 benchmarks, an LP solver with objective-coefficient ranging, baselines, and
 an experiment harness with per-phase solver-call accounting.
 """
-from .core import (REGRET_TOL, DataInstance, Dataset, Decision, DecisionKind,
-                   CostRangeVector, Sense, Split, decision_value,
-                   instance_regret, instance_regrets, load_dataset, regret,
-                   regret_from_decisions, save_dataset, total_regret)
+from .core import (REGRET_TOL, CostRangeVector, Dataset, Decision, DecisionKind,
+                   Sense, Split, instance_regrets, load_dataset, save_dataset,
+                   total_regret)
 from .datagen import GenSpec, generate, latent_costs
 from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision,
@@ -28,14 +27,13 @@ from .instance_costs import (BaselineReport, apply_instance_costs,
                              costs_from_predictions)
 from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
                      base_error, evaluate_loss, evaluate_loss_batch, normalize,
-                     parse_loss, spo_plus_batch, spo_plus_loss, stack_loss_data)
+                     parse_loss, spo_plus_batch, stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, save_model, train)
 from .problems import (CallCounter, GridSpec, KnapsackOracle, KnapsackSpec,
                        ShortestPathOracle, TspMode, TspOracle, TspSpec,
                        load_problem, make_grid, make_knapsack, make_tsp,
-                       problem_from_name, save_problem, solve_knapsack,
-                       solve_shortest_path, solve_tsp)
+                       problem_from_name)
 from .simplex import (LinearProgram, SimplexSolution, SolveStatus,
                       cost_ranging, relax, solve_lp)
 

@@ -1,14 +1,17 @@
-"""Core domain types: senses, decisions, instances, datasets, and regret.
+"""Core domain types: senses, decisions, datasets, and regret.
 
-Vectors are plain numpy float64 arrays. Every type here is immutable after
-construction (arrays are frozen via ``setflags``) so instances can be shared
-between datasets without copying. Caches such as optimal decisions are
-attached by building a replacement instance, never by mutation.
+Vectors are plain numpy float64 arrays. A :class:`Dataset` holds its
+instances as columns: features, true costs and the solver-derived caches
+(optimal decisions, cost ranges, weights) are each one array with a row per
+instance, validated once at construction. Every type here is immutable
+after construction (arrays are frozen via ``setflags``); a cache is attached
+by filling rows of a copied array and building a new dataset, never by
+mutation.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence
 
@@ -51,6 +54,11 @@ def frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _off_binary(values: np.ndarray, snapped: np.ndarray) -> np.ndarray:
+    """Entries further than 1e-9 from 0 or 1 (NaN included)."""
+    return (np.abs(values - snapped) > 1e-9) | ((snapped != 0.0) & (snapped != 1.0))
+
+
 @dataclass(frozen=True)
 class Decision:
     """A solver's decision vector.
@@ -66,7 +74,7 @@ class Decision:
         arr = as_vector(self.values, name="decision values")
         if self.kind is DecisionKind.BINARY:
             snapped = np.round(arr)
-            if np.any(np.abs(arr - snapped) > 1e-9) or np.any((snapped != 0.0) & (snapped != 1.0)):
+            if _off_binary(arr, snapped).any():
                 raise ValueError("binary decision entries must be 0 or 1")
             arr = snapped
         object.__setattr__(self, "values", frozen_array(arr))
@@ -104,56 +112,6 @@ class CostRangeVector:
     def d(self) -> int:
         return self.lower.shape[0]
 
-    def scaled(self, factor: float) -> "CostRangeVector":
-        """Rescale both endpoints by a positive factor (e.g. 1/||c||)."""
-        if not factor > 0.0:
-            raise ValueError("range scale factor must be positive")
-        return CostRangeVector(self.lower * factor, self.upper * factor)
-
-
-@dataclass(frozen=True)
-class DataInstance:
-    """One (features, true costs) pair plus optional solver-derived caches."""
-
-    features: np.ndarray
-    true_costs: np.ndarray
-    optimal_decision: Decision | None = None
-    sensitivity_ranges: CostRangeVector | None = None
-    instance_cost: float | None = None
-
-    def __post_init__(self):
-        feats = frozen_array(as_vector(self.features, name="features"))
-        costs = frozen_array(as_vector(self.true_costs, name="true costs"))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "true_costs", costs)
-        d = costs.shape[0]
-        if self.optimal_decision is not None and self.optimal_decision.d != d:
-            raise DimensionMismatch("cached decision length differs from cost length")
-        if self.sensitivity_ranges is not None and self.sensitivity_ranges.d != d:
-            raise DimensionMismatch("cached ranges length differs from cost length")
-        if self.instance_cost is not None:
-            ic = float(self.instance_cost)
-            if not np.isfinite(ic) or ic < 0.0:
-                raise ValueError("instance cost must be finite and non-negative")
-            object.__setattr__(self, "instance_cost", ic)
-
-    @property
-    def k(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.true_costs.shape[0]
-
-    def with_decision(self, decision: Decision) -> "DataInstance":
-        return replace(self, optimal_decision=decision)
-
-    def with_ranges(self, ranges: CostRangeVector) -> "DataInstance":
-        return replace(self, sensitivity_ranges=ranges)
-
-    def with_instance_cost(self, cost: float) -> "DataInstance":
-        return replace(self, instance_cost=cost)
-
 
 @dataclass(frozen=True)
 class Split:
@@ -185,44 +143,109 @@ class Split:
         return self.train + self.val + self.test
 
 
+def _matrix(values, name: str, width: int | None = None) -> np.ndarray:
+    """Coerce to an (n, width) float64 array; a ragged or wrong-length row
+    raises DimensionMismatch naming its instance."""
+    try:
+        arr = np.array(values, dtype=float)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.ndim == 2 and width in (None, arr.shape[1]):
+        return arr
+    if arr is not None and arr.size == 0 and width is not None:
+        return arr.reshape(0, width)
+    rows = list(values)
+    want = (width,) if width is not None else np.shape(rows[0]) if rows else None
+    for i, row in enumerate(rows):
+        if np.ndim(row) != 1 or np.shape(row) != want:
+            raise DimensionMismatch(f"{name} of instance {i} has shape {np.shape(row)}, "
+                                    f"expected {want}")
+    raise DimensionMismatch(f"{name} must be a 2-dimensional array of rows")
+
+
+def _reject_rows(bad: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first instance flagged in ``bad``."""
+    if bad.any():
+        raise ValueError(f"instance {int(np.argmax(bad))} has {what}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable collection of instances with a declared split."""
+    """Instances as columns: one row per instance, plus the declared split.
 
-    instances: tuple[DataInstance, ...]
+    ``features`` is (n, k) and ``costs`` (n, d). The solver-derived caches
+    are ``x_star`` (n, d) optimal 0/1 decisions, ``lower``/``upper`` (n, d)
+    objective-coefficient ranges, and ``weights`` (n,) per-instance cost
+    weights (the C weight or the baseline regret). A NaN row marks a cache
+    that is not attached; NaN is never a valid value, while range bounds may
+    be +/-inf. Every array is validated once here, and an invalid row raises
+    an error naming its instance. Arrays are frozen; caches are attached by
+    building a new dataset from copies (``dataclasses.replace``).
+    """
+
+    features: np.ndarray
+    costs: np.ndarray
     split: Split
-    k: int
-    d: int
+    x_star: np.ndarray | None = None
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    weights: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        for i, inst in enumerate(self.instances):
-            if inst.k != self.k or inst.d != self.d:
-                raise DimensionMismatch(
-                    f"instance {i} has shape (k={inst.k}, d={inst.d}), "
-                    f"dataset declares (k={self.k}, d={self.d})")
-        n = len(self.instances)
+        feats = _matrix(self.features, "features")
+        costs = _matrix(self.costs, "costs")
+        n, d = feats.shape[0], costs.shape[1]
+        if costs.shape[0] != n:
+            raise DimensionMismatch(f"{costs.shape[0]} cost rows for {n} feature rows")
+        _reject_rows(~np.isfinite(feats).all(axis=1), "non-finite features")
+        _reject_rows(~np.isfinite(costs).all(axis=1), "non-finite costs")
+        caches = {}
+        for name in ("x_star", "lower", "upper"):
+            value = getattr(self, name)
+            caches[name] = (np.full((n, d), np.nan) if value is None
+                            else _matrix(value, name, width=d))
+            if caches[name].shape[0] != n:
+                raise DimensionMismatch(f"{name} has {caches[name].shape[0]} rows "
+                                        f"for {n} instances")
+        x = caches["x_star"]
+        caches["x_star"] = snapped = np.round(x)  # a NaN row stays NaN
+        _reject_rows(~np.isnan(x).all(axis=1) & _off_binary(x, snapped).any(axis=1),
+                     "an x_star that is not a 0/1 decision")
+        lo, hi = caches["lower"], caches["upper"]
+        unranged = np.isnan(lo).all(axis=1) & np.isnan(hi).all(axis=1)
+        _reject_rows(~unranged & (np.isnan(lo) | np.isnan(hi) | (lo > hi)).any(axis=1),
+                     "cost ranges with NaN or lower > upper")
+        weights = (np.full(n, np.nan) if self.weights is None
+                   else as_vector(self.weights, name="weights", length=n,
+                                  allow_nonfinite=True).copy())
+        _reject_rows(np.isinf(weights) | (weights < 0.0), "a negative or non-finite weight")
         for i in self.split.all_indices():
             if i >= n:
                 raise ValueError(f"split index {i} out of range for {n} instances")
+        for name, arr in (("features", feats), ("costs", costs), ("weights", weights),
+                          *caches.items()):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return len(self.instances)
+        return self.features.shape[0]
 
-    def part(self, name: str) -> tuple[DataInstance, ...]:
-        return tuple(self.instances[i] for i in self.split.part(name))
+    @property
+    def k(self) -> int:
+        return self.features.shape[1]
 
-    def with_instances(self, instances: Sequence[DataInstance]) -> "Dataset":
-        return replace(self, instances=tuple(instances))
+    @property
+    def d(self) -> int:
+        return self.costs.shape[1]
 
-    def with_replaced(self, updates: dict[int, DataInstance]) -> "Dataset":
-        """Return a dataset where selected instances are swapped out."""
-        new = list(self.instances)
-        for i, inst in updates.items():
-            new[i] = inst
-        return self.with_instances(new)
+    def uncached(self, cache: str, indices: Sequence[int]) -> list[int]:
+        """The ``indices`` whose row of the named cache is not attached."""
+        rows = np.isnan(getattr(self, cache)[list(indices)])
+        if rows.ndim == 2:
+            rows = rows.any(axis=1)
+        return [i for i, missing in zip(indices, rows.tolist()) if missing]
 
 
 class Problem(Protocol):
@@ -239,23 +262,13 @@ class Problem(Protocol):
     def solve_many(self, costs: np.ndarray) -> np.ndarray: ...
 
 
-def decision_value(costs: np.ndarray, decision: Decision) -> float:
-    return float(np.dot(costs, decision.values))
-
-
-def regret_from_decisions(problem: Problem, true_costs: np.ndarray,
-                          optimal_decision: Decision, predicted_decision: Decision) -> float:
-    """Objective gap of ``predicted_decision`` under the true costs, clamped at zero.
+def _regret(sense: Sense, true_costs: np.ndarray, x_star: np.ndarray,
+            x_hat: np.ndarray) -> float:
+    """Objective gap of ``x_hat`` under the true costs, clamped at zero.
 
     A gap below -REGRET_TOL means the cached "optimal" decision was beaten,
     which indicates a solver bug or a stale cache, and raises SolveFailure.
     """
-    return _regret(problem.sense, true_costs, optimal_decision.values,
-                   predicted_decision.values)
-
-
-def _regret(sense: Sense, true_costs: np.ndarray, x_star: np.ndarray,
-            x_hat: np.ndarray) -> float:
     v_star = float(np.dot(true_costs, x_star))
     v_hat = float(np.dot(true_costs, x_hat))
     gap = v_star - v_hat if sense is Sense.MAXIMIZE else v_hat - v_star
@@ -265,57 +278,33 @@ def _regret(sense: Sense, true_costs: np.ndarray, x_star: np.ndarray,
     return max(gap, 0.0)
 
 
-def regret(problem: Problem, predicted: np.ndarray, true_costs: np.ndarray) -> float:
-    """Decision regret of predicting ``predicted`` when the truth is ``true_costs``.
+def instance_regrets(problem: Problem, predictions, dataset: Dataset,
+                     indices: Sequence[int]) -> np.ndarray:
+    """Regret of each prediction row on its dataset instance, from one batched solve.
 
-    Solves the problem twice (once per cost vector). Zero iff the predicted
-    costs induce a decision as good as the true optimum.
+    Row r of ``predictions`` belongs to instance ``indices[r]``. The batch
+    holds the predictions plus the true costs of the instances with no
+    cached X*, so it costs one solve per row and one more per uncached
+    instance. A non-finite prediction (ValueError) or a negative regret
+    (SolveFailure) raises an error naming the instance.
     """
-    predicted = as_vector(predicted, name="predicted costs", length=problem.d)
-    true_costs = as_vector(true_costs, name="true costs", length=problem.d)
-    x_star = problem.solve(true_costs)
-    x_hat = problem.solve(predicted)
-    return regret_from_decisions(problem, true_costs, x_star, x_hat)
-
-
-def instance_regret(problem: Problem, predicted: np.ndarray, instance: DataInstance) -> float:
-    """Like :func:`regret` but reuses the instance's cached optimal decision.
-
-    Costs exactly one solver call when the cache is present.
-    """
-    predicted = as_vector(predicted, name="predicted costs", length=problem.d)
-    return float(instance_regrets(problem, predicted[None, :], [instance])[0])
-
-
-def instance_regrets(problem: Problem, predictions, instances: Sequence[DataInstance],
-                     indices: Sequence[int] | None = None) -> np.ndarray:
-    """Regret of each prediction row on its instance, from one batched solve.
-
-    The batch holds the predictions plus the true costs of the instances
-    that have no cached optimal decision, so it costs one solve per row and
-    one more per uncached instance. ``indices`` are the instances' dataset
-    indices (0..n-1 when omitted); a non-finite prediction (ValueError) or
-    a negative regret (SolveFailure) raises an error naming the instance.
-    """
-    n = len(instances)
+    n = len(indices)
     predictions = np.asarray(predictions, dtype=float).reshape(n, problem.d)
-    indices = range(n) if indices is None else indices
     finite = np.isfinite(predictions).all(axis=1)
     if not finite.all():
         raise ValueError(f"predicted costs of instance {indices[int(np.argmin(finite))]} "
                          "contain non-finite entries")
-    uncached = [r for r, inst in enumerate(instances) if inst.optimal_decision is None]
-    true = np.reshape([instances[r].true_costs for r in uncached], (-1, problem.d))
-    decisions = problem.solve_many(np.vstack([true, predictions]))
-    x_star = [None if inst.optimal_decision is None else inst.optimal_decision.values
-              for inst in instances]
-    for k, r in enumerate(uncached):
-        x_star[r] = decisions[k]
-    x_hat = decisions[len(uncached):]
+    true = dataset.costs[list(indices)]
+    x_star = dataset.x_star[list(indices)]
+    uncached = np.isnan(x_star).any(axis=1)
+    decisions = problem.solve_many(np.vstack([true[uncached], predictions]))
+    k = int(uncached.sum())
+    x_star[uncached] = decisions[:k]
+    x_hat = decisions[k:]
     out = np.empty(n)
-    for r, (i, inst) in enumerate(zip(indices, instances)):
+    for r, i in enumerate(indices):
         try:
-            out[r] = _regret(problem.sense, inst.true_costs, x_star[r], x_hat[r])
+            out[r] = _regret(problem.sense, true[r], x_star[r], x_hat[r])
         except SolveFailure as exc:
             raise SolveFailure(f"instance {i}: {exc}") from exc
     return out
@@ -335,10 +324,9 @@ def total_regret(problem: Problem, model: Predictor, dataset: Dataset,
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}")
     indices = dataset.split.part(split)
-    insts = [dataset.instances[i] for i in indices]
     total = 0.0
-    for value in instance_regrets(problem, [model.predict(inst.features) for inst in insts],
-                                  insts, indices).tolist():
+    for value in instance_regrets(problem, [model.predict(dataset.features[i])
+                                            for i in indices], dataset, indices).tolist():
         total += value
     if reduction == "mean":
         return total / len(indices) if indices else 0.0
@@ -349,10 +337,10 @@ def total_regret(problem: Problem, model: Predictor, dataset: Dataset,
 
 def dataset_to_dict(dataset: Dataset) -> dict:
     records = []
-    for inst in dataset.instances:
-        rec: dict = {"z": inst.features.tolist(), "c": inst.true_costs.tolist()}
-        if inst.optimal_decision is not None:
-            rec["x_star"] = inst.optimal_decision.values.tolist()
+    for z, c, x in zip(dataset.features, dataset.costs, dataset.x_star):
+        rec: dict = {"z": z.tolist(), "c": c.tolist()}
+        if not np.isnan(x).any():
+            rec["x_star"] = x.tolist()
         records.append(rec)
     return {
         "k": dataset.k,
@@ -373,21 +361,15 @@ def dataset_from_dict(payload: dict) -> Dataset:
         val=payload["split"].get("val", ()),
         test=payload["split"].get("test", ()),
     )
-    instances = []
-    for rec in payload["instances"]:
-        decision = None
-        if rec.get("x_star") is not None:
-            decision = Decision(np.asarray(rec["x_star"], dtype=float))
-        instances.append(DataInstance(
-            features=np.asarray(rec["z"], dtype=float),
-            true_costs=np.asarray(rec["c"], dtype=float),
-            optimal_decision=decision,
-        ))
+    k, d = int(payload["k"]), int(payload["d"])
+    records = payload["instances"]
+    missing = [np.nan] * d
     return Dataset(
-        instances=tuple(instances),
+        features=_matrix([rec["z"] for rec in records], "features", width=k),
+        costs=_matrix([rec["c"] for rec in records], "costs", width=d),
         split=split,
-        k=int(payload["k"]),
-        d=int(payload["d"]),
+        x_star=_matrix([missing if rec.get("x_star") is None else rec["x_star"]
+                        for rec in records], "x_star", width=d),
         seed=int(payload.get("seed", 0)),
     )
 

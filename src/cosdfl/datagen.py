@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataInstance, Dataset, Decision, Problem, Split
+from .core import Dataset, Problem, Split
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,8 @@ def generate(spec: GenSpec, problem: Problem, cache_decisions: bool = True) -> D
         val=tuple(range(spec.n_train, spec.n_train + spec.n_val)),
         test=tuple(range(spec.n_train + spec.n_val, n)),
     )
-    instances = []
+    x_star = np.full((n, d), np.nan)
     cached = list(split.train + split.val) if cache_decisions else []
-    decisions = dict(zip(cached, problem.solve_many(costs[cached])))
-    for i in range(n):
-        decision = Decision(decisions[i]) if i in decisions else None
-        instances.append(DataInstance(features=features[i], true_costs=costs[i],
-                                      optimal_decision=decision))
-    return Dataset(instances=tuple(instances), split=split, k=spec.k, d=d,
+    x_star[cached] = problem.solve_many(costs[cached])
+    return Dataset(features=features, costs=costs, split=split, x_star=x_star,
                    seed=spec.seed)

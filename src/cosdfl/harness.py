@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Decision, Sense, total_regret
+from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import CosdflError
 from .instance_costs import (apply_instance_costs, baseline_regrets,
@@ -46,12 +46,11 @@ def attach_decisions(dataset: Dataset, problem: ProblemOracle,
                      splits: tuple[str, ...] = ("train", "val")) -> Dataset:
     """Fill in missing optimal decisions; one batched solve over the uncached
     instances of ``splits``, one solve each."""
-    missing = [i for split in splits for i in dataset.split.part(split)
-               if dataset.instances[i].optimal_decision is None]
-    decisions = problem.solve_many(
-        np.reshape([dataset.instances[i].true_costs for i in missing], (-1, problem.d)))
-    return dataset.with_replaced({i: dataset.instances[i].with_decision(Decision(x))
-                                  for i, x in zip(missing, decisions)})
+    missing = dataset.uncached("x_star", [i for split in splits
+                                          for i in dataset.split.part(split)])
+    x_star = dataset.x_star.copy()
+    x_star[missing] = problem.solve_many(dataset.costs[missing])
+    return replace(dataset, x_star=x_star)
 
 
 def attach_ranges(dataset: Dataset, problem: ProblemOracle,
@@ -63,23 +62,20 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
     which is what scale-invariant losses must mask against. Returns the
     updated dataset and the number of LP solves spent.
     """
-    lp = relax(problem)
-    updates = {}
-    solves = 0
-    for split in splits:
-        for i in dataset.split.part(split):
-            inst = dataset.instances[i]
-            if inst.sensitivity_ranges is not None:
-                continue
-            objective = normalize(inst.true_costs) if normalized else inst.true_costs
-            solution = solve_lp(lp.with_objective(objective))
-            solves += 1
-            if solution.status is not SolveStatus.OPTIMAL:
-                raise CosdflError(f"relaxation solve for instance {i} returned "
-                                  f"{solution.status.value}")
-            updates[i] = inst.with_ranges(cost_ranging(lp.with_objective(objective),
-                                                       solution))
-    return dataset.with_replaced(updates), solves
+    relaxed = relax(problem)
+    lower, upper = dataset.lower.copy(), dataset.upper.copy()
+    missing = dataset.uncached("lower", [i for split in splits
+                                         for i in dataset.split.part(split)])
+    for i in missing:
+        costs = dataset.costs[i]
+        lp = relaxed.with_objective(normalize(costs) if normalized else costs)
+        solution = solve_lp(lp)
+        if solution.status is not SolveStatus.OPTIMAL:
+            raise CosdflError(f"relaxation solve for instance {i} returned "
+                              f"{solution.status.value}")
+        ranges = cost_ranging(lp, solution)
+        lower[i], upper[i] = ranges.lower, ranges.upper
+    return replace(dataset, lower=lower, upper=upper), len(missing)
 
 
 # --- configuration and reports ------------------------------------------------

@@ -10,7 +10,7 @@ a (pathological) near-zero base loss with positive regret is capped at the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -91,13 +91,10 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
                          f"got {predictions.shape}")
     counter = getattr(problem, "counter", None)
     calls_before = counter.count if counter is not None else 0
-    insts = [dataset.instances[i] for i in indices]
-    losses = np.empty(0)
-    if insts:  # an empty split has nothing to stack
-        losses, _ = evaluate_loss_batch(base_spec, predictions,
-                                        stack_loss_data(base_spec, insts, indices),
-                                        slice(None), problem.sense)
-    regrets = instance_regrets(problem, predictions, insts, indices)
+    losses, _ = evaluate_loss_batch(base_spec, predictions,
+                                    stack_loss_data(base_spec, dataset, indices),
+                                    slice(None), problem.sense)
+    regrets = instance_regrets(problem, predictions, dataset, indices)
     costs, degenerate, all_zero = _costs_from_values(losses, regrets)
     calls = (counter.count - calls_before) if counter is not None else len(indices)
     return BaselineReport(
@@ -119,7 +116,7 @@ def compute_instance_costs(problem: Problem, baseline: LinearModel,
                            split: str = "train") -> BaselineReport:
     """Instance weights from a trained baseline model over one split."""
     indices = dataset.split.part(split)
-    preds = np.stack([baseline.predict(dataset.instances[i].features) for i in indices])
+    preds = np.stack([baseline.predict(dataset.features[i]) for i in indices])
     return costs_from_predictions(problem, dataset, preds, base_spec, split=split)
 
 
@@ -129,16 +126,14 @@ def apply_instance_costs(dataset: Dataset, values: Sequence[float],
     indices = dataset.split.part(split)
     if len(values) != len(indices):
         raise ValueError(f"expected {len(indices)} weights, got {len(values)}")
-    updates = {i: dataset.instances[i].with_instance_cost(float(v))
-               for i, v in zip(indices, values)}
-    return dataset.with_replaced(updates)
+    weights = dataset.weights.copy()
+    weights[list(indices)] = values
+    return replace(dataset, weights=weights)
 
 
 def baseline_regrets(problem: Problem, baseline: LinearModel, dataset: Dataset,
                      split: str = "train") -> np.ndarray:
     """Raw per-instance baseline regrets (the weights of the regret-weighted loss)."""
     indices = dataset.split.part(split)
-    insts = [dataset.instances[i] for i in indices]
-    return instance_regrets(problem, [baseline.predict(inst.features) for inst in insts],
-                            insts, indices)
-
+    return instance_regrets(problem, [baseline.predict(dataset.features[i]) for i in indices],
+                            dataset, indices)

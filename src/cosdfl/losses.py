@@ -12,13 +12,13 @@ components:
 
 There is one implementation, :func:`evaluate_loss_batch`, which returns the
 values and prediction-gradients of a whole mini-batch in one array pass.
-What it reads from the instances (true costs, normalized under S; the C or
-regret weights; which coordinates of X* sit at a bound; the mask
-thresholds; tau) is stacked once into a :class:`LossData` by
+What it reads from a dataset's rows (true costs, normalized under S; the C
+or regret weights; which coordinates of X* sit at a bound; the mask
+thresholds; tau) is sliced once into a :class:`LossData` by
 :func:`stack_loss_data`, which also raises the missing-cache errors.
-:func:`evaluate_loss` is the one-row call of the kernel. Only ``spo+``
-needs the solver: :func:`spo_plus_batch` makes one batched oracle solve per
-mini-batch, and :func:`spo_plus_loss` is its one-row call.
+:func:`evaluate_loss` is the kernel on one row of a :class:`LossData`. Only
+``spo+`` needs the solver: :func:`spo_plus_batch` makes one batched oracle
+solve per mini-batch.
 
 Masks and pinball indicators are treated as locally constant, so the
 gradient is the almost-everywhere derivative (zero subgradient on the
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataInstance, Problem, Sense, as_vector
+from .core import Dataset, Problem, Sense, as_vector
 from .errors import (MissingBaselineRegret, MissingInstanceCost,
                      MissingOptimalDecision, MissingRanges, NonFiniteGradient,
                      ZeroVector)
@@ -225,13 +225,6 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-def _at_bounds(decision_values: np.ndarray, var_lower: float | np.ndarray = 0.0,
-               var_upper: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Which coordinates of a decision sit at their upper and lower bound."""
-    return (np.isclose(decision_values, var_upper, atol=1e-9),
-            np.isclose(decision_values, var_lower, atol=1e-9))
-
-
 def _masked(predicted: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             at_upper: np.ndarray, at_lower: np.ndarray, sense: Sense) -> np.ndarray:
     """True where the prediction errs only in the direction the decision ignores."""
@@ -244,7 +237,7 @@ def _masked(predicted: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
 @dataclass(frozen=True)
 class LossData:
-    """The per-instance arrays a loss reads, stacked once per set of instances.
+    """The per-instance arrays a loss reads, sliced once per set of dataset rows.
 
     Row r describes dataset instance ``indices[r]``. ``true`` holds the true
     costs in evaluation space (unit-norm rows when the spec has S) and
@@ -267,62 +260,60 @@ class LossData:
     x_star: np.ndarray | None = None
 
 
-def _instance_factors(spec: LossSpec, instances: tuple[DataInstance, ...],
-                      indices: np.ndarray) -> np.ndarray:
-    costs = [inst.instance_cost for inst in instances]
-    if spec.instance_costs:
-        if None in costs:
-            i = indices[costs.index(None)]
-            raise MissingInstanceCost(f"loss has component C but instance {i} "
+def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray:
+    if spec.instance_costs or spec.requires_baseline_regret:
+        missing = dataset.uncached("weights", indices)
+        if missing and spec.instance_costs:
+            raise MissingInstanceCost(f"loss has component C but instance {missing[0]} "
                                       "carries no cost weight")
-        return np.array(costs, dtype=float)
-    if spec.lawless_w is not None and spec.lawless_w != 0.0:
-        if None in costs:
-            i = indices[costs.index(None)]
+        if missing:
             raise MissingBaselineRegret("regret-weighted loss requires the cached "
-                                        f"baseline regret of instance {i}")
+                                        f"baseline regret of instance {missing[0]}")
+        weights = dataset.weights[indices]
+        if spec.instance_costs:
+            return weights
         # (w * C + (1 - w)), with C the raw baseline regret, not a ratio
         w = spec.lawless_w
-        return w * np.array(costs, dtype=float) + (1.0 - w)
-    return np.ones(len(instances))
+        return w * weights + (1.0 - w)
+    return np.ones(len(indices))
 
 
-def stack_loss_data(spec: LossSpec, instances, indices=None) -> LossData:
-    """Stack what ``spec`` needs from ``instances``; ``indices`` are their
-    dataset indices (0..n-1 when omitted), used to name a failing instance.
+def stack_loss_data(spec: LossSpec, dataset: Dataset, indices) -> LossData:
+    """Slice what ``spec`` needs from the rows ``indices`` of ``dataset``.
 
-    Raises the missing-cache errors (and ZeroVector for an all-zero true cost
-    vector under S) here, before any evaluation.
+    Raises the missing-cache errors, naming the first dataset index with no
+    cache attached (and ZeroVector for an all-zero true cost vector under
+    S), here, before any evaluation.
     """
-    instances = tuple(instances)
-    indices = np.arange(len(instances)) if indices is None else np.asarray(indices)
-    factor = _instance_factors(spec, instances, indices)
+    indices = np.asarray(indices, dtype=int)
+    factor = _instance_factors(spec, dataset, indices)
+    true = dataset.costs[indices]
     if spec.scale_invariant:
-        true = np.stack([normalize(inst.true_costs) for inst in instances])
-    else:
-        true = np.stack([inst.true_costs for inst in instances])
-    d = true.shape[1]
+        true = np.array([normalize(c) for c in true]).reshape(true.shape)
     fields: dict = {}
     if spec.requires_decisions:
-        for i, inst in zip(indices, instances):
-            if inst.optimal_decision is None:
-                raise MissingOptimalDecision(f"{spec.name} requires the cached "
-                                             f"optimal decision of instance {i}")
-        x_star = np.stack([inst.optimal_decision.values for inst in instances])
+        missing = dataset.uncached("x_star", indices)
+        if missing:
+            raise MissingOptimalDecision(f"{spec.name} requires the cached "
+                                         f"optimal decision of instance {missing[0]}")
+        x_star = dataset.x_star[indices]
     if spec.spo_plus:
         fields["x_star"] = x_star
     elif spec.one_sided is not OneSidedMode.OFF:
-        fields["at_upper"], fields["at_lower"] = _at_bounds(x_star)
+        # X* is exact 0/1 (the Dataset snaps it), so a coordinate sits at its
+        # upper bound iff it is 1 and at its lower bound iff it is 0
+        fields["at_upper"], fields["at_lower"] = x_star == 1.0, x_star == 0.0
         if spec.one_sided is OneSidedMode.SENSITIVITY:
-            for i, inst in zip(indices, instances):
-                if inst.sensitivity_ranges is None:
-                    raise MissingRanges("sensitivity loss requires cached cost "
-                                        f"ranges of instance {i}")
-            fields["lower"] = np.stack([inst.sensitivity_ranges.lower for inst in instances])
-            fields["upper"] = np.stack([inst.sensitivity_ranges.upper for inst in instances])
+            missing = dataset.uncached("lower", indices)
+            if missing:
+                raise MissingRanges("sensitivity loss requires cached cost "
+                                    f"ranges of instance {missing[0]}")
+            fields["lower"] = dataset.lower[indices]
+            fields["upper"] = dataset.upper[indices]
         else:
             fields["lower"] = fields["upper"] = true
     elif spec.tau is not None:
+        d = true.shape[1]
         tau = np.full(d, spec.tau) if np.isscalar(spec.tau) else np.asarray(spec.tau, dtype=float)
         if tau.shape[0] != d:
             raise ValueError(f"tau must be scalar or length {d}")
@@ -396,17 +387,18 @@ def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
     return values, grads
 
 
-def evaluate_loss(spec: LossSpec, predicted: np.ndarray, instance: DataInstance,
+def evaluate_loss(spec: LossSpec, predicted: np.ndarray, data: LossData, row: int,
                   sense: Sense) -> LossValueGrad:
-    """Value and prediction-gradient of a composed loss on one instance.
+    """Value and prediction-gradient of a composed loss on row ``row`` of ``data``.
 
-    A one-row call of :func:`evaluate_loss_batch`. With S, the instance's
-    cached sensitivity ranges are interpreted as already living in
-    normalized space (they must be computed from the normalized true costs).
+    The kernel :func:`evaluate_loss_batch` on a one-row slice; ``data`` comes
+    from :func:`stack_loss_data`. With S, the cached sensitivity ranges are
+    interpreted as already living in normalized space (they must be computed
+    from the normalized true costs).
     """
-    predicted = as_vector(predicted, name="predicted costs", length=instance.d)
-    data = stack_loss_data(spec, [instance])
-    values, grads = evaluate_loss_batch(spec, predicted[None, :], data, slice(None), sense)
+    predicted = as_vector(predicted, name="predicted costs", length=data.true.shape[1])
+    values, grads = evaluate_loss_batch(spec, predicted[None, :], data,
+                                        slice(row, row + 1), sense)
     return LossValueGrad(float(values[0]), grads[0])
 
 
@@ -415,7 +407,7 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     """Values (B,) and prediction-gradients (B, d) of spo+; one batched solve.
 
     Solves the problem at 2*predicted - true for every row in one
-    ``solve_many`` call and compares against the stacked optimal decisions
+    ``solve_many`` call and compares against the sliced optimal decisions
     X* of ``data`` (from :func:`stack_loss_data` with the spo+ spec). The
     gradient is the standard subgradient +/- 2 (x(2c_hat - c) - x(c)).
     """
@@ -425,7 +417,7 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     x_shift = problem.solve_many(shifted)
     maximize = problem.sense is Sense.MAXIMIZE
     values = np.empty(shifted.shape[0])
-    for r in range(shifted.shape[0]):  # row dot products, as a one-row call takes them
+    for r in range(shifted.shape[0]):  # per-row dot products, as one-row solves take them
         shift_value = float(shifted[r] @ x_shift[r])
         pred_value = float(predicted[r] @ x_star[r])
         true_value = float(true[r] @ x_star[r])
@@ -434,16 +426,3 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     grads = 2.0 * (x_shift - x_star) if maximize else 2.0 * (x_star - x_shift)
     check_finite(values, grads, data.indices[rows])
     return values, grads
-
-
-def spo_plus_loss(predicted: np.ndarray, instance: DataInstance,
-                  problem: Problem) -> LossValueGrad:
-    """Convex surrogate that upper-bounds regret; costs one solver call.
-
-    A one-row call of :func:`spo_plus_batch`.
-    """
-    predicted = as_vector(predicted, name="predicted costs", length=problem.d)
-    data = stack_loss_data(LossSpec(spo_plus=True), [instance])
-    values, grads = spo_plus_batch(predicted[None, :], data, slice(None), problem)
-    return LossValueGrad(float(values[0]), grads[0])
-

@@ -2,9 +2,9 @@
 
 The model is c_hat = W z + b. Training runs seeded mini-batch gradient
 descent (SGD or Adam) against any composed loss. The loss arrays of the
-training and validation instances are stacked once per run, and each
-mini-batch (and each epoch's validation pass) is one call of the batched
-loss kernel, whose (B, d) prediction-gradients chain into W and b by one
+training and validation rows are sliced from the dataset once per run, and
+each mini-batch (and each epoch's validation pass) is one call of the
+batched loss kernel, whose (B, d) prediction-gradients chain into W and b by one
 matrix product; no autodiff is involved. A ``spo+`` mini-batch makes one
 batched oracle solve. Given the same seed and config, training is
 bit-for-bit reproducible.
@@ -174,14 +174,12 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     if not train_idx:
         raise ValueError("empty training split")
 
-    insts = [dataset.instances[i] for i in train_idx]
-    feats = np.stack([inst.features for inst in insts])
-    val_insts = [dataset.instances[i] for i in val_idx]
-    val_feats = np.stack([inst.features for inst in val_insts]) if val_insts else None
+    feats = dataset.features[train_idx]
+    val_feats = dataset.features[val_idx]
     val_spec = spec.validation_variant()
-    data = stack_loss_data(spec, insts, train_idx)
-    if val_insts:
-        val_data = stack_loss_data(val_spec, val_insts, val_idx)
+    data = stack_loss_data(spec, dataset, train_idx)
+    if val_idx:
+        val_data = stack_loss_data(val_spec, dataset, val_idx)
 
     rng = np.random.default_rng(config.seed)
     w = model.weights.copy()
@@ -189,7 +187,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     adam_w = _AdamState(w.shape)
     adam_b = _AdamState(b.shape)
     step = 0
-    n = len(insts)
+    n = len(train_idx)
 
     def count_solves() -> int:
         counter = getattr(problem, "counter", None)
@@ -232,7 +230,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                                  config.beta2, config.eps, step)
         train_loss = loss_sum / n
 
-        if val_insts:
+        if val_idx:
             try:
                 values, _ = evaluate_loss_batch(val_spec, val_feats @ w.T + b,
                                                 val_data, slice(None), sense)

@@ -132,7 +132,7 @@ def _minus(rem, weights) -> tuple:
 
 def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
                   tight: int) -> list[int]:
-    """Chosen items of one row; see :func:`solve_knapsack`. Plain floats."""
+    """Chosen items of one row; see :func:`_knapsack_many`. Plain floats."""
     w_tight = [w[tight] for w in item_weights]
     n = len(order)
     from_pos = [order[pos:] for pos in range(n + 1)]
@@ -194,6 +194,14 @@ def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
 
 
 def _knapsack_many(spec: KnapsackSpec, costs: np.ndarray) -> np.ndarray:
+    """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
+
+    Two passes per row: branch-and-bound with a fractional-relaxation bound
+    proves the optimal value, then a depth-first walk in index order (zero
+    branch first) reconstructs the first -- i.e. lexicographically smallest
+    -- assignment that attains it. Items with non-positive cost are never
+    taken: dropping one keeps feasibility, value, and lexicographic order.
+    """
     x = np.zeros(costs.shape)
     item_weights = [tuple(col) for col in spec.weights.T.tolist()]
     cap = tuple(spec.capacities.tolist())
@@ -202,19 +210,6 @@ def _knapsack_many(spec: KnapsackSpec, costs: np.ndarray) -> np.ndarray:
         order = _knapsack_order(spec, tight, c).tolist()
         x[row, _knapsack_row(c.tolist(), order, item_weights, cap, tight)] = 1.0
     return x
-
-
-def solve_knapsack(spec: KnapsackSpec, costs: np.ndarray) -> np.ndarray:
-    """Optimal 0/1 selection; ties resolved to the lexicographically smallest.
-
-    Two passes: branch-and-bound with a fractional-relaxation bound proves
-    the optimal value, then a depth-first walk in index order (zero branch
-    first) reconstructs the first -- i.e. lexicographically smallest --
-    assignment that attains it. Items with non-positive cost are never taken:
-    dropping one keeps feasibility, value, and lexicographic order.
-    """
-    costs = as_vector(costs, name="costs", length=spec.d)
-    return _knapsack_many(spec, costs[None, :])[0]
 
 
 # --- grid shortest path -----------------------------------------------------
@@ -252,6 +247,14 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _shortest_path_many(spec: GridSpec, costs: np.ndarray) -> np.ndarray:
+    """Cheapest monotone paths, ties to the lexicographically smallest arc set.
+
+    Backward dynamic program in reverse topological order, over a batch of
+    cost rows at once. Each node stores its optimal cost-to-sink and the
+    tie-broken suffix arc set; prepending the (fresh) connecting arc
+    preserves the indicator ordering, so local tie-breaking yields the
+    global lexicographic minimum.
+    """
     R, C = spec.rows, spec.cols
     cost_to_go = np.zeros((R, C, costs.shape[0]))
     suffix = np.zeros((R, C) + costs.shape, dtype=bool)
@@ -281,19 +284,6 @@ def _shortest_path_many(spec: GridSpec, costs: np.ndarray) -> np.ndarray:
             cost_to_go[r, c] = best_cost
             suffix[r, c] = best_set
     return suffix[0, 0].astype(float)
-
-
-def solve_shortest_path(spec: GridSpec, costs: np.ndarray) -> np.ndarray:
-    """Cheapest monotone path, ties to the lexicographically smallest arc set.
-
-    Backward dynamic program in reverse topological order, over a batch of
-    cost rows at once. Each node stores its optimal cost-to-sink and the
-    tie-broken suffix arc set; prepending the (fresh) connecting arc
-    preserves the indicator ordering, so local tie-breaking yields the
-    global lexicographic minimum.
-    """
-    costs = as_vector(costs, name="costs", length=spec.d)
-    return _shortest_path_many(spec, costs[None, :])[0]
 
 
 # --- travelling salesperson -------------------------------------------------
@@ -445,12 +435,6 @@ def _tsp_many(spec: TspSpec, costs: np.ndarray) -> np.ndarray:
     for row, tour in enumerate(tours):
         x[row, [spec.edge_index(a, b) for a, b in zip(tour, tour[1:] + tour[:1])]] = 1.0
     return x
-
-
-def solve_tsp(spec: TspSpec, costs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Tour edge indicator plus a flag for whether the solve was exact."""
-    costs = as_vector(costs, name="costs", length=spec.d)
-    return _tsp_many(spec, costs[None, :])[0], spec.mode is TspMode.EXACT
 
 
 # --- oracle wrappers --------------------------------------------------------
@@ -675,21 +659,6 @@ def problem_from_name(name: str, seed: int = 0) -> ProblemOracle:
                      "expected ks<d>, sp<r>x<c>, tsp<n>, or custom:<file>")
 
 
-def problem_to_dict(problem: ProblemOracle, seed: int = 0) -> dict:
-    if isinstance(problem, KnapsackOracle):
-        return {"family": "knapsack", "seed": seed,
-                "params": {"weights": problem.spec.weights.tolist(),
-                           "capacities": problem.spec.capacities.tolist()}}
-    if isinstance(problem, ShortestPathOracle):
-        return {"family": "shortest-path", "seed": seed,
-                "params": {"rows": problem.spec.rows, "cols": problem.spec.cols}}
-    if isinstance(problem, TspOracle):
-        return {"family": "tsp", "seed": seed,
-                "params": {"n_nodes": problem.spec.n_nodes,
-                           "mode": problem.spec.mode.value}}
-    raise ValueError(f"cannot serialize problem of type {type(problem).__name__}")
-
-
 def problem_from_dict(payload: dict, seed: int = 0) -> ProblemOracle:
     family = payload["family"]
     params = payload.get("params", {})
@@ -708,11 +677,6 @@ def problem_from_dict(payload: dict, seed: int = 0) -> ProblemOracle:
         mode = TspMode(params.get("mode", "exact" if n <= HELD_KARP_MAX_NODES else "heuristic"))
         return TspOracle(TspSpec(n, mode), name=f"tsp{n}")
     raise ValueError(f"unknown problem family {family!r}")
-
-
-def save_problem(problem: ProblemOracle, path, seed: int = 0) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem, seed=seed), fh)
 
 
 def load_problem(path, seed: int = 0) -> ProblemOracle:

@@ -17,13 +17,13 @@ import time
 import numpy as np
 import pytest
 
-from cosdfl.core import DataInstance, Sense, regret
+from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.datagen import generate
 from cosdfl.harness import (ExperimentConfig, build_monotonicity,
                             component_subset_losses, mean_normalized_regret,
                             prepare_dataset, run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
-from cosdfl.losses import evaluate_loss, normalize, parse_loss
+from cosdfl.losses import evaluate_loss, normalize, parse_loss, stack_loss_data
 from cosdfl.problems import make_grid, make_knapsack, make_tsp, problem_from_name
 from cosdfl.simplex import cost_ranging, relax, solve_lp
 
@@ -107,6 +107,14 @@ CONSISTENCY_SPECS = [parse_loss(base + suffix)
                      for base in ("mse", "mae") for suffix in COMPONENT_SUBSETS]
 
 
+def instances(costs, x_star=None, lower=None, upper=None, weight=None):
+    """A dataset of the cost rows ``costs`` with the given caches attached."""
+    n = costs.shape[0]
+    return Dataset(features=np.zeros((n, 1)), costs=costs, split=Split(), x_star=x_star,
+                   lower=lower, upper=upper,
+                   weights=None if weight is None else np.full(n, weight))
+
+
 def one_sided_shift(costs, decision, sense, t=0.07):
     """Perturb costs so the cached decision stays optimal and every
     integral coordinate lands on the ignored side of its mask."""
@@ -124,24 +132,22 @@ def test_criterion_01_regret_consistency():
     qualifying = {spec.name: 0 for spec in CONSISTENCY_SPECS}
     failures = 0
     for problem in problems:
-        for _ in range(500):
-            c = rng.uniform(1.0, 10.0, size=problem.d)
-            star = problem.solve(c)
-            inst = DataInstance(features=np.zeros(1), true_costs=c,
-                                optimal_decision=star, instance_cost=2.0)
-            candidates = [c.copy(), 1.7 * c,
-                          one_sided_shift(c, star.values, problem.sense)]
-            regrets = {}
-            for spec in CONSISTENCY_SPECS:
-                for idx, pred in enumerate(candidates):
-                    value = evaluate_loss(spec, pred, inst, problem.sense).value
+        c = np.array([rng.uniform(1.0, 10.0, size=problem.d) for _ in range(500)])
+        dataset = instances(c, x_star=problem.solve_many(c), weight=2.0)
+        rows = range(len(c))
+        candidates = [c.copy(), 1.7 * c,
+                      one_sided_shift(c, dataset.x_star, problem.sense)]
+        regrets = [instance_regrets(problem, pred, dataset, rows) for pred in candidates]
+        for spec in CONSISTENCY_SPECS:
+            data = stack_loss_data(spec, dataset, rows)
+            for r in rows:
+                for pred, regret in zip(candidates, regrets):
+                    value = evaluate_loss(spec, pred[r], data, r, problem.sense).value
                     if value < 1e-12:
                         qualifying[spec.name] += 1
-                        if idx not in regrets:
-                            regrets[idx] = regret(problem, pred, c)
-                        if regrets[idx] != 0.0:
+                        if regret[r] != 0.0:
                             failures += 1
-            n_instances += 1
+        n_instances += len(c)
     elapsed = time.perf_counter() - t0
     coverage_ok = all(qualifying[s.name] >= n_instances for s in CONSISTENCY_SPECS)
     ok = failures == 0 and n_instances >= 1000 and coverage_ok and elapsed < 60.0
@@ -163,8 +169,8 @@ def test_criterion_02_cosine_proportionality():
         b = rng.standard_normal(d)
         if np.linalg.norm(a) < 1e-8 or np.linalg.norm(b) < 1e-8:
             continue
-        inst = DataInstance(features=np.zeros(1), true_costs=normalize(b))
-        value = evaluate_loss(mse, normalize(a), inst, Sense.MAXIMIZE).value
+        data = stack_loss_data(mse, instances(normalize(b)[None, :]), [0])
+        value = evaluate_loss(mse, normalize(a), data, 0, Sense.MAXIMIZE).value
         cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         worst = max(worst, abs(value - (2.0 / d) * (1.0 - cos)))
     ok = worst <= 1e-10
@@ -189,30 +195,23 @@ GRADIENT_SPECS = ([f"{b}{s}" for b in ("mse", "mae") for s in COMPONENT_SUBSETS]
                      "mse+tau:0.7", "lawless:0.4"])
 
 
-def _ranged_instance(problem, c, star, normalized):
-    lp = relax(problem)
-    objective = normalize(c) if normalized else c
-    solution = solve_lp(lp.with_objective(objective))
-    ranges = cost_ranging(lp.with_objective(objective), solution)
-    return DataInstance(features=np.zeros(1), true_costs=c,
-                        optimal_decision=star, sensitivity_ranges=ranges,
-                        instance_cost=3.2)
+def _ranges(problem, c, normalized):
+    lp = relax(problem).with_objective(normalize(c) if normalized else c)
+    return cost_ranging(lp, solve_lp(lp))
 
 
-def _away_from_boundaries(spec, pred, inst):
-    c = inst.true_costs
+def _away_from_boundaries(spec, pred, dataset):
+    c = dataset.costs[0]
     if np.any(np.abs(pred - c) <= 1e-3) or np.linalg.norm(pred) <= 1e-3:
         return False
     if spec.scale_invariant and np.any(
             np.abs(normalize(pred) - normalize(c)) <= 1e-4):
         return False
-    if inst.sensitivity_ranges is not None:
-        ref = normalize(pred) if spec.scale_invariant else pred
-        lo, hi = inst.sensitivity_ranges.lower, inst.sensitivity_ranges.upper
-        for bound in (lo, hi):
-            finite = np.isfinite(bound)
-            if np.any(np.abs(ref[finite] - bound[finite]) <= 1e-3):
-                return False
+    ref = normalize(pred) if spec.scale_invariant else pred
+    for bound in (dataset.lower[0], dataset.upper[0]):  # NaN when not attached
+        finite = np.isfinite(bound)
+        if np.any(np.abs(ref[finite] - bound[finite]) <= 1e-3):
+            return False
     return True
 
 
@@ -226,25 +225,27 @@ def test_criterion_04_gradient_checks():
         accepted = 0
         while accepted < 200:
             c = rng.uniform(1.0, 10.0, size=problem.d)
-            star = problem.solve(c)
+            star = problem.solve(c).values
+            lower = upper = None
             if spec.requires_ranges:
-                inst = _ranged_instance(problem, c, star, spec.scale_invariant)
-            else:
-                inst = DataInstance(features=np.zeros(1), true_costs=c,
-                                    optimal_decision=star, instance_cost=3.2)
+                ranges = _ranges(problem, c, spec.scale_invariant)
+                lower, upper = ranges.lower[None, :], ranges.upper[None, :]
+            dataset = instances(c[None, :], x_star=star[None, :], lower=lower,
+                                upper=upper, weight=3.2)
+            data = stack_loss_data(spec, dataset, [0])
             for _ in range(10):
                 delta = rng.uniform(0.05, 0.4, size=problem.d)
                 delta *= rng.choice([-1.0, 1.0], size=problem.d)
                 pred = c * (1.0 + delta)
-                if not _away_from_boundaries(spec, pred, inst):
+                if not _away_from_boundaries(spec, pred, dataset):
                     continue
-                analytic = evaluate_loss(spec, pred, inst, problem.sense).gradient
+                analytic = evaluate_loss(spec, pred, data, 0, problem.sense).gradient
                 fd = np.zeros_like(pred)
                 for j in range(problem.d):
                     step = np.zeros_like(pred)
                     step[j] = h
-                    up = evaluate_loss(spec, pred + step, inst, problem.sense).value
-                    dn = evaluate_loss(spec, pred - step, inst, problem.sense).value
+                    up = evaluate_loss(spec, pred + step, data, 0, problem.sense).value
+                    dn = evaluate_loss(spec, pred - step, data, 0, problem.sense).value
                     fd[j] = (up - dn) / (2.0 * h)
                 gap = float(np.max(np.abs(fd - analytic)))
                 scale = float(np.max(np.abs(analytic)))

@@ -18,8 +18,8 @@ def test_generate_roundtrip(tmp_path):
     assert main(["generate", "--problem", "ks6", "--seed", "3",
                  "--out", str(out), *GEN_ARGS]) == 0
     ds = load_dataset(out)
-    assert len(ds.instances) == 20
-    assert ds.instances[0].true_costs.shape == (6,)
+    assert ds.n == 20
+    assert ds.costs.shape == (20, 6)
 
 
 def test_train_eval_roundtrip(tmp_path):

@@ -1,15 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosdfl.core import (REGRET_TOL, CostRangeVector, DataInstance, Dataset,
-                         Decision, DecisionKind, Sense, Split, as_vector,
-                         dataset_from_dict, dataset_to_dict, decision_value,
-                         instance_regret, load_dataset,
-                         regret, regret_from_decisions, save_dataset,
+from cosdfl.core import (REGRET_TOL, CostRangeVector, Dataset, Decision,
+                         DecisionKind, Sense, Split, as_vector, dataset_to_dict,
+                         instance_regrets, load_dataset, save_dataset,
                          total_regret)
 from cosdfl.errors import DimensionMismatch, SolveFailure
+from cosdfl.instance_costs import apply_instance_costs
 from cosdfl.problems import KnapsackOracle, KnapsackSpec
 
 from brute import brute_knapsack
@@ -20,6 +21,18 @@ def tiny_knapsack():
     # weights (2,3,4,5), capacity 6: {0,2} is the best set under c=(3,4,5,6)
     return KnapsackOracle(KnapsackSpec(weights=np.array([[2., 3., 4., 5.]]),
                                        capacities=np.array([6.])))
+
+
+def one_row(costs, x_star=None):
+    """A one-instance dataset on its train split."""
+    return Dataset(features=np.zeros((1, 1)), costs=np.asarray(costs, dtype=float)[None, :],
+                   split=Split(train=(0,)),
+                   x_star=None if x_star is None else np.asarray(x_star, dtype=float)[None, :])
+
+
+def regret(problem, predicted, costs, x_star=None):
+    """Regret of one prediction through instance_regrets."""
+    return float(instance_regrets(problem, [predicted], one_row(costs, x_star), [0])[0])
 
 
 class ConstantPredictor:
@@ -57,29 +70,28 @@ def test_cost_range_vector_invariants():
         CostRangeVector(np.array([2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         CostRangeVector(np.array([np.nan]), np.array([1.0]))
-    scaled = r.scaled(0.5)
-    assert scaled.upper[0] == 1.0 and scaled.lower[0] == -np.inf
-    with pytest.raises(ValueError):
-        r.scaled(-1.0)
 
 
 def test_split_rejects_overlap_and_dataset_checks_indices():
     with pytest.raises(ValueError):
         Split(train=(0, 1), val=(1,))
-    inst = DataInstance(features=np.zeros(2), true_costs=np.ones(3))
     with pytest.raises(ValueError):
-        Dataset(instances=(inst,), split=Split(train=(5,)), k=2, d=3)
+        Dataset(features=np.zeros((1, 2)), costs=np.ones((1, 3)), split=Split(train=(5,)))
     with pytest.raises(DimensionMismatch):
-        Dataset(instances=(inst,), split=Split(train=(0,)), k=2, d=4)
+        Dataset(features=np.zeros((1, 2)), costs=np.ones((1, 3)), split=Split(train=(0,)),
+                x_star=np.zeros((1, 4)))
 
 
-def test_with_replaced_is_non_destructive():
-    insts = tuple(DataInstance(np.zeros(1), np.array([float(i)])) for i in range(3))
-    ds = Dataset(instances=insts, split=Split(train=(0, 1), test=(2,)), k=1, d=1)
-    ds2 = ds.with_replaced({1: insts[1].with_instance_cost(7.0)})
-    assert ds.instances[1].instance_cost is None
-    assert ds2.instances[1].instance_cost == 7.0
+def test_attaching_a_cache_leaves_the_original_dataset_untouched():
+    ds = Dataset(features=np.zeros((3, 1)), costs=np.arange(3.0)[:, None],
+                 split=Split(train=(0, 1), test=(2,)))
+    ds2 = apply_instance_costs(ds, [5.0, 7.0])
+    assert np.isnan(ds.weights).all()
+    assert ds2.weights[1] == 7.0 and np.isnan(ds2.weights[2])
     assert ds2.split == ds.split
+    assert (ds.n, ds.k, ds.d) == (ds2.n, ds2.k, ds2.d) == (3, 1, 1)
+    with pytest.raises(ValueError):
+        ds2.weights[0] = 1.0  # frozen buffer
 
 
 def test_regret_frozen_knapsack_example(tiny_knapsack):
@@ -99,29 +111,28 @@ def test_regret_is_zero_under_positive_scaling(tiny_knapsack):
 
 def test_regret_clamps_tolerance_and_raises_below(tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
-    x_star = tiny_knapsack.solve(c)
-    better = Decision(np.array([1.0, 0.0, 1.0, 0.0]))
+    x_star = tiny_knapsack.solve(c).values
     # a "stale" cached optimum worse than the actual one trips the guard
-    stale = Decision(np.array([0.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(SolveFailure):
-        regret_from_decisions(tiny_knapsack, c, stale, better)
-    assert regret_from_decisions(tiny_knapsack, c, x_star, x_star) == 0.0
+    stale = np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(SolveFailure, match="instance 0"):
+        regret(tiny_knapsack, c, c, x_star=stale)
+    assert regret(tiny_knapsack, c, c, x_star=x_star) == 0.0
 
 
 def test_instance_regret_uses_cache(tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
-    inst = DataInstance(np.zeros(2), c).with_decision(tiny_knapsack.solve(c))
+    ds = one_row(c, x_star=tiny_knapsack.solve(c).values)
     tiny_knapsack.counter.reset()
-    value = instance_regret(tiny_knapsack, np.array([6.0, 5.0, 4.0, 3.0]), inst)
-    assert value == pytest.approx(1.0)
+    value = instance_regrets(tiny_knapsack, [np.array([6.0, 5.0, 4.0, 3.0])], ds, [0])
+    assert value.tolist() == pytest.approx([1.0])
     assert tiny_knapsack.counter.count == 1
 
 
 def test_total_regret_sum_and_mean(tiny_knapsack):
     c1 = np.array([3.0, 4.0, 5.0, 6.0])
     c2 = np.array([1.0, 1.0, 10.0, 1.0])
-    insts = (DataInstance(np.zeros(1), c1), DataInstance(np.zeros(1), c2))
-    ds = Dataset(instances=insts, split=Split(test=(0, 1)), k=1, d=4)
+    ds = Dataset(features=np.zeros((2, 1)), costs=np.stack([c1, c2]),
+                 split=Split(test=(0, 1)))
     model = ConstantPredictor([6.0, 5.0, 4.0, 3.0])
     total = total_regret(tiny_knapsack, model, ds, split="test")
     mean = total_regret(tiny_knapsack, model, ds, split="test", reduction="mean")
@@ -135,8 +146,8 @@ def test_total_regret_sum_and_mean(tiny_knapsack):
 
 def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
-    insts = tuple(DataInstance(np.array([float(i)]), c) for i in range(3))
-    ds = Dataset(instances=insts, split=Split(train=(0,), test=(1, 2)), k=1, d=4)
+    ds = Dataset(features=np.arange(3.0)[:, None], costs=np.tile(c, (3, 1)),
+                 split=Split(train=(0,), test=(1, 2)))
 
     class NanForInstance2:
         def predict(self, features):
@@ -149,22 +160,96 @@ def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):
 
 def test_dataset_roundtrip(tmp_path, tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
-    inst = DataInstance(np.array([0.5, -1.5]), c,
-                        optimal_decision=tiny_knapsack.solve(c))
-    ds = Dataset(instances=(inst, DataInstance(np.array([1.0, 2.0]), c + 1)),
-                 split=Split(train=(0,), test=(1,)), k=2, d=4, seed=9)
+    x_star = tiny_knapsack.solve(c).values
+    ds = Dataset(features=np.array([[0.5, -1.5], [1.0, 2.0]]), costs=np.stack([c, c + 1]),
+                 split=Split(train=(0,), test=(1,)),
+                 x_star=np.stack([x_star, np.full(4, np.nan)]), seed=9)
     path = tmp_path / "ds.json"
     save_dataset(ds, path)
     back = load_dataset(path)
     assert back.k == 2 and back.d == 4 and back.seed == 9
     assert back.split.train == (0,) and back.split.test == (1,)
-    np.testing.assert_array_equal(back.instances[0].features, inst.features)
-    np.testing.assert_array_equal(back.instances[0].optimal_decision.values,
-                                  inst.optimal_decision.values)
-    assert back.instances[1].optimal_decision is None
+    np.testing.assert_array_equal(back.features, ds.features)
+    np.testing.assert_array_equal(back.x_star[0], x_star)
+    assert np.isnan(back.x_star[1]).all()
     assert dataset_to_dict(back) == dataset_to_dict(ds)
 
 
+def good_columns():
+    """Valid constructor arguments for three instances with k=2, d=3."""
+    return dict(features=np.zeros((3, 2)), costs=np.ones((3, 3)),
+                split=Split(train=(0, 1), test=(2,)),
+                x_star=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [np.nan] * 3]),
+                lower=np.zeros((3, 3)), upper=np.full((3, 3), np.inf),
+                weights=np.array([1.0, 0.5, np.nan]))
+
+
+def with_row(name, row, value):
+    """good_columns() with one row of column ``name`` replaced."""
+    columns = good_columns()
+    rows = list(columns[name])
+    rows[row] = value
+    columns[name] = rows
+    return columns
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    (with_row("features", 1, [0.0, 0.0, 0.0]), DimensionMismatch, "instance 1"),
+    (with_row("costs", 2, [1.0, 1.0]), DimensionMismatch, "instance 2"),
+    (with_row("x_star", 1, [1.0, 0.0]), DimensionMismatch, "instance 1"),
+    (with_row("features", 2, [0.0, np.inf]), ValueError, "instance 2 has non-finite features"),
+    (with_row("costs", 1, [1.0, np.nan, 1.0]), ValueError, "instance 1 has non-finite costs"),
+    (with_row("x_star", 1, [1.0, 0.5, 0.0]), ValueError, "instance 1 has an x_star"),
+    (with_row("x_star", 2, [1.0, np.nan, 0.0]), ValueError, "instance 2 has an x_star"),
+    (with_row("weights", 1, -0.5), ValueError, "instance 1 has a negative"),
+    (with_row("weights", 0, np.inf), ValueError, "instance 0 has a negative or non-finite"),
+    (with_row("lower", 2, [0.0, 2.0, 0.0]), None, None),  # 2 <= inf
+    (with_row("upper", 2, [1.0, -1.0, 1.0]), ValueError, "instance 2 has cost ranges"),
+    (with_row("lower", 1, [0.0, np.nan, 0.0]), ValueError, "instance 1 has cost ranges"),
+    ({**good_columns(), "split": Split(train=(0,), test=(3,))}, ValueError, "split index 3"),
+])
+def test_malformed_columns_name_the_instance(columns, error, message):
+    if error is None:
+        Dataset(**columns)
+        return
+    with pytest.raises(error, match=message):
+        Dataset(**columns)
+
+
+def test_binary_x_star_snaps_and_a_nan_row_marks_no_cache():
+    columns = good_columns()
+    columns["x_star"][0] = [1.0 - 1e-12, 1e-12, 1.0]
+    ds = Dataset(**columns)
+    assert ds.x_star[0].tolist() == [1.0, 0.0, 1.0]
+    assert ds.uncached("x_star", (0, 1, 2)) == [2]
+    assert ds.uncached("weights", (2, 0)) == [2]
+    assert ds.uncached("lower", (0, 1, 2)) == []
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda p: p["instances"][1].update(z=[0.0]), DimensionMismatch, "instance 1"),
+    (lambda p: p["instances"][0].update(c=[1.0, 2.0, 3.0, 4.0, 5.0]), DimensionMismatch,
+     "instance 0"),
+    (lambda p: p["instances"][1].update(z=[0.0, float("nan")]), ValueError,
+     "instance 1 has non-finite features"),
+    (lambda p: p["instances"][0].update(c=[1.0, float("inf"), 1.0, 1.0]), ValueError,
+     "instance 0 has non-finite costs"),
+    (lambda p: p["instances"][1].update(x_star=[1.0, 0.0, 2.0, 0.0]), ValueError,
+     "instance 1 has an x_star"),
+    (lambda p: p["instances"][1].update(x_star=[1.0, 0.0]), DimensionMismatch, "instance 1"),
+    (lambda p: p["split"].update(test=[1, 2]), ValueError, "split index 2"),
+])
+def test_load_dataset_rejects_malformed_rows(tmp_path, tiny_knapsack, edit, error, message):
+    c = np.array([3.0, 4.0, 5.0, 6.0])
+    ds = Dataset(features=np.zeros((2, 2)), costs=np.stack([c, c]),
+                 split=Split(train=(0,), test=(1,)),
+                 x_star=np.stack([tiny_knapsack.solve(c).values, np.full(4, np.nan)]))
+    payload = dataset_to_dict(ds)
+    edit(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error, match=message):
+        load_dataset(path)
 
 
 @given(st.integers(0, 2 ** 6 - 1), st.integers(0, 2 ** 32 - 1))
@@ -183,8 +268,6 @@ def test_regret_nonnegative_and_scale_free(bits, seed):
     assert r == pytest.approx(v_star - float(c @ x_hat), abs=1e-9)
 
 
-def test_decision_value_and_sense():
-    dec = Decision(np.array([1.0, 0.0, 1.0]))
-    assert decision_value(np.array([2.0, 7.0, 3.0]), dec) == 5.0
+def test_sense_values_and_regret_tolerance():
     assert Sense.MAXIMIZE.value == "max" and Sense.MINIMIZE.value == "min"
     assert REGRET_TOL == 1e-9

@@ -37,8 +37,8 @@ def test_generate_shapes_split_and_positivity():
     assert ds.split.train == tuple(range(12))
     assert ds.split.val == tuple(range(12, 16))
     assert ds.split.test == tuple(range(16, 22))
-    for inst in ds.instances:
-        assert np.all(inst.true_costs > 0.0)  # even degree keeps costs positive
+    assert ds.features.shape == (22, 5) and ds.costs.shape == (22, 8)
+    assert np.all(ds.costs > 0.0)  # even degree keeps costs positive
 
 
 def test_generate_is_seed_deterministic():
@@ -48,11 +48,9 @@ def test_generate_is_seed_deterministic():
     b = generate(spec, problem, cache_decisions=False)
     other = generate(GenSpec(n_train=5, n_val=2, n_test=2, k=4, seed=8),
                      problem, cache_decisions=False)
-    for x, y in zip(a.instances, b.instances):
-        np.testing.assert_array_equal(x.features, y.features)
-        np.testing.assert_array_equal(x.true_costs, y.true_costs)
-    assert not np.array_equal(a.instances[0].true_costs,
-                              other.instances[0].true_costs)
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.costs, b.costs)
+    assert not np.array_equal(a.costs[0], other.costs[0])
 
 
 def test_decision_caching_and_solve_accounting():
@@ -61,14 +59,11 @@ def test_decision_caching_and_solve_accounting():
     problem.counter.reset()
     ds = generate(spec, problem, cache_decisions=True)
     assert problem.counter.count == 9  # train + val only
-    for i in ds.split.train + ds.split.val:
-        assert ds.instances[i].optimal_decision is not None
-    for i in ds.split.test:
-        assert ds.instances[i].optimal_decision is None
+    assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
     problem.counter.reset()
     bare = generate(spec, problem, cache_decisions=False)
     assert problem.counter.count == 0
-    assert all(inst.optimal_decision is None for inst in bare.instances)
+    assert np.isnan(bare.x_star).all()
 
 
 def test_mixing_matrix_is_fixed_across_instances():
@@ -79,8 +74,7 @@ def test_mixing_matrix_is_fixed_across_instances():
     spec = GenSpec(n_train=20, n_val=2, n_test=2, k=4, seed=5,
                    noise_width=0.0, deg=1)
     ds = generate(spec, problem, cache_decisions=False)
-    z = np.stack([inst.features for inst in ds.instances])
-    c = np.stack([inst.true_costs for inst in ds.instances])
+    z, c = ds.features, ds.costs
     design = np.hstack([z, np.ones((ds.n, 1))])
     coef, *_ = np.linalg.lstsq(design, c, rcond=None)
     residual = design @ coef - c
@@ -95,5 +89,4 @@ def test_zero_noise_width_removes_noise():
     spec = GenSpec(n_train=4, n_val=1, n_test=1, k=3, seed=2, noise_width=0.0)
     a = generate(spec, problem, cache_decisions=False)
     b = generate(spec, problem, cache_decisions=False)
-    for x, y in zip(a.instances, b.instances):
-        np.testing.assert_array_equal(x.true_costs, y.true_costs)
+    np.testing.assert_array_equal(a.costs, b.costs)

@@ -39,9 +39,7 @@ def test_attach_decisions_fills_only_missing():
     assert problem.counter.count == 4
     ds = attach_decisions(ds, problem, ("train", "val"))
     assert problem.counter.count == 6  # train entries were already cached
-    assert all(ds.instances[i].optimal_decision is not None
-               for i in ds.split.train + ds.split.val)
-    assert all(ds.instances[i].optimal_decision is None for i in ds.split.test)
+    assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
 
 
 def test_attach_ranges_normalized_scales_like_objective():
@@ -51,16 +49,15 @@ def test_attach_ranges_normalized_scales_like_objective():
     raw, solves_raw = attach_ranges(ds, problem, ("train",), normalized=False)
     norm, solves_norm = attach_ranges(ds, problem, ("train",), normalized=True)
     assert solves_raw == solves_norm == 3
+    assert raw.uncached("lower", range(ds.n)) == list(ds.split.val + ds.split.test)
     for i in ds.split.train:
-        c = ds.instances[i].true_costs
+        c = ds.costs[i]
         scale = 1.0 / float(np.linalg.norm(c))
-        r_raw = raw.instances[i].sensitivity_ranges
-        r_norm = norm.instances[i].sensitivity_ranges
         # ranging is positively homogeneous in the objective
-        np.testing.assert_allclose(r_norm.lower, r_raw.lower * scale, atol=1e-9)
-        np.testing.assert_allclose(r_norm.upper, r_raw.upper * scale, atol=1e-9)
-        assert np.all(r_norm.lower <= normalize(c) + 1e-12)
-        assert np.all(r_norm.upper >= normalize(c) - 1e-12)
+        np.testing.assert_allclose(norm.lower[i], raw.lower[i] * scale, atol=1e-9)
+        np.testing.assert_allclose(norm.upper[i], raw.upper[i] * scale, atol=1e-9)
+        assert np.all(norm.lower[i] <= normalize(c) + 1e-12)
+        assert np.all(norm.upper[i] >= normalize(c) - 1e-12)
 
 
 @pytest.mark.parametrize("loss,expected", [

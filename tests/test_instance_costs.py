@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cosdfl.core import instance_regret
+from cosdfl.core import instance_regrets
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
                                    baseline_regrets, compute_instance_costs,
                                    costs_from_predictions, save_baseline_report,
                                    _costs_from_values)
-from cosdfl.losses import evaluate_loss, parse_loss
+from cosdfl.losses import evaluate_loss, parse_loss, stack_loss_data
 from cosdfl.model import init_model
 from cosdfl.problems import make_knapsack
 
@@ -61,8 +61,8 @@ def test_costs_satisfy_regret_identity(ks_setup):
     problem, dataset = ks_setup
     rng = np.random.default_rng(5)
     indices = dataset.split.train
-    preds = np.stack([dataset.instances[i].true_costs *
-                      rng.uniform(0.3, 1.8, dataset.d) for i in indices])
+    preds = np.stack([dataset.costs[i] * rng.uniform(0.3, 1.8, dataset.d)
+                      for i in indices])
     report = costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
     pos = report.positive_regret
     assert pos.any(), "setup should produce at least one regretting instance"
@@ -73,8 +73,7 @@ def test_costs_satisfy_regret_identity(ks_setup):
 
 def test_costs_from_predictions_counts_one_solve_per_instance(ks_setup):
     problem, dataset = ks_setup
-    preds = np.stack([dataset.instances[i].true_costs + 0.5
-                      for i in dataset.split.train])
+    preds = dataset.costs[list(dataset.split.train)] + 0.5
     before = problem.counter.count
     report = costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
     assert report.solver_calls == len(dataset.split.train)
@@ -118,9 +117,10 @@ def test_apply_instance_costs(ks_setup):
     n = len(dataset.split.train)
     updated = apply_instance_costs(dataset, np.arange(1.0, n + 1.0))
     for row, i in enumerate(updated.split.train):
-        assert updated.instances[i].instance_cost == row + 1.0
-    assert all(dataset.instances[i].instance_cost is None
-               for i in dataset.split.train)
+        assert updated.weights[i] == row + 1.0
+    assert updated.uncached("weights", range(dataset.n)) == list(dataset.split.val
+                                                                 + dataset.split.test)
+    assert np.isnan(dataset.weights).all()
     with pytest.raises(ValueError):
         apply_instance_costs(dataset, [1.0])
 
@@ -130,8 +130,8 @@ def test_baseline_regrets_matches_direct_loop(ks_setup):
     model = init_model(dataset.k, dataset.d, seed=2)
     regs = baseline_regrets(problem, model, dataset)
     for row, i in enumerate(dataset.split.train):
-        inst = dataset.instances[i]
-        expected = instance_regret(problem, model.predict(inst.features), inst)
+        expected = instance_regrets(problem, [model.predict(dataset.features[i])],
+                                    dataset, [i])[0]
         assert regs[row] == pytest.approx(expected, abs=1e-12)
 
 
@@ -143,12 +143,12 @@ def test_weighted_total_loss_equals_total_regret_on_positive_set(ks_setup):
     report = compute_instance_costs(problem, model, dataset, parse_loss("mse"))
     ds = apply_instance_costs(dataset, report.costs)
     spec = parse_loss("mse+c")
+    data = stack_loss_data(spec, ds, ds.split.train)
     total = 0.0
     for row, i in enumerate(ds.split.train):
         if not report.positive_regret[row]:
             continue
-        inst = ds.instances[i]
-        total += evaluate_loss(spec, model.predict(inst.features), inst,
+        total += evaluate_loss(spec, model.predict(ds.features[i]), data, row,
                                problem.sense).value
     assert total == pytest.approx(float(report.regrets[report.positive_regret].sum()),
                                   abs=1e-9)

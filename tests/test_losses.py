@@ -1,18 +1,18 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosdfl.core import (CostRangeVector, DataInstance, Decision, DecisionKind,
-                         Sense, instance_regret)
+from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.errors import (MissingBaselineRegret, MissingInstanceCost,
                            MissingOptimalDecision, MissingRanges, ZeroVector)
-from cosdfl.losses import (BaseError, LossSpec, base_error,
+from cosdfl.losses import (BaseError, LossData, LossSpec, base_error,
                            coordinate_weights, evaluate_loss,
                            evaluate_loss_batch, normalize, parse_loss,
-                           spo_plus_loss, stack_loss_data)
+                           spo_plus_batch, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, KnapsackSpec, ShortestPathOracle, GridSpec
 from cosdfl.simplex import cost_ranging, relax, solve_lp
 
@@ -34,20 +34,35 @@ def pick_one_of_two():
                                        capacities=np.array([1.0])))
 
 
-def one_row_weights(loss, predicted, instance, sense):
-    """coordinate_weights of one instance, through a one-row stack_loss_data;
-    ``predicted`` is in evaluation space (normalized under S)."""
+def one_row(true, x_star=None, lower=None, upper=None, weight=None):
+    """A one-instance dataset carrying the given caches."""
+    def row(values):
+        return None if values is None else np.asarray(values, dtype=float)[None, :]
+    return Dataset(features=np.zeros((1, 1)), costs=row(true), split=Split(train=(0,)),
+                   x_star=row(x_star), lower=row(lower), upper=row(upper),
+                   weights=None if weight is None else [weight])
+
+
+def loss_of(spec, predicted, dataset, sense):
+    """evaluate_loss on the one row of a one-instance dataset."""
+    return evaluate_loss(spec, predicted, stack_loss_data(spec, dataset, [0]), 0, sense)
+
+
+def one_row_weights(loss, predicted, dataset, sense):
+    """coordinate_weights of a one-instance dataset; ``predicted`` is in
+    evaluation space (normalized under S)."""
     spec = parse_loss(loss)
-    data = stack_loss_data(spec, [instance])
+    data = stack_loss_data(spec, dataset, [0])
     return coordinate_weights(spec, np.asarray(predicted, dtype=float)[None, :],
                               data, slice(None), sense)[0]
 
 
-def masked_instance(true, x_star, kind=DecisionKind.BINARY, lower=None, upper=None):
-    ranges = None if lower is None else CostRangeVector(lower, upper)
-    return DataInstance(np.zeros(1), np.asarray(true, dtype=float),
-                        optimal_decision=Decision(np.asarray(x_star, dtype=float), kind),
-                        sensitivity_ranges=ranges)
+def spo_plus(predicted, dataset, problem):
+    """spo+ value and gradient on the one row of a one-instance dataset."""
+    data = stack_loss_data(LossSpec(spo_plus=True), dataset, [0])
+    values, grads = spo_plus_batch(np.asarray(predicted, dtype=float)[None, :], data,
+                                   slice(None), problem)
+    return values[0], grads[0]
 
 
 # --- parsing and spec algebra --------------------------------------------------
@@ -93,9 +108,8 @@ def test_validation_variant_strips_weighting():
 
 def test_pinball_frozen_values():
     def pinball(predicted, true, tau, base):
-        inst = DataInstance(np.zeros(1), np.array([true]))
-        return evaluate_loss(LossSpec(base=base, tau=tau), np.array([predicted]), inst,
-                             Sense.MAXIMIZE).value
+        return loss_of(LossSpec(base=base, tau=tau), np.array([predicted]),
+                       one_row([true]), Sense.MAXIMIZE).value
 
     # overprediction at tau=0.5 halves the squared error 4 -> 2
     assert pinball(3.0, 1.0, 0.5, BaseError.SQUARED) == pytest.approx(2.0)
@@ -125,7 +139,7 @@ def test_normalize_frozen_and_zero_rejection():
 
 def test_optimal_mask_directions_maximize():
     true = np.array([2.0, 1.9])
-    inst = masked_instance(true, [1.0, 0.0])
+    inst = one_row(true, [1.0, 0.0])
     # selected coordinate: overprediction is harmless; underprediction is not
     w = one_row_weights("mse+o", [2.5, 1.0], inst, Sense.MAXIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
@@ -137,7 +151,7 @@ def test_optimal_mask_directions_maximize():
 
 
 def test_optimal_mask_directions_minimize():
-    inst = masked_instance([1.0, 2.0], [1.0, 0.0])
+    inst = one_row([1.0, 2.0], [1.0, 0.0])
     # selected coordinate of a minimizer: underprediction is harmless
     w = one_row_weights("mse+o", [0.5, 3.0], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
@@ -146,9 +160,17 @@ def test_optimal_mask_directions_minimize():
 
 
 def test_fractional_coordinates_are_never_masked():
-    inst = masked_instance([1.0, 1.0], [0.5, 0.5], kind=DecisionKind.CONTINUOUS)
-    w = one_row_weights("mse+o", [9.0, -9.0], inst, Sense.MAXIMIZE)
-    np.testing.assert_array_equal(w, [1.0, 1.0])
+    # a Dataset holds only 0/1 decisions; a coordinate at neither bound (as
+    # an LP relaxation's fractional x would be) keeps its error
+    with pytest.raises(ValueError, match="instance 0"):
+        one_row([1.0, 1.0], [0.5, 0.5])
+    neither = np.zeros((1, 2), dtype=bool)
+    data = LossData(indices=np.zeros(1, dtype=int), true=np.ones((1, 2)),
+                    factor=np.ones(1), at_upper=neither, at_lower=neither,
+                    lower=np.ones((1, 2)), upper=np.ones((1, 2)))
+    w = coordinate_weights(parse_loss("mse+o"), np.array([[9.0, -9.0]]), data,
+                           slice(None), Sense.MAXIMIZE)
+    np.testing.assert_array_equal(w, [[1.0, 1.0]])
 
 
 def test_sensitivity_mask_widens_safe_region():
@@ -163,12 +185,11 @@ def test_sensitivity_mask_widens_safe_region():
     ranges = cost_ranging(lp.with_objective(true), solve_lp(lp.with_objective(true)))
     assert ranges.lower[0] == pytest.approx(1.9)
     assert ranges.upper[1] == pytest.approx(2.0)
-    inst = DataInstance(np.zeros(1), true, optimal_decision=x_star,
-                        sensitivity_ranges=ranges)
+    inst = one_row(true, x_star.values, ranges.lower, ranges.upper)
     predicted = np.array([1.95, 1.99])
-    assert instance_regret(oracle, predicted, inst) == pytest.approx(0.1)
-    o_loss = evaluate_loss(parse_loss("mse+o"), predicted, inst, oracle.sense)
-    os_loss = evaluate_loss(parse_loss("mse+o_s"), predicted, inst, oracle.sense)
+    assert instance_regrets(oracle, [predicted], inst, [0])[0] == pytest.approx(0.1)
+    o_loss = loss_of(parse_loss("mse+o"), predicted, inst, oracle.sense)
+    os_loss = loss_of(parse_loss("mse+o_s"), predicted, inst, oracle.sense)
     assert o_loss.value > 0.0
     assert os_loss.value == 0.0
     mask = one_row_weights("mse+o_s", predicted, inst, oracle.sense)
@@ -178,7 +199,7 @@ def test_sensitivity_mask_widens_safe_region():
 def test_sensitivity_mask_minimize_directions():
     # minimize: a selected coordinate is masked while predicted below the
     # range's upper endpoint; unselected while above its lower endpoint
-    inst = masked_instance([1.0, 2.0], [1.0, 0.0], lower=[0.0, 1.0], upper=[2.0, 5.0])
+    inst = one_row([1.0, 2.0], [1.0, 0.0], lower=[0.0, 1.0], upper=[2.0, 5.0])
     w = one_row_weights("mse+o_s", [1.8, 1.5], inst, Sense.MINIMIZE)
     np.testing.assert_array_equal(w, [0.0, 0.0])
     w = one_row_weights("mse+o_s", [2.5, 0.5], inst, Sense.MINIMIZE)
@@ -186,67 +207,58 @@ def test_sensitivity_mask_minimize_directions():
 
 
 def test_mask_requires_caches():
-    inst = DataInstance(np.zeros(1), np.array([1.0, 2.0]))
     with pytest.raises(MissingOptimalDecision):
-        stack_loss_data(parse_loss("mse+o"), [inst])
-    inst = inst.with_decision(Decision(np.array([1.0, 0.0])))
+        stack_loss_data(parse_loss("mse+o"), one_row([1.0, 2.0]), [0])
     with pytest.raises(MissingRanges):
-        stack_loss_data(parse_loss("mse+o_s"), [inst])
+        stack_loss_data(parse_loss("mse+o_s"), one_row([1.0, 2.0], [1.0, 0.0]), [0])
 
 
 # --- composed evaluation -------------------------------------------------------
 
 def test_plain_mse_and_mae_values():
-    inst = DataInstance(np.zeros(1), np.array([1.0, 2.0, 3.0]))
-    out = evaluate_loss(parse_loss("mse"), np.array([2.0, 2.0, 1.0]), inst,
-                        Sense.MAXIMIZE)
+    inst = one_row([1.0, 2.0, 3.0])
+    out = loss_of(parse_loss("mse"), np.array([2.0, 2.0, 1.0]), inst, Sense.MAXIMIZE)
     assert out.value == pytest.approx((1.0 + 0.0 + 4.0) / 3.0)
     np.testing.assert_allclose(out.gradient, [2.0 / 3.0, 0.0, -4.0 / 3.0])
-    out = evaluate_loss(parse_loss("mae"), np.array([2.0, 2.0, 1.0]), inst,
-                        Sense.MAXIMIZE)
+    out = loss_of(parse_loss("mae"), np.array([2.0, 2.0, 1.0]), inst, Sense.MAXIMIZE)
     assert out.value == pytest.approx(1.0)
 
 
 def test_tau_half_with_cost_two_recovers_mse():
-    inst = DataInstance(np.zeros(1), np.array([1.0, 2.0, 3.0]), instance_cost=2.0)
+    inst = one_row([1.0, 2.0, 3.0], weight=2.0)
     spec = LossSpec(base=BaseError.SQUARED, instance_costs=True, tau=0.5)
     predicted = np.array([2.0, 1.5, 3.5])
-    weighted = evaluate_loss(spec, predicted, inst, Sense.MAXIMIZE)
-    plain = evaluate_loss(parse_loss("mse"), predicted, inst, Sense.MAXIMIZE)
+    weighted = loss_of(spec, predicted, inst, Sense.MAXIMIZE)
+    plain = loss_of(parse_loss("mse"), predicted, inst, Sense.MAXIMIZE)
     assert weighted.value == pytest.approx(plain.value, abs=1e-12)
     np.testing.assert_allclose(weighted.gradient, plain.gradient, atol=1e-12)
 
 
 def test_instance_cost_factor_and_errors():
-    bare = DataInstance(np.zeros(1), np.array([1.0, 2.0]))
+    bare = one_row([1.0, 2.0])
     with pytest.raises(MissingInstanceCost):
-        evaluate_loss(parse_loss("mse+c"), np.array([0.0, 0.0]), bare, Sense.MAXIMIZE)
-    weighted = bare.with_instance_cost(3.0)
-    out = evaluate_loss(parse_loss("mse+c"), np.array([0.0, 0.0]), weighted,
-                        Sense.MAXIMIZE)
+        loss_of(parse_loss("mse+c"), np.array([0.0, 0.0]), bare, Sense.MAXIMIZE)
+    weighted = one_row([1.0, 2.0], weight=3.0)
+    out = loss_of(parse_loss("mse+c"), np.array([0.0, 0.0]), weighted, Sense.MAXIMIZE)
     assert out.value == pytest.approx(3.0 * (1.0 + 4.0) / 2.0)
 
 
 def test_lawless_factor_and_errors():
-    bare = DataInstance(np.zeros(1), np.array([1.0, 2.0]))
+    bare = one_row([1.0, 2.0])
     with pytest.raises(MissingBaselineRegret):
-        evaluate_loss(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), bare,
-                      Sense.MINIMIZE)
+        loss_of(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), bare, Sense.MINIMIZE)
     # w=0 ignores the missing weight entirely and equals plain mse
-    out0 = evaluate_loss(parse_loss("lawless:0"), np.array([0.0, 0.0]), bare,
-                         Sense.MINIMIZE)
+    out0 = loss_of(parse_loss("lawless:0"), np.array([0.0, 0.0]), bare, Sense.MINIMIZE)
     assert out0.value == pytest.approx(2.5)
-    inst = bare.with_instance_cost(6.0)  # raw baseline regret
-    out = evaluate_loss(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), inst,
-                        Sense.MINIMIZE)
+    inst = one_row([1.0, 2.0], weight=6.0)  # raw baseline regret
+    out = loss_of(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), inst, Sense.MINIMIZE)
     assert out.value == pytest.approx((0.4 * 6.0 + 0.6) * 2.5)
 
 
 def test_scale_invariant_orthogonal_frozen():
     # orthogonal unit vectors: (2/d)(1 - cos) = 1 at d=2
-    inst = DataInstance(np.zeros(1), np.array([1.0, 0.0]))
-    out = evaluate_loss(parse_loss("mse+s"), np.array([0.0, 1.0]), inst,
-                        Sense.MAXIMIZE)
+    out = loss_of(parse_loss("mse+s"), np.array([0.0, 1.0]), one_row([1.0, 0.0]),
+                  Sense.MAXIMIZE)
     assert out.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -259,8 +271,7 @@ def test_scale_invariant_equals_cosine_formula(seed):
     c_hat = rng.normal(0.0, 3.0, d)
     if np.linalg.norm(c) < 1e-6 or np.linalg.norm(c_hat) < 1e-6:
         return
-    inst = DataInstance(np.zeros(1), c)
-    out = evaluate_loss(parse_loss("mse+s"), c_hat, inst, Sense.MAXIMIZE)
+    out = loss_of(parse_loss("mse+s"), c_hat, one_row(c), Sense.MAXIMIZE)
     cos = float(c @ c_hat) / (np.linalg.norm(c) * np.linalg.norm(c_hat))
     assert out.value == pytest.approx((2.0 / d) * (1.0 - cos), abs=1e-10)
 
@@ -269,31 +280,30 @@ def test_scale_invariance_property():
     rng = np.random.default_rng(7)
     c = rng.uniform(0.5, 3.0, 6)
     c_hat = rng.uniform(0.5, 3.0, 6)
-    inst = DataInstance(np.zeros(1), c)
+    inst = one_row(c)
     spec = parse_loss("mse+s")
-    base = evaluate_loss(spec, c_hat, inst, Sense.MAXIMIZE).value
+    base = loss_of(spec, c_hat, inst, Sense.MAXIMIZE).value
     for alpha in (0.01, 0.5, 7.0, 4000.0):
-        assert evaluate_loss(spec, alpha * c_hat, inst,
-                             Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
-    inst_scaled = DataInstance(np.zeros(1), 13.0 * c)
-    assert evaluate_loss(spec, c_hat, inst_scaled,
-                         Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
+        assert loss_of(spec, alpha * c_hat, inst,
+                       Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
+    assert loss_of(spec, c_hat, one_row(13.0 * c),
+                   Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
 
 
 def test_parallel_prediction_is_stationary_under_absolute_error():
     # the two sides are normalized by differently rounded norms; a prediction
     # parallel to the truth must still get the zero subgradient of a tie
     c = np.array([-0.45, 0.72, 2.97])
-    inst = DataInstance(np.zeros(1), c)
+    inst = one_row(c)
     for predicted in (c, 2.0 * c):
-        out = evaluate_loss(parse_loss("mae+s"), predicted, inst, Sense.MAXIMIZE)
+        out = loss_of(parse_loss("mae+s"), predicted, inst, Sense.MAXIMIZE)
         assert out.value == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_array_equal(out.gradient, np.zeros(3))
 
 
 def test_zero_prediction_gets_finite_escape():
-    inst = DataInstance(np.zeros(1), np.array([3.0, 4.0]), instance_cost=2.0)
-    out = evaluate_loss(parse_loss("mse+c+s"), np.zeros(2), inst, Sense.MAXIMIZE)
+    inst = one_row([3.0, 4.0], weight=2.0)
+    out = loss_of(parse_loss("mse+c+s"), np.zeros(2), inst, Sense.MAXIMIZE)
     assert out.value == pytest.approx(2.0 * 4.0 / 2)
     np.testing.assert_allclose(out.gradient, -2.0 * np.array([0.6, 0.8]))
     assert np.all(np.isfinite(out.gradient))
@@ -303,12 +313,11 @@ def test_masks_follow_normalized_space_when_scale_invariant():
     # raw comparison says "masked" (2.1 > 2) but the normalized prediction
     # drops below the normalized truth, so with S the coordinate is live
     true = np.array([2.0, 1.0])
-    inst = DataInstance(np.zeros(1), true,
-                        optimal_decision=Decision(np.array([1.0, 0.0])))
+    inst = one_row(true, [1.0, 0.0])
     predicted = np.array([2.1, 5.0])
     raw_mask = one_row_weights("mse+o", predicted, inst, Sense.MAXIMIZE)
     assert raw_mask[0] == 0.0
-    out = evaluate_loss(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
+    out = loss_of(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
     u_hat, u = normalize(predicted), normalize(true)
     w = one_row_weights("mse+o+s", u_hat, inst, Sense.MAXIMIZE)
     assert w[0] == 1.0
@@ -320,21 +329,19 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     true = rng.uniform(1.0, 4.0, 5)
     x_star = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-    ranges = CostRangeVector(true - rng.uniform(0.2, 0.5, 5),
-                             true + rng.uniform(0.2, 0.5, 5))
-    inst = DataInstance(np.zeros(1), true, optimal_decision=Decision(x_star),
-                        sensitivity_ranges=ranges, instance_cost=1.7)
-    norm_ranges = ranges.scaled(1.0 / float(np.linalg.norm(true)))
-    inst_s = DataInstance(np.zeros(1), true, optimal_decision=Decision(x_star),
-                          sensitivity_ranges=norm_ranges, instance_cost=1.7)
+    lower = true - rng.uniform(0.2, 0.5, 5)
+    upper = true + rng.uniform(0.2, 0.5, 5)
+    inst = one_row(true, x_star, lower, upper, weight=1.7)
+    scale = 1.0 / float(np.linalg.norm(true))
+    inst_s = one_row(true, x_star, lower * scale, upper * scale, weight=1.7)
     for name in ["mse", "mae", "mse+c", "mse+o", "mae+o", "mse+o_s", "mse+s",
                  "mae+s", "mse+c+o+s", "mae+c+o+s", "mse+o_s+s", "mse+tau:0.3"]:
         spec = parse_loss(name)
-        carrier = inst_s if spec.scale_invariant else inst
+        data = stack_loss_data(spec, inst_s if spec.scale_invariant else inst, [0])
         for trial in range(5):
             predicted = true + rng.uniform(0.05, 0.4, 5) * rng.choice([-1.0, 1.0], 5)
-            out = evaluate_loss(spec, predicted, carrier, Sense.MAXIMIZE)
-            num = fd_grad(lambda p: evaluate_loss(spec, p, carrier,
+            out = evaluate_loss(spec, predicted, data, 0, Sense.MAXIMIZE)
+            num = fd_grad(lambda p: evaluate_loss(spec, p, data, 0,
                                                   Sense.MAXIMIZE).value, predicted)
             scale = max(np.linalg.norm(out.gradient), np.linalg.norm(num), 1e-6)
             assert np.linalg.norm(out.gradient - num) / scale < 1e-5, name
@@ -351,8 +358,9 @@ REFERENCE_ROWS = 32
 
 
 def reference_case(name, seed):
-    """A spec, REFERENCE_ROWS instances carrying every cache, and predictions
-    with exact ties to the truth and, under S, one exactly-zero row."""
+    """A spec, a dataset of REFERENCE_ROWS instances carrying every cache,
+    and predictions with exact ties to the truth and, under S, one
+    exactly-zero row."""
     rng = np.random.default_rng(seed)
     n, d = REFERENCE_ROWS, int(rng.integers(2, 9))
     if name == "tau per coordinate":
@@ -360,37 +368,41 @@ def reference_case(name, seed):
     else:
         spec = parse_loss(name)
     true = rng.normal(0.0, 3.0, (n, d))
-    # mostly binary decisions; the rest sit just inside or just outside the
-    # bound tolerances (1e-5 relative at 1, 1e-9 absolute at 0) or in between
-    x_star = rng.choice([0.0, 1.0, 0.5, 1.0 - 5e-6, 1.0 - 2e-5, 5e-10, 2e-9],
-                        p=[0.4, 0.4, 0.04, 0.04, 0.04, 0.04, 0.04], size=(n, d))
+    # binary decisions, some off by rounding dust the Dataset snaps away
+    x_star = rng.choice([0.0, 1.0, 1.0 - 5e-10, 5e-10, -5e-10],
+                        p=[0.4, 0.4, 0.1, 0.05, 0.05], size=(n, d))
     centre = true / np.linalg.norm(true, axis=1, keepdims=True) \
         if spec.scale_invariant else true
     lower = np.where(rng.random((n, d)) < 0.2, -np.inf,
                      centre - rng.uniform(0.0, 0.5, (n, d)))
     upper = np.where(rng.random((n, d)) < 0.2, np.inf,
                      centre + rng.uniform(0.0, 0.5, (n, d)))
-    instances = [DataInstance(np.zeros(1), true[r],
-                              optimal_decision=Decision(x_star[r],
-                                                        kind=DecisionKind.CONTINUOUS),
-                              sensitivity_ranges=CostRangeVector(lower[r], upper[r]),
-                              instance_cost=float(rng.uniform(0.0, 5.0)))
-                 for r in range(n)]
+    dataset = Dataset(features=np.zeros((n, 1)), costs=true, split=Split(train=range(n)),
+                      x_star=x_star, lower=lower, upper=upper,
+                      weights=[float(rng.uniform(0.0, 5.0)) for _ in range(n)])
     predicted = true * (1.0 + rng.normal(0.0, 0.3, (n, d)))
     ties = rng.random((n, d)) < 0.1
     predicted[ties] = true[ties]
     if spec.scale_invariant:
         predicted[int(rng.integers(n))] = 0.0
-    return spec, instances, predicted
+    return spec, dataset, predicted
+
+
+def row_view(dataset, r):
+    """Row r of a dataset in the per-instance shape that brute_loss reads."""
+    return SimpleNamespace(true_costs=dataset.costs[r], instance_cost=dataset.weights[r],
+                           optimal_decision=SimpleNamespace(values=dataset.x_star[r]),
+                           sensitivity_ranges=SimpleNamespace(lower=dataset.lower[r],
+                                                              upper=dataset.upper[r]))
 
 
 @settings(max_examples=200)
 @given(name=st.sampled_from(REFERENCE_SPECS), seed=st.integers(0, 2 ** 32 - 1),
        maximize=st.booleans())
 def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
-    spec, instances, predicted = reference_case(name, seed)
+    spec, dataset, predicted = reference_case(name, seed)
     sense = Sense.MAXIMIZE if maximize else Sense.MINIMIZE
-    data = stack_loss_data(spec, instances)
+    data = stack_loss_data(spec, dataset, range(REFERENCE_ROWS))
     order = np.random.default_rng(seed).permutation(REFERENCE_ROWS)
     per_size = []
     for size in (1, 7, REFERENCE_ROWS):
@@ -406,8 +418,8 @@ def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
         np.testing.assert_array_equal(grads, per_size[0][1])
 
     values, grads = per_size[0]
-    for r, inst in enumerate(instances):
-        value, grad = brute_loss(spec, predicted[r], inst, maximize)
+    for r in range(REFERENCE_ROWS):
+        value, grad = brute_loss(spec, predicted[r], row_view(dataset, r), maximize)
         np.testing.assert_allclose(values[r], value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads[r], grad, rtol=1e-12, atol=1e-12)
 
@@ -416,29 +428,28 @@ def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
     norms = np.linalg.norm(predicted, axis=1, keepdims=True)
     pred_eval = predicted / np.where(norms > 0.0, norms, 1.0) \
         if spec.scale_invariant else predicted.copy()
-    ranges = [inst.sensitivity_ranges for inst in instances]
-    lower = np.stack([rv.lower for rv in ranges])
-    upper = np.stack([rv.upper for rv in ranges])
+    lower, upper = dataset.lower, dataset.upper
     rng = np.random.default_rng(seed + 1)
     for threshold in (data.true, lower, upper):
         pick = (rng.random(pred_eval.shape) < 0.1) & np.isfinite(threshold)
         pred_eval[pick] = threshold[pick]
     rows = np.arange(REFERENCE_ROWS)
     weights = coordinate_weights(spec, pred_eval, data, rows, sense)
-    for r, inst in enumerate(instances):
-        expected = brute_weights(spec, pred_eval[r], data.true[r],
-                                 inst.optimal_decision.values, lower[r], upper[r],
-                                 maximize)
+    for r in range(REFERENCE_ROWS):
+        expected = brute_weights(spec, pred_eval[r], data.true[r], dataset.x_star[r],
+                                 lower[r], upper[r], maximize)
         np.testing.assert_array_equal(weights[r], expected)
 
 
 def test_stacking_names_the_instance_missing_a_cache():
-    insts = [DataInstance(np.zeros(1), np.array([1.0, 2.0]), instance_cost=1.0),
-             DataInstance(np.zeros(1), np.array([2.0, 1.0]))]
+    weights = np.full(8, np.nan)
+    weights[3] = 1.0
+    dataset = Dataset(features=np.zeros((8, 1)), costs=np.ones((8, 2)), split=Split(),
+                      weights=weights)
     with pytest.raises(MissingInstanceCost, match="instance 7"):
-        stack_loss_data(parse_loss("mse+c"), insts, [3, 7])
+        stack_loss_data(parse_loss("mse+c"), dataset, [3, 7])
     with pytest.raises(MissingOptimalDecision, match="instance 3"):
-        stack_loss_data(parse_loss("mse+o"), insts, [3, 7])
+        stack_loss_data(parse_loss("mse+o"), dataset, [3, 7])
 
 
 # --- spo+ ----------------------------------------------------------------------
@@ -446,24 +457,23 @@ def test_stacking_names_the_instance_missing_a_cache():
 def test_spo_plus_frozen_example():
     oracle = pick_one_of_two()
     true = np.array([2.0, 1.0])
-    inst = DataInstance(np.zeros(1), true, optimal_decision=oracle.solve(true))
+    inst = one_row(true, oracle.solve(true).values)
     oracle.counter.reset()
-    out = spo_plus_loss(np.array([1.0, 2.0]), inst, oracle)
+    value, gradient = spo_plus(np.array([1.0, 2.0]), inst, oracle)
     # shifted costs (0,3) pick item 1: 3 - 2*1 + 2 = 3
-    assert out.value == pytest.approx(3.0)
-    np.testing.assert_allclose(out.gradient, [-2.0, 2.0])
+    assert value == pytest.approx(3.0)
+    np.testing.assert_allclose(gradient, [-2.0, 2.0])
     assert oracle.counter.count == 1
     # perfect prediction has zero surrogate value
-    assert spo_plus_loss(true, inst, oracle).value == pytest.approx(0.0)
+    assert spo_plus(true, inst, oracle)[0] == pytest.approx(0.0)
 
 
 def test_spo_plus_minimize_sense():
     oracle = ShortestPathOracle(GridSpec(rows=2, cols=2))
     true = np.array([1.0, 5.0, 2.0, 1.0])
-    inst = DataInstance(np.zeros(1), true, optimal_decision=oracle.solve(true))
-    assert spo_plus_loss(true, inst, oracle).value == pytest.approx(0.0)
-    out = spo_plus_loss(np.array([5.0, 1.0, 1.0, 5.0]), inst, oracle)
-    assert out.value > 0.0
+    inst = one_row(true, oracle.solve(true).values)
+    assert spo_plus(true, inst, oracle)[0] == pytest.approx(0.0)
+    assert spo_plus(np.array([5.0, 1.0, 1.0, 5.0]), inst, oracle)[0] > 0.0
 
 
 @settings(max_examples=40)
@@ -474,14 +484,13 @@ def test_spo_plus_upper_bounds_regret(seed):
         weights=rng.integers(1, 5, size=(1, 6)).astype(float),
         capacities=np.array([8.0])))
     true = rng.uniform(0.5, 5.0, 6)
-    inst = DataInstance(np.zeros(1), true, optimal_decision=oracle.solve(true))
+    inst = one_row(true, oracle.solve(true).values)
     predicted = rng.uniform(0.5, 5.0, 6)
-    surrogate = spo_plus_loss(predicted, inst, oracle).value
-    assert surrogate >= instance_regret(oracle, predicted, inst) - 1e-9
+    surrogate = spo_plus(predicted, inst, oracle)[0]
+    assert surrogate >= instance_regrets(oracle, [predicted], inst, [0])[0] - 1e-9
 
 
 def test_spo_plus_requires_cached_decision():
     oracle = pick_one_of_two()
-    inst = DataInstance(np.zeros(1), np.array([2.0, 1.0]))
     with pytest.raises(MissingOptimalDecision):
-        spo_plus_loss(np.array([1.0, 1.0]), inst, oracle)
+        spo_plus(np.array([1.0, 1.0]), one_row([2.0, 1.0]), oracle)

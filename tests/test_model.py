@@ -1,10 +1,13 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cosdfl.core import DataInstance, Dataset, Split
+from cosdfl.core import Dataset, Split
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NonFiniteLoss
-from cosdfl.losses import evaluate_loss, parse_loss
+from cosdfl.losses import evaluate_loss, parse_loss, stack_loss_data
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           TrainConfig, init_model, load_model, save_model,
                           train)
@@ -17,13 +20,18 @@ def linear_dataset(n_train=24, n_val=8, k=3, d=4, seed=0):
     """Costs are an exact linear map of features: learnable to zero error."""
     rng = np.random.default_rng(seed)
     w_true = rng.normal(0.0, 1.0, (d, k))
-    instances = []
-    for _ in range(n_train + n_val):
-        z = rng.normal(0.0, 1.0, k)
-        instances.append(DataInstance(z, w_true @ z + 5.0))
+    features = [rng.normal(0.0, 1.0, k) for _ in range(n_train + n_val)]
     split = Split(train=tuple(range(n_train)),
                   val=tuple(range(n_train, n_train + n_val)))
-    return Dataset(instances=tuple(instances), split=split, k=k, d=d), w_true
+    return Dataset(features=features, costs=[w_true @ z + 5.0 for z in features],
+                   split=split), w_true
+
+
+def per_instance_view(dataset):
+    """The dataset in the per-instance shape that brute_spo_plus_train reads."""
+    return SimpleNamespace(split=dataset.split, instances=[
+        SimpleNamespace(features=z, true_costs=c, optimal_decision=SimpleNamespace(values=x))
+        for z, c, x in zip(dataset.features, dataset.costs, dataset.x_star)])
 
 
 def test_init_model_bounds_and_determinism():
@@ -105,10 +113,11 @@ def test_validation_ignores_instance_weights():
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("mse+c"),
                   config, sense=problem.sense)
     snapshot = trace.final_model
+    data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val)
     manual = float(np.mean([
-        evaluate_loss(parse_loss("mse"), snapshot.predict(inst.features), inst,
+        evaluate_loss(parse_loss("mse"), snapshot.predict(dataset.features[i]), data, row,
                       problem.sense).value
-        for inst in dataset.part("val")]))
+        for row, i in enumerate(dataset.split.val)]))
     assert trace.records[-1].val_loss == pytest.approx(manual, rel=1e-9)
 
 
@@ -141,7 +150,7 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
                          optimizer=optimizer, seed=3)
     start = init_model(3, problem.d, seed=3)
     batched = train(start, dataset, parse_loss("spo+"), config, problem=problem)
-    reference = brute_spo_plus_train(start, dataset, config, problem)
+    reference = brute_spo_plus_train(start, per_instance_view(dataset), config, problem)
     assert batched.deterministic_fields() == reference.deterministic_fields()
     assert batched.records[-1].solver_calls == 4 * 26
 
@@ -165,8 +174,7 @@ def test_training_requirements():
         # one-sided losses need a sense to orient the mask
         train(init_model(dataset.k, dataset.d), dataset, parse_loss("mse+o"),
               TrainConfig(epochs=1))
-    empty = Dataset(instances=dataset.instances,
-                    split=Split(val=dataset.split.val), k=dataset.k, d=dataset.d)
+    empty = replace(dataset, split=Split(val=dataset.split.val))
     with pytest.raises(ValueError):
         train(init_model(dataset.k, dataset.d), empty, parse_loss("mse"),
               TrainConfig(epochs=1))
@@ -179,9 +187,9 @@ def test_non_finite_loss_names_the_instance_and_the_phase():
     config = TrainConfig(epochs=2, batch_size=8, seed=0)
     for index, phase in ((5, "training batch of epoch 0"),
                          (27, "validation after epoch 0")):
-        inst = dataset.instances[index]
-        broken = dataset.with_replaced(
-            {index: DataInstance(inst.features, np.full(dataset.d, 1e200))})
+        costs = dataset.costs.copy()
+        costs[index] = 1e200
+        broken = replace(dataset, costs=costs)
         with pytest.raises(NonFiniteLoss) as info:
             train(init_model(dataset.k, dataset.d, seed=0), broken,
                   parse_loss("mse"), config)

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import numpy as np
@@ -12,8 +13,7 @@ from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, GridSpec,
                              KnapsackOracle, KnapsackSpec, ShortestPathOracle,
                              TspMode, TspOracle, TspSpec, load_problem,
                              make_grid, make_knapsack, make_tsp,
-                             problem_from_name, save_problem, solve_knapsack,
-                             solve_shortest_path, solve_tsp)
+                             problem_from_name)
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
                    enumerate_grid_paths)
@@ -24,22 +24,22 @@ from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
 def test_knapsack_frozen_example():
     spec = KnapsackSpec(weights=np.array([[2.0, 3.0, 4.0, 5.0]]),
                         capacities=np.array([6.0]))
-    x = solve_knapsack(spec, np.array([3.0, 4.0, 5.0, 6.0]))
+    x = KnapsackOracle(spec).solve(np.array([3.0, 4.0, 5.0, 6.0])).values
     assert x.tolist() == [1.0, 0.0, 1.0, 0.0]  # {0,2}: weight 6, value 8
-    x = solve_knapsack(spec, np.array([6.0, 5.0, 4.0, 3.0]))
+    x = KnapsackOracle(spec).solve(np.array([6.0, 5.0, 4.0, 3.0])).values
     assert x.tolist() == [1.0, 1.0, 0.0, 0.0]  # {0,1}: weight 5, value 11
 
 
 def test_knapsack_value_ties_break_lexicographically():
     spec = KnapsackSpec(weights=np.array([[1.0, 1.0]]), capacities=np.array([1.0]))
-    x = solve_knapsack(spec, np.array([2.0, 2.0]))
+    x = KnapsackOracle(spec).solve(np.array([2.0, 2.0])).values
     assert x.tolist() == [0.0, 1.0]  # (0,1) precedes (1,0)
 
 
 def test_knapsack_ignores_nonpositive_costs():
     spec = KnapsackSpec(weights=np.array([[1.0, 1.0, 1.0]]),
                         capacities=np.array([3.0]))
-    x = solve_knapsack(spec, np.array([-1.0, 0.0, 2.0]))
+    x = KnapsackOracle(spec).solve(np.array([-1.0, 0.0, 2.0])).values
     assert x.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -47,7 +47,7 @@ def test_knapsack_multidimensional_constraint():
     spec = KnapsackSpec(weights=np.array([[2.0, 3.0], [4.0, 1.0]]),
                         capacities=np.array([5.0, 4.0]))
     # {0,1} violates the second dimension (5 > 4); best single item wins
-    x = solve_knapsack(spec, np.array([3.0, 4.0]))
+    x = KnapsackOracle(spec).solve(np.array([3.0, 4.0])).values
     assert x.tolist() == [0.0, 1.0]
 
 
@@ -66,7 +66,7 @@ def test_knapsack_matches_brute_force(seed):
                         capacities=rng.integers(d, 3 * d, size=q).astype(float))
     # half-integer costs make exact value ties common, exercising lex order
     costs = rng.integers(0, 9, size=d) / 2.0
-    x = solve_knapsack(spec, costs)
+    x = KnapsackOracle(spec).solve(costs).values
     x_brute, v_brute = brute_knapsack(spec.weights, spec.capacities, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
@@ -85,19 +85,19 @@ def test_grid_arc_indexing_convention():
 
 def test_grid_frozen_example():
     spec = GridSpec(rows=2, cols=2)
-    x = solve_shortest_path(spec, np.array([1.0, 5.0, 2.0, 1.0]))
+    x = ShortestPathOracle(spec).solve(np.array([1.0, 5.0, 2.0, 1.0])).values
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # east then south, cost 2
 
 
 def test_grid_tie_breaks_to_lex_smallest_indicator():
     spec = GridSpec(rows=2, cols=2)
-    x = solve_shortest_path(spec, np.ones(4))
+    x = ShortestPathOracle(spec).solve(np.ones(4)).values
     assert x.tolist() == [0.0, 1.0, 1.0, 0.0]  # south-then-east precedes
 
 
 def test_grid_handles_negative_costs():
     spec = GridSpec(rows=2, cols=2)
-    x = solve_shortest_path(spec, np.array([-5.0, 1.0, 1.0, -5.0]))
+    x = ShortestPathOracle(spec).solve(np.array([-5.0, 1.0, 1.0, -5.0])).values
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # cost -10 beats cost 2
 
 
@@ -114,7 +114,7 @@ def test_grid_matches_brute_force(seed):
     cols = int(rng.integers(2, 5))
     spec = GridSpec(rows=rows, cols=cols)
     costs = rng.integers(-3, 10, size=spec.d).astype(float)
-    x = solve_shortest_path(spec, costs)
+    x = ShortestPathOracle(spec).solve(costs).values
     x_brute, v_brute = brute_shortest_path(rows, cols, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
@@ -122,17 +122,23 @@ def test_grid_matches_brute_force(seed):
 
 # --- tsp ----------------------------------------------------------------------
 
+def oracle_tour(spec, costs):
+    """A tour through the oracle, with the oracle's exactness flag."""
+    oracle = TspOracle(spec)
+    return oracle.solve(costs).values, oracle.exact
+
+
 def test_tsp_frozen_unit_square():
     spec = TspSpec(n_nodes=4)
     # corners of the unit square; the perimeter tour (cost 4) is optimal
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     costs = np.array([np.linalg.norm(pts[i] - pts[j])
                       for i in range(4) for j in range(i + 1, 4)])
-    x, exact = solve_tsp(spec, costs)
+    x, exact = oracle_tour(spec, costs)
     assert exact
     assert x.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
     assert float(costs @ x) == pytest.approx(4.0)
-    x_h, exact_h = solve_tsp(TspSpec(n_nodes=4, mode=TspMode.HEURISTIC), costs)
+    x_h, exact_h = oracle_tour(TspSpec(n_nodes=4, mode=TspMode.HEURISTIC), costs)
     assert not exact_h
     assert float(costs @ x_h) == pytest.approx(4.0)
 
@@ -152,7 +158,7 @@ def test_tsp_exact_matches_brute_force(seed):
     n = int(rng.integers(4, 8))
     spec = TspSpec(n_nodes=n)
     costs = rng.uniform(0.5, 10.0, size=spec.d)
-    x, exact = solve_tsp(spec, costs)
+    x, exact = oracle_tour(spec, costs)
     assert exact
     _, v_brute = brute_tsp(n, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-9)
@@ -168,7 +174,7 @@ def test_tsp_heuristic_is_feasible_and_close(seed):
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     costs = np.array([np.linalg.norm(pts[i] - pts[j])
                       for i in range(n) for j in range(i + 1, n)])
-    x, exact = solve_tsp(spec, costs)
+    x, exact = oracle_tour(spec, costs)
     assert not exact
     assert x.sum() == n
     _, v_brute = brute_tsp(n, costs)
@@ -232,18 +238,31 @@ def test_problem_seeds_change_knapsack_weights():
     np.testing.assert_array_equal(a.spec.weights, c.spec.weights)
 
 
-def test_problem_save_load_roundtrip(tmp_path):
-    for name in ("ks8", "sp3x4", "tsp9"):
-        problem = problem_from_name(name, seed=3)
-        path = tmp_path / f"{name}.json"
-        save_problem(problem, path)
-        back = load_problem(path)
-        assert type(back) is type(problem)
-        assert back.d == problem.d
-        if isinstance(problem, KnapsackOracle):
-            np.testing.assert_array_equal(back.spec.weights, problem.spec.weights)
-    custom = problem_from_name(f"custom:{tmp_path / 'ks8.json'}", seed=0)
-    assert custom.d == 8
+def test_custom_problem_json_loads_each_family(tmp_path):
+    files = {
+        "ks.json": {"family": "knapsack", "params": {"weights": [[2.0, 3.0, 4.0]],
+                                                     "capacities": [5.0]}},
+        "ks_seeded.json": {"family": "knapsack", "seed": 3, "params": {"d": 8}},
+        "sp.json": {"family": "shortest-path", "params": {"rows": 3, "cols": 4}},
+        "tsp.json": {"family": "tsp", "params": {"n_nodes": 9}},
+        "tsp_h.json": {"family": "tsp", "params": {"n_nodes": 6, "mode": "heuristic"}},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    ks = problem_from_name(f"custom:{tmp_path / 'ks.json'}")
+    assert type(ks) is KnapsackOracle and ks.d == 3
+    assert ks.solve(np.array([3.0, 4.0, 5.0])).values.tolist() == [1.0, 1.0, 0.0]
+    seeded = load_problem(tmp_path / "ks_seeded.json")
+    np.testing.assert_array_equal(seeded.spec.weights,
+                                  problem_from_name("ks8", seed=3).spec.weights)
+    sp = load_problem(tmp_path / "sp.json")
+    assert type(sp) is ShortestPathOracle and sp.d == problem_from_name("sp3x4").d
+    tsp = load_problem(tmp_path / "tsp.json")
+    assert type(tsp) is TspOracle and tsp.exact and tsp.d == 36
+    assert not load_problem(tmp_path / "tsp_h.json").exact
+    (tmp_path / "bad.json").write_text(json.dumps({"family": "matching"}))
+    with pytest.raises(ValueError, match="matching"):
+        load_problem(tmp_path / "bad.json")
 
 
 def test_make_helpers():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cosdfl.core import Sense
 from cosdfl.errors import NoRelaxationAvailable, NotOptimal
 from cosdfl.problems import (GridSpec, KnapsackOracle, KnapsackSpec,
-                             ShortestPathOracle, solve_shortest_path)
+                             ShortestPathOracle)
 from cosdfl.simplex import (LinearProgram, SolveStatus, cost_ranging, relax,
                             solve_lp)
 
@@ -200,5 +200,5 @@ def test_relax_grid_matches_dp_exactly(rng):
     for _ in range(10):
         c = rng.uniform(0.1, 5.0, spec.d)
         sol = solve_lp(lp.with_objective(c))
-        x_dp = solve_shortest_path(spec, c)
+        x_dp = oracle.solve(c).values
         assert sol.objective_value == pytest.approx(float(c @ x_dp), abs=1e-8)
