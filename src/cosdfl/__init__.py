@@ -7,24 +7,22 @@ masking, scale invariance), exact oracles for knapsack / shortest-path / TSP
 benchmarks, an LP solver with objective-coefficient ranging, baselines, and
 an experiment harness with per-phase solver-call accounting.
 """
-from .core import (REGRET_TOL, CostRangeVector, Dataset, Decision, DecisionKind,
-                   Sense, Split, instance_regrets, load_dataset, save_dataset,
-                   total_regret)
+from .core import (REGRET_TOL, Dataset, Sense, Split, instance_regrets,
+                   load_dataset, save_dataset, total_regret)
 from .datagen import GenSpec, generate, latent_costs
 from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision,
                      MissingRanges, ModeMismatch, NonFiniteGradient,
-                     NonFiniteLoss, NoRelaxationAvailable, NotOptimal,
-                     NumericalBreakdown, SolveFailure, ZeroVector)
+                     NonFiniteLoss, NotOptimal, NumericalBreakdown,
+                     SolveFailure, ZeroVector)
 from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
                       SolveCounts, attach_decisions, attach_ranges,
                       build_monotonicity, component_subset_losses, emit_pareto,
                       fit, mean_normalized_regret, monotonicity_report,
-                      pareto_flags, prepare_dataset, run_experiment,
-                      run_single, sensitivity_soundness_check, write_results)
+                      pareto_flags, run_experiment, run_single,
+                      sensitivity_soundness_check, write_results)
 from .instance_costs import (BaselineReport, apply_instance_costs,
-                             baseline_regrets, compute_instance_costs,
-                             costs_from_predictions)
+                             compute_instance_costs, costs_from_predictions)
 from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
                      base_error, evaluate_loss, evaluate_loss_batch, normalize,
                      parse_loss, spo_plus_batch, stack_loss_data)
@@ -35,6 +33,6 @@ from .problems import (CallCounter, GridSpec, KnapsackOracle, KnapsackSpec,
                        load_problem, make_grid, make_knapsack, make_tsp,
                        problem_from_name)
 from .simplex import (LinearProgram, SimplexSolution, SolveStatus,
-                      cost_ranging, relax, solve_lp)
+                      cost_ranging, solve_lp)
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
@@ -75,7 +76,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.dataset)
     else:
         dataset = generate(_gen_spec(args, args.seed), problem, cache_decisions=False)
-    problem.counter.reset()
     train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                             batch_size=args.batch_size,
                             optimizer=Optimizer(args.optimizer), seed=args.seed)
@@ -121,7 +121,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     write_results(reports, out, deterministic_output=config.deterministic_output)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
+        json.dump(asdict(config), fh, indent=2)
     emit_pareto(reports, out, deterministic_output=config.deterministic_output)
     for row in aggregate_rows(reports):
         if row.get("n", 0) == 0:

@@ -1,4 +1,4 @@
-"""Core domain types: senses, decisions, datasets, and regret.
+"""Core domain types: senses, datasets, and regret.
 
 Vectors are plain numpy float64 arrays. A :class:`Dataset` holds its
 instances as columns: features, true costs and the solver-derived caches
@@ -30,11 +30,6 @@ class Sense(Enum):
     MINIMIZE = "min"
 
 
-class DecisionKind(Enum):
-    BINARY = "binary"
-    CONTINUOUS = "continuous"
-
-
 def as_vector(values, *, name: str = "vector", length: int | None = None,
               allow_nonfinite: bool = False) -> np.ndarray:
     """Coerce to a 1-d float64 array, validating length and finiteness."""
@@ -57,60 +52,6 @@ def frozen_array(values) -> np.ndarray:
 def _off_binary(values: np.ndarray, snapped: np.ndarray) -> np.ndarray:
     """Entries further than 1e-9 from 0 or 1 (NaN included)."""
     return (np.abs(values - snapped) > 1e-9) | ((snapped != 0.0) & (snapped != 1.0))
-
-
-@dataclass(frozen=True)
-class Decision:
-    """A solver's decision vector.
-
-    Binary decisions are snapped to exact 0.0/1.0 so downstream dot products
-    are reproducible; entries further than 1e-9 from an integer are rejected.
-    """
-
-    values: np.ndarray
-    kind: DecisionKind = DecisionKind.BINARY
-
-    def __post_init__(self):
-        arr = as_vector(self.values, name="decision values")
-        if self.kind is DecisionKind.BINARY:
-            snapped = np.round(arr)
-            if _off_binary(arr, snapped).any():
-                raise ValueError("binary decision entries must be 0 or 1")
-            arr = snapped
-        object.__setattr__(self, "values", frozen_array(arr))
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class CostRangeVector:
-    """Per-coordinate objective-coefficient intervals.
-
-    ``lower[j] <= c[j] <= upper[j]`` holds for the objective the ranges were
-    computed from; endpoints may be +/-inf. Single-coordinate moves inside the
-    interval keep the solved basis (hence the returned vertex) optimal.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = as_vector(self.lower, name="range lower", allow_nonfinite=True)
-        hi = as_vector(self.upper, name="range upper", allow_nonfinite=True)
-        if lo.shape != hi.shape:
-            raise DimensionMismatch("range bounds must have equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("range bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("range lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", frozen_array(lo))
-        object.__setattr__(self, "upper", frozen_array(hi))
-
-    @property
-    def d(self) -> int:
-        return self.lower.shape[0]
 
 
 @dataclass(frozen=True)
@@ -256,8 +197,6 @@ class Problem(Protocol):
 
     @property
     def sense(self) -> Sense: ...
-
-    def solve(self, costs: np.ndarray) -> Decision: ...
 
     def solve_many(self, costs: np.ndarray) -> np.ndarray: ...
 

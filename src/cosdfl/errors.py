@@ -21,10 +21,6 @@ class NotOptimal(CosdflError):
     """Cost ranging was requested for a solution that is not optimal."""
 
 
-class NoRelaxationAvailable(CosdflError):
-    """The problem family does not expose a linear-programming relaxation."""
-
-
 class ModeMismatch(CosdflError):
     """A solver mode was requested that the instance size does not support."""
 

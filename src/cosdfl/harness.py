@@ -10,8 +10,11 @@ calls are attributed to four phases:
   instance_cost_solves  regret evaluations behind per-instance weights
   training_solves       oracle calls made by the loss during epochs
 
-Test-set evaluation happens after the pipeline and is excluded from these
-counters (it is identical for every loss). Cells run one after another and
+Each phase count is the change of ``problem.counter`` across that phase,
+read by ``SolveCounts.phase`` and nowhere else; the LP solves of
+``attach_ranges`` advance the same counter. Data generation and test-set
+evaluation happen outside the phases and are not counted (the latter is
+identical for every loss). Cells run one after another and
 reports come back in (loss, seed) order, so re-running a config reproduces
 results exactly; wall-clock columns can be zeroed via ``deterministic_output``
 to make the output files byte-identical across runs.
@@ -22,7 +25,8 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,11 @@ import numpy as np
 from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import CosdflError
-from .instance_costs import (apply_instance_costs, baseline_regrets,
-                             compute_instance_costs)
+from .instance_costs import apply_instance_costs, compute_instance_costs
 from .losses import LossSpec, normalize, parse_loss
 from .model import Optimizer, TrainConfig, init_model, train
 from .problems import ProblemOracle, problem_from_name
-from .simplex import LinearProgram, SolveStatus, cost_ranging, relax, solve_lp
+from .simplex import LinearProgram, SolveStatus, cost_ranging, solve_lp
 
 PARETO_TIME_BAND_S = 30.0
 
@@ -55,14 +58,14 @@ def attach_decisions(dataset: Dataset, problem: ProblemOracle,
 
 def attach_ranges(dataset: Dataset, problem: ProblemOracle,
                   splits: tuple[str, ...] = ("train", "val"),
-                  normalized: bool = False) -> tuple[Dataset, int]:
+                  normalized: bool = False) -> Dataset:
     """Attach objective-coefficient ranges from the problem's LP relaxation.
 
     With ``normalized`` the ranging objective is the unit-norm cost vector,
-    which is what scale-invariant losses must mask against. Returns the
-    updated dataset and the number of LP solves spent.
+    which is what scale-invariant losses must mask against. Each LP solve
+    advances ``problem.counter`` by one.
     """
-    relaxed = relax(problem)
+    relaxed = problem.lp_form()
     lower, upper = dataset.lower.copy(), dataset.upper.copy()
     missing = dataset.uncached("lower", [i for split in splits
                                          for i in dataset.split.part(split)])
@@ -73,9 +76,9 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
         if solution.status is not SolveStatus.OPTIMAL:
             raise CosdflError(f"relaxation solve for instance {i} returned "
                               f"{solution.status.value}")
-        ranges = cost_ranging(lp, solution)
-        lower[i], upper[i] = ranges.lower, ranges.upper
-    return replace(dataset, lower=lower, upper=upper), len(missing)
+        lower[i], upper[i] = cost_ranging(lp, solution)
+    problem.counter.increment(len(missing))
+    return replace(dataset, lower=lower, upper=upper)
 
 
 # --- configuration and reports ------------------------------------------------
@@ -114,18 +117,6 @@ class ExperimentConfig:
                            batch_size=self.batch_size,
                            optimizer=Optimizer(self.optimizer), seed=seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem, "losses": list(self.losses),
-            "seeds": list(self.seeds), "n_train": self.n_train,
-            "n_val": self.n_val, "n_test": self.n_test, "k": self.k,
-            "deg": self.deg, "noise_width": self.noise_width,
-            "learning_rate": self.learning_rate, "epochs": self.epochs,
-            "batch_size": self.batch_size, "optimizer": self.optimizer,
-            "normalize_against": self.normalize_against,
-            "deterministic_output": self.deterministic_output,
-        }
-
 
 @dataclass
 class SolveCounts:
@@ -139,11 +130,12 @@ class SolveCounts:
         """Everything spent before the epochs start."""
         return self.precompute_n_star + self.precompute_ranges + self.instance_cost_solves
 
-    def to_dict(self) -> dict:
-        return {"precompute_n_star": self.precompute_n_star,
-                "precompute_ranges": self.precompute_ranges,
-                "instance_cost_solves": self.instance_cost_solves,
-                "training_solves": self.training_solves}
+    @contextmanager
+    def phase(self, name: str, problem: ProblemOracle):
+        """Add the change of ``problem.counter`` inside the block to phase ``name``."""
+        before = problem.counter.count
+        yield
+        setattr(self, name, getattr(self, name) + problem.counter.count - before)
 
 
 @dataclass
@@ -162,71 +154,51 @@ class RunReport:
 
 # --- single grid cell ----------------------------------------------------------
 
-def prepare_dataset(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
-                    train_cfg: TrainConfig, k: int,
-                    counts: SolveCounts | None = None):
-    """Attach every cache the loss needs, spending and attributing solver calls.
+def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
+        train_cfg: TrainConfig):
+    """Attach the caches ``spec`` needs, then train a fresh model under it.
 
-    Fills optimal decisions and sensitivity ranges where required, and for
-    instance-weighted or regret-weighted specs trains the corresponding
-    baseline model and derives the per-instance weights. Returns the prepared
-    dataset, the counts object, and the weight report (or None).
+    Fills optimal decisions and sensitivity ranges where required. An
+    instance-weighted (C) or regret-weighted spec first trains a baseline
+    under its unweighted validation loss; the baseline's report gives the
+    weights: the C weights, or the raw regrets. Returns the training trace,
+    the solver calls of the four phases, and the baseline report (None
+    unless ``spec`` weights its instances).
     """
-    counter = problem.counter
-    if counts is None:
-        counts = SolveCounts()
+    counts = SolveCounts()
     report = None
+    weighted = spec.requires_instance_cost or spec.requires_baseline_regret
 
     # decisions: masks and spo+ need them on everything touched in epochs and
     # validation; instance weighting needs them on train for regret evaluation
     decision_splits = []
-    if spec.requires_decisions or spec.requires_instance_cost or spec.requires_baseline_regret:
+    if spec.requires_decisions or weighted:
         decision_splits.append("train")
     if spec.requires_decisions:
         decision_splits.append("val")
     if decision_splits:
-        before = counter.count
-        dataset = attach_decisions(dataset, problem, tuple(decision_splits))
-        counts.precompute_n_star += counter.count - before
+        with counts.phase("precompute_n_star", problem):
+            dataset = attach_decisions(dataset, problem, tuple(decision_splits))
 
     if spec.requires_ranges:
-        dataset, lp_solves = attach_ranges(dataset, problem, ("train", "val"),
-                                           normalized=spec.scale_invariant)
-        counts.precompute_ranges += lp_solves
+        with counts.phase("precompute_ranges", problem):
+            dataset = attach_ranges(dataset, problem, ("train", "val"),
+                                    normalized=spec.scale_invariant)
 
-    if spec.requires_instance_cost:
-        base_spec = replace(spec, instance_costs=False)
-        base_trace = train(init_model(k, problem.d, seed=train_cfg.seed), dataset,
+    if weighted:
+        base_spec = spec.validation_variant()
+        base_trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
                            base_spec, train_cfg, sense=problem.sense)
-        before = counter.count
-        report = compute_instance_costs(problem, base_trace.best_model, dataset, base_spec)
-        dataset = apply_instance_costs(dataset, report.costs)
-        counts.instance_cost_solves += counter.count - before
-    elif spec.requires_baseline_regret:
-        base_spec = LossSpec(base=spec.base)
-        base_trace = train(init_model(k, problem.d, seed=train_cfg.seed), dataset,
-                           base_spec, train_cfg, sense=problem.sense)
-        before = counter.count
-        regs = baseline_regrets(problem, base_trace.best_model, dataset)
-        dataset = apply_instance_costs(dataset, regs)
-        counts.instance_cost_solves += counter.count - before
-    return dataset, counts, report
+        with counts.phase("instance_cost_solves", problem):
+            report = compute_instance_costs(problem, base_trace.best_model, dataset,
+                                            base_spec)
+        dataset = apply_instance_costs(dataset, report.costs if spec.instance_costs
+                                       else report.regrets)
 
-
-def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
-        train_cfg: TrainConfig):
-    """Prepare the caches ``spec`` needs, then train a fresh model under it.
-
-    Returns the training trace, the solver calls of all four phases, and the
-    instance-weight report (None unless ``spec`` has C).
-    """
-    dataset, counts, report = prepare_dataset(problem, dataset, spec, train_cfg,
-                                              dataset.k)
-    before = problem.counter.count
-    trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset, spec,
-                  train_cfg, problem=problem if spec.spo_plus else None,
-                  sense=problem.sense)
-    counts.training_solves = problem.counter.count - before
+    with counts.phase("training_solves", problem):
+        trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
+                      spec, train_cfg, problem=problem if spec.spo_plus else None,
+                      sense=problem.sense)
     return trace, counts, report
 
 
@@ -234,7 +206,6 @@ def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
     """One (loss, seed) cell: generate, precompute, train, evaluate."""
     problem = problem_from_name(config.problem, seed=seed)
     dataset = generate(config.gen_spec(seed), problem, cache_decisions=False)
-    problem.counter.reset()  # generation is not part of the pipeline accounting
     t0 = time.perf_counter()
     trace, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(seed))
     regret_abs = total_regret(problem, trace.best_model, dataset, split="test")
@@ -319,7 +290,7 @@ def write_results(reports: list[RunReport], out_dir,
             "problem": r.problem, "loss": r.loss, "seed": r.seed,
             "regret_abs": r.regret_abs, "regret_norm": r.regret_norm,
             "time_s": None if deterministic_output else r.time_s,
-            "counts": r.counts.to_dict(), "exact": r.exact,
+            "counts": asdict(r.counts), "exact": r.exact,
             "best_val_loss": r.best_val_loss, "error": r.error,
         } for r in reports], fh, indent=2)
     return path
@@ -519,10 +490,10 @@ def sensitivity_soundness_check(n_lps: int = 200, max_size: int = 8,
         lp = LinearProgram(a, b, c, sense, np.zeros(d), upper)
         solution = solve_lp(lp)
         assert solution.status is SolveStatus.OPTIMAL, "random box LP must be solvable"
-        ranges = cost_ranging(lp, solution)
+        lower, upper = cost_ranging(lp, solution)
         for j in range(d):
             points = []
-            lo, hi = ranges.lower[j], ranges.upper[j]
+            lo, hi = lower[j], upper[j]
             if np.isfinite(lo):
                 points.append(lo)
             if np.isfinite(hi):
@@ -534,7 +505,7 @@ def sensitivity_soundness_check(n_lps: int = 200, max_size: int = 8,
                 perturbed[j] = point
                 re_solved = solve_lp(lp.with_objective(perturbed))
                 checks += 1
-                original_value = float(perturbed @ solution.decision.values)
+                original_value = float(perturbed @ solution.x)
                 gap = abs(original_value - re_solved.objective_value)
                 if gap > 1e-7 * max(1.0, abs(re_solved.objective_value)):
                     failures.append(RangingFailure(trial, j, float(point), gap))

@@ -5,7 +5,9 @@ its base loss, so that re-weighted base loss totals exactly match total
 regret over the instances where the baseline actually regrets anything.
 Instances with zero regret receive the mean weight of the regretting ones;
 a (pathological) near-zero base loss with positive regret is capped at the
-99th percentile of the finite weights instead of exploding.
+99th percentile of the finite weights instead of exploding. The same
+baseline pass reports the raw regrets, which are the weights of the
+regret-weighted (lawless) loss.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ class BaselineReport:
     positive_regret: np.ndarray  # (n,) bool: the N+ membership
     degenerate: np.ndarray      # (n,) bool: capped ratio (loss ~ 0, regret > 0)
     all_zero_regret: bool
-    solver_calls: int
 
     def to_dict(self) -> dict:
         return {
@@ -47,7 +48,6 @@ class BaselineReport:
             "positive_regret": [bool(v) for v in self.positive_regret],
             "degenerate": [bool(v) for v in self.degenerate],
             "all_zero_regret": self.all_zero_regret,
-            "solver_calls": self.solver_calls,
         }
 
 
@@ -89,14 +89,11 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
     if predictions.shape != (len(indices), dataset.d):
         raise ValueError(f"expected predictions of shape {(len(indices), dataset.d)}, "
                          f"got {predictions.shape}")
-    counter = getattr(problem, "counter", None)
-    calls_before = counter.count if counter is not None else 0
     losses, _ = evaluate_loss_batch(base_spec, predictions,
                                     stack_loss_data(base_spec, dataset, indices),
                                     slice(None), problem.sense)
     regrets = instance_regrets(problem, predictions, dataset, indices)
     costs, degenerate, all_zero = _costs_from_values(losses, regrets)
-    calls = (counter.count - calls_before) if counter is not None else len(indices)
     return BaselineReport(
         base_spec_name=base_spec.name,
         indices=tuple(indices),
@@ -107,7 +104,6 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
         positive_regret=regrets > 0.0,
         degenerate=degenerate,
         all_zero_regret=all_zero,
-        solver_calls=calls,
     )
 
 
@@ -116,7 +112,8 @@ def compute_instance_costs(problem: Problem, baseline: LinearModel,
                            split: str = "train") -> BaselineReport:
     """Instance weights from a trained baseline model over one split."""
     indices = dataset.split.part(split)
-    preds = np.stack([baseline.predict(dataset.features[i]) for i in indices])
+    preds = np.array([baseline.predict(dataset.features[i]) for i in indices],
+                     dtype=float).reshape(len(indices), dataset.d)
     return costs_from_predictions(problem, dataset, preds, base_spec, split=split)
 
 
@@ -129,11 +126,3 @@ def apply_instance_costs(dataset: Dataset, values: Sequence[float],
     weights = dataset.weights.copy()
     weights[list(indices)] = values
     return replace(dataset, weights=weights)
-
-
-def baseline_regrets(problem: Problem, baseline: LinearModel, dataset: Dataset,
-                     split: str = "train") -> np.ndarray:
-    """Raw per-instance baseline regrets (the weights of the regret-weighted loss)."""
-    indices = dataset.split.part(split)
-    return instance_regrets(problem, [baseline.predict(dataset.features[i]) for i in indices],
-                            dataset, indices)

@@ -112,7 +112,6 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     seconds: float
-    solver_calls: int  # cumulative oracle calls made by the loss so far
 
 
 @dataclass(frozen=True)
@@ -125,15 +124,6 @@ class TrainTrace:
     @property
     def best_val_loss(self) -> float:
         return self.records[self.best_epoch].val_loss
-
-    def deterministic_fields(self):
-        """Everything except wall-clock timings, for reproducibility checks."""
-        return (
-            tuple((r.epoch, r.train_loss, r.val_loss, r.solver_calls) for r in self.records),
-            self.best_epoch,
-            self.best_model.weights.tobytes(), self.best_model.bias.tobytes(),
-            self.final_model.weights.tobytes(), self.final_model.bias.tobytes(),
-        )
 
 
 class _AdamState:
@@ -188,12 +178,6 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     adam_b = _AdamState(b.shape)
     step = 0
     n = len(train_idx)
-
-    def count_solves() -> int:
-        counter = getattr(problem, "counter", None)
-        return counter.count if counter is not None else 0
-
-    solves_start = count_solves()
     records: list[EpochRecord] = []
     best_val = np.inf
     best_epoch = -1
@@ -242,8 +226,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
 
         now = time.monotonic()
         records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                   val_loss=val_loss, seconds=now - t_start,
-                                   solver_calls=count_solves() - solves_start))
+                                   val_loss=val_loss, seconds=now - t_start))
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch

@@ -6,12 +6,11 @@ Each oracle solves exactly for a given cost vector, counts its calls, and
 exposes a box-relaxed linear program for sensitivity analysis.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
-(B, d) 0/1 decisions and counts B solves, and ``solve(c)`` is its one-row
-call. The grid DP and Held-Karp run as array recurrences over the batch
-(Held-Karp one popcount layer of subsets at a time); knapsack
-branch-and-bound and the TSP heuristic loop over the rows. Under
-``__debug__`` every solved row is checked against the constraint rows of
-``lp_form()`` in one array test.
+(B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
+array recurrences over the batch (Held-Karp one popcount layer of subsets at
+a time); knapsack branch-and-bound and the TSP heuristic loop over the rows.
+Under ``__debug__`` every solved row is checked against the constraint rows
+of ``lp_form()`` in one array test.
 
 Knapsack and grid solvers break objective ties by returning the
 lexicographically smallest decision vector, so repeated solves of tied
@@ -31,13 +30,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import Decision, Sense, as_vector, frozen_array
+from .core import Sense, as_vector, frozen_array
 from .errors import DimensionMismatch, ModeMismatch
 from .simplex import LinearProgram
 
 
 class CallCounter:
-    """Thread-safe monotone counter for oracle invocations."""
+    """Thread-safe monotone count of a problem's solves.
+
+    ``problem.counter`` is the only solve count of the package: the oracle
+    advances it by one per solved cost row, and ``attach_ranges`` by one per
+    LP solve of the problem's relaxation. It is never reset; the harness
+    reads the change across each pipeline phase (``SolveCounts.phase``).
+    """
 
     def __init__(self) -> None:
         self._count = 0
@@ -51,10 +56,6 @@ class CallCounter:
     def count(self) -> int:
         with self._lock:
             return self._count
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
 
 
 # --- knapsack ---------------------------------------------------------------
@@ -455,10 +456,6 @@ class ProblemOracle:
     @property
     def d(self) -> int:
         raise NotImplementedError
-
-    def solve(self, costs: np.ndarray) -> Decision:
-        costs = as_vector(costs, name="costs", length=self.d)
-        return Decision(self.solve_many(costs[None, :])[0])
 
     def solve_many(self, costs: np.ndarray) -> np.ndarray:
         """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves."""

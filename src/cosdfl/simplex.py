@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CostRangeVector, Decision, DecisionKind, Sense, as_vector, frozen_array
-from .errors import (DimensionMismatch, NoRelaxationAvailable, NotOptimal,
-                     NumericalBreakdown)
+from .core import Sense, as_vector, frozen_array
+from .errors import DimensionMismatch, NotOptimal, NumericalBreakdown
 
 PIVOT_TOL = 1e-10
 REDUCED_COST_TOL = 1e-9
@@ -90,10 +89,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexSolution:
-    """Result of :func:`solve_lp`; decision is None unless status is OPTIMAL."""
+    """Result of :func:`solve_lp`; the vertex ``x`` is None unless status is OPTIMAL."""
 
     status: SolveStatus
-    decision: Decision | None
+    x: np.ndarray | None
     objective_value: float
     basis: tuple[int, ...]
     reduced_costs: np.ndarray | None
@@ -249,7 +248,7 @@ def solve_lp(lp: LinearProgram) -> SimplexSolution:
     }
     return SimplexSolution(
         status=SolveStatus.OPTIMAL,
-        decision=Decision(x, DecisionKind.CONTINUOUS),
+        x=frozen_array(x),
         objective_value=objective_value,
         basis=tuple(int(j) for j in basis),
         reduced_costs=frozen_array(reduced_structural),
@@ -257,8 +256,13 @@ def solve_lp(lp: LinearProgram) -> SimplexSolution:
     )
 
 
-def cost_ranging(lp: LinearProgram, solution: SimplexSolution) -> CostRangeVector:
+def cost_ranging(lp: LinearProgram, solution: SimplexSolution
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Range each objective coefficient while the solved basis stays optimal.
+
+    Returns ``(lower, upper)``: single-coordinate moves of ``c[j]`` inside
+    ``[lower[j], upper[j]]`` keep the solved basis (hence the returned
+    vertex) optimal; endpoints may be +/-inf.
 
     For a nonbasic coefficient the limit is where its reduced cost reaches
     zero; for a basic coefficient a ratio test of nonbasic reduced costs
@@ -297,16 +301,4 @@ def cost_ranging(lp: LinearProgram, solution: SimplexSolution) -> CostRangeVecto
     else:
         lower, upper = lo_int, hi_int
     # the solved coefficient always lies inside its own interval; clamp dust
-    lower = np.minimum(lower, lp.objective)
-    upper = np.maximum(upper, lp.objective)
-    return CostRangeVector(lower, upper)
-
-
-def relax(problem) -> LinearProgram:
-    """Linear relaxation of a combinatorial problem, via its ``lp_form`` hook."""
-    lp_form = getattr(problem, "lp_form", None)
-    if lp_form is None:
-        raise NoRelaxationAvailable(
-            f"{type(problem).__name__} does not expose an LP relaxation")
-    return lp_form()
-
+    return np.minimum(lower, lp.objective), np.maximum(upper, lp.objective)

@@ -255,7 +255,6 @@ def brute_spo_plus_train(model, dataset, config, problem):
     state_b = (np.zeros(b.shape), np.zeros(b.shape))
     step = 0
     n = len(insts)
-    solves_start = problem.counter.count
     records = []
     best_val, best_epoch = np.inf, -1
     best_w, best_b = w.copy(), b.copy()
@@ -271,7 +270,7 @@ def brute_spo_plus_train(model, dataset, config, problem):
                 true = insts[i].true_costs
                 x_star = insts[i].optimal_decision.values
                 shifted = 2.0 * preds[row] - true
-                x_shift = problem.solve(shifted).values
+                x_shift = problem.solve_many(shifted[None])[0]
                 if maximize:
                     value = float(shifted @ x_shift) - 2.0 * float(preds[row] @ x_star) \
                         + float(true @ x_star)
@@ -294,8 +293,7 @@ def brute_spo_plus_train(model, dataset, config, problem):
                 b -= db
         train_loss = loss_sum / n
         records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=train_loss,
-                                   seconds=0.0,
-                                   solver_calls=problem.counter.count - solves_start))
+                                   seconds=0.0))
         if train_loss < best_val:
             best_val, best_epoch = train_loss, epoch
             best_w, best_b = w.copy(), b.copy()

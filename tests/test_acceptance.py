@@ -20,12 +20,12 @@ import pytest
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.datagen import generate
 from cosdfl.harness import (ExperimentConfig, build_monotonicity,
-                            component_subset_losses, mean_normalized_regret,
-                            prepare_dataset, run_experiment, run_single,
+                            component_subset_losses, fit, mean_normalized_regret,
+                            run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
 from cosdfl.losses import evaluate_loss, normalize, parse_loss, stack_loss_data
 from cosdfl.problems import make_grid, make_knapsack, make_tsp, problem_from_name
-from cosdfl.simplex import cost_ranging, relax, solve_lp
+from cosdfl.simplex import cost_ranging, solve_lp
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp)
 
@@ -196,7 +196,7 @@ GRADIENT_SPECS = ([f"{b}{s}" for b in ("mse", "mae") for s in COMPONENT_SUBSETS]
 
 
 def _ranges(problem, c, normalized):
-    lp = relax(problem).with_objective(normalize(c) if normalized else c)
+    lp = problem.lp_form().with_objective(normalize(c) if normalized else c)
     return cost_ranging(lp, solve_lp(lp))
 
 
@@ -225,11 +225,11 @@ def test_criterion_04_gradient_checks():
         accepted = 0
         while accepted < 200:
             c = rng.uniform(1.0, 10.0, size=problem.d)
-            star = problem.solve(c).values
+            star = problem.solve_many(c[None])[0]
             lower = upper = None
             if spec.requires_ranges:
-                ranges = _ranges(problem, c, spec.scale_invariant)
-                lower, upper = ranges.lower[None, :], ranges.upper[None, :]
+                lower, upper = _ranges(problem, c, spec.scale_invariant)
+                lower, upper = lower[None, :], upper[None, :]
             dataset = instances(c[None, :], x_star=star[None, :], lower=lower,
                                 upper=upper, weight=3.2)
             data = stack_loss_data(spec, dataset, [0])
@@ -266,8 +266,7 @@ def test_criterion_05_instance_cost_identity():
     problem = problem_from_name("sp5x5", seed=0)
     config = ExperimentConfig(problem="sp5x5", losses=("mse+c",), seeds=(0,))
     dataset = generate(config.gen_spec(0), problem, cache_decisions=False)
-    _, _, report = prepare_dataset(problem, dataset, parse_loss("mse+c"),
-                                   config.train_config(0), config.k)
+    _, _, report = fit(problem, dataset, parse_loss("mse+c"), config.train_config(0))
     pos = report.positive_regret
     weighted = math.fsum(report.costs[pos] * report.base_losses[pos])
     total = math.fsum(report.regrets[pos])
@@ -316,7 +315,7 @@ def test_criterion_07_oracle_equivalence():
         d = int(rng.integers(4, 13))
         problem = make_knapsack(d=d, seed=int(rng.integers(1 << 30)))
         c = rng.uniform(0.5, 10.0, size=d)
-        x = problem.solve(c).values
+        x = problem.solve_many(c[None])[0]
         bx, bv = brute_knapsack(problem.spec.weights, problem.spec.capacities, c)
         if not np.array_equal(x, bx) or abs(float(np.dot(c, x)) - bv) > 1e-9:
             mismatches += 1
@@ -326,7 +325,7 @@ def test_criterion_07_oracle_equivalence():
         rows, cols = shapes[int(rng.integers(len(shapes)))]
         problem = make_grid(rows, cols)
         c = rng.uniform(-2.0, 10.0, size=problem.d)
-        x = problem.solve(c).values
+        x = problem.solve_many(c[None])[0]
         bx, bv = brute_shortest_path(rows, cols, c)
         if not np.array_equal(x, bx) or abs(float(np.dot(c, x)) - bv) > 1e-9:
             mismatches += 1
@@ -335,7 +334,7 @@ def test_criterion_07_oracle_equivalence():
         n = int(rng.integers(4, 8))
         problem = make_tsp(n)
         c = rng.uniform(1.0, 10.0, size=problem.d)
-        x = problem.solve(c).values
+        x = problem.solve_many(c[None])[0]
         bx, bv = brute_tsp(n, c)
         if not np.array_equal(x, bx) or abs(float(np.dot(c, x)) - bv) > 1e-9:
             mismatches += 1

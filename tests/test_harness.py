@@ -1,16 +1,17 @@
 import csv
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
-                            SolveCounts, attach_decisions, attach_ranges,
+                            SolveCounts, attach_decisions, attach_ranges, fit,
                             mean_normalized_regret, monotonicity_report,
                             pareto_flags, run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
-from cosdfl.losses import normalize
+from cosdfl.losses import normalize, parse_loss
 from cosdfl.problems import make_knapsack
 
 import cosdfl.harness as harness_mod
@@ -46,9 +47,10 @@ def test_attach_ranges_normalized_scales_like_objective():
     problem = make_knapsack(d=6, seed=0)
     ds = generate(GenSpec(n_train=3, n_val=1, n_test=1, k=3, seed=0), problem,
                   cache_decisions=False)
-    raw, solves_raw = attach_ranges(ds, problem, ("train",), normalized=False)
-    norm, solves_norm = attach_ranges(ds, problem, ("train",), normalized=True)
-    assert solves_raw == solves_norm == 3
+    raw = attach_ranges(ds, problem, ("train",), normalized=False)
+    assert problem.counter.count == 3  # one LP solve per instance
+    norm = attach_ranges(ds, problem, ("train",), normalized=True)
+    assert problem.counter.count == 6
     assert raw.uncached("lower", range(ds.n)) == list(ds.split.val + ds.split.test)
     for i in ds.split.train:
         c = ds.costs[i]
@@ -78,6 +80,17 @@ def test_solver_call_attribution(loss, expected):
     assert (counts.precompute_n_star, counts.precompute_ranges,
             counts.instance_cost_solves, counts.training_solves) == expected
     assert report.error is None
+
+
+@pytest.mark.parametrize("loss", ["mse", "mae", "mse+c", "mse+o", "mse+o_s", "spo+",
+                                  "lawless:0.4"])
+def test_every_solve_of_fit_lands_in_one_phase(loss):
+    config = tiny_config()
+    problem = make_knapsack(d=6, seed=0)
+    dataset = generate(config.gen_spec(0), problem, cache_decisions=False)
+    before = problem.counter.count
+    _, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(0))
+    assert problem.counter.count - before == sum(astuple(counts))
 
 
 def test_lawless_zero_trains_identically_to_mse():

@@ -6,9 +6,8 @@ import pytest
 from cosdfl.core import instance_regrets
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
-                                   baseline_regrets, compute_instance_costs,
-                                   costs_from_predictions, save_baseline_report,
-                                   _costs_from_values)
+                                   compute_instance_costs, costs_from_predictions,
+                                   save_baseline_report, _costs_from_values)
 from cosdfl.losses import evaluate_loss, parse_loss, stack_loss_data
 from cosdfl.model import init_model
 from cosdfl.problems import make_knapsack
@@ -75,9 +74,8 @@ def test_costs_from_predictions_counts_one_solve_per_instance(ks_setup):
     problem, dataset = ks_setup
     preds = dataset.costs[list(dataset.split.train)] + 0.5
     before = problem.counter.count
-    report = costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
-    assert report.solver_calls == len(dataset.split.train)
-    assert problem.counter.count - before == report.solver_calls
+    costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
+    assert problem.counter.count - before == len(dataset.split.train)
 
 
 def test_costs_from_predictions_validation(ks_setup):
@@ -93,9 +91,16 @@ def test_costs_from_predictions_on_an_empty_split():
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0),
                        problem, cache_decisions=True)
+    before = problem.counter.count
     report = costs_from_predictions(problem, dataset, np.zeros((0, 6)),
                                     parse_loss("mse"), split="val")
-    assert report.costs.shape == (0,) and report.solver_calls == 0
+    assert report.costs.shape == (0,)
+    # the model's predictions on no rows still form a (0, d) batch
+    report = compute_instance_costs(problem, init_model(3, 6, seed=0), dataset,
+                                    parse_loss("mse"), split="val")
+    assert report.predictions.shape == (0, 6)
+    assert report.costs.shape == report.regrets.shape == (0,)
+    assert problem.counter.count == before
 
 
 def test_report_round_trip_and_serialization(ks_setup, tmp_path):
@@ -109,7 +114,7 @@ def test_report_round_trip_and_serialization(ks_setup, tmp_path):
     payload = json.loads(path.read_text())
     assert payload["base_spec"] == "mse"
     assert len(payload["costs"]) == len(dataset.split.train)
-    assert payload["solver_calls"] == report.solver_calls
+    assert payload["regrets"] == report.regrets.tolist()
 
 
 def test_apply_instance_costs(ks_setup):
@@ -128,7 +133,7 @@ def test_apply_instance_costs(ks_setup):
 def test_baseline_regrets_matches_direct_loop(ks_setup):
     problem, dataset = ks_setup
     model = init_model(dataset.k, dataset.d, seed=2)
-    regs = baseline_regrets(problem, model, dataset)
+    regs = compute_instance_costs(problem, model, dataset, parse_loss("mse")).regrets
     for row, i in enumerate(dataset.split.train):
         expected = instance_regrets(problem, [model.predict(dataset.features[i])],
                                     dataset, [i])[0]

@@ -24,22 +24,22 @@ from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
 def test_knapsack_frozen_example():
     spec = KnapsackSpec(weights=np.array([[2.0, 3.0, 4.0, 5.0]]),
                         capacities=np.array([6.0]))
-    x = KnapsackOracle(spec).solve(np.array([3.0, 4.0, 5.0, 6.0])).values
+    x = KnapsackOracle(spec).solve_many(np.array([3.0, 4.0, 5.0, 6.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 1.0, 0.0]  # {0,2}: weight 6, value 8
-    x = KnapsackOracle(spec).solve(np.array([6.0, 5.0, 4.0, 3.0])).values
+    x = KnapsackOracle(spec).solve_many(np.array([6.0, 5.0, 4.0, 3.0])[None])[0]
     assert x.tolist() == [1.0, 1.0, 0.0, 0.0]  # {0,1}: weight 5, value 11
 
 
 def test_knapsack_value_ties_break_lexicographically():
     spec = KnapsackSpec(weights=np.array([[1.0, 1.0]]), capacities=np.array([1.0]))
-    x = KnapsackOracle(spec).solve(np.array([2.0, 2.0])).values
+    x = KnapsackOracle(spec).solve_many(np.array([2.0, 2.0])[None])[0]
     assert x.tolist() == [0.0, 1.0]  # (0,1) precedes (1,0)
 
 
 def test_knapsack_ignores_nonpositive_costs():
     spec = KnapsackSpec(weights=np.array([[1.0, 1.0, 1.0]]),
                         capacities=np.array([3.0]))
-    x = KnapsackOracle(spec).solve(np.array([-1.0, 0.0, 2.0])).values
+    x = KnapsackOracle(spec).solve_many(np.array([-1.0, 0.0, 2.0])[None])[0]
     assert x.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -47,7 +47,7 @@ def test_knapsack_multidimensional_constraint():
     spec = KnapsackSpec(weights=np.array([[2.0, 3.0], [4.0, 1.0]]),
                         capacities=np.array([5.0, 4.0]))
     # {0,1} violates the second dimension (5 > 4); best single item wins
-    x = KnapsackOracle(spec).solve(np.array([3.0, 4.0])).values
+    x = KnapsackOracle(spec).solve_many(np.array([3.0, 4.0])[None])[0]
     assert x.tolist() == [0.0, 1.0]
 
 
@@ -66,7 +66,7 @@ def test_knapsack_matches_brute_force(seed):
                         capacities=rng.integers(d, 3 * d, size=q).astype(float))
     # half-integer costs make exact value ties common, exercising lex order
     costs = rng.integers(0, 9, size=d) / 2.0
-    x = KnapsackOracle(spec).solve(costs).values
+    x = KnapsackOracle(spec).solve_many(costs[None])[0]
     x_brute, v_brute = brute_knapsack(spec.weights, spec.capacities, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
@@ -85,19 +85,19 @@ def test_grid_arc_indexing_convention():
 
 def test_grid_frozen_example():
     spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve(np.array([1.0, 5.0, 2.0, 1.0])).values
+    x = ShortestPathOracle(spec).solve_many(np.array([1.0, 5.0, 2.0, 1.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # east then south, cost 2
 
 
 def test_grid_tie_breaks_to_lex_smallest_indicator():
     spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve(np.ones(4)).values
+    x = ShortestPathOracle(spec).solve_many(np.ones(4)[None])[0]
     assert x.tolist() == [0.0, 1.0, 1.0, 0.0]  # south-then-east precedes
 
 
 def test_grid_handles_negative_costs():
     spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve(np.array([-5.0, 1.0, 1.0, -5.0])).values
+    x = ShortestPathOracle(spec).solve_many(np.array([-5.0, 1.0, 1.0, -5.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # cost -10 beats cost 2
 
 
@@ -114,7 +114,7 @@ def test_grid_matches_brute_force(seed):
     cols = int(rng.integers(2, 5))
     spec = GridSpec(rows=rows, cols=cols)
     costs = rng.integers(-3, 10, size=spec.d).astype(float)
-    x = ShortestPathOracle(spec).solve(costs).values
+    x = ShortestPathOracle(spec).solve_many(costs[None])[0]
     x_brute, v_brute = brute_shortest_path(rows, cols, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
@@ -125,7 +125,7 @@ def test_grid_matches_brute_force(seed):
 def oracle_tour(spec, costs):
     """A tour through the oracle, with the oracle's exactness flag."""
     oracle = TspOracle(spec)
-    return oracle.solve(costs).values, oracle.exact
+    return oracle.solve_many(costs[None])[0], oracle.exact
 
 
 def test_tsp_frozen_unit_square():
@@ -187,11 +187,9 @@ def test_oracle_counts_solves_and_checks_feasibility():
     oracle = KnapsackOracle(KnapsackSpec(weights=np.array([[1.0, 1.0]]),
                                          capacities=np.array([1.0])))
     assert oracle.counter.count == 0
-    oracle.solve(np.array([1.0, 2.0]))
-    oracle.solve(np.array([2.0, 1.0]))
-    assert oracle.counter.count == 2
-    oracle.counter.reset()
-    assert oracle.counter.count == 0
+    oracle.solve_many(np.array([[1.0, 2.0]]))
+    oracle.solve_many(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert oracle.counter.count == 3
 
 
 def test_call_counter_is_thread_safe():
@@ -251,7 +249,7 @@ def test_custom_problem_json_loads_each_family(tmp_path):
         (tmp_path / name).write_text(json.dumps(payload))
     ks = problem_from_name(f"custom:{tmp_path / 'ks.json'}")
     assert type(ks) is KnapsackOracle and ks.d == 3
-    assert ks.solve(np.array([3.0, 4.0, 5.0])).values.tolist() == [1.0, 1.0, 0.0]
+    assert ks.solve_many(np.array([3.0, 4.0, 5.0])[None])[0].tolist() == [1.0, 1.0, 0.0]
     seeded = load_problem(tmp_path / "ks_seeded.json")
     np.testing.assert_array_equal(seeded.spec.weights,
                                   problem_from_name("ks8", seed=3).spec.weights)
@@ -314,7 +312,7 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
     assert x.shape == costs.shape
     assert oracle.counter.count == costs.shape[0]  # one step of B
     for r, c in enumerate(costs):
-        np.testing.assert_array_equal(x[r], oracle.solve(c).values)
+        np.testing.assert_array_equal(x[r], oracle.solve_many(c[None])[0])
         x_brute, v_brute = brute(c)
         if family in ("ks", "sp"):
             np.testing.assert_array_equal(x[r], x_brute)

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosdfl.core import Sense
-from cosdfl.errors import NoRelaxationAvailable, NotOptimal
+from cosdfl.errors import NotOptimal
 from cosdfl.problems import (GridSpec, KnapsackOracle, KnapsackSpec,
                              ShortestPathOracle)
-from cosdfl.simplex import (LinearProgram, SolveStatus, cost_ranging, relax,
-                            solve_lp)
+from cosdfl.simplex import LinearProgram, SolveStatus, cost_ranging, solve_lp
 
 from brute import brute_lp
 
@@ -33,22 +32,22 @@ def test_maximize_vertex_and_value():
     # steeper objective picks the x1 vertex of the unit simplex
     sol = solve_lp(simplex_lp([2.0, 1.0]))
     assert sol.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(sol.decision.values, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
     assert sol.objective_value == pytest.approx(2.0)
 
 
 def test_minimize_stays_at_origin():
     sol = solve_lp(simplex_lp([2.0, 1.0], sense=Sense.MINIMIZE))
-    np.testing.assert_allclose(sol.decision.values, [0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.x, [0.0, 0.0], atol=1e-9)
     assert sol.objective_value == pytest.approx(0.0)
 
 
 def test_degenerate_tie_is_deterministic():
     # both vertices optimal; smallest-index entering rule picks x1
     sol = solve_lp(simplex_lp([1.0, 1.0]))
-    np.testing.assert_allclose(sol.decision.values, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
     again = solve_lp(simplex_lp([1.0, 1.0]))
-    np.testing.assert_array_equal(sol.decision.values, again.decision.values)
+    np.testing.assert_array_equal(sol.x, again.x)
 
 
 def test_infeasible_and_unbounded_detection():
@@ -65,7 +64,7 @@ def test_shifted_lower_bounds():
     lp = LinearProgram(np.array([[1.0]]), np.array([10.0]), np.array([1.0]),
                        Sense.MINIMIZE, lower=np.array([2.0]), upper=np.array([5.0]))
     sol = solve_lp(lp)
-    assert sol.decision.values[0] == pytest.approx(2.0)
+    assert sol.x[0] == pytest.approx(2.0)
     assert sol.objective_value == pytest.approx(2.0)
 
 
@@ -74,21 +73,21 @@ def test_ranging_single_variable_frozen():
     lp = LinearProgram(np.array([[1.0]]), np.array([1.0]), np.array([5.0]),
                        Sense.MAXIMIZE)
     sol = solve_lp(lp)
-    ranges = cost_ranging(lp, sol)
-    assert ranges.lower[0] == pytest.approx(0.0)
-    assert ranges.upper[0] == np.inf
+    lower, upper = cost_ranging(lp, sol)
+    assert lower[0] == pytest.approx(0.0)
+    assert upper[0] == np.inf
 
 
 def test_ranging_two_variable_frozen():
     # x*=(1,0); the basis flips when c1 drops below c2=1
     lp = simplex_lp([2.0, 1.0])
     sol = solve_lp(lp)
-    ranges = cost_ranging(lp, sol)
-    assert ranges.lower[0] == pytest.approx(1.0)
-    assert ranges.upper[0] == np.inf
+    lower, upper = cost_ranging(lp, sol)
+    assert lower[0] == pytest.approx(1.0)
+    assert upper[0] == np.inf
     # nonbasic x2 can rise until it matches c1=2
-    assert ranges.upper[1] == pytest.approx(2.0)
-    assert ranges.lower[1] == -np.inf
+    assert upper[1] == pytest.approx(2.0)
+    assert lower[1] == -np.inf
 
 
 def test_ranging_requires_optimal():
@@ -111,9 +110,9 @@ def test_range_contains_own_coefficient_randomized(rng):
                                           rng.uniform(0.5, 3.0, d), np.inf))
         sol = solve_lp(lp)
         assert sol.status is SolveStatus.OPTIMAL
-        ranges = cost_ranging(lp, sol)
-        assert np.all(ranges.lower <= lp.objective + 1e-9)
-        assert np.all(ranges.upper >= lp.objective - 1e-9)
+        lower, upper = cost_ranging(lp, sol)
+        assert np.all(lower <= lp.objective + 1e-9)
+        assert np.all(upper >= lp.objective - 1e-9)
 
 
 @settings(max_examples=40)
@@ -134,7 +133,7 @@ def test_matches_brute_force_vertex_enumeration(seed):
     _, best = brute_lp(a, b, c, maximize, upper=upper)
     assert sol.objective_value == pytest.approx(best, abs=1e-7)
     # the solver's vertex is feasible and attains that value
-    x = sol.decision.values
+    x = sol.x
     assert np.all(a @ x <= b + 1e-7)
     assert np.all(x >= -1e-9) and np.all(x <= upper + 1e-7)
     assert float(c @ x) == pytest.approx(best, abs=1e-7)
@@ -151,15 +150,15 @@ def test_ranging_endpoints_keep_decision_optimal(rng):
                            rng.normal(0.0, 2.0, d),
                            Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE)
         sol = solve_lp(lp)
-        ranges = cost_ranging(lp, sol)
+        lower, upper = cost_ranging(lp, sol)
         for j in range(d):
-            for endpoint in (ranges.lower[j], ranges.upper[j]):
+            for endpoint in (lower[j], upper[j]):
                 if not np.isfinite(endpoint):
                     continue
                 c2 = np.array(lp.objective)
                 c2[j] = endpoint
                 re_solved = solve_lp(lp.with_objective(c2))
-                attained = float(c2 @ sol.decision.values)
+                attained = float(c2 @ sol.x)
                 assert attained == pytest.approx(re_solved.objective_value, abs=1e-7)
 
 
@@ -167,38 +166,31 @@ def test_interior_of_range_preserves_decision(rng):
     # strictly inside the range the solver returns the very same vertex
     lp = simplex_lp([2.0, 1.0])
     sol = solve_lp(lp)
-    ranges = cost_ranging(lp, sol)
+    lower, upper = cost_ranging(lp, sol)
     for c1 in (1.5, 2.0, 3.0, 10.0):
-        assert ranges.lower[0] < c1
+        assert lower[0] < c1
         re_solved = solve_lp(lp.with_objective(np.array([c1, 1.0])))
-        np.testing.assert_allclose(re_solved.decision.values,
-                                   sol.decision.values, atol=1e-9)
+        np.testing.assert_allclose(re_solved.x, sol.x, atol=1e-9)
 
 
 def test_relax_knapsack_is_fractional():
     oracle = KnapsackOracle(KnapsackSpec(weights=np.array([[2.0, 3.0, 4.0, 5.0]]),
                                          capacities=np.array([6.0])))
-    lp = relax(oracle)
+    lp = oracle.lp_form()
     c = np.array([3.0, 4.0, 5.0, 6.0])
     sol = solve_lp(lp.with_objective(c))
     # the fractional optimum upper-bounds the integral one (which is 8)
     assert sol.objective_value >= 8.0 - 1e-9
-    assert np.all(sol.decision.values <= 1.0 + 1e-9)
-
-    class Opaque:
-        pass
-
-    with pytest.raises(NoRelaxationAvailable):
-        relax(Opaque())
+    assert np.all(sol.x <= 1.0 + 1e-9)
 
 
 def test_relax_grid_matches_dp_exactly(rng):
     # arc-flow LPs of series-parallel grids are integral: LP value == DP value
     spec = GridSpec(rows=3, cols=3)
     oracle = ShortestPathOracle(spec)
-    lp = relax(oracle)
+    lp = oracle.lp_form()
     for _ in range(10):
         c = rng.uniform(0.1, 5.0, spec.d)
         sol = solve_lp(lp.with_objective(c))
-        x_dp = oracle.solve(c).values
+        x_dp = oracle.solve_many(c[None])[0]
         assert sol.objective_value == pytest.approx(float(c @ x_dp), abs=1e-8)
