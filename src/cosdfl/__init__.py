@@ -13,7 +13,7 @@ from .datagen import GenSpec, generate, latent_costs
 from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision,
                      MissingRanges, ModeMismatch, NonFiniteGradient,
-                     NonFiniteLoss, NotOptimal, NumericalBreakdown,
+                     NonFiniteLoss, NumericalBreakdown,
                      SolveFailure, ZeroVector)
 from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
                       SolveCounts, attach_decisions, attach_ranges,
@@ -32,7 +32,6 @@ from .problems import (CallCounter, GridSpec, KnapsackOracle, KnapsackSpec,
                        ShortestPathOracle, TspMode, TspOracle, TspSpec,
                        load_problem, make_grid, make_knapsack, make_tsp,
                        problem_from_name)
-from .simplex import (LinearProgram, SimplexSolution, SolveStatus,
-                      cost_ranging, solve_lp)
+from .simplex import LinearProgram, SimplexSolution, SolveStatus, solve_lp
 
 __version__ = "0.1.0"

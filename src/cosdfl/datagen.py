@@ -3,12 +3,11 @@
 Costs follow the standard polynomial-lift convention: latent features
 z ~ N(0, I_k), a fixed Bernoulli(1/2) mixing matrix B in {0,1}^{d x k}, and
 
-    c_j = (((B z)_j / sqrt(k) + shift) ** deg + offset) * eps_j,
+    c_j = (((B z)_j / sqrt(k) + 3) ** deg + 1) * eps_j,
 
 with multiplicative noise eps_j ~ U[1 - noise_width, 1 + noise_width]. With
-the default shift 3, offset 1, and even degree the costs are strictly
-positive. The RNG draw order is fixed (B, then all z, then all eps) so a
-seed pins the dataset bit-for-bit.
+an even degree the costs are strictly positive. The RNG draw order is fixed
+(B, then all z, then all eps) so a seed pins the dataset bit-for-bit.
 """
 from __future__ import annotations
 
@@ -17,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Problem, Split
+
+COST_SHIFT = 3.0
+COST_OFFSET = 1.0
+MIXING_P = 0.5  # Bernoulli parameter of the mixing matrix B
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,6 @@ class GenSpec:
     deg: int = 6
     noise_width: float = 0.5
     seed: int = 0
-    shift: float = 3.0
-    offset: float = 1.0
-    bernoulli_p: float = 0.5
 
     def __post_init__(self):
         if min(self.n_train, self.n_val, self.n_test) < 0 or self.n_train == 0:
@@ -39,8 +39,6 @@ class GenSpec:
             raise ValueError("k and deg must be at least 1")
         if not 0.0 <= self.noise_width < 1.0:
             raise ValueError("noise width must lie in [0, 1)")
-        if not 0.0 <= self.bernoulli_p <= 1.0:
-            raise ValueError("bernoulli_p must lie in [0, 1]")
 
     @property
     def n_total(self) -> int:
@@ -48,7 +46,6 @@ class GenSpec:
 
 
 def latent_costs(features: np.ndarray, mixing: np.ndarray, deg: int,
-                 shift: float = 3.0, offset: float = 1.0,
                  noise: np.ndarray | None = None) -> np.ndarray:
     """The cost formula itself, exposed for direct testing.
 
@@ -58,7 +55,7 @@ def latent_costs(features: np.ndarray, mixing: np.ndarray, deg: int,
     single = features.ndim == 1
     features = np.atleast_2d(features)
     k = features.shape[1]
-    base = (features @ mixing.T / np.sqrt(k) + shift) ** deg + offset
+    base = (features @ mixing.T / np.sqrt(k) + COST_SHIFT) ** deg + COST_OFFSET
     if noise is not None:
         base = base * noise
     return base[0] if single else base
@@ -70,11 +67,11 @@ def generate(spec: GenSpec, problem: Problem, cache_decisions: bool = True) -> D
     evaluation-time accounting is explicit)."""
     d = problem.d
     rng = np.random.default_rng(spec.seed)
-    mixing = rng.binomial(1, spec.bernoulli_p, size=(d, spec.k)).astype(float)
+    mixing = rng.binomial(1, MIXING_P, size=(d, spec.k)).astype(float)
     n = spec.n_total
     features = rng.standard_normal((n, spec.k))
     noise = rng.uniform(1.0 - spec.noise_width, 1.0 + spec.noise_width, size=(n, d))
-    costs = latent_costs(features, mixing, spec.deg, spec.shift, spec.offset, noise)
+    costs = latent_costs(features, mixing, spec.deg, noise)
 
     split = Split(
         train=tuple(range(spec.n_train)),

@@ -17,10 +17,6 @@ class NumericalBreakdown(CosdflError):
     """The simplex solver hit a pivot too small to trust, even under Bland's rule."""
 
 
-class NotOptimal(CosdflError):
-    """Cost ranging was requested for a solution that is not optimal."""
-
-
 class ModeMismatch(CosdflError):
     """A solver mode was requested that the instance size does not support."""
 

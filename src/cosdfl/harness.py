@@ -12,7 +12,9 @@ calls are attributed to four phases:
 
 Each phase count is the change of ``problem.counter`` across that phase,
 read by ``SolveCounts.phase`` and nowhere else; the LP solves of
-``attach_ranges`` advance the same counter. Data generation and test-set
+``attach_ranges`` advance the same counter. Each of those is one
+``solve_lp`` call on the problem's cached ``relaxation``, which returns the
+vertex together with its cost ranges. Data generation and test-set
 evaluation happen outside the phases and are not counted (the latter is
 identical for every loss). Cells run one after another and
 reports come back in (loss, seed) order, so re-running a config reproduces
@@ -33,12 +35,12 @@ import numpy as np
 
 from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
-from .errors import CosdflError
+from .errors import NumericalBreakdown, SolveFailure
 from .instance_costs import apply_instance_costs, compute_instance_costs
 from .losses import LossSpec, normalize, parse_loss
 from .model import Optimizer, TrainConfig, init_model, train
 from .problems import ProblemOracle, problem_from_name
-from .simplex import LinearProgram, SolveStatus, cost_ranging, solve_lp
+from .simplex import LinearProgram, SolveStatus, solve_lp
 
 PARETO_TIME_BAND_S = 30.0
 
@@ -61,22 +63,27 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
                   normalized: bool = False) -> Dataset:
     """Attach objective-coefficient ranges from the problem's LP relaxation.
 
-    With ``normalized`` the ranging objective is the unit-norm cost vector,
-    which is what scale-invariant losses must mask against. Each LP solve
-    advances ``problem.counter`` by one.
+    One ``solve_lp`` call per instance without ranges, each advancing
+    ``problem.counter`` by one. With ``normalized`` the ranging objective is
+    the unit-norm cost vector, which is what scale-invariant losses must
+    mask against. A failed solve raises an error naming the instance and
+    the ``precompute_ranges`` phase.
     """
-    relaxed = problem.lp_form()
     lower, upper = dataset.lower.copy(), dataset.upper.copy()
     missing = dataset.uncached("lower", [i for split in splits
                                          for i in dataset.split.part(split)])
     for i in missing:
         costs = dataset.costs[i]
-        lp = relaxed.with_objective(normalize(costs) if normalized else costs)
-        solution = solve_lp(lp)
-        if solution.status is not SolveStatus.OPTIMAL:
-            raise CosdflError(f"relaxation solve for instance {i} returned "
-                              f"{solution.status.value}")
-        lower[i], upper[i] = cost_ranging(lp, solution)
+        try:
+            solution = solve_lp(problem.relaxation,
+                                normalize(costs) if normalized else costs, problem.sense)
+        except NumericalBreakdown as exc:
+            raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i}: "
+                               f"{exc}") from exc
+        if solution.ranges is None:
+            raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i} is "
+                               f"{solution.status.value}")
+        lower[i], upper[i] = solution.ranges
     problem.counter.increment(len(missing))
     return replace(dataset, lower=lower, upper=upper)
 
@@ -318,13 +325,12 @@ def aggregate_rows(reports: list[RunReport]) -> list[dict]:
 
 # --- pareto -----------------------------------------------------------------------
 
-def pareto_flags(points: list[tuple[float, float]],
-                 band_seconds: float = PARETO_TIME_BAND_S) -> list[bool]:
+def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
     """Flag (regret, runtime) points not dominated by any other point.
 
     Point j dominates i when it is no worse on both axes (runtimes within
-    ``band_seconds`` count as equal) and strictly better on at least one:
-    lower regret, or faster by more than the band.
+    ``PARETO_TIME_BAND_S`` count as equal) and strictly better on at least
+    one: lower regret, or faster by more than the band.
     """
     flags = []
     for i, (reg_i, t_i) in enumerate(points):
@@ -332,8 +338,8 @@ def pareto_flags(points: list[tuple[float, float]],
         for j, (reg_j, t_j) in enumerate(points):
             if i == j:
                 continue
-            if (reg_j <= reg_i and t_j <= t_i + band_seconds
-                    and (reg_j < reg_i or t_j < t_i - band_seconds)):
+            if (reg_j <= reg_i and t_j <= t_i + PARETO_TIME_BAND_S
+                    and (reg_j < reg_i or t_j < t_i - PARETO_TIME_BAND_S)):
                 dominated = True
                 break
         flags.append(not dominated)
@@ -341,7 +347,6 @@ def pareto_flags(points: list[tuple[float, float]],
 
 
 def emit_pareto(reports: list[RunReport], out_dir=None,
-                band_seconds: float = PARETO_TIME_BAND_S,
                 deterministic_output: bool = False) -> list[dict]:
     """Per-loss mean (regret, runtime) points with Pareto-optimality flags.
 
@@ -353,7 +358,7 @@ def emit_pareto(reports: list[RunReport], out_dir=None,
         for row in rows:
             row["time_s_mean"] = 0.0
     points = [(row["regret_abs_mean"], row["time_s_mean"]) for row in rows]
-    flags = pareto_flags(points, band_seconds)
+    flags = pareto_flags(points)
     for row, flag in zip(rows, flags):
         row["pareto_optimal"] = flag
     if out_dir is not None:
@@ -487,10 +492,10 @@ def sensitivity_soundness_check(n_lps: int = 200, max_size: int = 8,
         c = rng.normal(0.0, 2.0, size=d)
         sense = Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE
         upper = np.where(rng.random(d) < 0.5, rng.uniform(0.5, 3.0, size=d), np.inf)
-        lp = LinearProgram(a, b, c, sense, np.zeros(d), upper)
-        solution = solve_lp(lp)
+        lp = LinearProgram(a, b, upper)
+        solution = solve_lp(lp, c, sense)
         assert solution.status is SolveStatus.OPTIMAL, "random box LP must be solvable"
-        lower, upper = cost_ranging(lp, solution)
+        lower, upper = solution.ranges
         for j in range(d):
             points = []
             lo, hi = lower[j], upper[j]
@@ -503,7 +508,7 @@ def sensitivity_soundness_check(n_lps: int = 200, max_size: int = 8,
             for point in points:
                 perturbed = c.copy()
                 perturbed[j] = point
-                re_solved = solve_lp(lp.with_objective(perturbed))
+                re_solved = solve_lp(lp, perturbed, sense)
                 checks += 1
                 original_value = float(perturbed @ solution.x)
                 gap = abs(original_value - re_solved.objective_value)

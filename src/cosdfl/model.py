@@ -26,6 +26,9 @@ from .losses import (LossSpec, evaluate_loss_batch, spo_plus_batch,
 from .losses import evaluate_loss  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CDFLLM01"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     optimizer: Optimizer = Optimizer.ADAM
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
 
@@ -131,12 +131,12 @@ class _AdamState:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
 
-    def step(self, grad, lr, b1, b2, eps, t):
-        self.m = b1 * self.m + (1.0 - b1) * grad
-        self.v = b2 * self.v + (1.0 - b2) * grad * grad
-        m_hat = self.m / (1.0 - b1 ** t)
-        v_hat = self.v / (1.0 - b2 ** t)
-        return lr * m_hat / (np.sqrt(v_hat) + eps)
+    def step(self, grad, lr, t):
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** t)
+        return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainConfig,
@@ -208,10 +208,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                 b -= config.learning_rate * gb
             else:
                 step += 1
-                w -= adam_w.step(gw, config.learning_rate, config.beta1,
-                                 config.beta2, config.eps, step)
-                b -= adam_b.step(gb, config.learning_rate, config.beta1,
-                                 config.beta2, config.eps, step)
+                w -= adam_w.step(gw, config.learning_rate, step)
+                b -= adam_b.step(gb, config.learning_rate, step)
         train_loss = loss_sum / n
 
         if val_idx:

@@ -3,14 +3,15 @@
 Three families are shipped: multi-dimensional 0/1 knapsack (maximize),
 shortest path on a directed grid (minimize), and symmetric TSP (minimize).
 Each oracle solves exactly for a given cost vector, counts its calls, and
-exposes a box-relaxed linear program for sensitivity analysis.
+builds its box-relaxed linear program once, as ``problem.relaxation``, for
+sensitivity analysis.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
 array recurrences over the batch (Held-Karp one popcount layer of subsets at
 a time); knapsack branch-and-bound and the TSP heuristic loop over the rows.
 Under ``__debug__`` every solved row is checked against the constraint rows
-of ``lp_form()`` in one array test.
+of ``relaxation`` in one array test.
 
 Knapsack and grid solvers break objective ties by returning the
 lexicographically smallest decision vector, so repeated solves of tied
@@ -478,21 +479,22 @@ class ProblemOracle:
         raise NotImplementedError
 
     @cached_property
-    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        lp = self.lp_form()
-        return lp.constraint_matrix, lp.rhs
+    def relaxation(self) -> LinearProgram:
+        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built once per oracle."""
+        return LinearProgram(*self._relaxed_rows(), upper=np.ones(self.d))
+
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraint rows ``(A, b)`` of the relaxation."""
+        raise NotImplementedError
 
     def _check_feasible(self, decisions: np.ndarray) -> None:
-        """Every row is 0/1 and meets the constraint rows of ``lp_form()``."""
-        a, b = self._constraints
+        """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
+        lp = self.relaxation
         ok = np.all((decisions == 0.0) | (decisions == 1.0), axis=1)
-        ok &= np.all(decisions @ a.T <= b + 1e-9, axis=1)
+        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + 1e-9, axis=1)
         if not ok.all():
             raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
-                                 "batch is not a feasible 0/1 decision of lp_form()")
-
-    def lp_form(self) -> LinearProgram:
-        raise NotImplementedError
+                                 "batch is not a feasible 0/1 decision of its relaxation")
 
 
 class KnapsackOracle(ProblemOracle):
@@ -510,15 +512,8 @@ class KnapsackOracle(ProblemOracle):
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         return _knapsack_many(self.spec, costs)
 
-    def lp_form(self) -> LinearProgram:
-        return LinearProgram(
-            constraint_matrix=self.spec.weights,
-            rhs=self.spec.capacities,
-            objective=np.zeros(self.d),
-            sense=Sense.MAXIMIZE,
-            lower=np.zeros(self.d),
-            upper=np.ones(self.d),
-        )
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.spec.weights, self.spec.capacities
 
 
 class ShortestPathOracle(ProblemOracle):
@@ -536,7 +531,7 @@ class ShortestPathOracle(ProblemOracle):
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         return _shortest_path_many(self.spec, costs)
 
-    def lp_form(self) -> LinearProgram:
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
         spec = self.spec
         d = spec.d
@@ -558,14 +553,7 @@ class ShortestPathOracle(ProblemOracle):
                 supply = 1.0 if (r, c) == (0, 0) else 0.0
                 rows.extend([row, -row])
                 rhs.extend([supply, -supply])
-        return LinearProgram(
-            constraint_matrix=np.vstack(rows),
-            rhs=np.array(rhs),
-            objective=np.zeros(d),
-            sense=Sense.MINIMIZE,
-            lower=np.zeros(d),
-            upper=np.ones(d),
-        )
+        return np.vstack(rows), np.array(rhs)
 
 
 
@@ -585,7 +573,7 @@ class TspOracle(ProblemOracle):
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         return _tsp_many(self.spec, costs)
 
-    def lp_form(self) -> LinearProgram:
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Degree-2 relaxation: each node touches exactly two fractional edges."""
         spec = self.spec
         d = spec.d
@@ -598,14 +586,7 @@ class TspOracle(ProblemOracle):
                     row[spec.edge_index(v, u)] = 1.0
             rows.extend([row, -row])
             rhs.extend([2.0, -2.0])
-        return LinearProgram(
-            constraint_matrix=np.vstack(rows),
-            rhs=np.array(rhs),
-            objective=np.zeros(d),
-            sense=Sense.MINIMIZE,
-            lower=np.zeros(d),
-            upper=np.ones(d),
-        )
+        return np.vstack(rows), np.array(rhs)
 
 
 

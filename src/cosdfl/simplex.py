@@ -1,23 +1,26 @@
 """Dense two-phase simplex with objective-coefficient ranging.
 
-Solves ``opt c'x  s.t.  Ax <= b, l <= x <= u`` with a full-tableau revised
-pivot loop. After an optimal solve, :func:`cost_ranging` reports, for every
+Solves ``opt c'x  s.t.  Ax <= b, 0 <= x <= u`` with a full-tableau pivot
+loop. A :class:`LinearProgram` holds only the constraint set; the objective
+and its sense are arguments of :func:`solve_lp`, so one relaxation serves
+every instance of a problem. An optimal solve also returns, for every
 objective coefficient, the interval of single-coordinate perturbations under
 which the final basis (and therefore the returned vertex) stays optimal.
-That interval is computed from the terminal tableau alone; no re-solves.
+Those intervals come from the terminal tableau alone, by ratio tests over
+all basic columns at once; no re-solves.
 
 Pivoting is deterministic: Dantzig's rule with smallest-index tie-breaking,
 falling back to Bland's rule once the degenerate-pivot budget is exhausted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import Sense, as_vector, frozen_array
-from .errors import DimensionMismatch, NotOptimal, NumericalBreakdown
+from .errors import DimensionMismatch, NumericalBreakdown
 
 PIVOT_TOL = 1e-10
 REDUCED_COST_TOL = 1e-9
@@ -34,17 +37,14 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``opt objective'x  s.t.  constraint_matrix @ x <= rhs, lower <= x <= upper``.
+    """The constraint set ``constraint_matrix @ x <= rhs, 0 <= x <= upper``.
 
-    Lower bounds must be finite (they anchor the internal variable shift);
-    upper bounds may be +inf. Equality rows are expressed as <=/>= pairs.
+    Upper bounds may be +inf. Equality rows are expressed as <=/>= pairs.
+    Validated and frozen once; :func:`solve_lp` takes the objective.
     """
 
     constraint_matrix: np.ndarray
     rhs: np.ndarray
-    objective: np.ndarray
-    sense: Sense
-    lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
@@ -53,50 +53,36 @@ class LinearProgram:
             raise DimensionMismatch(f"constraint matrix must be 2-d, got shape {a.shape}")
         m, d = a.shape
         b = as_vector(self.rhs, name="rhs", length=m)
-        c = as_vector(self.objective, name="objective", length=d)
-        lo = (np.zeros(d) if self.lower is None
-              else as_vector(self.lower, name="lower bounds", length=d))
         hi = (np.full(d, np.inf) if self.upper is None
               else as_vector(self.upper, name="upper bounds", length=d, allow_nonfinite=True))
         if not np.all(np.isfinite(a)):
             raise ValueError("constraint matrix contains non-finite entries")
-        if not np.all(np.isfinite(lo)):
-            raise ValueError("lower bounds must be finite")
-        if np.any(np.isnan(hi)) or np.any(hi == -np.inf):
-            raise ValueError("upper bounds must be finite or +inf")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
+        if np.any(np.isnan(hi)) or np.any(hi < 0.0):
+            raise ValueError("upper bounds must be non-negative: finite or +inf")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", frozen_array(b))
-        object.__setattr__(self, "objective", frozen_array(c))
-        object.__setattr__(self, "lower", frozen_array(lo))
         object.__setattr__(self, "upper", frozen_array(hi))
-
-    @property
-    def m(self) -> int:
-        return self.constraint_matrix.shape[0]
 
     @property
     def d(self) -> int:
         return self.constraint_matrix.shape[1]
 
-    def with_objective(self, objective) -> "LinearProgram":
-        return LinearProgram(self.constraint_matrix, self.rhs, objective,
-                             self.sense, self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class SimplexSolution:
-    """Result of :func:`solve_lp`; the vertex ``x`` is None unless status is OPTIMAL."""
+    """Result of :func:`solve_lp`; ``x`` and ``ranges`` are None unless status is OPTIMAL.
+
+    ``ranges`` is ``(lower, upper)``: single-coordinate moves of ``c[j]``
+    inside ``[lower[j], upper[j]]`` keep the final basis (hence ``x``)
+    optimal; endpoints may be +/-inf.
+    """
 
     status: SolveStatus
     x: np.ndarray | None
     objective_value: float
-    basis: tuple[int, ...]
-    reduced_costs: np.ndarray | None
-    _internal: dict = field(default_factory=dict, repr=False, compare=False)
+    ranges: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -155,31 +141,26 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
-def solve_lp(lp: LinearProgram) -> SimplexSolution:
-    """Solve the LP; deterministic for identical inputs.
+def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
+    """Optimize ``objective`` over ``lp``; deterministic for identical inputs.
 
     Status is OPTIMAL, INFEASIBLE, or UNBOUNDED. On OPTIMAL the solution
-    carries the vertex, the basis (column indices: structural j in [0, d),
-    slack of row i at d + i), and structural reduced costs with the
-    optimality sign of the original sense (<= 0 for Maximize nonbasic at
-    lower bound, >= 0 for Minimize).
+    carries the vertex, its objective value and the cost ranges of the final
+    basis.
     """
     d = lp.d
-    lo, hi = lp.lower, lp.upper
-    # shift to y = x - lower >= 0, fold finite upper bounds in as extra rows
-    rows = [lp.constraint_matrix]
-    rhs = [lp.rhs - lp.constraint_matrix @ lo]
-    bounded = np.flatnonzero(np.isfinite(hi))
+    objective = as_vector(objective, name="objective", length=d)
+    # fold finite upper bounds in as extra rows
+    a, b = lp.constraint_matrix, lp.rhs
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
     if bounded.size:
         bound_rows = np.zeros((bounded.size, d))
         bound_rows[np.arange(bounded.size), bounded] = 1.0
-        rows.append(bound_rows)
-        rhs.append(hi[bounded] - lo[bounded])
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+        a = np.vstack([a, bound_rows])
+        b = np.concatenate([b, lp.upper[bounded]])
     m = a.shape[0]
 
-    c_int = lp.objective.copy() if lp.sense is Sense.MINIMIZE else -lp.objective
+    c_int = objective.copy() if sense is Sense.MINIMIZE else -objective
 
     n_real = d + m  # structural columns then one slack per row
     tableau = np.zeros((m, n_real + 1))
@@ -204,7 +185,7 @@ def solve_lp(lp: LinearProgram) -> SimplexSolution:
         _run_simplex(tableau, basis, cost1, degenerate_budget)
         infeasibility = float(cost1[basis] @ tableau[:, -1])
         if infeasibility > FEASIBILITY_TOL:
-            return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"), (), None)
+            return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"))
         # pivot leftover artificials out; rows that cannot release one are redundant
         drop: list[int] = []
         for i in range(m):
@@ -224,81 +205,47 @@ def solve_lp(lp: LinearProgram) -> SimplexSolution:
     cost2 = np.concatenate([c_int, np.zeros(n_real - d)])
     status = _run_simplex(tableau, basis, cost2, degenerate_budget)
     if status == "unbounded":
-        return SimplexSolution(SolveStatus.UNBOUNDED, None, float("nan"), (), None)
+        return SimplexSolution(SolveStatus.UNBOUNDED, None, float("nan"))
 
     y = np.zeros(n_real)
     y[basis] = tableau[:, -1]
-    x = y[:d] + lo
-    reduced_int = cost2 - cost2[basis] @ tableau[:, :-1]
-    reduced_int[basis] = 0.0
+    x = y[:d]
+    reduced = cost2 - cost2[basis] @ tableau[:, :-1]
+    reduced[basis] = 0.0
     # optimality (dual feasibility) must hold for the internal minimization
-    if reduced_int.min() < -FEASIBILITY_TOL:
+    if reduced.min() < -FEASIBILITY_TOL:
         raise NumericalBreakdown(
-            f"terminal reduced costs violate optimality by {-reduced_int.min():.3e}")
-    objective_value = float(lp.objective @ x)
-    reduced_structural = reduced_int[:d].copy()
-    if lp.sense is Sense.MAXIMIZE:
-        reduced_structural = -reduced_structural
-    internal = {
-        "tableau": tableau,
-        "basis": basis.copy(),
-        "cost": cost2,
-        "reduced": reduced_int,
-        "n_struct": d,
-    }
-    return SimplexSolution(
-        status=SolveStatus.OPTIMAL,
-        x=frozen_array(x),
-        objective_value=objective_value,
-        basis=tuple(int(j) for j in basis),
-        reduced_costs=frozen_array(reduced_structural),
-        _internal=internal,
-    )
-
-
-def cost_ranging(lp: LinearProgram, solution: SimplexSolution
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Range each objective coefficient while the solved basis stays optimal.
-
-    Returns ``(lower, upper)``: single-coordinate moves of ``c[j]`` inside
-    ``[lower[j], upper[j]]`` keep the solved basis (hence the returned
-    vertex) optimal; endpoints may be +/-inf.
-
-    For a nonbasic coefficient the limit is where its reduced cost reaches
-    zero; for a basic coefficient a ratio test of nonbasic reduced costs
-    against the substitution row bounds the move in both directions. Every
-    interval contains the coefficient it was computed from.
-    """
-    if solution.status is not SolveStatus.OPTIMAL or not solution._internal:
-        raise NotOptimal("cost ranging requires an optimal simplex solution")
-    internal = solution._internal
-    tableau: np.ndarray = internal["tableau"]
-    basis: np.ndarray = internal["basis"]
-    cost: np.ndarray = internal["cost"]
-    reduced: np.ndarray = internal["reduced"]
-    d = internal["n_struct"]
-    n_cols = tableau.shape[1] - 1
-    nonbasic = np.ones(n_cols, dtype=bool)
-    nonbasic[basis] = False
-
-    lo_int = np.empty(d)
-    hi_int = np.empty(d)
-    basis_row = {int(j): i for i, j in enumerate(basis)}
-    for j in range(d):
-        if j in basis_row:
-            row = tableau[basis_row[j], :-1]
-            up_mask = nonbasic & (row > PIVOT_TOL)
-            dn_mask = nonbasic & (row < -PIVOT_TOL)
-            delta_up = np.min(reduced[up_mask] / row[up_mask]) if up_mask.any() else np.inf
-            delta_dn = np.max(reduced[dn_mask] / row[dn_mask]) if dn_mask.any() else -np.inf
-            lo_int[j] = cost[j] + delta_dn
-            hi_int[j] = cost[j] + delta_up
-        else:
-            lo_int[j] = cost[j] - reduced[j]
-            hi_int[j] = np.inf
-    if lp.sense is Sense.MAXIMIZE:
-        lower, upper = -hi_int, -lo_int
-    else:
-        lower, upper = lo_int, hi_int
+            f"terminal reduced costs violate optimality by {-reduced.min():.3e}")
+    lo_int, hi_int = _cost_ranges(tableau, basis, cost2, reduced, d)
+    if sense is Sense.MAXIMIZE:
+        lo_int, hi_int = -hi_int, -lo_int
     # the solved coefficient always lies inside its own interval; clamp dust
-    return np.minimum(lower, lp.objective), np.maximum(upper, lp.objective)
+    ranges = (frozen_array(np.minimum(lo_int, objective)),
+              frozen_array(np.maximum(hi_int, objective)))
+    return SimplexSolution(SolveStatus.OPTIMAL, frozen_array(x),
+                           float(objective @ x), ranges)
+
+
+def _cost_ranges(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+                 reduced: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranges of the first ``d`` internal (minimization) costs under which
+    the final basis stays optimal.
+
+    A nonbasic coefficient may fall until its reduced cost reaches zero. A
+    basic coefficient moves until a nonbasic reduced cost, shifted by its
+    tableau row, reaches zero: one ratio test in each direction, done for
+    the rows of all basic structural columns at once.
+    """
+    nonbasic = np.ones(tableau.shape[1] - 1, dtype=bool)
+    nonbasic[basis] = False
+    lower = cost[:d] - reduced[:d]
+    upper = np.full(d, np.inf)
+    rows = np.flatnonzero(basis < d)
+    cols = basis[rows]
+    body = tableau[rows, :-1]
+    up = nonbasic & (body > PIVOT_TOL)
+    down = nonbasic & (body < -PIVOT_TOL)
+    ratio = np.divide(reduced, body, out=np.zeros_like(body), where=up | down)
+    lower[cols] = cost[cols] + np.where(down, ratio, -np.inf).max(axis=1)
+    upper[cols] = cost[cols] + np.where(up, ratio, np.inf).min(axis=1)
+    return lower, upper

@@ -232,13 +232,16 @@ def brute_loss(spec, predicted, instance, maximize: bool
 # ``cosdfl.model.train`` (training and validation merged, the epoch's mean
 # training loss as the validation metric).
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
+
+
 def _adam_step(state, grad, config, t):
     m, v = state
-    m = config.beta1 * m + (1.0 - config.beta1) * grad
-    v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-    m_hat = m / (1.0 - config.beta1 ** t)
-    v_hat = v / (1.0 - config.beta2 ** t)
-    return (m, v), config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return (m, v), config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def brute_spo_plus_train(model, dataset, config, problem):

@@ -25,7 +25,7 @@ from cosdfl.harness import (ExperimentConfig, build_monotonicity,
                             sensitivity_soundness_check, write_results)
 from cosdfl.losses import evaluate_loss, normalize, parse_loss, stack_loss_data
 from cosdfl.problems import make_grid, make_knapsack, make_tsp, problem_from_name
-from cosdfl.simplex import cost_ranging, solve_lp
+from cosdfl.simplex import solve_lp
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp)
 
@@ -196,8 +196,8 @@ GRADIENT_SPECS = ([f"{b}{s}" for b in ("mse", "mae") for s in COMPONENT_SUBSETS]
 
 
 def _ranges(problem, c, normalized):
-    lp = problem.lp_form().with_objective(normalize(c) if normalized else c)
-    return cost_ranging(lp, solve_lp(lp))
+    return solve_lp(problem.relaxation, normalize(c) if normalized else c,
+                    problem.sense).ranges
 
 
 def _away_from_boundaries(spec, pred, dataset):

@@ -18,7 +18,7 @@ def test_gen_spec_validation():
 def test_latent_costs_formula():
     mixing = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     z = np.array([2.0, -1.0])
-    c = latent_costs(z, mixing, deg=2, shift=3.0, offset=1.0)
+    c = latent_costs(z, mixing, deg=2)
     lifted = z @ mixing.T / np.sqrt(2.0)
     np.testing.assert_allclose(c, (lifted + 3.0) ** 2 + 1.0)
     assert c.shape == (3,)

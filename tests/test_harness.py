@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from cosdfl.datagen import GenSpec, generate
+from cosdfl.errors import NumericalBreakdown, SolveFailure
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
                             SolveCounts, attach_decisions, attach_ranges, fit,
                             mean_normalized_regret, monotonicity_report,
                             pareto_flags, run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
 from cosdfl.losses import normalize, parse_loss
-from cosdfl.problems import make_knapsack
+from cosdfl.problems import make_grid, make_knapsack
+from cosdfl.simplex import SimplexSolution, SolveStatus
 
 import cosdfl.harness as harness_mod
 
@@ -43,14 +45,23 @@ def test_attach_decisions_fills_only_missing():
     assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
 
 
-def test_attach_ranges_normalized_scales_like_objective():
+def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
     problem = make_knapsack(d=6, seed=0)
     ds = generate(GenSpec(n_train=3, n_val=1, n_test=1, k=3, seed=0), problem,
                   cache_decisions=False)
+    real, solved_on = harness_mod.solve_lp, []
+
+    def recording(lp, objective, sense):
+        solved_on.append(lp)
+        return real(lp, objective, sense)
+
+    monkeypatch.setattr(harness_mod, "solve_lp", recording)
     raw = attach_ranges(ds, problem, ("train",), normalized=False)
     assert problem.counter.count == 3  # one LP solve per instance
     norm = attach_ranges(ds, problem, ("train",), normalized=True)
     assert problem.counter.count == 6
+    # one solve_lp call per solve, all on the one cached relaxation
+    assert len(solved_on) == 6 and all(lp is problem.relaxation for lp in solved_on)
     assert raw.uncached("lower", range(ds.n)) == list(ds.split.val + ds.split.test)
     for i in ds.split.train:
         c = ds.costs[i]
@@ -60,6 +71,25 @@ def test_attach_ranges_normalized_scales_like_objective():
         np.testing.assert_allclose(norm.upper[i], raw.upper[i] * scale, atol=1e-9)
         assert np.all(norm.lower[i] <= normalize(c) + 1e-12)
         assert np.all(norm.upper[i] >= normalize(c) - 1e-12)
+
+
+@pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
+def test_attach_ranges_error_names_instance_and_phase(monkeypatch, failure):
+    problem = make_grid(3, 3)
+    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem,
+                  cache_decisions=False)
+    real, bad = harness_mod.solve_lp, ds.costs[3]
+
+    def failing_on_instance_3(lp, objective, sense):
+        if not np.array_equal(objective, bad):
+            return real(lp, objective, sense)
+        if failure == "breakdown":
+            raise NumericalBreakdown("no pivot above 1e-10")
+        return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"))
+
+    monkeypatch.setattr(harness_mod, "solve_lp", failing_on_instance_3)
+    with pytest.raises(SolveFailure, match=r"^precompute_ranges: .*instance 3\b"):
+        attach_ranges(ds, problem)
 
 
 @pytest.mark.parametrize("loss,expected", [

@@ -14,7 +14,7 @@ from cosdfl.losses import (BaseError, LossData, LossSpec, base_error,
                            evaluate_loss_batch, normalize, parse_loss,
                            spo_plus_batch, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, KnapsackSpec, ShortestPathOracle, GridSpec
-from cosdfl.simplex import cost_ranging, solve_lp
+from cosdfl.simplex import solve_lp
 
 from brute import brute_loss, brute_weights
 
@@ -181,8 +181,7 @@ def test_sensitivity_mask_widens_safe_region():
     oracle = pick_one_of_two()
     true = np.array([2.0, 1.9])
     x_star = oracle.solve_many(true[None])[0]
-    lp = oracle.lp_form().with_objective(true)
-    lower, upper = cost_ranging(lp, solve_lp(lp))
+    lower, upper = solve_lp(oracle.relaxation, true, oracle.sense).ranges
     assert lower[0] == pytest.approx(1.9)
     assert upper[1] == pytest.approx(2.0)
     inst = one_row(true, x_star, lower, upper)
