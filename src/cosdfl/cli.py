@@ -68,7 +68,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     problem = problem_from_name(args.problem, seed=args.seed)
     spec = parse_loss(args.loss)
-    if args.emit_costs and not spec.requires_instance_cost:
+    if args.emit_costs and not spec.instance_costs:
         print("--emit-costs requires a loss with instance weighting (+c)",
               file=sys.stderr)
         return 1
@@ -95,7 +95,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     total = total_regret(problem, model, dataset, split=args.split)
-    mean = total_regret(problem, model, dataset, split=args.split, reduction="mean")
+    n = len(dataset.split.part(args.split))
+    mean = total / n if n else 0.0
     print(f"split={args.split} regret_total={total!r} regret_mean={mean!r}")
     return 0
 
@@ -104,19 +105,20 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _experiment_config(args: argparse.Namespace, losses: list[str]) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace, losses: list[str],
+                       normalize_against: str) -> ExperimentConfig:
     return ExperimentConfig(
         problem=args.problem, losses=tuple(losses),
         seeds=tuple(int(s) for s in _parse_list(args.seeds)),
         n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
         k=args.k, deg=args.deg, noise_width=args.noise_width,
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        optimizer=args.optimizer, normalize_against=args.normalize_against,
+        optimizer=args.optimizer, normalize_against=normalize_against,
         deterministic_output=args.deterministic_output)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, _parse_list(args.losses))
+    config = _experiment_config(args, _parse_list(args.losses), args.normalize_against)
     reports = run_experiment(config)
     out = Path(args.out_dir)
     write_results(reports, out, deterministic_output=config.deterministic_output)
@@ -146,7 +148,7 @@ def _report_failures(reports) -> bool:
 
 
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, [args.base])
+    config = _experiment_config(args, [args.base], args.base)
     report, reports = monotonicity_report(config, base=args.base,
                                           tolerance=args.tolerance)
     out = Path(args.out_dir)
@@ -235,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed fractional regression per added component")
     _add_gen_args(p)
     _add_train_args(p)
-    p.add_argument("--normalize-against", default="mse")
     p.add_argument("--deterministic-output", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_monotonicity)

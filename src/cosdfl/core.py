@@ -254,21 +254,17 @@ class Predictor(Protocol):
 
 
 def total_regret(problem: Problem, model: Predictor, dataset: Dataset,
-                 split: str = "test", reduction: str = "sum") -> float:
-    """Regret of a predictive model accumulated over one split.
+                 split: str = "test") -> float:
+    """Regret of a predictive model summed over one split.
 
-    ``reduction`` is "sum" or "mean"; an empty split yields 0.0. Solver
-    failures are re-raised with the offending instance index attached.
+    An empty split yields 0.0. Solver failures are re-raised with the
+    offending instance index attached.
     """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     indices = dataset.split.part(split)
     total = 0.0
     for value in instance_regrets(problem, [model.predict(dataset.features[i])
                                             for i in indices], dataset, indices).tolist():
         total += value
-    if reduction == "mean":
-        return total / len(indices) if indices else 0.0
     return total
 
 

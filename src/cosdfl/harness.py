@@ -174,7 +174,7 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
     """
     counts = SolveCounts()
     report = None
-    weighted = spec.requires_instance_cost or spec.requires_baseline_regret
+    weighted = spec.instance_costs or spec.requires_baseline_regret
 
     # decisions: masks and spo+ need them on everything touched in epochs and
     # validation; instance weighting needs them on train for regret evaluation
@@ -195,7 +195,7 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
     if weighted:
         base_spec = spec.validation_variant()
         base_trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
-                           base_spec, train_cfg, sense=problem.sense)
+                           base_spec, train_cfg, problem)
         with counts.phase("instance_cost_solves", problem):
             report = compute_instance_costs(problem, base_trace.best_model, dataset,
                                             base_spec)
@@ -204,8 +204,7 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
 
     with counts.phase("training_solves", problem):
         trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
-                      spec, train_cfg, problem=problem if spec.spo_plus else None,
-                      sense=problem.sense)
+                      spec, train_cfg, problem)
     return trace, counts, report
 
 

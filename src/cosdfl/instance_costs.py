@@ -30,7 +30,6 @@ class BaselineReport:
 
     base_spec_name: str
     indices: tuple[int, ...]
-    predictions: np.ndarray     # (n, d)
     base_losses: np.ndarray     # (n,)
     regrets: np.ndarray         # (n,)
     costs: np.ndarray           # (n,) final instance weights
@@ -89,15 +88,14 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
     if predictions.shape != (len(indices), dataset.d):
         raise ValueError(f"expected predictions of shape {(len(indices), dataset.d)}, "
                          f"got {predictions.shape}")
-    losses, _ = evaluate_loss_batch(base_spec, predictions,
-                                    stack_loss_data(base_spec, dataset, indices),
-                                    slice(None), problem.sense)
+    losses, _ = evaluate_loss_batch(
+        predictions, stack_loss_data(base_spec, dataset, indices, problem.sense),
+        slice(None))
     regrets = instance_regrets(problem, predictions, dataset, indices)
     costs, degenerate, all_zero = _costs_from_values(losses, regrets)
     return BaselineReport(
         base_spec_name=base_spec.name,
         indices=tuple(indices),
-        predictions=predictions.copy(),
         base_losses=losses,
         regrets=regrets,
         costs=costs,

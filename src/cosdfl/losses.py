@@ -12,13 +12,15 @@ components:
 
 There is one implementation, :func:`evaluate_loss_batch`, which returns the
 values and prediction-gradients of a whole mini-batch in one array pass.
-What it reads from a dataset's rows (true costs, normalized under S; the C
-or regret weights; which coordinates of X* sit at a bound; the mask
-thresholds; tau) is sliced once into a :class:`LossData` by
-:func:`stack_loss_data`, which also raises the missing-cache errors.
-:func:`evaluate_loss` is the kernel on one row of a :class:`LossData`. Only
-``spo+`` needs the solver: :func:`spo_plus_batch` makes one batched oracle
-solve per mini-batch.
+:func:`stack_loss_data` binds a spec to a set of dataset rows once, as a
+:class:`LossData`: the spec, the true costs (normalized under S), the C or
+regret weights, tau, and for O and O_S one open safe interval per
+coordinate, fixed by X*, the problem sense and (O_S) the cost ranges. A
+prediction inside its coordinate's safe interval leaves the decision
+unchanged, so its error is masked. Stacking also raises the missing-cache
+errors. :func:`evaluate_loss` is the kernel on one row of a
+:class:`LossData`. Only ``spo+`` needs the solver: :func:`spo_plus_batch`
+makes one batched oracle solve per mini-batch.
 
 Masks and pinball indicators are treated as locally constant, so the
 gradient is the almost-everywhere derivative (zero subgradient on the
@@ -116,10 +118,6 @@ class LossSpec:
         return self.one_sided is OneSidedMode.SENSITIVITY
 
     @property
-    def requires_instance_cost(self) -> bool:
-        return self.instance_costs
-
-    @property
     def requires_baseline_regret(self) -> bool:
         return self.lawless_w is not None and self.lawless_w > 0.0
 
@@ -155,45 +153,6 @@ class LossSpec:
                 parts.append("tau:" + ",".join(f"{v:g}" for v in self.tau))
         return "+".join(parts)
 
-    @staticmethod
-    def parse(text: str) -> "LossSpec":
-        """Parse loss strings: mse, mae+cos, mse+o_s+s, spo+, lawless:0.4."""
-        text = text.strip().lower()
-        if text == "spo+":
-            return LossSpec(spo_plus=True)
-        tokens = text.split("+")
-        base = BaseError.SQUARED
-        start = 0
-        if tokens[0] in ("mse", "mae"):
-            base = BaseError.SQUARED if tokens[0] == "mse" else BaseError.ABSOLUTE
-            start = 1
-        elif not tokens[0].startswith("lawless:"):
-            raise ValueError(f"loss string must start with mse, mae, lawless:<w>, "
-                             f"or be spo+; got {text!r}")
-        kwargs: dict = {"base": base}
-        for token in tokens[start:]:
-            if token == "c":
-                kwargs["instance_costs"] = True
-            elif token == "o":
-                _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
-            elif token == "o_s":
-                _set_one_sided(kwargs, OneSidedMode.SENSITIVITY)
-            elif token == "s":
-                kwargs["scale_invariant"] = True
-            elif token == "cos":
-                kwargs["instance_costs"] = True
-                _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
-                kwargs["scale_invariant"] = True
-            elif token.startswith("lawless:"):
-                kwargs["lawless_w"] = float(token.split(":", 1)[1])
-            elif token.startswith("tau:"):
-                spec = token.split(":", 1)[1]
-                vals = tuple(float(v) for v in spec.split(","))
-                kwargs["tau"] = vals[0] if len(vals) == 1 else vals
-            else:
-                raise ValueError(f"unknown loss component {token!r} in {text!r}")
-        return LossSpec(**kwargs)
-
 
 def _set_one_sided(kwargs: dict, mode: OneSidedMode) -> None:
     if kwargs.get("one_sided", OneSidedMode.OFF) is not OneSidedMode.OFF:
@@ -202,7 +161,42 @@ def _set_one_sided(kwargs: dict, mode: OneSidedMode) -> None:
 
 
 def parse_loss(text: str) -> LossSpec:
-    return LossSpec.parse(text)
+    """Parse loss strings: mse, mae+cos, mse+o_s+s, spo+, lawless:0.4."""
+    text = text.strip().lower()
+    if text == "spo+":
+        return LossSpec(spo_plus=True)
+    tokens = text.split("+")
+    base = BaseError.SQUARED
+    start = 0
+    if tokens[0] in ("mse", "mae"):
+        base = BaseError.SQUARED if tokens[0] == "mse" else BaseError.ABSOLUTE
+        start = 1
+    elif not tokens[0].startswith("lawless:"):
+        raise ValueError(f"loss string must start with mse, mae, lawless:<w>, "
+                         f"or be spo+; got {text!r}")
+    kwargs: dict = {"base": base}
+    for token in tokens[start:]:
+        if token == "c":
+            kwargs["instance_costs"] = True
+        elif token == "o":
+            _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
+        elif token == "o_s":
+            _set_one_sided(kwargs, OneSidedMode.SENSITIVITY)
+        elif token == "s":
+            kwargs["scale_invariant"] = True
+        elif token == "cos":
+            kwargs["instance_costs"] = True
+            _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
+            kwargs["scale_invariant"] = True
+        elif token.startswith("lawless:"):
+            kwargs["lawless_w"] = float(token.split(":", 1)[1])
+        elif token.startswith("tau:"):
+            spec = token.split(":", 1)[1]
+            vals = tuple(float(v) for v in spec.split(","))
+            kwargs["tau"] = vals[0] if len(vals) == 1 else vals
+        else:
+            raise ValueError(f"unknown loss component {token!r} in {text!r}")
+    return LossSpec(**kwargs)
 
 
 # --- primitives --------------------------------------------------------------
@@ -225,37 +219,31 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-def _masked(predicted: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-            at_upper: np.ndarray, at_lower: np.ndarray, sense: Sense) -> np.ndarray:
-    """True where the prediction errs only in the direction the decision ignores."""
-    if sense is Sense.MAXIMIZE:
-        return (at_upper & (predicted > lower)) | (at_lower & (predicted < upper))
-    return (at_upper & (predicted < upper)) | (at_lower & (predicted > lower))
-
-
 # --- composed evaluation ------------------------------------------------------
 
 @dataclass(frozen=True)
 class LossData:
-    """The per-instance arrays a loss reads, sliced once per set of dataset rows.
+    """A spec bound to a set of dataset rows: what its loss reads, sliced once.
 
     Row r describes dataset instance ``indices[r]``. ``true`` holds the true
     costs in evaluation space (unit-norm rows when the spec has S) and
-    ``factor`` the C or regret weight (ones without one). The one-sided
-    fields are set only for a spec with O or O_S: which coordinates of X*
-    sit at their upper and lower bound, and the thresholds the prediction
-    is compared against (the true costs, or the O_S range bounds). ``tau``
+    ``factor`` the C or regret weight (ones without one). ``safe_lo`` and
+    ``safe_hi`` are set only for a spec with O or O_S: the open interval,
+    per coordinate, inside which a prediction leaves the decision
+    unchanged. A coordinate whose decision survives any rise of its cost
+    (x* = 1 under Maximize, x* = 0 under Minimize) is safe on
+    ``(lower, +inf)``, every other one on ``(-inf, upper)``, where lower and
+    upper are the O_S cost range, or the true cost itself under O. ``tau``
     is set only for a pinball-weighted spec, ``x_star`` (X* itself) only
     for spo+.
     """
 
+    spec: LossSpec
     indices: np.ndarray
     true: np.ndarray
     factor: np.ndarray
-    at_upper: np.ndarray | None = None
-    at_lower: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    safe_lo: np.ndarray | None = None
+    safe_hi: np.ndarray | None = None
     tau: np.ndarray | None = None
     x_star: np.ndarray | None = None
 
@@ -278,8 +266,8 @@ def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray:
     return np.ones(len(indices))
 
 
-def stack_loss_data(spec: LossSpec, dataset: Dataset, indices) -> LossData:
-    """Slice what ``spec`` needs from the rows ``indices`` of ``dataset``.
+def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> LossData:
+    """Bind ``spec`` to the rows ``indices`` of ``dataset`` under ``sense``.
 
     Raises the missing-cache errors, naming the first dataset index with no
     cache attached (and ZeroVector for an all-zero true cost vector under
@@ -300,45 +288,44 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices) -> LossData:
     if spec.spo_plus:
         fields["x_star"] = x_star
     elif spec.one_sided is not OneSidedMode.OFF:
-        # X* is exact 0/1 (the Dataset snaps it), so a coordinate sits at its
-        # upper bound iff it is 1 and at its lower bound iff it is 0
-        fields["at_upper"], fields["at_lower"] = x_star == 1.0, x_star == 0.0
         if spec.one_sided is OneSidedMode.SENSITIVITY:
             missing = dataset.uncached("lower", indices)
             if missing:
                 raise MissingRanges("sensitivity loss requires cached cost "
                                     f"ranges of instance {missing[0]}")
-            fields["lower"] = dataset.lower[indices]
-            fields["upper"] = dataset.upper[indices]
+            lower, upper = dataset.lower[indices], dataset.upper[indices]
         else:
-            fields["lower"] = fields["upper"] = true
+            lower = upper = true
+        # X* is exact 0/1 (the Dataset snaps it). A coordinate whose decision
+        # survives any rise of its cost is safe above lower, any other below upper
+        rise_safe = x_star == (1.0 if sense is Sense.MAXIMIZE else 0.0)
+        fields["safe_lo"] = np.where(rise_safe, lower, -np.inf)
+        fields["safe_hi"] = np.where(rise_safe, np.inf, upper)
     elif spec.tau is not None:
         d = true.shape[1]
         tau = np.full(d, spec.tau) if np.isscalar(spec.tau) else np.asarray(spec.tau, dtype=float)
         if tau.shape[0] != d:
             raise ValueError(f"tau must be scalar or length {d}")
         fields["tau"] = tau
-    return LossData(indices=indices, true=true, factor=factor, **fields)
+    return LossData(spec=spec, indices=indices, true=true, factor=factor, **fields)
 
 
-def coordinate_weights(spec: LossSpec, predicted: np.ndarray, data: LossData,
-                       rows, sense: Sense) -> np.ndarray:
+def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarray:
     """(B, d) weights of the base error at evaluation-space predictions: the
     one-sided 0/1 mask, the pinball tau / 1 - tau, or ones.
 
-    The one-sided mask zeroes the error directions the optimizer is
-    indifferent to. A coordinate of X* at its upper bound (selected) keeps
-    its decision when the prediction errs toward making it more attractive:
-    overprediction for Maximize, underprediction for Minimize. Coordinates
-    at the lower bound mirror this; coordinates strictly between their
-    bounds are never masked. Under O_S the safe region is widened to the
-    coefficient's stability range, so e.g. a selected Maximize coordinate is
-    masked whenever the prediction stays above the range's lower endpoint.
+    The one-sided mask zeroes a coordinate whose prediction lies strictly
+    inside its safe interval ``(data.safe_lo, data.safe_hi)``, where the
+    error is in the direction the optimizer is indifferent to: e.g. a
+    selected Maximize coordinate keeps its decision when overpredicted.
+    Under O the interval ends at the true cost; under O_S it is widened to
+    the coefficient's stability range, so that coordinate is masked
+    whenever the prediction stays above the range's lower endpoint.
     """
+    spec = data.spec
     if spec.one_sided is not OneSidedMode.OFF:
-        masked = _masked(predicted, data.lower[rows], data.upper[rows],
-                         data.at_upper[rows], data.at_lower[rows], sense)
-        return np.where(masked, 0.0, 1.0)
+        safe = (predicted > data.safe_lo[rows]) & (predicted < data.safe_hi[rows])
+        return np.where(safe, 0.0, 1.0)
     if spec.tau is not None:
         return np.where(predicted <= data.true[rows], data.tau, 1.0 - data.tau)
     return np.ones_like(predicted)
@@ -354,8 +341,8 @@ def check_finite(values: np.ndarray, gradients: np.ndarray, indices) -> None:
                                 "non-finite value")
 
 
-def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
-                        rows, sense: Sense) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
+                        rows) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) and prediction-gradients (B, d) of a composed loss.
 
     Row b of ``predicted`` is the prediction for row ``rows[b]`` of ``data``;
@@ -364,6 +351,7 @@ def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
     (near-)zero prediction row gets a finite penalty whose gradient points
     back toward the true direction.
     """
+    spec = data.spec
     true = data.true[rows]
     factor = data.factor[rows]
     d = true.shape[1]
@@ -374,7 +362,7 @@ def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
         pred = predicted / norms[:, None]
     else:
         pred = predicted
-    weights = coordinate_weights(spec, pred, data, rows, sense)
+    weights = coordinate_weights(pred, data, rows)
     errors, derror = base_error(pred, true, spec.base)
     values = factor * (weights * errors).sum(axis=1) / d
     grads = (factor / d)[:, None] * weights * derror
@@ -387,8 +375,7 @@ def evaluate_loss_batch(spec: LossSpec, predicted: np.ndarray, data: LossData,
     return values, grads
 
 
-def evaluate_loss(spec: LossSpec, predicted: np.ndarray, data: LossData, row: int,
-                  sense: Sense) -> LossValueGrad:
+def evaluate_loss(predicted: np.ndarray, data: LossData, row: int) -> LossValueGrad:
     """Value and prediction-gradient of a composed loss on row ``row`` of ``data``.
 
     The kernel :func:`evaluate_loss_batch` on a one-row slice; ``data`` comes
@@ -397,8 +384,7 @@ def evaluate_loss(spec: LossSpec, predicted: np.ndarray, data: LossData, row: in
     from the normalized true costs).
     """
     predicted = as_vector(predicted, name="predicted costs", length=data.true.shape[1])
-    values, grads = evaluate_loss_batch(spec, predicted[None, :], data,
-                                        slice(row, row + 1), sense)
+    values, grads = evaluate_loss_batch(predicted[None, :], data, slice(row, row + 1))
     return LossValueGrad(float(values[0]), grads[0])
 
 

@@ -1,13 +1,14 @@
 """Linear multi-output predictor trained by hand-written gradients.
 
 The model is c_hat = W z + b. Training runs seeded mini-batch gradient
-descent (SGD or Adam) against any composed loss. The loss arrays of the
-training and validation rows are sliced from the dataset once per run, and
-each mini-batch (and each epoch's validation pass) is one call of the
-batched loss kernel, whose (B, d) prediction-gradients chain into W and b by one
-matrix product; no autodiff is involved. A ``spo+`` mini-batch makes one
-batched oracle solve. Given the same seed and config, training is
-bit-for-bit reproducible.
+descent (SGD or Adam) against any composed loss. The loss is bound to the
+training rows and to the validation rows once per run (``stack_loss_data``,
+which fixes each one-sided coordinate's safe interval from X* and the
+problem sense), and each mini-batch (and each epoch's validation pass) is
+one call of the batched loss kernel, whose (B, d) prediction-gradients
+chain into W and b by one matrix product; no autodiff is involved. A
+``spo+`` mini-batch makes one batched oracle solve. Given the same seed and
+config, training is bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, Sense, as_vector, frozen_array
+from .core import Dataset, Problem, as_vector, frozen_array
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
 from .losses import (LossSpec, evaluate_loss_batch, spo_plus_batch,
                      stack_loss_data)
@@ -140,22 +141,16 @@ class _AdamState:
 
 
 def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainConfig,
-          problem=None, sense: Sense | None = None) -> TrainTrace:
+          problem: Problem) -> TrainTrace:
     """Mini-batch training; returns the trace with the best-validation snapshot.
 
-    For solver-free specs no oracle is touched during epochs. The spo+ loss
-    folds validation instances into the training set and uses the epoch's
-    mean training loss as its validation metric, so model selection never
-    spends extra solver calls. Other specs are validated each epoch with the
+    One-sided masks are oriented by ``problem.sense``. For solver-free specs
+    no oracle is touched during epochs. The spo+ loss folds validation
+    instances into the training set and uses the epoch's mean training loss
+    as its validation metric, so model selection never spends extra solver
+    calls. Other specs are validated each epoch with the
     loss stripped of per-instance weights (validation instances carry none).
     """
-    if spec.spo_plus and problem is None:
-        raise ValueError("spo+ training requires the problem oracle")
-    if sense is None and problem is not None:
-        sense = problem.sense
-    if spec.requires_decisions and sense is None:
-        raise ValueError("one-sided losses need the problem sense")
-
     train_idx = list(dataset.split.train)
     val_idx = list(dataset.split.val)
     if spec.spo_plus:
@@ -167,9 +162,9 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     feats = dataset.features[train_idx]
     val_feats = dataset.features[val_idx]
     val_spec = spec.validation_variant()
-    data = stack_loss_data(spec, dataset, train_idx)
+    data = stack_loss_data(spec, dataset, train_idx, problem.sense)
     if val_idx:
-        val_data = stack_loss_data(val_spec, dataset, val_idx)
+        val_data = stack_loss_data(val_spec, dataset, val_idx, problem.sense)
 
     rng = np.random.default_rng(config.seed)
     w = model.weights.copy()
@@ -197,7 +192,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                     for value in values.tolist():  # summed row by row, in batch order
                         loss_sum += value
                 else:
-                    values, grads = evaluate_loss_batch(spec, preds, data, batch, sense)
+                    values, grads = evaluate_loss_batch(preds, data, batch)
                     loss_sum += float(values.sum())
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(f"training batch of epoch {epoch}: {exc}") from exc
@@ -214,8 +209,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
 
         if val_idx:
             try:
-                values, _ = evaluate_loss_batch(val_spec, val_feats @ w.T + b,
-                                                val_data, slice(None), sense)
+                values, _ = evaluate_loss_batch(val_feats @ w.T + b, val_data,
+                                                slice(None))
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
             val_loss = float(np.mean(values))

@@ -84,10 +84,6 @@ class KnapsackSpec:
     def d(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def q(self) -> int:
-        return self.weights.shape[0]
-
 
 def _tightest_dimension(spec: KnapsackSpec) -> int:
     load = spec.weights.sum(axis=1)

@@ -103,7 +103,6 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     Returns "optimal" or "unbounded". Raises NumericalBreakdown if no pivot
     of trustworthy magnitude exists even under Bland's rule.
     """
-    n_cols = tableau.shape[1] - 1
     bland = False
     degenerate = 0
     for _ in range(MAX_ITERATIONS):

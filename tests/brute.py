@@ -227,10 +227,10 @@ def brute_loss(spec, predicted, instance, maximize: bool
 # --- spo+ training ---------------------------------------------------------------
 #
 # Per-row reference for batched spo+ training: the epoch body solves one
-# row at a time through ``problem.solve`` and accumulates the loss row by
-# row. Batching, shuffling, the optimizer and model selection follow
-# ``cosdfl.model.train`` (training and validation merged, the epoch's mean
-# training loss as the validation metric).
+# row at a time through ``problem.solve_many(shifted[None])`` and
+# accumulates the loss row by row. Batching, shuffling, the optimizer and
+# model selection follow ``cosdfl.model.train`` (training and validation
+# merged, the epoch's mean training loss as the validation metric).
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults
 

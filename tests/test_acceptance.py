@@ -139,10 +139,10 @@ def test_criterion_01_regret_consistency():
                       one_sided_shift(c, dataset.x_star, problem.sense)]
         regrets = [instance_regrets(problem, pred, dataset, rows) for pred in candidates]
         for spec in CONSISTENCY_SPECS:
-            data = stack_loss_data(spec, dataset, rows)
+            data = stack_loss_data(spec, dataset, rows, problem.sense)
             for r in rows:
                 for pred, regret in zip(candidates, regrets):
-                    value = evaluate_loss(spec, pred[r], data, r, problem.sense).value
+                    value = evaluate_loss(pred[r], data, r).value
                     if value < 1e-12:
                         qualifying[spec.name] += 1
                         if regret[r] != 0.0:
@@ -169,8 +169,8 @@ def test_criterion_02_cosine_proportionality():
         b = rng.standard_normal(d)
         if np.linalg.norm(a) < 1e-8 or np.linalg.norm(b) < 1e-8:
             continue
-        data = stack_loss_data(mse, instances(normalize(b)[None, :]), [0])
-        value = evaluate_loss(mse, normalize(a), data, 0, Sense.MAXIMIZE).value
+        data = stack_loss_data(mse, instances(normalize(b)[None, :]), [0], Sense.MAXIMIZE)
+        value = evaluate_loss(normalize(a), data, 0).value
         cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         worst = max(worst, abs(value - (2.0 / d) * (1.0 - cos)))
     ok = worst <= 1e-10
@@ -232,20 +232,20 @@ def test_criterion_04_gradient_checks():
                 lower, upper = lower[None, :], upper[None, :]
             dataset = instances(c[None, :], x_star=star[None, :], lower=lower,
                                 upper=upper, weight=3.2)
-            data = stack_loss_data(spec, dataset, [0])
+            data = stack_loss_data(spec, dataset, [0], problem.sense)
             for _ in range(10):
                 delta = rng.uniform(0.05, 0.4, size=problem.d)
                 delta *= rng.choice([-1.0, 1.0], size=problem.d)
                 pred = c * (1.0 + delta)
                 if not _away_from_boundaries(spec, pred, dataset):
                     continue
-                analytic = evaluate_loss(spec, pred, data, 0, problem.sense).gradient
+                analytic = evaluate_loss(pred, data, 0).gradient
                 fd = np.zeros_like(pred)
                 for j in range(problem.d):
                     step = np.zeros_like(pred)
                     step[j] = h
-                    up = evaluate_loss(spec, pred + step, data, 0, problem.sense).value
-                    dn = evaluate_loss(spec, pred - step, data, 0, problem.sense).value
+                    up = evaluate_loss(pred + step, data, 0).value
+                    dn = evaluate_loss(pred - step, data, 0).value
                     fd[j] = (up - dn) / (2.0 * h)
                 gap = float(np.max(np.abs(fd - analytic)))
                 scale = float(np.max(np.abs(analytic)))

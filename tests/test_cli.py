@@ -7,7 +7,8 @@ from cosdfl import cli, harness
 from cosdfl.cli import main
 from cosdfl.core import load_dataset
 from cosdfl.errors import SolveFailure
-from cosdfl.model import load_model
+from cosdfl.model import init_model, load_model, save_model
+from cosdfl.problems import problem_from_name
 
 GEN_ARGS = ["--n-train", "10", "--n-val", "4", "--n-test", "6", "--k", "4"]
 TRAIN_ARGS = ["--epochs", "2", "--batch-size", "4"]
@@ -36,6 +37,27 @@ def test_train_eval_roundtrip(tmp_path):
     assert len(costs["costs"]) == 10
     assert main(["eval", "--problem", "ks6", "--dataset", str(data),
                  "--model", str(model)]) == 0
+
+
+def test_eval_solves_each_instance_once_per_decision(tmp_path, monkeypatch, capsys):
+    # X* and the predicted decision of each test instance: two solves each
+    data, model = tmp_path / "data.json", tmp_path / "model.bin"
+    assert main(["generate", "--problem", "ks8", "--seed", "0", "--out", str(data),
+                 *GEN_ARGS]) == 0
+    save_model(init_model(4, 8, seed=0), model)
+    problems = []
+
+    def build(name, seed):
+        problems.append(problem_from_name(name, seed))
+        return problems[-1]
+
+    monkeypatch.setattr(cli, "problem_from_name", build)
+    capsys.readouterr()
+    assert main(["eval", "--problem", "ks8", "--dataset", str(data),
+                 "--model", str(model)]) == 0
+    assert problems[0].counter.count == 2 * 6
+    fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+    assert float(fields["regret_mean"]) == float(fields["regret_total"]) / 6
 
 
 def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):

@@ -108,20 +108,16 @@ def test_instance_regret_uses_cache(tiny_knapsack):
     assert tiny_knapsack.counter.count - before == 1
 
 
-def test_total_regret_sum_and_mean(tiny_knapsack):
+def test_total_regret_sums_the_split(tiny_knapsack):
     c1 = np.array([3.0, 4.0, 5.0, 6.0])
     c2 = np.array([1.0, 1.0, 10.0, 1.0])
     ds = Dataset(features=np.zeros((2, 1)), costs=np.stack([c1, c2]),
                  split=Split(test=(0, 1)))
     model = ConstantPredictor([6.0, 5.0, 4.0, 3.0])
     total = total_regret(tiny_knapsack, model, ds, split="test")
-    mean = total_regret(tiny_knapsack, model, ds, split="test", reduction="mean")
     # c2: predicted picks {0,1} (value 2) vs optimum {0,2} or {2,?}: best is
     # {0,2} w=6 value 11 -> regret 9; plus 1 from the first instance
     assert total == pytest.approx(10.0)
-    assert mean == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        total_regret(tiny_knapsack, model, ds, reduction="median")
 
 
 def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):

