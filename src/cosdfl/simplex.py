@@ -3,7 +3,11 @@
 Solves ``opt c'x  s.t.  Ax <= b, 0 <= x <= u`` with a full-tableau pivot
 loop. A :class:`LinearProgram` holds only the constraint set; the objective
 and its sense are arguments of :func:`solve_lp`, so one relaxation serves
-every instance of a problem. An optimal solve also returns, for every
+every instance of a problem. Phase 1 reads only the constraint set, so it
+runs once per :class:`LinearProgram`, on its first solve: the feasible
+tableau and basis it ends on (or its infeasibility verdict) are kept,
+read-only, on the program. Each :func:`solve_lp` call runs phase 2 and the
+ranging on a copy of them. An optimal solve also returns, for every
 objective coefficient, the interval of single-coordinate perturbations under
 which the final basis (and therefore the returned vertex) stays optimal.
 Those intervals come from the terminal tableau alone, by ratio tests over
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +73,11 @@ class LinearProgram:
     @property
     def d(self) -> int:
         return self.constraint_matrix.shape[1]
+
+    @cached_property
+    def _start(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """The phase-1 result of :func:`_phase_one`, computed on first use."""
+        return _phase_one(self)
 
 
 @dataclass(frozen=True)
@@ -140,16 +150,17 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
-def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
-    """Optimize ``objective`` over ``lp``; deterministic for identical inputs.
+def _phase_one(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """A feasible canonical tableau of ``lp`` and its basis; None if infeasible.
 
-    Status is OPTIMAL, INFEASIBLE, or UNBOUNDED. On OPTIMAL the solution
-    carries the vertex, its objective value and the cost ranges of the final
-    basis.
+    Finite upper bounds are folded in as extra rows, each row gets a slack,
+    and rows with a negative rhs start from an artificial that phase 1
+    drives out. Rows that cannot release their artificial are redundant and
+    dropped; the artificial columns are stripped. Returns read-only
+    ``(tableau, basis, degenerate_budget)``, the budget counted over the
+    rows before any drop.
     """
     d = lp.d
-    objective = as_vector(objective, name="objective", length=d)
-    # fold finite upper bounds in as extra rows
     a, b = lp.constraint_matrix, lp.rhs
     bounded = np.flatnonzero(np.isfinite(lp.upper))
     if bounded.size:
@@ -158,8 +169,6 @@ def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
         a = np.vstack([a, bound_rows])
         b = np.concatenate([b, lp.upper[bounded]])
     m = a.shape[0]
-
-    c_int = objective.copy() if sense is Sense.MINIMIZE else -objective
 
     n_real = d + m  # structural columns then one slack per row
     tableau = np.zeros((m, n_real + 1))
@@ -184,7 +193,7 @@ def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
         _run_simplex(tableau, basis, cost1, degenerate_budget)
         infeasibility = float(cost1[basis] @ tableau[:, -1])
         if infeasibility > FEASIBILITY_TOL:
-            return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"))
+            return None
         # pivot leftover artificials out; rows that cannot release one are redundant
         drop: list[int] = []
         for i in range(m):
@@ -198,9 +207,31 @@ def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
             keep = np.setdiff1d(np.arange(m), drop)
             tableau = tableau[keep]
             basis = basis[keep]
-            m = tableau.shape[0]
         tableau = np.hstack([tableau[:, :n_real], tableau[:, -1:]])
+    tableau.setflags(write=False)
+    basis.setflags(write=False)
+    return tableau, basis, degenerate_budget
 
+
+def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
+    """Optimize ``objective`` over ``lp``; deterministic for identical inputs.
+
+    Status is OPTIMAL, INFEASIBLE, or UNBOUNDED. On OPTIMAL the solution
+    carries the vertex, its objective value and the cost ranges of the final
+    basis. Phase 1 runs once per ``lp``, on its first solve; every call runs
+    phase 2 and the ranging from a copy of the kept feasible tableau, so the
+    result does not depend on which objectives were solved before.
+    """
+    d = lp.d
+    objective = as_vector(objective, name="objective", length=d)
+    start = lp._start
+    if start is None:
+        return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"))
+    tableau, basis, degenerate_budget = start
+    tableau, basis = tableau.copy(), basis.copy()
+    n_real = tableau.shape[1] - 1
+
+    c_int = objective.copy() if sense is Sense.MINIMIZE else -objective
     cost2 = np.concatenate([c_int, np.zeros(n_real - d)])
     status = _run_simplex(tableau, basis, cost2, degenerate_budget)
     if status == "unbounded":

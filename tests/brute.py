@@ -5,7 +5,7 @@ code with the implementations under test.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -102,12 +102,16 @@ def brute_tsp(n: int, costs: np.ndarray) -> tuple[np.ndarray, float]:
 
 def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
              lower: np.ndarray | None = None,
-             upper: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+             upper: np.ndarray | None = None,
+             a_eq: np.ndarray | None = None,
+             b_eq: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Optimum of a bounded LP by enumerating candidate vertices.
 
     Vertices are intersections of d linearly independent active constraints
-    among the inequality rows and the finite variable bounds. Assumes the
-    feasible region is a non-empty polytope.
+    among the inequality rows and the finite variable bounds. Equality rows
+    ``a_eq x = b_eq`` (linearly independent) are active at every vertex, so
+    each candidate takes all of them plus d - len(b_eq) of the others.
+    Assumes the feasible region is a non-empty polytope.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -115,6 +119,8 @@ def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
     m, d = a.shape
     lower = np.zeros(d) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(d, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    a_eq = np.zeros((0, d)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
 
     g_rows = [a[i] for i in range(m)]
     h_vals = [b[i] for i in range(m)]
@@ -131,16 +137,20 @@ def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
 
     best_x = None
     best_val = -np.inf if maximize else np.inf
-    for subset in combinations(range(len(g)), d):
-        sub = g[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-9:
-            continue
-        x = np.linalg.solve(sub, h[list(subset)])
-        if not np.all(g @ x <= h + 1e-7):
-            continue
-        val = float(c @ x)
-        if (maximize and val > best_val) or (not maximize and val < best_val):
-            best_x, best_val = x, val
+    subsets = combinations(range(len(g)), d - len(b_eq))
+    # candidates in enumeration order, a few thousand linear systems at a time
+    while batch := list(islice(subsets, 4096)):
+        chunk, n = np.array(batch, dtype=int), len(batch)
+        subs = np.concatenate([np.broadcast_to(a_eq, (n,) + a_eq.shape), g[chunk]], axis=1)
+        rhs = np.concatenate([np.broadcast_to(b_eq, (n,) + b_eq.shape), h[chunk]], axis=1)
+        regular = np.abs(np.linalg.det(subs)) >= 1e-9
+        xs = np.linalg.solve(subs[regular], rhs[regular][..., None])[..., 0]
+        feasible = (np.all(xs @ g.T <= h + 1e-7, axis=1)
+                    & np.all(np.abs(xs @ a_eq.T - b_eq) <= 1e-7, axis=1))
+        for x in xs[feasible]:
+            val = float(c @ x)
+            if (maximize and val > best_val) or (not maximize and val < best_val):
+                best_x, best_val = x, val
     assert best_x is not None, "brute LP found no feasible vertex"
     return best_x, best_val
 

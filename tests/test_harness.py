@@ -17,6 +17,7 @@ from cosdfl.problems import make_grid, make_knapsack
 from cosdfl.simplex import SimplexSolution, SolveStatus
 
 import cosdfl.harness as harness_mod
+import cosdfl.simplex as simplex_mod
 
 
 TINY = dict(n_train=10, n_val=4, n_test=6, k=4, epochs=2, batch_size=4)
@@ -71,6 +72,27 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
         np.testing.assert_allclose(norm.upper[i], raw.upper[i] * scale, atol=1e-9)
         assert np.all(norm.lower[i] <= normalize(c) + 1e-12)
         assert np.all(norm.upper[i] >= normalize(c) - 1e-12)
+
+
+def test_attach_ranges_runs_phase_one_once(monkeypatch):
+    # phase 1 reads only the constraint set: one run per relaxation, then one
+    # phase 2 per instance
+    problem = make_grid(3, 3)
+    ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem,
+                  cache_decisions=False)
+    real, phases = simplex_mod._run_simplex, []
+
+    def recording(tableau, basis, cost, degenerate_budget):
+        # phase 1 prices the artificial columns, which come last, at 1;
+        # phase 2 prices the slack columns, which come last, at 0
+        phases.append(1 if cost[-1] == 1.0 else 2)
+        return real(tableau, basis, cost, degenerate_budget)
+
+    monkeypatch.setattr(simplex_mod, "_run_simplex", recording)
+    before = problem.counter.count
+    attach_ranges(ds, problem, ("train",))
+    assert phases.count(1) == 1 and phases.count(2) == 20
+    assert problem.counter.count - before == 20
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])

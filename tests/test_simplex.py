@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from cosdfl.core import Sense
 from cosdfl.problems import (GridSpec, KnapsackOracle, KnapsackSpec,
-                             ShortestPathOracle)
+                             ShortestPathOracle, problem_from_name)
 from cosdfl.simplex import LinearProgram, SolveStatus, solve_lp
 
-from brute import brute_lp
+from brute import brute_lp, brute_shortest_path
 
 
 # the unit simplex x1 + x2 <= 1, x >= 0
@@ -45,14 +45,16 @@ def test_degenerate_tie_is_deterministic():
 
 
 def test_infeasible_and_unbounded_detection():
-    infeasible = solve_lp(LinearProgram(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])),
-                          [1.0], Sense.MAXIMIZE)
-    assert infeasible.status is SolveStatus.INFEASIBLE
+    # x <= 1 and x >= 2: every call on the one program repeats the verdict
+    infeasible_lp = LinearProgram(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
+    infeasible = [solve_lp(infeasible_lp, c, sense) for c, sense in
+                  (([1.0], Sense.MAXIMIZE), ([1.0], Sense.MINIMIZE), ([-3.0], Sense.MAXIMIZE))]
+    assert all(sol.status is SolveStatus.INFEASIBLE for sol in infeasible)
     unbounded = solve_lp(LinearProgram(np.array([[-1.0, 0.0]]), np.array([0.0])),
                          [1.0, 0.0], Sense.MAXIMIZE)
     assert unbounded.status is SolveStatus.UNBOUNDED
     # a solution that is not optimal carries no vertex and no ranges
-    for sol in (infeasible, unbounded):
+    for sol in (*infeasible, unbounded):
         assert sol.x is None and sol.ranges is None
 
 
@@ -197,3 +199,78 @@ def test_relax_grid_matches_dp_exactly(rng):
         sol = solve_lp(oracle.relaxation, c, oracle.sense)
         x_dp = oracle.solve_many(c[None])[0]
         assert sol.objective_value == pytest.approx(float(c @ x_dp), abs=1e-8)
+
+
+# --- one phase-1 start per LinearProgram ---------------------------------------
+
+def _phase_one_lp(rng):
+    """A random box-bounded LP whose slack basis is infeasible, so phase 1 runs.
+
+    It is built around an interior point x0: ``>=`` rows enter negated, with
+    a negative rhs, and equalities as <=/>= pairs, the first pair twice.
+    Equality pairs leave artificials basic at level zero when phase 1 ends,
+    so the start also pivots those out.
+    """
+    d = int(rng.integers(2, 5))
+    upper = rng.uniform(1.0, 3.0, d)
+    x0 = rng.uniform(0.2, 0.8, d) * upper
+    le = rng.uniform(0.1, 2.0, (int(rng.integers(1, 3)), d))
+    ge = rng.uniform(0.1, 2.0, (int(rng.integers(1, 3)), d))
+    eq = rng.normal(0.0, 1.0, (int(rng.integers(1, d)), d))
+    eq = np.vstack([eq, eq[:1]])
+    a = np.vstack([le, -ge, eq, -eq])
+    b = np.concatenate([le @ x0 + rng.uniform(0.1, 1.0, len(le)),
+                        -(ge @ x0) * rng.uniform(0.5, 0.9, len(ge)),
+                        eq @ x0, -(eq @ x0)])
+    return a, b, upper
+
+
+def _check_shared_program(a, b, upper, objectives, reference):
+    """Solve every (objective, sense) on one LinearProgram, forwards then
+    backwards. Each answer must equal, bit for bit, the solve on a fresh
+    program built from the same arrays, and its value must match
+    ``reference(c, maximize)``."""
+    fresh = [solve_lp(LinearProgram(a, b, upper=upper), c, sense) for c, sense in objectives]
+    shared = LinearProgram(a, b, upper=upper)
+    for order in (range(len(objectives)), reversed(range(len(objectives)))):
+        for k in order:
+            sol, ref = solve_lp(shared, *objectives[k]), fresh[k]
+            assert sol.status is ref.status is SolveStatus.OPTIMAL
+            assert np.array_equal(sol.x, ref.x)
+            assert sol.objective_value == ref.objective_value
+            assert all(np.array_equal(s, r) for s, r in zip(sol.ranges, ref.ranges))
+    for (c, sense), ref in zip(objectives, fresh):
+        best = reference(c, sense is Sense.MAXIMIZE)
+        assert ref.objective_value == pytest.approx(best, abs=1e-7)
+
+
+def test_phase_one_start_serves_every_objective(rng):
+    for _ in range(12):
+        a, b, upper = _phase_one_lp(rng)
+        objectives = [(rng.normal(0.0, 2.0, len(upper)), sense)
+                      for sense in (Sense.MAXIMIZE, Sense.MINIMIZE) * 2]
+        _check_shared_program(a, b, upper, objectives,
+                              lambda c, maximize: brute_lp(a, b, c, maximize, upper=upper)[1])
+
+
+@pytest.mark.parametrize("name", ["sp3x3", "sp5x5", "tsp5", "ks8"])
+def test_relaxation_start_serves_every_objective(name, rng):
+    problem = problem_from_name(name)
+    lp = problem.relaxation
+    a, b, upper = lp.constraint_matrix, lp.rhs, lp.upper
+    if name == "sp5x5":
+        # the arc-flow LP of a grid is integral; vertex enumeration is out of reach
+        def reference(c, maximize):
+            return brute_shortest_path(5, 5, c)[1]
+    elif name.startswith("ks"):
+        def reference(c, maximize):
+            return brute_lp(a, b, c, maximize, upper=upper)[1]
+    else:
+        # grid and TSP rows are equality pairs (row, -row)
+        assert np.array_equal(a[1::2], -a[0::2]) and np.array_equal(b[1::2], -b[0::2])
+
+        def reference(c, maximize):
+            return brute_lp(np.zeros((0, lp.d)), np.zeros(0), c, maximize, upper=upper,
+                            a_eq=a[0::2], b_eq=b[0::2])[1]
+    objectives = [(rng.uniform(0.1, 5.0, lp.d), problem.sense) for _ in range(3)]
+    _check_shared_program(a, b, upper, objectives, reference)
