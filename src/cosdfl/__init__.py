@@ -12,9 +12,8 @@ from .core import (REGRET_TOL, Dataset, Sense, Split, instance_regrets,
 from .datagen import GenSpec, generate, latent_costs
 from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision,
-                     MissingRanges, ModeMismatch, NonFiniteGradient,
-                     NonFiniteLoss, NumericalBreakdown,
-                     SolveFailure, ZeroVector)
+                     MissingRanges, NonFiniteGradient, NonFiniteLoss,
+                     NumericalBreakdown, SolveFailure, ZeroVector)
 from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
                       SolveCounts, attach_decisions, attach_ranges,
                       build_monotonicity, component_subset_losses, emit_pareto,
@@ -28,9 +27,8 @@ from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
                      parse_loss, spo_plus_batch, stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, save_model, train)
-from .problems import (CallCounter, GridSpec, KnapsackOracle, KnapsackSpec,
-                       ShortestPathOracle, TspMode, TspOracle, TspSpec,
-                       load_problem, make_grid, make_knapsack, make_tsp,
+from .problems import (CallCounter, KnapsackOracle, ShortestPathOracle,
+                       TspOracle, load_problem, make_knapsack,
                        problem_from_name)
 from .simplex import LinearProgram, SimplexSolution, SolveStatus, solve_lp
 

@@ -17,10 +17,6 @@ class NumericalBreakdown(CosdflError):
     """The simplex solver hit a pivot too small to trust, even under Bland's rule."""
 
 
-class ModeMismatch(CosdflError):
-    """A solver mode was requested that the instance size does not support."""
-
-
 class ZeroVector(CosdflError):
     """A vector with (near-)zero norm was passed where a direction is required."""
 

@@ -45,8 +45,6 @@ from .model import Optimizer, TrainConfig, init_model, train
 from .problems import ProblemOracle, problem_from_name
 from .simplex import LinearProgram, SolveStatus, solve_lp
 
-PARETO_TIME_BAND_S = 30.0
-
 
 # --- cache attachment --------------------------------------------------------
 
@@ -319,6 +317,8 @@ def aggregate_rows(reports: list[RunReport]) -> list[dict]:
             "regret_abs_mean": float(np.mean([r.regret_abs for r in group])),
             "regret_norm_mean": float(np.mean(norms)) if norms else None,
             "regret_norm_std": float(np.std(norms)) if norms else None,
+            "solves_mean": float(np.mean([r.counts.pre_total + r.counts.training_solves
+                                          for r in group])),
             "time_s_mean": float(np.mean([r.time_s for r in group])),
             "exact": all(r.exact for r in group),
         })
@@ -328,20 +328,19 @@ def aggregate_rows(reports: list[RunReport]) -> list[dict]:
 # --- pareto -----------------------------------------------------------------------
 
 def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
-    """Flag (regret, runtime) points not dominated by any other point.
+    """Flag (regret, solves) points not dominated by any other point.
 
-    Point j dominates i when it is no worse on both axes (runtimes within
-    ``PARETO_TIME_BAND_S`` count as equal) and strictly better on at least
-    one: lower regret, or faster by more than the band.
+    Point j dominates i when it is no worse on both axes and strictly
+    better on at least one. Solves, not seconds, measure the cost: the
+    paper states its efficiency in solves, and they are deterministic.
     """
     flags = []
-    for i, (reg_i, t_i) in enumerate(points):
+    for i, (reg_i, s_i) in enumerate(points):
         dominated = False
-        for j, (reg_j, t_j) in enumerate(points):
+        for j, (reg_j, s_j) in enumerate(points):
             if i == j:
                 continue
-            if (reg_j <= reg_i and t_j <= t_i + PARETO_TIME_BAND_S
-                    and (reg_j < reg_i or t_j < t_i - PARETO_TIME_BAND_S)):
+            if reg_j <= reg_i and s_j <= s_i and (reg_j < reg_i or s_j < s_i):
                 dominated = True
                 break
         flags.append(not dominated)
@@ -350,17 +349,14 @@ def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
 
 def emit_pareto(reports: list[RunReport], out_dir=None,
                 deterministic_output: bool = False) -> list[dict]:
-    """Per-loss mean (regret, runtime) points with Pareto-optimality flags.
+    """Per-loss mean (regret, solves) points with Pareto-optimality flags.
 
-    With ``deterministic_output`` the runtimes are zeroed before flagging,
-    so both the times and the flags of pareto.csv are reproducible.
+    The solves of a run are ``solves_pre + solves_train``; the mean runtime
+    is reported alongside and zeroed in pareto.csv under
+    ``deterministic_output``.
     """
     rows = [r for r in aggregate_rows(reports) if r.get("n", 0) > 0]
-    if deterministic_output:
-        for row in rows:
-            row["time_s_mean"] = 0.0
-    points = [(row["regret_abs_mean"], row["time_s_mean"]) for row in rows]
-    flags = pareto_flags(points)
+    flags = pareto_flags([(row["regret_abs_mean"], row["solves_mean"]) for row in rows])
     for row, flag in zip(rows, flags):
         row["pareto_optimal"] = flag
     if out_dir is not None:
@@ -368,10 +364,12 @@ def emit_pareto(reports: list[RunReport], out_dir=None,
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "pareto.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["loss", "regret_abs_mean", "time_s_mean", "pareto_optimal"])
+            writer.writerow(["loss", "regret_abs_mean", "solves_mean", "time_s_mean",
+                             "pareto_optimal"])
             for row in rows:
+                time_s = 0.0 if deterministic_output else row["time_s_mean"]
                 writer.writerow([row["loss"], repr(row["regret_abs_mean"]),
-                                 f"{row['time_s_mean']:.3f}",
+                                 repr(row["solves_mean"]), f"{time_s:.3f}",
                                  str(row["pareto_optimal"]).lower()])
     return rows
 

@@ -75,16 +75,15 @@ def _costs_from_values(base_losses: np.ndarray, regrets: np.ndarray
 
 
 def costs_from_predictions(problem: Problem, dataset: Dataset,
-                           predictions: np.ndarray, base_spec: LossSpec,
-                           split: str = "train") -> BaselineReport:
-    """Instance weights from explicit predictions; one batched solve per split.
+                           predictions: np.ndarray, base_spec: LossSpec) -> BaselineReport:
+    """Training-split instance weights from explicit predictions; one batched solve.
 
-    Assumes optimal decisions are already cached on the split's instances
+    Assumes optimal decisions are already cached on the training instances
     (each regret evaluation then costs exactly one solve).
     """
     if base_spec.instance_costs or base_spec.lawless_w is not None or base_spec.spo_plus:
         raise ValueError("the base spec for instance costs must not itself re-weight")
-    indices = dataset.split.part(split)
+    indices = dataset.split.train
     if predictions.shape != (len(indices), dataset.d):
         raise ValueError(f"expected predictions of shape {(len(indices), dataset.d)}, "
                          f"got {predictions.shape}")
@@ -106,19 +105,17 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
 
 
 def compute_instance_costs(problem: Problem, baseline: LinearModel,
-                           dataset: Dataset, base_spec: LossSpec,
-                           split: str = "train") -> BaselineReport:
-    """Instance weights from a trained baseline model over one split."""
-    indices = dataset.split.part(split)
+                           dataset: Dataset, base_spec: LossSpec) -> BaselineReport:
+    """Training-split instance weights from a trained baseline model."""
+    indices = dataset.split.train
     preds = np.array([baseline.predict(dataset.features[i]) for i in indices],
                      dtype=float).reshape(len(indices), dataset.d)
-    return costs_from_predictions(problem, dataset, preds, base_spec, split=split)
+    return costs_from_predictions(problem, dataset, preds, base_spec)
 
 
-def apply_instance_costs(dataset: Dataset, values: Sequence[float],
-                         split: str = "train") -> Dataset:
-    """Attach one weight per split instance, returning the updated dataset."""
-    indices = dataset.split.part(split)
+def apply_instance_costs(dataset: Dataset, values: Sequence[float]) -> Dataset:
+    """Attach one weight per training instance, returning the updated dataset."""
+    indices = dataset.split.train
     if len(values) != len(indices):
         raise ValueError(f"expected {len(indices)} weights, got {len(values)}")
     weights = dataset.weights.copy()

@@ -1,9 +1,13 @@
 """Combinatorial problem oracles with deterministic tie-breaking.
 
-Three families are shipped: multi-dimensional 0/1 knapsack (maximize),
-shortest path on a directed grid (minimize), and symmetric TSP (minimize).
-Each oracle solves exactly for a given cost vector, counts its calls, and
-builds its box-relaxed linear program once, as ``problem.relaxation``, for
+Three families are shipped, one class each: multi-dimensional 0/1
+knapsack (maximize), shortest path on a directed grid (minimize), and
+symmetric TSP (minimize). An oracle takes its instance data, validates it
+once, and names itself (``ks16``, ``sp5x5``, ``tsp8``). Knapsack and grid
+oracles solve exactly; a TSP oracle solves exactly by Held-Karp up to
+``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
+above, and ``exact`` says which. Every oracle counts its calls and builds
+its box-relaxed linear program once, as ``problem.relaxation``, for
 sensitivity analysis.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
@@ -25,14 +29,12 @@ import json
 import operator
 import re
 import threading
-from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import Sense, as_vector, frozen_array
-from .errors import DimensionMismatch, ModeMismatch
+from .errors import DimensionMismatch
 from .simplex import LinearProgram
 
 
@@ -59,43 +61,74 @@ class CallCounter:
             return self._count
 
 
+class ProblemOracle:
+    """Base oracle: counts solves, checks feasibility, exposes the relaxation.
+
+    A family validates its instance data in ``__init__``, passes its name
+    and cost dimension ``d`` up, and implements ``_solve_many`` on a
+    validated (B, d) cost batch.
+    """
+
+    sense: Sense
+    exact: bool = True
+
+    def __init__(self, name: str, d: int) -> None:
+        self.name = name
+        self.d = d
+        self.counter = CallCounter()
+
+    def solve_many(self, costs: np.ndarray) -> np.ndarray:
+        """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves."""
+        costs = np.asarray(costs, dtype=float)
+        if costs.ndim != 2 or costs.shape[1] != self.d:
+            raise DimensionMismatch(f"costs must be a (B, {self.d}) batch, "
+                                    f"got shape {costs.shape}")
+        finite = np.isfinite(costs).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"costs row {int(np.argmin(finite))} contains non-finite entries")
+        if costs.shape[0] == 0:
+            return np.zeros(costs.shape)
+        self.counter.increment(costs.shape[0])
+        decisions = self._solve_many(costs)
+        if __debug__:
+            self._check_feasible(decisions)
+        return decisions
+
+    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @cached_property
+    def relaxation(self) -> LinearProgram:
+        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built once per oracle."""
+        return LinearProgram(*self._relaxed_rows(), upper=np.ones(self.d))
+
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraint rows ``(A, b)`` of the relaxation."""
+        raise NotImplementedError
+
+    def _check_feasible(self, decisions: np.ndarray) -> None:
+        """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
+        lp = self.relaxation
+        ok = np.all((decisions == 0.0) | (decisions == 1.0), axis=1)
+        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + 1e-9, axis=1)
+        if not ok.all():
+            raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
+                                 "batch is not a feasible 0/1 decision of its relaxation")
+
+
 # --- knapsack ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KnapsackSpec:
-    """0/1 knapsack with q resource dimensions: maximize c'x, Wx <= cap."""
-
-    weights: np.ndarray      # (q, d), non-negative
-    capacities: np.ndarray   # (q,), non-negative
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise DimensionMismatch("weights must be a (q, d) matrix")
-        cap = as_vector(self.capacities, name="capacities", length=w.shape[0])
-        if np.any(w < 0) or np.any(cap < 0):
-            raise ValueError("weights and capacities must be non-negative")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "capacities", frozen_array(cap))
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[1]
-
-
-def _tightest_dimension(spec: KnapsackSpec) -> int:
-    load = spec.weights.sum(axis=1)
+def _tightest_dimension(weights: np.ndarray, capacities: np.ndarray) -> int:
+    load = weights.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pressure = np.where(spec.capacities > 0, load / np.maximum(spec.capacities, 1e-300), np.inf)
+        pressure = np.where(capacities > 0, load / np.maximum(capacities, 1e-300), np.inf)
     return int(np.argmax(pressure))
 
 
-def _knapsack_order(spec: KnapsackSpec, tight: int, costs: np.ndarray) -> np.ndarray:
+def _knapsack_order(weights: np.ndarray, tight: int, costs: np.ndarray) -> np.ndarray:
     """Profitable items sorted by density on the tightest resource dimension."""
     profitable = np.flatnonzero(costs > 0.0)
-    w_tight = spec.weights[tight, profitable]
+    w_tight = weights[tight, profitable]
     density = np.where(w_tight > 0, costs[profitable] / np.maximum(w_tight, 1e-300), np.inf)
     return profitable[np.lexsort((profitable, -density))]
 
@@ -130,7 +163,7 @@ def _minus(rem, weights) -> tuple:
 
 def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
                   tight: int) -> list[int]:
-    """Chosen items of one row; see :func:`_knapsack_many`. Plain floats."""
+    """Chosen items of one row (plain floats); see ``KnapsackOracle._solve_many``."""
     w_tight = [w[tight] for w in item_weights]
     n = len(order)
     from_pos = [order[pos:] for pos in range(n + 1)]
@@ -191,50 +224,49 @@ def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
     return chosen
 
 
-def _knapsack_many(spec: KnapsackSpec, costs: np.ndarray) -> np.ndarray:
-    """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
+class KnapsackOracle(ProblemOracle):
+    """0/1 knapsack with q resource dimensions: maximize c'x, Wx <= cap.
 
-    Two passes per row: branch-and-bound with a fractional-relaxation bound
-    proves the optimal value, then a depth-first walk in index order (zero
-    branch first) reconstructs the first -- i.e. lexicographically smallest
-    -- assignment that attains it. Items with non-positive cost are never
-    taken: dropping one keeps feasibility, value, and lexicographic order.
+    ``weights`` is a non-negative (q, d) matrix and ``capacities`` a
+    non-negative (q,) vector; the oracle is named ``ks{d}``.
     """
-    x = np.zeros(costs.shape)
-    item_weights = [tuple(col) for col in spec.weights.T.tolist()]
-    cap = tuple(spec.capacities.tolist())
-    tight = _tightest_dimension(spec)
-    for row, c in enumerate(costs):
-        order = _knapsack_order(spec, tight, c).tolist()
-        x[row, _knapsack_row(c.tolist(), order, item_weights, cap, tight)] = 1.0
-    return x
+
+    sense = Sense.MAXIMIZE
+
+    def __init__(self, weights, capacities) -> None:
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 2:
+            raise DimensionMismatch("weights must be a (q, d) matrix")
+        cap = as_vector(capacities, name="capacities", length=w.shape[0])
+        if np.any(w < 0) or np.any(cap < 0):
+            raise ValueError("weights and capacities must be non-negative")
+        super().__init__(f"ks{w.shape[1]}", w.shape[1])
+        self.weights = frozen_array(w)
+        self.capacities = frozen_array(cap)
+
+    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
+        """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
+
+        Two passes per row: branch-and-bound with a fractional-relaxation bound
+        proves the optimal value, then a depth-first walk in index order (zero
+        branch first) reconstructs the first -- i.e. lexicographically smallest
+        -- assignment that attains it. Items with non-positive cost are never
+        taken: dropping one keeps feasibility, value, and lexicographic order.
+        """
+        x = np.zeros(costs.shape)
+        item_weights = [tuple(col) for col in self.weights.T.tolist()]
+        cap = tuple(self.capacities.tolist())
+        tight = _tightest_dimension(self.weights, self.capacities)
+        for row, c in enumerate(costs):
+            order = _knapsack_order(self.weights, tight, c).tolist()
+            x[row, _knapsack_row(c.tolist(), order, item_weights, cap, tight)] = 1.0
+        return x
+
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.weights, self.capacities
 
 
 # --- grid shortest path -----------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Directed grid: east/south arcs from top-left to bottom-right."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid needs at least 2 rows and 2 columns")
-
-    @property
-    def d(self) -> int:
-        return self.rows * (self.cols - 1) + (self.rows - 1) * self.cols
-
-    def east_index(self, r: int, c: int) -> int:
-        """Arc (r, c) -> (r, c+1); east arcs come first, row-major."""
-        return r * (self.cols - 1) + c
-
-    def south_index(self, r: int, c: int) -> int:
-        """Arc (r, c) -> (r+1, c); south arcs follow all east arcs, row-major."""
-        return self.rows * (self.cols - 1) + r * self.cols + c
-
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows where 0/1 indicator ``a`` precedes ``b``: at their first
@@ -244,52 +276,93 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return differ.any(axis=1) & ~a[np.arange(a.shape[0]), first]
 
 
-def _shortest_path_many(spec: GridSpec, costs: np.ndarray) -> np.ndarray:
-    """Cheapest monotone paths, ties to the lexicographically smallest arc set.
+class ShortestPathOracle(ProblemOracle):
+    """Directed grid: east/south arcs from top-left to bottom-right.
 
-    Backward dynamic program in reverse topological order, over a batch of
-    cost rows at once. Each node stores its optimal cost-to-sink and the
-    tie-broken suffix arc set; prepending the (fresh) connecting arc
-    preserves the indicator ordering, so local tie-breaking yields the
-    global lexicographic minimum.
+    ``rows`` and ``cols`` count nodes; the oracle is named ``sp{rows}x{cols}``.
     """
-    R, C = spec.rows, spec.cols
-    cost_to_go = np.zeros((R, C, costs.shape[0]))
-    suffix = np.zeros((R, C) + costs.shape, dtype=bool)
-    for r in range(R - 1, -1, -1):
-        for c in range(C - 1, -1, -1):
-            if (r, c) == (R - 1, C - 1):
-                continue
-            best_cost = best_set = None
-            arcs = []
-            if c + 1 < C:
-                arcs.append((spec.east_index(r, c), (r, c + 1)))
-            if r + 1 < R:
-                arcs.append((spec.south_index(r, c), (r + 1, c)))
-            for idx, nxt in arcs:
-                cand_cost = costs[:, idx] + cost_to_go[nxt]
-                cand_set = suffix[nxt].copy()
-                cand_set[:, idx] = True
-                if best_cost is None:
-                    best_cost, best_set = cand_cost, cand_set
+
+    sense = Sense.MINIMIZE
+
+    def __init__(self, rows: int, cols: int) -> None:
+        if rows < 2 or cols < 2:
+            raise ValueError("grid needs at least 2 rows and 2 columns")
+        super().__init__(f"sp{rows}x{cols}", rows * (cols - 1) + (rows - 1) * cols)
+        self.rows = rows
+        self.cols = cols
+
+    def east_index(self, r: int, c: int) -> int:
+        """Arc (r, c) -> (r, c+1); east arcs come first, row-major."""
+        return r * (self.cols - 1) + c
+
+    def south_index(self, r: int, c: int) -> int:
+        """Arc (r, c) -> (r+1, c); south arcs follow all east arcs, row-major."""
+        return self.rows * (self.cols - 1) + r * self.cols + c
+
+    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
+        """Cheapest monotone paths, ties to the lexicographically smallest arc set.
+
+        Backward dynamic program in reverse topological order, over a batch of
+        cost rows at once. Each node stores its optimal cost-to-sink and the
+        tie-broken suffix arc set; prepending the (fresh) connecting arc
+        preserves the indicator ordering, so local tie-breaking yields the
+        global lexicographic minimum.
+        """
+        R, C = self.rows, self.cols
+        cost_to_go = np.zeros((R, C, costs.shape[0]))
+        suffix = np.zeros((R, C) + costs.shape, dtype=bool)
+        for r in range(R - 1, -1, -1):
+            for c in range(C - 1, -1, -1):
+                if (r, c) == (R - 1, C - 1):
                     continue
-                better = cand_cost < best_cost
-                tie = cand_cost == best_cost
-                if tie.any():
-                    better |= tie & _lex_less(cand_set, best_set)
-                best_cost = np.where(better, cand_cost, best_cost)
-                best_set = np.where(better[:, None], cand_set, best_set)
-            cost_to_go[r, c] = best_cost
-            suffix[r, c] = best_set
-    return suffix[0, 0].astype(float)
+                best_cost = best_set = None
+                arcs = []
+                if c + 1 < C:
+                    arcs.append((self.east_index(r, c), (r, c + 1)))
+                if r + 1 < R:
+                    arcs.append((self.south_index(r, c), (r + 1, c)))
+                for idx, nxt in arcs:
+                    cand_cost = costs[:, idx] + cost_to_go[nxt]
+                    cand_set = suffix[nxt].copy()
+                    cand_set[:, idx] = True
+                    if best_cost is None:
+                        best_cost, best_set = cand_cost, cand_set
+                        continue
+                    better = cand_cost < best_cost
+                    tie = cand_cost == best_cost
+                    if tie.any():
+                        better |= tie & _lex_less(cand_set, best_set)
+                    best_cost = np.where(better, cand_cost, best_cost)
+                    best_set = np.where(better[:, None], cand_set, best_set)
+                cost_to_go[r, c] = best_cost
+                suffix[r, c] = best_set
+        return suffix[0, 0].astype(float)
+
+    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
+        d = self.d
+        rows = []
+        rhs = []
+        for r in range(self.rows):
+            for c in range(self.cols):
+                if (r, c) == (self.rows - 1, self.cols - 1):
+                    continue  # redundant given the other balances
+                row = np.zeros(d)
+                if c + 1 < self.cols:
+                    row[self.east_index(r, c)] = 1.0
+                if r + 1 < self.rows:
+                    row[self.south_index(r, c)] = 1.0
+                if c > 0:
+                    row[self.east_index(r, c - 1)] = -1.0
+                if r > 0:
+                    row[self.south_index(r - 1, c)] = -1.0
+                supply = 1.0 if (r, c) == (0, 0) else 0.0
+                rows.extend([row, -row])
+                rhs.extend([supply, -supply])
+        return np.vstack(rows), np.array(rhs)
 
 
 # --- travelling salesperson -------------------------------------------------
-
-class TspMode(Enum):
-    EXACT = "exact"
-    HEURISTIC = "heuristic"
-
 
 HELD_KARP_MAX_NODES = 13
 # DP states (rows x subsets x last nodes) per batch chunk: bounds memory, and
@@ -297,33 +370,7 @@ HELD_KARP_MAX_NODES = 13
 HELD_KARP_CHUNK_STATES = 1 << 16
 
 
-@dataclass(frozen=True)
-class TspSpec:
-    """Symmetric TSP on a complete graph; costs index edges (i, j), i < j."""
-
-    n_nodes: int
-    mode: TspMode = TspMode.EXACT
-
-    def __post_init__(self):
-        if self.n_nodes < 3:
-            raise ValueError("a tour needs at least 3 nodes")
-        if self.mode is TspMode.EXACT and self.n_nodes > HELD_KARP_MAX_NODES:
-            raise ModeMismatch(
-                f"exact mode supports at most {HELD_KARP_MAX_NODES} nodes, "
-                f"got {self.n_nodes}; use heuristic mode")
-
-    @property
-    def d(self) -> int:
-        return self.n_nodes * (self.n_nodes - 1) // 2
-
-    def edge_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
-
-
-def _edge_matrices(spec: TspSpec, costs: np.ndarray) -> np.ndarray:
-    n = spec.n_nodes
+def _edge_matrices(n: int, costs: np.ndarray) -> np.ndarray:
     dist = np.zeros((costs.shape[0], n, n))
     i, j = np.triu_indices(n, 1)  # the edge_index order
     dist[:, i, j] = costs
@@ -348,10 +395,11 @@ def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _held_karp_many(spec: TspSpec, dist: np.ndarray) -> list[list[int]]:
-    """Exact bitmask DP anchored at node 0, one popcount layer at a time;
-    each state takes the first-index argmin over its predecessors."""
-    n = spec.n_nodes
+def _held_karp_many(dist: np.ndarray) -> list[list[int]]:
+    """Exact bitmask DP over a (B, n, n) distance batch, anchored at node 0,
+    one popcount layer at a time; each state takes the first-index argmin
+    over its predecessors."""
+    n = dist.shape[1]
     m = n - 1  # nodes 1..n-1 in mask coordinates
     full = 1 << m
     batch = dist.shape[0]
@@ -379,10 +427,11 @@ def _held_karp_many(spec: TspSpec, dist: np.ndarray) -> list[list[int]]:
     return tours
 
 
-def _nearest_neighbor_2opt(spec: TspSpec, dist: np.ndarray) -> list[int]:
-    """Deterministic heuristic: best of all nearest-neighbor starts, then
-    first-improvement 2-opt until locally optimal."""
-    n = spec.n_nodes
+def _nearest_neighbor_2opt(dist: np.ndarray) -> list[int]:
+    """Deterministic heuristic on one (n, n) distance matrix: best of all
+    nearest-neighbor starts, then first-improvement 2-opt until locally
+    optimal."""
+    n = dist.shape[0]
 
     def tour_cost(tour: list[int]) -> float:
         return float(sum(dist[a, b] for a, b in zip(tour, tour[1:] + tour[:1])))
@@ -420,170 +469,59 @@ def _nearest_neighbor_2opt(spec: TspSpec, dist: np.ndarray) -> list[int]:
     return tour[k:] + tour[:k]
 
 
-def _tsp_many(spec: TspSpec, costs: np.ndarray) -> np.ndarray:
-    dist = _edge_matrices(spec, costs)
-    if spec.mode is TspMode.EXACT:
-        m = spec.n_nodes - 1
-        chunk = max(1, HELD_KARP_CHUNK_STATES // ((1 << m) * m))
-        tours = [tour for lo in range(0, len(dist), chunk)
-                 for tour in _held_karp_many(spec, dist[lo:lo + chunk])]
-    else:
-        tours = [_nearest_neighbor_2opt(spec, matrix) for matrix in dist]
-    x = np.zeros(costs.shape)
-    for row, tour in enumerate(tours):
-        x[row, [spec.edge_index(a, b) for a, b in zip(tour, tour[1:] + tour[:1])]] = 1.0
-    return x
+class TspOracle(ProblemOracle):
+    """Symmetric TSP on a complete graph; costs index edges (i, j), i < j.
 
-
-# --- oracle wrappers --------------------------------------------------------
-
-class ProblemOracle:
-    """Base oracle: counts solves, checks feasibility, exposes the relaxation.
-
-    A family implements ``_solve_many`` on a validated (B, d) cost batch.
+    The oracle is named ``tsp{n_nodes}``. Held-Karp solves it exactly up to
+    ``HELD_KARP_MAX_NODES`` nodes, and the nearest-neighbor/2-opt heuristic
+    above; ``exact`` follows from the node count.
     """
 
-    name: str = "problem"
-    sense: Sense
-    exact: bool = True
-
-    def __init__(self) -> None:
-        self.counter = CallCounter()
-
-    @property
-    def d(self) -> int:
-        raise NotImplementedError
-
-    def solve_many(self, costs: np.ndarray) -> np.ndarray:
-        """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves."""
-        costs = np.asarray(costs, dtype=float)
-        if costs.ndim != 2 or costs.shape[1] != self.d:
-            raise DimensionMismatch(f"costs must be a (B, {self.d}) batch, "
-                                    f"got shape {costs.shape}")
-        finite = np.isfinite(costs).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"costs row {int(np.argmin(finite))} contains non-finite entries")
-        if costs.shape[0] == 0:
-            return np.zeros(costs.shape)
-        self.counter.increment(costs.shape[0])
-        decisions = self._solve_many(costs)
-        if __debug__:
-            self._check_feasible(decisions)
-        return decisions
-
-    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @cached_property
-    def relaxation(self) -> LinearProgram:
-        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built once per oracle."""
-        return LinearProgram(*self._relaxed_rows(), upper=np.ones(self.d))
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The constraint rows ``(A, b)`` of the relaxation."""
-        raise NotImplementedError
-
-    def _check_feasible(self, decisions: np.ndarray) -> None:
-        """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
-        lp = self.relaxation
-        ok = np.all((decisions == 0.0) | (decisions == 1.0), axis=1)
-        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + 1e-9, axis=1)
-        if not ok.all():
-            raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
-                                 "batch is not a feasible 0/1 decision of its relaxation")
-
-
-class KnapsackOracle(ProblemOracle):
-    sense = Sense.MAXIMIZE
-
-    def __init__(self, spec: KnapsackSpec, name: str = "knapsack") -> None:
-        super().__init__()
-        self.spec = spec
-        self.name = name
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        return _knapsack_many(self.spec, costs)
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.spec.weights, self.spec.capacities
-
-
-class ShortestPathOracle(ProblemOracle):
     sense = Sense.MINIMIZE
 
-    def __init__(self, spec: GridSpec, name: str = "shortest-path") -> None:
-        super().__init__()
-        self.spec = spec
-        self.name = name
+    def __init__(self, n_nodes: int) -> None:
+        if n_nodes < 3:
+            raise ValueError("a tour needs at least 3 nodes")
+        super().__init__(f"tsp{n_nodes}", n_nodes * (n_nodes - 1) // 2)
+        self.n_nodes = n_nodes
 
     @property
-    def d(self) -> int:
-        return self.spec.d
+    def exact(self) -> bool:
+        """True when Held-Karp solves, False when the heuristic does."""
+        return self.n_nodes <= HELD_KARP_MAX_NODES
+
+    def edge_index(self, i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        return _shortest_path_many(self.spec, costs)
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
-        spec = self.spec
-        d = spec.d
-        rows = []
-        rhs = []
-        for r in range(spec.rows):
-            for c in range(spec.cols):
-                if (r, c) == (spec.rows - 1, spec.cols - 1):
-                    continue  # redundant given the other balances
-                row = np.zeros(d)
-                if c + 1 < spec.cols:
-                    row[spec.east_index(r, c)] = 1.0
-                if r + 1 < spec.rows:
-                    row[spec.south_index(r, c)] = 1.0
-                if c > 0:
-                    row[spec.east_index(r, c - 1)] = -1.0
-                if r > 0:
-                    row[spec.south_index(r - 1, c)] = -1.0
-                supply = 1.0 if (r, c) == (0, 0) else 0.0
-                rows.extend([row, -row])
-                rhs.extend([supply, -supply])
-        return np.vstack(rows), np.array(rhs)
-
-
-
-class TspOracle(ProblemOracle):
-    sense = Sense.MINIMIZE
-
-    def __init__(self, spec: TspSpec, name: str = "tsp") -> None:
-        super().__init__()
-        self.spec = spec
-        self.name = name
-        self.exact = spec.mode is TspMode.EXACT
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        return _tsp_many(self.spec, costs)
+        dist = _edge_matrices(self.n_nodes, costs)
+        if self.exact:
+            m = self.n_nodes - 1
+            chunk = max(1, HELD_KARP_CHUNK_STATES // ((1 << m) * m))
+            tours = [tour for lo in range(0, len(dist), chunk)
+                     for tour in _held_karp_many(dist[lo:lo + chunk])]
+        else:
+            tours = [_nearest_neighbor_2opt(matrix) for matrix in dist]
+        x = np.zeros(costs.shape)
+        for row, tour in enumerate(tours):
+            x[row, [self.edge_index(a, b) for a, b in zip(tour, tour[1:] + tour[:1])]] = 1.0
+        return x
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Degree-2 relaxation: each node touches exactly two fractional edges."""
-        spec = self.spec
-        d = spec.d
+        d = self.d
         rows = []
         rhs = []
-        for v in range(spec.n_nodes):
+        for v in range(self.n_nodes):
             row = np.zeros(d)
-            for u in range(spec.n_nodes):
+            for u in range(self.n_nodes):
                 if u != v:
-                    row[spec.edge_index(v, u)] = 1.0
+                    row[self.edge_index(v, u)] = 1.0
             rows.extend([row, -row])
             rhs.extend([2.0, -2.0])
         return np.vstack(rows), np.array(rhs)
-
 
 
 # --- registry ---------------------------------------------------------------
@@ -597,17 +535,7 @@ def make_knapsack(d: int, seed: int, q: int = KNAPSACK_DIMS,
                   capacity: float = KNAPSACK_CAPACITY) -> KnapsackOracle:
     rng = np.random.default_rng(seed)
     weights = rng.choice(KNAPSACK_WEIGHT_CHOICES, size=(q, d)).astype(float)
-    spec = KnapsackSpec(weights=weights, capacities=np.full(q, capacity))
-    return KnapsackOracle(spec, name=f"ks{d}")
-
-
-def make_grid(rows: int, cols: int) -> ShortestPathOracle:
-    return ShortestPathOracle(GridSpec(rows, cols), name=f"sp{rows}x{cols}")
-
-
-def make_tsp(n_nodes: int) -> TspOracle:
-    mode = TspMode.EXACT if n_nodes <= HELD_KARP_MAX_NODES else TspMode.HEURISTIC
-    return TspOracle(TspSpec(n_nodes, mode), name=f"tsp{n_nodes}")
+    return KnapsackOracle(weights, np.full(q, capacity))
 
 
 _KS_RE = re.compile(r"^ks(\d+)$")
@@ -626,30 +554,35 @@ def problem_from_name(name: str, seed: int = 0) -> ProblemOracle:
     if (m := _KS_RE.match(name)):
         return make_knapsack(int(m.group(1)), seed=seed)
     if (m := _SP_RE.match(name)):
-        return make_grid(int(m.group(1)), int(m.group(2)))
+        return ShortestPathOracle(int(m.group(1)), int(m.group(2)))
     if (m := _TSP_RE.match(name)):
-        return make_tsp(int(m.group(1)))
+        return TspOracle(int(m.group(1)))
     raise ValueError(f"unknown problem name {name!r}; "
                      "expected ks<d>, sp<r>x<c>, tsp<n>, or custom:<file>")
 
 
 def problem_from_dict(payload: dict, seed: int = 0) -> ProblemOracle:
+    """Build an oracle from a saved problem: ``family`` plus its ``params``.
+
+    A TSP's solver follows from ``n_nodes`` alone, so a ``mode`` key is
+    rejected rather than silently ignored.
+    """
     family = payload["family"]
     params = payload.get("params", {})
     if family == "knapsack":
         if "weights" in params:
-            spec = KnapsackSpec(np.asarray(params["weights"], dtype=float),
-                                np.asarray(params["capacities"], dtype=float))
-            return KnapsackOracle(spec, name=f"ks{spec.d}")
+            return KnapsackOracle(params["weights"], params["capacities"])
         return make_knapsack(int(params["d"]), seed=int(payload.get("seed", seed)),
                              q=int(params.get("q", KNAPSACK_DIMS)),
                              capacity=float(params.get("capacity", KNAPSACK_CAPACITY)))
     if family == "shortest-path":
-        return make_grid(int(params["rows"]), int(params["cols"]))
+        return ShortestPathOracle(int(params["rows"]), int(params["cols"]))
     if family == "tsp":
-        n = int(params["n_nodes"])
-        mode = TspMode(params.get("mode", "exact" if n <= HELD_KARP_MAX_NODES else "heuristic"))
-        return TspOracle(TspSpec(n, mode), name=f"tsp{n}")
+        if "mode" in params:
+            raise ValueError("tsp params key 'mode' is no longer read: the solver is "
+                             f"exact up to {HELD_KARP_MAX_NODES} nodes and heuristic "
+                             "above; remove the key")
+        return TspOracle(int(params["n_nodes"]))
     raise ValueError(f"unknown problem family {family!r}")
 
 

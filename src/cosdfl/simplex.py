@@ -155,10 +155,12 @@ def _phase_one(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int] | None:
 
     Finite upper bounds are folded in as extra rows, each row gets a slack,
     and rows with a negative rhs start from an artificial that phase 1
-    drives out. Rows that cannot release their artificial are redundant and
-    dropped; the artificial columns are stripped. Returns read-only
-    ``(tableau, basis, degenerate_budget)``, the budget counted over the
-    rows before any drop.
+    drives out. An artificial still basic at the end (at level zero) is
+    pivoted out; every row has its own slack, so ``[A | I]`` has full row
+    rank and such a pivot always exists, and ``NumericalBreakdown`` names
+    the row if none is large enough. The artificial columns are then
+    stripped. Returns read-only ``(tableau, basis, degenerate_budget)``,
+    the budget ``3 * (m + d)`` over the m folded rows.
     """
     d = lp.d
     a, b = lp.constraint_matrix, lp.rhs
@@ -194,19 +196,12 @@ def _phase_one(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int] | None:
         infeasibility = float(cost1[basis] @ tableau[:, -1])
         if infeasibility > FEASIBILITY_TOL:
             return None
-        # pivot leftover artificials out; rows that cannot release one are redundant
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= n_real:
-                pivots = np.flatnonzero(np.abs(tableau[i, :n_real]) > PIVOT_TOL)
-                if pivots.size:
-                    _pivot_once(tableau, basis, i, int(pivots[0]))
-                else:
-                    drop.append(i)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            tableau = tableau[keep]
-            basis = basis[keep]
+        for i in np.flatnonzero(basis >= n_real):
+            pivots = np.flatnonzero(np.abs(tableau[i, :n_real]) > PIVOT_TOL)
+            if not pivots.size:
+                raise NumericalBreakdown(f"phase 1: no pivot above {PIVOT_TOL:g} "
+                                         f"releases the artificial of row {i}")
+            _pivot_once(tableau, basis, i, int(pivots[0]))
         tableau = np.hstack([tableau[:, :n_real], tableau[:, -1:]])
     tableau.setflags(write=False)
     basis.setflags(write=False)

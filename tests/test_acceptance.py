@@ -24,7 +24,8 @@ from cosdfl.harness import (ExperimentConfig, build_monotonicity,
                             run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
 from cosdfl.losses import evaluate_loss, normalize, parse_loss, stack_loss_data
-from cosdfl.problems import make_grid, make_knapsack, make_tsp, problem_from_name
+from cosdfl.problems import (ShortestPathOracle, TspOracle, make_knapsack,
+                             problem_from_name)
 from cosdfl.simplex import solve_lp
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp)
@@ -126,7 +127,7 @@ def one_sided_shift(costs, decision, sense, t=0.07):
 
 def test_criterion_01_regret_consistency():
     rng = np.random.default_rng(60601)
-    problems = [make_knapsack(d=8, seed=7), make_grid(3, 3)]
+    problems = [make_knapsack(d=8, seed=7), ShortestPathOracle(3, 3)]
     t0 = time.perf_counter()
     n_instances = 0
     qualifying = {spec.name: 0 for spec in CONSISTENCY_SPECS}
@@ -316,14 +317,14 @@ def test_criterion_07_oracle_equivalence():
         problem = make_knapsack(d=d, seed=int(rng.integers(1 << 30)))
         c = rng.uniform(0.5, 10.0, size=d)
         x = problem.solve_many(c[None])[0]
-        bx, bv = brute_knapsack(problem.spec.weights, problem.spec.capacities, c)
+        bx, bv = brute_knapsack(problem.weights, problem.capacities, c)
         if not np.array_equal(x, bx) or abs(float(np.dot(c, x)) - bv) > 1e-9:
             mismatches += 1
 
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (5, 5)]
     for i in range(100):
         rows, cols = shapes[int(rng.integers(len(shapes)))]
-        problem = make_grid(rows, cols)
+        problem = ShortestPathOracle(rows, cols)
         c = rng.uniform(-2.0, 10.0, size=problem.d)
         x = problem.solve_many(c[None])[0]
         bx, bv = brute_shortest_path(rows, cols, c)
@@ -332,7 +333,7 @@ def test_criterion_07_oracle_equivalence():
 
     for i in range(100):
         n = int(rng.integers(4, 8))
-        problem = make_tsp(n)
+        problem = TspOracle(n)
         c = rng.uniform(1.0, 10.0, size=problem.d)
         x = problem.solve_many(c[None])[0]
         bx, bv = brute_tsp(n, c)

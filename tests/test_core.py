@@ -10,7 +10,7 @@ from cosdfl.core import (REGRET_TOL, Dataset, Sense, Split, as_vector,
                          save_dataset, total_regret)
 from cosdfl.errors import DimensionMismatch, SolveFailure
 from cosdfl.instance_costs import apply_instance_costs
-from cosdfl.problems import KnapsackOracle, KnapsackSpec
+from cosdfl.problems import KnapsackOracle
 
 from brute import brute_knapsack
 
@@ -18,8 +18,7 @@ from brute import brute_knapsack
 @pytest.fixture
 def tiny_knapsack():
     # weights (2,3,4,5), capacity 6: {0,2} is the best set under c=(3,4,5,6)
-    return KnapsackOracle(KnapsackSpec(weights=np.array([[2., 3., 4., 5.]]),
-                                       capacities=np.array([6.])))
+    return KnapsackOracle(weights=[[2., 3., 4., 5.]], capacities=[6.])
 
 
 def one_row(costs, x_star=None):
@@ -232,16 +231,15 @@ def test_load_dataset_rejects_malformed_rows(tmp_path, tiny_knapsack, edit, erro
 @given(st.integers(0, 2 ** 6 - 1), st.integers(0, 2 ** 32 - 1))
 def test_regret_nonnegative_and_scale_free(bits, seed):
     rng = np.random.default_rng(seed)
-    spec = KnapsackSpec(weights=rng.integers(1, 5, size=(1, 6)).astype(float),
-                        capacities=np.array([7.0]))
-    oracle = KnapsackOracle(spec)
+    oracle = KnapsackOracle(weights=rng.integers(1, 5, size=(1, 6)).astype(float),
+                            capacities=[7.0])
     c = rng.uniform(0.1, 5.0, size=6)
     c_hat = rng.uniform(0.1, 5.0, size=6)
     r = regret(oracle, c_hat, c)
     assert r >= 0.0
     # matches the definition computed through the brute-force solver
-    _, v_star = brute_knapsack(spec.weights, spec.capacities, c)
-    x_hat, _ = brute_knapsack(spec.weights, spec.capacities, c_hat)
+    _, v_star = brute_knapsack(oracle.weights, oracle.capacities, c)
+    x_hat, _ = brute_knapsack(oracle.weights, oracle.capacities, c_hat)
     assert r == pytest.approx(v_star - float(c @ x_hat), abs=1e-9)
 
 

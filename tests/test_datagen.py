@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cosdfl.datagen import GenSpec, generate, latent_costs
-from cosdfl.problems import make_grid, make_knapsack
+from cosdfl.problems import ShortestPathOracle, make_knapsack
 
 
 def test_gen_spec_validation():
@@ -54,7 +54,7 @@ def test_generate_is_seed_deterministic():
 
 
 def test_decision_caching_and_solve_accounting():
-    problem = make_grid(rows=3, cols=3)
+    problem = ShortestPathOracle(rows=3, cols=3)
     spec = GenSpec(n_train=6, n_val=3, n_test=4, k=4, seed=0)
     ds = generate(spec, problem, cache_decisions=True)
     assert problem.counter.count == 9  # train + val only

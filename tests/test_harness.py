@@ -8,12 +8,13 @@ import pytest
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NumericalBreakdown, SolveFailure
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
-                            SolveCounts, attach_decisions, attach_ranges, fit,
-                            mean_normalized_regret, monotonicity_report,
-                            pareto_flags, run_experiment, run_single,
-                            sensitivity_soundness_check, write_results)
+                            SolveCounts, attach_decisions, attach_ranges,
+                            emit_pareto, fit, mean_normalized_regret,
+                            monotonicity_report, pareto_flags, run_experiment,
+                            run_single, sensitivity_soundness_check,
+                            write_results)
 from cosdfl.losses import normalize, parse_loss
-from cosdfl.problems import make_grid, make_knapsack
+from cosdfl.problems import ShortestPathOracle, make_knapsack
 from cosdfl.simplex import SimplexSolution, SolveStatus
 
 import cosdfl.harness as harness_mod
@@ -77,7 +78,7 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
 def test_attach_ranges_runs_phase_one_once(monkeypatch):
     # phase 1 reads only the constraint set: one run per relaxation, then one
     # phase 2 per instance
-    problem = make_grid(3, 3)
+    problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem,
                   cache_decisions=False)
     real, phases = simplex_mod._run_simplex, []
@@ -97,7 +98,7 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
 def test_attach_ranges_error_names_instance_and_phase(monkeypatch, failure):
-    problem = make_grid(3, 3)
+    problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem,
                   cache_decisions=False)
     real, bad = harness_mod.solve_lp, ds.costs[3]
@@ -206,8 +207,31 @@ def test_write_results_schema_and_determinism_flag(tmp_path):
 def test_pareto_flags_frozen():
     points = [(1.0, 100.0), (2.0, 50.0), (1.0, 140.0), (0.5, 500.0)]
     assert pareto_flags(points) == [True, True, False, True]
-    # within the 30s band equal-regret points do not dominate each other
-    assert pareto_flags([(1.0, 100.0), (1.0, 120.0)]) == [True, True]
+    # the second axis has no band: fewer solves at equal regret dominate
+    assert pareto_flags([(1.0, 100.0), (1.0, 120.0)]) == [True, False]
+    # equal points do not dominate each other
+    assert pareto_flags([(1.0, 100.0), (1.0, 100.0)]) == [True, True]
+    # ks16 desk grid, seeds 0-1 (mean regret, mean solves_pre + solves_train)
+    # of mse, mse+c+o+s, mse+o_s+s and spo+: only spo+ is dominated
+    ks16 = [(134260.39, 0.0), (129865.88, 450.0), (111764.67, 500.0),
+            (113546.52, 12750.0)]
+    assert pareto_flags(ks16) == [True, True, True, False]
+
+
+def test_emit_pareto_flags_on_solves_not_time(tmp_path):
+    def report(loss, regret, pre, train, time_s):
+        return RunReport(problem="ks6", loss=loss, seed=0, regret_abs=regret,
+                         regret_norm=None, time_s=time_s, exact=True,
+                         counts=SolveCounts(precompute_n_star=pre, training_solves=train))
+
+    # the slow run with fewer solves is flagged; the fast one with more is not
+    reports = [report("a", 1.0, 10, 0, 5.0), report("b", 1.0, 10, 5, 0.1)]
+    rows = emit_pareto(reports, tmp_path, deterministic_output=True)
+    assert [(r["loss"], r["solves_mean"], r["pareto_optimal"]) for r in rows] == [
+        ("a", 10.0, True), ("b", 15.0, False)]
+    assert (tmp_path / "pareto.csv").read_text().splitlines() == [
+        "loss,regret_abs_mean,solves_mean,time_s_mean,pareto_optimal",
+        "a,1.0,10.0,0.000,true", "b,1.0,15.0,0.000,false"]
 
 
 def test_monotonicity_report_structure():

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cosdfl.core import instance_regrets
+from cosdfl.core import Split, instance_regrets
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
                                    compute_instance_costs, costs_from_predictions,
@@ -91,13 +92,16 @@ def test_costs_from_predictions_on_an_empty_split():
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0),
                        problem, cache_decisions=True)
+    # training takes no empty split, so the split is emptied by hand
+    dataset = replace(dataset, split=Split(train=(), val=dataset.split.train,
+                                           test=dataset.split.test))
     before = problem.counter.count
     report = costs_from_predictions(problem, dataset, np.zeros((0, 6)),
-                                    parse_loss("mse"), split="val")
+                                    parse_loss("mse"))
     assert report.costs.shape == (0,)
     # the model's predictions on no rows still form a (0, d) batch
     report = compute_instance_costs(problem, init_model(3, 6, seed=0), dataset,
-                                    parse_loss("mse"), split="val")
+                                    parse_loss("mse"))
     assert report.costs.shape == report.regrets.shape == (0,)
     assert problem.counter.count == before
 

@@ -13,7 +13,7 @@ from cosdfl.losses import (BaseError, LossSpec, base_error,
                            coordinate_weights, evaluate_loss,
                            evaluate_loss_batch, normalize, parse_loss,
                            spo_plus_batch, stack_loss_data)
-from cosdfl.problems import KnapsackOracle, KnapsackSpec, ShortestPathOracle, GridSpec
+from cosdfl.problems import KnapsackOracle, ShortestPathOracle
 from cosdfl.simplex import solve_lp
 
 from brute import brute_loss, brute_weights
@@ -30,8 +30,7 @@ def fd_grad(f, x, h=1e-6):
 
 def pick_one_of_two():
     # maximize over {choose item 0, choose item 1, choose none}
-    return KnapsackOracle(KnapsackSpec(weights=np.array([[1.0, 1.0]]),
-                                       capacities=np.array([1.0])))
+    return KnapsackOracle(weights=[[1.0, 1.0]], capacities=[1.0])
 
 
 def one_row(true, x_star=None, lower=None, upper=None, weight=None):
@@ -460,7 +459,7 @@ def test_spo_plus_frozen_example():
 
 
 def test_spo_plus_minimize_sense():
-    oracle = ShortestPathOracle(GridSpec(rows=2, cols=2))
+    oracle = ShortestPathOracle(rows=2, cols=2)
     true = np.array([1.0, 5.0, 2.0, 1.0])
     inst = one_row(true, oracle.solve_many(true[None])[0])
     assert spo_plus(true, inst, oracle)[0] == pytest.approx(0.0)
@@ -471,9 +470,8 @@ def test_spo_plus_minimize_sense():
 @given(st.integers(0, 2 ** 32 - 1))
 def test_spo_plus_upper_bounds_regret(seed):
     rng = np.random.default_rng(seed)
-    oracle = KnapsackOracle(KnapsackSpec(
-        weights=rng.integers(1, 5, size=(1, 6)).astype(float),
-        capacities=np.array([8.0])))
+    oracle = KnapsackOracle(weights=rng.integers(1, 5, size=(1, 6)).astype(float),
+                            capacities=[8.0])
     true = rng.uniform(0.5, 5.0, 6)
     inst = one_row(true, oracle.solve_many(true[None])[0])
     predicted = rng.uniform(0.5, 5.0, 6)

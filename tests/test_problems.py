@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from cosdfl import problems
 from cosdfl.core import Sense
-from cosdfl.errors import DimensionMismatch, ModeMismatch
-from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, GridSpec,
-                             KnapsackOracle, KnapsackSpec, ShortestPathOracle,
-                             TspMode, TspOracle, TspSpec, load_problem,
-                             make_grid, make_knapsack, make_tsp,
-                             problem_from_name)
+from cosdfl.errors import DimensionMismatch
+from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, KnapsackOracle,
+                             ShortestPathOracle, TspOracle, load_problem,
+                             make_knapsack, problem_from_name)
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
                    enumerate_grid_paths)
@@ -22,38 +20,37 @@ from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
 # --- knapsack ---------------------------------------------------------------
 
 def test_knapsack_frozen_example():
-    spec = KnapsackSpec(weights=np.array([[2.0, 3.0, 4.0, 5.0]]),
-                        capacities=np.array([6.0]))
-    x = KnapsackOracle(spec).solve_many(np.array([3.0, 4.0, 5.0, 6.0])[None])[0]
+    oracle = KnapsackOracle(weights=[[2.0, 3.0, 4.0, 5.0]], capacities=[6.0])
+    x = oracle.solve_many(np.array([3.0, 4.0, 5.0, 6.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 1.0, 0.0]  # {0,2}: weight 6, value 8
-    x = KnapsackOracle(spec).solve_many(np.array([6.0, 5.0, 4.0, 3.0])[None])[0]
+    x = oracle.solve_many(np.array([6.0, 5.0, 4.0, 3.0])[None])[0]
     assert x.tolist() == [1.0, 1.0, 0.0, 0.0]  # {0,1}: weight 5, value 11
 
 
 def test_knapsack_value_ties_break_lexicographically():
-    spec = KnapsackSpec(weights=np.array([[1.0, 1.0]]), capacities=np.array([1.0]))
-    x = KnapsackOracle(spec).solve_many(np.array([2.0, 2.0])[None])[0]
+    oracle = KnapsackOracle(weights=[[1.0, 1.0]], capacities=[1.0])
+    x = oracle.solve_many(np.array([2.0, 2.0])[None])[0]
     assert x.tolist() == [0.0, 1.0]  # (0,1) precedes (1,0)
 
 
 def test_knapsack_ignores_nonpositive_costs():
-    spec = KnapsackSpec(weights=np.array([[1.0, 1.0, 1.0]]),
-                        capacities=np.array([3.0]))
-    x = KnapsackOracle(spec).solve_many(np.array([-1.0, 0.0, 2.0])[None])[0]
+    oracle = KnapsackOracle(weights=[[1.0, 1.0, 1.0]], capacities=[3.0])
+    x = oracle.solve_many(np.array([-1.0, 0.0, 2.0])[None])[0]
     assert x.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_knapsack_multidimensional_constraint():
-    spec = KnapsackSpec(weights=np.array([[2.0, 3.0], [4.0, 1.0]]),
-                        capacities=np.array([5.0, 4.0]))
+    oracle = KnapsackOracle(weights=[[2.0, 3.0], [4.0, 1.0]], capacities=[5.0, 4.0])
     # {0,1} violates the second dimension (5 > 4); best single item wins
-    x = KnapsackOracle(spec).solve_many(np.array([3.0, 4.0])[None])[0]
+    x = oracle.solve_many(np.array([3.0, 4.0])[None])[0]
     assert x.tolist() == [0.0, 1.0]
 
 
 def test_knapsack_rejects_negative_weights():
     with pytest.raises(ValueError):
-        KnapsackSpec(weights=np.array([[-1.0]]), capacities=np.array([1.0]))
+        KnapsackOracle(weights=[[-1.0]], capacities=[1.0])
+    with pytest.raises(DimensionMismatch):
+        KnapsackOracle(weights=[[1.0, 2.0]], capacities=[3.0, 3.0])
 
 
 @settings(max_examples=60)
@@ -62,12 +59,12 @@ def test_knapsack_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 11))
     q = int(rng.integers(1, 3))
-    spec = KnapsackSpec(weights=rng.integers(1, 7, size=(q, d)).astype(float),
-                        capacities=rng.integers(d, 3 * d, size=q).astype(float))
+    oracle = KnapsackOracle(weights=rng.integers(1, 7, size=(q, d)).astype(float),
+                            capacities=rng.integers(d, 3 * d, size=q).astype(float))
     # half-integer costs make exact value ties common, exercising lex order
     costs = rng.integers(0, 9, size=d) / 2.0
-    x = KnapsackOracle(spec).solve_many(costs[None])[0]
-    x_brute, v_brute = brute_knapsack(spec.weights, spec.capacities, costs)
+    x = oracle.solve_many(costs[None])[0]
+    x_brute, v_brute = brute_knapsack(oracle.weights, oracle.capacities, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
 
@@ -75,29 +72,28 @@ def test_knapsack_matches_brute_force(seed):
 # --- grid shortest path -----------------------------------------------------
 
 def test_grid_arc_indexing_convention():
-    spec = GridSpec(rows=2, cols=2)
-    assert spec.d == 4
-    assert spec.east_index(0, 0) == 0
-    assert spec.east_index(1, 0) == 1
-    assert spec.south_index(0, 0) == 2
-    assert spec.south_index(0, 1) == 3
+    grid = ShortestPathOracle(rows=2, cols=2)
+    assert grid.d == 4
+    assert grid.east_index(0, 0) == 0
+    assert grid.east_index(1, 0) == 1
+    assert grid.south_index(0, 0) == 2
+    assert grid.south_index(0, 1) == 3
+    with pytest.raises(ValueError):
+        ShortestPathOracle(rows=1, cols=3)
 
 
 def test_grid_frozen_example():
-    spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve_many(np.array([1.0, 5.0, 2.0, 1.0])[None])[0]
+    x = ShortestPathOracle(2, 2).solve_many(np.array([1.0, 5.0, 2.0, 1.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # east then south, cost 2
 
 
 def test_grid_tie_breaks_to_lex_smallest_indicator():
-    spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve_many(np.ones(4)[None])[0]
+    x = ShortestPathOracle(2, 2).solve_many(np.ones(4)[None])[0]
     assert x.tolist() == [0.0, 1.0, 1.0, 0.0]  # south-then-east precedes
 
 
 def test_grid_handles_negative_costs():
-    spec = GridSpec(rows=2, cols=2)
-    x = ShortestPathOracle(spec).solve_many(np.array([-5.0, 1.0, 1.0, -5.0])[None])[0]
+    x = ShortestPathOracle(2, 2).solve_many(np.array([-5.0, 1.0, 1.0, -5.0])[None])[0]
     assert x.tolist() == [1.0, 0.0, 0.0, 1.0]  # cost -10 beats cost 2
 
 
@@ -112,9 +108,9 @@ def test_grid_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(2, 5))
     cols = int(rng.integers(2, 5))
-    spec = GridSpec(rows=rows, cols=cols)
-    costs = rng.integers(-3, 10, size=spec.d).astype(float)
-    x = ShortestPathOracle(spec).solve_many(costs[None])[0]
+    oracle = ShortestPathOracle(rows, cols)
+    costs = rng.integers(-3, 10, size=oracle.d).astype(float)
+    x = oracle.solve_many(costs[None])[0]
     x_brute, v_brute = brute_shortest_path(rows, cols, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
@@ -122,33 +118,37 @@ def test_grid_matches_brute_force(seed):
 
 # --- tsp ----------------------------------------------------------------------
 
-def oracle_tour(spec, costs):
-    """A tour through the oracle, with the oracle's exactness flag."""
-    oracle = TspOracle(spec)
-    return oracle.solve_many(costs[None])[0], oracle.exact
+def heuristic_tour(costs, n):
+    """The heuristic's tour for one cost row, called directly, and its cost.
+
+    The oracle runs the heuristic only above ``HELD_KARP_MAX_NODES`` nodes,
+    so small instances reach it through the private function.
+    """
+    dist = problems._edge_matrices(n, costs[None])[0]
+    tour = problems._nearest_neighbor_2opt(dist)
+    assert tour[0] == 0 and sorted(tour) == list(range(n))  # a tour from node 0
+    return tour, float(sum(dist[a, b] for a, b in zip(tour, tour[1:] + tour[:1])))
 
 
 def test_tsp_frozen_unit_square():
-    spec = TspSpec(n_nodes=4)
+    oracle = TspOracle(4)
     # corners of the unit square; the perimeter tour (cost 4) is optimal
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     costs = np.array([np.linalg.norm(pts[i] - pts[j])
                       for i in range(4) for j in range(i + 1, 4)])
-    x, exact = oracle_tour(spec, costs)
-    assert exact
+    x = oracle.solve_many(costs[None])[0]
+    assert oracle.exact
     assert x.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
     assert float(costs @ x) == pytest.approx(4.0)
-    x_h, exact_h = oracle_tour(TspSpec(n_nodes=4, mode=TspMode.HEURISTIC), costs)
-    assert not exact_h
-    assert float(costs @ x_h) == pytest.approx(4.0)
+    _, heuristic_cost = heuristic_tour(costs, 4)
+    assert heuristic_cost == pytest.approx(4.0)
 
 
-def test_tsp_mode_limits():
-    with pytest.raises(ModeMismatch):
-        TspSpec(n_nodes=HELD_KARP_MAX_NODES + 1, mode=TspMode.EXACT)
-    TspSpec(n_nodes=HELD_KARP_MAX_NODES + 1, mode=TspMode.HEURISTIC)
+def test_tsp_exactness_follows_the_node_count():
+    assert TspOracle(HELD_KARP_MAX_NODES).exact
+    assert not TspOracle(HELD_KARP_MAX_NODES + 1).exact
     with pytest.raises(ValueError):
-        TspSpec(n_nodes=2)
+        TspOracle(2)
 
 
 @settings(max_examples=30)
@@ -156,10 +156,10 @@ def test_tsp_mode_limits():
 def test_tsp_exact_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 8))
-    spec = TspSpec(n_nodes=n)
-    costs = rng.uniform(0.5, 10.0, size=spec.d)
-    x, exact = oracle_tour(spec, costs)
-    assert exact
+    oracle = TspOracle(n)
+    costs = rng.uniform(0.5, 10.0, size=oracle.d)
+    x = oracle.solve_many(costs[None])[0]
+    assert oracle.exact
     _, v_brute = brute_tsp(n, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-9)
 
@@ -169,23 +169,19 @@ def test_tsp_exact_matches_brute_force(seed):
 def test_tsp_heuristic_is_feasible_and_close(seed):
     rng = np.random.default_rng(seed)
     n = 7
-    spec = TspSpec(n_nodes=n, mode=TspMode.HEURISTIC)
     # metric instances (random points) keep 2-opt quality predictable
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     costs = np.array([np.linalg.norm(pts[i] - pts[j])
                       for i in range(n) for j in range(i + 1, n)])
-    x, exact = oracle_tour(spec, costs)
-    assert not exact
-    assert x.sum() == n
+    _, heuristic_cost = heuristic_tour(costs, n)
     _, v_brute = brute_tsp(n, costs)
-    assert float(costs @ x) <= 1.25 * v_brute + 1e-9
+    assert heuristic_cost <= 1.25 * v_brute + 1e-9
 
 
 # --- oracle wrappers and registry ----------------------------------------------
 
 def test_oracle_counts_solves_and_checks_feasibility():
-    oracle = KnapsackOracle(KnapsackSpec(weights=np.array([[1.0, 1.0]]),
-                                         capacities=np.array([1.0])))
+    oracle = KnapsackOracle(weights=[[1.0, 1.0]], capacities=[1.0])
     assert oracle.counter.count == 0
     oracle.solve_many(np.array([[1.0, 2.0]]))
     oracle.solve_many(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -209,20 +205,21 @@ def test_call_counter_is_thread_safe():
 
 def test_problem_from_name_families():
     ks = problem_from_name("ks32", seed=0)
-    assert isinstance(ks, KnapsackOracle)
+    assert isinstance(ks, KnapsackOracle) and ks.name == "ks32"
     assert ks.d == 32 and ks.sense is Sense.MAXIMIZE
-    assert ks.spec.weights.shape == (2, 32)
-    assert np.all((ks.spec.weights >= 3) & (ks.spec.weights <= 8))
-    assert np.all(ks.spec.capacities == 20.0)
+    assert ks.weights.shape == (2, 32)
+    assert np.all((ks.weights >= 3) & (ks.weights <= 8))
+    assert np.all(ks.capacities == 20.0)
 
     sp = problem_from_name("sp5x5", seed=0)
-    assert isinstance(sp, ShortestPathOracle)
+    assert isinstance(sp, ShortestPathOracle) and sp.name == "sp5x5"
     assert sp.d == 40 and sp.sense is Sense.MINIMIZE
 
     small = problem_from_name("tsp8", seed=0)
-    assert isinstance(small, TspOracle) and small.exact
+    assert isinstance(small, TspOracle) and small.exact and small.name == "tsp8"
     big = problem_from_name("tsp20", seed=0)
     assert not big.exact  # falls back to the heuristic above the DP limit
+    assert big.name == "tsp20"
 
     with pytest.raises(ValueError):
         problem_from_name("mystery42", seed=0)
@@ -232,8 +229,8 @@ def test_problem_seeds_change_knapsack_weights():
     a = problem_from_name("ks16", seed=0)
     b = problem_from_name("ks16", seed=1)
     c = problem_from_name("ks16", seed=0)
-    assert not np.array_equal(a.spec.weights, b.spec.weights)
-    np.testing.assert_array_equal(a.spec.weights, c.spec.weights)
+    assert not np.array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.weights, c.weights)
 
 
 def test_custom_problem_json_loads_each_family(tmp_path):
@@ -243,31 +240,39 @@ def test_custom_problem_json_loads_each_family(tmp_path):
         "ks_seeded.json": {"family": "knapsack", "seed": 3, "params": {"d": 8}},
         "sp.json": {"family": "shortest-path", "params": {"rows": 3, "cols": 4}},
         "tsp.json": {"family": "tsp", "params": {"n_nodes": 9}},
-        "tsp_h.json": {"family": "tsp", "params": {"n_nodes": 6, "mode": "heuristic"}},
+        "tsp_big.json": {"family": "tsp", "params": {"n_nodes": 14}},
     }
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     ks = problem_from_name(f"custom:{tmp_path / 'ks.json'}")
-    assert type(ks) is KnapsackOracle and ks.d == 3
+    assert type(ks) is KnapsackOracle and ks.d == 3 and ks.name == "ks3"
     assert ks.solve_many(np.array([3.0, 4.0, 5.0])[None])[0].tolist() == [1.0, 1.0, 0.0]
     seeded = load_problem(tmp_path / "ks_seeded.json")
-    np.testing.assert_array_equal(seeded.spec.weights,
-                                  problem_from_name("ks8", seed=3).spec.weights)
+    np.testing.assert_array_equal(seeded.weights,
+                                  problem_from_name("ks8", seed=3).weights)
     sp = load_problem(tmp_path / "sp.json")
     assert type(sp) is ShortestPathOracle and sp.d == problem_from_name("sp3x4").d
     tsp = load_problem(tmp_path / "tsp.json")
     assert type(tsp) is TspOracle and tsp.exact and tsp.d == 36
-    assert not load_problem(tmp_path / "tsp_h.json").exact
+    assert not load_problem(tmp_path / "tsp_big.json").exact
     (tmp_path / "bad.json").write_text(json.dumps({"family": "matching"}))
     with pytest.raises(ValueError, match="matching"):
         load_problem(tmp_path / "bad.json")
+    # the node count picks the TSP solver; a file that still sets a mode
+    # must not be solved differently without notice
+    (tmp_path / "tsp_mode.json").write_text(json.dumps(
+        {"family": "tsp", "params": {"n_nodes": 6, "mode": "heuristic"}}))
+    with pytest.raises(ValueError, match="'mode'"):
+        load_problem(tmp_path / "tsp_mode.json")
 
 
-def test_make_helpers():
-    assert make_knapsack(d=10, seed=1).d == 10
-    assert make_grid(rows=3, cols=7).d == 3 * 6 + 2 * 7
-    assert make_tsp(n_nodes=12).exact
-    assert not make_tsp(n_nodes=14).exact
+def test_oracle_names_and_sizes():
+    ks = make_knapsack(d=10, seed=1)
+    assert (ks.name, ks.d) == ("ks10", 10)
+    grid = ShortestPathOracle(rows=3, cols=7)
+    assert (grid.name, grid.d) == ("sp3x7", 3 * 6 + 2 * 7)
+    tsp = TspOracle(12)
+    assert (tsp.name, tsp.d) == ("tsp12", 66)
 
 
 # --- batched solves -------------------------------------------------------------
@@ -276,31 +281,33 @@ BATCH_FAMILIES = ("ks", "sp", "tsp", "tsp-heuristic")
 
 
 def batch_case(family, rng):
-    """An oracle, a cost batch of 1-8 rows for it, and the brute-force solver
-    of one row. Half the batches have small integer costs, with many ties."""
+    """An oracle, a cost batch of 1-8 rows for it, and a reference solver of
+    one row: brute force, or for the heuristic (n = 14) the heuristic called
+    directly. Half the batches have small integer costs, with many ties."""
     rows = int(rng.integers(1, 9))
     integer = bool(rng.integers(0, 2))
     if family == "ks":
         d = int(rng.integers(2, 9))
         q = int(rng.integers(1, 3))
-        spec = KnapsackSpec(weights=rng.integers(1, 5, size=(q, d)).astype(float),
-                            capacities=rng.integers(d, 2 * d + 1, size=q).astype(float))
-        oracle = KnapsackOracle(spec)
+        oracle = KnapsackOracle(weights=rng.integers(1, 5, size=(q, d)).astype(float),
+                                capacities=rng.integers(d, 2 * d + 1, size=q).astype(float))
         costs = (rng.integers(-2, 4, size=(rows, d)).astype(float) if integer
                  else rng.normal(1.0, 2.0, size=(rows, d)))
-        return oracle, costs, lambda c: brute_knapsack(spec.weights, spec.capacities, c)
+        return oracle, costs, lambda c: brute_knapsack(oracle.weights, oracle.capacities, c)
     if family == "sp":
         r, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        oracle = ShortestPathOracle(GridSpec(r, c))
+        oracle = ShortestPathOracle(r, c)
         costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
                  else rng.normal(0.0, 1.0, size=(rows, oracle.d)))
         return oracle, costs, lambda x: brute_shortest_path(r, c, x)
-    n = int(rng.integers(3, 7))
-    mode = TspMode.EXACT if family == "tsp" else TspMode.HEURISTIC
-    oracle = TspOracle(TspSpec(n, mode))
+    n = int(rng.integers(3, 7)) if family == "tsp" else HELD_KARP_MAX_NODES + 1
+    oracle = TspOracle(n)
+    assert oracle.exact is (family == "tsp")
     costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
              else rng.uniform(0.5, 5.0, size=(rows, oracle.d)))
-    return oracle, costs, lambda x: brute_tsp(n, x)
+    if family == "tsp":
+        return oracle, costs, lambda x: brute_tsp(n, x)
+    return oracle, costs, lambda x: heuristic_tour(x, n)
 
 
 @settings(max_examples=120)
@@ -313,18 +320,16 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
     assert oracle.counter.count == costs.shape[0]  # one step of B
     for r, c in enumerate(costs):
         np.testing.assert_array_equal(x[r], oracle.solve_many(c[None])[0])
-        x_brute, v_brute = brute(c)
+        x_ref, v_ref = brute(c)
         if family in ("ks", "sp"):
-            np.testing.assert_array_equal(x[r], x_brute)
-        elif family == "tsp":
-            assert float(c @ x[r]) == pytest.approx(v_brute, abs=1e-9)
+            np.testing.assert_array_equal(x[r], x_ref)
         else:
-            assert float(c @ x[r]) >= v_brute - 1e-9
+            assert float(c @ x[r]) == pytest.approx(v_ref, abs=1e-9)
     assert oracle.counter.count == 2 * costs.shape[0]
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
-    oracle = make_tsp(6)
+    oracle = TspOracle(6)
     costs = np.random.default_rng(1).integers(0, 3, size=(7, oracle.d)).astype(float)
     whole = oracle.solve_many(costs)
     monkeypatch.setattr(problems, "HELD_KARP_CHUNK_STATES", 3 * 2 ** 5 * 5)  # 3 rows
@@ -364,8 +369,8 @@ class OneBadRowOracle(ShortestPathOracle):
 
 
 def test_batched_feasibility_check_names_the_infeasible_row():
-    oracle = OneBadRowOracle(GridSpec(3, 4), name="sp3x4")
+    oracle = OneBadRowOracle(3, 4)
     costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, oracle.d))
     with pytest.raises(AssertionError, match="sp3x4: solved row 2 of the batch"):
         oracle.solve_many(costs)
-    ShortestPathOracle(GridSpec(3, 4)).solve_many(costs)  # the intact oracle passes
+    ShortestPathOracle(3, 4).solve_many(costs)  # the intact oracle passes

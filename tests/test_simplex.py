@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosdfl.core import Sense
-from cosdfl.problems import (GridSpec, KnapsackOracle, KnapsackSpec,
-                             ShortestPathOracle, problem_from_name)
+from cosdfl.problems import KnapsackOracle, ShortestPathOracle, problem_from_name
 from cosdfl.simplex import LinearProgram, SolveStatus, solve_lp
 
 from brute import brute_lp, brute_shortest_path
@@ -181,8 +180,7 @@ def test_interior_of_range_preserves_decision(rng):
 
 
 def test_relax_knapsack_is_fractional():
-    oracle = KnapsackOracle(KnapsackSpec(weights=np.array([[2.0, 3.0, 4.0, 5.0]]),
-                                         capacities=np.array([6.0])))
+    oracle = KnapsackOracle(weights=[[2.0, 3.0, 4.0, 5.0]], capacities=[6.0])
     c = np.array([3.0, 4.0, 5.0, 6.0])
     sol = solve_lp(oracle.relaxation, c, oracle.sense)
     # the fractional optimum upper-bounds the integral one (which is 8)
@@ -192,10 +190,9 @@ def test_relax_knapsack_is_fractional():
 
 def test_relax_grid_matches_dp_exactly(rng):
     # arc-flow LPs of series-parallel grids are integral: LP value == DP value
-    spec = GridSpec(rows=3, cols=3)
-    oracle = ShortestPathOracle(spec)
+    oracle = ShortestPathOracle(rows=3, cols=3)
     for _ in range(10):
-        c = rng.uniform(0.1, 5.0, spec.d)
+        c = rng.uniform(0.1, 5.0, oracle.d)
         sol = solve_lp(oracle.relaxation, c, oracle.sense)
         x_dp = oracle.solve_many(c[None])[0]
         assert sol.objective_value == pytest.approx(float(c @ x_dp), abs=1e-8)
@@ -247,6 +244,11 @@ def _check_shared_program(a, b, upper, objectives, reference):
 def test_phase_one_start_serves_every_objective(rng):
     for _ in range(12):
         a, b, upper = _phase_one_lp(rng)
+        tableau, basis, _ = LinearProgram(a, b, upper=upper)._start
+        # every row has its own slack: phase 1 keeps each folded row and
+        # releases every artificial, the duplicated equality pair included
+        assert tableau.shape[0] == len(b) + np.isfinite(upper).sum()
+        assert basis.max() < tableau.shape[1] - 1
         objectives = [(rng.normal(0.0, 2.0, len(upper)), sense)
                       for sense in (Sense.MAXIMIZE, Sense.MINIMIZE) * 2]
         _check_shared_program(a, b, upper, objectives,
