@@ -22,9 +22,9 @@ from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
                       sensitivity_soundness_check, write_results)
 from .instance_costs import (BaselineReport, apply_instance_costs,
                              compute_instance_costs, costs_from_predictions)
-from .losses import (BaseError, LossData, LossSpec, LossValueGrad, OneSidedMode,
-                     base_error, evaluate_loss, evaluate_loss_batch, normalize,
-                     parse_loss, spo_plus_batch, stack_loss_data)
+from .losses import (BaseError, LossData, LossSpec, OneSidedMode, base_error,
+                     evaluate_loss_batch, normalize, parse_loss, spo_plus_batch,
+                     stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, save_model, train)
 from .problems import (CallCounter, KnapsackOracle, ShortestPathOracle,

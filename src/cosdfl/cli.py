@@ -15,18 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
-from .datagen import GenSpec, generate
-from .harness import (ExperimentConfig, aggregate_rows, emit_pareto, fit,
-                      monotonicity_report, run_experiment,
+from .datagen import generate
+from .harness import (ExperimentConfig, aggregate_rows, attach_decisions,
+                      emit_pareto, fit, monotonicity_report, run_experiment,
                       sensitivity_soundness_check, write_monotonicity,
                       write_results)
 from .instance_costs import save_baseline_report
 from .losses import parse_loss
-from .model import Optimizer, TrainConfig, load_model, save_model
+from .model import load_model, save_model
 from .problems import problem_from_name
 
 
@@ -35,31 +35,42 @@ def _add_problem_arg(parser: argparse.ArgumentParser) -> None:
                         help="ks<d> | sp<R>x<C> | tsp<n> | custom:<file>")
 
 
+# each run-setting flag is named after, and defaults to, an ExperimentConfig field
 def _add_gen_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-train", type=int, default=200)
-    parser.add_argument("--n-val", type=int, default=50)
-    parser.add_argument("--n-test", type=int, default=150)
-    parser.add_argument("--k", type=int, default=5, help="latent feature dimension")
-    parser.add_argument("--deg", type=int, default=6, help="polynomial lift degree")
-    parser.add_argument("--noise-width", type=float, default=0.5)
+    parser.add_argument("--n-train", type=int, default=ExperimentConfig.n_train)
+    parser.add_argument("--n-val", type=int, default=ExperimentConfig.n_val)
+    parser.add_argument("--n-test", type=int, default=ExperimentConfig.n_test)
+    parser.add_argument("--k", type=int, default=ExperimentConfig.k,
+                        help="latent feature dimension")
+    parser.add_argument("--deg", type=int, default=ExperimentConfig.deg,
+                        help="polynomial lift degree")
+    parser.add_argument("--noise-width", type=float, default=ExperimentConfig.noise_width)
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, default=0.005)
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
+    parser.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                        default=ExperimentConfig.learning_rate)
+    parser.add_argument("--epochs", type=int, default=ExperimentConfig.epochs)
+    parser.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
+    parser.add_argument("--optimizer", choices=["sgd", "adam"],
+                        default=ExperimentConfig.optimizer)
 
 
-def _gen_spec(args: argparse.Namespace, seed: int) -> GenSpec:
-    return GenSpec(n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
-                   k=args.k, deg=args.deg, noise_width=args.noise_width, seed=seed)
+def _config(args: argparse.Namespace, losses, seeds, **overrides) -> ExperimentConfig:
+    """The ExperimentConfig of the parsed flags; a field with no flag in the
+    command keeps its default."""
+    flags = {f.name for f in fields(ExperimentConfig)} - {"problem", "losses", "seeds"}
+    given = {name: value for name, value in vars(args).items() if name in flags}
+    return ExperimentConfig(problem=args.problem, losses=tuple(losses),
+                            seeds=tuple(seeds), **{**given, **overrides})
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     problem = problem_from_name(args.problem, seed=args.seed)
-    dataset = generate(_gen_spec(args, args.seed), problem,
-                       cache_decisions=args.cache_decisions)
+    config = _config(args, (), (args.seed,))
+    dataset = generate(config.gen_spec(args.seed), problem)
+    if args.cache_decisions:
+        dataset = attach_decisions(dataset, problem)
     save_dataset(dataset, args.out)
     print(f"wrote {dataset.n} instances (d={dataset.d}, k={dataset.k}) to {args.out}")
     return 0
@@ -72,14 +83,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print("--emit-costs requires a loss with instance weighting (+c)",
               file=sys.stderr)
         return 1
+    config = _config(args, (args.loss,), (args.seed,))
     if args.dataset:
         dataset = load_dataset(args.dataset)
     else:
-        dataset = generate(_gen_spec(args, args.seed), problem, cache_decisions=False)
-    train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                            batch_size=args.batch_size,
-                            optimizer=Optimizer(args.optimizer), seed=args.seed)
-    trace, counts, report = fit(problem, dataset, spec, train_cfg)
+        dataset = generate(config.gen_spec(args.seed), problem)
+    trace, counts, report = fit(problem, dataset, spec, config.train_config(args.seed))
     if args.emit_costs:
         save_baseline_report(report, args.emit_costs)
     save_model(trace.best_model, args.out)
@@ -105,20 +114,8 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _experiment_config(args: argparse.Namespace, losses: list[str],
-                       normalize_against: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=args.problem, losses=tuple(losses),
-        seeds=tuple(int(s) for s in _parse_list(args.seeds)),
-        n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
-        k=args.k, deg=args.deg, noise_width=args.noise_width,
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        optimizer=args.optimizer, normalize_against=normalize_against,
-        deterministic_output=args.deterministic_output)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, _parse_list(args.losses), args.normalize_against)
+    config = _config(args, _parse_list(args.losses), map(int, _parse_list(args.seeds)))
     reports = run_experiment(config)
     out = Path(args.out_dir)
     write_results(reports, out, deterministic_output=config.deterministic_output)
@@ -148,7 +145,8 @@ def _report_failures(reports) -> bool:
 
 
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, [args.base], args.base)
+    config = _config(args, [args.base], map(int, _parse_list(args.seeds)),
+                     normalize_against=args.base)
     report, reports = monotonicity_report(config, base=args.base,
                                           tolerance=args.tolerance)
     out = Path(args.out_dir)
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     _add_gen_args(p)
     _add_train_args(p)
-    p.add_argument("--normalize-against", default="mse")
+    p.add_argument("--normalize-against", default=ExperimentConfig.normalize_against)
     p.add_argument("--deterministic-output", action="store_true",
                    help="zero wall-clock columns so outputs are byte-identical")
     p.add_argument("--out-dir", required=True)

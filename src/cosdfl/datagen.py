@@ -61,10 +61,9 @@ def latent_costs(features: np.ndarray, mixing: np.ndarray, deg: int,
     return base[0] if single else base
 
 
-def generate(spec: GenSpec, problem: Problem, cache_decisions: bool = True) -> Dataset:
-    """Sample a dataset for ``problem``; optional decision caching for
-    train and validation instances (test decisions stay uncomputed so
-    evaluation-time accounting is explicit)."""
+def generate(spec: GenSpec, problem: Problem) -> Dataset:
+    """Sample a dataset for ``problem`` with no cache attached; ``problem``
+    gives only the dimension d, and nothing is solved."""
     d = problem.d
     rng = np.random.default_rng(spec.seed)
     mixing = rng.binomial(1, MIXING_P, size=(d, spec.k)).astype(float)
@@ -78,8 +77,4 @@ def generate(spec: GenSpec, problem: Problem, cache_decisions: bool = True) -> D
         val=tuple(range(spec.n_train, spec.n_train + spec.n_val)),
         test=tuple(range(spec.n_train + spec.n_val, n)),
     )
-    x_star = np.full((n, d), np.nan)
-    cached = list(split.train + split.val) if cache_decisions else []
-    x_star[cached] = problem.solve_many(costs[cached])
-    return Dataset(features=features, costs=costs, split=split, x_star=x_star,
-                   seed=spec.seed)
+    return Dataset(features=features, costs=costs, split=split, seed=spec.seed)

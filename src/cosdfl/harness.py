@@ -93,19 +93,22 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One (loss x seed) grid. The run settings default to the fields of
+    ``GenSpec`` and ``TrainConfig``, and the CLI flags default to these."""
+
     problem: str
     losses: tuple[str, ...]
     seeds: tuple[int, ...]
     n_train: int = 200
     n_val: int = 50
     n_test: int = 150
-    k: int = 5
-    deg: int = 6
-    noise_width: float = 0.5
-    learning_rate: float = 0.005
-    epochs: int = 50
-    batch_size: int = 32
-    optimizer: str = "adam"
+    k: int = GenSpec.k
+    deg: int = GenSpec.deg
+    noise_width: float = GenSpec.noise_width
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    optimizer: str = TrainConfig.optimizer.value
     normalize_against: str = "mse"
     deterministic_output: bool = False
 
@@ -212,7 +215,7 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
 def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
     """One (loss, seed) cell: generate, precompute, train, evaluate."""
     problem = problem_from_name(config.problem, seed=seed)
-    dataset = generate(config.gen_spec(seed), problem, cache_decisions=False)
+    dataset = generate(config.gen_spec(seed), problem)
     t0 = time.perf_counter()
     trace, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(seed))
     regret_abs = total_regret(problem, trace.best_model, dataset, split="test")

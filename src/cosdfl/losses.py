@@ -11,16 +11,19 @@ components:
       matters.
 
 There is one implementation, :func:`evaluate_loss_batch`, which returns the
-values and prediction-gradients of a whole mini-batch in one array pass.
-:func:`stack_loss_data` binds a spec to a set of dataset rows once, as a
-:class:`LossData`: the spec, the true costs (normalized under S), the C or
-regret weights, tau, and for O and O_S one open safe interval per
-coordinate, fixed by X*, the problem sense and (O_S) the cost ranges. A
-prediction inside its coordinate's safe interval leaves the decision
-unchanged, so its error is masked. Stacking also raises the missing-cache
-errors. :func:`evaluate_loss` is the kernel on one row of a
-:class:`LossData`. Only ``spo+`` needs the solver: :func:`spo_plus_batch`
-makes one batched oracle solve per mini-batch.
+values and prediction-gradients of a whole mini-batch in one array pass;
+one row is the batch ``c_hat[None]``. :func:`stack_loss_data` binds a spec
+to a set of dataset rows once, as a :class:`LossData`: the spec, the true
+costs (normalized under S), the C or regret weights, tau, and for O and O_S
+one open safe interval per coordinate, fixed by X*, the problem sense and
+(O_S) the cost ranges. A prediction error inside its coordinate's safe
+interval is masked. Under O the interval ends at the true cost, so a move
+of that one coordinate keeps X* optimal. Under O_S it is the coordinate's
+basis range in the LP relaxation, which keeps the relaxation's vertex
+optimal, so it is sound for X* when that vertex is X* (README gives the
+share of such instances per family). Stacking also raises the
+missing-cache errors. Only ``spo+`` needs the solver:
+:func:`spo_plus_batch` makes one batched oracle solve per mini-batch.
 
 Masks and pinball indicators are treated as locally constant, so the
 gradient is the almost-everywhere derivative (zero subgradient on the
@@ -35,9 +38,9 @@ from enum import Enum
 import numpy as np
 
 from .core import Dataset, Problem, Sense, as_vector
-from .errors import (MissingBaselineRegret, MissingInstanceCost,
-                     MissingOptimalDecision, MissingRanges, NonFiniteGradient,
-                     ZeroVector)
+from .errors import (DimensionMismatch, MissingBaselineRegret,
+                     MissingInstanceCost, MissingOptimalDecision, MissingRanges,
+                     NonFiniteGradient, ZeroVector)
 
 NORM_EPS = 1e-12
 # absolute errors this small are ties: the two sides of a unit-vector
@@ -58,12 +61,6 @@ class OneSidedMode(Enum):
     OFF = "off"
     OPTIMAL = "optimal"
     SENSITIVITY = "sensitivity"
-
-
-@dataclass(frozen=True)
-class LossValueGrad:
-    value: float
-    gradient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,13 +226,13 @@ class LossData:
     costs in evaluation space (unit-norm rows when the spec has S) and
     ``factor`` the C or regret weight (ones without one). ``safe_lo`` and
     ``safe_hi`` are set only for a spec with O or O_S: the open interval,
-    per coordinate, inside which a prediction leaves the decision
-    unchanged. A coordinate whose decision survives any rise of its cost
-    (x* = 1 under Maximize, x* = 0 under Minimize) is safe on
-    ``(lower, +inf)``, every other one on ``(-inf, upper)``, where lower and
-    upper are the O_S cost range, or the true cost itself under O. ``tau``
-    is set only for a pinball-weighted spec, ``x_star`` (X* itself) only
-    for spo+.
+    per coordinate, inside which a prediction error is masked (the module
+    docstring says when that keeps X* optimal). A coordinate whose decision
+    survives any rise of its cost (x* = 1 under Maximize, x* = 0 under
+    Minimize) is safe on ``(lower, +inf)``, every other one on
+    ``(-inf, upper)``, where lower and upper are the O_S cost range, or the
+    true cost itself under O. ``tau`` is set only for a pinball-weighted
+    spec, ``x_star`` (X* itself) only for spo+.
     """
 
     spec: LossSpec
@@ -319,8 +316,9 @@ def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarra
     error is in the direction the optimizer is indifferent to: e.g. a
     selected Maximize coordinate keeps its decision when overpredicted.
     Under O the interval ends at the true cost; under O_S it is widened to
-    the coefficient's stability range, so that coordinate is masked
-    whenever the prediction stays above the range's lower endpoint.
+    the coefficient's basis range in the LP relaxation, so that coordinate
+    is masked whenever the prediction stays above the range's lower
+    endpoint, which keeps the relaxation's vertex (not always X*) optimal.
     """
     spec = data.spec
     if spec.one_sided is not OneSidedMode.OFF:
@@ -329,6 +327,14 @@ def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarra
     if spec.tau is not None:
         return np.where(predicted <= data.true[rows], data.tau, 1.0 - data.tau)
     return np.ones_like(predicted)
+
+
+def _check_batch(predicted: np.ndarray, true: np.ndarray) -> None:
+    """Raise DimensionMismatch unless ``predicted`` has the (len(rows), d)
+    shape of the sliced true costs ``true``."""
+    if np.shape(predicted) != true.shape:
+        raise DimensionMismatch(f"predicted costs must have shape {true.shape} "
+                                f"(len(rows), d), got {np.shape(predicted)}")
 
 
 def check_finite(values: np.ndarray, gradients: np.ndarray, indices) -> None:
@@ -349,10 +355,12 @@ def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
     ``rows`` is an index array or a slice. Nothing in ``data`` is written.
     With S the masks and the O_S ranges are read in normalized space, and a
     (near-)zero prediction row gets a finite penalty whose gradient points
-    back toward the true direction.
+    back toward the true direction. A ``predicted`` that is not
+    (len(rows), d) raises DimensionMismatch.
     """
     spec = data.spec
     true = data.true[rows]
+    _check_batch(predicted, true)
     factor = data.factor[rows]
     d = true.shape[1]
     if spec.scale_invariant:
@@ -375,19 +383,6 @@ def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
     return values, grads
 
 
-def evaluate_loss(predicted: np.ndarray, data: LossData, row: int) -> LossValueGrad:
-    """Value and prediction-gradient of a composed loss on row ``row`` of ``data``.
-
-    The kernel :func:`evaluate_loss_batch` on a one-row slice; ``data`` comes
-    from :func:`stack_loss_data`. With S, the cached sensitivity ranges are
-    interpreted as already living in normalized space (they must be computed
-    from the normalized true costs).
-    """
-    predicted = as_vector(predicted, name="predicted costs", length=data.true.shape[1])
-    values, grads = evaluate_loss_batch(predicted[None, :], data, slice(row, row + 1))
-    return LossValueGrad(float(values[0]), grads[0])
-
-
 def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
                    problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) and prediction-gradients (B, d) of spo+; one batched solve.
@@ -395,9 +390,11 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     Solves the problem at 2*predicted - true for every row in one
     ``solve_many`` call and compares against the sliced optimal decisions
     X* of ``data`` (from :func:`stack_loss_data` with the spo+ spec). The
-    gradient is the standard subgradient +/- 2 (x(2c_hat - c) - x(c)).
+    gradient is the standard subgradient +/- 2 (x(2c_hat - c) - x(c)). A
+    ``predicted`` that is not (len(rows), d) raises DimensionMismatch.
     """
     true = data.true[rows]
+    _check_batch(predicted, true)
     x_star = data.x_star[rows]
     shifted = 2.0 * predicted - true
     x_shift = problem.solve_many(shifted)

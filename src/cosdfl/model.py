@@ -23,8 +23,6 @@ from .core import Dataset, Problem, as_vector, frozen_array
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
 from .losses import (LossSpec, evaluate_loss_batch, spo_plus_batch,
                      stack_loss_data)
-# Not called here; perfbench's tracer test reads this binding (see perfbench/).
-from .losses import evaluate_loss  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CDFLLM01"
 ADAM_BETA1 = 0.9

@@ -23,7 +23,8 @@ from cosdfl.harness import (ExperimentConfig, build_monotonicity,
                             component_subset_losses, fit, mean_normalized_regret,
                             run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
-from cosdfl.losses import evaluate_loss, normalize, parse_loss, stack_loss_data
+from cosdfl.losses import (evaluate_loss_batch, normalize, parse_loss,
+                           stack_loss_data)
 from cosdfl.problems import (ShortestPathOracle, TspOracle, make_knapsack,
                              problem_from_name)
 from cosdfl.simplex import solve_lp
@@ -141,13 +142,10 @@ def test_criterion_01_regret_consistency():
         regrets = [instance_regrets(problem, pred, dataset, rows) for pred in candidates]
         for spec in CONSISTENCY_SPECS:
             data = stack_loss_data(spec, dataset, rows, problem.sense)
-            for r in rows:
-                for pred, regret in zip(candidates, regrets):
-                    value = evaluate_loss(pred[r], data, r).value
-                    if value < 1e-12:
-                        qualifying[spec.name] += 1
-                        if regret[r] != 0.0:
-                            failures += 1
+            for pred, regret in zip(candidates, regrets):
+                zero = evaluate_loss_batch(pred, data, rows)[0] < 1e-12
+                qualifying[spec.name] += int(zero.sum())
+                failures += int(np.count_nonzero(np.asarray(regret)[zero]))
         n_instances += len(c)
     elapsed = time.perf_counter() - t0
     coverage_ok = all(qualifying[s.name] >= n_instances for s in CONSISTENCY_SPECS)
@@ -171,7 +169,7 @@ def test_criterion_02_cosine_proportionality():
         if np.linalg.norm(a) < 1e-8 or np.linalg.norm(b) < 1e-8:
             continue
         data = stack_loss_data(mse, instances(normalize(b)[None, :]), [0], Sense.MAXIMIZE)
-        value = evaluate_loss(normalize(a), data, 0).value
+        value = evaluate_loss_batch(normalize(a)[None, :], data, [0])[0][0]
         cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         worst = max(worst, abs(value - (2.0 / d) * (1.0 - cos)))
     ok = worst <= 1e-10
@@ -240,14 +238,14 @@ def test_criterion_04_gradient_checks():
                 pred = c * (1.0 + delta)
                 if not _away_from_boundaries(spec, pred, dataset):
                     continue
-                analytic = evaluate_loss(pred, data, 0).gradient
-                fd = np.zeros_like(pred)
-                for j in range(problem.d):
-                    step = np.zeros_like(pred)
-                    step[j] = h
-                    up = evaluate_loss(pred + step, data, 0).value
-                    dn = evaluate_loss(pred - step, data, 0).value
-                    fd[j] = (up - dn) / (2.0 * h)
+                # the point and its 2d shifted copies, one batch on row 0
+                steps = h * np.eye(problem.d)
+                stencil = np.vstack([pred, pred + steps, pred - steps])
+                values, grads = evaluate_loss_batch(stencil, data,
+                                                    np.zeros(len(stencil), dtype=int))
+                analytic = grads[0]
+                up, dn = values[1:problem.d + 1], values[problem.d + 1:]
+                fd = (up - dn) / (2.0 * h)
                 gap = float(np.max(np.abs(fd - analytic)))
                 scale = float(np.max(np.abs(analytic)))
                 rel = gap / scale if scale > 1e-6 else gap
@@ -266,7 +264,7 @@ def test_criterion_04_gradient_checks():
 def test_criterion_05_instance_cost_identity():
     problem = problem_from_name("sp5x5", seed=0)
     config = ExperimentConfig(problem="sp5x5", losses=("mse+c",), seeds=(0,))
-    dataset = generate(config.gen_spec(0), problem, cache_decisions=False)
+    dataset = generate(config.gen_spec(0), problem)
     _, _, report = fit(problem, dataset, parse_loss("mse+c"), config.train_config(0))
     pos = report.positive_regret
     weighted = math.fsum(report.costs[pos] * report.base_losses[pos])

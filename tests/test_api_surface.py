@@ -6,8 +6,8 @@ referenced, by name or as an attribute, somewhere in ``src/``, ``scripts/``
 or ``perfbench/``. Imports (the re-exports in ``__init__.py`` among them)
 are not references, and neither is a reference from the function's own
 body or from the body of another public function or method that is itself
-unused. Tests are not scanned: a function that only its own test calls is
-dead code.
+unused. Tests, ``perfbench/test_*.py`` among them, are not scanned: a
+function that only a test calls is dead code.
 
 References are matched by name, so a same-named attribute elsewhere keeps a
 function alive; the scan can miss dead code but never flags live code.
@@ -59,6 +59,8 @@ def references() -> list[tuple[str, str | None]]:
     refs = []
     for root in SCANNED:
         for path in sorted((ROOT / root).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for scope, owner in scopes(tree, path.parent == PACKAGE):
                 for node in ast.walk(scope):

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cosdfl import cli, harness
@@ -21,6 +22,40 @@ def test_generate_roundtrip(tmp_path):
     ds = load_dataset(out)
     assert ds.n == 20
     assert ds.costs.shape == (20, 6)
+
+
+def test_generate_caches_decisions_on_train_and_val(tmp_path, monkeypatch):
+    problems = []
+
+    def build(name, seed):
+        problems.append(problem_from_name(name, seed))
+        return problems[-1]
+
+    monkeypatch.setattr(cli, "problem_from_name", build)
+    out = tmp_path / "data.json"
+    assert main(["generate", "--problem", "sp3x3", "--seed", "0", "--cache-decisions",
+                 "--out", str(out), *GEN_ARGS]) == 0
+    ds = load_dataset(out)
+    assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
+    cached = list(ds.split.train + ds.split.val)
+    assert problems[0].counter.count == len(cached) == 14
+    np.testing.assert_array_equal(ds.x_star[cached],
+                                  problems[0].solve_many(ds.costs[cached]))
+
+
+def test_experiment_flag_defaults_are_the_config_defaults(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def capture(config):
+        configs.append(config)
+        raise Stop
+
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(Stop):
+        main(["experiment", "--problem", "ks6", "--losses", "mse,spo+", "--out-dir", "out"])
+    assert configs == [harness.ExperimentConfig("ks6", ("mse", "spo+"), (0, 1, 2, 3, 4))]
 
 
 def test_train_eval_roundtrip(tmp_path):

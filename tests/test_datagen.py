@@ -32,7 +32,7 @@ def test_latent_costs_formula():
 def test_generate_shapes_split_and_positivity():
     problem = make_knapsack(d=8, seed=0)
     spec = GenSpec(n_train=12, n_val=4, n_test=6, k=5, seed=3)
-    ds = generate(spec, problem, cache_decisions=False)
+    ds = generate(spec, problem)
     assert ds.n == 22 and ds.k == 5 and ds.d == 8 and ds.seed == 3
     assert ds.split.train == tuple(range(12))
     assert ds.split.val == tuple(range(12, 16))
@@ -44,24 +44,20 @@ def test_generate_shapes_split_and_positivity():
 def test_generate_is_seed_deterministic():
     problem = make_knapsack(d=8, seed=0)
     spec = GenSpec(n_train=5, n_val=2, n_test=2, k=4, seed=7)
-    a = generate(spec, problem, cache_decisions=False)
-    b = generate(spec, problem, cache_decisions=False)
+    a = generate(spec, problem)
+    b = generate(spec, problem)
     other = generate(GenSpec(n_train=5, n_val=2, n_test=2, k=4, seed=8),
-                     problem, cache_decisions=False)
+                     problem)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.costs, b.costs)
     assert not np.array_equal(a.costs[0], other.costs[0])
 
 
-def test_decision_caching_and_solve_accounting():
+def test_generate_makes_no_solve():
     problem = ShortestPathOracle(rows=3, cols=3)
-    spec = GenSpec(n_train=6, n_val=3, n_test=4, k=4, seed=0)
-    ds = generate(spec, problem, cache_decisions=True)
-    assert problem.counter.count == 9  # train + val only
-    assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
-    bare = generate(spec, problem, cache_decisions=False)
-    assert problem.counter.count == 9
-    assert np.isnan(bare.x_star).all()
+    ds = generate(GenSpec(n_train=6, n_val=3, n_test=4, k=4, seed=0), problem)
+    assert problem.counter.count == 0
+    assert np.isnan(ds.x_star).all()
 
 
 def test_mixing_matrix_is_fixed_across_instances():
@@ -71,7 +67,7 @@ def test_mixing_matrix_is_fixed_across_instances():
     problem = make_knapsack(d=8, seed=1)
     spec = GenSpec(n_train=20, n_val=2, n_test=2, k=4, seed=5,
                    noise_width=0.0, deg=1)
-    ds = generate(spec, problem, cache_decisions=False)
+    ds = generate(spec, problem)
     z, c = ds.features, ds.costs
     design = np.hstack([z, np.ones((ds.n, 1))])
     coef, *_ = np.linalg.lstsq(design, c, rcond=None)
@@ -85,6 +81,6 @@ def test_mixing_matrix_is_fixed_across_instances():
 def test_zero_noise_width_removes_noise():
     problem = make_knapsack(d=6, seed=0)
     spec = GenSpec(n_train=4, n_val=1, n_test=1, k=3, seed=2, noise_width=0.0)
-    a = generate(spec, problem, cache_decisions=False)
-    b = generate(spec, problem, cache_decisions=False)
+    a = generate(spec, problem)
+    b = generate(spec, problem)
     np.testing.assert_array_equal(a.costs, b.costs)

@@ -38,8 +38,7 @@ def test_experiment_config_validates_losses_eagerly():
 
 def test_attach_decisions_fills_only_missing():
     problem = make_knapsack(d=6, seed=0)
-    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem,
-                  cache_decisions=False)
+    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
     ds = attach_decisions(ds, problem, ("train",))
     assert problem.counter.count == 4
     ds = attach_decisions(ds, problem, ("train", "val"))
@@ -49,8 +48,7 @@ def test_attach_decisions_fills_only_missing():
 
 def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
     problem = make_knapsack(d=6, seed=0)
-    ds = generate(GenSpec(n_train=3, n_val=1, n_test=1, k=3, seed=0), problem,
-                  cache_decisions=False)
+    ds = generate(GenSpec(n_train=3, n_val=1, n_test=1, k=3, seed=0), problem)
     real, solved_on = harness_mod.solve_lp, []
 
     def recording(lp, objective, sense):
@@ -79,8 +77,7 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch):
     # phase 1 reads only the constraint set: one run per relaxation, then one
     # phase 2 per instance
     problem = ShortestPathOracle(3, 3)
-    ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem,
-                  cache_decisions=False)
+    ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem)
     real, phases = simplex_mod._run_simplex, []
 
     def recording(tableau, basis, cost, degenerate_budget):
@@ -99,8 +96,7 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch):
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
 def test_attach_ranges_error_names_instance_and_phase(monkeypatch, failure):
     problem = ShortestPathOracle(3, 3)
-    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem,
-                  cache_decisions=False)
+    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
     real, bad = harness_mod.solve_lp, ds.costs[3]
 
     def failing_on_instance_3(lp, objective, sense):
@@ -140,7 +136,7 @@ def test_solver_call_attribution(loss, expected):
 def test_every_solve_of_fit_lands_in_one_phase(loss):
     config = tiny_config()
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(config.gen_spec(0), problem, cache_decisions=False)
+    dataset = generate(config.gen_spec(0), problem)
     before = problem.counter.count
     _, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(0))
     assert problem.counter.count - before == sum(astuple(counts))

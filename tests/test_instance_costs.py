@@ -6,10 +6,11 @@ import pytest
 
 from cosdfl.core import Split, instance_regrets
 from cosdfl.datagen import GenSpec, generate
+from cosdfl.harness import attach_decisions
 from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
                                    compute_instance_costs, costs_from_predictions,
                                    save_baseline_report, _costs_from_values)
-from cosdfl.losses import evaluate_loss, parse_loss, stack_loss_data
+from cosdfl.losses import evaluate_loss_batch, parse_loss, stack_loss_data
 from cosdfl.model import init_model
 from cosdfl.problems import make_knapsack
 
@@ -17,8 +18,8 @@ from cosdfl.problems import make_knapsack
 @pytest.fixture(scope="module")
 def ks_setup():
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(GenSpec(n_train=10, n_val=3, n_test=3, k=4, seed=0),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=10, n_val=3, n_test=3, k=4, seed=0), problem)
+    dataset = attach_decisions(dataset, problem)
     return problem, dataset
 
 
@@ -90,8 +91,8 @@ def test_costs_from_predictions_validation(ks_setup):
 
 def test_costs_from_predictions_on_an_empty_split():
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0), problem)
+    dataset = attach_decisions(dataset, problem)
     # training takes no empty split, so the split is emptied by hand
     dataset = replace(dataset, split=Split(train=(), val=dataset.split.train,
                                            test=dataset.split.test))
@@ -156,6 +157,7 @@ def test_weighted_total_loss_equals_total_regret_on_positive_set(ks_setup):
     for row, i in enumerate(ds.split.train):
         if not report.positive_regret[row]:
             continue
-        total += evaluate_loss(model.predict(ds.features[i]), data, row).value
+        total += evaluate_loss_batch(model.predict(ds.features[i])[None, :], data,
+                                     [row])[0][0]
     assert total == pytest.approx(float(report.regrets[report.positive_regret].sum()),
                                   abs=1e-9)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
-from cosdfl.errors import (MissingBaselineRegret, MissingInstanceCost,
-                           MissingOptimalDecision, MissingRanges, ZeroVector)
+from cosdfl.errors import (DimensionMismatch, MissingBaselineRegret,
+                           MissingInstanceCost, MissingOptimalDecision,
+                           MissingRanges, ZeroVector)
 from cosdfl.losses import (BaseError, LossSpec, base_error,
-                           coordinate_weights, evaluate_loss,
-                           evaluate_loss_batch, normalize, parse_loss,
-                           spo_plus_batch, stack_loss_data)
+                           coordinate_weights, evaluate_loss_batch, normalize,
+                           parse_loss, spo_plus_batch, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, ShortestPathOracle
 from cosdfl.simplex import solve_lp
 
@@ -43,8 +44,11 @@ def one_row(true, x_star=None, lower=None, upper=None, weight=None):
 
 
 def loss_of(spec, predicted, dataset, sense):
-    """evaluate_loss on the one row of a one-instance dataset."""
-    return evaluate_loss(predicted, stack_loss_data(spec, dataset, [0], sense), 0)
+    """Value and gradient on the one row of a one-instance dataset: the
+    kernel on the batch ``predicted[None]``."""
+    values, grads = evaluate_loss_batch(np.asarray(predicted, dtype=float)[None, :],
+                                        stack_loss_data(spec, dataset, [0], sense), [0])
+    return values[0], grads[0]
 
 
 def one_row_weights(loss, predicted, dataset, sense):
@@ -107,7 +111,7 @@ def test_validation_variant_strips_weighting():
 def test_pinball_frozen_values():
     def pinball(predicted, true, tau, base):
         return loss_of(LossSpec(base=base, tau=tau), np.array([predicted]),
-                       one_row([true]), Sense.MAXIMIZE).value
+                       one_row([true]), Sense.MAXIMIZE)[0]
 
     # overprediction at tau=0.5 halves the squared error 4 -> 2
     assert pinball(3.0, 1.0, 0.5, BaseError.SQUARED) == pytest.approx(2.0)
@@ -178,10 +182,8 @@ def test_sensitivity_mask_widens_safe_region():
     inst = one_row(true, x_star, lower, upper)
     predicted = np.array([1.95, 1.99])
     assert instance_regrets(oracle, [predicted], inst, [0])[0] == pytest.approx(0.1)
-    o_loss = loss_of(parse_loss("mse+o"), predicted, inst, oracle.sense)
-    os_loss = loss_of(parse_loss("mse+o_s"), predicted, inst, oracle.sense)
-    assert o_loss.value > 0.0
-    assert os_loss.value == 0.0
+    assert loss_of(parse_loss("mse+o"), predicted, inst, oracle.sense)[0] > 0.0
+    assert loss_of(parse_loss("mse+o_s"), predicted, inst, oracle.sense)[0] == 0.0
     mask = one_row_weights("mse+o_s", predicted, inst, oracle.sense)
     np.testing.assert_array_equal(mask, [0.0, 0.0])
 
@@ -208,21 +210,22 @@ def test_mask_requires_caches():
 
 def test_plain_mse_and_mae_values():
     inst = one_row([1.0, 2.0, 3.0])
-    out = loss_of(parse_loss("mse"), np.array([2.0, 2.0, 1.0]), inst, Sense.MAXIMIZE)
-    assert out.value == pytest.approx((1.0 + 0.0 + 4.0) / 3.0)
-    np.testing.assert_allclose(out.gradient, [2.0 / 3.0, 0.0, -4.0 / 3.0])
-    out = loss_of(parse_loss("mae"), np.array([2.0, 2.0, 1.0]), inst, Sense.MAXIMIZE)
-    assert out.value == pytest.approx(1.0)
+    value, grad = loss_of(parse_loss("mse"), np.array([2.0, 2.0, 1.0]), inst,
+                          Sense.MAXIMIZE)
+    assert value == pytest.approx((1.0 + 0.0 + 4.0) / 3.0)
+    np.testing.assert_allclose(grad, [2.0 / 3.0, 0.0, -4.0 / 3.0])
+    value, _ = loss_of(parse_loss("mae"), np.array([2.0, 2.0, 1.0]), inst, Sense.MAXIMIZE)
+    assert value == pytest.approx(1.0)
 
 
 def test_tau_half_with_cost_two_recovers_mse():
     inst = one_row([1.0, 2.0, 3.0], weight=2.0)
     spec = LossSpec(base=BaseError.SQUARED, instance_costs=True, tau=0.5)
     predicted = np.array([2.0, 1.5, 3.5])
-    weighted = loss_of(spec, predicted, inst, Sense.MAXIMIZE)
-    plain = loss_of(parse_loss("mse"), predicted, inst, Sense.MAXIMIZE)
-    assert weighted.value == pytest.approx(plain.value, abs=1e-12)
-    np.testing.assert_allclose(weighted.gradient, plain.gradient, atol=1e-12)
+    weighted, weighted_grad = loss_of(spec, predicted, inst, Sense.MAXIMIZE)
+    plain, plain_grad = loss_of(parse_loss("mse"), predicted, inst, Sense.MAXIMIZE)
+    assert weighted == pytest.approx(plain, abs=1e-12)
+    np.testing.assert_allclose(weighted_grad, plain_grad, atol=1e-12)
 
 
 def test_instance_cost_factor_and_errors():
@@ -230,8 +233,8 @@ def test_instance_cost_factor_and_errors():
     with pytest.raises(MissingInstanceCost):
         loss_of(parse_loss("mse+c"), np.array([0.0, 0.0]), bare, Sense.MAXIMIZE)
     weighted = one_row([1.0, 2.0], weight=3.0)
-    out = loss_of(parse_loss("mse+c"), np.array([0.0, 0.0]), weighted, Sense.MAXIMIZE)
-    assert out.value == pytest.approx(3.0 * (1.0 + 4.0) / 2.0)
+    value, _ = loss_of(parse_loss("mse+c"), np.array([0.0, 0.0]), weighted, Sense.MAXIMIZE)
+    assert value == pytest.approx(3.0 * (1.0 + 4.0) / 2.0)
 
 
 def test_lawless_factor_and_errors():
@@ -239,18 +242,18 @@ def test_lawless_factor_and_errors():
     with pytest.raises(MissingBaselineRegret):
         loss_of(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), bare, Sense.MINIMIZE)
     # w=0 ignores the missing weight entirely and equals plain mse
-    out0 = loss_of(parse_loss("lawless:0"), np.array([0.0, 0.0]), bare, Sense.MINIMIZE)
-    assert out0.value == pytest.approx(2.5)
+    value, _ = loss_of(parse_loss("lawless:0"), np.array([0.0, 0.0]), bare, Sense.MINIMIZE)
+    assert value == pytest.approx(2.5)
     inst = one_row([1.0, 2.0], weight=6.0)  # raw baseline regret
-    out = loss_of(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), inst, Sense.MINIMIZE)
-    assert out.value == pytest.approx((0.4 * 6.0 + 0.6) * 2.5)
+    value, _ = loss_of(parse_loss("lawless:0.4"), np.array([0.0, 0.0]), inst, Sense.MINIMIZE)
+    assert value == pytest.approx((0.4 * 6.0 + 0.6) * 2.5)
 
 
 def test_scale_invariant_orthogonal_frozen():
     # orthogonal unit vectors: (2/d)(1 - cos) = 1 at d=2
-    out = loss_of(parse_loss("mse+s"), np.array([0.0, 1.0]), one_row([1.0, 0.0]),
-                  Sense.MAXIMIZE)
-    assert out.value == pytest.approx(1.0, abs=1e-12)
+    value, _ = loss_of(parse_loss("mse+s"), np.array([0.0, 1.0]), one_row([1.0, 0.0]),
+                       Sense.MAXIMIZE)
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=50)
@@ -262,9 +265,9 @@ def test_scale_invariant_equals_cosine_formula(seed):
     c_hat = rng.normal(0.0, 3.0, d)
     if np.linalg.norm(c) < 1e-6 or np.linalg.norm(c_hat) < 1e-6:
         return
-    out = loss_of(parse_loss("mse+s"), c_hat, one_row(c), Sense.MAXIMIZE)
+    value, _ = loss_of(parse_loss("mse+s"), c_hat, one_row(c), Sense.MAXIMIZE)
     cos = float(c @ c_hat) / (np.linalg.norm(c) * np.linalg.norm(c_hat))
-    assert out.value == pytest.approx((2.0 / d) * (1.0 - cos), abs=1e-10)
+    assert value == pytest.approx((2.0 / d) * (1.0 - cos), abs=1e-10)
 
 
 def test_scale_invariance_property():
@@ -273,12 +276,12 @@ def test_scale_invariance_property():
     c_hat = rng.uniform(0.5, 3.0, 6)
     inst = one_row(c)
     spec = parse_loss("mse+s")
-    base = loss_of(spec, c_hat, inst, Sense.MAXIMIZE).value
+    base = loss_of(spec, c_hat, inst, Sense.MAXIMIZE)[0]
     for alpha in (0.01, 0.5, 7.0, 4000.0):
         assert loss_of(spec, alpha * c_hat, inst,
-                       Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
+                       Sense.MAXIMIZE)[0] == pytest.approx(base, abs=1e-10)
     assert loss_of(spec, c_hat, one_row(13.0 * c),
-                   Sense.MAXIMIZE).value == pytest.approx(base, abs=1e-10)
+                   Sense.MAXIMIZE)[0] == pytest.approx(base, abs=1e-10)
 
 
 def test_parallel_prediction_is_stationary_under_absolute_error():
@@ -287,17 +290,17 @@ def test_parallel_prediction_is_stationary_under_absolute_error():
     c = np.array([-0.45, 0.72, 2.97])
     inst = one_row(c)
     for predicted in (c, 2.0 * c):
-        out = loss_of(parse_loss("mae+s"), predicted, inst, Sense.MAXIMIZE)
-        assert out.value == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_array_equal(out.gradient, np.zeros(3))
+        value, grad = loss_of(parse_loss("mae+s"), predicted, inst, Sense.MAXIMIZE)
+        assert value == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
 
 def test_zero_prediction_gets_finite_escape():
     inst = one_row([3.0, 4.0], weight=2.0)
-    out = loss_of(parse_loss("mse+c+s"), np.zeros(2), inst, Sense.MAXIMIZE)
-    assert out.value == pytest.approx(2.0 * 4.0 / 2)
-    np.testing.assert_allclose(out.gradient, -2.0 * np.array([0.6, 0.8]))
-    assert np.all(np.isfinite(out.gradient))
+    value, grad = loss_of(parse_loss("mse+c+s"), np.zeros(2), inst, Sense.MAXIMIZE)
+    assert value == pytest.approx(2.0 * 4.0 / 2)
+    np.testing.assert_allclose(grad, -2.0 * np.array([0.6, 0.8]))
+    assert np.all(np.isfinite(grad))
 
 
 def test_masks_follow_normalized_space_when_scale_invariant():
@@ -308,12 +311,12 @@ def test_masks_follow_normalized_space_when_scale_invariant():
     predicted = np.array([2.1, 5.0])
     raw_mask = one_row_weights("mse+o", predicted, inst, Sense.MAXIMIZE)
     assert raw_mask[0] == 0.0
-    out = loss_of(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
+    value, _ = loss_of(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
     u_hat, u = normalize(predicted), normalize(true)
     w = one_row_weights("mse+o+s", u_hat, inst, Sense.MAXIMIZE)
     assert w[0] == 1.0
     expected = float(w @ (u_hat - u) ** 2) / 2.0
-    assert out.value == pytest.approx(expected, abs=1e-12)
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -332,10 +335,11 @@ def test_gradients_match_finite_differences():
                                Sense.MAXIMIZE)
         for trial in range(5):
             predicted = true + rng.uniform(0.05, 0.4, 5) * rng.choice([-1.0, 1.0], 5)
-            out = evaluate_loss(predicted, data, 0)
-            num = fd_grad(lambda p: evaluate_loss(p, data, 0).value, predicted)
-            scale = max(np.linalg.norm(out.gradient), np.linalg.norm(num), 1e-6)
-            assert np.linalg.norm(out.gradient - num) / scale < 1e-5, name
+            _, (grad,) = evaluate_loss_batch(predicted[None, :], data, [0])
+            num = fd_grad(lambda p: evaluate_loss_batch(p[None, :], data, [0])[0][0],
+                          predicted)
+            scale = max(np.linalg.norm(grad), np.linalg.norm(num), 1e-6)
+            assert np.linalg.norm(grad - num) / scale < 1e-5, name
 
 
 # --- the batched kernel against the per-row reference -------------------------
@@ -440,6 +444,25 @@ def test_stacking_names_the_instance_missing_a_cache():
         stack_loss_data(parse_loss("mse+c"), dataset, [3, 7], Sense.MAXIMIZE)
     with pytest.raises(MissingOptimalDecision, match="instance 3"):
         stack_loss_data(parse_loss("mse+o"), dataset, [3, 7], Sense.MAXIMIZE)
+
+
+@pytest.mark.parametrize("name", ["mse", "mae+c", "mse+o+s", "spo+"])
+@pytest.mark.parametrize("shape", [(2, 1), (1, 4), (4,), (2, 5)])
+def test_kernels_reject_a_prediction_of_the_wrong_shape(name, shape):
+    # numpy broadcasting would give mse two values for a (2, 1), (1, 4) or
+    # (4,) prediction; every kernel takes (len(rows), d) only
+    oracle = KnapsackOracle(weights=[[1.0, 1.0, 1.0, 1.0]], capacities=[2.0])
+    costs = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
+    dataset = Dataset(features=np.zeros((2, 1)), costs=costs, split=Split(train=(0, 1)),
+                      x_star=oracle.solve_many(costs), weights=[1.0, 2.0])
+    spec = parse_loss(name)
+    data = stack_loss_data(spec, dataset, [0, 1], oracle.sense)
+    kernel = ((lambda p: spo_plus_batch(p, data, [0, 1], oracle)) if spec.spo_plus
+              else (lambda p: evaluate_loss_batch(p, data, [0, 1])))
+    values, grads = kernel(np.ones((2, 4)))
+    assert values.shape == (2,) and grads.shape == (2, 4)
+    with pytest.raises(DimensionMismatch, match=rf"\(2, 4\).*{re.escape(str(shape))}"):
+        kernel(np.ones(shape))
 
 
 # --- spo+ ----------------------------------------------------------------------

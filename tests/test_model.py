@@ -7,7 +7,8 @@ import pytest
 from cosdfl.core import Dataset, Split
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NonFiniteLoss
-from cosdfl.losses import evaluate_loss, parse_loss, stack_loss_data
+from cosdfl.harness import attach_decisions
+from cosdfl.losses import evaluate_loss_batch, parse_loss, stack_loss_data
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           TrainConfig, init_model, load_model, save_model,
                           train)
@@ -120,8 +121,8 @@ def test_validation_ignores_instance_weights():
     # validation instances never carry weights; the val metric is the plain
     # base loss of the epoch-end snapshot
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(GenSpec(n_train=12, n_val=4, n_test=2, k=3, seed=1),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=12, n_val=4, n_test=2, k=3, seed=1), problem)
+    dataset = attach_decisions(dataset, problem)
     from cosdfl.instance_costs import apply_instance_costs
     dataset = apply_instance_costs(dataset, np.full(12, 9.0))
     config = TrainConfig(epochs=3, batch_size=4, seed=0)
@@ -129,16 +130,16 @@ def test_validation_ignores_instance_weights():
                   config, problem)
     snapshot = trace.final_model
     data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val, problem.sense)
-    manual = float(np.mean([
-        evaluate_loss(snapshot.predict(dataset.features[i]), data, row).value
-        for row, i in enumerate(dataset.split.val)]))
+    predicted = np.array([snapshot.predict(dataset.features[i])
+                          for i in dataset.split.val])
+    manual = float(np.mean(evaluate_loss_batch(predicted, data, slice(None))[0]))
     assert trace.records[-1].val_loss == pytest.approx(manual, rel=1e-9)
 
 
 def test_spo_plus_merges_validation_and_counts_solves():
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0), problem)
+    dataset = attach_decisions(dataset, problem)
     config = TrainConfig(epochs=4, batch_size=8, seed=0)
     before = problem.counter.count
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("spo+"),
@@ -157,8 +158,8 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
     # sp5x5 and tsp5 minimize, ks16 maximizes; 26 rows in batches of 8 leave
     # a short last batch
     problem = problem_from_name(name, seed=3)
-    dataset = generate(GenSpec(n_train=20, n_val=6, n_test=2, k=3, seed=3),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=20, n_val=6, n_test=2, k=3, seed=3), problem)
+    dataset = attach_decisions(dataset, problem)
     config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.05,
                          optimizer=optimizer, seed=3)
     start = init_model(3, problem.d, seed=3)
@@ -173,8 +174,8 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
 
 def test_solver_free_specs_touch_no_oracle():
     problem = make_knapsack(d=6, seed=0)
-    dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0),
-                       problem, cache_decisions=True)
+    dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0), problem)
+    dataset = attach_decisions(dataset, problem)
     before = problem.counter.count
     train(init_model(3, 6, seed=0), dataset, parse_loss("mse"),
           TrainConfig(epochs=3, batch_size=4, seed=0), problem)
