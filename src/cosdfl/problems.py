@@ -13,15 +13,21 @@ sensitivity analysis.
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
 array recurrences over the batch (Held-Karp one popcount layer of subsets at
-a time); knapsack branch-and-bound and the TSP heuristic loop over the rows.
-Under ``__debug__`` every solved row is checked against the constraint rows
-of ``relaxation`` in one array test.
+a time, then one backtrack step per tour position). A knapsack whose
+feasible sets fit in ``KNAPSACK_TABLE_MAX_ENTRIES`` table entries (ks8-ks48
+at the generator's settings) scores the batch against a table of every
+feasible decision; a larger one (ks64) runs branch-and-bound row by row, as
+does the TSP heuristic. Under ``__debug__`` every solved row is checked
+against the constraint rows of ``relaxation`` in one array test, to
+``FEASIBILITY_TOL``, the tolerance every knapsack load is held to.
 
 Knapsack and grid solvers break objective ties by returning the
 lexicographically smallest decision vector, so repeated solves of tied
-instances are reproducible. The exact TSP solver is deterministic via a
-fixed dynamic-programming scan order (global lexicographic reconstruction
-would need one extra DP per edge, which ties never justify in practice).
+instances are reproducible. The grid compares path costs exactly; the
+knapsack counts every decision within 1e-9 * max(1, |best|) of the best
+value as tied. The exact TSP solver is deterministic via a fixed
+dynamic-programming scan order (global lexicographic reconstruction would
+need one extra DP per edge, which ties never justify in practice).
 """
 from __future__ import annotations
 
@@ -36,6 +42,11 @@ import numpy as np
 from .core import Sense, as_vector, frozen_array
 from .errors import DimensionMismatch
 from .simplex import LinearProgram
+
+
+# a 0/1 decision is feasible when every constraint row holds to this
+# tolerance; the knapsack solvers apply the same rule to each load
+FEASIBILITY_TOL = 1e-9
 
 
 class CallCounter:
@@ -110,13 +121,25 @@ class ProblemOracle:
         """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
         lp = self.relaxation
         ok = np.all((decisions == 0.0) | (decisions == 1.0), axis=1)
-        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + 1e-9, axis=1)
+        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + FEASIBILITY_TOL, axis=1)
         if not ok.all():
             raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
                                  "batch is not a feasible 0/1 decision of its relaxation")
 
 
 # --- knapsack ---------------------------------------------------------------
+
+# Knapsacks whose feasible decisions fit in this many table entries (subsets
+# x items) solve by table look-up, larger ones by branch-and-bound. Median
+# per row at B = 32 on generator instances, branch-and-bound -> table:
+# ks8 95 -> 2.1 us, ks16 191 -> 4.2 us, ks32 718 -> 35 us, ks48 823 -> 462 us
+# (23.6k subsets); ks64 (85k subsets, 3.4 ms per row) is past the budget
+KNAPSACK_TABLE_MAX_ENTRIES = 1 << 21
+# table values (rows x subsets) per batch chunk, 512 kB: larger chunks read
+# the table less often (ks48 ran 2.4x faster at 1 << 18) but raised the peak
+# memory of forty ks16 spo+ cells by 0.7 MB, against 0.4 MB at this budget
+KNAPSACK_CHUNK_VALUES = 1 << 16
+
 
 def _tightest_dimension(weights: np.ndarray, capacities: np.ndarray) -> int:
     load = weights.sum(axis=1)
@@ -152,7 +175,7 @@ def _fractional_bound(costs, w_tight, items, remaining_tight) -> float:
 
 def _fits(weights, rem) -> bool:
     for w, r in zip(weights, rem):
-        if not w <= r:
+        if not w <= r + FEASIBILITY_TOL:
             return False
     return True
 
@@ -163,7 +186,7 @@ def _minus(rem, weights) -> tuple:
 
 def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
                   tight: int) -> list[int]:
-    """Chosen items of one row (plain floats); see ``KnapsackOracle._solve_many``."""
+    """Chosen items of one row (plain floats); see ``KnapsackOracle._branch_and_bound``."""
     w_tight = [w[tight] for w in item_weights]
     n = len(order)
     from_pos = [order[pos:] for pos in range(n + 1)]
@@ -228,7 +251,8 @@ class KnapsackOracle(ProblemOracle):
     """0/1 knapsack with q resource dimensions: maximize c'x, Wx <= cap.
 
     ``weights`` is a non-negative (q, d) matrix and ``capacities`` a
-    non-negative (q,) vector; the oracle is named ``ks{d}``.
+    non-negative (q,) vector; the oracle is named ``ks{d}``. A set fits when
+    each load is at most its capacity plus ``FEASIBILITY_TOL``.
     """
 
     sense = Sense.MAXIMIZE
@@ -244,15 +268,63 @@ class KnapsackOracle(ProblemOracle):
         self.weights = frozen_array(w)
         self.capacities = frozen_array(cap)
 
+    @cached_property
+    def decision_table(self) -> np.ndarray | None:
+        """Every feasible 0/1 decision as a row, in lexicographic order (x_0
+        most significant, 0 before 1), built on the first solve; None when it
+        would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries.
+
+        Subsets grow item by item in index order, each taking the remaining
+        capacity down one item at a time, as the branch-and-bound walk does.
+        Only the remaining capacities are kept until the count is known to
+        fit, so a knapsack past the budget never holds a partial table.
+        """
+        remaining = self.capacities[None, :]
+        grown_from = []  # per item j: the subsets that j was added to
+        for j in range(self.d):
+            fits = np.all(self.weights[:, j] <= remaining + FEASIBILITY_TOL, axis=1)
+            parents = np.flatnonzero(fits)
+            if (len(remaining) + len(parents)) * self.d > KNAPSACK_TABLE_MAX_ENTRIES:
+                return None
+            grown_from.append(parents)
+            remaining = np.vstack([remaining, remaining[parents] - self.weights[:, j]])
+        table = np.zeros((len(remaining), self.d))
+        start = 1
+        for j, parents in enumerate(grown_from):
+            table[start:start + len(parents)] = table[parents]
+            table[start:start + len(parents), j] = 1.0
+            start += len(parents)
+        table = table[np.lexsort(table.T[::-1])]
+        table.setflags(write=False)
+        return table
+
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
 
-        Two passes per row: branch-and-bound with a fractional-relaxation bound
-        proves the optimal value, then a depth-first walk in index order (zero
-        branch first) reconstructs the first -- i.e. lexicographically smallest
-        -- assignment that attains it. Items with non-positive cost are never
-        taken: dropping one keeps feasibility, value, and lexicographic order.
+        A decision is optimal when its value is within 1e-9 * max(1, |best|)
+        of the best value, and the lexicographically first such decision wins.
+        With a ``decision_table`` that is the first table row in the band;
+        the empty set is row 0, and a set that takes an item of non-positive
+        cost is preceded by the same set without it. Otherwise, per row,
+        ``_knapsack_row`` proves the best value and walks to that decision.
         """
+        table = self.decision_table
+        if table is None:
+            return self._branch_and_bound(costs)
+        x = np.empty(costs.shape)
+        chunk = max(1, KNAPSACK_CHUNK_VALUES // len(table))
+        for lo in range(0, len(costs), chunk):
+            values = costs[lo:lo + chunk] @ table.T
+            best = values.max(axis=1, keepdims=True)
+            in_band = values >= best - 1e-9 * np.maximum(1.0, np.abs(best))
+            x[lo:lo + chunk] = table[in_band.argmax(axis=1)]
+        return x
+
+    def _branch_and_bound(self, costs: np.ndarray) -> np.ndarray:
+        """Two passes per row: branch-and-bound with a fractional-relaxation
+        bound proves the optimal value, then a depth-first walk in index order
+        (zero branch first) reconstructs the first assignment in the band.
+        Items with non-positive cost are never taken."""
         x = np.zeros(costs.shape)
         item_weights = [tuple(col) for col in self.weights.T.tolist()]
         cap = tuple(self.capacities.tolist())
@@ -395,10 +467,10 @@ def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def _held_karp_many(dist: np.ndarray) -> list[list[int]]:
+def _held_karp_many(dist: np.ndarray) -> np.ndarray:
     """Exact bitmask DP over a (B, n, n) distance batch, anchored at node 0,
     one popcount layer at a time; each state takes the first-index argmin
-    over its predecessors."""
+    over its predecessors. Returns the (B, n) tours, node 0 first."""
     n = dist.shape[1]
     m = n - 1  # nodes 1..n-1 in mask coordinates
     full = 1 << m
@@ -414,16 +486,16 @@ def _held_karp_many(dist: np.ndarray) -> list[list[int]]:
         best = cand.argmin(axis=2)
         dp[:, masks, lasts] = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
         parent[:, masks, lasts] = best
-    closing = (dp[:, full - 1] + dist[:, 1:, 0]).argmin(axis=1)
-    tours = []
-    for b in range(batch):
-        mask, last, chain = full - 1, int(closing[b]), []
-        while last >= 0:
-            chain.append(last + 1)
-            nxt = int(parent[b, mask, last])
-            mask ^= 1 << last
-            last = nxt
-        tours.append([0] + chain[::-1])
+    # walk the parents back from the closing node, the whole batch per step
+    rows = np.arange(batch)
+    tours = np.zeros((batch, n), dtype=np.intp)
+    mask = np.full(batch, full - 1)
+    last = (dp[:, full - 1] + dist[:, 1:, 0]).argmin(axis=1)
+    for pos in range(n - 1, 0, -1):
+        tours[:, pos] = last + 1
+        nxt = parent[rows, mask, last].astype(np.intp)
+        mask ^= 1 << last
+        last = nxt
     return tours
 
 
@@ -495,18 +567,26 @@ class TspOracle(ProblemOracle):
             i, j = j, i
         return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
 
+    @cached_property
+    def _edge_ids(self) -> np.ndarray:
+        """(n, n) matrix of ``edge_index(i, j)``; the diagonal is unused."""
+        ids = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
+        i, j = np.triu_indices(self.n_nodes, 1)  # the edge_index order
+        ids[i, j] = ids[j, i] = np.arange(self.d)
+        return ids
+
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         dist = _edge_matrices(self.n_nodes, costs)
         if self.exact:
             m = self.n_nodes - 1
             chunk = max(1, HELD_KARP_CHUNK_STATES // ((1 << m) * m))
-            tours = [tour for lo in range(0, len(dist), chunk)
-                     for tour in _held_karp_many(dist[lo:lo + chunk])]
+            tours = np.concatenate([_held_karp_many(dist[lo:lo + chunk])
+                                    for lo in range(0, len(dist), chunk)])
         else:
-            tours = [_nearest_neighbor_2opt(matrix) for matrix in dist]
+            tours = np.array([_nearest_neighbor_2opt(matrix) for matrix in dist])
         x = np.zeros(costs.shape)
-        for row, tour in enumerate(tours):
-            x[row, [self.edge_index(a, b) for a, b in zip(tour, tour[1:] + tour[:1])]] = 1.0
+        edges = self._edge_ids[tours, np.roll(tours, -1, axis=1)]
+        x[np.arange(len(tours))[:, None], edges] = 1.0
         return x
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,26 @@ from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, KnapsackOracle,
                              ShortestPathOracle, TspOracle, load_problem,
                              make_knapsack, problem_from_name)
 
-from brute import (brute_knapsack, brute_shortest_path, brute_tsp,
-                   enumerate_grid_paths)
+from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
+                   brute_tsp, enumerate_grid_paths)
 
 
 # --- knapsack ---------------------------------------------------------------
+
+KNAPSACK_PATHS = ("table", "branch-and-bound")
+
+
+def knapsack(weights, capacities, path="table"):
+    """A knapsack oracle that solves by ``path``. The decision table is
+    built on first use, so a zero table budget while building it forces the
+    branch-and-bound."""
+    oracle = KnapsackOracle(weights=weights, capacities=capacities)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "branch-and-bound":
+            mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", 0)
+        assert (oracle.decision_table is None) is (path == "branch-and-bound")
+    return oracle
+
 
 def test_knapsack_frozen_example():
     oracle = KnapsackOracle(weights=[[2.0, 3.0, 4.0, 5.0]], capacities=[6.0])
@@ -54,19 +69,58 @@ def test_knapsack_rejects_negative_weights():
 
 
 @settings(max_examples=60)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_knapsack_matches_brute_force(seed):
+@given(st.sampled_from(KNAPSACK_PATHS), st.integers(0, 2 ** 32 - 1))
+def test_knapsack_matches_brute_force(path, seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 11))
     q = int(rng.integers(1, 3))
-    oracle = KnapsackOracle(weights=rng.integers(1, 7, size=(q, d)).astype(float),
-                            capacities=rng.integers(d, 3 * d, size=q).astype(float))
+    oracle = knapsack(rng.integers(1, 7, size=(q, d)).astype(float),
+                      rng.integers(d, 3 * d, size=q).astype(float), path)
     # half-integer costs make exact value ties common, exercising lex order
     costs = rng.integers(0, 9, size=d) / 2.0
     x = oracle.solve_many(costs[None])[0]
     x_brute, v_brute = brute_knapsack(oracle.weights, oracle.capacities, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_knapsack_table_is_every_feasible_decision_in_lex_order(fractional):
+    rng = np.random.default_rng(5)
+    weights = rng.integers(1, 7, size=(2, 9)) * (0.7 if fractional else 1.0)
+    capacities = np.array([9.0, 12.6]) if fractional else np.array([9.0, 13.0])
+    oracle = knapsack(weights, capacities)
+    xs = all_binary_vectors(9)
+    feasible = xs[np.all(xs @ oracle.weights.T <= oracle.capacities + 1e-9, axis=1)]
+    assert 1 < len(feasible) < len(xs)
+    np.testing.assert_array_equal(oracle.decision_table, feasible)
+
+
+@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+def test_knapsack_load_at_capacity_fits_in_any_summation_order(path):
+    # multiples of 0.7 sum to slightly different loads in density order
+    # and in index order; the branch-and-bound used to prove a value with
+    # one order and fail to reconstruct it with the other
+    weights = [[2.8, 2.0999999999999996, 0.7, 3.5, 4.199999999999999, 1.4,
+                2.0999999999999996, 0.7],
+               [3.5, 2.0999999999999996, 1.4, 3.5, 0.7, 2.8, 2.0999999999999996, 3.5],
+               [2.0999999999999996, 3.5, 1.4, 3.5, 4.199999999999999, 1.4, 1.4, 2.8]]
+    costs = np.array([0.5, 4.0, 1.0, 4.0, 0.5, 2.0, -1.0, 3.0])
+    oracle = knapsack(weights, [9.0, 19.8, 12.6], path)
+    x = oracle.solve_many(costs[None])[0]
+    assert x.tolist() == [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert float(costs @ x) == 14.0
+    np.testing.assert_array_equal(x, brute_knapsack(oracle.weights, oracle.capacities,
+                                                    costs)[0])
+
+
+@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+def test_knapsack_near_ties_break_lexicographically(path):
+    # {0} is better by 1e-12, inside the 1e-9 tie band, so {1} -- first in
+    # lexicographic order -- wins; an exact argmax would pick {0}
+    oracle = knapsack([[1.0, 1.0]], [1.0], path)
+    x = oracle.solve_many(np.array([[1.0 + 1e-12, 1.0]]))[0]
+    assert x.tolist() == [0.0, 1.0]
 
 
 # --- grid shortest path -----------------------------------------------------
@@ -277,7 +331,7 @@ def test_oracle_names_and_sizes():
 
 # --- batched solves -------------------------------------------------------------
 
-BATCH_FAMILIES = ("ks", "sp", "tsp", "tsp-heuristic")
+BATCH_FAMILIES = ("ks", "ks-branch-and-bound", "sp", "tsp", "tsp-heuristic")
 
 
 def batch_case(family, rng):
@@ -286,11 +340,12 @@ def batch_case(family, rng):
     directly. Half the batches have small integer costs, with many ties."""
     rows = int(rng.integers(1, 9))
     integer = bool(rng.integers(0, 2))
-    if family == "ks":
+    if family.startswith("ks"):
         d = int(rng.integers(2, 9))
         q = int(rng.integers(1, 3))
-        oracle = KnapsackOracle(weights=rng.integers(1, 5, size=(q, d)).astype(float),
-                                capacities=rng.integers(d, 2 * d + 1, size=q).astype(float))
+        oracle = knapsack(rng.integers(1, 5, size=(q, d)).astype(float),
+                          rng.integers(d, 2 * d + 1, size=q).astype(float),
+                          "table" if family == "ks" else "branch-and-bound")
         costs = (rng.integers(-2, 4, size=(rows, d)).astype(float) if integer
                  else rng.normal(1.0, 2.0, size=(rows, d)))
         return oracle, costs, lambda c: brute_knapsack(oracle.weights, oracle.capacities, c)
@@ -321,11 +376,25 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
     for r, c in enumerate(costs):
         np.testing.assert_array_equal(x[r], oracle.solve_many(c[None])[0])
         x_ref, v_ref = brute(c)
-        if family in ("ks", "sp"):
+        if not family.startswith("tsp"):
             np.testing.assert_array_equal(x[r], x_ref)
         else:
             assert float(c @ x[r]) == pytest.approx(v_ref, abs=1e-9)
     assert oracle.counter.count == 2 * costs.shape[0]
+
+
+def test_held_karp_tie_breaking_is_frozen():
+    # costs in {0, 1, 2}: seven of the ten rows have two to seven optimal
+    # tours; the edges were recorded from the row-by-row backtrack that the
+    # batched one replaced, so a change to the tie rule shows here
+    oracle = TspOracle(6)
+    costs = np.random.default_rng(6).integers(0, 3, size=(10, oracle.d)).astype(float)
+    expected = [[0, 2, 8, 10, 11, 12], [3, 4, 5, 6, 10, 13], [3, 4, 5, 6, 10, 13],
+                [0, 2, 5, 11, 12, 14], [2, 3, 5, 8, 9, 14], [0, 4, 6, 9, 10, 14],
+                [2, 3, 5, 6, 11, 14], [0, 4, 6, 10, 11, 12], [0, 4, 5, 10, 12, 13],
+                [0, 3, 5, 11, 12, 13]]
+    x = oracle.solve_many(costs)
+    assert [np.flatnonzero(row).tolist() for row in x] == expected
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
