@@ -11,10 +11,7 @@ import sys
 from pathlib import Path
 
 from cosdfl.cli import main as cli_main
-from cosdfl.harness import component_subset_losses
-
-LAWLESS_SWEEP = ["lawless:0", "lawless:0.2", "lawless:0.4", "lawless:0.6",
-                 "lawless:0.8", "lawless:1"]
+from cosdfl.harness import DESK_LOSSES
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -23,11 +20,8 @@ def run(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="0,1,2,3,4")
     args = parser.parse_args(argv)
 
-    sp_losses = (component_subset_losses("mse") + ["mae+o+s", "spo+"]
-                 + LAWLESS_SWEEP)
-    ks_losses = ["mse", "mse+c+o+s", "mae+o+s", "spo+"]
     code = 0
-    for problem, losses in [("sp5x5", sp_losses), ("ks16", ks_losses)]:
+    for problem, losses in DESK_LOSSES.items():
         out = Path(args.out) / problem
         print(f"== {problem}: {len(losses)} losses x {len(args.seeds.split(','))} seeds -> {out}")
         cli_args = ["experiment", "--problem", problem,

@@ -12,9 +12,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from cosdfl.cli import main as cli_main
-
-SWEEP = ["lawless:0", "lawless:0.2", "lawless:0.4", "lawless:0.6",
-         "lawless:0.8", "lawless:1"]
+from cosdfl.harness import LAWLESS_SWEEP
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -27,7 +25,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     code = cli_main(["experiment", "--problem", args.problem,
-                     "--losses", ",".join(["mse", "mse+c"] + SWEEP),
+                     "--losses", ",".join(["mse", "mse+c", *LAWLESS_SWEEP]),
                      "--seeds", args.seeds, "--out-dir", args.out])
     if code != 0:
         return code
@@ -37,9 +35,9 @@ def run(argv: list[str] | None = None) -> int:
         for row in csv.DictReader(fh):
             totals[row["loss"]].append(float(row["regret_abs"]))
     means = {loss: sum(v) / len(v) for loss, v in totals.items()}
-    best = min(SWEEP, key=lambda name: means[name])
+    best = min(LAWLESS_SWEEP, key=lambda name: means[name])
     print(f"\nmean test regret over seeds {args.seeds}:")
-    for loss in ["mse", "mse+c"] + SWEEP:
+    for loss in ["mse", "mse+c", *LAWLESS_SWEEP]:
         marker = "  <- best sweep member" if loss == best else ""
         print(f"  {loss:<12} {means[loss]:.1f}{marker}")
     print(f"mse+c / best = {means['mse+c'] / means[best]:.4f}")

@@ -21,7 +21,7 @@ from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
                       pareto_flags, run_experiment, run_single,
                       sensitivity_soundness_check, write_results)
 from .instance_costs import (BaselineReport, apply_instance_costs,
-                             compute_instance_costs, costs_from_predictions)
+                             compute_instance_costs)
 from .losses import (BaseError, LossData, LossSpec, OneSidedMode, base_error,
                      evaluate_loss_batch, normalize, parse_loss, spo_plus_batch,
                      stack_loss_data)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
-from .errors import NumericalBreakdown, SolveFailure
+from .errors import NumericalBreakdown, SolveFailure, ZeroVector
 from .instance_costs import apply_instance_costs, compute_instance_costs
 from .losses import LossSpec, normalize, parse_loss
 from .model import Optimizer, TrainConfig, init_model, train
@@ -67,17 +67,20 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
     One ``solve_lp`` call per instance without ranges, each advancing
     ``problem.counter`` by one. With ``normalized`` the ranging objective is
     the unit-norm cost vector, which is what scale-invariant losses must
-    mask against. A failed solve raises an error naming the instance and
-    the ``precompute_ranges`` phase.
+    mask against, normalized before any LP solve. A failed solve or a zero
+    cost vector raises an error naming the instance and ``precompute_ranges``.
     """
     lower, upper = dataset.lower.copy(), dataset.upper.copy()
     missing = dataset.uncached("lower", [i for split in splits
                                          for i in dataset.split.part(split)])
-    for i in missing:
-        costs = dataset.costs[i]
+    objectives = dataset.costs[missing]
+    try:
+        objectives = normalize(objectives, missing) if normalized else objectives
+    except ZeroVector as exc:
+        raise ZeroVector(f"precompute_ranges: {exc}") from exc
+    for i, objective in zip(missing, objectives):
         try:
-            solution = solve_lp(problem.relaxation,
-                                normalize(costs) if normalized else costs, problem.sense)
+            solution = solve_lp(problem.relaxation, objective, problem.sense)
         except NumericalBreakdown as exc:
             raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i}: "
                                f"{exc}") from exc
@@ -413,6 +416,12 @@ def component_subset_losses(base: str) -> list[str]:
     subsets = [frozenset(s) for r in range(4)
                for s in itertools.combinations(("c", "o", "s"), r)]
     return [_subset_name(base, s) for s in subsets]
+
+
+# the regret-weighted sweep of criterion 10 and the desk grids of criterion 08
+LAWLESS_SWEEP = tuple(f"lawless:{w}" for w in ("0", "0.2", "0.4", "0.6", "0.8", "1"))
+DESK_LOSSES = {"sp5x5": (*component_subset_losses("mse"), "mae+o+s", "spo+", *LAWLESS_SWEEP),
+               "ks16": ("mse", "mse+c+o+s", "mae+o+s", "spo+")}
 
 
 def build_monotonicity(subset_means: dict[str, float], base: str = "mse",

@@ -7,7 +7,8 @@ Instances with zero regret receive the mean weight of the regretting ones;
 a (pathological) near-zero base loss with positive regret is capped at the
 99th percentile of the finite weights instead of exploding. The same
 baseline pass reports the raw regrets, which are the weights of the
-regret-weighted (lawless) loss.
+regret-weighted (lawless) loss. The pass is one prediction call, one
+batched loss evaluation and one batched solve over the training split.
 """
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Problem, instance_regrets
+from .core import Dataset, Predictor, Problem, instance_regrets
 from .losses import LossSpec, evaluate_loss_batch, stack_loss_data
-from .model import LinearModel
 
 DEGENERATE_LOSS_TOL = 1e-12
 
@@ -74,19 +74,20 @@ def _costs_from_values(base_losses: np.ndarray, regrets: np.ndarray
     return costs, degenerate, False
 
 
-def costs_from_predictions(problem: Problem, dataset: Dataset,
-                           predictions: np.ndarray, base_spec: LossSpec) -> BaselineReport:
-    """Training-split instance weights from explicit predictions; one batched solve.
+def compute_instance_costs(problem: Problem, baseline: Predictor, dataset: Dataset,
+                           base_spec: LossSpec) -> BaselineReport:
+    """Training-split instance weights from a baseline model; one batched solve.
 
-    Assumes optimal decisions are already cached on the training instances
-    (each regret evaluation then costs exactly one solve).
+    The baseline predicts every training row in one call, and the base
+    losses and regrets of those predictions are each one batched pass (a
+    prediction that is not (n, d) raises DimensionMismatch there). Assumes
+    optimal decisions are cached on the training instances (each regret
+    evaluation then costs exactly one solve).
     """
     if base_spec.instance_costs or base_spec.lawless_w is not None or base_spec.spo_plus:
         raise ValueError("the base spec for instance costs must not itself re-weight")
     indices = dataset.split.train
-    if predictions.shape != (len(indices), dataset.d):
-        raise ValueError(f"expected predictions of shape {(len(indices), dataset.d)}, "
-                         f"got {predictions.shape}")
+    predictions = baseline.predict(dataset.features[list(indices)])
     losses, _ = evaluate_loss_batch(
         predictions, stack_loss_data(base_spec, dataset, indices, problem.sense),
         slice(None))
@@ -102,15 +103,6 @@ def costs_from_predictions(problem: Problem, dataset: Dataset,
         degenerate=degenerate,
         all_zero_regret=all_zero,
     )
-
-
-def compute_instance_costs(problem: Problem, baseline: LinearModel,
-                           dataset: Dataset, base_spec: LossSpec) -> BaselineReport:
-    """Training-split instance weights from a trained baseline model."""
-    indices = dataset.split.train
-    preds = np.array([baseline.predict(dataset.features[i]) for i in indices],
-                     dtype=float).reshape(len(indices), dataset.d)
-    return costs_from_predictions(problem, dataset, preds, base_spec)
 
 
 def apply_instance_costs(dataset: Dataset, values: Sequence[float]) -> Dataset:

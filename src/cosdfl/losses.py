@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, Problem, Sense, as_vector
+from .core import Dataset, Problem, Sense, row_dots
 from .errors import (DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision, MissingRanges,
                      NonFiniteGradient, ZeroVector)
@@ -207,13 +207,15 @@ def base_error(predicted: np.ndarray, true: np.ndarray, base: BaseError
     return np.abs(diff), np.where(np.abs(diff) <= TIE_EPS, 0.0, np.sign(diff))
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    """Project onto the unit sphere; rejects (near-)zero input."""
-    vector = as_vector(vector, name="vector")
-    norm = float(np.linalg.norm(vector))
-    if norm <= NORM_EPS:
-        raise ZeroVector(f"cannot normalize a vector with norm {norm:.3e}")
-    return vector / norm
+def normalize(rows: np.ndarray, indices) -> np.ndarray:
+    """Project each row of an (n, d) array onto the unit sphere; a row of norm
+    at most NORM_EPS raises ZeroVector naming its instance ``indices[r]``."""
+    norms = np.sqrt(row_dots(rows, rows))
+    small = norms <= NORM_EPS
+    if small.any():
+        r = int(np.argmax(small))
+        raise ZeroVector(f"instance {indices[r]}: cannot normalize costs of norm {norms[r]:.3e}")
+    return rows / norms[:, None]
 
 
 # --- composed evaluation ------------------------------------------------------
@@ -267,14 +269,14 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
     """Bind ``spec`` to the rows ``indices`` of ``dataset`` under ``sense``.
 
     Raises the missing-cache errors, naming the first dataset index with no
-    cache attached (and ZeroVector for an all-zero true cost vector under
-    S), here, before any evaluation.
+    cache attached, and under S ZeroVector naming the first instance whose
+    true cost vector is (near) zero, here, before any evaluation.
     """
     indices = np.asarray(indices, dtype=int)
     factor = _instance_factors(spec, dataset, indices)
     true = dataset.costs[indices]
     if spec.scale_invariant:
-        true = np.array([normalize(c) for c in true]).reshape(true.shape)
+        true = normalize(true, indices)
     fields: dict = {}
     if spec.requires_decisions:
         missing = dataset.uncached("x_star", indices)
@@ -399,13 +401,11 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     shifted = 2.0 * predicted - true
     x_shift = problem.solve_many(shifted)
     maximize = problem.sense is Sense.MAXIMIZE
-    values = np.empty(shifted.shape[0])
-    for r in range(shifted.shape[0]):  # per-row dot products, as one-row solves take them
-        shift_value = float(shifted[r] @ x_shift[r])
-        pred_value = float(predicted[r] @ x_star[r])
-        true_value = float(true[r] @ x_star[r])
-        values[r] = (shift_value - 2.0 * pred_value + true_value if maximize
-                     else -shift_value + 2.0 * pred_value - true_value)
+    shift_value = row_dots(shifted, x_shift)
+    pred_value = row_dots(predicted, x_star)
+    true_value = row_dots(true, x_star)
+    values = (shift_value - 2.0 * pred_value + true_value if maximize
+              else -shift_value + 2.0 * pred_value - true_value)
     grads = 2.0 * (x_shift - x_star) if maximize else 2.0 * (x_star - x_shift)
     check_finite(values, grads, data.indices[rows])
     return values, grads

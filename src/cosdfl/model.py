@@ -1,14 +1,14 @@
 """Linear multi-output predictor trained by hand-written gradients.
 
-The model is c_hat = W z + b. Training runs seeded mini-batch gradient
-descent (SGD or Adam) against any composed loss. The loss is bound to the
-training rows and to the validation rows once per run (``stack_loss_data``,
-which fixes each one-sided coordinate's safe interval from X* and the
-problem sense), and each mini-batch (and each epoch's validation pass) is
-one call of the batched loss kernel, whose (B, d) prediction-gradients
-chain into W and b by one matrix product; no autodiff is involved. A
-``spo+`` mini-batch makes one batched oracle solve. Given the same seed and
-config, training is bit-for-bit reproducible.
+The model is c_hat = W z + b, predicted for (n, k) feature rows in one
+stacked matrix-vector product. Training runs seeded mini-batch gradient
+descent (SGD or Adam) against any composed loss, bound to the training rows
+and to the validation rows once per run (``stack_loss_data`` fixes each
+one-sided coordinate's safe interval from X* and the problem sense). Each
+mini-batch (and each epoch's validation pass) is one call of the batched
+loss kernel, whose (B, d) prediction-gradients chain into W and b by one
+matrix product, with no autodiff. A ``spo+`` mini-batch makes one batched
+oracle solve. Training is bit-for-bit reproducible per seed and config.
 """
 from __future__ import annotations
 
@@ -56,8 +56,12 @@ class LinearModel:
         return self.weights.shape[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = as_vector(features, name="features", length=self.k)
-        return self.weights @ features + self.bias
+        """(n, d) costs of (n, k) feature rows. Row r is ``W @ features[r] + b``
+        bit for bit: the stacked product makes its BLAS ``gemv`` call per row."""
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.k:
+            raise DimensionMismatch(f"features must be (n, {self.k}), got {features.shape}")
+        return (self.weights @ features[:, :, None])[:, :, 0] + self.bias
 
 
 def init_model(k: int, d: int, seed: int = 0) -> LinearModel:
@@ -184,6 +188,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             batch = order[lo_idx:lo_idx + config.batch_size]
             zb = feats[batch]
             preds = zb @ w.T + b
+            # each sum order stays: train_loss is a val metric (spo+, or no val rows)
             try:
                 if spec.spo_plus:
                     values, grads = spo_plus_batch(preds, data, batch, problem)

@@ -24,8 +24,8 @@ against the constraint rows of ``relaxation`` in one array test, to
 Knapsack and grid solvers break objective ties by returning the
 lexicographically smallest decision vector, so repeated solves of tied
 instances are reproducible. The grid compares path costs exactly; the
-knapsack counts every decision within 1e-9 * max(1, |best|) of the best
-value as tied. The exact TSP solver is deterministic via a fixed
+knapsack counts every decision within ``KNAPSACK_TIE_TOL`` * max(1, |best|)
+of the best value as tied. The exact TSP solver is deterministic via a fixed
 dynamic-programming scan order (global lexicographic reconstruction would
 need one extra DP per edge, which ties never justify in practice).
 """
@@ -47,6 +47,7 @@ from .simplex import LinearProgram
 # a 0/1 decision is feasible when every constraint row holds to this
 # tolerance; the knapsack solvers apply the same rule to each load
 FEASIBILITY_TOL = 1e-9
+KNAPSACK_TIE_TOL = 1e-9  # values this fraction of max(1, |best|) below the best tie
 
 
 class CallCounter:
@@ -214,7 +215,7 @@ def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
         if _fits(item_weights[j], rem):
             stack.append((pos + 1, value + costs[j], _minus(rem, item_weights[j])))
 
-    eps = 1e-9 * max(1.0, abs(best))
+    eps = KNAPSACK_TIE_TOL * max(1.0, abs(best))
     if best <= eps:
         return []  # taking nothing is optimal and lexicographically smallest
     d = len(costs)
@@ -301,8 +302,8 @@ class KnapsackOracle(ProblemOracle):
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
 
-        A decision is optimal when its value is within 1e-9 * max(1, |best|)
-        of the best value, and the lexicographically first such decision wins.
+        A decision is optimal when its value is within ``KNAPSACK_TIE_TOL`` *
+        max(1, |best|) of the best value; the lexicographically first wins.
         With a ``decision_table`` that is the first table row in the band;
         the empty set is row 0, and a set that takes an item of non-positive
         cost is preceded by the same set without it. Otherwise, per row,
@@ -316,7 +317,7 @@ class KnapsackOracle(ProblemOracle):
         for lo in range(0, len(costs), chunk):
             values = costs[lo:lo + chunk] @ table.T
             best = values.max(axis=1, keepdims=True)
-            in_band = values >= best - 1e-9 * np.maximum(1.0, np.abs(best))
+            in_band = values >= best - KNAPSACK_TIE_TOL * np.maximum(1.0, np.abs(best))
             x[lo:lo + chunk] = table[in_band.argmax(axis=1)]
         return x
 

@@ -19,7 +19,9 @@ def all_binary_vectors(d: int) -> np.ndarray:
 
 def brute_knapsack(weights: np.ndarray, capacities: np.ndarray,
                    costs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lexicographically smallest maximizer over all feasible binary vectors."""
+    """Lexicographically smallest feasible binary vector whose value is within
+    1e-9 * max(1, |best|) of the best value, the tie band the package
+    documents for its knapsack."""
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     capacities = np.atleast_1d(np.asarray(capacities, dtype=float))
     d = weights.shape[1]
@@ -27,8 +29,9 @@ def brute_knapsack(weights: np.ndarray, capacities: np.ndarray,
     feasible = np.all(xs @ weights.T <= capacities + 1e-9, axis=1)
     values = xs @ np.asarray(costs, dtype=float)
     values[~feasible] = -np.inf
-    best = int(np.argmax(values))  # first occurrence = lex smallest
-    return xs[best], float(values[best])
+    best = values.max()
+    first = int(np.argmax(values >= best - 1e-9 * max(1.0, abs(best))))  # lex smallest
+    return xs[first], float(values[first])
 
 
 def enumerate_grid_paths(rows: int, cols: int) -> list[np.ndarray]:

@@ -19,9 +19,9 @@ import pytest
 
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.datagen import generate
-from cosdfl.harness import (ExperimentConfig, build_monotonicity,
-                            component_subset_losses, fit, mean_normalized_regret,
-                            run_experiment, run_single,
+from cosdfl.harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig,
+                            build_monotonicity, component_subset_losses, fit,
+                            mean_normalized_regret, run_experiment, run_single,
                             sensitivity_soundness_check, write_results)
 from cosdfl.losses import (evaluate_loss_batch, normalize, parse_loss,
                            stack_loss_data)
@@ -31,11 +31,9 @@ from cosdfl.simplex import solve_lp
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp)
 
-LAWLESS_GRID = ("lawless:0", "lawless:0.2", "lawless:0.4", "lawless:0.6",
-                "lawless:0.8", "lawless:1")
 DESK_SEEDS = (0, 1, 2, 3, 4)
 STUDY_SEEDS = tuple(range(20))
-STUDY_LOSSES = tuple(component_subset_losses("mse")) + LAWLESS_GRID
+STUDY_LOSSES = tuple(component_subset_losses("mse")) + LAWLESS_SWEEP
 
 
 def verdict(number: int, ok: bool, detail: str) -> bool:
@@ -47,8 +45,8 @@ def verdict(number: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def desk_sp():
-    losses = tuple(component_subset_losses("mse")) + ("mae+o+s", "spo+") + LAWLESS_GRID
-    config = ExperimentConfig(problem="sp5x5", losses=losses, seeds=DESK_SEEDS)
+    config = ExperimentConfig(problem="sp5x5", losses=DESK_LOSSES["sp5x5"],
+                              seeds=DESK_SEEDS)
     t0 = time.perf_counter()
     reports = run_experiment(config)
     return {"reports": reports, "elapsed": time.perf_counter() - t0}
@@ -56,8 +54,7 @@ def desk_sp():
 
 @pytest.fixture(scope="session")
 def desk_ks():
-    config = ExperimentConfig(problem="ks16",
-                              losses=("mse", "mse+c+o+s", "mae+o+s", "spo+"),
+    config = ExperimentConfig(problem="ks16", losses=DESK_LOSSES["ks16"],
                               seeds=DESK_SEEDS)
     t0 = time.perf_counter()
     reports = run_experiment(config)
@@ -168,8 +165,8 @@ def test_criterion_02_cosine_proportionality():
         b = rng.standard_normal(d)
         if np.linalg.norm(a) < 1e-8 or np.linalg.norm(b) < 1e-8:
             continue
-        data = stack_loss_data(mse, instances(normalize(b)[None, :]), [0], Sense.MAXIMIZE)
-        value = evaluate_loss_batch(normalize(a)[None, :], data, [0])[0][0]
+        data = stack_loss_data(mse, instances(normalize(b[None], [0])), [0], Sense.MAXIMIZE)
+        value = evaluate_loss_batch(normalize(a[None], [0]), data, [0])[0][0]
         cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         worst = max(worst, abs(value - (2.0 / d) * (1.0 - cos)))
     ok = worst <= 1e-10
@@ -195,7 +192,7 @@ GRADIENT_SPECS = ([f"{b}{s}" for b in ("mse", "mae") for s in COMPONENT_SUBSETS]
 
 
 def _ranges(problem, c, normalized):
-    return solve_lp(problem.relaxation, normalize(c) if normalized else c,
+    return solve_lp(problem.relaxation, normalize(c[None], [0])[0] if normalized else c,
                     problem.sense).ranges
 
 
@@ -203,10 +200,10 @@ def _away_from_boundaries(spec, pred, dataset):
     c = dataset.costs[0]
     if np.any(np.abs(pred - c) <= 1e-3) or np.linalg.norm(pred) <= 1e-3:
         return False
-    if spec.scale_invariant and np.any(
-            np.abs(normalize(pred) - normalize(c)) <= 1e-4):
+    unit_pred, unit_c = normalize(np.stack([pred, c]), [0, 0])
+    if spec.scale_invariant and np.any(np.abs(unit_pred - unit_c) <= 1e-4):
         return False
-    ref = normalize(pred) if spec.scale_invariant else pred
+    ref = unit_pred if spec.scale_invariant else pred
     for bound in (dataset.lower[0], dataset.upper[0]):  # NaN when not attached
         finite = np.isfinite(bound)
         if np.any(np.abs(ref[finite] - bound[finite]) <= 1e-3):
@@ -385,9 +382,9 @@ def test_criterion_09_component_monotonicity(desk_sp_study):
 def test_criterion_10_lawless_comparison(desk_sp_study):
     reports = desk_sp_study
     clean = all(clean_seeds(reports, loss) == STUDY_SEEDS
-                for loss in ("mse+c",) + LAWLESS_GRID)
+                for loss in ("mse+c",) + LAWLESS_SWEEP)
     c_mean = abs_mean(reports, "mse+c")
-    law = {name: abs_mean(reports, name) for name in LAWLESS_GRID}
+    law = {name: abs_mean(reports, name) for name in LAWLESS_SWEEP}
     best_name = min(law, key=law.get)
     ratio = c_mean / law[best_name]
     se = paired_ratio_se(reports, "mse+c", best_name)

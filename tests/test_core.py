@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from cosdfl.core import (REGRET_TOL, Dataset, Sense, Split, as_vector,
                          dataset_to_dict, instance_regrets, load_dataset,
-                         save_dataset, total_regret)
+                         row_dots, save_dataset, total_regret)
 from cosdfl.errors import DimensionMismatch, SolveFailure
 from cosdfl.instance_costs import apply_instance_costs
+from cosdfl.model import LinearModel
 from cosdfl.problems import KnapsackOracle
 
 from brute import brute_knapsack
@@ -38,7 +39,7 @@ class ConstantPredictor:
         self.costs = np.asarray(costs, dtype=float)
 
     def predict(self, features):
-        return self.costs
+        return np.tile(self.costs, (len(features), 1))
 
 
 def test_as_vector_validates_shape_and_length():
@@ -96,6 +97,39 @@ def test_regret_clamps_tolerance_and_raises_below(tiny_knapsack):
     with pytest.raises(SolveFailure, match="instance 0"):
         regret(tiny_knapsack, c, c, x_star=stale)
     assert regret(tiny_knapsack, c, c, x_star=x_star) == 0.0
+    # of two stale instances, the error names the first in batch order
+    ds = Dataset(features=np.zeros((3, 1)), costs=np.tile(c, (3, 1)), split=Split(),
+                 x_star=np.stack([x_star, stale, stale]))
+    with pytest.raises(SolveFailure, match="^instance 2: negative regret"):
+        instance_regrets(tiny_knapsack, np.tile(c, (3, 1)), ds, [0, 2, 1])
+
+
+# (n, d, k): empty, one-coordinate and one-feature batches, then random ones
+STACKED_SHAPES = [(0, 3, 2), (4, 1, 3), (5, 6, 1), (1, 1, 1)] + [
+    tuple(int(v) for v in np.random.default_rng(seed).integers(1, 40, size=3))
+    for seed in range(12)]
+
+
+@pytest.mark.parametrize("n,d,k", STACKED_SHAPES)
+@pytest.mark.parametrize("strided", [False, True])
+def test_stacked_products_equal_the_per_row_products(n, d, k, strided):
+    # the batched regrets, spo+ values, normalizations and predictions are
+    # bit-identical to their per-row forms only while numpy makes the same
+    # BLAS call per stacked item as for the 1-d product; if this fails, a
+    # numpy or BLAS change broke that, and the golden outputs will move
+    rng = np.random.default_rng(n * 10_000 + d * 100 + k)
+    a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    features = rng.normal(size=(n, k))
+    if strided:  # row views into wider arrays, every other row
+        a = rng.normal(size=(2 * n, d + 3))[::2, 1:d + 1]
+        features = rng.normal(size=(2 * n, k + 2))[::2, :k]
+    model = LinearModel(rng.normal(size=(d, k)), rng.normal(size=d))
+    dots, predicted = row_dots(a, b), model.predict(features)
+    assert dots.shape == (n,) and predicted.shape == (n, d)
+    for r in range(n):
+        assert np.array_equal(dots[r], a[r] @ b[r]), "row_dots differs from a[r] @ b[r]"
+        assert np.array_equal(predicted[r], model.weights @ features[r] + model.bias), \
+            "LinearModel.predict differs from W @ z + b"
 
 
 def test_instance_regret_uses_cache(tiny_knapsack):
@@ -126,7 +160,7 @@ def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):
 
     class NanForInstance2:
         def predict(self, features):
-            return c * (np.nan if features[0] == 2.0 else 1.0)
+            return c * np.where(features == 2.0, np.nan, 1.0)
 
     with pytest.raises(ValueError, match="instance 2 "):
         total_regret(tiny_knapsack, NanForInstance2(), ds)

@@ -1,12 +1,12 @@
 import csv
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from cosdfl.datagen import GenSpec, generate
-from cosdfl.errors import NumericalBreakdown, SolveFailure
+from cosdfl.errors import NumericalBreakdown, SolveFailure, ZeroVector
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
                             SolveCounts, attach_decisions, attach_ranges,
                             emit_pareto, fit, mean_normalized_regret,
@@ -69,8 +69,8 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
         # ranging is positively homogeneous in the objective
         np.testing.assert_allclose(norm.lower[i], raw.lower[i] * scale, atol=1e-9)
         np.testing.assert_allclose(norm.upper[i], raw.upper[i] * scale, atol=1e-9)
-        assert np.all(norm.lower[i] <= normalize(c) + 1e-12)
-        assert np.all(norm.upper[i] >= normalize(c) - 1e-12)
+        assert np.all(norm.lower[i] <= normalize(c[None], [i])[0] + 1e-12)
+        assert np.all(norm.upper[i] >= normalize(c[None], [i])[0] - 1e-12)
 
 
 def test_attach_ranges_runs_phase_one_once(monkeypatch):
@@ -109,6 +109,18 @@ def test_attach_ranges_error_names_instance_and_phase(monkeypatch, failure):
     monkeypatch.setattr(harness_mod, "solve_lp", failing_on_instance_3)
     with pytest.raises(SolveFailure, match=r"^precompute_ranges: .*instance 3\b"):
         attach_ranges(ds, problem)
+
+
+def test_attach_ranges_names_a_zero_cost_vector_before_any_solve(monkeypatch):
+    problem = ShortestPathOracle(3, 3)
+    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
+    costs = ds.costs.copy()
+    costs[3] = 0.0
+    monkeypatch.setattr(harness_mod, "solve_lp",
+                        lambda *args: pytest.fail("an LP was solved"))
+    with pytest.raises(ZeroVector, match=r"^precompute_ranges: .*instance 3\b"):
+        attach_ranges(replace(ds, costs=costs), problem, normalized=True)
+    assert problem.counter.count == 0
 
 
 @pytest.mark.parametrize("loss,expected", [

@@ -6,10 +6,11 @@ import pytest
 
 from cosdfl.core import Split, instance_regrets
 from cosdfl.datagen import GenSpec, generate
+from cosdfl.errors import DimensionMismatch
 from cosdfl.harness import attach_decisions
 from cosdfl.instance_costs import (BaselineReport, apply_instance_costs,
-                                   compute_instance_costs, costs_from_predictions,
-                                   save_baseline_report, _costs_from_values)
+                                   compute_instance_costs, save_baseline_report,
+                                   _costs_from_values)
 from cosdfl.losses import evaluate_loss_batch, parse_loss, stack_loss_data
 from cosdfl.model import init_model
 from cosdfl.problems import make_knapsack
@@ -21,6 +22,16 @@ def ks_setup():
     dataset = generate(GenSpec(n_train=10, n_val=3, n_test=3, k=4, seed=0), problem)
     dataset = attach_decisions(dataset, problem)
     return problem, dataset
+
+
+class FixedRows:
+    """A baseline that predicts the given rows, whatever the features."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def predict(self, features):
+        return self.rows
 
 
 # --- the weighting rule ---------------------------------------------------------
@@ -64,7 +75,7 @@ def test_costs_satisfy_regret_identity(ks_setup):
     indices = dataset.split.train
     preds = np.stack([dataset.costs[i] * rng.uniform(0.3, 1.8, dataset.d)
                       for i in indices])
-    report = costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
+    report = compute_instance_costs(problem, FixedRows(preds), dataset, parse_loss("mse"))
     pos = report.positive_regret
     assert pos.any(), "setup should produce at least one regretting instance"
     lhs = float(np.sum(report.costs[pos] * report.base_losses[pos]))
@@ -72,24 +83,24 @@ def test_costs_satisfy_regret_identity(ks_setup):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_costs_from_predictions_counts_one_solve_per_instance(ks_setup):
+def test_compute_instance_costs_counts_one_solve_per_instance(ks_setup):
     problem, dataset = ks_setup
     preds = dataset.costs[list(dataset.split.train)] + 0.5
     before = problem.counter.count
-    costs_from_predictions(problem, dataset, preds, parse_loss("mse"))
+    compute_instance_costs(problem, FixedRows(preds), dataset, parse_loss("mse"))
     assert problem.counter.count - before == len(dataset.split.train)
 
 
-def test_costs_from_predictions_validation(ks_setup):
+def test_compute_instance_costs_validation(ks_setup):
     problem, dataset = ks_setup
     good = np.zeros((len(dataset.split.train), dataset.d)) + 1.0
     with pytest.raises(ValueError):
-        costs_from_predictions(problem, dataset, good, parse_loss("mse+c"))
-    with pytest.raises(ValueError):
-        costs_from_predictions(problem, dataset, good[:2], parse_loss("mse"))
+        compute_instance_costs(problem, FixedRows(good), dataset, parse_loss("mse+c"))
+    with pytest.raises(DimensionMismatch):
+        compute_instance_costs(problem, FixedRows(good[:2]), dataset, parse_loss("mse"))
 
 
-def test_costs_from_predictions_on_an_empty_split():
+def test_compute_instance_costs_on_an_empty_split():
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(GenSpec(n_train=5, n_val=0, n_test=2, k=3, seed=0), problem)
     dataset = attach_decisions(dataset, problem)
@@ -97,7 +108,7 @@ def test_costs_from_predictions_on_an_empty_split():
     dataset = replace(dataset, split=Split(train=(), val=dataset.split.train,
                                            test=dataset.split.test))
     before = problem.counter.count
-    report = costs_from_predictions(problem, dataset, np.zeros((0, 6)),
+    report = compute_instance_costs(problem, FixedRows(np.zeros((0, 6))), dataset,
                                     parse_loss("mse"))
     assert report.costs.shape == (0,)
     # the model's predictions on no rows still form a (0, d) batch
@@ -139,7 +150,7 @@ def test_baseline_regrets_matches_direct_loop(ks_setup):
     model = init_model(dataset.k, dataset.d, seed=2)
     regs = compute_instance_costs(problem, model, dataset, parse_loss("mse")).regrets
     for row, i in enumerate(dataset.split.train):
-        expected = instance_regrets(problem, [model.predict(dataset.features[i])],
+        expected = instance_regrets(problem, model.predict(dataset.features[[i]]),
                                     dataset, [i])[0]
         assert regs[row] == pytest.approx(expected, abs=1e-12)
 
@@ -157,7 +168,6 @@ def test_weighted_total_loss_equals_total_regret_on_positive_set(ks_setup):
     for row, i in enumerate(ds.split.train):
         if not report.positive_regret[row]:
             continue
-        total += evaluate_loss_batch(model.predict(ds.features[i])[None, :], data,
-                                     [row])[0][0]
+        total += evaluate_loss_batch(model.predict(ds.features[[i]]), data, [row])[0][0]
     assert total == pytest.approx(float(report.regrets[report.positive_regret].sum()),
                                   abs=1e-9)

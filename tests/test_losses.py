@@ -132,9 +132,10 @@ def test_base_error_values_and_derivatives():
 
 
 def test_normalize_frozen_and_zero_rejection():
-    np.testing.assert_allclose(normalize(np.array([3.0, 4.0])), [0.6, 0.8])
-    with pytest.raises(ZeroVector):
-        normalize(np.zeros(3))
+    np.testing.assert_allclose(normalize(np.array([[3.0, 4.0]]), [0]), [[0.6, 0.8]])
+    rows = np.array([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ZeroVector, match=r"^instance 7\b"):
+        normalize(rows, [3, 7])
 
 
 # --- one-sided masks --------------------------------------------------------------
@@ -312,7 +313,7 @@ def test_masks_follow_normalized_space_when_scale_invariant():
     raw_mask = one_row_weights("mse+o", predicted, inst, Sense.MAXIMIZE)
     assert raw_mask[0] == 0.0
     value, _ = loss_of(parse_loss("mse+o+s"), predicted, inst, Sense.MAXIMIZE)
-    u_hat, u = normalize(predicted), normalize(true)
+    u_hat, u = normalize(np.stack([predicted, true]), [0, 0])
     w = one_row_weights("mse+o+s", u_hat, inst, Sense.MAXIMIZE)
     assert w[0] == 1.0
     expected = float(w @ (u_hat - u) ** 2) / 2.0
@@ -444,6 +445,14 @@ def test_stacking_names_the_instance_missing_a_cache():
         stack_loss_data(parse_loss("mse+c"), dataset, [3, 7], Sense.MAXIMIZE)
     with pytest.raises(MissingOptimalDecision, match="instance 3"):
         stack_loss_data(parse_loss("mse+o"), dataset, [3, 7], Sense.MAXIMIZE)
+
+
+def test_stacking_names_the_instance_with_a_zero_cost_vector():
+    costs = np.ones((8, 2))
+    costs[7] = 0.0
+    dataset = Dataset(features=np.zeros((8, 1)), costs=costs, split=Split())
+    with pytest.raises(ZeroVector, match=r"^instance 7\b"):
+        stack_loss_data(parse_loss("mse+s"), dataset, [3, 7], Sense.MAXIMIZE)
 
 
 @pytest.mark.parametrize("name", ["mse", "mae+c", "mse+o+s", "spo+"])

@@ -130,8 +130,7 @@ def test_validation_ignores_instance_weights():
                   config, problem)
     snapshot = trace.final_model
     data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val, problem.sense)
-    predicted = np.array([snapshot.predict(dataset.features[i])
-                          for i in dataset.split.val])
+    predicted = snapshot.predict(dataset.features[list(dataset.split.val)])
     manual = float(np.mean(evaluate_loss_batch(predicted, data, slice(None))[0]))
     assert trace.records[-1].val_loss == pytest.approx(manual, rel=1e-9)
 

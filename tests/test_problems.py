@@ -69,15 +69,17 @@ def test_knapsack_rejects_negative_weights():
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(KNAPSACK_PATHS), st.integers(0, 2 ** 32 - 1))
-def test_knapsack_matches_brute_force(path, seed):
+@given(st.sampled_from(KNAPSACK_PATHS), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_knapsack_matches_brute_force(path, tenths, seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 11))
     q = int(rng.integers(1, 3))
     oracle = knapsack(rng.integers(1, 7, size=(q, d)).astype(float),
                       rng.integers(d, 3 * d, size=q).astype(float), path)
-    # half-integer costs make exact value ties common, exercising lex order
-    costs = rng.integers(0, 9, size=d) / 2.0
+    # half-integer costs make exact value ties common, exercising lex order;
+    # multiples of 0.1 make ties whose sums round apart, exercising the band
+    costs = (rng.integers(0, 30, size=d) / 10.0 if tenths
+             else rng.integers(0, 9, size=d) / 2.0)
     x = oracle.solve_many(costs[None])[0]
     x_brute, v_brute = brute_knapsack(oracle.weights, oracle.capacities, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
@@ -121,6 +123,19 @@ def test_knapsack_near_ties_break_lexicographically(path):
     oracle = knapsack([[1.0, 1.0]], [1.0], path)
     x = oracle.solve_many(np.array([[1.0 + 1e-12, 1.0]]))[0]
     assert x.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+def test_knapsack_tie_that_rounds_apart_matches_brute_force(path):
+    # {1,2,3} and {0,2,3} both cost 2.5 + 2.9 + 2.2, but over the enumeration
+    # the sums round to 7.6 and 7.6000000000000005: an exact argmax takes
+    # {0,2,3}, the tie band the lexicographically first {1,2,3}
+    oracle = knapsack([[2.0, 5.0, 1.0, 1.0]], [7.0], path)
+    costs = np.array([2.5, 2.5, 2.9, 2.2])
+    x = oracle.solve_many(costs[None])[0]
+    assert x.tolist() == [0.0, 1.0, 1.0, 1.0]
+    np.testing.assert_array_equal(x, brute_knapsack(oracle.weights, oracle.capacities,
+                                                    costs)[0])
 
 
 # --- grid shortest path -----------------------------------------------------
