@@ -12,8 +12,13 @@ sensitivity analysis.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
-array recurrences over the batch (Held-Karp one popcount layer of subsets at
-a time, then one backtrack step per tour position). A knapsack whose
+array recurrences over the batch. The grid takes one anti-diagonal of nodes
+(r + c = k, sink first) per step and rebuilds the paths in rows + cols - 2
+forward steps; Held-Karp takes one popcount layer of subsets at a time, then
+one backtrack step per tour position. Their index plans (the grid's arc
+indices per diagonal, Held-Karp's layers with their predecessor masks, the
+TSP edge slots) are built on the first solve of a size, cached read-only
+and shared by every later oracle of that size. A knapsack whose
 feasible sets fit in ``KNAPSACK_TABLE_MAX_ENTRIES`` table entries (ks8-ks48
 at the generator's settings) scores the batch against a table of every
 feasible decision; a larger one (ks64) runs branch-and-bound row by row, as
@@ -23,11 +28,16 @@ against the constraint rows of ``relaxation`` in one array test, to
 
 Knapsack and grid solvers break objective ties by returning the
 lexicographically smallest decision vector, so repeated solves of tied
-instances are reproducible. The grid compares path costs exactly; the
-knapsack counts every decision within ``KNAPSACK_TIE_TOL`` * max(1, |best|)
-of the best value as tied. The exact TSP solver is deterministic via a fixed
+instances are reproducible. The grid compares path costs exactly and needs
+no set comparison: at node (r, c) every arc of either branch has an index
+at least ``east_index(r, c)``, which only the east branch holds, so south
+wins a tie and east wins only when strictly cheaper. The knapsack counts
+every decision within ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best
+value as tied. The exact TSP solver is deterministic via a fixed
 dynamic-programming scan order (global lexicographic reconstruction would
-need one extra DP per edge, which ties never justify in practice).
+need one extra DP per edge, which ties never justify in practice). The TSP
+heuristic can miss the optimum, so regret scored against it
+(``core.instance_regrets``) is a lower bound on the true regret.
 """
 from __future__ import annotations
 
@@ -118,12 +128,17 @@ class ProblemOracle:
         """The constraint rows ``(A, b)`` of the relaxation."""
         raise NotImplementedError
 
+    @cached_property
+    def _load_limits(self) -> np.ndarray:
+        """``rhs + FEASIBILITY_TOL`` of ``relaxation``, read-only."""
+        return frozen_array(self.relaxation.rhs + FEASIBILITY_TOL)
+
     def _check_feasible(self, decisions: np.ndarray) -> None:
         """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
-        lp = self.relaxation
-        ok = np.all((decisions == 0.0) | (decisions == 1.0), axis=1)
-        ok &= np.all(decisions @ lp.constraint_matrix.T <= lp.rhs + FEASIBILITY_TOL, axis=1)
-        if not ok.all():
+        binary = (decisions == 0.0) | (decisions == 1.0)
+        within = decisions @ self.relaxation.constraint_matrix.T <= self._load_limits
+        if not (binary.all() and within.all()):
+            ok = binary.all(axis=1) & within.all(axis=1)
             raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
                                  "batch is not a feasible 0/1 decision of its relaxation")
 
@@ -341,12 +356,21 @@ class KnapsackOracle(ProblemOracle):
 
 # --- grid shortest path -----------------------------------------------------
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows where 0/1 indicator ``a`` precedes ``b``: at their first
-    differing arc, ``a`` has the 0."""
-    differ = a != b
-    first = differ.argmax(axis=1)
-    return differ.any(axis=1) & ~a[np.arange(a.shape[0]), first]
+@lru_cache(maxsize=None)
+def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
+    """(2, rows, rows + cols - 1) arc indices of a grid in the skewed layout:
+    node (r, c) sits at [:, r, r + c], its south arc in [0] and its east arc
+    in [1]. A missing arc, and a slot off the grid, holds d: the index of
+    the +inf column that ``_solve_many`` appends to the costs."""
+    n_east = rows * (cols - 1)
+    d = n_east + (rows - 1) * cols
+    r = np.arange(rows)[:, None]
+    c = np.arange(rows + cols - 1) - r
+    south = np.where((c >= 0) & (c < cols) & (r < rows - 1), n_east + r * cols + c, d)
+    east = np.where((c >= 0) & (c < cols - 1), r * (cols - 1) + c, d)
+    plan = np.stack([south, east])
+    plan.setflags(write=False)  # shared by every later call
+    return plan
 
 
 class ShortestPathOracle(ProblemOracle):
@@ -375,41 +399,40 @@ class ShortestPathOracle(ProblemOracle):
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Cheapest monotone paths, ties to the lexicographically smallest arc set.
 
-        Backward dynamic program in reverse topological order, over a batch of
-        cost rows at once. Each node stores its optimal cost-to-sink and the
-        tie-broken suffix arc set; prepending the (fresh) connecting arc
-        preserves the indicator ordering, so local tie-breaking yields the
-        global lexicographic minimum.
+        A backward recurrence over the anti-diagonals k = r + c, sink first,
+        for the whole batch at once: in the skewed layout of
+        ``_grid_arc_plan`` a diagonal is one slice, and a node's successors
+        sit on the next one, east at the same r and south at r + 1. East
+        wins only when strictly cheaper (the tie rule of the module
+        docstring), so each node keeps the smallest of its optimal suffixes.
+        The paths are rebuilt forward from the "go east" flags.
         """
-        R, C = self.rows, self.cols
-        cost_to_go = np.zeros((R, C, costs.shape[0]))
-        suffix = np.zeros((R, C) + costs.shape, dtype=bool)
-        for r in range(R - 1, -1, -1):
-            for c in range(C - 1, -1, -1):
-                if (r, c) == (R - 1, C - 1):
-                    continue
-                best_cost = best_set = None
-                arcs = []
-                if c + 1 < C:
-                    arcs.append((self.east_index(r, c), (r, c + 1)))
-                if r + 1 < R:
-                    arcs.append((self.south_index(r, c), (r + 1, c)))
-                for idx, nxt in arcs:
-                    cand_cost = costs[:, idx] + cost_to_go[nxt]
-                    cand_set = suffix[nxt].copy()
-                    cand_set[:, idx] = True
-                    if best_cost is None:
-                        best_cost, best_set = cand_cost, cand_set
-                        continue
-                    better = cand_cost < best_cost
-                    tie = cand_cost == best_cost
-                    if tie.any():
-                        better |= tie & _lex_less(cand_set, best_set)
-                    best_cost = np.where(better, cand_cost, best_cost)
-                    best_set = np.where(better[:, None], cand_set, best_set)
-                cost_to_go[r, c] = best_cost
-                suffix[r, c] = best_set
-        return suffix[0, 0].astype(float)
+        rows, diagonals = self.rows, self.rows + self.cols - 1
+        plan = _grid_arc_plan(self.rows, self.cols)
+        batch = costs.shape[0]
+        padded = np.empty((self.d + 1, batch))
+        padded[:-1] = costs.T
+        padded[-1] = np.inf  # a missing arc
+        south, east = padded[plan.transpose(0, 2, 1)]  # (diagonal, r, batch row) each
+        cost_to_go = np.empty((diagonals, rows, batch))
+        cost_to_go[-1] = np.inf
+        cost_to_go[-1, -1] = 0.0  # the sink
+        go_east = np.empty((diagonals - 1, rows, batch), dtype=bool)
+        for k in range(diagonals - 2, -1, -1):
+            east[k] += cost_to_go[k + 1]
+            south[k, :-1] += cost_to_go[k + 1, 1:]  # the last row has no south arc
+            np.less(east[k], south[k], out=go_east[k])
+            np.minimum(east[k], south[k], out=cost_to_go[k])
+        batch_rows = np.arange(batch)
+        r = np.zeros(batch, dtype=np.intp)
+        path = np.empty((diagonals - 1, batch), dtype=np.intp)
+        for k in range(diagonals - 1):
+            step = go_east[k, r, batch_rows]
+            path[k] = plan[step.view(np.uint8), r, k]  # 0 south, 1 east
+            r += ~step
+        x = np.zeros(costs.shape)
+        x[batch_rows, path] = 1.0
+        return x
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
@@ -443,18 +466,37 @@ HELD_KARP_MAX_NODES = 13
 HELD_KARP_CHUNK_STATES = 1 << 16
 
 
-def _edge_matrices(n: int, costs: np.ndarray) -> np.ndarray:
-    dist = np.zeros((costs.shape[0], n, n))
+@lru_cache(maxsize=None)
+def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of an n-node TSP, shared by every later call:
+    ``slots`` (2, d), the flat (i, j) and (j, i) positions in an (n, n)
+    matrix of each edge i < j, in ``edge_index`` order; ``edge_ids`` (n, n),
+    the edge index of each pair (the diagonal unused); ``successor`` (n,),
+    the next position around a tour."""
     i, j = np.triu_indices(n, 1)  # the edge_index order
-    dist[:, i, j] = costs
-    dist[:, j, i] = costs
-    return dist
+    slots = np.stack([i * n + j, j * n + i])
+    edge_ids = np.zeros(n * n, dtype=np.intp)
+    edge_ids[slots] = np.arange(len(i))
+    plan = (slots, edge_ids.reshape(n, n), np.roll(np.arange(n), -1))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _edge_matrices(n: int, costs: np.ndarray) -> np.ndarray:
+    """(B, n, n) symmetric distance matrices of a (B, d) edge-cost batch."""
+    dist = np.zeros((costs.shape[0], n * n))
+    upper, lower = _tour_plan(n)[0]
+    dist[:, upper] = costs
+    dist[:, lower] = costs
+    return dist.reshape(-1, n, n)
 
 
 @lru_cache(maxsize=None)
-def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """For each subset size 2..m: every (mask, last) pair with ``last`` in
-    ``mask``, masks ascending."""
+    ``mask``, masks ascending, and each pair's predecessor mask, ``mask``
+    without ``last``."""
     masks = np.arange(1 << m)
     bits = (masks[:, None] >> np.arange(m)) & 1
     sizes = bits.sum(axis=1)
@@ -462,6 +504,7 @@ def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     for size in range(2, m + 1):
         rows, lasts = np.nonzero(bits[sizes == size])
         layer = (masks[sizes == size][rows], lasts)
+        layer += (layer[0] ^ (1 << lasts),)
         for arr in layer:
             arr.setflags(write=False)  # shared by every later call
         layers.append(layer)
@@ -480,10 +523,10 @@ def _held_karp_many(dist: np.ndarray) -> np.ndarray:
     parent = np.full((batch, full, m), -1, dtype=np.int8)
     inner = dist[:, 1:, 1:]
     dp[:, 1 << np.arange(m), np.arange(m)] = dist[:, 0, 1:]
-    for masks, lasts in _popcount_layers(m):
-        # cand[b, s, prev] = dp[b, mask_s without last_s, prev] + dist[prev, last_s];
-        # predecessors outside that subset sit at inf in dp
-        cand = dp[:, masks ^ (1 << lasts), :] + inner[:, :, lasts].transpose(0, 2, 1)
+    for masks, lasts, rests in _popcount_layers(m):
+        # cand[b, s, prev] = dp[b, rest_s, prev] + dist[prev, last_s], with rest_s
+        # mask_s without last_s; predecessors outside rest_s sit at inf in dp
+        cand = dp[:, rests, :] + inner[:, :, lasts].transpose(0, 2, 1)
         best = cand.argmin(axis=2)
         dp[:, masks, lasts] = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
         parent[:, masks, lasts] = best
@@ -568,14 +611,6 @@ class TspOracle(ProblemOracle):
             i, j = j, i
         return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
 
-    @cached_property
-    def _edge_ids(self) -> np.ndarray:
-        """(n, n) matrix of ``edge_index(i, j)``; the diagonal is unused."""
-        ids = np.zeros((self.n_nodes, self.n_nodes), dtype=np.intp)
-        i, j = np.triu_indices(self.n_nodes, 1)  # the edge_index order
-        ids[i, j] = ids[j, i] = np.arange(self.d)
-        return ids
-
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         dist = _edge_matrices(self.n_nodes, costs)
         if self.exact:
@@ -585,8 +620,9 @@ class TspOracle(ProblemOracle):
                                     for lo in range(0, len(dist), chunk)])
         else:
             tours = np.array([_nearest_neighbor_2opt(matrix) for matrix in dist])
+        _, edge_ids, successor = _tour_plan(self.n_nodes)
         x = np.zeros(costs.shape)
-        edges = self._edge_ids[tours, np.roll(tours, -1, axis=1)]
+        edges = edge_ids[tours, tours[:, successor]]
         x[np.arange(len(tours))[:, None], edges] = 1.0
         return x
 

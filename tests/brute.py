@@ -80,6 +80,43 @@ def brute_shortest_path(rows: int, cols: int,
     return best_x, best_cost
 
 
+def suffix_set_shortest_path(rows: int, cols: int, costs: np.ndarray) -> np.ndarray:
+    """Cheapest path of one cost row, exact-cost ties to the lex-smallest
+    indicator, by a backward DP over single nodes.
+
+    Each node keeps its cost to the sink and the indicator of its chosen
+    suffix. Its candidates are its east arc, then its south arc, each with
+    the successor's suffix; a cheaper candidate wins, and on an exact tie
+    the two indicators are compared lexicographically. It makes no
+    assumption about which branch a tie favours, and reaches grids whose
+    paths are too many to enumerate (sp10x10 has 48,620).
+    """
+    costs = np.asarray(costs, dtype=float)
+    n_east = rows * (cols - 1)
+    d = n_east + (rows - 1) * cols
+    sink = (rows - 1, cols - 1)
+    best = {sink: (0.0, np.zeros(d))}
+    for r in range(rows - 1, -1, -1):
+        for c in range(cols - 1, -1, -1):
+            if (r, c) == sink:
+                continue
+            arcs = []
+            if c + 1 < cols:
+                arcs.append((r * (cols - 1) + c, (r, c + 1)))
+            if r + 1 < rows:
+                arcs.append((n_east + r * cols + c, (r + 1, c)))
+            chosen = None
+            for arc, nxt in arcs:
+                cost = costs[arc] + best[nxt][0]
+                x = best[nxt][1].copy()
+                x[arc] = 1.0
+                if chosen is None or cost < chosen[0] or (
+                        cost == chosen[0] and tuple(x) < tuple(chosen[1])):
+                    chosen = (cost, x)
+            best[r, c] = chosen
+    return best[0, 0][1]
+
+
 def brute_tsp(n: int, costs: np.ndarray) -> tuple[np.ndarray, float]:
     """Best tour over all (n-1)! permutations anchored at node 0."""
     costs = np.asarray(costs, dtype=float)

@@ -104,6 +104,21 @@ def test_regret_clamps_tolerance_and_raises_below(tiny_knapsack):
         instance_regrets(tiny_knapsack, np.tile(c, (3, 1)), ds, [0, 2, 1])
 
 
+def test_regret_on_an_inexact_oracle_scores_against_the_better_decision(tiny_knapsack):
+    # a heuristic may miss the optimum, so its cached X* can be beaten by its
+    # decision at the prediction: no error, and the gap is clamped at zero
+    class HeuristicKnapsack(KnapsackOracle):
+        exact = False
+
+    heuristic = HeuristicKnapsack(tiny_knapsack.weights, tiny_knapsack.capacities)
+    c = np.array([3.0, 4.0, 5.0, 6.0])
+    stale = np.array([0.0, 0.0, 0.0, 1.0])  # worth 6, the optimum 8
+    assert regret(heuristic, c, c, x_star=stale) == 0.0
+    assert regret(heuristic, np.array([6.0, 5.0, 4.0, 3.0]), c, x_star=stale) == 0.0
+    assert regret(heuristic, np.array([0.0, 0.0, 0.0, 9.0]), c,
+                  x_star=np.array([1.0, 0.0, 1.0, 0.0])) == 2.0
+
+
 # (n, d, k): empty, one-coordinate and one-feature batches, then random ones
 STACKED_SHAPES = [(0, 3, 2), (4, 1, 3), (5, 6, 1), (1, 1, 1)] + [
     tuple(int(v) for v in np.random.default_rng(seed).integers(1, 40, size=3))

@@ -272,3 +272,15 @@ def test_solve_counts_pre_total():
     report = RunReport(problem="ks6", loss="mse", seed=0, regret_abs=0.0,
                        regret_norm=None, time_s=0.0, counts=counts, exact=True)
     assert report.error is None
+
+
+def test_heuristic_tsp_cells_score_a_beaten_optimum_instead_of_failing():
+    # tsp14 solves by the heuristic: on test instances 56 (seed 0) and 66
+    # (seed 1) its tour at the mse+o+s predictions beats its tour at the true
+    # costs, which used to fail both cells on negative regret
+    config = ExperimentConfig(problem="tsp14", losses=("mse", "mse+o+s"), seeds=(0, 1),
+                              n_train=40, n_val=10, n_test=40, epochs=5)
+    reports = run_experiment(config)
+    assert [(r.loss, r.seed, r.error) for r in reports] == [
+        ("mse", 0, None), ("mse", 1, None), ("mse+o+s", 0, None), ("mse+o+s", 1, None)]
+    assert all(not r.exact and r.regret_abs > 0.0 for r in reports)

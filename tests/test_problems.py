@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from cosdfl import problems
 from cosdfl.core import Sense
+from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import DimensionMismatch
 from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, KnapsackOracle,
                              ShortestPathOracle, TspOracle, load_problem,
                              make_knapsack, problem_from_name)
 
 from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
-                   brute_tsp, enumerate_grid_paths)
+                   brute_tsp, enumerate_grid_paths, suffix_set_shortest_path)
 
 
 # --- knapsack ---------------------------------------------------------------
@@ -183,6 +184,38 @@ def test_grid_matches_brute_force(seed):
     x_brute, v_brute = brute_shortest_path(rows, cols, costs)
     assert float(costs @ x) == pytest.approx(v_brute, abs=1e-12)
     np.testing.assert_array_equal(x, x_brute)
+
+
+def assert_rows_match_the_suffix_set_reference(oracle, costs):
+    x = oracle.solve_many(costs)
+    for r, c in enumerate(costs):
+        np.testing.assert_array_equal(
+            x[r], suffix_set_shortest_path(oracle.rows, oracle.cols, c),
+            err_msg=f"{oracle.name} row {r}")
+
+
+@pytest.mark.parametrize("name", ["sp5x5", "sp8x8"])
+def test_grid_matches_the_suffix_set_reference_on_generator_rows_and_spo_shifts(name):
+    # 70 and 3,432 paths: the reference DP stands in for enumeration. Most
+    # spo+ shifts 2P - C of a least-squares linear fit P have negative entries
+    oracle = problem_from_name(name)
+    data = generate(GenSpec(n_train=60, n_val=0, n_test=0, seed=5), oracle)
+    features = np.hstack([data.features, np.ones((data.n, 1))])
+    fitted = features @ np.linalg.lstsq(features, data.costs, rcond=None)[0]
+    shifts = 2.0 * fitted - data.costs
+    assert (shifts < 0.0).any(axis=1).mean() > 0.5
+    assert_rows_match_the_suffix_set_reference(oracle, data.costs)
+    assert_rows_match_the_suffix_set_reference(oracle, shifts)
+
+
+@pytest.mark.parametrize("rows", range(2, 7))
+@pytest.mark.parametrize("cols", range(2, 7))
+def test_grid_matches_the_suffix_set_reference_on_tie_heavy_costs(rows, cols):
+    # signed half-integer costs in [-1, 1]: most rows hold several optimal paths
+    oracle = ShortestPathOracle(rows, cols)
+    rng = np.random.default_rng(100 * rows + cols)
+    costs = rng.integers(-2, 3, size=(40, oracle.d)) / 2.0
+    assert_rows_match_the_suffix_set_reference(oracle, costs)
 
 
 # --- tsp ----------------------------------------------------------------------
@@ -410,6 +443,32 @@ def test_held_karp_tie_breaking_is_frozen():
                 [0, 3, 5, 11, 12, 13]]
     x = oracle.solve_many(costs)
     assert [np.flatnonzero(row).tolist() for row in x] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_held_karp_matches_brute_force_on_tied_integer_costs(n):
+    # the layers of tsp3 and tsp4 hold one or two predecessors per state;
+    # costs in {0, 1, 2} tie often, and the tours are brute_tsp's
+    oracle = TspOracle(n)
+    costs = np.random.default_rng(n).integers(0, 3, size=(200, oracle.d)).astype(float)
+    x = oracle.solve_many(costs)
+    for r, c in enumerate(costs):
+        np.testing.assert_array_equal(x[r], brute_tsp(n, c)[0], err_msg=f"row {r}")
+
+
+def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
+    rng = np.random.default_rng(9)
+    for first, second in [(ShortestPathOracle(3, 5), ShortestPathOracle(3, 5)),
+                          (TspOracle(6), TspOracle(6))]:
+        costs = rng.integers(0, 3, size=(12, first.d)).astype(float)
+        x = first.solve_many(costs)
+        np.testing.assert_array_equal(second.solve_many(costs), x)
+    plans = [problems._grid_arc_plan(3, 5), *problems._tour_plan(6),
+             *(arr for layer in problems._popcount_layers(5) for arr in layer)]
+    assert problems._grid_arc_plan(3, 5) is plans[0]
+    for arr in plans:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
