@@ -204,7 +204,8 @@ def base_error(predicted: np.ndarray, true: np.ndarray, base: BaseError
     diff = predicted - true
     if base is BaseError.SQUARED:
         return diff * diff, 2.0 * diff
-    return np.abs(diff), np.where(np.abs(diff) <= TIE_EPS, 0.0, np.sign(diff))
+    error = np.abs(diff)
+    return error, np.where(error <= TIE_EPS, 0.0, np.sign(diff))
 
 
 def normalize(rows: np.ndarray, indices) -> np.ndarray:
@@ -226,7 +227,8 @@ class LossData:
 
     Row r describes dataset instance ``indices[r]``. ``true`` holds the true
     costs in evaluation space (unit-norm rows when the spec has S) and
-    ``factor`` the C or regret weight (ones without one). ``safe_lo`` and
+    ``factor`` the C or regret weight, or None when every row's weight is 1
+    (no C or regret weight, or ``lawless:0``). ``safe_lo`` and
     ``safe_hi`` are set only for a spec with O or O_S: the open interval,
     per coordinate, inside which a prediction error is masked (the module
     docstring says when that keeps X* optimal). A coordinate whose decision
@@ -234,20 +236,23 @@ class LossData:
     Minimize) is safe on ``(lower, +inf)``, every other one on
     ``(-inf, upper)``, where lower and upper are the O_S cost range, or the
     true cost itself under O. ``tau`` is set only for a pinball-weighted
-    spec, ``x_star`` (X* itself) only for spo+.
+    spec, ``x_star`` (X* itself) only for spo+. Which of these fields is None
+    decides, once per binding, which multiplies :func:`evaluate_loss_batch`
+    makes: a mask, a pinball weight, a row weight, or none of them.
     """
 
     spec: LossSpec
     indices: np.ndarray
     true: np.ndarray
-    factor: np.ndarray
+    factor: np.ndarray | None
     safe_lo: np.ndarray | None = None
     safe_hi: np.ndarray | None = None
     tau: np.ndarray | None = None
     x_star: np.ndarray | None = None
 
 
-def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray:
+def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray | None:
+    """The C or regret weight of each row; None when there is none."""
     if spec.instance_costs or spec.requires_baseline_regret:
         missing = dataset.uncached("weights", indices)
         if missing and spec.instance_costs:
@@ -262,7 +267,7 @@ def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray:
         # (w * C + (1 - w)), with C the raw baseline regret, not a ratio
         w = spec.lawless_w
         return w * weights + (1.0 - w)
-    return np.ones(len(indices))
+    return None
 
 
 def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> LossData:
@@ -274,6 +279,8 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
     """
     indices = np.asarray(indices, dtype=int)
     factor = _instance_factors(spec, dataset, indices)
+    if factor is not None and np.all(factor == 1.0):
+        factor = None  # a factor of ones multiplies nothing
     true = dataset.costs[indices]
     if spec.scale_invariant:
         true = normalize(true, indices)
@@ -309,9 +316,10 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
     return LossData(spec=spec, indices=indices, true=true, factor=factor, **fields)
 
 
-def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarray:
+def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarray | None:
     """(B, d) weights of the base error at evaluation-space predictions: the
-    one-sided 0/1 mask, the pinball tau / 1 - tau, or ones.
+    one-sided 0/1 mask, the pinball tau / 1 - tau, or None for a spec with
+    neither, whose weights are all 1.
 
     The one-sided mask zeroes a coordinate whose prediction lies strictly
     inside its safe interval ``(data.safe_lo, data.safe_hi)``, where the
@@ -322,13 +330,12 @@ def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarra
     is masked whenever the prediction stays above the range's lower
     endpoint, which keeps the relaxation's vertex (not always X*) optimal.
     """
-    spec = data.spec
-    if spec.one_sided is not OneSidedMode.OFF:
+    if data.safe_lo is not None:
         safe = (predicted > data.safe_lo[rows]) & (predicted < data.safe_hi[rows])
         return np.where(safe, 0.0, 1.0)
-    if spec.tau is not None:
+    if data.tau is not None:
         return np.where(predicted <= data.true[rows], data.tau, 1.0 - data.tau)
-    return np.ones_like(predicted)
+    return None
 
 
 def _check_batch(predicted: np.ndarray, true: np.ndarray) -> None:
@@ -341,7 +348,14 @@ def _check_batch(predicted: np.ndarray, true: np.ndarray) -> None:
 
 def check_finite(values: np.ndarray, gradients: np.ndarray, indices) -> None:
     """Raise NonFiniteGradient naming the first instance whose loss value or
-    gradient is NaN or infinite; ``indices`` gives each row's instance."""
+    gradient is NaN or infinite; ``indices`` gives each row's instance.
+
+    A NaN or infinite entry makes the sum of all entries NaN or infinite, so
+    a finite sum clears the batch in two reductions. Only a non-finite sum,
+    which finite entries can also reach by overflow, searches row by row.
+    """
+    if np.isfinite(values.sum() + gradients.sum()):
+        return
     bad = ~(np.isfinite(values) & np.isfinite(gradients).all(axis=1))
     if bad.any():
         raise NonFiniteGradient(f"loss or gradient of instance "
@@ -363,24 +377,39 @@ def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
     spec = data.spec
     true = data.true[rows]
     _check_batch(predicted, true)
-    factor = data.factor[rows]
+    factor = None if data.factor is None else data.factor[rows]
     d = true.shape[1]
+    any_zero = False
     if spec.scale_invariant:
         norms = np.sqrt((predicted * predicted).sum(axis=1))
         zero = norms <= NORM_EPS
-        norms[zero] = 1.0
+        any_zero = zero.any()
+        if any_zero:
+            norms[zero] = 1.0
         pred = predicted / norms[:, None]
     else:
         pred = predicted
     weights = coordinate_weights(pred, data, rows)
     errors, derror = base_error(pred, true, spec.base)
-    values = factor * (weights * errors).sum(axis=1) / d
-    grads = (factor / d)[:, None] * weights * derror
+    # a weight or factor of 1 is left out, a multiply by 1 being exact; the
+    # rest keep the order ((factor / d) * weights) * derror, which rounds
+    # differently from (factor / d) * (weights * derror) under tau
+    scale = 1.0 / d if factor is None else (factor / d)[:, None]
+    if weights is not None:
+        errors = weights * errors
+        scale = scale * weights
+    values = errors.sum(axis=1)
+    grads = scale * derror
+    if factor is not None:
+        values = factor * values
+    values /= d
     if spec.scale_invariant:
         # chain through the normalization Jacobian (I - u u') / ||c_hat||
         grads = (grads - pred * (pred * grads).sum(axis=1)[:, None]) / norms[:, None]
-        values[zero] = factor[zero] * ZERO_PREDICTION_PENALTY / d
-        grads[zero] = -factor[zero, None] * true[zero]
+    if any_zero:
+        factor_zero = np.ones(zero.sum()) if factor is None else factor[zero]
+        values[zero] = factor_zero * ZERO_PREDICTION_PENALTY / d
+        grads[zero] = -factor_zero[:, None] * true[zero]
     check_finite(values, grads, data.indices[rows])
     return values, grads
 

@@ -7,8 +7,11 @@ and to the validation rows once per run (``stack_loss_data`` fixes each
 one-sided coordinate's safe interval from X* and the problem sense). Each
 mini-batch (and each epoch's validation pass) is one call of the batched
 loss kernel, whose (B, d) prediction-gradients chain into W and b by one
-matrix product, with no autodiff. A ``spo+`` mini-batch makes one batched
-oracle solve. Training is bit-for-bit reproducible per seed and config.
+matrix product, with no autodiff. W and b are views of one (d, k + 1)
+array, which one optimizer step updates in place. A ``spo+`` mini-batch
+makes one batched oracle solve. Every epoch runs; the trace keeps the
+snapshot of the epoch with the lowest validation loss. Training is
+bit-for-bit reproducible per seed and config.
 """
 from __future__ import annotations
 
@@ -130,16 +133,36 @@ class TrainTrace:
 
 
 class _AdamState:
+    """Adam's moments for one parameter array, updated in place.
+
+    Each step makes the textbook operations in their textbook order,
+    ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + ((1 - beta2) g) g`` and
+    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, into preallocated
+    buffers, so the result is bit for bit that of the out-of-place form.
+    """
+
     def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self.t = 0
+        self._step = np.empty(shape)
+        self._denom = np.empty(shape)
 
-    def step(self, grad, lr, t):
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** t)
-        return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        self.t += 1
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+        v += np.multiply(step, grad, out=step)
+        np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=step)
+        step *= lr
+        step /= denom
+        params -= step
 
 
 def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainConfig,
@@ -169,16 +192,19 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
         val_data = stack_loss_data(val_spec, dataset, val_idx, problem.sense)
 
     rng = np.random.default_rng(config.seed)
-    w = model.weights.copy()
-    b = model.bias.copy()
-    adam_w = _AdamState(w.shape)
-    adam_b = _AdamState(b.shape)
-    step = 0
+    k = model.k
+    # W and b are views of one (d, k + 1) array, as are their gradients, so
+    # one optimizer step and one snapshot copy cover both
+    params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
+    w, b = params[:, :k], params[:, k]
+    param_grad = np.empty_like(params)
+    gw, gb = param_grad[:, :k], param_grad[:, k]
+    adam = _AdamState(params.shape)
     n = len(train_idx)
     records: list[EpochRecord] = []
     best_val = np.inf
     best_epoch = -1
-    best_w, best_b = w.copy(), b.copy()
+    best = params.copy()
     t_start = time.monotonic()
 
     for epoch in range(config.epochs):
@@ -199,15 +225,15 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                     loss_sum += float(values.sum())
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(f"training batch of epoch {epoch}: {exc}") from exc
-            gw = grads.T @ zb / len(batch)
-            gb = grads.mean(axis=0)
+            # grads.T @ zb / B and grads.mean(axis=0), which is this sum over B
+            np.matmul(grads.T, zb, out=gw)
+            np.add.reduce(grads, axis=0, out=gb)
+            param_grad /= len(batch)
             if config.optimizer is Optimizer.SGD:
-                w -= config.learning_rate * gw
-                b -= config.learning_rate * gb
+                param_grad *= config.learning_rate
+                params -= param_grad
             else:
-                step += 1
-                w -= adam_w.step(gw, config.learning_rate, step)
-                b -= adam_b.step(gb, config.learning_rate, step)
+                adam.step(params, param_grad, config.learning_rate)
         train_loss = loss_sum / n
 
         if val_idx:
@@ -226,10 +252,10 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_w, best_b = w.copy(), b.copy()
+            best = params.copy()
 
     if best_epoch < 0:
         best_epoch = len(records) - 1
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
-                      best_model=LinearModel(best_w, best_b),
+                      best_model=LinearModel(best[:, :k], best[:, k]),
                       final_model=LinearModel(w, b))

@@ -353,3 +353,123 @@ def brute_spo_plus_train(model, dataset, config, problem):
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
                       best_model=LinearModel(best_w, best_b),
                       final_model=LinearModel(w, b))
+
+
+# --- solver-free training --------------------------------------------------------
+#
+# Reference for solver-free training. The loss is the batched kernel in its
+# plain form: every row factor and coordinate weight is multiplied in, ones
+# included. The loop keeps W and b as two arrays, takes ``grads.mean`` for
+# the bias gradient and steps Adam out of place through ``_adam_step``.
+# Shuffling, validation under the spec's validation variant and model
+# selection follow ``cosdfl.model.train``, which must match it bit for bit.
+
+def _bind_rows(spec, dataset, idx, maximize):
+    """True costs (unit rows under S), row factors, safe intervals and tau
+    of the rows ``idx``."""
+    true = dataset.costs[idx]
+    d = true.shape[1]
+    if spec.scale_invariant:
+        true = true / np.sqrt(np.array([row @ row for row in true]))[:, None]
+    factor = np.ones(len(idx))
+    if spec.instance_costs:
+        factor = dataset.weights[idx]
+    elif spec.lawless_w is not None and spec.lawless_w > 0.0:
+        factor = spec.lawless_w * dataset.weights[idx] + (1.0 - spec.lawless_w)
+    bound = {"true": true, "factor": factor}
+    if spec.one_sided.value != "off":
+        if spec.one_sided.value == "sensitivity":
+            lower, upper = dataset.lower[idx], dataset.upper[idx]
+        else:
+            lower = upper = true
+        rise_safe = dataset.x_star[idx] == (1.0 if maximize else 0.0)
+        bound["safe_lo"] = np.where(rise_safe, lower, -np.inf)
+        bound["safe_hi"] = np.where(rise_safe, np.inf, upper)
+    elif spec.tau is not None:
+        bound["tau"] = (np.full(d, spec.tau) if np.isscalar(spec.tau)
+                        else np.asarray(spec.tau, dtype=float))
+    return bound
+
+
+def _plain_loss_batch(spec, bound, predicted, rows):
+    """Values and prediction-gradients of the rows ``rows`` of ``bound``."""
+    true, factor = bound["true"][rows], bound["factor"][rows]
+    d = true.shape[1]
+    if spec.scale_invariant:
+        norms = np.sqrt((predicted * predicted).sum(axis=1))
+        zero = norms <= ZERO_NORM
+        norms[zero] = 1.0
+        pred = predicted / norms[:, None]
+    else:
+        pred = predicted
+    if "safe_lo" in bound:
+        safe = (pred > bound["safe_lo"][rows]) & (pred < bound["safe_hi"][rows])
+        weights = np.where(safe, 0.0, 1.0)
+    elif "tau" in bound:
+        weights = np.where(pred <= true, bound["tau"], 1.0 - bound["tau"])
+    else:
+        weights = np.ones_like(pred)
+    diff = pred - true
+    if spec.base.value == "squared":
+        errors, derror = diff * diff, 2.0 * diff
+    else:
+        errors = np.abs(diff)
+        derror = np.where(np.abs(diff) <= 1e-15, 0.0, np.sign(diff))
+    values = factor * (weights * errors).sum(axis=1) / d
+    grads = (factor / d)[:, None] * weights * derror
+    if spec.scale_invariant:
+        grads = (grads - pred * (pred * grads).sum(axis=1)[:, None]) / norms[:, None]
+        values[zero] = factor[zero] * 4.0 / d
+        grads[zero] = -factor[zero, None] * true[zero]
+    return values, grads
+
+
+def brute_solver_free_train(model, dataset, spec, config, maximize: bool):
+    """Training under a solver-free spec, in plain arithmetic; returns a
+    TrainTrace."""
+    from cosdfl.model import EpochRecord, LinearModel, Optimizer, TrainTrace
+
+    train_idx, val_idx = list(dataset.split.train), list(dataset.split.val)
+    data = _bind_rows(spec, dataset, train_idx, maximize)
+    val_spec = spec.validation_variant()
+    val_data = _bind_rows(val_spec, dataset, val_idx, maximize)
+    feats, val_feats = dataset.features[train_idx], dataset.features[val_idx]
+    rng = np.random.default_rng(config.seed)
+    w, b = model.weights.copy(), model.bias.copy()
+    state_w = (np.zeros(w.shape), np.zeros(w.shape))
+    state_b = (np.zeros(b.shape), np.zeros(b.shape))
+    step = 0
+    n = len(train_idx)
+    records = []
+    best_val, best_epoch = np.inf, -1
+    best_w, best_b = w.copy(), b.copy()
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            zb = feats[batch]
+            values, grads = _plain_loss_batch(spec, data, zb @ w.T + b, batch)
+            loss_sum += float(values.sum())
+            gw = grads.T @ zb / len(batch)
+            gb = grads.mean(axis=0)
+            if config.optimizer is Optimizer.SGD:
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+            else:
+                step += 1
+                state_w, dw = _adam_step(state_w, gw, config, step)
+                state_b, db = _adam_step(state_b, gb, config, step)
+                w -= dw
+                b -= db
+        values, _ = _plain_loss_batch(val_spec, val_data, val_feats @ w.T + b,
+                                      slice(None))
+        val_loss = float(np.mean(values))
+        records.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n,
+                                   val_loss=val_loss, seconds=0.0))
+        if val_loss < best_val:
+            best_val, best_epoch = val_loss, epoch
+            best_w, best_b = w.copy(), b.copy()
+    return TrainTrace(records=tuple(records), best_epoch=best_epoch,
+                      best_model=LinearModel(best_w, best_b),
+                      final_model=LinearModel(w, b))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.errors import (DimensionMismatch, MissingBaselineRegret,
                            MissingInstanceCost, MissingOptimalDecision,
-                           MissingRanges, ZeroVector)
-from cosdfl.losses import (BaseError, LossSpec, base_error,
+                           MissingRanges, NonFiniteGradient, ZeroVector)
+from cosdfl.losses import (BaseError, LossSpec, base_error, check_finite,
                            coordinate_weights, evaluate_loss_batch, normalize,
                            parse_loss, spo_plus_batch, stack_loss_data)
 from cosdfl.problems import KnapsackOracle, ShortestPathOracle
@@ -136,6 +136,24 @@ def test_normalize_frozen_and_zero_rejection():
     rows = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ZeroVector, match=r"^instance 7\b"):
         normalize(rows, [3, 7])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_check_finite_names_the_first_bad_instance_past_the_sum_test():
+    indices = np.array([10, 11, 12, 13])
+    values, grads = np.ones(4), np.ones((4, 3))
+    # +inf in one row and -inf in another sum to NaN, not to an infinity
+    opposite = values.copy()
+    opposite[1], opposite[3] = np.inf, -np.inf
+    with pytest.raises(NonFiniteGradient, match="instance 11 "):
+        check_finite(opposite, grads, indices)
+    nan_grad = grads.copy()
+    nan_grad[2, 1] = np.nan
+    with pytest.raises(NonFiniteGradient, match="instance 12 "):
+        check_finite(values, nan_grad, indices)
+    # finite entries whose sum overflows to inf are not an error
+    check_finite(np.full(4, 1e308), np.full((4, 3), -1e308), indices)
 
 
 # --- one-sided masks --------------------------------------------------------------
@@ -430,6 +448,8 @@ def test_batched_kernel_matches_per_row_reference(name, seed, maximize):
         pred_eval[pick] = threshold[pick]
     rows = np.arange(REFERENCE_ROWS)
     weights = coordinate_weights(pred_eval, data, rows)
+    if weights is None:  # a spec with neither a mask nor tau weighs every coordinate 1
+        weights = np.ones_like(pred_eval)
     for r in range(REFERENCE_ROWS):
         expected = brute_weights(spec, pred_eval[r], data.true[r], dataset.x_star[r],
                                  lower[r], upper[r], maximize)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cosdfl.core import Dataset, Split
+from cosdfl.core import Dataset, Sense, Split
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NonFiniteLoss
 from cosdfl.harness import attach_decisions
@@ -14,7 +14,7 @@ from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           train)
 from cosdfl.problems import make_knapsack, problem_from_name
 
-from brute import brute_spo_plus_train
+from brute import brute_solver_free_train, brute_spo_plus_train
 
 
 # the problem the linear datasets are trained for; its sense orients the
@@ -169,6 +169,38 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
     reference_solves = problem.counter.count - before - batched_solves
     assert deterministic_fields(batched) == deterministic_fields(reference)
     assert batched_solves == reference_solves == 4 * 26
+
+
+def cached_dataset(n_train=20, n_val=6, k=3, d=6, seed=0):
+    """Random rows carrying every cache a solver-free loss reads: X*, cost
+    ranges around the true costs, and positive row weights."""
+    rng = np.random.default_rng(seed)
+    n = n_train + n_val
+    costs = rng.normal(2.0, 1.0, (n, d))
+    return Dataset(features=rng.normal(0.0, 1.0, (n, k)), costs=costs,
+                   split=Split(train=tuple(range(n_train)), val=tuple(range(n_train, n))),
+                   x_star=(rng.random((n, d)) < 0.5).astype(float),
+                   lower=costs - rng.random((n, d)), upper=costs + rng.random((n, d)),
+                   weights=rng.uniform(0.5, 3.0, n))
+
+
+@pytest.mark.parametrize("optimizer", [Optimizer.ADAM, Optimizer.SGD])
+@pytest.mark.parametrize("loss", ["mse", "mae", "mse+c", "mse+o", "mae+o_s+s", "mse+s",
+                                  "mse+tau:0.3", "mse+tau:0.1,0.9,0.5,0.3,0.7,0.2",
+                                  "lawless:0", "lawless:0.5"])
+def test_solver_free_training_matches_plain_reference(loss, optimizer):
+    # 20 training rows in batches of 8 leave a short last batch; both senses
+    # orient the one-sided masks, and a solver-free spec reads nothing else
+    # of the problem
+    dataset = cached_dataset()
+    config = TrainConfig(epochs=5, batch_size=8, learning_rate=0.05,
+                         optimizer=optimizer, seed=4)
+    start = init_model(dataset.k, dataset.d, seed=4)
+    for sense in Sense:
+        trace = train(start, dataset, parse_loss(loss), config, SimpleNamespace(sense=sense))
+        reference = brute_solver_free_train(start, dataset, parse_loss(loss), config,
+                                            sense is Sense.MAXIMIZE)
+        assert deterministic_fields(trace) == deterministic_fields(reference)
 
 
 def test_solver_free_specs_touch_no_oracle():
