@@ -16,7 +16,7 @@ read by ``SolveCounts.phase`` and nowhere else; the LP solves of
 ``solve_lp`` call on the problem's cached ``relaxation``, which returns the
 vertex together with its cost ranges. The relaxation runs phase 1 of the
 simplex once, on its first solve; every call runs phase 2 and the ranging
-(about 0.5 ms per instance on sp5x5 and 5 ms on sp8x8, on 2 cores with
+(about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2 cores with
 numpy 2.4). Data generation and test-set evaluation happen outside the
 phases and are not counted (the latter is identical for every loss). Cells
 run one after another and reports come back in (loss, seed) order, so

@@ -1,9 +1,10 @@
-"""Dense two-phase simplex with objective-coefficient ranging.
+"""Full-tableau two-phase simplex with objective-coefficient ranging.
 
 Solves ``opt c'x  s.t.  Ax <= b, 0 <= x <= u`` with a full-tableau pivot
-loop. A :class:`LinearProgram` holds only the constraint set; the objective
-and its sense are arguments of :func:`solve_lp`, so one relaxation serves
-every instance of a problem. Phase 1 reads only the constraint set, so it
+loop (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 3.3).
+A :class:`LinearProgram` holds only the constraint set; the objective and
+its sense are arguments of :func:`solve_lp`, so one relaxation serves every
+instance of a problem. Phase 1 reads only the constraint set, so it
 runs once per :class:`LinearProgram`, on its first solve: the feasible
 tableau and basis it ends on (or its infeasibility verdict) are kept,
 read-only, on the program. Each :func:`solve_lp` call runs phase 2 and the
@@ -15,6 +16,17 @@ all basic columns at once; no re-solves.
 
 Pivoting is deterministic: Dantzig's rule with smallest-index tie-breaking,
 falling back to Bland's rule once the degenerate-pivot budget is exhausted.
+
+The tableau is mostly zeros (sp5x5: 88 x 129, about 6% nonzero), so a pivot
+updates only the rows with a nonzero entry in the pivot column; any other
+row would get ``x - 0 * p = x``. Each updated entry gets the product and the
+difference a full rank-1 update computes, so on a finite tableau every entry
+equals the dense update's, every pivot choice is the same, and so are the
+vertex, its value and the ranges. Only the sign of a zero can differ: the
+dense update turns ``-0.0 - 0 * p`` into ``+0.0`` when ``0 * p`` is ``-0.0``.
+No comparison or division here tells the two zeros apart.
+``tests/brute.py:dense_tableau_simplex`` keeps the dense loop as the
+reference.
 """
 from __future__ import annotations
 
@@ -96,39 +108,56 @@ class SimplexSolution:
 
 
 def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``(row, col)`` in place, updating only the rows that change.
+
+    A row whose pivot-column entry is zero would get ``x - 0 * p = x`` in
+    every entry, so only the rows with a nonzero entry are updated, with the
+    same products and differences as a full rank-1 update.
+    """
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    # kill rounding residue in the pivot column
-    tableau[:, col] = 0.0
+    column = tableau[:, col]
+    column[row] = 0.0
+    rows = column.nonzero()[0]
+    tableau[rows] -= column[rows, None] * tableau[row]
+    # the pivot column becomes the unit vector; no rounding residue is left
+    column[:] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 degenerate_budget: int) -> str:
+                 degenerate_budget: int) -> tuple[str, np.ndarray | None]:
     """Minimize ``cost`` over the canonical tableau in place.
 
-    Returns "optimal" or "unbounded". Raises NumericalBreakdown if no pivot
-    of trustworthy magnitude exists even under Bland's rule.
+    Returns ``("optimal", reduced)`` with the reduced costs of the final
+    basis, or ``("unbounded", None)``. Raises NumericalBreakdown on a NaN
+    reduced cost, or if no pivot of trustworthy magnitude exists even under
+    Bland's rule.
     """
+    body, rhs = tableau[:, :-1], tableau[:, -1]
+    ratios = np.empty(tableau.shape[0])
+    not_tied = tableau.shape[1]  # above every basis index
     bland = False
     degenerate = 0
     for _ in range(MAX_ITERATIONS):
-        reduced = cost - cost[basis] @ tableau[:, :-1]
+        reduced = cost - cost[basis] @ body
         reduced[basis] = 0.0
-        candidates = reduced < -REDUCED_COST_TOL
-        if not candidates.any():
-            return "optimal"
+        # argmin takes the first of equal minima: Dantzig's rule, smallest index
+        col = int(reduced.argmin())
+        if not reduced[col] < -REDUCED_COST_TOL:
+            # argmin stops at the first NaN, which is no proof of optimality
+            if np.isnan(reduced[col]):
+                raise NumericalBreakdown(f"reduced cost of column {col} is NaN")
+            return "optimal", reduced
         if bland:
-            col = int(np.flatnonzero(candidates)[0])
-        else:
-            scores = np.where(candidates, reduced, np.inf)
-            col = int(np.argmin(scores))
-        column = tableau[:, col]
+            col = int(np.argmax(reduced < -REDUCED_COST_TOL))
+        column = body[:, col]
         usable = column > PIVOT_TOL
-        if not usable.any():
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=usable)
+        theta = ratios.min()
+        # every ratio is inf when no entry is usable; only then is usable read
+        if theta == np.inf and not usable.any():
             if (column > 0.0).any():
                 # positive entries exist but are all below the pivot tolerance
                 if bland:
@@ -136,12 +165,9 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                         f"no pivot above {PIVOT_TOL:g} in column {col} under Bland's rule")
                 bland = True
                 continue
-            return "unbounded"
-        rhs = tableau[:, -1]
-        ratios = np.where(usable, rhs / np.where(usable, column, 1.0), np.inf)
-        theta = ratios.min()
-        ties = np.flatnonzero(ratios <= theta + 1e-12)
-        row = int(ties[np.argmin(basis[ties])])
+            return "unbounded", None
+        # of the tied rows, the one whose basic column has the smallest index
+        row = int(np.where(ratios <= theta + 1e-12, basis, not_tied).argmin())
         if theta <= DEGENERATE_STEP_TOL:
             degenerate += 1
             if degenerate > degenerate_budget:
@@ -228,19 +254,13 @@ def solve_lp(lp: LinearProgram, objective, sense: Sense) -> SimplexSolution:
 
     c_int = objective.copy() if sense is Sense.MINIMIZE else -objective
     cost2 = np.concatenate([c_int, np.zeros(n_real - d)])
-    status = _run_simplex(tableau, basis, cost2, degenerate_budget)
+    status, reduced = _run_simplex(tableau, basis, cost2, degenerate_budget)
     if status == "unbounded":
         return SimplexSolution(SolveStatus.UNBOUNDED, None, float("nan"))
 
     y = np.zeros(n_real)
     y[basis] = tableau[:, -1]
     x = y[:d]
-    reduced = cost2 - cost2[basis] @ tableau[:, :-1]
-    reduced[basis] = 0.0
-    # optimality (dual feasibility) must hold for the internal minimization
-    if reduced.min() < -FEASIBILITY_TOL:
-        raise NumericalBreakdown(
-            f"terminal reduced costs violate optimality by {-reduced.min():.3e}")
     lo_int, hi_int = _cost_ranges(tableau, basis, cost2, reduced, d)
     if sense is Sense.MAXIMIZE:
         lo_int, hi_int = -hi_int, -lo_int

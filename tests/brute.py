@@ -6,6 +6,7 @@ code with the implementations under test.
 from __future__ import annotations
 
 from itertools import combinations, islice, permutations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,6 +194,178 @@ def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
                 best_x, best_val = x, val
     assert best_x is not None, "brute LP found no feasible vertex"
     return best_x, best_val
+
+
+# --- dense tableau simplex ------------------------------------------------------
+#
+# The full-tableau two-phase simplex and ranging as the package ran them before
+# its pivots skipped the rows with a zero pivot-column entry: every pivot is a
+# dense outer-product update of the whole tableau, pricing masks the candidates
+# and the leaving row is picked from an explicit list of ties. Same tolerances,
+# same operations, so the package must match it bit for bit.
+
+_PIVOT_TOL = 1e-10
+_REDUCED_COST_TOL = 1e-9
+_FEASIBILITY_TOL = 1e-7
+_DEGENERATE_STEP_TOL = 1e-12
+_MAX_ITERATIONS = 20000
+
+
+def _dense_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    # kill rounding residue in the pivot column
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
+def _dense_run(tableau, basis, cost, degenerate_budget, reached):
+    """Minimize ``cost`` over the tableau in place; "optimal" or "unbounded".
+    Appends True to ``reached`` when Bland's rule takes over."""
+    bland = False
+    degenerate = 0
+    for _ in range(_MAX_ITERATIONS):
+        reduced = cost - cost[basis] @ tableau[:, :-1]
+        reduced[basis] = 0.0
+        candidates = reduced < -_REDUCED_COST_TOL
+        if not candidates.any():
+            return "optimal"
+        if bland:
+            col = int(np.flatnonzero(candidates)[0])
+        else:
+            scores = np.where(candidates, reduced, np.inf)
+            col = int(np.argmin(scores))
+        column = tableau[:, col]
+        usable = column > _PIVOT_TOL
+        if not usable.any():
+            if (column > 0.0).any():
+                if bland:
+                    raise ArithmeticError(f"no pivot in column {col} under Bland's rule")
+                bland = True
+                reached.append(True)
+                continue
+            return "unbounded"
+        rhs = tableau[:, -1]
+        ratios = np.where(usable, rhs / np.where(usable, column, 1.0), np.inf)
+        theta = ratios.min()
+        ties = np.flatnonzero(ratios <= theta + 1e-12)
+        row = int(ties[np.argmin(basis[ties])])
+        if theta <= _DEGENERATE_STEP_TOL:
+            degenerate += 1
+            if degenerate > degenerate_budget and not bland:
+                bland = True
+                reached.append(True)
+        _dense_pivot(tableau, basis, row, col)
+    raise ArithmeticError("simplex iteration limit exceeded")
+
+
+def _dense_phase_one(a, b, upper, reached):
+    d = a.shape[1]
+    bounded = np.flatnonzero(np.isfinite(upper))
+    if bounded.size:
+        bound_rows = np.zeros((bounded.size, d))
+        bound_rows[np.arange(bounded.size), bounded] = 1.0
+        a = np.vstack([a, bound_rows])
+        b = np.concatenate([b, upper[bounded]])
+    m = a.shape[0]
+
+    n_real = d + m
+    tableau = np.zeros((m, n_real + 1))
+    tableau[:, :d] = a
+    tableau[:, d:n_real] = np.eye(m)
+    tableau[:, -1] = b
+    negative = b < 0.0
+    tableau[negative] *= -1.0
+
+    basis = np.empty(m, dtype=int)
+    art_rows = np.flatnonzero(negative)
+    basis[~negative] = d + np.flatnonzero(~negative)
+    degenerate_budget = 3 * (m + d)
+
+    if art_rows.size:
+        art = np.zeros((m, art_rows.size))
+        art[art_rows, np.arange(art_rows.size)] = 1.0
+        tableau = np.hstack([tableau[:, :-1], art, tableau[:, -1:]])
+        basis[art_rows] = n_real + np.arange(art_rows.size)
+        cost1 = np.zeros(n_real + art_rows.size)
+        cost1[n_real:] = 1.0
+        _dense_run(tableau, basis, cost1, degenerate_budget, reached)
+        infeasibility = float(cost1[basis] @ tableau[:, -1])
+        if infeasibility > _FEASIBILITY_TOL:
+            return None
+        for i in np.flatnonzero(basis >= n_real):
+            pivots = np.flatnonzero(np.abs(tableau[i, :n_real]) > _PIVOT_TOL)
+            if not pivots.size:
+                raise ArithmeticError(f"no pivot releases the artificial of row {i}")
+            _dense_pivot(tableau, basis, i, int(pivots[0]))
+        tableau = np.hstack([tableau[:, :n_real], tableau[:, -1:]])
+    return tableau, basis, degenerate_budget
+
+
+def _dense_ranges(tableau, basis, cost, reduced, d):
+    nonbasic = np.ones(tableau.shape[1] - 1, dtype=bool)
+    nonbasic[basis] = False
+    lower = cost[:d] - reduced[:d]
+    upper = np.full(d, np.inf)
+    rows = np.flatnonzero(basis < d)
+    cols = basis[rows]
+    body = tableau[rows, :-1]
+    up = nonbasic & (body > _PIVOT_TOL)
+    down = nonbasic & (body < -_PIVOT_TOL)
+    ratio = np.divide(reduced, body, out=np.zeros_like(body), where=up | down)
+    lower[cols] = cost[cols] + np.where(down, ratio, -np.inf).max(axis=1)
+    upper[cols] = cost[cols] + np.where(up, ratio, np.inf).min(axis=1)
+    return lower, upper
+
+
+def dense_tableau_simplex(a, b, upper, c, maximize: bool) -> SimpleNamespace:
+    """Two-phase simplex and cost ranging of ``opt c'x, ax <= b, 0 <= x <= upper``
+    with dense pivots, phase 1 run on every call.
+
+    Returns ``status`` ("optimal", "infeasible" or "unbounded"), ``x``,
+    ``objective_value`` and ``ranges`` (None unless optimal), ``start`` (the
+    feasible tableau and basis phase 1 ends on, or None) and ``bland``,
+    whether Bland's rule took over in either phase.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    objective = np.asarray(c, dtype=float)
+    d = a.shape[1]
+    reached = []
+    start = _dense_phase_one(a, b, upper, reached)
+    result = SimpleNamespace(status="infeasible", x=None, objective_value=float("nan"),
+                             ranges=None, start=None, bland=False)
+    if start is None:
+        result.bland = bool(reached)
+        return result
+    tableau, basis, degenerate_budget = start
+    result.start = (tableau.copy(), basis.copy())
+    n_real = tableau.shape[1] - 1
+    c_int = -objective if maximize else objective.copy()
+    cost2 = np.concatenate([c_int, np.zeros(n_real - d)])
+    status = _dense_run(tableau, basis, cost2, degenerate_budget, reached)
+    result.bland = bool(reached)
+    if status == "unbounded":
+        result.status = "unbounded"
+        return result
+    y = np.zeros(n_real)
+    y[basis] = tableau[:, -1]
+    x = y[:d]
+    reduced = cost2 - cost2[basis] @ tableau[:, :-1]
+    reduced[basis] = 0.0
+    assert reduced.min() >= -_FEASIBILITY_TOL, "terminal reduced costs violate optimality"
+    lo_int, hi_int = _dense_ranges(tableau, basis, cost2, reduced, d)
+    if maximize:
+        lo_int, hi_int = -hi_int, -lo_int
+    result.status = "optimal"
+    result.x = x
+    result.objective_value = float(objective @ x)
+    result.ranges = (np.minimum(lo_int, objective), np.maximum(hi_int, objective))
+    return result
 
 
 # --- composed losses -----------------------------------------------------------

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosdfl.core import Sense
+from cosdfl.datagen import GenSpec, generate
+from cosdfl.errors import NumericalBreakdown
+from cosdfl.losses import normalize
 from cosdfl.problems import KnapsackOracle, ShortestPathOracle, problem_from_name
-from cosdfl.simplex import LinearProgram, SolveStatus, solve_lp
+from cosdfl.simplex import LinearProgram, SolveStatus, _run_simplex, solve_lp
 
-from brute import brute_lp, brute_shortest_path
+from brute import brute_lp, brute_shortest_path, dense_tableau_simplex
 
 
 # the unit simplex x1 + x2 <= 1, x >= 0
@@ -276,3 +279,70 @@ def test_relaxation_start_serves_every_objective(name, rng):
                             a_eq=a[0::2], b_eq=b[0::2])[1]
     objectives = [(rng.uniform(0.1, 5.0, lp.d), problem.sense) for _ in range(3)]
     _check_shared_program(a, b, upper, objectives, reference)
+
+
+# --- the sparse pivot loop against the dense tableau loop ----------------------
+
+def _assert_matches_dense(lp, c, sense):
+    """Solve on ``lp`` and require the dense reference's status, vertex,
+    objective value, ranges and phase-1 start, bit for bit; returns the
+    reference's result."""
+    ref = dense_tableau_simplex(lp.constraint_matrix, lp.rhs, lp.upper, c,
+                                sense is Sense.MAXIMIZE)
+    sol = solve_lp(lp, c, sense)
+    assert sol.status.value == ref.status
+    if ref.start is None:
+        assert lp._start is None
+    else:
+        tableau, basis, _ = lp._start
+        assert np.array_equal(tableau, ref.start[0])
+        assert np.array_equal(basis, ref.start[1])
+    if ref.status == "optimal":
+        assert np.array_equal(sol.x, ref.x)
+        assert sol.objective_value == ref.objective_value
+        assert all(np.array_equal(s, r) for s, r in zip(sol.ranges, ref.ranges))
+    return ref
+
+
+@pytest.mark.parametrize("name", ["sp3x3", "sp5x5", "sp8x8", "ks8", "ks16", "ks48",
+                                  "tsp5", "tsp8"])
+def test_matches_dense_tableau_on_generator_rows(name):
+    # raw and unit-norm generator costs, under the problem's sense and the other
+    problem = problem_from_name(name)
+    costs = generate(GenSpec(3, 0, 0, seed=1), problem).costs
+    lp = problem.relaxation
+    statuses = set()
+    for objectives in (costs, normalize(costs, range(len(costs)))):
+        for sense in Sense:
+            for c in objectives:
+                statuses.add(_assert_matches_dense(lp, c, sense).status)
+    assert "optimal" in statuses
+
+
+def test_matches_dense_tableau_when_phase_one_needs_artificials(rng):
+    # box LPs with negative rhs rows start from artificials that phase 1 drives out
+    for _ in range(20):
+        a, b, upper = _phase_one_lp(rng)
+        assert (b < 0.0).any()
+        lp = LinearProgram(a, b, upper=upper)
+        for sense in Sense:
+            ref = _assert_matches_dense(lp, rng.normal(0.0, 2.0, len(upper)), sense)
+            assert ref.status == "optimal"
+
+
+def test_matches_dense_tableau_after_blands_rule_takes_over():
+    # Beale's LP cycles under Dantzig's rule with these tie-breaks: the
+    # degenerate budget runs out and Bland's rule finishes at -5/4
+    lp = LinearProgram(np.array([[0.25, -8.0, -1.0, 9.0],
+                                 [0.5, -12.0, -0.5, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0]]), np.array([0.0, 0.0, 1.0]))
+    ref = _assert_matches_dense(lp, np.array([-0.75, 20.0, -0.5, 6.0]), Sense.MINIMIZE)
+    assert ref.bland
+    assert ref.status == "optimal" and ref.objective_value == pytest.approx(-1.25)
+
+
+def test_nan_reduced_cost_raises():
+    # argmin stops at a NaN; the loop names it instead of reading it as optimal
+    tableau = np.array([[1.0, np.nan, 1.0, 1.0]])
+    with pytest.raises(NumericalBreakdown, match="column 1"):
+        _run_simplex(tableau, np.array([2]), np.array([-1.0, 0.0, 0.0]), 10)
