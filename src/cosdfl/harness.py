@@ -1,9 +1,11 @@
 """Experiment orchestration: grids over (loss, seed), accounting, reports.
 
-Each grid cell is fully self-contained: it builds its own problem oracle and
+Each grid cell is self-contained: it builds its own problem oracle and
 dataset from the cell seed, precomputes exactly the caches its loss needs
-(counting the solver calls spent), trains, and evaluates test regret. Solver
-calls are attributed to four phases:
+(counting the solver calls spent), trains, and evaluates test regret. Cells
+share only read-only data that depends on the problem size alone: the grid
+and TSP solvers' index plans and LP relaxations. Solver calls are attributed
+to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -15,14 +17,15 @@ read by ``SolveCounts.phase`` and nowhere else; the LP solves of
 ``attach_ranges`` advance the same counter. Each of those is one
 ``solve_lp`` call on the problem's cached ``relaxation``, which returns the
 vertex together with its cost ranges. The relaxation runs phase 1 of the
-simplex once, on its first solve; every call runs phase 2 and the ranging
-(about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2 cores with
-numpy 2.4). Data generation and test-set evaluation happen outside the
-phases and are not counted (the latter is identical for every loss). Cells
-run one after another and reports come back in (loss, seed) order, so
-re-running a config reproduces results exactly; wall-clock columns can be
-zeroed via ``deterministic_output`` to make the output files byte-identical
-across runs.
+simplex on its first solve, so once per cell for a knapsack and once per
+size and process for the grid and the TSP; every call runs phase 2 and the
+ranging (about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2
+cores with numpy 2.4). Data generation and test-set evaluation happen
+outside the phases and are not counted (the latter is identical for every
+loss). Cells run one after another and reports come back in (loss, seed)
+order, so re-running a config reproduces results exactly; wall-clock
+columns can be zeroed via ``deterministic_output`` to make the output files
+byte-identical across runs.
 """
 from __future__ import annotations
 

@@ -5,13 +5,17 @@ stacked matrix-vector product. Training runs seeded mini-batch gradient
 descent (SGD or Adam) against any composed loss, bound to the training rows
 and to the validation rows once per run (``stack_loss_data`` fixes each
 one-sided coordinate's safe interval from X* and the problem sense). Each
-mini-batch (and each epoch's validation pass) is one call of the batched
-loss kernel, whose (B, d) prediction-gradients chain into W and b by one
-matrix product, with no autodiff. W and b are views of one (d, k + 1)
-array, which one optimizer step updates in place. A ``spo+`` mini-batch
-makes one batched oracle solve. Every epoch runs; the trace keeps the
-snapshot of the epoch with the lowest validation loss. Training is
-bit-for-bit reproducible per seed and config.
+mini-batch is one call of the batched loss kernel, whose (B, d)
+prediction-gradients chain into W and b by one matrix product, with no
+autodiff. W and b are views of one (d, k + 1) array, which one optimizer
+step updates in place. A ``spo+`` mini-batch makes one batched oracle
+solve. Every epoch runs. Each epoch ends by holding its validation
+predictions and a parameter snapshot; the held epochs are scored in one
+kernel call over their stacked rows when ``VALIDATION_HOLD_BYTES`` are held
+and after the last epoch, with every value equal to that of a call per
+epoch. The trace keeps the snapshot of the epoch with the lowest validation
+loss, the earliest on a tie. Training is bit-for-bit reproducible per seed
+and config.
 """
 from __future__ import annotations
 
@@ -24,13 +28,21 @@ import numpy as np
 
 from .core import Dataset, Problem, as_vector, frozen_array
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
-from .losses import (LossSpec, evaluate_loss_batch, spo_plus_batch,
+from .losses import (LossData, LossSpec, evaluate_loss_batch, spo_plus_batch,
                      stack_loss_data)
 
 CHECKPOINT_MAGIC = b"CDFLLM01"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# bytes of validation predictions and parameter snapshots held for one
+# scoring pass, 128 kB: twenty sp5x5 epochs at 10 validation rows (5.1 kB
+# each) fit in one pass, a desk-size sp5x5 run (50 rows, 18 kB) scores 7
+# epochs per pass. The kernel's temporaries peak near 6x the held bytes: a
+# desk sp5x5 mse run peaked at 0.8 MB (tracemalloc), against 0.2 MB with a
+# pass per epoch and 5.0 MB at 1 << 20, which also ran slower (17.2 against
+# 15.2 ms per run, best of 15)
+VALIDATION_HOLD_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_loss: float
-    seconds: float
+    seconds: float  # since training began, read when this epoch's steps end
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,56 @@ class TrainTrace:
     @property
     def best_val_loss(self) -> float:
         return self.records[self.best_epoch].val_loss
+
+
+class _PendingValidation:
+    """Epoch-end validation, scored for several epochs in one kernel call.
+
+    ``hold`` keeps an epoch's validation predictions and a copy of its
+    parameters; once ``VALIDATION_HOLD_BYTES`` are held the buffer is
+    ``full``. ``score`` evaluates every held epoch in one
+    ``evaluate_loss_batch`` call over the stacked rows, empties the buffer
+    and returns each epoch's record and snapshot, in epoch order. The kernel
+    scores every row on its own, and each epoch's mean reduces its own
+    contiguous block of values, so every record is bit for bit that of one
+    call per epoch. A non-finite value raises NonFiniteLoss naming the first
+    epoch, and in it the first instance, that a call per epoch would name.
+    """
+
+    def __init__(self, data: LossData, n_params: int):
+        self.data = data
+        n_val, d = data.true.shape
+        self.capacity = max(1, VALIDATION_HOLD_BYTES // (8 * (n_val * d + n_params)))
+        self.held: list[tuple[int, float, float, np.ndarray, np.ndarray]] = []
+
+    @property
+    def full(self) -> bool:
+        return len(self.held) >= self.capacity
+
+    def hold(self, epoch: int, train_loss: float, seconds: float,
+             predictions: np.ndarray, params: np.ndarray) -> None:
+        self.held.append((epoch, train_loss, seconds, predictions, params.copy()))
+
+    def score(self) -> list[tuple[EpochRecord, np.ndarray]]:
+        held, self.held = self.held, []
+        if not held:
+            return []
+        n_val = len(self.data.indices)
+        rows = np.tile(np.arange(n_val), len(held))
+        try:
+            stacked = np.concatenate([predictions for _, _, _, predictions, _ in held])
+            values, _ = evaluate_loss_batch(stacked, self.data, rows)
+        except NonFiniteGradient:
+            for epoch, _, _, predictions, _ in held:
+                try:
+                    evaluate_loss_batch(predictions, self.data, slice(None))
+                except NonFiniteGradient as exc:
+                    raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
+            raise
+        means = values.reshape(len(held), n_val).mean(axis=1).tolist()
+        return [(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
+                             seconds=seconds), snapshot)
+                for (epoch, train_loss, seconds, _, snapshot), val_loss in zip(held, means)]
 
 
 class _AdamState:
@@ -174,7 +236,10 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     instances into the training set and uses the epoch's mean training loss
     as its validation metric, so model selection never spends extra solver
     calls. Other specs are validated each epoch with the
-    loss stripped of per-instance weights (validation instances carry none).
+    loss stripped of per-instance weights (validation instances carry none),
+    scored in passes over several epochs (``_PendingValidation``). An
+    epoch's ``seconds`` is read when its training steps end, so it leaves
+    out validation.
     """
     train_idx = list(dataset.split.train)
     val_idx = list(dataset.split.val)
@@ -205,7 +270,18 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     best_val = np.inf
     best_epoch = -1
     best = params.copy()
+    pending = _PendingValidation(val_data, params.size) if val_idx else None
     t_start = time.monotonic()
+
+    def settle(scored) -> None:
+        """Record scored epochs in epoch order; the first strict minimum wins."""
+        nonlocal best_val, best_epoch, best
+        for record, snapshot in scored:
+            records.append(record)
+            if record.val_loss < best_val:
+                best_val = record.val_loss
+                best_epoch = record.epoch
+                best = snapshot.copy()
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -224,6 +300,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                     values, grads = evaluate_loss_batch(preds, data, batch)
                     loss_sum += float(values.sum())
             except NonFiniteGradient as exc:
+                if pending is not None:
+                    pending.score()  # an earlier epoch's validation error comes first
                 raise NonFiniteLoss(f"training batch of epoch {epoch}: {exc}") from exc
             # grads.T @ zb / B and grads.mean(axis=0), which is this sum over B
             np.matmul(grads.T, zb, out=gw)
@@ -235,24 +313,17 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             else:
                 adam.step(params, param_grad, config.learning_rate)
         train_loss = loss_sum / n
+        seconds = time.monotonic() - t_start
 
-        if val_idx:
-            try:
-                values, _ = evaluate_loss_batch(val_feats @ w.T + b, val_data,
-                                                slice(None))
-            except NonFiniteGradient as exc:
-                raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
-            val_loss = float(np.mean(values))
+        if pending is None:
+            settle([(EpochRecord(epoch=epoch, train_loss=train_loss,
+                                 val_loss=train_loss, seconds=seconds), params)])
         else:
-            val_loss = train_loss
-
-        now = time.monotonic()
-        records.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                   val_loss=val_loss, seconds=now - t_start))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best = params.copy()
+            pending.hold(epoch, train_loss, seconds, val_feats @ w.T + b, params)
+            if pending.full:
+                settle(pending.score())
+    if pending is not None:
+        settle(pending.score())
 
     if best_epoch < 0:
         best_epoch = len(records) - 1

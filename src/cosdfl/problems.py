@@ -6,9 +6,11 @@ symmetric TSP (minimize). An oracle takes its instance data, validates it
 once, and names itself (``ks16``, ``sp5x5``, ``tsp8``). Knapsack and grid
 oracles solve exactly; a TSP oracle solves exactly by Held-Karp up to
 ``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
-above, and ``exact`` says which. Every oracle counts its calls and builds
-its box-relaxed linear program once, as ``problem.relaxation``, for
-sensitivity analysis.
+above, and ``exact`` says which. Every oracle counts its calls and exposes
+its box-relaxed linear program, for sensitivity analysis, as
+``problem.relaxation``, built on first use: once per knapsack oracle, whose
+rows are its weights, and once per size and process for the grid and the
+TSP, whose rows depend on the size alone, so their phase 1 runs once.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
@@ -121,7 +123,8 @@ class ProblemOracle:
 
     @cached_property
     def relaxation(self) -> LinearProgram:
-        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built once per oracle."""
+        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built on first use;
+        grid and TSP oracles of one size share theirs (``_size_relaxation``)."""
         return LinearProgram(*self._relaxed_rows(), upper=np.ones(self.d))
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +357,14 @@ class KnapsackOracle(ProblemOracle):
         return self.weights, self.capacities
 
 
+@lru_cache(maxsize=None)
+def _size_relaxation(family: type[ProblemOracle], *size: int) -> LinearProgram:
+    """The relaxation shared by every ``family(*size)`` oracle, for a family
+    whose constraint rows depend on the size alone."""
+    oracle = family(*size)
+    return LinearProgram(*oracle._relaxed_rows(), upper=np.ones(oracle.d))
+
+
 # --- grid shortest path -----------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -433,6 +444,10 @@ class ShortestPathOracle(ProblemOracle):
         x = np.zeros(costs.shape)
         x[batch_rows, path] = 1.0
         return x
+
+    @property
+    def relaxation(self) -> LinearProgram:
+        return _size_relaxation(ShortestPathOracle, self.rows, self.cols)
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
@@ -625,6 +640,10 @@ class TspOracle(ProblemOracle):
         edges = edge_ids[tours, tours[:, successor]]
         x[np.arange(len(tours))[:, None], edges] = 1.0
         return x
+
+    @property
+    def relaxation(self) -> LinearProgram:
+        return _size_relaxation(TspOracle, self.n_nodes)
 
     def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Degree-2 relaxation: each node touches exactly two fractional edges."""

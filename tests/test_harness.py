@@ -18,6 +18,7 @@ from cosdfl.problems import ShortestPathOracle, make_knapsack
 from cosdfl.simplex import SimplexSolution, SolveStatus
 
 import cosdfl.harness as harness_mod
+import cosdfl.problems as problems_mod
 import cosdfl.simplex as simplex_mod
 
 
@@ -75,7 +76,9 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
 
 def test_attach_ranges_runs_phase_one_once(monkeypatch):
     # phase 1 reads only the constraint set: one run per relaxation, then one
-    # phase 2 per instance
+    # phase 2 per instance; an earlier test may have run sp3x3's phase 1
+    # already on the relaxation that every sp3x3 oracle shares
+    problems_mod._size_relaxation.cache_clear()
     problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem)
     real, phases = simplex_mod._run_simplex, []

@@ -14,6 +14,8 @@ from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
                           train)
 from cosdfl.problems import make_knapsack, problem_from_name
 
+import cosdfl.model as model_mod
+
 from brute import brute_solver_free_train, brute_spo_plus_train
 
 
@@ -238,6 +240,78 @@ def test_non_finite_loss_names_the_instance_and_the_phase():
         assert f"instance {index} " in str(info.value)
 
 
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_training_error_after_a_non_finite_validation_names_the_validation():
+    # one batch per epoch: the epoch-0 step sends the weights to about 1e200,
+    # so validation after epoch 0 overflows, and so does epoch 1's batch;
+    # the held validation is scored before the training error is raised
+    dataset, _ = linear_dataset()
+    config = TrainConfig(epochs=3, batch_size=24, learning_rate=1e200,
+                         optimizer=Optimizer.SGD, seed=0)
+    with pytest.raises(NonFiniteLoss, match=r"^validation after epoch 0: .*instance 24 "):
+        train(init_model(dataset.k, dataset.d, seed=0), dataset, parse_loss("mse"),
+              config, LINEAR_PROBLEM)
+
+
+@pytest.mark.parametrize("loss", ["mse", "mae+o_s+s", "mse+tau:0.3"])
+def test_validation_held_for_fewer_epochs_gives_the_same_trace(monkeypatch, loss):
+    # 7 epochs scored one at a time, three at a time (3 + 3 + 1), or in one
+    # pass under the default budget; an epoch holds 6 x 6 predictions and a
+    # 6 x 4 snapshot, 480 bytes
+    dataset = cached_dataset()
+    config = TrainConfig(epochs=7, batch_size=8, learning_rate=0.05, seed=2)
+    start = init_model(dataset.k, dataset.d, seed=2)
+    real, val_calls = model_mod.evaluate_loss_batch, []
+
+    def counting(predicted, data, rows):
+        if len(data.indices) == len(dataset.split.val):
+            val_calls.append(len(predicted))
+        return real(predicted, data, rows)
+
+    monkeypatch.setattr(model_mod, "evaluate_loss_batch", counting)
+    whole = train(start, dataset, parse_loss(loss), config, LINEAR_PROBLEM)
+    assert val_calls == [7 * 6]
+    for budget, passes in ((480, [6] * 7), (3 * 480 + 479, [18, 18, 6])):
+        val_calls.clear()
+        monkeypatch.setattr(model_mod, "VALIDATION_HOLD_BYTES", budget)
+        trace = train(start, dataset, parse_loss(loss), config, LINEAR_PROBLEM)
+        assert val_calls == passes
+        assert deterministic_fields(trace) == deterministic_fields(whole)
+
+
+def test_tied_epochs_keep_the_first():
+    # a learning rate of 0 leaves every epoch's parameters, and so its
+    # validation loss, equal to the start's: the strict < keeps epoch 0
+    dataset = cached_dataset()
+    start = init_model(dataset.k, dataset.d, seed=0)
+    for optimizer in Optimizer:
+        config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.0,
+                             optimizer=optimizer, seed=0)
+        trace = train(start, dataset, parse_loss("mse+o"), config, LINEAR_PROBLEM)
+        assert len({r.val_loss for r in trace.records}) == 1
+        assert trace.best_epoch == 0
+        assert trace.best_model.weights.tobytes() == start.weights.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_best_model_is_the_start_when_no_epoch_improves():
+    # with no epoch, and with validation means that overflow to +inf (each
+    # of the 12 rows' values is finite, about 2.4e307, their sum is not), no
+    # epoch beats the start
+    dataset = cached_dataset(n_val=12)
+    costs = dataset.costs.copy()
+    costs[list(dataset.split.val), 0] = 1.2e154
+    overflowing = replace(dataset, costs=costs)
+    start = init_model(dataset.k, dataset.d, seed=0)
+    for data, epochs in ((dataset, 0), (overflowing, 3)):
+        trace = train(start, data, parse_loss("mse"), TrainConfig(epochs=epochs, seed=0),
+                      LINEAR_PROBLEM)
+        assert [r.val_loss for r in trace.records] == [np.inf] * epochs
+        assert trace.best_epoch == epochs - 1
+        assert trace.best_model.weights.tobytes() == start.weights.tobytes()
+        assert trace.best_model.bias.tobytes() == start.bias.tobytes()
 
 
 def test_sgd_optimizer_path():

@@ -13,6 +13,9 @@ from cosdfl.errors import DimensionMismatch
 from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, KnapsackOracle,
                              ShortestPathOracle, TspOracle, load_problem,
                              make_knapsack, problem_from_name)
+from cosdfl.simplex import SolveStatus, solve_lp
+
+import cosdfl.simplex as simplex_mod
 
 from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
                    brute_tsp, enumerate_grid_paths, suffix_set_shortest_path)
@@ -469,6 +472,28 @@ def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
     for arr in plans:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch):
+    # grid and tour rows depend on the size alone; a knapsack's are its weights
+    problems._size_relaxation.cache_clear()
+    real, runs = simplex_mod._phase_one, []
+
+    def recording(lp):
+        runs.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(simplex_mod, "_phase_one", recording)
+    for first, second, shared in [(ShortestPathOracle(3, 3), ShortestPathOracle(3, 3), True),
+                                  (TspOracle(5), TspOracle(5), True),
+                                  (problem_from_name("ks8", seed=0),
+                                   problem_from_name("ks8", seed=1), False)]:
+        runs.clear()
+        for oracle in (first, second):
+            solution = solve_lp(oracle.relaxation, np.ones(oracle.d), oracle.sense)
+            assert solution.status is SolveStatus.OPTIMAL
+        assert (first.relaxation is second.relaxation) is shared
+        assert len(runs) == (1 if shared else 2)
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
