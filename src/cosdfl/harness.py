@@ -4,8 +4,8 @@ Each grid cell is self-contained: it builds its own problem oracle and
 dataset from the cell seed, precomputes exactly the caches its loss needs
 (counting the solver calls spent), trains, and evaluates test regret. Cells
 share only read-only data that depends on the problem size alone: the grid
-and TSP solvers' index plans and LP relaxations. Solver calls are attributed
-to four phases:
+and TSP solvers' index plans, decision tables and LP relaxations. Solver
+calls are attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -123,6 +123,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for loss in self.losses:
             parse_loss(loss)  # fail fast on typos
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def gen_spec(self, seed: int) -> GenSpec:
         return GenSpec(n_train=self.n_train, n_val=self.n_val, n_test=self.n_test,

@@ -4,7 +4,7 @@ Three families are shipped, one class each: multi-dimensional 0/1
 knapsack (maximize), shortest path on a directed grid (minimize), and
 symmetric TSP (minimize). An oracle takes its instance data, validates it
 once, and names itself (``ks16``, ``sp5x5``, ``tsp8``). Knapsack and grid
-oracles solve exactly; a TSP oracle solves exactly by Held-Karp up to
+oracles solve exactly; a TSP oracle solves exactly up to
 ``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
 above, and ``exact`` says which. Every oracle counts its calls and exposes
 its box-relaxed linear program, for sensitivity analysis, as
@@ -13,37 +13,55 @@ rows are its weights, and once per size and process for the grid and the
 TSP, whose rows depend on the size alone, so their phase 1 runs once.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
-(B, d) 0/1 decisions and counts B solves. The grid DP and Held-Karp run as
-array recurrences over the batch. The grid takes one anti-diagonal of nodes
-(r + c = k, sink first) per step and rebuilds the paths in rows + cols - 2
-forward steps; Held-Karp takes one popcount layer of subsets at a time, then
-one backtrack step per tour position. Their index plans (the grid's arc
-indices per diagonal, Held-Karp's layers with their predecessor masks, the
-TSP edge slots) are built on the first solve of a size, cached read-only
-and shared by every later oracle of that size. A knapsack whose
-feasible sets fit in ``KNAPSACK_TABLE_MAX_ENTRIES`` table entries (ks8-ks48
-at the generator's settings) scores the batch against a table of every
-feasible decision; a larger one (ks64) runs branch-and-bound row by row, as
-does the TSP heuristic. Under ``__debug__`` every solved row is checked
-against the constraint rows of ``relaxation`` in one array test, to
-``FEASIBILITY_TOL``, the tolerance every knapsack load is held to.
+(B, d) 0/1 decisions and counts B solves, by one of two paths. When the
+oracle has a ``decision_table``, every feasible decision as a row in the
+family's tie order, ``solve_many`` scores the batch against it (C @ T.T, in
+chunks of ``TABLE_CHUNK_VALUES``) and takes, per row, the first table row
+in the tie band of the best value. A table is looked up on the first solve,
+never in ``__init__``, and kept under two budgets of table entries (rows x
+d). A knapsack builds its own (its rows are its weights) within
+``KNAPSACK_TABLE_MAX_ENTRIES``, which takes ks8-ks48 at the generator's
+settings. Grid and exact-TSP tables depend on the size alone, are built
+once per size and process and shared read-only, within
+``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
+path and tour counts are known in closed form, so nothing is built past
+the budget. Otherwise the family's recurrence, ``_solve_many``, solves:
+knapsack branch-and-bound row by row; the grid DP over anti-diagonals of
+nodes (r + c = k, sink first), rebuilding the paths in rows + cols - 2
+forward steps; Held-Karp one popcount layer of subsets at a time, then one
+backtrack step per tour position; the TSP heuristic row by row. The
+recurrences' index plans (the grid's arc indices per diagonal, Held-Karp's
+layers with their predecessor masks, the TSP edge slots) are cached per
+size like the tables. Under ``__debug__`` every solved row of either path
+is checked against the constraint rows of ``relaxation`` in one array
+test, to ``FEASIBILITY_TOL``, the tolerance every knapsack load is held to.
 
-Knapsack and grid solvers break objective ties by returning the
-lexicographically smallest decision vector, so repeated solves of tied
-instances are reproducible. The grid compares path costs exactly and needs
-no set comparison: at node (r, c) every arc of either branch has an index
-at least ``east_index(r, c)``, which only the east branch holds, so south
-wins a tie and east wins only when strictly cheaper. The knapsack counts
-every decision within ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best
-value as tied. The exact TSP solver is deterministic via a fixed
-dynamic-programming scan order (global lexicographic reconstruction would
-need one extra DP per edge, which ties never justify in practice). The TSP
-heuristic can miss the optimum, so regret scored against it
+Ties are broken the same way on both paths, so repeated solves of tied
+instances are reproducible, and a table holds its rows in the order that
+makes its first row in the band the recurrence's decision:
+
+- knapsack: the lexicographically smallest decision vector (x_0 most
+  significant, 0 before 1) among those within ``KNAPSACK_TIE_TOL`` *
+  max(1, |best|) of the best value; the table is in lexicographic order.
+- grid: the lexicographically smallest of the exactly cheapest paths; the
+  table is every monotone path in lexicographic order. The DP needs no set
+  comparison: at node (r, c) every arc of either branch has an index at
+  least ``east_index(r, c)``, which only the east branch holds, so south
+  wins a tie and east wins only when strictly cheaper.
+- exact TSP: Held-Karp's scan order. It takes the smallest closing node,
+  then at each state the first-index predecessor, so of the exactly
+  cheapest tours it returns the one with the lexicographically smallest
+  (t[n-1], ..., t[1]) over its two orientations from node 0; the table has
+  one row per undirected tour, sorted by that key.
+
+The TSP heuristic can miss the optimum, so regret scored against it
 (``core.instance_regrets``) is a lower bound on the true regret.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import operator
 import re
 import threading
@@ -89,12 +107,15 @@ class ProblemOracle:
     """Base oracle: counts solves, checks feasibility, exposes the relaxation.
 
     A family validates its instance data in ``__init__``, passes its name
-    and cost dimension ``d`` up, and implements ``_solve_many`` on a
-    validated (B, d) cost batch.
+    and cost dimension ``d`` up, and implements ``_solve_many``, its
+    recurrence, on a validated (B, d) cost batch. A family whose feasible
+    decisions are few enough also gives a ``decision_table``, which
+    ``solve_many`` scans in place of the recurrence.
     """
 
     sense: Sense
     exact: bool = True
+    tie_tol: float = 0.0  # the table scan's tie band, relative to max(1, |best|)
 
     def __init__(self, name: str, d: int) -> None:
         self.name = name
@@ -113,13 +134,36 @@ class ProblemOracle:
         if costs.shape[0] == 0:
             return np.zeros(costs.shape)
         self.counter.increment(costs.shape[0])
-        decisions = self._solve_many(costs)
+        table = self.decision_table
+        decisions = self._solve_many(costs) if table is None else self._scan(table, costs)
         if __debug__:
             self._check_feasible(decisions)
         return decisions
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @cached_property
+    def decision_table(self) -> np.ndarray | None:
+        """Every feasible decision as a read-only row, in the family's tie
+        order, looked up on the first solve; None when the recurrence solves."""
+        return None
+
+    def _scan(self, table: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Per cost row, the first table row whose value is within ``tie_tol``
+        * max(1, |best|) of the best value: with the rows in tie order, the
+        decision the recurrence returns. A minimizing family scans the
+        negated costs; with a band of 0 the first maximum is the pick."""
+        signed = costs if self.sense is Sense.MAXIMIZE else -costs
+        x = np.empty(costs.shape)
+        chunk = max(1, TABLE_CHUNK_VALUES // len(table))
+        for lo in range(0, len(costs), chunk):
+            values = signed[lo:lo + chunk] @ table.T
+            if self.tie_tol:
+                best = values.max(axis=1, keepdims=True)
+                values = values >= best - self.tie_tol * np.maximum(1.0, np.abs(best))
+            x[lo:lo + chunk] = table[values.argmax(axis=1)]
+        return x
 
     @cached_property
     def relaxation(self) -> LinearProgram:
@@ -146,18 +190,29 @@ class ProblemOracle:
                                  "batch is not a feasible 0/1 decision of its relaxation")
 
 
-# --- knapsack ---------------------------------------------------------------
+# --- decision tables ---------------------------------------------------------
 
 # Knapsacks whose feasible decisions fit in this many table entries (subsets
-# x items) solve by table look-up, larger ones by branch-and-bound. Median
+# x items) solve by table scan, larger ones by branch-and-bound. Median
 # per row at B = 32 on generator instances, branch-and-bound -> table:
 # ks8 95 -> 2.1 us, ks16 191 -> 4.2 us, ks32 718 -> 35 us, ks48 823 -> 462 us
 # (23.6k subsets); ks64 (85k subsets, 3.4 ms per row) is past the budget
 KNAPSACK_TABLE_MAX_ENTRIES = 1 << 21
-# table values (rows x subsets) per batch chunk, 512 kB: larger chunks read
+# Grids and exact TSPs whose table (paths or tours x d) fits in this many
+# entries solve by table scan, larger ones by their recurrence. Per
+# solve_many call at B = 32 on spo+-like shifts, 2 cores, recurrence ->
+# table: sp5x5 210 -> 56 us, sp7x7 526 -> 236 us, sp8x8 428 -> 1,094 us;
+# tsp5 354 -> 45 us, tsp8 2,094 -> 315 us, tsp9 4,608 -> 6,045 us. The
+# recurrences win from sp8x8 (3,432 paths) and tsp9 (20,160 tours), so the
+# budget takes sp3x3-sp7x7 and tsp3-tsp8 (2,520 tours) and stops there
+SIZE_TABLE_MAX_ENTRIES = 1 << 17
+# table values (rows x table rows) per batch chunk, 512 kB: larger chunks read
 # the table less often (ks48 ran 2.4x faster at 1 << 18) but raised the peak
 # memory of forty ks16 spo+ cells by 0.7 MB, against 0.4 MB at this budget
-KNAPSACK_CHUNK_VALUES = 1 << 16
+TABLE_CHUNK_VALUES = 1 << 16
+
+
+# --- knapsack ---------------------------------------------------------------
 
 
 def _tightest_dimension(weights: np.ndarray, capacities: np.ndarray) -> int:
@@ -205,7 +260,7 @@ def _minus(rem, weights) -> tuple:
 
 def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
                   tight: int) -> list[int]:
-    """Chosen items of one row (plain floats); see ``KnapsackOracle._branch_and_bound``."""
+    """Chosen items of one row (plain floats); see ``KnapsackOracle._solve_many``."""
     w_tight = [w[tight] for w in item_weights]
     n = len(order)
     from_pos = [order[pos:] for pos in range(n + 1)]
@@ -275,6 +330,7 @@ class KnapsackOracle(ProblemOracle):
     """
 
     sense = Sense.MAXIMIZE
+    tie_tol = KNAPSACK_TIE_TOL
 
     def __init__(self, weights, capacities) -> None:
         w = np.asarray(weights, dtype=float)
@@ -291,7 +347,11 @@ class KnapsackOracle(ProblemOracle):
     def decision_table(self) -> np.ndarray | None:
         """Every feasible 0/1 decision as a row, in lexicographic order (x_0
         most significant, 0 before 1), built on the first solve; None when it
-        would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries.
+        would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is
+        optimal within ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best
+        value, and the scan takes the first such row: the empty set is row
+        0, and a set that takes an item of non-positive cost is preceded by
+        the same set without it.
 
         Subsets grow item by item in index order, each taking the remaining
         capacity down one item at a time, as the branch-and-bound walk does.
@@ -318,32 +378,12 @@ class KnapsackOracle(ProblemOracle):
         return table
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        """Optimal 0/1 selections; ties resolved to the lexicographically smallest.
-
-        A decision is optimal when its value is within ``KNAPSACK_TIE_TOL`` *
-        max(1, |best|) of the best value; the lexicographically first wins.
-        With a ``decision_table`` that is the first table row in the band;
-        the empty set is row 0, and a set that takes an item of non-positive
-        cost is preceded by the same set without it. Otherwise, per row,
-        ``_knapsack_row`` proves the best value and walks to that decision.
-        """
-        table = self.decision_table
-        if table is None:
-            return self._branch_and_bound(costs)
-        x = np.empty(costs.shape)
-        chunk = max(1, KNAPSACK_CHUNK_VALUES // len(table))
-        for lo in range(0, len(costs), chunk):
-            values = costs[lo:lo + chunk] @ table.T
-            best = values.max(axis=1, keepdims=True)
-            in_band = values >= best - KNAPSACK_TIE_TOL * np.maximum(1.0, np.abs(best))
-            x[lo:lo + chunk] = table[in_band.argmax(axis=1)]
-        return x
-
-    def _branch_and_bound(self, costs: np.ndarray) -> np.ndarray:
-        """Two passes per row: branch-and-bound with a fractional-relaxation
-        bound proves the optimal value, then a depth-first walk in index order
-        (zero branch first) reconstructs the first assignment in the band.
-        Items with non-positive cost are never taken."""
+        """Optimal 0/1 selections, the lexicographically first in the tie
+        band, row by row in two passes (``_knapsack_row``): branch-and-bound
+        with a fractional-relaxation bound proves the optimal value, then a
+        depth-first walk in index order (zero branch first) reconstructs the
+        first assignment in the band. Items with non-positive cost are
+        never taken."""
         x = np.zeros(costs.shape)
         item_weights = [tuple(col) for col in self.weights.T.tolist()]
         cap = tuple(self.capacities.tolist())
@@ -384,6 +424,25 @@ def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
     return plan
 
 
+@lru_cache(maxsize=None)
+def _grid_table(rows: int, cols: int) -> np.ndarray:
+    """Every monotone path of a grid as a read-only arc-indicator row, in
+    lexicographic order (x_0 most significant, 0 before 1). A path is the
+    set of its rows - 1 south steps among its rows + cols - 2 steps; step k
+    leaves node (r, k - r), whose arcs ``_grid_arc_plan`` holds at [:, r, k]."""
+    steps = rows + cols - 2
+    picks = np.array(list(itertools.combinations(range(steps), rows - 1)))
+    south = np.zeros((len(picks), steps), dtype=bool)
+    south[np.arange(len(picks))[:, None], picks] = True
+    r = np.cumsum(south, axis=1) - south  # the row each step leaves from
+    arcs = _grid_arc_plan(rows, cols)[(~south).view(np.uint8), r, np.arange(steps)]
+    table = np.zeros((len(picks), rows * (cols - 1) + (rows - 1) * cols))
+    table[np.arange(len(picks))[:, None], arcs] = 1.0
+    table = table[np.lexsort(table.T[::-1])]
+    table.setflags(write=False)  # shared by every later oracle of the size
+    return table
+
+
 class ShortestPathOracle(ProblemOracle):
     """Directed grid: east/south arcs from top-left to bottom-right.
 
@@ -406,6 +465,17 @@ class ShortestPathOracle(ProblemOracle):
     def south_index(self, r: int, c: int) -> int:
         """Arc (r, c) -> (r+1, c); south arcs follow all east arcs, row-major."""
         return self.rows * (self.cols - 1) + r * self.cols + c
+
+    @cached_property
+    def decision_table(self) -> np.ndarray | None:
+        """Every monotone path in lexicographic order (``_grid_table``, one per
+        size and process), when its C(rows + cols - 2, rows - 1) paths x d
+        fit in ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the
+        exactly cheapest paths: the lexicographically smallest, as in the DP."""
+        paths = math.comb(self.rows + self.cols - 2, self.rows - 1)
+        if paths * self.d > SIZE_TABLE_MAX_ENTRIES:
+            return None
+        return _grid_table(self.rows, self.cols)
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Cheapest monotone paths, ties to the lexicographically smallest arc set.
@@ -496,6 +566,27 @@ def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in plan:
         arr.setflags(write=False)
     return plan
+
+
+def _tour_indicators(n: int, tours: np.ndarray) -> np.ndarray:
+    """(T, d) edge indicators of (T, n) tours."""
+    _, edge_ids, successor = _tour_plan(n)
+    x = np.zeros((len(tours), n * (n - 1) // 2))
+    x[np.arange(len(tours))[:, None], edge_ids[tours, tours[:, successor]]] = 1.0
+    return x
+
+
+@lru_cache(maxsize=None)
+def _tour_table(n: int) -> np.ndarray:
+    """One read-only edge-indicator row per undirected n-node tour, in
+    Held-Karp's scan order: by the smallest (t[n-1], ..., t[1]) over the
+    tour's two orientations from node 0. Of the orientations (0, p) and
+    (0, reversed p) with p[0] < p[-1], the second ends in the smaller node
+    and its key is p itself, so these p, in permutation order, are sorted."""
+    tours = [(0,) + p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
+    table = _tour_indicators(n, np.array(tours))
+    table.setflags(write=False)  # shared by every later oracle of the size
+    return table
 
 
 def _edge_matrices(n: int, costs: np.ndarray) -> np.ndarray:
@@ -626,7 +717,20 @@ class TspOracle(ProblemOracle):
             i, j = j, i
         return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
 
+    @cached_property
+    def decision_table(self) -> np.ndarray | None:
+        """Every tour in Held-Karp's scan order (``_tour_table``, one per size
+        and process), when its (n - 1)! / 2 tours x d fit in
+        ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the exactly
+        cheapest tours: the one Held-Karp returns."""
+        tours = math.factorial(self.n_nodes - 1) // 2
+        if tours * self.d > SIZE_TABLE_MAX_ENTRIES:
+            return None
+        return _tour_table(self.n_nodes)
+
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
+        """Held-Karp, in chunks of ``HELD_KARP_CHUNK_STATES`` states, or the
+        heuristic row by row."""
         dist = _edge_matrices(self.n_nodes, costs)
         if self.exact:
             m = self.n_nodes - 1
@@ -635,11 +739,7 @@ class TspOracle(ProblemOracle):
                                     for lo in range(0, len(dist), chunk)])
         else:
             tours = np.array([_nearest_neighbor_2opt(matrix) for matrix in dist])
-        _, edge_ids, successor = _tour_plan(self.n_nodes)
-        x = np.zeros(costs.shape)
-        edges = edge_ids[tours, tours[:, successor]]
-        x[np.arange(len(tours))[:, None], edges] = 1.0
-        return x
+        return _tour_indicators(self.n_nodes, tours)
 
     @property
     def relaxation(self) -> LinearProgram:

@@ -119,7 +119,12 @@ def suffix_set_shortest_path(rows: int, cols: int, costs: np.ndarray) -> np.ndar
 
 
 def brute_tsp(n: int, costs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best tour over all (n-1)! permutations anchored at node 0."""
+    """Best tour over all (n-1)! directed tours (0, t[1], ..., t[n-1]).
+
+    Exact-cost ties go to the smallest reversed sequence (t[n-1], ..., t[1]),
+    compared as tuples: the tie rule the package documents for its exact
+    TSP. Each tour's cost is summed along the tour from node 0.
+    """
     costs = np.asarray(costs, dtype=float)
 
     def edge(i: int, j: int) -> int:
@@ -127,18 +132,18 @@ def brute_tsp(n: int, costs: np.ndarray) -> tuple[np.ndarray, float]:
             i, j = j, i
         return i * n - i * (i + 1) // 2 + (j - i - 1)
 
-    best_x = None
-    best_cost = np.inf
+    best_tour, best_key, best_cost = None, None, np.inf
     for perm in permutations(range(1, n)):
         tour = (0,) + perm
         cost = sum(costs[edge(a, b)]
                    for a, b in zip(tour, tour[1:] + tour[:1]))
-        if cost < best_cost - 1e-12:
-            x = np.zeros(n * (n - 1) // 2)
-            for a, b in zip(tour, tour[1:] + tour[:1]):
-                x[edge(a, b)] = 1.0
-            best_x, best_cost = x, float(cost)
-    return best_x, best_cost
+        key = perm[::-1]
+        if cost < best_cost or (cost == best_cost and key < best_key):
+            best_tour, best_key, best_cost = tour, key, cost
+    x = np.zeros(n * (n - 1) // 2)
+    for a, b in zip(best_tour, best_tour[1:] + best_tour[:1]):
+        x[edge(a, b)] = 1.0
+    return x, float(best_cost)
 
 
 def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,

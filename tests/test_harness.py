@@ -35,6 +35,16 @@ def test_experiment_config_validates_losses_eagerly():
         tiny_config(losses=("mse", "bogus"))
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_experiment_config_names_a_count_below_one(field):
+    # zero epochs used to fail every cell with an IndexError from
+    # best_val_loss, and a zero batch size with a bare range() error
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {bad}$"):
+            tiny_config(**{field: bad})
+    tiny_config(**{field: 1})
+
+
 
 
 def test_attach_decisions_fills_only_missing():

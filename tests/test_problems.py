@@ -1,5 +1,6 @@
 import json
 import threading
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,21 +22,27 @@ from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
                    brute_tsp, enumerate_grid_paths, suffix_set_shortest_path)
 
 
-# --- knapsack ---------------------------------------------------------------
+# --- solver paths -----------------------------------------------------------
 
-KNAPSACK_PATHS = ("table", "branch-and-bound")
+PATHS = ("table", "recurrence")
+# a knapsack's recurrence is its branch-and-bound, and its test ids say so
+KNAPSACK_PATHS = pytest.mark.parametrize("path", PATHS, ids=["table", "branch-and-bound"])
 
 
-def knapsack(weights, capacities, path="table"):
-    """A knapsack oracle that solves by ``path``. The decision table is
-    built on first use, so a zero table budget while building it forces the
-    branch-and-bound."""
-    oracle = KnapsackOracle(weights=weights, capacities=capacities)
+def solving_by(oracle, path):
+    """``oracle``, made to solve by ``path``: its decision table, or its
+    family's recurrence (branch-and-bound, the grid DP or Held-Karp). The
+    table is looked up on the first solve, so zero table budgets while
+    looking it up force the recurrence; no other test does."""
     with pytest.MonkeyPatch.context() as mp:
-        if path == "branch-and-bound":
+        if path == "recurrence":
             mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", 0)
-        assert (oracle.decision_table is None) is (path == "branch-and-bound")
+            mp.setattr(problems, "SIZE_TABLE_MAX_ENTRIES", 0)
+        assert (oracle.decision_table is None) is (path == "recurrence")
     return oracle
+
+
+# --- knapsack ---------------------------------------------------------------
 
 
 def test_knapsack_frozen_example():
@@ -73,13 +80,13 @@ def test_knapsack_rejects_negative_weights():
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(KNAPSACK_PATHS), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(PATHS), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_knapsack_matches_brute_force(path, tenths, seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 11))
     q = int(rng.integers(1, 3))
-    oracle = knapsack(rng.integers(1, 7, size=(q, d)).astype(float),
-                      rng.integers(d, 3 * d, size=q).astype(float), path)
+    oracle = solving_by(KnapsackOracle(rng.integers(1, 7, size=(q, d)).astype(float),
+                                       rng.integers(d, 3 * d, size=q).astype(float)), path)
     # half-integer costs make exact value ties common, exercising lex order;
     # multiples of 0.1 make ties whose sums round apart, exercising the band
     costs = (rng.integers(0, 30, size=d) / 10.0 if tenths
@@ -95,14 +102,14 @@ def test_knapsack_table_is_every_feasible_decision_in_lex_order(fractional):
     rng = np.random.default_rng(5)
     weights = rng.integers(1, 7, size=(2, 9)) * (0.7 if fractional else 1.0)
     capacities = np.array([9.0, 12.6]) if fractional else np.array([9.0, 13.0])
-    oracle = knapsack(weights, capacities)
+    oracle = KnapsackOracle(weights, capacities)
     xs = all_binary_vectors(9)
     feasible = xs[np.all(xs @ oracle.weights.T <= oracle.capacities + 1e-9, axis=1)]
     assert 1 < len(feasible) < len(xs)
     np.testing.assert_array_equal(oracle.decision_table, feasible)
 
 
-@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+@KNAPSACK_PATHS
 def test_knapsack_load_at_capacity_fits_in_any_summation_order(path):
     # multiples of 0.7 sum to slightly different loads in density order
     # and in index order; the branch-and-bound used to prove a value with
@@ -112,7 +119,7 @@ def test_knapsack_load_at_capacity_fits_in_any_summation_order(path):
                [3.5, 2.0999999999999996, 1.4, 3.5, 0.7, 2.8, 2.0999999999999996, 3.5],
                [2.0999999999999996, 3.5, 1.4, 3.5, 4.199999999999999, 1.4, 1.4, 2.8]]
     costs = np.array([0.5, 4.0, 1.0, 4.0, 0.5, 2.0, -1.0, 3.0])
-    oracle = knapsack(weights, [9.0, 19.8, 12.6], path)
+    oracle = solving_by(KnapsackOracle(weights, [9.0, 19.8, 12.6]), path)
     x = oracle.solve_many(costs[None])[0]
     assert x.tolist() == [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
     assert float(costs @ x) == 14.0
@@ -120,21 +127,21 @@ def test_knapsack_load_at_capacity_fits_in_any_summation_order(path):
                                                     costs)[0])
 
 
-@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+@KNAPSACK_PATHS
 def test_knapsack_near_ties_break_lexicographically(path):
     # {0} is better by 1e-12, inside the 1e-9 tie band, so {1} -- first in
     # lexicographic order -- wins; an exact argmax would pick {0}
-    oracle = knapsack([[1.0, 1.0]], [1.0], path)
+    oracle = solving_by(KnapsackOracle([[1.0, 1.0]], [1.0]), path)
     x = oracle.solve_many(np.array([[1.0 + 1e-12, 1.0]]))[0]
     assert x.tolist() == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("path", KNAPSACK_PATHS)
+@KNAPSACK_PATHS
 def test_knapsack_tie_that_rounds_apart_matches_brute_force(path):
     # {1,2,3} and {0,2,3} both cost 2.5 + 2.9 + 2.2, but over the enumeration
     # the sums round to 7.6 and 7.6000000000000005: an exact argmax takes
     # {0,2,3}, the tie band the lexicographically first {1,2,3}
-    oracle = knapsack([[2.0, 5.0, 1.0, 1.0]], [7.0], path)
+    oracle = solving_by(KnapsackOracle([[2.0, 5.0, 1.0, 1.0]], [7.0]), path)
     costs = np.array([2.5, 2.5, 2.9, 2.2])
     x = oracle.solve_many(costs[None])[0]
     assert x.tolist() == [0.0, 1.0, 1.0, 1.0]
@@ -191,23 +198,30 @@ def test_grid_matches_brute_force(seed):
 
 def assert_rows_match_the_suffix_set_reference(oracle, costs):
     x = oracle.solve_many(costs)
+    path = PATHS[oracle.decision_table is None]
     for r, c in enumerate(costs):
         np.testing.assert_array_equal(
             x[r], suffix_set_shortest_path(oracle.rows, oracle.cols, c),
-            err_msg=f"{oracle.name} row {r}")
+            err_msg=f"{oracle.name} by {path}, row {r}")
+
+
+def generator_rows_and_spo_shifts(oracle, seed):
+    """60 generator cost rows and their spo+ shifts 2P - C, with P the
+    least-squares linear fit of the costs on the features."""
+    data = generate(GenSpec(n_train=60, n_val=0, n_test=0, seed=seed), oracle)
+    features = np.hstack([data.features, np.ones((data.n, 1))])
+    fitted = features @ np.linalg.lstsq(features, data.costs, rcond=None)[0]
+    return data.costs, 2.0 * fitted - data.costs
 
 
 @pytest.mark.parametrize("name", ["sp5x5", "sp8x8"])
 def test_grid_matches_the_suffix_set_reference_on_generator_rows_and_spo_shifts(name):
     # 70 and 3,432 paths: the reference DP stands in for enumeration. Most
-    # spo+ shifts 2P - C of a least-squares linear fit P have negative entries
+    # spo+ shifts have negative entries
     oracle = problem_from_name(name)
-    data = generate(GenSpec(n_train=60, n_val=0, n_test=0, seed=5), oracle)
-    features = np.hstack([data.features, np.ones((data.n, 1))])
-    fitted = features @ np.linalg.lstsq(features, data.costs, rcond=None)[0]
-    shifts = 2.0 * fitted - data.costs
+    costs, shifts = generator_rows_and_spo_shifts(oracle, 5)
     assert (shifts < 0.0).any(axis=1).mean() > 0.5
-    assert_rows_match_the_suffix_set_reference(oracle, data.costs)
+    assert_rows_match_the_suffix_set_reference(oracle, costs)
     assert_rows_match_the_suffix_set_reference(oracle, shifts)
 
 
@@ -215,10 +229,11 @@ def test_grid_matches_the_suffix_set_reference_on_generator_rows_and_spo_shifts(
 @pytest.mark.parametrize("cols", range(2, 7))
 def test_grid_matches_the_suffix_set_reference_on_tie_heavy_costs(rows, cols):
     # signed half-integer costs in [-1, 1]: most rows hold several optimal paths
-    oracle = ShortestPathOracle(rows, cols)
     rng = np.random.default_rng(100 * rows + cols)
-    costs = rng.integers(-2, 3, size=(40, oracle.d)) / 2.0
-    assert_rows_match_the_suffix_set_reference(oracle, costs)
+    costs = rng.integers(-2, 3, size=(40, ShortestPathOracle(rows, cols).d)) / 2.0
+    for path in PATHS:
+        assert_rows_match_the_suffix_set_reference(
+            solving_by(ShortestPathOracle(rows, cols), path), costs)
 
 
 # --- tsp ----------------------------------------------------------------------
@@ -382,54 +397,63 @@ def test_oracle_names_and_sizes():
 
 # --- batched solves -------------------------------------------------------------
 
-BATCH_FAMILIES = ("ks", "ks-branch-and-bound", "sp", "tsp", "tsp-heuristic")
+BATCH_FAMILIES = ("ks", "ks-recurrence", "sp", "sp-recurrence", "tsp", "tsp-recurrence",
+                  "tsp-heuristic")
 
 
 def batch_case(family, rng):
-    """An oracle, a cost batch of 1-8 rows for it, and a reference solver of
-    one row: brute force, or for the heuristic (n = 14) the heuristic called
-    directly. Half the batches have small integer costs, with many ties."""
+    """An oracle, a cost batch of 1-8 rows for it, whether the costs are
+    integers, and a reference solver of one row: brute force, or for the
+    heuristic (n = 14) the heuristic called directly. Half the batches have
+    small integer costs, with many ties."""
     rows = int(rng.integers(1, 9))
     integer = bool(rng.integers(0, 2))
+    path = "recurrence" if family.endswith("-recurrence") else "table"
     if family.startswith("ks"):
         d = int(rng.integers(2, 9))
         q = int(rng.integers(1, 3))
-        oracle = knapsack(rng.integers(1, 5, size=(q, d)).astype(float),
-                          rng.integers(d, 2 * d + 1, size=q).astype(float),
-                          "table" if family == "ks" else "branch-and-bound")
+        oracle = solving_by(KnapsackOracle(rng.integers(1, 5, size=(q, d)).astype(float),
+                                           rng.integers(d, 2 * d + 1, size=q).astype(float)),
+                            path)
         costs = (rng.integers(-2, 4, size=(rows, d)).astype(float) if integer
                  else rng.normal(1.0, 2.0, size=(rows, d)))
-        return oracle, costs, lambda c: brute_knapsack(oracle.weights, oracle.capacities, c)
-    if family == "sp":
+        return (oracle, costs, integer,
+                lambda c: brute_knapsack(oracle.weights, oracle.capacities, c))
+    if family.startswith("sp"):
         r, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        oracle = ShortestPathOracle(r, c)
+        oracle = solving_by(ShortestPathOracle(r, c), path)
         costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
                  else rng.normal(0.0, 1.0, size=(rows, oracle.d)))
-        return oracle, costs, lambda x: brute_shortest_path(r, c, x)
-    n = int(rng.integers(3, 7)) if family == "tsp" else HELD_KARP_MAX_NODES + 1
-    oracle = TspOracle(n)
-    assert oracle.exact is (family == "tsp")
+        return oracle, costs, integer, lambda x: brute_shortest_path(r, c, x)
+    if family == "tsp-heuristic":
+        n = HELD_KARP_MAX_NODES + 1
+        oracle = TspOracle(n)
+        assert not oracle.exact
+    else:
+        n = int(rng.integers(3, 7))
+        oracle = solving_by(TspOracle(n), path)
     costs = (rng.integers(0, 3, size=(rows, oracle.d)).astype(float) if integer
              else rng.uniform(0.5, 5.0, size=(rows, oracle.d)))
-    if family == "tsp":
-        return oracle, costs, lambda x: brute_tsp(n, x)
-    return oracle, costs, lambda x: heuristic_tour(x, n)
+    if oracle.exact:
+        return oracle, costs, integer, lambda x: brute_tsp(n, x)
+    return oracle, costs, integer, lambda x: heuristic_tour(x, n)
 
 
 @settings(max_examples=120)
 @given(st.sampled_from(BATCH_FAMILIES), st.integers(0, 2 ** 32 - 1))
 def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
     rng = np.random.default_rng(seed)
-    oracle, costs, brute = batch_case(family, rng)
+    oracle, costs, integer, brute = batch_case(family, rng)
     x = oracle.solve_many(costs)
     assert x.shape == costs.shape
     assert oracle.counter.count == costs.shape[0]  # one step of B
     for r, c in enumerate(costs):
         np.testing.assert_array_equal(x[r], oracle.solve_many(c[None])[0])
         x_ref, v_ref = brute(c)
-        if not family.startswith("tsp"):
+        if not family.startswith("tsp") or (oracle.exact and integer):
             np.testing.assert_array_equal(x[r], x_ref)
         else:
+            # continuous tour costs sum in another order than brute_tsp's
             assert float(c @ x[r]) == pytest.approx(v_ref, abs=1e-9)
     assert oracle.counter.count == 2 * costs.shape[0]
 
@@ -437,26 +461,40 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
 def test_held_karp_tie_breaking_is_frozen():
     # costs in {0, 1, 2}: seven of the ten rows have two to seven optimal
     # tours; the edges were recorded from the row-by-row backtrack that the
-    # batched one replaced, so a change to the tie rule shows here
-    oracle = TspOracle(6)
-    costs = np.random.default_rng(6).integers(0, 3, size=(10, oracle.d)).astype(float)
+    # batched one replaced, so a change to the tie rule, or a table out of
+    # Held-Karp's scan order, shows here
+    costs = np.random.default_rng(6).integers(0, 3, size=(10, 15)).astype(float)
     expected = [[0, 2, 8, 10, 11, 12], [3, 4, 5, 6, 10, 13], [3, 4, 5, 6, 10, 13],
                 [0, 2, 5, 11, 12, 14], [2, 3, 5, 8, 9, 14], [0, 4, 6, 9, 10, 14],
                 [2, 3, 5, 6, 11, 14], [0, 4, 6, 10, 11, 12], [0, 4, 5, 10, 12, 13],
                 [0, 3, 5, 11, 12, 13]]
-    x = oracle.solve_many(costs)
-    assert [np.flatnonzero(row).tolist() for row in x] == expected
+    for path in PATHS:
+        x = solving_by(TspOracle(6), path).solve_many(costs)
+        assert [np.flatnonzero(row).tolist() for row in x] == expected, path
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_held_karp_matches_brute_force_on_tied_integer_costs(n):
     # the layers of tsp3 and tsp4 hold one or two predecessors per state;
     # costs in {0, 1, 2} tie often, and the tours are brute_tsp's
-    oracle = TspOracle(n)
-    costs = np.random.default_rng(n).integers(0, 3, size=(200, oracle.d)).astype(float)
-    x = oracle.solve_many(costs)
-    for r, c in enumerate(costs):
-        np.testing.assert_array_equal(x[r], brute_tsp(n, c)[0], err_msg=f"row {r}")
+    costs = np.random.default_rng(n).integers(0, 3, size=(200, n * (n - 1) // 2)).astype(float)
+    for path in PATHS:
+        x = solving_by(TspOracle(n), path).solve_many(costs)
+        for r, c in enumerate(costs):
+            np.testing.assert_array_equal(x[r], brute_tsp(n, c)[0], err_msg=f"{path} row {r}")
+
+
+@pytest.mark.parametrize("name", ["sp3x3", "sp4x4", "sp5x5", "sp6x6", "sp7x7", "tsp4", "tsp5",
+                                  "tsp6", "tsp7", "tsp8", "ks8", "ks16"])
+def test_decision_table_equals_the_recurrence_on_generator_rows_and_spo_shifts(name):
+    # every grid and tour size in the table budget from sp3x3 and tsp4 up,
+    # and two desk knapsacks
+    for seed in range(3):
+        table, recurrence = (solving_by(problem_from_name(name, seed=seed), path)
+                             for path in PATHS)
+        for costs in generator_rows_and_spo_shifts(table, seed):
+            np.testing.assert_array_equal(table.solve_many(costs),
+                                          recurrence.solve_many(costs), err_msg=f"seed {seed}")
 
 
 def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
@@ -466,7 +504,9 @@ def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
         costs = rng.integers(0, 3, size=(12, first.d)).astype(float)
         x = first.solve_many(costs)
         np.testing.assert_array_equal(second.solve_many(costs), x)
-    plans = [problems._grid_arc_plan(3, 5), *problems._tour_plan(6),
+        assert first.decision_table is second.decision_table
+    plans = [problems._grid_arc_plan(3, 5), problems._grid_table(3, 5),
+             problems._tour_table(6), *problems._tour_plan(6),
              *(arr for layer in problems._popcount_layers(5) for arr in layer)]
     assert problems._grid_arc_plan(3, 5) is plans[0]
     for arr in plans:
@@ -497,7 +537,7 @@ def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch)
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
-    oracle = TspOracle(6)
+    oracle = solving_by(TspOracle(6), "recurrence")
     costs = np.random.default_rng(1).integers(0, 3, size=(7, oracle.d)).astype(float)
     whole = oracle.solve_many(costs)
     monkeypatch.setattr(problems, "HELD_KARP_CHUNK_STATES", 3 * 2 ** 5 * 5)  # 3 rows
@@ -526,7 +566,7 @@ def test_solve_many_validates_the_batch():
 
 
 class OneBadRowOracle(ShortestPathOracle):
-    """Drops one arc of the path in row 2 of every batch."""
+    """Drops one arc of the path in row 2 of every batch the DP solves."""
 
     bad_row = 2
 
@@ -536,9 +576,21 @@ class OneBadRowOracle(ShortestPathOracle):
         return x
 
 
+class ArcShortTableOracle(ShortestPathOracle):
+    """Scans a table whose every path lost its first arc."""
+
+    @cached_property
+    def decision_table(self):
+        table = problems._grid_table(self.rows, self.cols).copy()
+        table[np.arange(len(table)), table.argmax(axis=1)] = 0.0
+        return table
+
+
 def test_batched_feasibility_check_names_the_infeasible_row():
-    oracle = OneBadRowOracle(3, 4)
-    costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, oracle.d))
+    costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, 17))
     with pytest.raises(AssertionError, match="sp3x4: solved row 2 of the batch"):
-        oracle.solve_many(costs)
-    ShortestPathOracle(3, 4).solve_many(costs)  # the intact oracle passes
+        solving_by(OneBadRowOracle(3, 4), "recurrence").solve_many(costs)
+    with pytest.raises(AssertionError, match="sp3x4: solved row 0 of the batch"):
+        ArcShortTableOracle(3, 4).solve_many(costs)
+    for path in PATHS:  # the intact oracle passes
+        solving_by(ShortestPathOracle(3, 4), path).solve_many(costs)
