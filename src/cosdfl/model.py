@@ -141,7 +141,9 @@ class TrainTrace:
 
     @property
     def best_val_loss(self) -> float:
-        return self.records[self.best_epoch].val_loss
+        """The best epoch's validation loss; inf when no epoch beat the start
+        (``best_epoch`` -1, and ``best_model`` holds the start parameters)."""
+        return self.records[self.best_epoch].val_loss if self.best_epoch >= 0 else np.inf
 
 
 class _PendingValidation:
@@ -325,8 +327,6 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     if pending is not None:
         settle(pending.score())
 
-    if best_epoch < 0:
-        best_epoch = len(records) - 1
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
                       best_model=LinearModel(best[:, :k], best[:, k]),
                       final_model=LinearModel(w, b))

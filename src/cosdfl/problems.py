@@ -12,11 +12,15 @@ its box-relaxed linear program, for sensitivity analysis, as
 rows are its weights, and once per size and process for the grid and the
 TSP, whose rows depend on the size alone, so their phase 1 runs once.
 
+Which arc or edge each grid or TSP cost index names is stated once, in the
+index plans ``_grid_arc_plan`` and ``_tour_plan``, which the recurrences,
+the tables and the relaxations all read.
+
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves, by one of two paths. When the
 oracle has a ``decision_table``, every feasible decision as a row in the
 family's tie order, ``solve_many`` scores the batch against it (C @ T.T, in
-chunks of ``TABLE_CHUNK_VALUES``) and takes, per row, the first table row
+chunks of ``CHUNK_VALUES``) and takes, per row, the first table row
 in the tie band of the best value. A table is looked up on the first solve,
 never in ``__init__``, and kept under two budgets of table entries (rows x
 d). A knapsack builds its own (its rows are its weights) within
@@ -32,9 +36,11 @@ forward steps; Held-Karp one popcount layer of subsets at a time, then one
 backtrack step per tour position; the TSP heuristic row by row. The
 recurrences' index plans (the grid's arc indices per diagonal, Held-Karp's
 layers with their predecessor masks, the TSP edge slots) are cached per
-size like the tables. Under ``__debug__`` every solved row of either path
-is checked against the constraint rows of ``relaxation`` in one array
-test, to ``FEASIBILITY_TOL``, the tolerance every knapsack load is held to.
+size like the tables. Under ``__debug__`` the decisions are checked against
+the constraint rows of ``relaxation`` in one array test, to
+``FEASIBILITY_TOL``, the tolerance every knapsack load is held to, where
+they are made: a whole table when an oracle looks it up, and each batch
+that a recurrence solves. A scan returns table rows only.
 
 Ties are broken the same way on both paths, so repeated solves of tied
 instances are reproducible, and a table holds its rows in the order that
@@ -46,8 +52,8 @@ makes its first row in the band the recurrence's decision:
 - grid: the lexicographically smallest of the exactly cheapest paths; the
   table is every monotone path in lexicographic order. The DP needs no set
   comparison: at node (r, c) every arc of either branch has an index at
-  least ``east_index(r, c)``, which only the east branch holds, so south
-  wins a tie and east wins only when strictly cheaper.
+  least that of the node's east arc, which only the east branch holds, so
+  south wins a tie and east wins only when strictly cheaper.
 - exact TSP: Held-Karp's scan order. It takes the smallest closing node,
   then at each state the first-index predecessor, so of the exactly
   cheapest tours it returns the one with the lexicographically smallest
@@ -107,13 +113,15 @@ class ProblemOracle:
     """Base oracle: counts solves, checks feasibility, exposes the relaxation.
 
     A family validates its instance data in ``__init__``, passes its name
-    and cost dimension ``d`` up, and implements ``_solve_many``, its
-    recurrence, on a validated (B, d) cost batch. A family whose feasible
-    decisions are few enough also gives a ``decision_table``, which
-    ``solve_many`` scans in place of the recurrence.
+    and cost dimension ``d`` up, gives its ``relaxation`` and implements
+    ``_solve_many``, its recurrence, on a validated (B, d) cost batch. A
+    family whose feasible decisions are few enough also gives a table
+    (``_decision_table``), which ``solve_many`` scans in place of the
+    recurrence.
     """
 
     sense: Sense
+    relaxation: LinearProgram  # the LP relaxation ``Ax <= b, 0 <= x <= 1``
     exact: bool = True
     tie_tol: float = 0.0  # the table scan's tie band, relative to max(1, |best|)
 
@@ -135,9 +143,11 @@ class ProblemOracle:
             return np.zeros(costs.shape)
         self.counter.increment(costs.shape[0])
         table = self.decision_table
-        decisions = self._solve_many(costs) if table is None else self._scan(table, costs)
+        if table is not None:
+            return self._scan(table, costs)
+        decisions = self._solve_many(costs)
         if __debug__:
-            self._check_feasible(decisions)
+            self._check_feasible(decisions, "solved row {} of the batch")
         return decisions
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
@@ -146,7 +156,14 @@ class ProblemOracle:
     @cached_property
     def decision_table(self) -> np.ndarray | None:
         """Every feasible decision as a read-only row, in the family's tie
-        order, looked up on the first solve; None when the recurrence solves."""
+        order, looked up on the first solve and then, under ``__debug__``,
+        checked whole; None when the recurrence solves."""
+        table = self._decision_table()
+        if __debug__ and table is not None:
+            self._check_feasible(table, "row {} of the decision table")
+        return table
+
+    def _decision_table(self) -> np.ndarray | None:
         return None
 
     def _scan(self, table: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -156,7 +173,7 @@ class ProblemOracle:
         negated costs; with a band of 0 the first maximum is the pick."""
         signed = costs if self.sense is Sense.MAXIMIZE else -costs
         x = np.empty(costs.shape)
-        chunk = max(1, TABLE_CHUNK_VALUES // len(table))
+        chunk = max(1, CHUNK_VALUES // len(table))
         for lo in range(0, len(costs), chunk):
             values = signed[lo:lo + chunk] @ table.T
             if self.tie_tol:
@@ -166,28 +183,25 @@ class ProblemOracle:
         return x
 
     @cached_property
-    def relaxation(self) -> LinearProgram:
-        """The LP relaxation ``Ax <= b, 0 <= x <= 1``, built on first use;
-        grid and TSP oracles of one size share theirs (``_size_relaxation``)."""
-        return LinearProgram(*self._relaxed_rows(), upper=np.ones(self.d))
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The constraint rows ``(A, b)`` of the relaxation."""
-        raise NotImplementedError
-
-    @cached_property
     def _load_limits(self) -> np.ndarray:
         """``rhs + FEASIBILITY_TOL`` of ``relaxation``, read-only."""
         return frozen_array(self.relaxation.rhs + FEASIBILITY_TOL)
 
-    def _check_feasible(self, decisions: np.ndarray) -> None:
-        """Every row is 0/1 and meets the constraint rows of ``relaxation``."""
+    def _check_feasible(self, decisions: np.ndarray, row_name: str) -> None:
+        """Every row is 0/1 and meets the constraint rows of ``relaxation``;
+        a failure names the first bad row, as ``row_name.format(index)``."""
         binary = (decisions == 0.0) | (decisions == 1.0)
         within = decisions @ self.relaxation.constraint_matrix.T <= self._load_limits
         if not (binary.all() and within.all()):
             ok = binary.all(axis=1) & within.all(axis=1)
-            raise AssertionError(f"{self.name}: solved row {int(np.argmin(ok))} of the "
-                                 "batch is not a feasible 0/1 decision of its relaxation")
+            raise AssertionError(f"{self.name}: {row_name.format(int(np.argmin(ok)))} "
+                                 "is not a feasible 0/1 decision of its relaxation")
+
+
+def _equality_relaxation(a: np.ndarray, b: np.ndarray) -> LinearProgram:
+    """The relaxation ``a x = b, 0 <= x <= 1``, each row as a <=/>= pair."""
+    return LinearProgram(np.stack([a, -a], axis=1).reshape(-1, a.shape[1]),
+                         np.stack([b, -b], axis=1).ravel(), upper=np.ones(a.shape[1]))
 
 
 # --- decision tables ---------------------------------------------------------
@@ -206,10 +220,13 @@ KNAPSACK_TABLE_MAX_ENTRIES = 1 << 21
 # recurrences win from sp8x8 (3,432 paths) and tsp9 (20,160 tours), so the
 # budget takes sp3x3-sp7x7 and tsp3-tsp8 (2,520 tours) and stops there
 SIZE_TABLE_MAX_ENTRIES = 1 << 17
-# table values (rows x table rows) per batch chunk, 512 kB: larger chunks read
-# the table less often (ks48 ran 2.4x faster at 1 << 18) but raised the peak
-# memory of forty ks16 spo+ cells by 0.7 MB, against 0.4 MB at this budget
-TABLE_CHUNK_VALUES = 1 << 16
+# float64 working values per batch chunk, 512 kB: table values (rows x
+# table rows) of a scan, or Held-Karp states (rows x subsets x last nodes).
+# Larger scan chunks read the table less often (ks48 ran 2.4x faster at
+# 1 << 18) but raised the peak memory of forty ks16 spo+ cells by 0.7 MB,
+# against 0.4 MB at this budget; Held-Karp ran fastest per row at this
+# budget (tsp13 5.1 ms against 6.8 ms at 1 << 20)
+CHUNK_VALUES = 1 << 16
 
 
 # --- knapsack ---------------------------------------------------------------
@@ -344,7 +361,11 @@ class KnapsackOracle(ProblemOracle):
         self.capacities = frozen_array(cap)
 
     @cached_property
-    def decision_table(self) -> np.ndarray | None:
+    def relaxation(self) -> LinearProgram:
+        """Capacity rows ``weights x <= capacities``."""
+        return LinearProgram(self.weights, self.capacities, upper=np.ones(self.d))
+
+    def _decision_table(self) -> np.ndarray | None:
         """Every feasible 0/1 decision as a row, in lexicographic order (x_0
         most significant, 0 before 1), built on the first solve; None when it
         would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is
@@ -393,17 +414,6 @@ class KnapsackOracle(ProblemOracle):
             x[row, _knapsack_row(c.tolist(), order, item_weights, cap, tight)] = 1.0
         return x
 
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.weights, self.capacities
-
-
-@lru_cache(maxsize=None)
-def _size_relaxation(family: type[ProblemOracle], *size: int) -> LinearProgram:
-    """The relaxation shared by every ``family(*size)`` oracle, for a family
-    whose constraint rows depend on the size alone."""
-    oracle = family(*size)
-    return LinearProgram(*oracle._relaxed_rows(), upper=np.ones(oracle.d))
-
 
 # --- grid shortest path -----------------------------------------------------
 
@@ -422,6 +432,24 @@ def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
     plan = np.stack([south, east])
     plan.setflags(write=False)  # shared by every later call
     return plan
+
+
+@lru_cache(maxsize=None)
+def _grid_relaxation(rows: int, cols: int) -> LinearProgram:
+    """Arc-flow relaxation shared by every grid of the size: one conservation
+    row per node but the sink (redundant given the others), row-major, out
+    arcs at +1 and in arcs at -1, with supply 1 at the source."""
+    nodes = np.arange(rows * cols)
+    r, c = np.divmod(nodes, cols)
+    south, east = _grid_arc_plan(rows, cols)[:, r, r + c]
+    d = rows * (cols - 1) + (rows - 1) * cols
+    tail, head = np.empty((2, d + 1), dtype=np.intp)  # [d] takes the missing arcs
+    tail[south] = tail[east] = nodes
+    head[south], head[east] = nodes + cols, nodes + 1
+    flow = np.zeros((rows * cols, d))
+    flow[tail[:d], np.arange(d)] = 1.0
+    flow[head[:d], np.arange(d)] = -1.0
+    return _equality_relaxation(flow[:-1], (nodes[:-1] == 0).astype(float))
 
 
 @lru_cache(maxsize=None)
@@ -447,6 +475,8 @@ class ShortestPathOracle(ProblemOracle):
     """Directed grid: east/south arcs from top-left to bottom-right.
 
     ``rows`` and ``cols`` count nodes; the oracle is named ``sp{rows}x{cols}``.
+    Costs index arcs: the east arcs (r, c) -> (r, c + 1) first, row-major,
+    then the south arcs (r, c) -> (r + 1, c), row-major (``_grid_arc_plan``).
     """
 
     sense = Sense.MINIMIZE
@@ -458,16 +488,11 @@ class ShortestPathOracle(ProblemOracle):
         self.rows = rows
         self.cols = cols
 
-    def east_index(self, r: int, c: int) -> int:
-        """Arc (r, c) -> (r, c+1); east arcs come first, row-major."""
-        return r * (self.cols - 1) + c
-
-    def south_index(self, r: int, c: int) -> int:
-        """Arc (r, c) -> (r+1, c); south arcs follow all east arcs, row-major."""
-        return self.rows * (self.cols - 1) + r * self.cols + c
-
     @cached_property
-    def decision_table(self) -> np.ndarray | None:
+    def relaxation(self) -> LinearProgram:
+        return _grid_relaxation(self.rows, self.cols)
+
+    def _decision_table(self) -> np.ndarray | None:
         """Every monotone path in lexicographic order (``_grid_table``, one per
         size and process), when its C(rows + cols - 2, rows - 1) paths x d
         fit in ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the
@@ -515,50 +540,20 @@ class ShortestPathOracle(ProblemOracle):
         x[batch_rows, path] = 1.0
         return x
 
-    @property
-    def relaxation(self) -> LinearProgram:
-        return _size_relaxation(ShortestPathOracle, self.rows, self.cols)
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arc-flow relaxation: conservation rows as <=/>= pairs, sink dropped."""
-        d = self.d
-        rows = []
-        rhs = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if (r, c) == (self.rows - 1, self.cols - 1):
-                    continue  # redundant given the other balances
-                row = np.zeros(d)
-                if c + 1 < self.cols:
-                    row[self.east_index(r, c)] = 1.0
-                if r + 1 < self.rows:
-                    row[self.south_index(r, c)] = 1.0
-                if c > 0:
-                    row[self.east_index(r, c - 1)] = -1.0
-                if r > 0:
-                    row[self.south_index(r - 1, c)] = -1.0
-                supply = 1.0 if (r, c) == (0, 0) else 0.0
-                rows.extend([row, -row])
-                rhs.extend([supply, -supply])
-        return np.vstack(rows), np.array(rhs)
-
 
 # --- travelling salesperson -------------------------------------------------
 
 HELD_KARP_MAX_NODES = 13
-# DP states (rows x subsets x last nodes) per batch chunk: bounds memory, and
-# measured fastest per row (tsp13 5.1 ms against 6.8 ms at 1 << 20)
-HELD_KARP_CHUNK_STATES = 1 << 16
 
 
 @lru_cache(maxsize=None)
 def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only index arrays of an n-node TSP, shared by every later call:
     ``slots`` (2, d), the flat (i, j) and (j, i) positions in an (n, n)
-    matrix of each edge i < j, in ``edge_index`` order; ``edge_ids`` (n, n),
-    the edge index of each pair (the diagonal unused); ``successor`` (n,),
-    the next position around a tour."""
-    i, j = np.triu_indices(n, 1)  # the edge_index order
+    matrix of each edge i < j, in cost order; ``edge_ids`` (n, n), the edge
+    index of each pair (the diagonal unused); ``successor`` (n,), the next
+    position around a tour."""
+    i, j = np.triu_indices(n, 1)  # the cost order: row-major upper triangle
     slots = np.stack([i * n + j, j * n + i])
     edge_ids = np.zeros(n * n, dtype=np.intp)
     edge_ids[slots] = np.arange(len(i))
@@ -566,6 +561,17 @@ def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in plan:
         arr.setflags(write=False)
     return plan
+
+
+@lru_cache(maxsize=None)
+def _tour_relaxation(n: int) -> LinearProgram:
+    """Degree-2 relaxation shared by every n-node TSP: one row per node, at
+    1 on the node's n - 1 edges, with right-hand side 2."""
+    edge_ids = _tour_plan(n)[1]
+    node, other = np.nonzero(~np.eye(n, dtype=bool))
+    degree = np.zeros((n, n * (n - 1) // 2))
+    degree[node, edge_ids[node, other]] = 1.0
+    return _equality_relaxation(degree, np.full(n, 2.0))
 
 
 def _tour_indicators(n: int, tours: np.ndarray) -> np.ndarray:
@@ -694,7 +700,9 @@ def _nearest_neighbor_2opt(dist: np.ndarray) -> list[int]:
 class TspOracle(ProblemOracle):
     """Symmetric TSP on a complete graph; costs index edges (i, j), i < j.
 
-    The oracle is named ``tsp{n_nodes}``. Held-Karp solves it exactly up to
+    The edges are in row-major upper-triangle order, (0, 1), (0, 2), ...,
+    (0, n - 1), (1, 2), ..., (n - 2, n - 1) (``_tour_plan``). The oracle is
+    named ``tsp{n_nodes}``. Held-Karp solves it exactly up to
     ``HELD_KARP_MAX_NODES`` nodes, and the nearest-neighbor/2-opt heuristic
     above; ``exact`` follows from the node count.
     """
@@ -712,13 +720,11 @@ class TspOracle(ProblemOracle):
         """True when Held-Karp solves, False when the heuristic does."""
         return self.n_nodes <= HELD_KARP_MAX_NODES
 
-    def edge_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.n_nodes - i * (i + 1) // 2 + (j - i - 1)
-
     @cached_property
-    def decision_table(self) -> np.ndarray | None:
+    def relaxation(self) -> LinearProgram:
+        return _tour_relaxation(self.n_nodes)
+
+    def _decision_table(self) -> np.ndarray | None:
         """Every tour in Held-Karp's scan order (``_tour_table``, one per size
         and process), when its (n - 1)! / 2 tours x d fit in
         ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the exactly
@@ -729,35 +735,17 @@ class TspOracle(ProblemOracle):
         return _tour_table(self.n_nodes)
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
-        """Held-Karp, in chunks of ``HELD_KARP_CHUNK_STATES`` states, or the
-        heuristic row by row."""
+        """Held-Karp, in chunks of ``CHUNK_VALUES`` states, or the heuristic
+        row by row."""
         dist = _edge_matrices(self.n_nodes, costs)
         if self.exact:
             m = self.n_nodes - 1
-            chunk = max(1, HELD_KARP_CHUNK_STATES // ((1 << m) * m))
+            chunk = max(1, CHUNK_VALUES // ((1 << m) * m))
             tours = np.concatenate([_held_karp_many(dist[lo:lo + chunk])
                                     for lo in range(0, len(dist), chunk)])
         else:
             tours = np.array([_nearest_neighbor_2opt(matrix) for matrix in dist])
         return _tour_indicators(self.n_nodes, tours)
-
-    @property
-    def relaxation(self) -> LinearProgram:
-        return _size_relaxation(TspOracle, self.n_nodes)
-
-    def _relaxed_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-2 relaxation: each node touches exactly two fractional edges."""
-        d = self.d
-        rows = []
-        rhs = []
-        for v in range(self.n_nodes):
-            row = np.zeros(d)
-            for u in range(self.n_nodes):
-                if u != v:
-                    row[self.edge_index(v, u)] = 1.0
-            rows.extend([row, -row])
-            rhs.extend([2.0, -2.0])
-        return np.vstack(rows), np.array(rhs)
 
 
 # --- registry ---------------------------------------------------------------

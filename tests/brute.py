@@ -146,6 +146,60 @@ def brute_tsp(n: int, costs: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(best_cost)
 
 
+def grid_relaxation_rows(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of the grid's arc-flow relaxation, node by node: one
+    conservation row per node but the sink, row-major, each as a <=/>= pair
+    (the >= half negated, zeros included), out arcs at +1 and in arcs at -1,
+    supply 1 at the source. Arcs are numbered as in
+    ``enumerate_grid_paths``."""
+    n_east = rows * (cols - 1)
+    d = n_east + (rows - 1) * cols
+
+    def east(r: int, c: int) -> int:
+        return r * (cols - 1) + c
+
+    def south(r: int, c: int) -> int:
+        return n_east + r * cols + c
+
+    a, b = [], []
+    for r in range(rows):
+        for c in range(cols):
+            if (r, c) == (rows - 1, cols - 1):
+                continue
+            row = np.zeros(d)
+            if c + 1 < cols:
+                row[east(r, c)] = 1.0
+            if r + 1 < rows:
+                row[south(r, c)] = 1.0
+            if c > 0:
+                row[east(r, c - 1)] = -1.0
+            if r > 0:
+                row[south(r - 1, c)] = -1.0
+            supply = 1.0 if (r, c) == (0, 0) else 0.0
+            a.extend([row, -row])
+            b.extend([supply, -supply])
+    return np.vstack(a), np.array(b)
+
+
+def tsp_relaxation_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of the degree-2 relaxation, node by node: one row per
+    node, at 1 on its n - 1 edges, each as a <=/>= pair with right-hand
+    side 2. Edges are numbered as in ``brute_tsp``."""
+    def edge(i: int, j: int) -> int:
+        i, j = min(i, j), max(i, j)
+        return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+    a, b = [], []
+    for v in range(n):
+        row = np.zeros(n * (n - 1) // 2)
+        for u in range(n):
+            if u != v:
+                row[edge(v, u)] = 1.0
+        a.extend([row, -row])
+        b.extend([2.0, -2.0])
+    return np.vstack(a), np.array(b)
+
+
 def brute_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, maximize: bool,
              lower: np.ndarray | None = None,
              upper: np.ndarray | None = None,

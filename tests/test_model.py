@@ -10,8 +10,8 @@ from cosdfl.errors import NonFiniteLoss
 from cosdfl.harness import attach_decisions
 from cosdfl.losses import evaluate_loss_batch, parse_loss, stack_loss_data
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
-                          TrainConfig, init_model, load_model, save_model,
-                          train)
+                          TrainConfig, TrainTrace, init_model, load_model,
+                          save_model, train)
 from cosdfl.problems import make_knapsack, problem_from_name
 
 import cosdfl.model as model_mod
@@ -309,9 +309,15 @@ def test_best_model_is_the_start_when_no_epoch_improves():
         trace = train(start, data, parse_loss("mse"), TrainConfig(epochs=epochs, seed=0),
                       LINEAR_PROBLEM)
         assert [r.val_loss for r in trace.records] == [np.inf] * epochs
-        assert trace.best_epoch == epochs - 1
+        assert trace.best_epoch == -1
         assert trace.best_model.weights.tobytes() == start.weights.tobytes()
         assert trace.best_model.bias.tobytes() == start.bias.tobytes()
+
+
+def test_a_trace_with_no_best_epoch_reads_an_infinite_best_loss():
+    start = init_model(2, 3, seed=0)
+    trace = TrainTrace(records=(), best_epoch=-1, best_model=start, final_model=start)
+    assert trace.best_val_loss == np.inf
 
 
 def test_sgd_optimizer_path():

@@ -1,6 +1,5 @@
 import json
 import threading
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,7 +18,8 @@ from cosdfl.simplex import SolveStatus, solve_lp
 import cosdfl.simplex as simplex_mod
 
 from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
-                   brute_tsp, enumerate_grid_paths, suffix_set_shortest_path)
+                   brute_tsp, enumerate_grid_paths, grid_relaxation_rows,
+                   suffix_set_shortest_path, tsp_relaxation_rows)
 
 
 # --- solver paths -----------------------------------------------------------
@@ -151,13 +151,15 @@ def test_knapsack_tie_that_rounds_apart_matches_brute_force(path):
 
 # --- grid shortest path -----------------------------------------------------
 
-def test_grid_arc_indexing_convention():
-    grid = ShortestPathOracle(rows=2, cols=2)
-    assert grid.d == 4
-    assert grid.east_index(0, 0) == 0
-    assert grid.east_index(1, 0) == 1
-    assert grid.south_index(0, 0) == 2
-    assert grid.south_index(0, 1) == 3
+def test_grid_cost_layout():
+    # arcs east (0,0)>(0,1), east (1,0)>(1,1), south (0,0)>(1,0), south (0,1)>(1,1):
+    # each path is the one whose arcs cost 0, the other's cost 1
+    for path in PATHS:
+        grid = solving_by(ShortestPathOracle(rows=2, cols=2), path)
+        assert grid.d == 4
+        for arcs in ([1.0, 0.0, 0.0, 1.0],   # east, then south
+                     [0.0, 1.0, 1.0, 0.0]):  # south, then east
+            assert grid.solve_many(1.0 - np.array([arcs]))[0].tolist() == arcs
     with pytest.raises(ValueError):
         ShortestPathOracle(rows=1, cols=3)
 
@@ -262,6 +264,32 @@ def test_tsp_frozen_unit_square():
     assert float(costs @ x) == pytest.approx(4.0)
     _, heuristic_cost = heuristic_tour(costs, 4)
     assert heuristic_cost == pytest.approx(4.0)
+
+
+def test_tsp_cost_layout():
+    # the edges in cost order; each tour is the one whose edges cost 0
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for path in PATHS:
+        oracle = solving_by(TspOracle(4), path)
+        for tour in ([0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]):
+            steps = {frozenset(step) for step in zip(tour, tour[1:] + tour[:1])}
+            x = [float(frozenset(edge) in steps) for edge in edges]
+            assert oracle.solve_many(1.0 - np.array([x]))[0].tolist() == x
+
+
+def test_relaxations_match_the_node_by_node_reference():
+    # equal entries and equal signs of zero: the >= half of each pair is
+    # the negated <= row, so its zeros are -0.0
+    cases = [(ShortestPathOracle(r, c), grid_relaxation_rows(r, c))
+             for r in range(2, 11) for c in range(2, 11)]
+    cases += [(TspOracle(n), tsp_relaxation_rows(n)) for n in range(3, 31)]
+    for oracle, (a, b) in cases:
+        lp = oracle.relaxation
+        for got, want in ((lp.constraint_matrix, a), (lp.rhs, b)):
+            np.testing.assert_array_equal(got, want, err_msg=oracle.name)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want),
+                                          err_msg=oracle.name)
+        np.testing.assert_array_equal(lp.upper, np.ones(oracle.d))
 
 
 def test_tsp_exactness_follows_the_node_count():
@@ -516,7 +544,8 @@ def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
 
 def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch):
     # grid and tour rows depend on the size alone; a knapsack's are its weights
-    problems._size_relaxation.cache_clear()
+    problems._grid_relaxation.cache_clear()
+    problems._tour_relaxation.cache_clear()
     real, runs = simplex_mod._phase_one, []
 
     def recording(lp):
@@ -540,7 +569,7 @@ def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
     oracle = solving_by(TspOracle(6), "recurrence")
     costs = np.random.default_rng(1).integers(0, 3, size=(7, oracle.d)).astype(float)
     whole = oracle.solve_many(costs)
-    monkeypatch.setattr(problems, "HELD_KARP_CHUNK_STATES", 3 * 2 ** 5 * 5)  # 3 rows
+    monkeypatch.setattr(problems, "CHUNK_VALUES", 3 * 2 ** 5 * 5)  # 3 rows
     np.testing.assert_array_equal(oracle.solve_many(costs), whole)
 
 
@@ -577,12 +606,11 @@ class OneBadRowOracle(ShortestPathOracle):
 
 
 class ArcShortTableOracle(ShortestPathOracle):
-    """Scans a table whose every path lost its first arc."""
+    """Looks up a table whose path in row 3 lost its first arc."""
 
-    @cached_property
-    def decision_table(self):
+    def _decision_table(self):
         table = problems._grid_table(self.rows, self.cols).copy()
-        table[np.arange(len(table)), table.argmax(axis=1)] = 0.0
+        table[3, table[3].argmax()] = 0.0
         return table
 
 
@@ -590,7 +618,11 @@ def test_batched_feasibility_check_names_the_infeasible_row():
     costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, 17))
     with pytest.raises(AssertionError, match="sp3x4: solved row 2 of the batch"):
         solving_by(OneBadRowOracle(3, 4), "recurrence").solve_many(costs)
-    with pytest.raises(AssertionError, match="sp3x4: solved row 0 of the batch"):
-        ArcShortTableOracle(3, 4).solve_many(costs)
+    # a table is checked whole when it is looked up, before any solve
+    oracle = ArcShortTableOracle(3, 4)
+    with pytest.raises(AssertionError, match="sp3x4: row 3 of the decision table"):
+        oracle.decision_table
+    with pytest.raises(AssertionError, match="sp3x4: row 3 of the decision table"):
+        oracle.solve_many(costs)
     for path in PATHS:  # the intact oracle passes
         solving_by(ShortestPathOracle(3, 4), path).solve_many(costs)
