@@ -30,17 +30,20 @@ once per size and process and shared read-only, within
 ``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
 path and tour counts are known in closed form, so nothing is built past
 the budget. Otherwise the family's recurrence, ``_solve_many``, solves:
-knapsack branch-and-bound row by row; the grid DP over anti-diagonals of
-nodes (r + c = k, sink first), rebuilding the paths in rows + cols - 2
-forward steps; Held-Karp one popcount layer of subsets at a time, then one
-backtrack step per tour position; the TSP heuristic row by row. The
-recurrences' index plans (the grid's arc indices per diagonal, Held-Karp's
-layers with their predecessor masks, the TSP edge slots) are cached per
-size like the tables. Under ``__debug__`` the decisions are checked against
-the constraint rows of ``relaxation`` in one array test, to
-``FEASIBILITY_TOL``, the tolerance every knapsack load is held to, where
-they are made: a whole table when an oracle looks it up, and each batch
-that a recurrence solves. A scan returns table rows only.
+the knapsack DP over the distinct remaining capacities that subsets reach,
+item by item, one backward pass for the best values and one forward pass
+for the decisions; the grid DP over anti-diagonals of nodes (r + c = k,
+sink first), rebuilding the paths in rows + cols - 2 forward steps;
+Held-Karp one popcount layer of subsets at a time, then one backtrack step
+per tour position; the TSP heuristic row by row. The recurrences' index
+plans are cached: the knapsack's loads per item once per oracle, and the
+grid's arc indices per diagonal, Held-Karp's layers with their predecessor
+masks and the TSP edge slots once per size, like the tables. Under
+``__debug__`` the decisions are checked against the constraint rows of
+``relaxation`` in one array test, to ``FEASIBILITY_TOL``, the tolerance
+every knapsack load is held to, where they are made: a whole table when an
+oracle looks it up, and each batch that a recurrence solves. A scan
+returns table rows only.
 
 Ties are broken the same way on both paths, so repeated solves of tied
 instances are reproducible, and a table holds its rows in the order that
@@ -68,7 +71,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import re
 import threading
 from functools import cached_property, lru_cache
@@ -207,10 +209,11 @@ def _equality_relaxation(a: np.ndarray, b: np.ndarray) -> LinearProgram:
 # --- decision tables ---------------------------------------------------------
 
 # Knapsacks whose feasible decisions fit in this many table entries (subsets
-# x items) solve by table scan, larger ones by branch-and-bound. Median
-# per row at B = 32 on generator instances, branch-and-bound -> table:
-# ks8 95 -> 2.1 us, ks16 191 -> 4.2 us, ks32 718 -> 35 us, ks48 823 -> 462 us
-# (23.6k subsets); ks64 (85k subsets, 3.4 ms per row) is past the budget
+# x items) solve by table scan, larger ones by the DP. Per solve_many call
+# at B = 32 on spo+-like shifts of generator instances, 2 cores, two runs,
+# DP -> table: ks16 305-624 -> 51-91 us, ks32 3.1-3.7 -> 0.9-1.0 ms, ks48
+# 4.9-6.7 -> 10.7-11.7 ms (23.6k subsets), ks64 13.0-13.8 -> 38.2-39.3 ms
+# (85k subsets, past the budget)
 KNAPSACK_TABLE_MAX_ENTRIES = 1 << 21
 # Grids and exact TSPs whose table (paths or tours x d) fits in this many
 # entries solve by table scan, larger ones by their recurrence. Per
@@ -230,112 +233,6 @@ CHUNK_VALUES = 1 << 16
 
 
 # --- knapsack ---------------------------------------------------------------
-
-
-def _tightest_dimension(weights: np.ndarray, capacities: np.ndarray) -> int:
-    load = weights.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pressure = np.where(capacities > 0, load / np.maximum(capacities, 1e-300), np.inf)
-    return int(np.argmax(pressure))
-
-
-def _knapsack_order(weights: np.ndarray, tight: int, costs: np.ndarray) -> np.ndarray:
-    """Profitable items sorted by density on the tightest resource dimension."""
-    profitable = np.flatnonzero(costs > 0.0)
-    w_tight = weights[tight, profitable]
-    density = np.where(w_tight > 0, costs[profitable] / np.maximum(w_tight, 1e-300), np.inf)
-    return profitable[np.lexsort((profitable, -density))]
-
-
-def _fractional_bound(costs, w_tight, items, remaining_tight) -> float:
-    """Upper bound over ``items`` (in density order): fractional fill of the
-    tightest dimension only."""
-    bound = 0.0
-    room = remaining_tight
-    for j in items:
-        w = w_tight[j]
-        if w <= room:
-            bound += costs[j]
-            room -= w
-        else:
-            if room > 0 and w > 0:
-                bound += costs[j] * (room / w)
-            break
-    return bound
-
-
-def _fits(weights, rem) -> bool:
-    for w, r in zip(weights, rem):
-        if not w <= r + FEASIBILITY_TOL:
-            return False
-    return True
-
-
-def _minus(rem, weights) -> tuple:
-    return tuple(map(operator.sub, rem, weights))
-
-
-def _knapsack_row(costs: list, order: list, item_weights: list, cap: tuple,
-                  tight: int) -> list[int]:
-    """Chosen items of one row (plain floats); see ``KnapsackOracle._solve_many``."""
-    w_tight = [w[tight] for w in item_weights]
-    n = len(order)
-    from_pos = [order[pos:] for pos in range(n + 1)]
-    # greedy incumbent primes the pruning bound
-    best = 0.0
-    rem = cap
-    for j in order:
-        if _fits(item_weights[j], rem):
-            best += costs[j]
-            rem = _minus(rem, item_weights[j])
-
-    stack = [(0, 0.0, cap)]
-    while stack:
-        pos, value, rem = stack.pop()
-        if value > best:
-            best = value
-        if pos >= n:
-            continue
-        bound = value + _fractional_bound(costs, w_tight, from_pos[pos], rem[tight])
-        if bound <= best + 1e-12 * max(1.0, abs(best)):
-            continue
-        j = order[pos]
-        # skip branch pushed first so the take branch is explored first
-        stack.append((pos + 1, value, rem))
-        if _fits(item_weights[j], rem):
-            stack.append((pos + 1, value + costs[j], _minus(rem, item_weights[j])))
-
-    eps = KNAPSACK_TIE_TOL * max(1.0, abs(best))
-    if best <= eps:
-        return []  # taking nothing is optimal and lexicographically smallest
-    d = len(costs)
-    # the density order restricted to indices >= j, for every j
-    from_index = [[i for i in order if i >= j] for j in range(d + 1)]
-    chosen: list[int] = []
-
-    def walk(j: int, value: float, rem: tuple) -> bool:
-        if j == d:
-            return value >= best - eps
-        tail = from_index[j + 1]
-        # zero branch first: prefixes are visited in lexicographic order
-        if value + _fractional_bound(costs, w_tight, tail, rem[tight]) >= best - eps:
-            if walk(j + 1, value, rem):
-                return True
-        if costs[j] > 0.0 and _fits(item_weights[j], rem):
-            take_value = value + costs[j]
-            if take_value + _fractional_bound(costs, w_tight, tail,
-                                              rem[tight] - w_tight[j]) >= best - eps:
-                chosen.append(j)
-                if walk(j + 1, take_value, _minus(rem, item_weights[j])):
-                    return True
-                chosen.pop()
-        return False
-
-    if not walk(0, 0.0, cap):
-        # the first pass proved this value is attainable, so the replay
-        # cannot come up empty unless the bound arithmetic is inconsistent
-        raise RuntimeError("knapsack reconstruction failed to reach the proven optimum")
-    return chosen
 
 
 class KnapsackOracle(ProblemOracle):
@@ -375,9 +272,9 @@ class KnapsackOracle(ProblemOracle):
         the same set without it.
 
         Subsets grow item by item in index order, each taking the remaining
-        capacity down one item at a time, as the branch-and-bound walk does.
-        Only the remaining capacities are kept until the count is known to
-        fit, so a knapsack past the budget never holds a partial table.
+        capacity down one item at a time, as ``_load_plan`` does. Only the
+        remaining capacities are kept until the count is known to fit, so a
+        knapsack past the budget never holds a partial table.
         """
         remaining = self.capacities[None, :]
         grown_from = []  # per item j: the subsets that j was added to
@@ -398,24 +295,70 @@ class KnapsackOracle(ProblemOracle):
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def _load_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
+        """The distinct remaining capacities (loads) that subsets reach,
+        taken down item by item with the table's fit rule, so both paths
+        see the same feasible sets. Per item j, the (skip, take) indices of
+        each load before j among the loads after j, take -1 where j does
+        not fit; then the number of loads after the last item. Equal loads
+        have equal futures, so loads are few where subsets are not: at most
+        229 per item on generator knapsacks up to ks256."""
+        remaining = self.capacities[None, :]
+        steps = []
+        for j in range(self.d):
+            fits = np.all(self.weights[:, j] <= remaining + FEASIBILITY_TOL, axis=1)
+            grown = np.vstack([remaining, remaining[fits] - self.weights[:, j]])
+            remaining, after = np.unique(grown, axis=0, return_inverse=True)
+            take = np.full(len(fits), -1)
+            take[fits] = after[len(fits):]
+            steps.append((after[:len(fits)], take))
+        return tuple(steps), len(remaining)
+
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Optimal 0/1 selections, the lexicographically first in the tie
-        band, row by row in two passes (``_knapsack_row``): branch-and-bound
-        with a fractional-relaxation bound proves the optimal value, then a
-        depth-first walk in index order (zero branch first) reconstructs the
-        first assignment in the band. Items with non-positive cost are
-        never taken."""
+        band, by dynamic programming over ``_load_plan``, in chunks of
+        ``CHUNK_VALUES`` load values. A backward pass keeps, per load
+        before item j and batch row, the best value of items j on; a
+        forward pass from the full capacity then skips each item whenever
+        the best value without it still reaches the band, and takes it
+        otherwise, so an item of non-positive cost is never taken."""
+        steps, last_loads = self._load_plan
+        chunk = max(1, CHUNK_VALUES // (sum(len(skip) for skip, _ in steps) + last_loads))
         x = np.zeros(costs.shape)
-        item_weights = [tuple(col) for col in self.weights.T.tolist()]
-        cap = tuple(self.capacities.tolist())
-        tight = _tightest_dimension(self.weights, self.capacities)
-        for row, c in enumerate(costs):
-            order = _knapsack_order(self.weights, tight, c).tolist()
-            x[row, _knapsack_row(c.tolist(), order, item_weights, cap, tight)] = 1.0
+        for lo in range(0, len(costs), chunk):
+            c = costs[lo:lo + chunk].T
+            batch = np.arange(c.shape[1])
+            # best[j]: per load before item j, and a last row of -inf where
+            # a take index of -1 reads, the best value of items j on
+            best = [None] * self.d + [np.zeros((last_loads + 1, len(batch)))]
+            best[-1][-1] = -np.inf
+            for j in reversed(range(self.d)):
+                skip, take = steps[j]
+                best[j] = np.full((len(skip) + 1, len(batch)), -np.inf)
+                np.maximum(best[j + 1][skip], c[j] + best[j + 1][take], out=best[j][:-1])
+            top = best[0][0]
+            band = top - KNAPSACK_TIE_TOL * np.maximum(1.0, np.abs(top))
+            value = np.zeros(len(batch))
+            load = np.zeros(len(batch), dtype=np.intp)
+            for j, (skip, take) in enumerate(steps):
+                # take only what beats skipping: should the running sum round
+                # a best completion to just below the band, the walk still
+                # follows it, and never reads a take index of -1
+                skipped = best[j + 1][skip[load], batch]
+                taking = (value + skipped < band) & (skipped < best[j][load, batch])
+                x[lo:lo + chunk, j] = taking
+                value += taking * c[j]
+                load = np.where(taking, take[load], skip[load])
         return x
 
 
 # --- grid shortest path -----------------------------------------------------
+
+def _grid_arcs(rows: int, cols: int) -> int:
+    """The cost dimension of a grid: its east arcs, then its south arcs."""
+    return rows * (cols - 1) + (rows - 1) * cols
+
 
 @lru_cache(maxsize=None)
 def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
@@ -423,8 +366,7 @@ def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
     node (r, c) sits at [:, r, r + c], its south arc in [0] and its east arc
     in [1]. A missing arc, and a slot off the grid, holds d: the index of
     the +inf column that ``_solve_many`` appends to the costs."""
-    n_east = rows * (cols - 1)
-    d = n_east + (rows - 1) * cols
+    n_east, d = rows * (cols - 1), _grid_arcs(rows, cols)
     r = np.arange(rows)[:, None]
     c = np.arange(rows + cols - 1) - r
     south = np.where((c >= 0) & (c < cols) & (r < rows - 1), n_east + r * cols + c, d)
@@ -442,7 +384,7 @@ def _grid_relaxation(rows: int, cols: int) -> LinearProgram:
     nodes = np.arange(rows * cols)
     r, c = np.divmod(nodes, cols)
     south, east = _grid_arc_plan(rows, cols)[:, r, r + c]
-    d = rows * (cols - 1) + (rows - 1) * cols
+    d = _grid_arcs(rows, cols)
     tail, head = np.empty((2, d + 1), dtype=np.intp)  # [d] takes the missing arcs
     tail[south] = tail[east] = nodes
     head[south], head[east] = nodes + cols, nodes + 1
@@ -464,7 +406,7 @@ def _grid_table(rows: int, cols: int) -> np.ndarray:
     south[np.arange(len(picks))[:, None], picks] = True
     r = np.cumsum(south, axis=1) - south  # the row each step leaves from
     arcs = _grid_arc_plan(rows, cols)[(~south).view(np.uint8), r, np.arange(steps)]
-    table = np.zeros((len(picks), rows * (cols - 1) + (rows - 1) * cols))
+    table = np.zeros((len(picks), _grid_arcs(rows, cols)))
     table[np.arange(len(picks))[:, None], arcs] = 1.0
     table = table[np.lexsort(table.T[::-1])]
     table.setflags(write=False)  # shared by every later oracle of the size
@@ -484,7 +426,7 @@ class ShortestPathOracle(ProblemOracle):
     def __init__(self, rows: int, cols: int) -> None:
         if rows < 2 or cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 columns")
-        super().__init__(f"sp{rows}x{cols}", rows * (cols - 1) + (rows - 1) * cols)
+        super().__init__(f"sp{rows}x{cols}", _grid_arcs(rows, cols))
         self.rows = rows
         self.cols = cols
 
@@ -567,17 +509,17 @@ def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _tour_relaxation(n: int) -> LinearProgram:
     """Degree-2 relaxation shared by every n-node TSP: one row per node, at
     1 on the node's n - 1 edges, with right-hand side 2."""
-    edge_ids = _tour_plan(n)[1]
+    slots, edge_ids, _ = _tour_plan(n)
     node, other = np.nonzero(~np.eye(n, dtype=bool))
-    degree = np.zeros((n, n * (n - 1) // 2))
+    degree = np.zeros((n, slots.shape[1]))
     degree[node, edge_ids[node, other]] = 1.0
     return _equality_relaxation(degree, np.full(n, 2.0))
 
 
 def _tour_indicators(n: int, tours: np.ndarray) -> np.ndarray:
     """(T, d) edge indicators of (T, n) tours."""
-    _, edge_ids, successor = _tour_plan(n)
-    x = np.zeros((len(tours), n * (n - 1) // 2))
+    slots, edge_ids, successor = _tour_plan(n)
+    x = np.zeros((len(tours), slots.shape[1]))
     x[np.arange(len(tours))[:, None], edge_ids[tours, tours[:, successor]]] = 1.0
     return x
 
@@ -712,7 +654,7 @@ class TspOracle(ProblemOracle):
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 3:
             raise ValueError("a tour needs at least 3 nodes")
-        super().__init__(f"tsp{n_nodes}", n_nodes * (n_nodes - 1) // 2)
+        super().__init__(f"tsp{n_nodes}", _tour_plan(n_nodes)[0].shape[1])
         self.n_nodes = n_nodes
 
     @property

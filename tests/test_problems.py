@@ -25,13 +25,13 @@ from brute import (all_binary_vectors, brute_knapsack, brute_shortest_path,
 # --- solver paths -----------------------------------------------------------
 
 PATHS = ("table", "recurrence")
-# a knapsack's recurrence is its branch-and-bound, and its test ids say so
-KNAPSACK_PATHS = pytest.mark.parametrize("path", PATHS, ids=["table", "branch-and-bound"])
+# a knapsack's recurrence is its DP over remaining capacities, and its test ids say so
+KNAPSACK_PATHS = pytest.mark.parametrize("path", PATHS, ids=["table", "dp"])
 
 
 def solving_by(oracle, path):
     """``oracle``, made to solve by ``path``: its decision table, or its
-    family's recurrence (branch-and-bound, the grid DP or Held-Karp). The
+    family's recurrence (the knapsack DP, the grid DP or Held-Karp). The
     table is looked up on the first solve, so zero table budgets while
     looking it up force the recurrence; no other test does."""
     with pytest.MonkeyPatch.context() as mp:
@@ -80,13 +80,16 @@ def test_knapsack_rejects_negative_weights():
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(PATHS), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_knapsack_matches_brute_force(path, tenths, seed):
+@given(st.sampled_from(PATHS), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_knapsack_matches_brute_force(path, tenths, fractional, seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 11))
     q = int(rng.integers(1, 3))
-    oracle = solving_by(KnapsackOracle(rng.integers(1, 7, size=(q, d)).astype(float),
-                                       rng.integers(d, 3 * d, size=q).astype(float)), path)
+    # multiples of 0.7 leave remaining capacities that are not integers,
+    # and loads at capacity that round either side of it
+    unit = 0.7 if fractional else 1.0
+    oracle = solving_by(KnapsackOracle(rng.integers(1, 7, size=(q, d)) * unit,
+                                       rng.integers(d, 3 * d, size=q) * unit), path)
     # half-integer costs make exact value ties common, exercising lex order;
     # multiples of 0.1 make ties whose sums round apart, exercising the band
     costs = (rng.integers(0, 30, size=d) / 10.0 if tenths
@@ -111,9 +114,9 @@ def test_knapsack_table_is_every_feasible_decision_in_lex_order(fractional):
 
 @KNAPSACK_PATHS
 def test_knapsack_load_at_capacity_fits_in_any_summation_order(path):
-    # multiples of 0.7 sum to slightly different loads in density order
-    # and in index order; the branch-and-bound used to prove a value with
-    # one order and fail to reconstruct it with the other
+    # multiples of 0.7 sum to slightly different loads in different
+    # orders; both paths take the loads down in index order, so the set
+    # that fills the knapsack exactly fits on both
     weights = [[2.8, 2.0999999999999996, 0.7, 3.5, 4.199999999999999, 1.4,
                 2.0999999999999996, 0.7],
                [3.5, 2.0999999999999996, 1.4, 3.5, 0.7, 2.8, 2.0999999999999996, 3.5],
@@ -147,6 +150,40 @@ def test_knapsack_tie_that_rounds_apart_matches_brute_force(path):
     assert x.tolist() == [0.0, 1.0, 1.0, 1.0]
     np.testing.assert_array_equal(x, brute_knapsack(oracle.weights, oracle.capacities,
                                                     costs)[0])
+
+
+def test_knapsack_dp_follows_a_best_completion_that_rounds_below_the_band():
+    # {0} is best at 1.0; {1, 2, 4} reaches the band 1 - 1e-9 when summed
+    # from the last item, c1 + (c2 + c4), as the backward pass does, but
+    # falls an ulp short of it summed from the first, (c1 + c2) + c4, as the
+    # forward walk does. The walk must still skip item 3 (cost -1), which
+    # fits, rather than take it because skipping no longer reaches the band.
+    # The table, which sums each row once, here puts {1, 2, 4} an ulp
+    # outside the band and takes {0}: the paths part only at such an edge
+    costs = np.array([1.0, 0.6626540478400544, 0.1912755577277722, -1.0,
+                      0.14607039343217337])
+    assert costs[1] + (costs[2] + costs[4]) == 1.0 - 1e-9
+    assert (costs[1] + costs[2]) + costs[4] < 1.0 - 1e-9
+    oracle = solving_by(KnapsackOracle([[10.0, 1.0, 1.0, 1.0, 1.0]], [10.0]), "recurrence")
+    assert oracle.solve_many(costs[None])[0].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+
+
+def test_knapsack_dp_tie_breaking_is_frozen():
+    # half-integer costs in [-1, 2] past the table budget: ten of the twelve
+    # rows have two to fourteen optimal item sets; the items were recorded
+    # from the row-by-row branch-and-bound that the DP replaced, so a change
+    # to the tie rule shows here
+    expected = {"ks64": [[24, 40, 43, 61], [5, 32, 39, 42, 47], [6, 7, 23, 33, 43],
+                         [43, 48, 55, 63], [29, 43, 56, 63], [32, 37, 56, 59]],
+                "ks128": [[43, 95, 100, 106, 107], [65, 106, 113, 121, 123],
+                          [7, 8, 78, 102, 111], [38, 41, 48, 72, 107],
+                          [8, 40, 107, 119, 121], [42, 86, 106, 111, 119]]}
+    for name, items in expected.items():
+        oracle = problem_from_name(name)
+        assert oracle.decision_table is None
+        costs = np.random.default_rng(oracle.d).integers(-2, 5, size=(6, oracle.d)) / 2.0
+        x = oracle.solve_many(costs)
+        assert [np.flatnonzero(row).tolist() for row in x] == items, name
 
 
 # --- grid shortest path -----------------------------------------------------
@@ -513,10 +550,10 @@ def test_held_karp_matches_brute_force_on_tied_integer_costs(n):
 
 
 @pytest.mark.parametrize("name", ["sp3x3", "sp4x4", "sp5x5", "sp6x6", "sp7x7", "tsp4", "tsp5",
-                                  "tsp6", "tsp7", "tsp8", "ks8", "ks16"])
+                                  "tsp6", "tsp7", "tsp8", "ks8", "ks16", "ks32", "ks48"])
 def test_decision_table_equals_the_recurrence_on_generator_rows_and_spo_shifts(name):
     # every grid and tour size in the table budget from sp3x3 and tsp4 up,
-    # and two desk knapsacks
+    # and knapsacks up to ks48, the largest the table budget takes
     for seed in range(3):
         table, recurrence = (solving_by(problem_from_name(name, seed=seed), path)
                              for path in PATHS)
