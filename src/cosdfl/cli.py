@@ -5,6 +5,7 @@ Subcommands:
   train              train a linear cost model under a named loss
   eval               test-set regret of a saved model on a saved dataset
   experiment         run a (loss x seed) grid and write results.csv
+  desk               run the desk grids of both problems, with the sweep ratio
   monotonicity       check that adding loss components never hurts
   sensitivity-check  verify LP cost ranges against re-solves on random LPs
 
@@ -20,10 +21,10 @@ from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
 from .datagen import generate
-from .harness import (ExperimentConfig, aggregate_rows, attach_decisions,
-                      emit_pareto, fit, monotonicity_report, run_experiment,
-                      sensitivity_soundness_check, write_monotonicity,
-                      write_results)
+from .harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig, aggregate_rows,
+                      attach_decisions, emit_pareto, fit, monotonicity_report,
+                      run_experiment, sensitivity_soundness_check,
+                      write_monotonicity, write_results)
 from .instance_costs import save_baseline_report
 from .losses import parse_loss
 from .model import load_model, save_model
@@ -59,10 +60,10 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace, losses, seeds, **overrides) -> ExperimentConfig:
     """The ExperimentConfig of the parsed flags; a field with no flag in the
     command keeps its default."""
-    flags = {f.name for f in fields(ExperimentConfig)} - {"problem", "losses", "seeds"}
+    flags = {f.name for f in fields(ExperimentConfig)} - {"losses", "seeds"}
     given = {name: value for name, value in vars(args).items() if name in flags}
-    return ExperimentConfig(problem=args.problem, losses=tuple(losses),
-                            seeds=tuple(seeds), **{**given, **overrides})
+    return ExperimentConfig(losses=tuple(losses), seeds=tuple(seeds),
+                            **{**given, **overrides})
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -114,18 +115,22 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _config(args, _parse_list(args.losses), map(int, _parse_list(args.seeds)))
+def _run_grid(config: ExperimentConfig, out: Path) -> tuple[int, dict[str, float]]:
+    """Run ``config``'s (loss x seed) grid, write results.csv, runs.json,
+    config.json and pareto.csv to ``out``, and print the per-loss summary and
+    the failed cells. Returns the exit code and each loss's mean test regret
+    over its successful runs."""
     reports = run_experiment(config)
-    out = Path(args.out_dir)
     write_results(reports, out, deterministic_output=config.deterministic_output)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(config), fh, indent=2)
     emit_pareto(reports, out, deterministic_output=config.deterministic_output)
+    means = {}
     for row in aggregate_rows(reports):
         if row.get("n", 0) == 0:
             print(f"{row['loss']}: all runs failed")
             continue
+        means[row["loss"]] = row["regret_abs_mean"]
         norm = row["regret_norm_mean"]
         norm_text = "n/a" if norm is None else f"{norm:.4f}"
         print(f"{row['loss']}: regret_norm={norm_text} "
@@ -133,7 +138,27 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               f"time_s={row['time_s_mean']:.1f}")
     failed = _report_failures(reports)
     print(f"wrote {out / 'results.csv'}")
-    return 1 if failed else 0
+    return (1 if failed else 0), means
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    config = _config(args, _parse_list(args.losses), map(int, _parse_list(args.seeds)))
+    return _run_grid(config, Path(args.out_dir))[0]
+
+
+def _cmd_desk(args: argparse.Namespace) -> int:
+    seeds = [int(seed) for seed in _parse_list(args.seeds)]
+    code = 0
+    for problem, losses in DESK_LOSSES.items():
+        out = Path(args.out_dir) / problem
+        print(f"== {problem}: {len(losses)} losses x {len(seeds)} seeds -> {out}")
+        grid_code, means = _run_grid(_config(args, losses, seeds, problem=problem), out)
+        code = max(code, grid_code)
+        if problem == "sp5x5" and grid_code == 0:
+            best = min(LAWLESS_SWEEP, key=means.__getitem__)
+            print(f"mse+c / best = {means['mse+c'] / means[best]:.4f} "
+                  f"(best sweep member: {best})")
+    return code
 
 
 def _report_failures(reports) -> bool:
@@ -225,6 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero wall-clock columns so outputs are byte-identical")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_experiment)
+
+    p = sub.add_parser("desk", help="run the desk grids: DESK_LOSSES on sp5x5 and ks16")
+    p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
+    p.add_argument("--deterministic-output", action="store_true")
+    p.add_argument("--out-dir", required=True, help="each grid goes to <out-dir>/<problem>")
+    p.set_defaults(func=_cmd_desk)
 
     p = sub.add_parser("monotonicity",
                        help="run all component subsets and check addition orders")

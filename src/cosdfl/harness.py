@@ -424,7 +424,7 @@ def component_subset_losses(base: str) -> list[str]:
     return [_subset_name(base, s) for s in subsets]
 
 
-# the regret-weighted sweep of criterion 10 and the desk grids of criterion 08
+# the regret-weighted sweep of criterion 10 and the desk grids of criterion 08 (`cosdfl desk`)
 LAWLESS_SWEEP = tuple(f"lawless:{w}" for w in ("0", "0.2", "0.4", "0.6", "0.8", "1"))
 DESK_LOSSES = {"sp5x5": (*component_subset_losses("mse"), "mae+o+s", "spo+", *LAWLESS_SWEEP),
                "ks16": ("mse", "mse+c+o+s", "mae+o+s", "spo+")}

@@ -24,7 +24,7 @@ chunks of ``CHUNK_VALUES``) and takes, per row, the first table row
 in the tie band of the best value. A table is looked up on the first solve,
 never in ``__init__``, and kept under two budgets of table entries (rows x
 d). A knapsack builds its own (its rows are its weights) within
-``KNAPSACK_TABLE_MAX_ENTRIES``, which takes ks8-ks48 at the generator's
+``KNAPSACK_TABLE_MAX_ENTRIES``, which takes ks8-ks32 at the generator's
 settings. Grid and exact-TSP tables depend on the size alone, are built
 once per size and process and shared read-only, within
 ``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
@@ -212,9 +212,9 @@ def _equality_relaxation(a: np.ndarray, b: np.ndarray) -> LinearProgram:
 # x items) solve by table scan, larger ones by the DP. Per solve_many call
 # at B = 32 on spo+-like shifts of generator instances, 2 cores, two runs,
 # DP -> table: ks16 305-624 -> 51-91 us, ks32 3.1-3.7 -> 0.9-1.0 ms, ks48
-# 4.9-6.7 -> 10.7-11.7 ms (23.6k subsets), ks64 13.0-13.8 -> 38.2-39.3 ms
-# (85k subsets, past the budget)
-KNAPSACK_TABLE_MAX_ENTRIES = 1 << 21
+# 4.9-6.7 -> 10.7-11.7 ms. On seeds 0-19 a ks32 table has 99k-439k entries
+# and a ks48 table 0.82M-3.2M, so the budget keeps ks8-ks32 and stops there
+KNAPSACK_TABLE_MAX_ENTRIES = 1 << 19
 # Grids and exact TSPs whose table (paths or tours x d) fits in this many
 # entries solve by table scan, larger ones by their recurrence. Per
 # solve_many call at B = 32 on spo+-like shifts, 2 cores, recurrence ->

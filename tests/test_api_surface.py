@@ -2,8 +2,8 @@
 
 An AST scan: a public function defined at the top level of a module in
 ``src/cosdfl/``, or a public method of a class defined there, must be
-referenced, by name or as an attribute, somewhere in ``src/``, ``scripts/``
-or ``perfbench/``. Imports (the re-exports in ``__init__.py`` among them)
+referenced, by name or as an attribute, somewhere in ``src/`` or
+``perfbench/``. Imports (the re-exports in ``__init__.py`` among them)
 are not references, and neither is a reference from the function's own
 body or from the body of another public function or method that is itself
 unused. Tests, ``perfbench/test_*.py`` among them, are not scanned: a
@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cosdfl"
-SCANNED = ("src", "scripts", "perfbench")
+SCANNED = ("src", "perfbench")
 
 
 def public_def(node) -> bool:
@@ -86,5 +86,5 @@ def unreferenced() -> list[str]:
 
 def test_every_public_function_is_used_by_the_program():
     dead = unreferenced()
-    assert not dead, ("public functions or methods that nothing in src/, scripts/ "
-                      f"or perfbench/ uses: {', '.join(dead)}")
+    assert not dead, ("public functions or methods that nothing in src/ or perfbench/ "
+                      f"uses: {', '.join(dead)}")

@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,47 @@ def test_experiment_flag_defaults_are_the_config_defaults(monkeypatch):
     with pytest.raises(Stop):
         main(["experiment", "--problem", "ks6", "--losses", "mse,spo+", "--out-dir", "out"])
     assert configs == [harness.ExperimentConfig("ks6", ("mse", "spo+"), (0, 1, 2, 3, 4))]
+
+
+def test_desk_runs_each_desk_grid_into_its_own_directory(tmp_path, monkeypatch, capsys):
+    # mse+c's mean regret is 3, the best sweep member's (lawless:0.4) is 2
+    regrets = {"mse+c": (2.0, 4.0), "lawless:0.4": (1.0, 3.0)}
+
+    def fake_run_experiment(config):
+        configs.append(config)
+        return [harness.RunReport(problem=config.problem, loss=loss, seed=seed,
+                                  regret_abs=regrets.get(loss, (9.0, 9.0))[i],
+                                  regret_norm=None, time_s=0.0,
+                                  counts=harness.SolveCounts(), exact=True)
+                for loss in config.losses for i, seed in enumerate(config.seeds)]
+
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    assert main(["desk", "--seeds", "3,5", "--out-dir", str(tmp_path)]) == 0
+    assert configs == [harness.ExperimentConfig(problem, losses, (3, 5))
+                       for problem, losses in harness.DESK_LOSSES.items()]
+    for problem, losses in harness.DESK_LOSSES.items():
+        with open(tmp_path / problem / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["problem"], row["loss"]) for row in rows[::2]] == [
+            (problem, loss) for loss in losses]
+    out = capsys.readouterr().out
+    assert out.count("mse+c / best") == 1
+    assert "\nmse+c / best = 1.5000 (best sweep member: lawless:0.4)\n" in out
+
+
+def test_readme_commands_parse():
+    # every cosdfl command in README's fenced blocks, continued lines joined
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [line for line in text.splitlines() if "scripts/" in line] == []
+    commands = []
+    for block in re.findall(r"^```.*?\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("cosdfl "):
+                words = shlex.split(line, comments=True)
+                commands.append(cli.build_parser().parse_args(words[1:]).command)
+    assert sorted(set(commands)) == ["desk", "eval", "experiment", "generate",
+                                     "monotonicity", "sensitivity-check", "train"]
 
 
 def test_train_eval_roundtrip(tmp_path):

@@ -32,10 +32,13 @@ KNAPSACK_PATHS = pytest.mark.parametrize("path", PATHS, ids=["table", "dp"])
 def solving_by(oracle, path):
     """``oracle``, made to solve by ``path``: its decision table, or its
     family's recurrence (the knapsack DP, the grid DP or Held-Karp). The
-    table is looked up on the first solve, so zero table budgets while
-    looking it up force the recurrence; no other test does."""
+    table is looked up on the first solve, so an unbounded knapsack budget
+    while looking it up forces a knapsack's table, and zero table budgets
+    force the recurrence; no other test does."""
     with pytest.MonkeyPatch.context() as mp:
-        if path == "recurrence":
+        if path == "table":
+            mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", np.inf)
+        else:
             mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", 0)
             mp.setattr(problems, "SIZE_TABLE_MAX_ENTRIES", 0)
         assert (oracle.decision_table is None) is (path == "recurrence")
@@ -553,7 +556,7 @@ def test_held_karp_matches_brute_force_on_tied_integer_costs(n):
                                   "tsp6", "tsp7", "tsp8", "ks8", "ks16", "ks32", "ks48"])
 def test_decision_table_equals_the_recurrence_on_generator_rows_and_spo_shifts(name):
     # every grid and tour size in the table budget from sp3x3 and tsp4 up,
-    # and knapsacks up to ks48, the largest the table budget takes
+    # and knapsacks up to ks48, whose table solving_by builds past the budget
     for seed in range(3):
         table, recurrence = (solving_by(problem_from_name(name, seed=seed), path)
                              for path in PATHS)
