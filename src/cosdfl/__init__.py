@@ -15,9 +15,8 @@ from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingRanges, NonFiniteGradient, NonFiniteLoss,
                      NumericalBreakdown, SolveFailure, ZeroVector)
 from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
-                      SolveCounts, attach_decisions, attach_ranges,
-                      build_monotonicity, component_subset_losses, emit_pareto,
-                      fit, mean_normalized_regret, monotonicity_report,
+                      SolveCounts, aggregate_rows, attach_decisions, attach_ranges,
+                      build_monotonicity, component_subset_losses, fit,
                       pareto_flags, run_experiment, run_single,
                       sensitivity_soundness_check, write_results)
 from .instance_costs import (BaselineReport, apply_instance_costs,

@@ -14,15 +14,15 @@ The process exits 0 only when every requested run succeeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
 from .datagen import generate
-from .harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig, aggregate_rows,
-                      attach_decisions, emit_pareto, fit, monotonicity_report,
+from .errors import CosdflError, DimensionMismatch
+from .harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig, attach_decisions,
+                      build_monotonicity, component_subset_losses, fit,
                       run_experiment, sensitivity_soundness_check,
                       write_monotonicity, write_results)
 from .instance_costs import save_baseline_report
@@ -77,8 +77,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_dataset(args: argparse.Namespace, model=None):
+    """The dataset of ``--dataset`` and its problem, built from the dataset's
+    seed; raises DimensionMismatch when the problem's or the model's
+    dimensions differ from the dataset's."""
+    dataset = load_dataset(args.dataset)
+    problem = problem_from_name(args.problem, seed=dataset.seed)
+    if dataset.d != problem.d:
+        raise DimensionMismatch(f"dataset {args.dataset} has d={dataset.d}, "
+                                f"problem {args.problem} has d={problem.d}")
+    if model is not None and (model.d, model.k) != (dataset.d, dataset.k):
+        raise DimensionMismatch(f"model {args.model} has d={model.d}, k={model.k}; "
+                                f"dataset {args.dataset} has d={dataset.d}, k={dataset.k}")
+    return dataset, problem
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    problem = problem_from_name(args.problem, seed=args.seed)
     spec = parse_loss(args.loss)
     if args.emit_costs and not spec.instance_costs:
         print("--emit-costs requires a loss with instance weighting (+c)",
@@ -86,8 +100,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         return 1
     config = _config(args, (args.loss,), (args.seed,))
     if args.dataset:
-        dataset = load_dataset(args.dataset)
+        dataset, problem = _read_dataset(args)
     else:
+        problem = problem_from_name(args.problem, seed=args.seed)
         dataset = generate(config.gen_spec(args.seed), problem)
     trace, counts, report = fit(problem, dataset, spec, config.train_config(args.seed))
     if args.emit_costs:
@@ -101,9 +116,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    problem = problem_from_name(args.problem, seed=args.seed)
     model = load_model(args.model)
-    dataset = load_dataset(args.dataset)
+    dataset, problem = _read_dataset(args, model)
     total = total_regret(problem, model, dataset, split=args.split)
     n = len(dataset.split.part(args.split))
     mean = total / n if n else 0.0
@@ -115,30 +129,26 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _run_grid(config: ExperimentConfig, out: Path) -> tuple[int, dict[str, float]]:
-    """Run ``config``'s (loss x seed) grid, write results.csv, runs.json,
-    config.json and pareto.csv to ``out``, and print the per-loss summary and
-    the failed cells. Returns the exit code and each loss's mean test regret
-    over its successful runs."""
+def _run_grid(config: ExperimentConfig, out: Path) -> tuple[int, list[dict]]:
+    """Run ``config``'s (loss x seed) grid, write its files to ``out``, and
+    print the per-loss summary and the failed cells. Returns the exit code
+    and the ``aggregate_rows``."""
     reports = run_experiment(config)
-    write_results(reports, out, deterministic_output=config.deterministic_output)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2)
-    emit_pareto(reports, out, deterministic_output=config.deterministic_output)
-    means = {}
-    for row in aggregate_rows(reports):
-        if row.get("n", 0) == 0:
+    rows = write_results(reports, out, config)
+    for row in rows:
+        if row["n"] == 0:
             print(f"{row['loss']}: all runs failed")
             continue
-        means[row["loss"]] = row["regret_abs_mean"]
         norm = row["regret_norm_mean"]
         norm_text = "n/a" if norm is None else f"{norm:.4f}"
         print(f"{row['loss']}: regret_norm={norm_text} "
               f"regret_abs={row['regret_abs_mean']:.4f} "
               f"time_s={row['time_s_mean']:.1f}")
-    failed = _report_failures(reports)
+    failed = [r for r in reports if r.error is not None]
+    for r in failed:
+        print(f"FAILED {r.loss} seed={r.seed}: {r.error}", file=sys.stderr)
     print(f"wrote {out / 'results.csv'}")
-    return (1 if failed else 0), means
+    return (1 if failed else 0), rows
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -152,39 +162,32 @@ def _cmd_desk(args: argparse.Namespace) -> int:
     for problem, losses in DESK_LOSSES.items():
         out = Path(args.out_dir) / problem
         print(f"== {problem}: {len(losses)} losses x {len(seeds)} seeds -> {out}")
-        grid_code, means = _run_grid(_config(args, losses, seeds, problem=problem), out)
+        grid_code, rows = _run_grid(_config(args, losses, seeds, problem=problem), out)
         code = max(code, grid_code)
         if problem == "sp5x5" and grid_code == 0:
+            means = {row["loss"]: row["regret_abs_mean"] for row in rows}
             best = min(LAWLESS_SWEEP, key=means.__getitem__)
             print(f"mse+c / best = {means['mse+c'] / means[best]:.4f} "
                   f"(best sweep member: {best})")
     return code
 
 
-def _report_failures(reports) -> bool:
-    """Print each failed cell on stderr; True when there was one."""
-    failed = [r for r in reports if r.error is not None]
-    for r in failed:
-        print(f"FAILED {r.loss} seed={r.seed}: {r.error}", file=sys.stderr)
-    return bool(failed)
-
-
 def _cmd_monotonicity(args: argparse.Namespace) -> int:
-    config = _config(args, [args.base], map(int, _parse_list(args.seeds)),
-                     normalize_against=args.base)
-    report, reports = monotonicity_report(config, base=args.base,
-                                          tolerance=args.tolerance)
+    config = _config(args, component_subset_losses(args.base),
+                     map(int, _parse_list(args.seeds)), normalize_against=args.base)
     out = Path(args.out_dir)
-    write_results(reports, out, deterministic_output=config.deterministic_output)
+    code, rows = _run_grid(config, out)
+    # a failed cell leaves its subset mean NaN or short of seeds, and no
+    # comparison with NaN flags a regression
+    means = {row["loss"]: row.get("regret_norm_mean") for row in rows}
+    report = build_monotonicity({loss: float("nan") if mean is None else mean
+                                 for loss, mean in means.items()},
+                                base=args.base, tolerance=args.tolerance)
     write_monotonicity(report, out)
-    for name in sorted(report.subset_means):
-        print(f"{name}: mean_norm={report.subset_means[name]:.4f}")
     for step in report.regressions:
         print(f"REGRESSION {step.order} at {step.loss}: "
               f"{step.previous_norm:.4f} -> {step.mean_norm:.4f}", file=sys.stderr)
-    # a failed cell leaves its subset mean NaN or short of seeds, and no
-    # comparison with NaN flags a regression
-    if _report_failures(reports) or report.regressions:
+    if code or report.regressions:
         return 1
     print("no component made regret worse beyond tolerance "
           f"({report.tolerance:.0%}) in any addition order")
@@ -224,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="dataset JSON; generated fresh when omitted")
     _add_gen_args(p)
     _add_train_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="training seed; without --dataset, also the data seed")
     p.add_argument("--emit-costs", metavar="PATH",
                    help="write the per-instance weight report JSON (+c losses)")
     p.add_argument("--out", required=True, help="model output path")
@@ -235,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--seed", type=int, default=0,
-                   help="problem seed (must match the dataset's problem)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("experiment", help="run a (loss x seed) grid")
@@ -286,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (CosdflError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

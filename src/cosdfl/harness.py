@@ -123,6 +123,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for loss in self.losses:
             parse_loss(loss)  # fail fast on typos
+        problem_from_name(self.problem)  # and on a bad problem, before any cell
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -271,14 +272,6 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     return reports
 
 
-def mean_normalized_regret(reports: list[RunReport], loss: str) -> float:
-    values = [r.regret_norm for r in reports if r.loss == loss and r.error is None
-              and r.regret_norm is not None]
-    if not values:
-        return float("nan")
-    return float(np.mean(values))
-
-
 # --- output files ----------------------------------------------------------------
 
 RESULTS_COLUMNS = ("problem", "loss", "seed", "regret_abs", "regret_norm",
@@ -286,21 +279,22 @@ RESULTS_COLUMNS = ("problem", "loss", "seed", "regret_abs", "regret_norm",
 
 
 def write_results(reports: list[RunReport], out_dir,
-                  deterministic_output: bool = False) -> Path:
-    """Write results.csv (schema above) plus runs.json with full breakdowns."""
+                  config: ExperimentConfig) -> list[dict]:
+    """Write results.csv (schema above), runs.json with full breakdowns,
+    config.json and pareto.csv; return the ``aggregate_rows``. Wall times are
+    zeroed under ``config.deterministic_output``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "results.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    zero_time = config.deterministic_output
+    with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)
         for r in reports:
-            time_s = 0.0 if deterministic_output else r.time_s
             writer.writerow([
                 r.problem, r.loss, r.seed,
                 repr(r.regret_abs),
                 "" if r.regret_norm is None else repr(r.regret_norm),
-                f"{time_s:.3f}",
+                f"{0.0 if zero_time else r.time_s:.3f}",
                 r.counts.pre_total, r.counts.training_solves,
                 str(bool(r.exact)).lower(),
             ])
@@ -308,14 +302,32 @@ def write_results(reports: list[RunReport], out_dir,
         json.dump([{
             "problem": r.problem, "loss": r.loss, "seed": r.seed,
             "regret_abs": r.regret_abs, "regret_norm": r.regret_norm,
-            "time_s": None if deterministic_output else r.time_s,
+            "time_s": None if zero_time else r.time_s,
             "counts": asdict(r.counts), "exact": r.exact,
             "best_val_loss": r.best_val_loss, "error": r.error,
         } for r in reports], fh, indent=2)
-    return path
+    with open(out / "config.json", "w", encoding="utf-8") as fh:
+        json.dump(asdict(config), fh, indent=2)
+    rows = aggregate_rows(reports)
+    with open(out / "pareto.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["loss", "regret_abs_mean", "solves_mean", "time_s_mean",
+                         "pareto_optimal"])
+        for row in rows:
+            if row["n"]:
+                writer.writerow([row["loss"], repr(row["regret_abs_mean"]),
+                                 repr(row["solves_mean"]),
+                                 f"{0.0 if zero_time else row['time_s_mean']:.3f}",
+                                 str(row["pareto_optimal"]).lower()])
+    return rows
 
 
 def aggregate_rows(reports: list[RunReport]) -> list[dict]:
+    """One row per loss, sorted by name, over its successful runs: the means
+    of regret, normalized regret (None when no run has one), solves
+    (``solves_pre + solves_train``) and time, and whether the (regret, solves)
+    point is Pareto-optimal among the losses with a successful run. A loss
+    whose every run failed gets ``{"loss": loss, "n": 0}``."""
     rows = []
     for loss in sorted({r.loss for r in reports}):
         group = [r for r in reports if r.loss == loss and r.error is None]
@@ -328,16 +340,17 @@ def aggregate_rows(reports: list[RunReport]) -> list[dict]:
             "n": len(group),
             "regret_abs_mean": float(np.mean([r.regret_abs for r in group])),
             "regret_norm_mean": float(np.mean(norms)) if norms else None,
-            "regret_norm_std": float(np.std(norms)) if norms else None,
             "solves_mean": float(np.mean([r.counts.pre_total + r.counts.training_solves
                                           for r in group])),
             "time_s_mean": float(np.mean([r.time_s for r in group])),
             "exact": all(r.exact for r in group),
         })
+    ran = [row for row in rows if row["n"]]
+    flags = pareto_flags([(row["regret_abs_mean"], row["solves_mean"]) for row in ran])
+    for row, flag in zip(ran, flags):
+        row["pareto_optimal"] = flag
     return rows
 
-
-# --- pareto -----------------------------------------------------------------------
 
 def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
     """Flag (regret, solves) points not dominated by any other point.
@@ -357,33 +370,6 @@ def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
                 break
         flags.append(not dominated)
     return flags
-
-
-def emit_pareto(reports: list[RunReport], out_dir=None,
-                deterministic_output: bool = False) -> list[dict]:
-    """Per-loss mean (regret, solves) points with Pareto-optimality flags.
-
-    The solves of a run are ``solves_pre + solves_train``; the mean runtime
-    is reported alongside and zeroed in pareto.csv under
-    ``deterministic_output``.
-    """
-    rows = [r for r in aggregate_rows(reports) if r.get("n", 0) > 0]
-    flags = pareto_flags([(row["regret_abs_mean"], row["solves_mean"]) for row in rows])
-    for row, flag in zip(rows, flags):
-        row["pareto_optimal"] = flag
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "pareto.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["loss", "regret_abs_mean", "solves_mean", "time_s_mean",
-                             "pareto_optimal"])
-            for row in rows:
-                time_s = 0.0 if deterministic_output else row["time_s_mean"]
-                writer.writerow([row["loss"], repr(row["regret_abs_mean"]),
-                                 repr(row["solves_mean"]), f"{time_s:.3f}",
-                                 str(row["pareto_optimal"]).lower()])
-    return rows
 
 
 # --- component monotonicity --------------------------------------------------------
@@ -454,16 +440,6 @@ def build_monotonicity(subset_means: dict[str, float], base: str = "mse",
             prev = mean
     return MonotonicityReport(base=base, subset_means=dict(subset_means),
                               steps=tuple(steps), tolerance=tolerance)
-
-
-def monotonicity_report(config: ExperimentConfig, base: str = "mse",
-                        tolerance: float = 0.05) -> tuple[MonotonicityReport, list[RunReport]]:
-    """Run all component subsets and check every addition order."""
-    losses = component_subset_losses(base)
-    grid = replace(config, losses=tuple(losses), normalize_against=base)
-    reports = run_experiment(grid)
-    means = {loss: mean_normalized_regret(reports, loss) for loss in losses}
-    return build_monotonicity(means, base=base, tolerance=tolerance), reports
 
 
 def write_monotonicity(report: MonotonicityReport, out_dir) -> Path:

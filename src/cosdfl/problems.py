@@ -250,6 +250,8 @@ class KnapsackOracle(ProblemOracle):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2:
             raise DimensionMismatch("weights must be a (q, d) matrix")
+        if w.shape[1] < 1:
+            raise ValueError("a knapsack needs at least 1 item")
         cap = as_vector(capacities, name="capacities", length=w.shape[0])
         if np.any(w < 0) or np.any(cap < 0):
             raise ValueError("weights and capacities must be non-negative")

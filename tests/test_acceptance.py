@@ -20,9 +20,10 @@ import pytest
 from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.datagen import generate
 from cosdfl.harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig,
-                            build_monotonicity, component_subset_losses, fit,
-                            mean_normalized_regret, run_experiment, run_single,
-                            sensitivity_soundness_check, write_results)
+                            aggregate_rows, build_monotonicity,
+                            component_subset_losses, fit, run_experiment,
+                            run_single, sensitivity_soundness_check,
+                            write_results)
 from cosdfl.losses import (evaluate_loss_batch, normalize, parse_loss,
                            stack_loss_data)
 from cosdfl.problems import (ShortestPathOracle, TspOracle, make_knapsack,
@@ -363,9 +364,10 @@ def test_criterion_08_desk_scale_regret(desk_sp, desk_ks):
 def test_criterion_09_component_monotonicity(desk_sp_study):
     reports = desk_sp_study
     losses = component_subset_losses("mse")
-    # mean_normalized_regret drops failed cells, so require every seed clean
+    # aggregate_rows drops failed cells, so require every seed clean
     clean = all(clean_seeds(reports, loss) == STUDY_SEEDS for loss in losses)
-    means = {loss: mean_normalized_regret(reports, loss) for loss in losses}
+    rows = {row["loss"]: row.get("regret_norm_mean") for row in aggregate_rows(reports)}
+    means = {loss: math.nan if rows[loss] is None else rows[loss] for loss in losses}
     mono = build_monotonicity(means, base="mse", tolerance=0.05)
     worst = max(mono.steps, key=lambda s: s.mean_norm / max(s.previous_norm, 1e-12))
     previous = previous_subset(worst)
@@ -404,8 +406,7 @@ def test_criterion_11_deterministic_results(tmp_path):
                               k=4, epochs=2, batch_size=4,
                               deterministic_output=True)
     for name in ("first", "second"):
-        write_results(run_experiment(config), tmp_path / name,
-                      deterministic_output=True)
+        write_results(run_experiment(config), tmp_path / name, config)
     first = (tmp_path / "first" / "results.csv").read_bytes()
     second = (tmp_path / "second" / "results.csv").read_bytes()
     ok = first == second and len(first) > 0

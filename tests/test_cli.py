@@ -9,7 +9,7 @@ import pytest
 
 from cosdfl import cli, harness
 from cosdfl.cli import main
-from cosdfl.core import load_dataset
+from cosdfl.core import load_dataset, total_regret
 from cosdfl.errors import SolveFailure
 from cosdfl.model import init_model, load_model, save_model
 from cosdfl.problems import problem_from_name
@@ -139,6 +139,53 @@ def test_eval_solves_each_instance_once_per_decision(tmp_path, monkeypatch, caps
     assert float(fields["regret_mean"]) == float(fields["regret_total"]) / 6
 
 
+def test_train_and_eval_build_the_problem_from_the_dataset_seed(tmp_path, monkeypatch,
+                                                                capsys):
+    # eval used to score a seed-3 knapsack dataset against seed 0's weights
+    data, model = tmp_path / "data.json", tmp_path / "model.bin"
+    assert main(["generate", "--problem", "ks8", "--seed", "3", "--out", str(data),
+                 *GEN_ARGS]) == 0
+    seeds = []
+
+    def build(name, seed):
+        seeds.append(seed)
+        return problem_from_name(name, seed)
+
+    monkeypatch.setattr(cli, "problem_from_name", build)
+    assert main(["train", "--problem", "ks8", "--loss", "mse", "--seed", "1",
+                 "--dataset", str(data), "--out", str(model), *TRAIN_ARGS]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--problem", "ks8", "--dataset", str(data),
+                 "--model", str(model)]) == 0
+    assert seeds == [3, 3]
+    expected = total_regret(problem_from_name("ks8", seed=3), load_model(model),
+                            load_dataset(data), split="test")
+    assert f"regret_total={expected!r} " in capsys.readouterr().out
+
+
+def test_dimension_mismatches_name_both_sides(tmp_path, monkeypatch, capsys):
+    data, model = tmp_path / "data.json", tmp_path / "model.bin"
+    assert main(["generate", "--problem", "ks8", "--out", str(data), *GEN_ARGS]) == 0
+    save_model(init_model(4, 8), model)
+    # rejected before any solve: train used to end in a traceback from the
+    # loss, and eval in a reshape error
+    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit was called"))
+    monkeypatch.setattr(cli, "total_regret", lambda *args, **kw: pytest.fail("scored"))
+    capsys.readouterr()
+    assert main(["train", "--problem", "ks16", "--loss", "mse", "--dataset", str(data),
+                 "--out", str(tmp_path / "m.bin"), *TRAIN_ARGS]) == 2
+    assert main(["eval", "--problem", "ks16", "--dataset", str(data),
+                 "--model", str(model)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: dataset {data} has d=8, problem ks16 has d=16"] * 2
+    for k, d in ((4, 6), (3, 8)):
+        save_model(init_model(k, d), model)
+        assert main(["eval", "--problem", "ks8", "--dataset", str(data),
+                     "--model", str(model)]) == 2
+        assert capsys.readouterr().err == (f"error: model {model} has d={d}, k={k}; "
+                                           f"dataset {data} has d=8, k=4\n")
+
+
 def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):
     data = tmp_path / "data.json"
     main(["generate", "--problem", "ks6", "--seed", "0", "--out", str(data),
@@ -201,6 +248,50 @@ def test_monotonicity_writes_report(tmp_path):
     assert len(rows) == 19  # header + 6 orders x 3 steps
 
 
+def test_monotonicity_is_the_experiment_grid(tmp_path):
+    common = ["--problem", "ks6", "--seeds", "0,1", *GEN_ARGS, *TRAIN_ARGS,
+              "--deterministic-output"]
+    assert main(["monotonicity", "--base", "mse", *common,
+                 "--out-dir", str(tmp_path / "mono")]) in (0, 1)
+    assert main(["experiment", "--losses", ",".join(harness.component_subset_losses("mse")),
+                 "--normalize-against", "mse", *common,
+                 "--out-dir", str(tmp_path / "exp")]) == 0
+    for name in ("results.csv", "runs.json", "config.json", "pareto.csv"):
+        mono = (tmp_path / "mono" / name).read_bytes()
+        assert mono == (tmp_path / "exp" / name).read_bytes(), name
+
+
+def test_monotonicity_report_structure(tmp_path, monkeypatch):
+    real_run, real_build = cli.run_experiment, cli.build_monotonicity
+    reports, built = [], []
+
+    def run(config):
+        reports.extend(real_run(config))
+        return reports
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    monkeypatch.setattr(cli, "build_monotonicity", build)
+    main(["monotonicity", "--problem", "ks6", "--seeds", "0", "--tolerance", "0.05",
+          "--out-dir", str(tmp_path), *GEN_ARGS, *TRAIN_ARGS])
+    [report] = built
+    assert set(report.subset_means) == {
+        "mse", "mse+c", "mse+o", "mse+s", "mse+c+o", "mse+c+s", "mse+o+s",
+        "mse+c+o+s"}
+    assert len(report.steps) == 18  # 6 orders x 3 additions
+    orders = {s.order for s in report.steps}
+    assert len(orders) == 6
+    # every order ends at the full composition with the same shared mean
+    finals = {s.mean_norm for s in report.steps if s.loss == "mse+c+o+s"}
+    assert len(finals) == 1
+    for step in report.steps:
+        assert step.regression == (step.mean_norm > step.previous_norm * 1.05)
+    assert len(reports) == 8
+
+
 def test_monotonicity_fails_on_a_failed_cell(tmp_path, monkeypatch, capsys):
     # every other cell has the same regret, so only the failure can fail the run
     def fake_run_single(config, loss, seed):
@@ -229,3 +320,12 @@ def test_unknown_loss_is_an_error(tmp_path):
     code = main(["experiment", "--problem", "ks6", "--losses", "nope",
                  "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
     assert code != 0
+
+
+def test_unknown_problem_is_an_error_before_any_cell(tmp_path, capsys):
+    # it used to write four files of failed cells and exit 1
+    code = main(["experiment", "--problem", "bogus", "--losses", "mse",
+                 "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown problem name 'bogus'")
+    assert not (tmp_path / "x").exists()

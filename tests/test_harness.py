@@ -8,9 +8,8 @@ import pytest
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import NumericalBreakdown, SolveFailure, ZeroVector
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
-                            SolveCounts, attach_decisions, attach_ranges,
-                            emit_pareto, fit, mean_normalized_regret,
-                            monotonicity_report, pareto_flags, run_experiment,
+                            SolveCounts, aggregate_rows, attach_decisions,
+                            attach_ranges, fit, pareto_flags, run_experiment,
                             run_single, sensitivity_soundness_check,
                             write_results)
 from cosdfl.losses import normalize, parse_loss
@@ -33,6 +32,10 @@ def tiny_config(problem="ks6", losses=("mse",), seeds=(0,), **overrides):
 def test_experiment_config_validates_losses_eagerly():
     with pytest.raises(ValueError):
         tiny_config(losses=("mse", "bogus"))
+    # a bad problem name used to fail every cell of the grid instead
+    for problem in ("bogus", "ks0"):
+        with pytest.raises(ValueError):
+            tiny_config(problem=problem)
 
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
@@ -185,7 +188,9 @@ def test_run_experiment_sorts_and_normalizes():
             base = next(b for b in reports if b.loss == "mse" and b.seed == r.seed)
             if base.regret_abs > 0:
                 assert r.regret_norm == pytest.approx(r.regret_abs / base.regret_abs)
-    assert mean_normalized_regret(reports, "mse") == pytest.approx(1.0)
+    mse_row = aggregate_rows(reports)[0]
+    assert mse_row["loss"] == "mse"
+    assert mse_row["regret_norm_mean"] == pytest.approx(1.0)
 
 
 def test_run_experiment_captures_cell_failures(monkeypatch):
@@ -207,9 +212,10 @@ def test_run_experiment_captures_cell_failures(monkeypatch):
 
 
 def test_write_results_schema_and_determinism_flag(tmp_path):
-    reports = run_experiment(tiny_config(losses=("mse",), seeds=(0, 1)))
-    path = write_results(reports, tmp_path, deterministic_output=True)
-    with open(path) as fh:
+    config = tiny_config(losses=("mse",), seeds=(0, 1), deterministic_output=True)
+    reports = run_experiment(config)
+    write_results(reports, tmp_path, config)
+    with open(tmp_path / "results.csv") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == RESULTS_COLUMNS
     assert len(rows) == 3
@@ -223,6 +229,7 @@ def test_write_results_schema_and_determinism_flag(tmp_path):
     assert runs[0]["time_s"] is None
     assert set(runs[0]["counts"]) == {"precompute_n_star", "precompute_ranges",
                                       "instance_cost_solves", "training_solves"}
+    assert json.loads((tmp_path / "config.json").read_text())["seeds"] == [0, 1]
 
 
 def test_pareto_flags_frozen():
@@ -239,7 +246,7 @@ def test_pareto_flags_frozen():
     assert pareto_flags(ks16) == [True, True, True, False]
 
 
-def test_emit_pareto_flags_on_solves_not_time(tmp_path):
+def test_write_results_flags_pareto_on_solves_not_time(tmp_path):
     def report(loss, regret, pre, train, time_s):
         return RunReport(problem="ks6", loss=loss, seed=0, regret_abs=regret,
                          regret_norm=None, time_s=time_s, exact=True,
@@ -247,29 +254,19 @@ def test_emit_pareto_flags_on_solves_not_time(tmp_path):
 
     # the slow run with fewer solves is flagged; the fast one with more is not
     reports = [report("a", 1.0, 10, 0, 5.0), report("b", 1.0, 10, 5, 0.1)]
-    rows = emit_pareto(reports, tmp_path, deterministic_output=True)
+    config = tiny_config(deterministic_output=True)
+    rows = write_results(reports, tmp_path, config)
     assert [(r["loss"], r["solves_mean"], r["pareto_optimal"]) for r in rows] == [
         ("a", 10.0, True), ("b", 15.0, False)]
     assert (tmp_path / "pareto.csv").read_text().splitlines() == [
         "loss,regret_abs_mean,solves_mean,time_s_mean,pareto_optimal",
         "a,1.0,10.0,0.000,true", "b,1.0,15.0,0.000,false"]
-
-
-def test_monotonicity_report_structure():
-    config = tiny_config(seeds=(0,), losses=("mse",))
-    report, reports = monotonicity_report(config, base="mse", tolerance=0.05)
-    assert set(report.subset_means) == {
-        "mse", "mse+c", "mse+o", "mse+s", "mse+c+o", "mse+c+s", "mse+o+s",
-        "mse+c+o+s"}
-    assert len(report.steps) == 18  # 6 orders x 3 additions
-    orders = {s.order for s in report.steps}
-    assert len(orders) == 6
-    # every order ends at the full composition with the same shared mean
-    finals = {s.mean_norm for s in report.steps if s.loss == "mse+c+o+s"}
-    assert len(finals) == 1
-    for step in report.steps:
-        assert step.regression == (step.mean_norm > step.previous_norm * 1.05)
-    assert len(reports) == 8
+    # a loss whose every run failed is a row with n = 0 and no point
+    failed = replace(reports[0], loss="c", error="boom")
+    rows = write_results([*reports, failed], tmp_path / "failed", config)
+    assert rows[-1] == {"loss": "c", "n": 0}
+    assert ((tmp_path / "failed" / "pareto.csv").read_text()
+            == (tmp_path / "pareto.csv").read_text())
 
 
 def test_sensitivity_soundness_small_sample():

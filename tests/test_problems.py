@@ -411,6 +411,9 @@ def test_problem_from_name_families():
 
     with pytest.raises(ValueError):
         problem_from_name("mystery42", seed=0)
+    # zero items used to build an oracle named ks0 whose solves then failed
+    with pytest.raises(ValueError, match="at least 1 item"):
+        problem_from_name("ks0", seed=0)
 
 
 def test_problem_seeds_change_knapsack_weights():
