@@ -26,9 +26,8 @@ from .losses import (BaseError, LossData, LossSpec, OneSidedMode, base_error,
                      stack_loss_data)
 from .model import (LinearModel, Optimizer, TrainConfig, TrainTrace,
                     init_model, load_model, save_model, train)
-from .problems import (CallCounter, KnapsackOracle, ShortestPathOracle,
-                       TspOracle, load_problem, make_knapsack,
-                       problem_from_name)
+from .problems import (KnapsackOracle, ShortestPathOracle, TspOracle,
+                       load_problem, make_knapsack, problem_from_name)
 from .simplex import LinearProgram, SimplexSolution, SolveStatus, solve_lp
 
 __version__ = "0.1.0"

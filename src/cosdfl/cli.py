@@ -19,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .core import load_dataset, save_dataset, total_regret
-from .datagen import generate
+from .datagen import GenSpec, generate
 from .errors import CosdflError, DimensionMismatch
 from .harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig, attach_decisions,
                       build_monotonicity, component_subset_losses, fit,
@@ -38,14 +38,16 @@ def _add_problem_arg(parser: argparse.ArgumentParser) -> None:
 
 # each run-setting flag is named after, and defaults to, an ExperimentConfig field
 def _add_gen_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-train", type=int, default=ExperimentConfig.n_train)
-    parser.add_argument("--n-val", type=int, default=ExperimentConfig.n_val)
-    parser.add_argument("--n-test", type=int, default=ExperimentConfig.n_test)
-    parser.add_argument("--k", type=int, default=ExperimentConfig.k,
-                        help="latent feature dimension")
-    parser.add_argument("--deg", type=int, default=ExperimentConfig.deg,
-                        help="polynomial lift degree")
-    parser.add_argument("--noise-width", type=float, default=ExperimentConfig.noise_width)
+    # a flag left out stays out of the namespace, so _config gives it the
+    # field's default and train can tell that one was given next to --dataset
+    group = parser.add_argument_group("data generation",
+                                      argument_default=argparse.SUPPRESS)
+    group.add_argument("--n-train", type=int)
+    group.add_argument("--n-val", type=int)
+    group.add_argument("--n-test", type=int)
+    group.add_argument("--k", type=int, help="latent feature dimension")
+    group.add_argument("--deg", type=int, help="polynomial lift degree")
+    group.add_argument("--noise-width", type=float)
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
@@ -98,6 +100,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print("--emit-costs requires a loss with instance weighting (+c)",
               file=sys.stderr)
         return 1
+    given = ["--" + f.name.replace("_", "-") for f in fields(GenSpec)
+             if f.name != "seed" and f.name in args]
+    if args.dataset and given:
+        raise ValueError(f"{', '.join(given)} set how data is generated and cannot "
+                         f"be combined with --dataset {args.dataset}")
     config = _config(args, (args.loss,), (args.seed,))
     if args.dataset:
         dataset, problem = _read_dataset(args)

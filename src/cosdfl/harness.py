@@ -12,11 +12,12 @@ calls are attributed to four phases:
   instance_cost_solves  regret evaluations behind per-instance weights
   training_solves       oracle calls made by the loss during epochs
 
-Each phase count is the change of ``problem.counter`` across that phase,
-read by ``SolveCounts.phase`` and nowhere else; the LP solves of
-``attach_ranges`` advance the same counter. Each of those is one
-``solve_lp`` call on the problem's cached ``relaxation``, which returns the
-vertex together with its cost ranges. The relaxation runs phase 1 of the
+Each phase count is the change of the integer ``problem.solves`` across
+that phase, read by ``SolveCounts.phase`` and nowhere else. Only two places
+advance it: the oracle's ``solve_many``, by one per cost row, and
+``attach_ranges``, by one per LP solve. Each LP solve is one ``solve_lp``
+call on the problem's cached ``relaxation``, which returns the vertex
+together with its cost ranges. The relaxation runs phase 1 of the
 simplex on its first solve, so once per cell for a knapsack and once per
 size and process for the grid and the TSP; every call runs phase 2 and the
 ranging (about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2
@@ -68,7 +69,7 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
     """Attach objective-coefficient ranges from the problem's LP relaxation.
 
     One ``solve_lp`` call per instance without ranges, each advancing
-    ``problem.counter`` by one. With ``normalized`` the ranging objective is
+    ``problem.solves`` by one. With ``normalized`` the ranging objective is
     the unit-norm cost vector, which is what scale-invariant losses must
     mask against, normalized before any LP solve. A failed solve or a zero
     cost vector raises an error naming the instance and ``precompute_ranges``.
@@ -91,7 +92,7 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
             raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i} is "
                                f"{solution.status.value}")
         lower[i], upper[i] = solution.ranges
-    problem.counter.increment(len(missing))
+    problem.solves += len(missing)
     return replace(dataset, lower=lower, upper=upper)
 
 
@@ -121,8 +122,17 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(self.losses))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not self.seeds:
+            raise ValueError("seeds is empty: a grid needs at least one seed")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seed {repeated[0]} is repeated in seeds {list(self.seeds)}")
+        specs = {}
         for loss in self.losses:
-            parse_loss(loss)  # fail fast on typos
+            spec = parse_loss(loss)  # fail fast on typos
+            if spec in specs:  # one cell per loss, or aggregate_rows counts a seed twice
+                raise ValueError(f"losses {specs[spec]!r} and {loss!r} are the same loss")
+            specs[spec] = loss
         problem_from_name(self.problem)  # and on a bad problem, before any cell
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
@@ -153,10 +163,10 @@ class SolveCounts:
 
     @contextmanager
     def phase(self, name: str, problem: ProblemOracle):
-        """Add the change of ``problem.counter`` inside the block to phase ``name``."""
-        before = problem.counter.count
+        """Add the change of ``problem.solves`` inside the block to phase ``name``."""
+        before = problem.solves
         yield
-        setattr(self, name, getattr(self, name) + problem.counter.count - before)
+        setattr(self, name, getattr(self, name) + problem.solves - before)
 
 
 @dataclass

@@ -98,13 +98,21 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
+    """The model ``save_model`` wrote to ``path``; raises ValueError when the
+    magic is wrong or the file length is not the one its header implies."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a model checkpoint (magic {magic!r})")
-        k, d = struct.unpack("<II", fh.read(8))
-        w = np.frombuffer(fh.read(8 * d * k), dtype="<f8").reshape(d, k)
-        b = np.frombuffer(fh.read(8 * d), dtype="<f8")
+        raw = fh.read()
+    if raw[:8] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint (magic {raw[:8]!r})")
+    expected = 16
+    if len(raw) >= expected:
+        k, d = struct.unpack_from("<II", raw, 8)
+        expected += 8 * d * (k + 1)
+    if len(raw) != expected:
+        raise ValueError(f"model checkpoint {path} holds {len(raw)} bytes, "
+                         f"expected {expected}")
+    w = np.frombuffer(raw, dtype="<f8", count=d * k, offset=16).reshape(d, k)
+    b = np.frombuffer(raw, dtype="<f8", count=d, offset=16 + 8 * d * k)
     return LinearModel(w, b)
 
 

@@ -6,7 +6,7 @@ symmetric TSP (minimize). An oracle takes its instance data, validates it
 once, and names itself (``ks16``, ``sp5x5``, ``tsp8``). Knapsack and grid
 oracles solve exactly; a TSP oracle solves exactly up to
 ``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
-above, and ``exact`` says which. Every oracle counts its calls and exposes
+above, and ``exact`` says which. Every oracle counts its solves and exposes
 its box-relaxed linear program, for sensitivity analysis, as
 ``problem.relaxation``, built on first use: once per knapsack oracle, whose
 rows are its weights, and once per size and process for the grid and the
@@ -72,7 +72,6 @@ import itertools
 import json
 import math
 import re
-import threading
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -88,29 +87,6 @@ FEASIBILITY_TOL = 1e-9
 KNAPSACK_TIE_TOL = 1e-9  # values this fraction of max(1, |best|) below the best tie
 
 
-class CallCounter:
-    """Thread-safe monotone count of a problem's solves.
-
-    ``problem.counter`` is the only solve count of the package: the oracle
-    advances it by one per solved cost row, and ``attach_ranges`` by one per
-    LP solve of the problem's relaxation. It is never reset; the harness
-    reads the change across each pipeline phase (``SolveCounts.phase``).
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def increment(self, n: int = 1) -> None:
-        with self._lock:
-            self._count += n
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-
 class ProblemOracle:
     """Base oracle: counts solves, checks feasibility, exposes the relaxation.
 
@@ -120,6 +96,9 @@ class ProblemOracle:
     family whose feasible decisions are few enough also gives a table
     (``_decision_table``), which ``solve_many`` scans in place of the
     recurrence.
+
+    ``solves`` is the package's one solve count, never reset; see
+    ``harness`` for what advances it and ``SolveCounts.phase`` for its reader.
     """
 
     sense: Sense
@@ -130,7 +109,7 @@ class ProblemOracle:
     def __init__(self, name: str, d: int) -> None:
         self.name = name
         self.d = d
-        self.counter = CallCounter()
+        self.solves = 0
 
     def solve_many(self, costs: np.ndarray) -> np.ndarray:
         """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves."""
@@ -143,7 +122,7 @@ class ProblemOracle:
             raise ValueError(f"costs row {int(np.argmin(finite))} contains non-finite entries")
         if costs.shape[0] == 0:
             return np.zeros(costs.shape)
-        self.counter.increment(costs.shape[0])
+        self.solves += costs.shape[0]
         table = self.decision_table
         if table is not None:
             return self._scan(table, costs)

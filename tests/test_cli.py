@@ -41,7 +41,7 @@ def test_generate_caches_decisions_on_train_and_val(tmp_path, monkeypatch):
     ds = load_dataset(out)
     assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
     cached = list(ds.split.train + ds.split.val)
-    assert problems[0].counter.count == len(cached) == 14
+    assert problems[0].solves == len(cached) == 14
     np.testing.assert_array_equal(ds.x_star[cached],
                                   problems[0].solve_many(ds.costs[cached]))
 
@@ -134,7 +134,7 @@ def test_eval_solves_each_instance_once_per_decision(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert main(["eval", "--problem", "ks8", "--dataset", str(data),
                  "--model", str(model)]) == 0
-    assert problems[0].counter.count == 2 * 6
+    assert problems[0].solves == 2 * 6
     fields = dict(part.split("=") for part in capsys.readouterr().out.split())
     assert float(fields["regret_mean"]) == float(fields["regret_total"]) / 6
 
@@ -184,6 +184,21 @@ def test_dimension_mismatches_name_both_sides(tmp_path, monkeypatch, capsys):
                      "--model", str(model)]) == 2
         assert capsys.readouterr().err == (f"error: model {model} has d={d}, k={k}; "
                                            f"dataset {data} has d=8, k=4\n")
+
+
+def test_train_rejects_generation_flags_next_to_dataset(tmp_path, monkeypatch, capsys):
+    # they used to be ignored: train read the 20-instance k=4 file and exited 0
+    data = tmp_path / "data.json"
+    assert main(["generate", "--problem", "ks8", "--out", str(data), *GEN_ARGS]) == 0
+    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("fit was called"))
+    capsys.readouterr()
+    assert main(["train", "--problem", "ks8", "--loss", "mse", "--dataset", str(data),
+                 "--n-train", "500", "--k", "9", "--deg", "3",
+                 "--out", str(tmp_path / "m.bin")]) == 2
+    assert capsys.readouterr().err == ("error: --n-train, --k, --deg set how data is "
+                                       "generated and cannot be combined with "
+                                       f"--dataset {data}\n")
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):
@@ -328,4 +343,17 @@ def test_unknown_problem_is_an_error_before_any_cell(tmp_path, capsys):
                  "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: unknown problem name 'bogus'")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("0,0", "error: seed 0 is repeated in seeds [0, 0]"),
+    ("", "error: seeds is empty: a grid needs at least one seed")], ids=["repeated", "empty"])
+def test_experiment_rejects_a_repeated_or_empty_seed_list(tmp_path, capsys, seeds, message):
+    # a repeated seed used to run twice and count as n = 2, and an empty
+    # list wrote four empty files and exited 0
+    code = main(["experiment", "--problem", "sp3x3", "--losses", "mse",
+                 "--seeds", seeds, "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "x").exists()

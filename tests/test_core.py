@@ -150,10 +150,10 @@ def test_stacked_products_equal_the_per_row_products(n, d, k, strided):
 def test_instance_regret_uses_cache(tiny_knapsack):
     c = np.array([3.0, 4.0, 5.0, 6.0])
     ds = one_row(c, x_star=tiny_knapsack.solve_many(c[None])[0])
-    before = tiny_knapsack.counter.count
+    before = tiny_knapsack.solves
     value = instance_regrets(tiny_knapsack, [np.array([6.0, 5.0, 4.0, 3.0])], ds, [0])
     assert value.tolist() == pytest.approx([1.0])
-    assert tiny_knapsack.counter.count - before == 1
+    assert tiny_knapsack.solves - before == 1
 
 
 def test_total_regret_sums_the_split(tiny_knapsack):
@@ -179,7 +179,7 @@ def test_total_regret_names_the_instance_of_a_bad_prediction(tiny_knapsack):
 
     with pytest.raises(ValueError, match="instance 2 "):
         total_regret(tiny_knapsack, NanForInstance2(), ds)
-    assert tiny_knapsack.counter.count == 0
+    assert tiny_knapsack.solves == 0
 
 
 def test_dataset_roundtrip(tmp_path, tiny_knapsack):

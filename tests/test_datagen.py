@@ -56,7 +56,7 @@ def test_generate_is_seed_deterministic():
 def test_generate_makes_no_solve():
     problem = ShortestPathOracle(rows=3, cols=3)
     ds = generate(GenSpec(n_train=6, n_val=3, n_test=4, k=4, seed=0), problem)
-    assert problem.counter.count == 0
+    assert problem.solves == 0
     assert np.isnan(ds.x_star).all()
 
 

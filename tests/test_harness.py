@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -50,13 +51,27 @@ def test_experiment_config_names_a_count_below_one(field):
 
 
 
+def test_experiment_config_rejects_repeated_and_empty_grids():
+    with pytest.raises(ValueError, match=r"^seed 1 is repeated in seeds \[0, 1, 2, 1\]$"):
+        tiny_config(seeds=(0, 1, 2, 1))
+    with pytest.raises(ValueError, match="^seeds is empty"):
+        tiny_config(seeds=())
+    for losses, first, second in ((("mse", "mse"), "mse", "mse"),
+                                  (("mse+o+s", "mae", "MSE+s+o"), "mse+o+s", "MSE+s+o")):
+        with pytest.raises(ValueError, match=(f"^losses '{re.escape(first)}' and "
+                                              f"'{re.escape(second)}' are the same loss$")):
+            tiny_config(losses=losses)
+    tiny_config(losses=(), seeds=(0,))  # generate's config: no losses, one seed
+    tiny_config(losses=("mse", "lawless:0"))  # equal training, distinct losses
+
+
 def test_attach_decisions_fills_only_missing():
     problem = make_knapsack(d=6, seed=0)
     ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
     ds = attach_decisions(ds, problem, ("train",))
-    assert problem.counter.count == 4
+    assert problem.solves == 4
     ds = attach_decisions(ds, problem, ("train", "val"))
-    assert problem.counter.count == 6  # train entries were already cached
+    assert problem.solves == 6  # train entries were already cached
     assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
 
 
@@ -71,9 +86,9 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "solve_lp", recording)
     raw = attach_ranges(ds, problem, ("train",), normalized=False)
-    assert problem.counter.count == 3  # one LP solve per instance
+    assert problem.solves == 3  # one LP solve per instance
     norm = attach_ranges(ds, problem, ("train",), normalized=True)
-    assert problem.counter.count == 6
+    assert problem.solves == 6
     # one solve_lp call per solve, all on the one cached relaxation
     assert len(solved_on) == 6 and all(lp is problem.relaxation for lp in solved_on)
     assert raw.uncached("lower", range(ds.n)) == list(ds.split.val + ds.split.test)
@@ -103,10 +118,10 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch):
         return real(tableau, basis, cost, degenerate_budget)
 
     monkeypatch.setattr(simplex_mod, "_run_simplex", recording)
-    before = problem.counter.count
+    before = problem.solves
     attach_ranges(ds, problem, ("train",))
     assert phases.count(1) == 1 and phases.count(2) == 20
-    assert problem.counter.count - before == 20
+    assert problem.solves - before == 20
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
@@ -136,7 +151,7 @@ def test_attach_ranges_names_a_zero_cost_vector_before_any_solve(monkeypatch):
                         lambda *args: pytest.fail("an LP was solved"))
     with pytest.raises(ZeroVector, match=r"^precompute_ranges: .*instance 3\b"):
         attach_ranges(replace(ds, costs=costs), problem, normalized=True)
-    assert problem.counter.count == 0
+    assert problem.solves == 0
 
 
 @pytest.mark.parametrize("loss,expected", [
@@ -165,9 +180,9 @@ def test_every_solve_of_fit_lands_in_one_phase(loss):
     config = tiny_config()
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(config.gen_spec(0), problem)
-    before = problem.counter.count
+    before = problem.solves
     _, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(0))
-    assert problem.counter.count - before == sum(astuple(counts))
+    assert problem.solves - before == sum(astuple(counts))
 
 
 def test_lawless_zero_trains_identically_to_mse():

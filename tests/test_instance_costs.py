@@ -86,9 +86,9 @@ def test_costs_satisfy_regret_identity(ks_setup):
 def test_compute_instance_costs_counts_one_solve_per_instance(ks_setup):
     problem, dataset = ks_setup
     preds = dataset.costs[list(dataset.split.train)] + 0.5
-    before = problem.counter.count
+    before = problem.solves
     compute_instance_costs(problem, FixedRows(preds), dataset, parse_loss("mse"))
-    assert problem.counter.count - before == len(dataset.split.train)
+    assert problem.solves - before == len(dataset.split.train)
 
 
 def test_compute_instance_costs_validation(ks_setup):
@@ -107,7 +107,7 @@ def test_compute_instance_costs_on_an_empty_split():
     # training takes no empty split, so the split is emptied by hand
     dataset = replace(dataset, split=Split(train=(), val=dataset.split.train,
                                            test=dataset.split.test))
-    before = problem.counter.count
+    before = problem.solves
     report = compute_instance_costs(problem, FixedRows(np.zeros((0, 6))), dataset,
                                     parse_loss("mse"))
     assert report.costs.shape == (0,)
@@ -115,7 +115,7 @@ def test_compute_instance_costs_on_an_empty_split():
     report = compute_instance_costs(problem, init_model(3, 6, seed=0), dataset,
                                     parse_loss("mse"))
     assert report.costs.shape == report.regrets.shape == (0,)
-    assert problem.counter.count == before
+    assert problem.solves == before
 
 
 def test_report_round_trip_and_serialization(ks_setup, tmp_path):

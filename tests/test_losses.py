@@ -500,12 +500,12 @@ def test_spo_plus_frozen_example():
     oracle = pick_one_of_two()
     true = np.array([2.0, 1.0])
     inst = one_row(true, oracle.solve_many(true[None])[0])
-    before = oracle.counter.count
+    before = oracle.solves
     value, gradient = spo_plus(np.array([1.0, 2.0]), inst, oracle)
     # shifted costs (0,3) pick item 1: 3 - 2*1 + 2 = 3
     assert value == pytest.approx(3.0)
     np.testing.assert_allclose(gradient, [-2.0, 2.0])
-    assert oracle.counter.count - before == 1
+    assert oracle.solves - before == 1
     # perfect prediction has zero surrogate value
     assert spo_plus(true, inst, oracle)[0] == pytest.approx(0.0)
 

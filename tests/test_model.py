@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -82,6 +83,20 @@ def test_model_binary_roundtrip(tmp_path):
 
 
 
+def test_load_model_rejects_a_file_of_the_wrong_length(tmp_path):
+    # a truncated file used to fail inside numpy, and a padded one loaded
+    path = tmp_path / "model.bin"
+    save_model(init_model(k=4, d=7, seed=11), path)
+    raw = path.read_bytes()
+    assert len(raw) == 16 + 8 * 7 * (4 + 1)
+    for name, data in (("truncated.bin", raw[:-8]), ("padded.bin", raw + bytes(8))):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=(f"^model checkpoint {re.escape(str(bad))} "
+                                              f"holds {len(data)} bytes, expected 296$")):
+            load_model(bad)
+
+
 def test_train_config_defaults():
     config = TrainConfig()
     assert config.learning_rate == 0.005
@@ -142,11 +157,11 @@ def test_spo_plus_merges_validation_and_counts_solves():
     dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0), problem)
     dataset = attach_decisions(dataset, problem)
     config = TrainConfig(epochs=4, batch_size=8, seed=0)
-    before = problem.counter.count
+    before = problem.solves
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("spo+"),
                   config, problem)
     # one solve per merged-training instance per epoch, none for validation
-    assert problem.counter.count - before == 4 * 15
+    assert problem.solves - before == 4 * 15
     for r in trace.records:
         assert r.val_loss == r.train_loss
 
@@ -164,11 +179,11 @@ def test_batched_spo_plus_matches_per_row_training(name, optimizer):
     config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.05,
                          optimizer=optimizer, seed=3)
     start = init_model(3, problem.d, seed=3)
-    before = problem.counter.count
+    before = problem.solves
     batched = train(start, dataset, parse_loss("spo+"), config, problem)
-    batched_solves = problem.counter.count - before
+    batched_solves = problem.solves - before
     reference = brute_spo_plus_train(start, per_instance_view(dataset), config, problem)
-    reference_solves = problem.counter.count - before - batched_solves
+    reference_solves = problem.solves - before - batched_solves
     assert deterministic_fields(batched) == deterministic_fields(reference)
     assert batched_solves == reference_solves == 4 * 26
 
@@ -209,10 +224,10 @@ def test_solver_free_specs_touch_no_oracle():
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(GenSpec(n_train=10, n_val=5, n_test=2, k=3, seed=0), problem)
     dataset = attach_decisions(dataset, problem)
-    before = problem.counter.count
+    before = problem.solves
     train(init_model(3, 6, seed=0), dataset, parse_loss("mse"),
           TrainConfig(epochs=3, batch_size=4, seed=0), problem)
-    assert problem.counter.count == before
+    assert problem.solves == before
 
 
 def test_training_requirements():

@@ -1,5 +1,4 @@
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from cosdfl import problems
 from cosdfl.core import Sense
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.errors import DimensionMismatch
-from cosdfl.problems import (HELD_KARP_MAX_NODES, CallCounter, KnapsackOracle,
+from cosdfl.problems import (HELD_KARP_MAX_NODES, KnapsackOracle,
                              ShortestPathOracle, TspOracle, load_problem,
                              make_knapsack, problem_from_name)
 from cosdfl.simplex import SolveStatus, solve_lp
@@ -370,25 +369,10 @@ def test_tsp_heuristic_is_feasible_and_close(seed):
 
 def test_oracle_counts_solves_and_checks_feasibility():
     oracle = KnapsackOracle(weights=[[1.0, 1.0]], capacities=[1.0])
-    assert oracle.counter.count == 0
+    assert oracle.solves == 0
     oracle.solve_many(np.array([[1.0, 2.0]]))
     oracle.solve_many(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert oracle.counter.count == 3
-
-
-def test_call_counter_is_thread_safe():
-    counter = CallCounter()
-
-    def bump():
-        for _ in range(1000):
-            counter.increment()
-
-    threads = [threading.Thread(target=bump) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counter.count == 8000
+    assert oracle.solves == 3
 
 
 def test_problem_from_name_families():
@@ -517,7 +501,7 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
     oracle, costs, integer, brute = batch_case(family, rng)
     x = oracle.solve_many(costs)
     assert x.shape == costs.shape
-    assert oracle.counter.count == costs.shape[0]  # one step of B
+    assert oracle.solves == costs.shape[0]  # one step of B
     for r, c in enumerate(costs):
         np.testing.assert_array_equal(x[r], oracle.solve_many(c[None])[0])
         x_ref, v_ref = brute(c)
@@ -526,7 +510,7 @@ def test_solve_many_rows_match_single_solves_and_brute_force(family, seed):
         else:
             # continuous tour costs sum in another order than brute_tsp's
             assert float(c @ x[r]) == pytest.approx(v_ref, abs=1e-9)
-    assert oracle.counter.count == 2 * costs.shape[0]
+    assert oracle.solves == 2 * costs.shape[0]
 
 
 def test_held_karp_tie_breaking_is_frozen():
@@ -621,7 +605,7 @@ def test_solve_many_on_an_empty_batch_counts_nothing(name):
     oracle = problem_from_name(name, seed=0)
     x = oracle.solve_many(np.zeros((0, oracle.d)))
     assert x.shape == (0, oracle.d)
-    assert oracle.counter.count == 0
+    assert oracle.solves == 0
 
 
 def test_solve_many_validates_the_batch():
@@ -634,7 +618,7 @@ def test_solve_many_validates_the_batch():
     costs[1, 4] = np.nan
     with pytest.raises(ValueError, match="row 1"):
         oracle.solve_many(costs)
-    assert oracle.counter.count == 0
+    assert oracle.solves == 0
 
 
 class OneBadRowOracle(ShortestPathOracle):
