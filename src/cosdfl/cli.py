@@ -139,7 +139,10 @@ def _parse_list(text: str) -> list[str]:
 def _run_grid(config: ExperimentConfig, out: Path) -> tuple[int, list[dict]]:
     """Run ``config``'s (loss x seed) grid, write its files to ``out``, and
     print the per-loss summary and the failed cells. Returns the exit code
-    and the ``aggregate_rows``."""
+    and the ``aggregate_rows``. An empty loss list is an error, raised
+    before any cell runs or any file is written."""
+    if not config.losses:
+        raise ValueError("losses is empty: a grid needs at least one loss")
     reports = run_experiment(config)
     rows = write_results(reports, out, config)
     for row in rows:

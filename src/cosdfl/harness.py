@@ -3,9 +3,13 @@
 Each grid cell is self-contained: it builds its own problem oracle and
 dataset from the cell seed, precomputes exactly the caches its loss needs
 (counting the solver calls spent), trains, and evaluates test regret. Cells
-share only read-only data that depends on the problem size alone: the grid
-and TSP solvers' index plans, decision tables and LP relaxations. Solver
-calls are attributed to four phases:
+share only read-only data that no cost decides: the grid and TSP solvers'
+index plans, decision tables and LP relaxations, once per size, and each
+knapsack instance's decision table, load plan and LP relaxation, once per
+instance while ``problems``' knapsack store holds it. ``run_experiment``
+runs the cells seed-major, so every cell of a seed's knapsack runs while
+it is held. Every solve still runs and is counted by the cell's own
+oracle. Solver calls are attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -18,15 +22,15 @@ advance it: the oracle's ``solve_many``, by one per cost row, and
 ``attach_ranges``, by one per LP solve. Each LP solve is one ``solve_lp``
 call on the problem's cached ``relaxation``, which returns the vertex
 together with its cost ranges. The relaxation runs phase 1 of the
-simplex on its first solve, so once per cell for a knapsack and once per
-size and process for the grid and the TSP; every call runs phase 2 and the
-ranging (about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2
+simplex on its first solve, so once per instance for a knapsack and once
+per size and process for the grid and the TSP; every call runs phase 2 and
+the ranging (about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2
 cores with numpy 2.4). Data generation and test-set evaluation happen
 outside the phases and are not counted (the latter is identical for every
-loss). Cells run one after another and reports come back in (loss, seed)
-order, so re-running a config reproduces results exactly; wall-clock
-columns can be zeroed via ``deterministic_output`` to make the output files
-byte-identical across runs.
+loss). Cells run one after another, seed by seed, and reports come back
+in (loss, seed) order, so re-running a config reproduces results exactly;
+wall-clock columns can be zeroed via ``deterministic_output`` to make the
+output files byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -265,8 +269,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
                              time_s=float("nan"), counts=SolveCounts(),
                              exact=False, error=f"{type(exc).__name__}: {exc}")
 
-    reports = [cell(loss, seed)
-               for loss, seed in itertools.product(config.losses, config.seeds)]
+    # seed-major: every cell of a seed's knapsack runs while its state is held
+    reports = [cell(loss, seed) for seed in config.seeds for loss in config.losses]
     reports.sort(key=lambda r: (r.loss, r.seed))
 
     baseline = {r.seed: r.regret_abs for r in reports

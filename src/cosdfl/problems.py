@@ -8,9 +8,20 @@ oracles solve exactly; a TSP oracle solves exactly up to
 ``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
 above, and ``exact`` says which. Every oracle counts its solves and exposes
 its box-relaxed linear program, for sensitivity analysis, as
-``problem.relaxation``, built on first use: once per knapsack oracle, whose
-rows are its weights, and once per size and process for the grid and the
-TSP, whose rows depend on the size alone, so their phase 1 runs once.
+``problem.relaxation``, built on first use: once per size and process for
+the grid and the TSP, whose rows depend on the size alone, and once per
+instance for a knapsack, whose rows are its weights; so phase 1 runs once.
+
+A knapsack's other derived state depends on its weights and capacities
+alone, never on costs: its decision table and its load plan. With its
+relaxation, they are built once per instance and process and held in
+``_KNAPSACK_STORE``, keyed on the weights, the capacities and the table
+budget in effect, and shared read-only by every oracle of the instance,
+each of which keeps its own ``solves``. The store holds at most one table
+at ``KNAPSACK_TABLE_MAX_ENTRIES`` (4 MB) of tables and plans and evicts
+the least recently used instance first; ``harness.run_experiment`` runs a
+grid's cells seed-major, so all the cells of an instance run while it is
+held.
 
 Which arc or edge each grid or TSP cost index names is stated once, in the
 index plans ``_grid_arc_plan`` and ``_tour_plan``, which the recurrences,
@@ -36,14 +47,16 @@ for the decisions; the grid DP over anti-diagonals of nodes (r + c = k,
 sink first), rebuilding the paths in rows + cols - 2 forward steps;
 Held-Karp one popcount layer of subsets at a time, then one backtrack step
 per tour position; the TSP heuristic row by row. The recurrences' index
-plans are cached: the knapsack's loads per item once per oracle, and the
+plans are cached: the knapsack's loads per item once per instance, and the
 grid's arc indices per diagonal, Held-Karp's layers with their predecessor
-masks and the TSP edge slots once per size, like the tables. Under
-``__debug__`` the decisions are checked against the constraint rows of
-``relaxation`` in one array test, to ``FEASIBILITY_TOL``, the tolerance
-every knapsack load is held to, where they are made: a whole table when an
-oracle looks it up, and each batch that a recurrence solves. A scan
-returns table rows only.
+masks and the TSP edge slots once per size, like the tables. The knapsack
+DP runs in chunks of ``KNAPSACK_DP_CHUNK_VALUES`` load values, a budget of
+its own. Under ``__debug__`` the decisions are checked against the
+constraint rows of ``relaxation`` in one array test, to
+``FEASIBILITY_TOL``, the tolerance every knapsack load is held to, where
+they are made: a whole table when an oracle looks it up (a knapsack's when
+it is built), and each batch that a recurrence solves. A scan returns
+table rows only.
 
 Ties are broken the same way on both paths, so repeated solves of tied
 instances are reproducible, and a table holds its rows in the order that
@@ -72,6 +85,7 @@ import itertools
 import json
 import math
 import re
+from collections import OrderedDict
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -137,8 +151,11 @@ class ProblemOracle:
     @cached_property
     def decision_table(self) -> np.ndarray | None:
         """Every feasible decision as a read-only row, in the family's tie
-        order, looked up on the first solve and then, under ``__debug__``,
-        checked whole; None when the recurrence solves."""
+        order, looked up on the first solve; None when the recurrence solves."""
+        return self._derived("decision table", self._checked_table)
+
+    def _checked_table(self) -> np.ndarray | None:
+        """``_decision_table()``, checked whole under ``__debug__``."""
         table = self._decision_table()
         if __debug__ and table is not None:
             self._check_feasible(table, "row {} of the decision table")
@@ -146,6 +163,11 @@ class ProblemOracle:
 
     def _decision_table(self) -> np.ndarray | None:
         return None
+
+    def _derived(self, name: str, build):
+        """``build()``, for state that the instance data alone decide; a
+        family that shares such state between its oracles overrides this."""
+        return build()
 
     def _scan(self, table: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Per cost row, the first table row whose value is within ``tie_tol``
@@ -209,9 +231,52 @@ SIZE_TABLE_MAX_ENTRIES = 1 << 17
 # against 0.4 MB at this budget; Held-Karp ran fastest per row at this
 # budget (tsp13 5.1 ms against 6.8 ms at 1 << 20)
 CHUNK_VALUES = 1 << 16
+# float64 load values per DP chunk, 8 MB: per batch row, one best value per
+# load before each item. Per DP call at B = 32 on seed-0 spo+-like shifts,
+# 2 cores, 1 << 16 -> 1 << 18 -> 1 << 20: ks64 11-12 -> 5-6 -> 3.6-3.8 ms and
+# ks128 62-67 -> 19-20 -> 8.8-9.2 ms, at a tracemalloc peak of 0.5 -> 2.0 ->
+# 6.3 MB at ks128 (BENCH_25.json); every budget gives the same decisions
+KNAPSACK_DP_CHUNK_VALUES = 1 << 20
 
 
 # --- knapsack ---------------------------------------------------------------
+
+class _InstanceStore:
+    """Read-only state derived from knapsack instances, held for the whole
+    process: per instance key, the values built under each name. It holds
+    at most ``max_bytes`` of table and load-plan arrays and evicts the least
+    recently used instance first, so a value past the bound is built, handed
+    out and not kept."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.entries: OrderedDict[tuple, dict] = OrderedDict()
+        self.nbytes = 0
+
+    def held(self, key: tuple, name: str, build):
+        """The value of ``build()`` for ``key`` under ``name``, built once while held."""
+        entry = self.entries.setdefault(key, {})
+        self.entries.move_to_end(key)
+        if name not in entry:
+            entry[name] = build()
+            self.nbytes += _array_bytes(entry[name])
+            while self.nbytes > self.max_bytes:
+                _, evicted = self.entries.popitem(last=False)
+                self.nbytes -= sum(map(_array_bytes, evicted.values()))
+        return entry[name]
+
+
+def _array_bytes(value) -> int:
+    """Bytes of the arrays in a table or a load plan; 0 for anything else."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(map(_array_bytes, value))
+    return 0
+
+
+# the tables and load plans of knapsack instances: one table at the budget
+_KNAPSACK_STORE = _InstanceStore(8 * KNAPSACK_TABLE_MAX_ENTRIES)
 
 
 class KnapsackOracle(ProblemOracle):
@@ -237,16 +302,26 @@ class KnapsackOracle(ProblemOracle):
         super().__init__(f"ks{w.shape[1]}", w.shape[1])
         self.weights = frozen_array(w)
         self.capacities = frozen_array(cap)
+        self._instance = (w.shape, w.tobytes(), cap.tobytes())
+
+    def _derived(self, name: str, build):
+        """``build()``, once per instance and table budget in the process:
+        oracles of equal weights and capacities share it through
+        ``_KNAPSACK_STORE``. The budget is part of the key because it picks
+        the path a table lookup takes."""
+        key = (*self._instance, KNAPSACK_TABLE_MAX_ENTRIES)
+        return _KNAPSACK_STORE.held(key, name, build)
 
     @cached_property
     def relaxation(self) -> LinearProgram:
-        """Capacity rows ``weights x <= capacities``."""
-        return LinearProgram(self.weights, self.capacities, upper=np.ones(self.d))
+        """Capacity rows ``weights x <= capacities``, shared with its phase 1."""
+        return self._derived("relaxation", lambda: LinearProgram(
+            self.weights, self.capacities, upper=np.ones(self.d)))
 
     def _decision_table(self) -> np.ndarray | None:
         """Every feasible 0/1 decision as a row, in lexicographic order (x_0
-        most significant, 0 before 1), built on the first solve; None when it
-        would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is
+        most significant, 0 before 1), built on the first solve of the
+        instance; None when it would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is
         optimal within ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best
         value, and the scan takes the first such row: the empty set is row
         0, and a set that takes an item of non-positive cost is preceded by
@@ -278,6 +353,9 @@ class KnapsackOracle(ProblemOracle):
 
     @cached_property
     def _load_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
+        return self._derived("load plan", self._loads)
+
+    def _loads(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
         """The distinct remaining capacities (loads) that subsets reach,
         taken down item by item with the table's fit rule, so both paths
         see the same feasible sets. Per item j, the (skip, take) indices of
@@ -293,19 +371,23 @@ class KnapsackOracle(ProblemOracle):
             remaining, after = np.unique(grown, axis=0, return_inverse=True)
             take = np.full(len(fits), -1)
             take[fits] = after[len(fits):]
-            steps.append((after[:len(fits)], take))
+            skip = after[:len(fits)].copy()  # not a view: the store counts what it keeps
+            for arr in (skip, take):
+                arr.setflags(write=False)  # shared by every oracle of the instance
+            steps.append((skip, take))
         return tuple(steps), len(remaining)
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Optimal 0/1 selections, the lexicographically first in the tie
         band, by dynamic programming over ``_load_plan``, in chunks of
-        ``CHUNK_VALUES`` load values. A backward pass keeps, per load
-        before item j and batch row, the best value of items j on; a
+        ``KNAPSACK_DP_CHUNK_VALUES`` load values. A backward pass keeps, per
+        load before item j and batch row, the best value of items j on; a
         forward pass from the full capacity then skips each item whenever
         the best value without it still reaches the band, and takes it
         otherwise, so an item of non-positive cost is never taken."""
         steps, last_loads = self._load_plan
-        chunk = max(1, CHUNK_VALUES // (sum(len(skip) for skip, _ in steps) + last_loads))
+        loads = sum(len(skip) for skip, _ in steps) + last_loads
+        chunk = max(1, KNAPSACK_DP_CHUNK_VALUES // loads)
         x = np.zeros(costs.shape)
         for lo in range(0, len(costs), chunk):
             c = costs[lo:lo + chunk].T

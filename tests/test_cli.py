@@ -357,3 +357,14 @@ def test_experiment_rejects_a_repeated_or_empty_seed_list(tmp_path, capsys, seed
     assert code == 2
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("losses", ["", " , "], ids=["empty", "blank"])
+def test_experiment_rejects_an_empty_loss_list(tmp_path, capsys, losses):
+    # a loss list that parses to nothing used to write four files with no
+    # runs and exit 0; generate's config, which has no losses, stays valid
+    code = main(["experiment", "--problem", "sp3x3", "--losses", losses,
+                 "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
+    assert code == 2
+    assert capsys.readouterr().err == "error: losses is empty: a grid needs at least one loss\n"
+    assert not (tmp_path / "x").exists()

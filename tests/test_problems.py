@@ -186,6 +186,12 @@ def test_knapsack_dp_tie_breaking_is_frozen():
         costs = np.random.default_rng(oracle.d).integers(-2, 5, size=(6, oracle.d)) / 2.0
         x = oracle.solve_many(costs)
         assert [np.flatnonzero(row).tolist() for row in x] == items, name
+        # the same rows, 40 times over, in a batch of several DP chunks
+        steps, last_loads = oracle._load_plan
+        loads = sum(len(skip) for skip, _ in steps) + last_loads
+        assert 240 > 2 * (problems.KNAPSACK_DP_CHUNK_VALUES // loads)
+        x = oracle.solve_many(np.tile(costs, (40, 1)))
+        assert [np.flatnonzero(row).tolist() for row in x] == items * 40, name
 
 
 # --- grid shortest path -----------------------------------------------------
@@ -569,8 +575,15 @@ def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
             arr[(0,) * arr.ndim] = 0
 
 
+def fresh_knapsack_store(monkeypatch, max_bytes=1 << 22):
+    store = problems._InstanceStore(max_bytes)
+    monkeypatch.setattr(problems, "_KNAPSACK_STORE", store)
+    return store
+
+
 def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch):
-    # grid and tour rows depend on the size alone; a knapsack's are its weights
+    # grid and tour rows depend on the size alone; a knapsack's are its
+    # weights, so it shares them with the oracles of its instance
     problems._grid_relaxation.cache_clear()
     problems._tour_relaxation.cache_clear()
     real, runs = simplex_mod._phase_one, []
@@ -580,8 +593,11 @@ def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch)
         return real(lp)
 
     monkeypatch.setattr(simplex_mod, "_phase_one", recording)
+    fresh_knapsack_store(monkeypatch)
     for first, second, shared in [(ShortestPathOracle(3, 3), ShortestPathOracle(3, 3), True),
                                   (TspOracle(5), TspOracle(5), True),
+                                  (problem_from_name("ks8", seed=2),
+                                   problem_from_name("ks8", seed=2), True),
                                   (problem_from_name("ks8", seed=0),
                                    problem_from_name("ks8", seed=1), False)]:
         runs.clear()
@@ -590,6 +606,79 @@ def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch)
             assert solution.status is SolveStatus.OPTIMAL
         assert (first.relaxation is second.relaxation) is shared
         assert len(runs) == (1 if shared else 2)
+
+
+def test_oracles_of_one_knapsack_share_its_table_load_plan_and_relaxation(monkeypatch):
+    fresh_knapsack_store(monkeypatch)
+    first, second, other = (problem_from_name("ks16", seed=s) for s in (0, 0, 1))
+    again = KnapsackOracle(first.weights.tolist(), first.capacities.tolist())
+    for name in ("decision_table", "_load_plan", "relaxation"):
+        assert getattr(first, name) is getattr(second, name) is getattr(again, name), name
+        assert getattr(other, name) is not getattr(first, name), name
+    costs = np.random.default_rng(0).normal(1.0, 1.0, size=(20, first.d))
+    np.testing.assert_array_equal(first.solve_many(costs), second.solve_many(costs))
+    # every oracle keeps its own solve count
+    assert (first.solves, second.solves, other.solves) == (20, 20, 0)
+
+
+def test_knapsack_table_is_checked_once_per_instance(monkeypatch):
+    fresh_knapsack_store(monkeypatch)
+    real, checked = KnapsackOracle._check_feasible, []
+
+    def recording(self, decisions, row_name):
+        checked.append(row_name)
+        return real(self, decisions, row_name)
+
+    monkeypatch.setattr(KnapsackOracle, "_check_feasible", recording)
+    for _ in range(3):
+        problem_from_name("ks8", seed=0).decision_table
+    assert checked == (["row {} of the decision table"] if __debug__ else [])
+
+
+def test_solving_by_forces_either_knapsack_path_after_the_other(monkeypatch):
+    # the table budget is part of the store's key, so a table built past the
+    # budget does not reach an oracle under the default budget, nor the
+    # reverse; ks48 is past the budget and ks16 within it
+    fresh_knapsack_store(monkeypatch, max_bytes=np.inf)
+    for name, default in (("ks16", "table"), ("ks48", "recurrence")):
+        forced = "recurrence" if default == "table" else "table"
+        for path in (default, forced, default):
+            oracle = solving_by(problem_from_name(name, seed=0), path)
+            assert (oracle.decision_table is None) is (path == "recurrence"), name
+        plain = problem_from_name(name, seed=0)
+        assert (plain.decision_table is None) is (default == "recurrence"), name
+
+
+def test_knapsack_store_stays_within_its_bytes(monkeypatch):
+    # room for two or three ks16 tables (60-130 kB each on seeds 0-5)
+    store = fresh_knapsack_store(monkeypatch, max_bytes=320_000)
+    oracles = [problem_from_name("ks16", seed=s) for s in range(6)]
+    for oracle in oracles:
+        oracle.decision_table
+        held = [value for entry in store.entries.values() for value in entry.values()
+                if isinstance(value, np.ndarray)]
+        assert store.nbytes == sum(table.nbytes for table in held) <= store.max_bytes
+    assert 1 <= len(store.entries) < len(oracles)
+    # the most recent instance is held, the first was evicted and is rebuilt
+    assert problem_from_name("ks16", seed=5).decision_table is oracles[5].decision_table
+    rebuilt = problem_from_name("ks16", seed=0).decision_table
+    assert rebuilt is not oracles[0].decision_table
+    np.testing.assert_array_equal(rebuilt, oracles[0].decision_table)
+    # a value past the bound is handed out and not kept
+    tiny = fresh_knapsack_store(monkeypatch, max_bytes=1_000)
+    assert problem_from_name("ks16", seed=0).decision_table is not None
+    assert (tiny.nbytes, len(tiny.entries)) == (0, 0)
+
+
+def test_shared_knapsack_state_is_read_only(monkeypatch):
+    fresh_knapsack_store(monkeypatch)
+    oracle = problem_from_name("ks16", seed=0)
+    steps, _ = oracle._load_plan
+    arrays = [oracle.decision_table, *(arr for step in steps for arr in step),
+              oracle.relaxation.constraint_matrix, oracle.relaxation.rhs]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_held_karp_chunks_give_the_decisions_of_one_chunk(monkeypatch):
