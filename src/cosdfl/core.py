@@ -5,8 +5,8 @@ instances as columns: features, true costs and the solver-derived caches
 (optimal decisions, cost ranges, weights) are each one array with a row per
 instance, validated once at construction. Every type here is immutable
 after construction (arrays are frozen via ``setflags``); a cache is attached
-by filling rows of a copied array and building a new dataset, never by
-mutation.
+by filling rows of a copied array for ``Dataset.attach``, which checks
+that cache alone and shares every other array; never by mutation.
 """
 from __future__ import annotations
 
@@ -65,15 +65,11 @@ class Split:
     def __post_init__(self):
         for name in ("train", "val", "test"):
             object.__setattr__(self, name, tuple(int(i) for i in getattr(self, name)))
-        groups = (self.train, self.val, self.test)
-        seen: set[int] = set()
-        for group in groups:
-            for i in group:
-                if i < 0:
-                    raise ValueError("split indices must be non-negative")
-                if i in seen:
-                    raise ValueError(f"split index {i} appears in more than one part")
-                seen.add(i)
+        every = self.all_indices()
+        if len(set(every)) < len(every) or min(every, default=0) < 0:
+            i = next(i for j, i in enumerate(every) if i < 0 or i in every[:j])
+            raise ValueError(f"split index {i} is negative" if i < 0 else
+                             f"split index {i} appears in more than one part")
 
     def part(self, name: str) -> tuple[int, ...]:
         if name not in ("train", "val", "test"):
@@ -119,9 +115,9 @@ class Dataset:
     objective-coefficient ranges, and ``weights`` (n,) per-instance cost
     weights (the C weight or the baseline regret). A NaN row marks a cache
     that is not attached; NaN is never a valid value, while range bounds may
-    be +/-inf. Every array is validated once here, and an invalid row raises
-    an error naming its instance. Arrays are frozen; caches are attached by
-    building a new dataset from copies (``dataclasses.replace``).
+    be +/-inf. Every array given is validated once, and an invalid row raises
+    an error naming its instance; a cache not given is all NaN, unchecked.
+    Arrays are frozen; ``attach`` validates only the caches it attaches.
     """
 
     features: np.ndarray
@@ -141,33 +137,46 @@ class Dataset:
             raise DimensionMismatch(f"{costs.shape[0]} cost rows for {n} feature rows")
         _reject_rows(~np.isfinite(feats).all(axis=1), "non-finite features")
         _reject_rows(~np.isfinite(costs).all(axis=1), "non-finite costs")
-        caches = {}
-        for name in ("x_star", "lower", "upper"):
-            value = getattr(self, name)
-            caches[name] = (np.full((n, d), np.nan) if value is None
-                            else _matrix(value, name, width=d))
-            if caches[name].shape[0] != n:
-                raise DimensionMismatch(f"{name} has {caches[name].shape[0]} rows "
-                                        f"for {n} instances")
-        x = caches["x_star"]
-        caches["x_star"] = snapped = np.round(x)  # a NaN row stays NaN
-        _reject_rows(~np.isnan(x).all(axis=1) & _off_binary(x, snapped).any(axis=1),
-                     "an x_star that is not a 0/1 decision")
-        lo, hi = caches["lower"], caches["upper"]
-        unranged = np.isnan(lo).all(axis=1) & np.isnan(hi).all(axis=1)
-        _reject_rows(~unranged & (np.isnan(lo) | np.isnan(hi) | (lo > hi)).any(axis=1),
-                     "cost ranges with NaN or lower > upper")
-        weights = (np.full(n, np.nan) if self.weights is None
-                   else as_vector(self.weights, name="weights", length=n,
-                                  allow_nonfinite=True).copy())
-        _reject_rows(np.isinf(weights) | (weights < 0.0), "a negative or non-finite weight")
-        for i in self.split.all_indices():
-            if i >= n:
-                raise ValueError(f"split index {i} out of range for {n} instances")
-        for name, arr in (("features", feats), ("costs", costs), ("weights", weights),
-                          *caches.items()):
+        if outside := [i for i in self.split.all_indices() if i >= n]:
+            raise ValueError(f"split index {outside[0]} out of range for {n} instances")
+        given = {name: getattr(self, name) for name in ("x_star", "lower", "upper", "weights")
+                 if getattr(self, name) is not None}
+        unattached = np.full((n, d), np.nan)  # a cache not given: all NaN, unchecked
+        for name, arr in {"features": feats, "costs": costs, "x_star": unattached,
+                          "lower": unattached, "upper": unattached,
+                          "weights": np.full(n, np.nan)}.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        self.__dict__.update(self.attach(**given).__dict__)  # the given caches, checked
+
+    def attach(self, **caches) -> Dataset:
+        """This dataset with the named caches in place of its own, each checked
+        as the constructor checks it, X* snapped to 0/1, and every other array
+        shared: equal, field for field, to ``dataclasses.replace(self, **caches)``."""
+        checked = {}
+        for name, value in caches.items():
+            if name == "weights":
+                arr = as_vector(value, name=name, length=self.n, allow_nonfinite=True).copy()
+                _reject_rows(np.isinf(arr) | (arr < 0.0), "a negative or non-finite weight")
+            elif name not in ("x_star", "lower", "upper"):
+                raise TypeError(f"{name!r} is not a dataset cache")
+            elif (arr := _matrix(value, name, width=self.d)).shape[0] != self.n:
+                raise DimensionMismatch(f"{name} has {arr.shape[0]} rows "
+                                        f"for {self.n} instances")
+            if name == "x_star":
+                arr, x = np.round(arr), arr  # a NaN row stays NaN
+                _reject_rows(~np.isnan(x).all(axis=1) & _off_binary(x, arr).any(axis=1),
+                             "an x_star that is not a 0/1 decision")
+            arr.setflags(write=False)
+            checked[name] = arr
+        if "lower" in checked or "upper" in checked:
+            lo, hi = checked.get("lower", self.lower), checked.get("upper", self.upper)
+            unranged = np.isnan(lo).all(axis=1) & np.isnan(hi).all(axis=1)
+            _reject_rows(~unranged & (np.isnan(lo) | np.isnan(hi) | (lo > hi)).any(axis=1),
+                         "cost ranges with NaN or lower > upper")
+        attached = object.__new__(Dataset)
+        attached.__dict__.update(self.__dict__, **checked)
+        return attached
 
     @property
     def n(self) -> int:

@@ -39,7 +39,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ def attach_decisions(dataset: Dataset, problem: ProblemOracle,
                                           for i in dataset.split.part(split)])
     x_star = dataset.x_star.copy()
     x_star[missing] = problem.solve_many(dataset.costs[missing])
-    return replace(dataset, x_star=x_star)
+    return dataset.attach(x_star=x_star)
 
 
 def attach_ranges(dataset: Dataset, problem: ProblemOracle,
@@ -97,7 +97,7 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
                                f"{solution.status.value}")
         lower[i], upper[i] = solution.ranges
     problem.solves += len(missing)
-    return replace(dataset, lower=lower, upper=upper)
+    return dataset.attach(lower=lower, upper=upper)
 
 
 # --- configuration and reports ------------------------------------------------

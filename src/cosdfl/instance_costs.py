@@ -13,7 +13,7 @@ batched loss evaluation and one batched solve over the training split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,4 +112,4 @@ def apply_instance_costs(dataset: Dataset, values: Sequence[float]) -> Dataset:
         raise ValueError(f"expected {len(indices)} weights, got {len(values)}")
     weights = dataset.weights.copy()
     weights[list(indices)] = values
-    return replace(dataset, weights=weights)
+    return dataset.attach(weights=weights)

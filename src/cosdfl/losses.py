@@ -32,6 +32,7 @@ normalization Jacobian (I - u u') / ||c_hat||, u = c_hat / ||c_hat||.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -236,7 +237,8 @@ class LossData:
     Minimize) is safe on ``(lower, +inf)``, every other one on
     ``(-inf, upper)``, where lower and upper are the O_S cost range, or the
     true cost itself under O. ``tau`` is set only for a pinball-weighted
-    spec, ``x_star`` (X* itself) only for spo+. Which of these fields is None
+    spec, ``x_star`` (X* itself) and ``true_value`` (each row's objective
+    at X*, ``row_dots(true, x_star)``) only for spo+. Which of these fields is None
     decides, once per binding, which multiplies :func:`evaluate_loss_batch`
     makes: a mask, a pinball weight, a row weight, or none of them.
     """
@@ -249,6 +251,7 @@ class LossData:
     safe_hi: np.ndarray | None = None
     tau: np.ndarray | None = None
     x_star: np.ndarray | None = None
+    true_value: np.ndarray | None = None
 
 
 def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray | None:
@@ -293,6 +296,7 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
         x_star = dataset.x_star[indices]
     if spec.spo_plus:
         fields["x_star"] = x_star
+        fields["true_value"] = row_dots(true, x_star)
     elif spec.one_sided is not OneSidedMode.OFF:
         if spec.one_sided is OneSidedMode.SENSITIVITY:
             missing = dataset.uncached("lower", indices)
@@ -346,20 +350,21 @@ def _check_batch(predicted: np.ndarray, true: np.ndarray) -> None:
                                 f"(len(rows), d), got {np.shape(predicted)}")
 
 
-def check_finite(values: np.ndarray, gradients: np.ndarray, indices) -> None:
+def check_finite(values: np.ndarray, gradients: np.ndarray, indices, rows) -> None:
     """Raise NonFiniteGradient naming the first instance whose loss value or
-    gradient is NaN or infinite; ``indices`` gives each row's instance.
+    gradient is NaN or infinite; row b is instance ``indices[rows][b]``, with
+    ``rows`` an index array or a slice, gathered only to name a bad one.
 
     A NaN or infinite entry makes the sum of all entries NaN or infinite, so
     a finite sum clears the batch in two reductions. Only a non-finite sum,
     which finite entries can also reach by overflow, searches row by row.
     """
-    if np.isfinite(values.sum() + gradients.sum()):
+    if math.isfinite(np.add.reduce(values) + np.add.reduce(gradients, axis=None)):
         return
     bad = ~(np.isfinite(values) & np.isfinite(gradients).all(axis=1))
     if bad.any():
         raise NonFiniteGradient(f"loss or gradient of instance "
-                                f"{indices[int(np.argmax(bad))]} evaluated to a "
+                                f"{indices[rows][int(np.argmax(bad))]} evaluated to a "
                                 "non-finite value")
 
 
@@ -381,7 +386,7 @@ def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
     d = true.shape[1]
     any_zero = False
     if spec.scale_invariant:
-        norms = np.sqrt((predicted * predicted).sum(axis=1))
+        norms = np.sqrt(np.add.reduce(predicted * predicted, axis=1))
         zero = norms <= NORM_EPS
         any_zero = zero.any()
         if any_zero:
@@ -398,19 +403,19 @@ def evaluate_loss_batch(predicted: np.ndarray, data: LossData,
     if weights is not None:
         errors = weights * errors
         scale = scale * weights
-    values = errors.sum(axis=1)
+    values = np.add.reduce(errors, axis=1)
     grads = scale * derror
     if factor is not None:
         values = factor * values
     values /= d
     if spec.scale_invariant:
         # chain through the normalization Jacobian (I - u u') / ||c_hat||
-        grads = (grads - pred * (pred * grads).sum(axis=1)[:, None]) / norms[:, None]
+        grads = (grads - pred * np.add.reduce(pred * grads, axis=1)[:, None]) / norms[:, None]
     if any_zero:
         factor_zero = np.ones(zero.sum()) if factor is None else factor[zero]
         values[zero] = factor_zero * ZERO_PREDICTION_PENALTY / d
         grads[zero] = -factor_zero[:, None] * true[zero]
-    check_finite(values, grads, data.indices[rows])
+    check_finite(values, grads, data.indices, rows)
     return values, grads
 
 
@@ -420,7 +425,8 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
 
     Solves the problem at 2*predicted - true for every row in one
     ``solve_many`` call and compares against the sliced optimal decisions
-    X* of ``data`` (from :func:`stack_loss_data` with the spo+ spec). The
+    X* of ``data`` (from :func:`stack_loss_data` with the spo+ spec) and
+    their true objective values ``data.true_value``, bound once. The
     gradient is the standard subgradient +/- 2 (x(2c_hat - c) - x(c)). A
     ``predicted`` that is not (len(rows), d) raises DimensionMismatch.
     """
@@ -432,9 +438,9 @@ def spo_plus_batch(predicted: np.ndarray, data: LossData, rows,
     maximize = problem.sense is Sense.MAXIMIZE
     shift_value = row_dots(shifted, x_shift)
     pred_value = row_dots(predicted, x_star)
-    true_value = row_dots(true, x_star)
+    true_value = data.true_value[rows]
     values = (shift_value - 2.0 * pred_value + true_value if maximize
               else -shift_value + 2.0 * pred_value - true_value)
     grads = 2.0 * (x_shift - x_star) if maximize else 2.0 * (x_star - x_shift)
-    check_finite(values, grads, data.indices[rows])
+    check_finite(values, grads, data.indices, rows)
     return values, grads

@@ -207,34 +207,38 @@ class _PendingValidation:
 class _AdamState:
     """Adam's moments for one parameter array, updated in place.
 
-    Each step makes the textbook operations in their textbook order,
-    ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + ((1 - beta2) g) g`` and
-    ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, into preallocated
-    buffers, so the result is bit for bit that of the out-of-place form.
+    ``moments`` stacks m and v in one (2, *shape) array, and the decays,
+    gains, bias corrections and buffers are stacked alike at full size, so a
+    step is ten ufunc calls on equal shapes, each element taking the textbook
+    operations in their textbook order: ``m = beta1 m + (1 - beta1) g`` and
+    ``v = beta2 v + ((1 - beta2) g) g`` as one decay, one gain product, one
+    product by g of the v half and one sum, m_hat and v_hat as one quotient,
+    then ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``: bit for bit.
     """
 
     def __init__(self, shape):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.moments = np.zeros((2, *shape))
         self.t = 0
-        self._step = np.empty(shape)
-        self._denom = np.empty(shape)
+        self._decay = np.multiply.outer([ADAM_BETA1, ADAM_BETA2], np.ones(shape))
+        self._gain = 1.0 - self._decay
+        self._bias, self._scaled, self._hat = np.empty((3, 2, *shape))
+        self._halves = (*self._bias, self._scaled[1], *self._hat)  # read on their own
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        m, v, step, denom = self.m, self.v, self._step, self._denom
-        m *= ADAM_BETA1
-        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-        v *= ADAM_BETA2
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
-        v += np.multiply(step, grad, out=step)
-        np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=denom)
+        bias_m, bias_v, scaled_v, m_hat, denom = self._halves
+        self.moments *= self._decay
+        np.multiply(grad, self._gain, out=self._scaled)
+        scaled_v *= grad
+        self.moments += self._scaled
+        bias_m.fill(1.0 - ADAM_BETA1 ** self.t)
+        bias_v.fill(1.0 - ADAM_BETA2 ** self.t)
+        np.divide(self.moments, self._bias, out=self._hat)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=step)
-        step *= lr
-        step /= denom
-        params -= step
+        m_hat *= lr
+        m_hat /= denom
+        params -= m_hat
 
 
 def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainConfig,
@@ -308,7 +312,7 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                         loss_sum += value
                 else:
                     values, grads = evaluate_loss_batch(preds, data, batch)
-                    loss_sum += float(values.sum())
+                    loss_sum += float(np.add.reduce(values))
             except NonFiniteGradient as exc:
                 if pending is not None:
                     pending.score()  # an earlier epoch's validation error comes first

@@ -54,9 +54,9 @@ DP runs in chunks of ``KNAPSACK_DP_CHUNK_VALUES`` load values, a budget of
 its own. Under ``__debug__`` the decisions are checked against the
 constraint rows of ``relaxation`` in one array test, to
 ``FEASIBILITY_TOL``, the tolerance every knapsack load is held to, where
-they are made: a whole table when an oracle looks it up (a knapsack's when
-it is built), and each batch that a recurrence solves. A scan returns
-table rows only.
+they are made: a whole table when it is built (once per size or knapsack
+instance and process), and each batch that a recurrence solves. A scan
+returns table rows only.
 
 Ties are broken the same way on both paths, so repeated solves of tied
 instances are reproducible, and a table holds its rows in the order that
@@ -131,9 +131,10 @@ class ProblemOracle:
         if costs.ndim != 2 or costs.shape[1] != self.d:
             raise DimensionMismatch(f"costs must be a (B, {self.d}) batch, "
                                     f"got shape {costs.shape}")
-        finite = np.isfinite(costs).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"costs row {int(np.argmin(finite))} contains non-finite entries")
+        if not math.isfinite(np.add.reduce(costs, axis=None)):  # NaN, inf or overflow
+            finite = np.isfinite(costs).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"costs row {int(np.argmin(finite))} has non-finite entries")
         if costs.shape[0] == 0:
             return np.zeros(costs.shape)
         self.solves += costs.shape[0]
@@ -152,16 +153,10 @@ class ProblemOracle:
     def decision_table(self) -> np.ndarray | None:
         """Every feasible decision as a read-only row, in the family's tie
         order, looked up on the first solve; None when the recurrence solves."""
-        return self._derived("decision table", self._checked_table)
-
-    def _checked_table(self) -> np.ndarray | None:
-        """``_decision_table()``, checked whole under ``__debug__``."""
-        table = self._decision_table()
-        if __debug__ and table is not None:
-            self._check_feasible(table, "row {} of the decision table")
-        return table
+        return self._derived("decision table", self._decision_table)
 
     def _decision_table(self) -> np.ndarray | None:
+        """The table, checked whole under ``__debug__`` where it is built."""
         return None
 
     def _derived(self, name: str, build):
@@ -175,15 +170,15 @@ class ProblemOracle:
         decision the recurrence returns. A minimizing family scans the
         negated costs; with a band of 0 the first maximum is the pick."""
         signed = costs if self.sense is Sense.MAXIMIZE else -costs
-        x = np.empty(costs.shape)
+        picks = np.empty(len(costs), dtype=np.intp)
         chunk = max(1, CHUNK_VALUES // len(table))
         for lo in range(0, len(costs), chunk):
             values = signed[lo:lo + chunk] @ table.T
             if self.tie_tol:
                 best = values.max(axis=1, keepdims=True)
                 values = values >= best - self.tie_tol * np.maximum(1.0, np.abs(best))
-            x[lo:lo + chunk] = table[values.argmax(axis=1)]
-        return x
+            values.argmax(axis=1, out=picks[lo:lo + chunk])
+        return table[picks]
 
     @cached_property
     def _load_limits(self) -> np.ndarray:
@@ -349,6 +344,8 @@ class KnapsackOracle(ProblemOracle):
             start += len(parents)
         table = table[np.lexsort(table.T[::-1])]
         table.setflags(write=False)
+        if __debug__:
+            self._check_feasible(table, "row {} of the decision table")
         return table
 
     @cached_property
@@ -473,6 +470,8 @@ def _grid_table(rows: int, cols: int) -> np.ndarray:
     table[np.arange(len(picks))[:, None], arcs] = 1.0
     table = table[np.lexsort(table.T[::-1])]
     table.setflags(write=False)  # shared by every later oracle of the size
+    if __debug__:
+        ShortestPathOracle(rows, cols)._check_feasible(table, "row {} of the decision table")
     return table
 
 
@@ -597,6 +596,8 @@ def _tour_table(n: int) -> np.ndarray:
     tours = [(0,) + p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
     table = _tour_indicators(n, np.array(tours))
     table.setflags(write=False)  # shared by every later oracle of the size
+    if __debug__:
+        TspOracle(n)._check_feasible(table, "row {} of the decision table")
     return table
 
 

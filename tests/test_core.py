@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -238,6 +239,83 @@ def test_malformed_columns_name_the_instance(columns, error, message):
         return
     with pytest.raises(error, match=message):
         Dataset(**columns)
+
+
+def no_caches() -> Dataset:
+    columns = good_columns()
+    return Dataset(features=columns["features"], costs=columns["costs"],
+                   split=columns["split"])
+
+
+def assert_same_fields(a: Dataset, b: Dataset) -> None:
+    for field in dataclasses.fields(Dataset):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            assert np.array_equal(x, y, equal_nan=True), field.name
+            assert not x.flags.writeable and not y.flags.writeable, field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("name, row, value, error, message", [
+    ("x_star", 1, [1.0, 0.5, 0.0], ValueError, "instance 1 has an x_star"),
+    ("x_star", 0, [np.nan, 1.0, 0.0], ValueError, "instance 0 has an x_star"),
+    ("lower", 1, [0.0, np.nan, 0.0], ValueError, "instance 1 has cost ranges"),
+    ("upper", 2, [1.0, -1.0, 1.0], ValueError, "instance 2 has cost ranges"),
+    ("weights", 1, -0.5, ValueError, "instance 1 has a negative"),
+    ("weights", 0, np.inf, ValueError, "instance 0 has a negative or non-finite"),
+    ("x_star", 2, [1.0, 0.0], DimensionMismatch, "instance 2"),
+    ("lower", 0, [0.0, 0.0, 0.0, 0.0], DimensionMismatch, "instance 0"),
+])
+def test_attaching_a_bad_cache_raises_the_constructors_error(name, row, value, error,
+                                                            message):
+    columns = with_row(name, row, value)
+    with pytest.raises(error, match=message) as built:
+        Dataset(**columns)
+    caches = ({"lower": columns["lower"], "upper": columns["upper"]}
+              if name in ("lower", "upper") else {name: columns[name]})
+    with pytest.raises(error, match=message) as attached:
+        no_caches().attach(**caches)
+    assert str(attached.value) == str(built.value)
+
+
+def test_attaching_one_range_bound_checks_it_against_the_other():
+    ranged = no_caches().attach(lower=np.zeros((3, 3)), upper=np.ones((3, 3)))
+    upper = np.ones((3, 3))
+    upper[2, 1] = -1.0
+    with pytest.raises(ValueError, match="instance 2 has cost ranges"):
+        ranged.attach(upper=upper)
+    with pytest.raises(ValueError, match="instance 0 has cost ranges"):
+        no_caches().attach(lower=np.zeros((3, 3)))  # against an unattached upper
+    with pytest.raises(DimensionMismatch, match="weights must have length 3"):
+        no_caches().attach(weights=np.ones(2))
+
+
+def test_an_attached_dataset_equals_the_replaced_one_field_for_field():
+    columns = good_columns()
+    caches = {name: columns[name] for name in ("x_star", "lower", "upper", "weights")}
+    attached = replaced = no_caches()
+    for names in (("x_star",), ("lower", "upper"), ("weights",)):
+        step = {name: caches[name] for name in names}
+        attached, replaced = attached.attach(**step), dataclasses.replace(replaced, **step)
+        assert_same_fields(attached, replaced)
+    assert_same_fields(attached, Dataset(**columns))
+    # an attached cache is a frozen copy: the caller's array stays writable
+    weights = np.array([1.0, 2.0, 3.0])
+    assert no_caches().attach(weights=weights).weights is not weights
+    assert weights.flags.writeable
+
+
+@pytest.mark.parametrize("parts, message", [
+    (dict(train=(0, 1), val=(1,)), "split index 1 appears in more than one part"),
+    (dict(train=(0, -2), test=(0,)), "split index -2 is negative"),
+    (dict(train=(3, 0), val=(5,), test=(0, -1)), "split index 0 appears"),
+    (dict(train=(4,), val=(-1,), test=(-3, 4)), "split index -1 is negative"),
+])
+def test_split_names_its_first_bad_index(parts, message):
+    with pytest.raises(ValueError, match=message):
+        Split(**parts)
 
 
 def test_binary_x_star_snaps_and_a_nan_row_marks_no_cache():

@@ -8,10 +8,21 @@ The files under ``tests/golden/<problem>/`` were written by
         --deterministic-output --out-dir tests/golden/<problem>
 
 for each of sp3x3, ks8 and tsp5 (``config.json`` and ``pareto.csv`` are not
-kept). ``runs.json`` carries ``best_val_loss`` in ``repr`` form, so a change
-to the LP cost ranges of the O_S losses shows up here. A change that moves
-these outputs on purpose regenerates the files with the command above and
-says so in CHANGES.md.
+kept). Those runs train 30 rows in one mini-batch per epoch, so the files
+under ``tests/golden/<problem>_multibatch/`` were written by
+
+    cosdfl experiment --problem <problem> \
+        --losses mse,mae+o+s,mse+o_s+s,mse+c+s,lawless:0.2,spo+ \
+        --seeds 0,1 --n-train 70 --n-val 10 --n-test 20 --epochs 4 \
+        --batch-size 16 --deterministic-output \
+        --out-dir tests/golden/<problem>_multibatch
+
+for sp3x3 and ks8: 70 rows in batches of 16 (80 for spo+, which trains on
+the validation rows too) give several mini-batches per epoch and a short
+last one. ``runs.json`` carries ``best_val_loss`` in ``repr`` form, so a
+change to the LP cost ranges of the O_S losses shows up here. A change that
+moves these outputs on purpose regenerates the files with the commands
+above and says so in CHANGES.md.
 """
 import os
 import subprocess
@@ -25,6 +36,7 @@ from cosdfl.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 LOSSES = "mse,mse+o_s+s,mae+o_s,mse+c+o+s,lawless:0.5,spo+"
+MULTIBATCH_LOSSES = "mse,mae+o+s,mse+o_s+s,mse+c+s,lawless:0.2,spo+"
 
 
 def golden_args(problem: str, out: Path) -> list[str]:
@@ -34,15 +46,28 @@ def golden_args(problem: str, out: Path) -> list[str]:
             "--out-dir", str(out)]
 
 
-def assert_golden(problem: str, out: Path) -> None:
+def multibatch_args(problem: str, out: Path) -> list[str]:
+    return ["experiment", "--problem", problem, "--losses", MULTIBATCH_LOSSES,
+            "--seeds", "0,1", "--n-train", "70", "--n-val", "10",
+            "--n-test", "20", "--epochs", "4", "--batch-size", "16",
+            "--deterministic-output", "--out-dir", str(out)]
+
+
+def assert_golden(golden: str, out: Path) -> None:
     for name in ("results.csv", "runs.json"):
-        assert (out / name).read_bytes() == (GOLDEN / problem / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDEN / golden / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("problem", ["sp3x3", "ks8", "tsp5"])
 def test_deterministic_outputs_match_golden(tmp_path, problem):
     assert main(golden_args(problem, tmp_path)) == 0
     assert_golden(problem, tmp_path)
+
+
+@pytest.mark.parametrize("problem", ["sp3x3", "ks8"])
+def test_multibatch_outputs_match_golden(tmp_path, problem):
+    assert main(multibatch_args(problem, tmp_path)) == 0
+    assert_golden(f"{problem}_multibatch", tmp_path)
 
 
 def test_golden_outputs_do_not_depend_on_debug_checks(tmp_path):

@@ -141,19 +141,29 @@ def test_normalize_frozen_and_zero_rejection():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_check_finite_names_the_first_bad_instance_past_the_sum_test():
+    rows = slice(None)
     indices = np.array([10, 11, 12, 13])
     values, grads = np.ones(4), np.ones((4, 3))
     # +inf in one row and -inf in another sum to NaN, not to an infinity
     opposite = values.copy()
     opposite[1], opposite[3] = np.inf, -np.inf
     with pytest.raises(NonFiniteGradient, match="instance 11 "):
-        check_finite(opposite, grads, indices)
+        check_finite(opposite, grads, indices, rows)
     nan_grad = grads.copy()
     nan_grad[2, 1] = np.nan
     with pytest.raises(NonFiniteGradient, match="instance 12 "):
-        check_finite(values, nan_grad, indices)
+        check_finite(values, nan_grad, indices, rows)
     # finite entries whose sum overflows to inf are not an error
-    check_finite(np.full(4, 1e308), np.full((4, 3), -1e308), indices)
+    check_finite(np.full(4, 1e308), np.full((4, 3), -1e308), indices, rows)
+
+
+def test_check_finite_reads_each_rows_instance_through_rows():
+    indices = np.array([10, 11, 12, 13, 14])
+    values = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(NonFiniteGradient, match="instance 11 "):
+        check_finite(values, np.ones((3, 2)), indices, np.array([4, 1, 0]))
+    with pytest.raises(NonFiniteGradient, match="instance 13 "):
+        check_finite(values, np.ones((3, 2)), indices, slice(2, 5))
 
 
 # --- one-sided masks --------------------------------------------------------------

@@ -17,7 +17,7 @@ from cosdfl.problems import make_knapsack, problem_from_name
 
 import cosdfl.model as model_mod
 
-from brute import brute_solver_free_train, brute_spo_plus_train
+from brute import _adam_step, brute_solver_free_train, brute_spo_plus_train
 
 
 # the problem the linear datasets are trained for; its sense orients the
@@ -347,3 +347,22 @@ def test_sgd_optimizer_path():
 def test_linear_model_validation():
     with pytest.raises(Exception):
         LinearModel(weights=np.zeros((2, 3)), bias=np.zeros(5))
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (7,)])
+def test_adam_state_equals_the_out_of_place_step_at_every_step(shape):
+    # (d, k + 1) as training steps it, and a 1-d array; gradients from 1e-300
+    # to 1e150 in magnitude, with random signs and zeros
+    rng = np.random.default_rng(26)
+    config = SimpleNamespace(learning_rate=0.005)
+    adam = model_mod._AdamState(shape)
+    params = rng.normal(size=shape)
+    reference, state = params.copy(), (np.zeros(shape), np.zeros(shape))
+    for t in range(1, 1201):
+        grad = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 150, size=shape)
+        grad[rng.random(shape) < 0.1] = 0.0
+        adam.step(params, grad, config.learning_rate)
+        state, step = _adam_step(state, grad, config, t)
+        reference -= step
+        assert np.array_equal(params, reference), f"step {t}"
+        assert np.array_equal(adam.moments, np.stack(state)), f"step {t}"

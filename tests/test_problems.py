@@ -621,17 +621,36 @@ def test_oracles_of_one_knapsack_share_its_table_load_plan_and_relaxation(monkey
     assert (first.solves, second.solves, other.solves) == (20, 20, 0)
 
 
-def test_knapsack_table_is_checked_once_per_instance(monkeypatch):
-    fresh_knapsack_store(monkeypatch)
-    real, checked = KnapsackOracle._check_feasible, []
+def recording_checks(monkeypatch, family) -> list[str]:
+    """The row names of every ``_check_feasible`` call on a ``family`` oracle."""
+    real, checked = family._check_feasible, []
 
     def recording(self, decisions, row_name):
         checked.append(row_name)
         return real(self, decisions, row_name)
 
-    monkeypatch.setattr(KnapsackOracle, "_check_feasible", recording)
+    monkeypatch.setattr(family, "_check_feasible", recording)
+    return checked
+
+
+def test_knapsack_table_is_checked_once_per_instance(monkeypatch):
+    fresh_knapsack_store(monkeypatch)
+    checked = recording_checks(monkeypatch, KnapsackOracle)
     for _ in range(3):
         problem_from_name("ks8", seed=0).decision_table
+    assert checked == (["row {} of the decision table"] if __debug__ else [])
+
+
+@pytest.mark.parametrize("name, family, builder", [
+    ("sp3x4", ShortestPathOracle, "_grid_table"),
+    ("tsp6", TspOracle, "_tour_table"),
+])
+def test_size_table_is_checked_once_per_size(monkeypatch, name, family, builder):
+    getattr(problems, builder).cache_clear()
+    checked = recording_checks(monkeypatch, family)
+    for _ in range(3):
+        oracle = problem_from_name(name)
+        oracle.solve_many(np.ones((2, oracle.d)))
     assert checked == (["row {} of the decision table"] if __debug__ else [])
 
 
@@ -721,24 +740,15 @@ class OneBadRowOracle(ShortestPathOracle):
         return x
 
 
-class ArcShortTableOracle(ShortestPathOracle):
-    """Looks up a table whose path in row 3 lost its first arc."""
-
-    def _decision_table(self):
-        table = problems._grid_table(self.rows, self.cols).copy()
-        table[3, table[3].argmax()] = 0.0
-        return table
-
-
 def test_batched_feasibility_check_names_the_infeasible_row():
     costs = np.random.default_rng(0).uniform(1.0, 2.0, size=(5, 17))
     with pytest.raises(AssertionError, match="sp3x4: solved row 2 of the batch"):
         solving_by(OneBadRowOracle(3, 4), "recurrence").solve_many(costs)
-    # a table is checked whole when it is looked up, before any solve
-    oracle = ArcShortTableOracle(3, 4)
+    # a table is checked whole where it is built, before any solve; here,
+    # one whose path in row 3 lost its first arc
+    table = problems._grid_table(3, 4).copy()
+    table[3, table[3].argmax()] = 0.0
     with pytest.raises(AssertionError, match="sp3x4: row 3 of the decision table"):
-        oracle.decision_table
-    with pytest.raises(AssertionError, match="sp3x4: row 3 of the decision table"):
-        oracle.solve_many(costs)
+        ShortestPathOracle(3, 4)._check_feasible(table, "row {} of the decision table")
     for path in PATHS:  # the intact oracle passes
         solving_by(ShortestPathOracle(3, 4), path).solve_many(costs)
