@@ -3,13 +3,10 @@
 Each grid cell is self-contained: it builds its own problem oracle and
 dataset from the cell seed, precomputes exactly the caches its loss needs
 (counting the solver calls spent), trains, and evaluates test regret. Cells
-share only read-only data that no cost decides: the grid and TSP solvers'
-index plans, decision tables and LP relaxations, once per size, and each
-knapsack instance's decision table, load plan and LP relaxation, once per
-instance while ``problems``' knapsack store holds it. ``run_experiment``
-runs the cells seed-major, so every cell of a seed's knapsack runs while
-it is held. Every solve still runs and is counted by the cell's own
-oracle. Solver calls are attributed to four phases:
+share only the oracles' read-only derived state, which no cost decides
+(the ``problems`` module docstring says what is held and for how long).
+Every solve still runs and is counted by the cell's own oracle. Solver
+calls are attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -20,12 +17,11 @@ Each phase count is the change of the integer ``problem.solves`` across
 that phase, read by ``SolveCounts.phase`` and nowhere else. Only two places
 advance it: the oracle's ``solve_many``, by one per cost row, and
 ``attach_ranges``, by one per LP solve. Each LP solve is one ``solve_lp``
-call on the problem's cached ``relaxation``, which returns the vertex
-together with its cost ranges. The relaxation runs phase 1 of the
-simplex on its first solve, so once per instance for a knapsack and once
-per size and process for the grid and the TSP; every call runs phase 2 and
-the ranging (about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2
-cores with numpy 2.4). Data generation and test-set evaluation happen
+call on the problem's ``relaxation``, which returns the vertex together
+with its cost ranges. The relaxation runs phase 1 of the simplex on its
+first solve and keeps the start; every call runs phase 2 and the ranging
+(about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2 cores with
+numpy 2.4). Data generation and test-set evaluation happen
 outside the phases and are not counted (the latter is identical for every
 loss). Cells run one after another, seed by seed, and reports come back
 in (loss, seed) order, so re-running a config reproduces results exactly;

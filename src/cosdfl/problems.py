@@ -8,24 +8,32 @@ oracles solve exactly; a TSP oracle solves exactly up to
 ``HELD_KARP_MAX_NODES`` nodes and by a nearest-neighbor/2-opt heuristic
 above, and ``exact`` says which. Every oracle counts its solves and exposes
 its box-relaxed linear program, for sensitivity analysis, as
-``problem.relaxation``, built on first use: once per size and process for
-the grid and the TSP, whose rows depend on the size alone, and once per
-instance for a knapsack, whose rows are its weights; so phase 1 runs once.
+``problem.relaxation``. Which arc or edge each grid or TSP cost index names
+is stated once, in the index plans ``_arc_plan`` and ``_tour_plan``, which
+the recurrences, the tables and the relaxations all read.
 
-A knapsack's other derived state depends on its weights and capacities
-alone, never on costs: its decision table and its load plan. With its
-relaxation, they are built once per instance and process and held in
-``_KNAPSACK_STORE``, keyed on the weights, the capacities and the table
-budget in effect, and shared read-only by every oracle of the instance,
-each of which keeps its own ``solves``. The store holds at most one table
-at ``KNAPSACK_TABLE_MAX_ENTRIES`` (4 MB) of tables and plans and evicts
-the least recently used instance first; ``harness.run_experiment`` runs a
-grid's cells seed-major, so all the cells of an instance run while it is
-held.
-
-Which arc or edge each grid or TSP cost index names is stated once, in the
-index plans ``_grid_arc_plan`` and ``_tour_plan``, which the recurrences,
-the tables and the relaxations all read.
+An oracle's derived state (its relaxation, decision table and index plans)
+depends on its instance alone, never on costs: on the size for a grid or a
+TSP, on the weights and capacities for a knapsack. It is built on first use
+and held in one process-wide store, ``_STORE``, keyed on the family, the
+instance and the table budgets in effect (a budget decides whether a table
+exists). Every oracle of the instance shares it read-only, keeps its own
+reference for its life, and keeps its own ``solves``. The store holds at
+most ``8 * KNAPSACK_TABLE_MAX_ENTRIES`` bytes (4 MB, one knapsack table at
+the budget), counting every array and each relaxation's full footprint:
+its constraint set and the phase-1 start it keeps after its first solve
+(``LinearProgram.nbytes``, in closed form, so counting runs no LP). It
+evicts the least recently used instance first; a value past the bound on
+its own is built, handed out and not kept. So the cells of a grid, and later
+benchmark passes over the same instance or size, look the state up:
+``harness.run_experiment`` runs a grid's cells seed-major, so all the
+cells of a knapsack instance run while it is held, and both benchmark
+workloads fit (0.13 MB, and 1.1 MB for spo-inloop at seed 0) and evict
+nothing. The trade is at large sizes: sp15x15's 9.0 MB phase-1 start,
+sp20x20's 28.9 MB start with its 4.85 MB constraint matrix and tsp50's
+27.1 MB start are not kept, so their phase 1 runs once per ranging cell
+rather than once per process (0.98, 0.57 and 0.10 s on a 2-core machine,
+where a sp20x20 ``mse+o_s+s`` cell takes 71 s).
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves, by one of two paths. When the
@@ -34,11 +42,9 @@ family's tie order, ``solve_many`` scores the batch against it (C @ T.T, in
 chunks of ``CHUNK_VALUES``) and takes, per row, the first table row
 in the tie band of the best value. A table is looked up on the first solve,
 never in ``__init__``, and kept under two budgets of table entries (rows x
-d). A knapsack builds its own (its rows are its weights) within
-``KNAPSACK_TABLE_MAX_ENTRIES``, which takes ks8-ks32 at the generator's
-settings. Grid and exact-TSP tables depend on the size alone, are built
-once per size and process and shared read-only, within
-``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
+d). A knapsack's table lies within ``KNAPSACK_TABLE_MAX_ENTRIES``, which
+takes ks8-ks32 at the generator's settings; grid and exact-TSP tables lie
+within ``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
 path and tour counts are known in closed form, so nothing is built past
 the budget. Otherwise the family's recurrence, ``_solve_many``, solves:
 the knapsack DP over the distinct remaining capacities that subsets reach,
@@ -46,17 +52,16 @@ item by item, one backward pass for the best values and one forward pass
 for the decisions; the grid DP over anti-diagonals of nodes (r + c = k,
 sink first), rebuilding the paths in rows + cols - 2 forward steps;
 Held-Karp one popcount layer of subsets at a time, then one backtrack step
-per tour position; the TSP heuristic row by row. The recurrences' index
-plans are cached: the knapsack's loads per item once per instance, and the
+per tour position; the TSP heuristic row by row. The recurrences read
+index plans held like the tables: the knapsack's loads per item, the
 grid's arc indices per diagonal, Held-Karp's layers with their predecessor
-masks and the TSP edge slots once per size, like the tables. The knapsack
-DP runs in chunks of ``KNAPSACK_DP_CHUNK_VALUES`` load values, a budget of
-its own. Under ``__debug__`` the decisions are checked against the
-constraint rows of ``relaxation`` in one array test, to
-``FEASIBILITY_TOL``, the tolerance every knapsack load is held to, where
-they are made: a whole table when it is built (once per size or knapsack
-instance and process), and each batch that a recurrence solves. A scan
-returns table rows only.
+masks and the TSP edge slots. The knapsack DP runs in chunks of
+``KNAPSACK_DP_CHUNK_VALUES`` load values, a budget of its own. Under
+``__debug__`` the decisions are checked against the constraint rows of
+``relaxation`` in one array test, to ``FEASIBILITY_TOL``, the tolerance
+every knapsack load is held to, where they are made: a whole table when it
+is built, once per store key, and each batch that a recurrence solves. A
+scan returns table rows only.
 
 Ties are broken the same way on both paths, so repeated solves of tied
 instances are reproducible, and a table holds its rows in the order that
@@ -86,7 +91,7 @@ import json
 import math
 import re
 from collections import OrderedDict
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -101,15 +106,24 @@ FEASIBILITY_TOL = 1e-9
 KNAPSACK_TIE_TOL = 1e-9  # values this fraction of max(1, |best|) below the best tie
 
 
+def _shared(build):
+    """A cached property whose value, ``build(oracle)``, every oracle of the
+    instance shares through ``_derived``, under the property's name."""
+    prop = cached_property(lambda oracle: oracle._derived(build.__name__, lambda: build(oracle)))
+    prop.__doc__ = build.__doc__
+    return prop
+
+
 class ProblemOracle:
     """Base oracle: counts solves, checks feasibility, exposes the relaxation.
 
     A family validates its instance data in ``__init__``, passes its name
-    and cost dimension ``d`` up, gives its ``relaxation`` and implements
-    ``_solve_many``, its recurrence, on a validated (B, d) cost batch. A
-    family whose feasible decisions are few enough also gives a table
-    (``_decision_table``), which ``solve_many`` scans in place of the
-    recurrence.
+    and cost dimension ``d`` up, sets ``_instance``, gives its
+    ``relaxation`` and implements ``_solve_many``, its recurrence, on a
+    validated (B, d) cost batch. A family whose feasible decisions are few
+    enough also gives a table (``_decision_table``), which ``solve_many``
+    scans in place of the recurrence. The module docstring says how derived
+    state is shared.
 
     ``solves`` is the package's one solve count, never reset; see
     ``harness`` for what advances it and ``SolveCounts.phase`` for its reader.
@@ -119,6 +133,7 @@ class ProblemOracle:
     relaxation: LinearProgram  # the LP relaxation ``Ax <= b, 0 <= x <= 1``
     exact: bool = True
     tie_tol: float = 0.0  # the table scan's tie band, relative to max(1, |best|)
+    _instance: tuple  # the instance data that the derived state depends on
 
     def __init__(self, name: str, d: int) -> None:
         self.name = name
@@ -149,20 +164,26 @@ class ProblemOracle:
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @cached_property
+    @_shared
     def decision_table(self) -> np.ndarray | None:
         """Every feasible decision as a read-only row, in the family's tie
-        order, looked up on the first solve; None when the recurrence solves."""
-        return self._derived("decision table", self._decision_table)
+        order, looked up on the first solve and checked whole under
+        ``__debug__`` where it is built; None when the recurrence solves."""
+        table = self._decision_table()
+        if table is not None:
+            table.setflags(write=False)
+            if __debug__:
+                self._check_feasible(table, "row {} of the decision table")
+        return table
 
     def _decision_table(self) -> np.ndarray | None:
-        """The table, checked whole under ``__debug__`` where it is built."""
         return None
 
     def _derived(self, name: str, build):
-        """``build()``, for state that the instance data alone decide; a
-        family that shares such state between its oracles overrides this."""
-        return build()
+        """``build()``, held in ``_STORE`` for every oracle of the instance
+        under the table budgets in effect, which decide whether a table exists."""
+        key = (type(self), self._instance, KNAPSACK_TABLE_MAX_ENTRIES, SIZE_TABLE_MAX_ENTRIES)
+        return _STORE.held(key, name, build)
 
     def _scan(self, table: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Per cost row, the first table row whose value is within ``tie_tol``
@@ -202,7 +223,7 @@ def _equality_relaxation(a: np.ndarray, b: np.ndarray) -> LinearProgram:
                          np.stack([b, -b], axis=1).ravel(), upper=np.ones(a.shape[1]))
 
 
-# --- decision tables ---------------------------------------------------------
+# --- decision tables and the store ------------------------------------------
 
 # Knapsacks whose feasible decisions fit in this many table entries (subsets
 # x items) solve by table scan, larger ones by the DP. Per solve_many call
@@ -234,14 +255,12 @@ CHUNK_VALUES = 1 << 16
 KNAPSACK_DP_CHUNK_VALUES = 1 << 20
 
 
-# --- knapsack ---------------------------------------------------------------
-
 class _InstanceStore:
-    """Read-only state derived from knapsack instances, held for the whole
-    process: per instance key, the values built under each name. It holds
-    at most ``max_bytes`` of table and load-plan arrays and evicts the least
-    recently used instance first, so a value past the bound is built, handed
-    out and not kept."""
+    """Read-only state derived from oracle instances, held for the whole
+    process: per key, the values built under each name. It holds at most
+    ``max_bytes``, as ``_nbytes`` counts them, and evicts the least recently
+    used key first. A value past the bound on its own is built, handed out
+    and not kept, and evicts nothing."""
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
@@ -250,34 +269,41 @@ class _InstanceStore:
 
     def held(self, key: tuple, name: str, build):
         """The value of ``build()`` for ``key`` under ``name``, built once while held."""
-        entry = self.entries.setdefault(key, {})
-        self.entries.move_to_end(key)
+        entry = self.entries.get(key, {})
         if name not in entry:
-            entry[name] = build()
-            self.nbytes += _array_bytes(entry[name])
-            while self.nbytes > self.max_bytes:
-                _, evicted = self.entries.popitem(last=False)
-                self.nbytes -= sum(map(_array_bytes, evicted.values()))
+            value = build()  # which may look up, or evict, other names of the key
+            size = _nbytes(value)
+            if size > self.max_bytes:
+                return value
+            entry = self.entries.setdefault(key, {})
+            entry[name] = value
+            self.nbytes += size
+        self.entries.move_to_end(key)
+        while self.nbytes > self.max_bytes:
+            _, evicted = self.entries.popitem(last=False)
+            self.nbytes -= sum(map(_nbytes, evicted.values()))
         return entry[name]
 
 
-def _array_bytes(value) -> int:
-    """Bytes of the arrays in a table or a load plan; 0 for anything else."""
-    if isinstance(value, np.ndarray):
+def _nbytes(value) -> int:
+    """Bytes of the arrays in a stored value, and of a relaxation with the
+    phase-1 start it keeps once solved; 0 for anything else."""
+    if isinstance(value, (np.ndarray, LinearProgram)):
         return value.nbytes
     if isinstance(value, tuple):
-        return sum(map(_array_bytes, value))
+        return sum(map(_nbytes, value))
     return 0
 
 
-# the tables and load plans of knapsack instances: one table at the budget
-_KNAPSACK_STORE = _InstanceStore(8 * KNAPSACK_TABLE_MAX_ENTRIES)
+_STORE = _InstanceStore(8 * KNAPSACK_TABLE_MAX_ENTRIES)  # one knapsack table at the budget
 
+
+# --- knapsack ---------------------------------------------------------------
 
 class KnapsackOracle(ProblemOracle):
     """0/1 knapsack with q resource dimensions: maximize c'x, Wx <= cap.
 
-    ``weights`` is a non-negative (q, d) matrix and ``capacities`` a
+    ``weights`` is a finite, non-negative (q, d) matrix and ``capacities`` a
     non-negative (q,) vector; the oracle is named ``ks{d}``. A set fits when
     each load is at most its capacity plus ``FEASIBILITY_TOL``.
     """
@@ -292,6 +318,8 @@ class KnapsackOracle(ProblemOracle):
         if w.shape[1] < 1:
             raise ValueError("a knapsack needs at least 1 item")
         cap = as_vector(capacities, name="capacities", length=w.shape[0])
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite entries")
         if np.any(w < 0) or np.any(cap < 0):
             raise ValueError("weights and capacities must be non-negative")
         super().__init__(f"ks{w.shape[1]}", w.shape[1])
@@ -299,28 +327,19 @@ class KnapsackOracle(ProblemOracle):
         self.capacities = frozen_array(cap)
         self._instance = (w.shape, w.tobytes(), cap.tobytes())
 
-    def _derived(self, name: str, build):
-        """``build()``, once per instance and table budget in the process:
-        oracles of equal weights and capacities share it through
-        ``_KNAPSACK_STORE``. The budget is part of the key because it picks
-        the path a table lookup takes."""
-        key = (*self._instance, KNAPSACK_TABLE_MAX_ENTRIES)
-        return _KNAPSACK_STORE.held(key, name, build)
-
-    @cached_property
+    @_shared
     def relaxation(self) -> LinearProgram:
-        """Capacity rows ``weights x <= capacities``, shared with its phase 1."""
-        return self._derived("relaxation", lambda: LinearProgram(
-            self.weights, self.capacities, upper=np.ones(self.d)))
+        """Capacity rows ``weights x <= capacities``."""
+        return LinearProgram(self.weights, self.capacities, upper=np.ones(self.d))
 
     def _decision_table(self) -> np.ndarray | None:
         """Every feasible 0/1 decision as a row, in lexicographic order (x_0
-        most significant, 0 before 1), built on the first solve of the
-        instance; None when it would pass ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is
-        optimal within ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best
-        value, and the scan takes the first such row: the empty set is row
-        0, and a set that takes an item of non-positive cost is preceded by
-        the same set without it.
+        most significant, 0 before 1); None when it would pass
+        ``KNAPSACK_TABLE_MAX_ENTRIES`` entries. A decision is optimal within
+        ``KNAPSACK_TIE_TOL`` * max(1, |best|) of the best value, and the
+        scan takes the first such row: the empty set is row 0, and a set
+        that takes an item of non-positive cost is preceded by the same set
+        without it.
 
         Subsets grow item by item in index order, each taking the remaining
         capacity down one item at a time, as ``_load_plan`` does. Only the
@@ -342,17 +361,10 @@ class KnapsackOracle(ProblemOracle):
             table[start:start + len(parents)] = table[parents]
             table[start:start + len(parents), j] = 1.0
             start += len(parents)
-        table = table[np.lexsort(table.T[::-1])]
-        table.setflags(write=False)
-        if __debug__:
-            self._check_feasible(table, "row {} of the decision table")
-        return table
+        return table[np.lexsort(table.T[::-1])]
 
-    @cached_property
+    @_shared
     def _load_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
-        return self._derived("load plan", self._loads)
-
-    def _loads(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
         """The distinct remaining capacities (loads) that subsets reach,
         taken down item by item with the table's fit rule, so both paths
         see the same feasible sets. Per item j, the (skip, take) indices of
@@ -415,72 +427,12 @@ class KnapsackOracle(ProblemOracle):
 
 # --- grid shortest path -----------------------------------------------------
 
-def _grid_arcs(rows: int, cols: int) -> int:
-    """The cost dimension of a grid: its east arcs, then its south arcs."""
-    return rows * (cols - 1) + (rows - 1) * cols
-
-
-@lru_cache(maxsize=None)
-def _grid_arc_plan(rows: int, cols: int) -> np.ndarray:
-    """(2, rows, rows + cols - 1) arc indices of a grid in the skewed layout:
-    node (r, c) sits at [:, r, r + c], its south arc in [0] and its east arc
-    in [1]. A missing arc, and a slot off the grid, holds d: the index of
-    the +inf column that ``_solve_many`` appends to the costs."""
-    n_east, d = rows * (cols - 1), _grid_arcs(rows, cols)
-    r = np.arange(rows)[:, None]
-    c = np.arange(rows + cols - 1) - r
-    south = np.where((c >= 0) & (c < cols) & (r < rows - 1), n_east + r * cols + c, d)
-    east = np.where((c >= 0) & (c < cols - 1), r * (cols - 1) + c, d)
-    plan = np.stack([south, east])
-    plan.setflags(write=False)  # shared by every later call
-    return plan
-
-
-@lru_cache(maxsize=None)
-def _grid_relaxation(rows: int, cols: int) -> LinearProgram:
-    """Arc-flow relaxation shared by every grid of the size: one conservation
-    row per node but the sink (redundant given the others), row-major, out
-    arcs at +1 and in arcs at -1, with supply 1 at the source."""
-    nodes = np.arange(rows * cols)
-    r, c = np.divmod(nodes, cols)
-    south, east = _grid_arc_plan(rows, cols)[:, r, r + c]
-    d = _grid_arcs(rows, cols)
-    tail, head = np.empty((2, d + 1), dtype=np.intp)  # [d] takes the missing arcs
-    tail[south] = tail[east] = nodes
-    head[south], head[east] = nodes + cols, nodes + 1
-    flow = np.zeros((rows * cols, d))
-    flow[tail[:d], np.arange(d)] = 1.0
-    flow[head[:d], np.arange(d)] = -1.0
-    return _equality_relaxation(flow[:-1], (nodes[:-1] == 0).astype(float))
-
-
-@lru_cache(maxsize=None)
-def _grid_table(rows: int, cols: int) -> np.ndarray:
-    """Every monotone path of a grid as a read-only arc-indicator row, in
-    lexicographic order (x_0 most significant, 0 before 1). A path is the
-    set of its rows - 1 south steps among its rows + cols - 2 steps; step k
-    leaves node (r, k - r), whose arcs ``_grid_arc_plan`` holds at [:, r, k]."""
-    steps = rows + cols - 2
-    picks = np.array(list(itertools.combinations(range(steps), rows - 1)))
-    south = np.zeros((len(picks), steps), dtype=bool)
-    south[np.arange(len(picks))[:, None], picks] = True
-    r = np.cumsum(south, axis=1) - south  # the row each step leaves from
-    arcs = _grid_arc_plan(rows, cols)[(~south).view(np.uint8), r, np.arange(steps)]
-    table = np.zeros((len(picks), _grid_arcs(rows, cols)))
-    table[np.arange(len(picks))[:, None], arcs] = 1.0
-    table = table[np.lexsort(table.T[::-1])]
-    table.setflags(write=False)  # shared by every later oracle of the size
-    if __debug__:
-        ShortestPathOracle(rows, cols)._check_feasible(table, "row {} of the decision table")
-    return table
-
-
 class ShortestPathOracle(ProblemOracle):
     """Directed grid: east/south arcs from top-left to bottom-right.
 
     ``rows`` and ``cols`` count nodes; the oracle is named ``sp{rows}x{cols}``.
     Costs index arcs: the east arcs (r, c) -> (r, c + 1) first, row-major,
-    then the south arcs (r, c) -> (r + 1, c), row-major (``_grid_arc_plan``).
+    then the south arcs (r, c) -> (r + 1, c), row-major (``_arc_plan``).
     """
 
     sense = Sense.MINIMIZE
@@ -488,37 +440,77 @@ class ShortestPathOracle(ProblemOracle):
     def __init__(self, rows: int, cols: int) -> None:
         if rows < 2 or cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 columns")
-        super().__init__(f"sp{rows}x{cols}", _grid_arcs(rows, cols))
+        super().__init__(f"sp{rows}x{cols}", rows * (cols - 1) + (rows - 1) * cols)
         self.rows = rows
         self.cols = cols
+        self._instance = (rows, cols)
 
-    @cached_property
+    @_shared
+    def _arc_plan(self) -> np.ndarray:
+        """(2, rows, rows + cols - 1) arc indices in the skewed layout: node
+        (r, c) sits at [:, r, r + c], its south arc in [0] and its east arc
+        in [1]. A missing arc, and a slot off the grid, holds d: the index of
+        the +inf column that ``_solve_many`` appends to the costs."""
+        rows, cols, d = self.rows, self.cols, self.d
+        n_east = rows * (cols - 1)
+        r = np.arange(rows)[:, None]
+        c = np.arange(rows + cols - 1) - r
+        south = np.where((c >= 0) & (c < cols) & (r < rows - 1), n_east + r * cols + c, d)
+        east = np.where((c >= 0) & (c < cols - 1), r * (cols - 1) + c, d)
+        plan = np.stack([south, east])
+        plan.setflags(write=False)
+        return plan
+
+    @_shared
     def relaxation(self) -> LinearProgram:
-        return _grid_relaxation(self.rows, self.cols)
+        """Arc-flow relaxation: one conservation row per node but the sink
+        (redundant given the others), row-major, out arcs at +1 and in arcs
+        at -1, with supply 1 at the source."""
+        rows, cols, d = self.rows, self.cols, self.d
+        nodes = np.arange(rows * cols)
+        r, c = np.divmod(nodes, cols)
+        south, east = self._arc_plan[:, r, r + c]
+        tail, head = np.empty((2, d + 1), dtype=np.intp)  # [d] takes the missing arcs
+        tail[south] = tail[east] = nodes
+        head[south], head[east] = nodes + cols, nodes + 1
+        flow = np.zeros((rows * cols, d))
+        flow[tail[:d], np.arange(d)] = 1.0
+        flow[head[:d], np.arange(d)] = -1.0
+        return _equality_relaxation(flow[:-1], (nodes[:-1] == 0).astype(float))
 
     def _decision_table(self) -> np.ndarray | None:
-        """Every monotone path in lexicographic order (``_grid_table``, one per
-        size and process), when its C(rows + cols - 2, rows - 1) paths x d
-        fit in ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the
-        exactly cheapest paths: the lexicographically smallest, as in the DP."""
-        paths = math.comb(self.rows + self.cols - 2, self.rows - 1)
-        if paths * self.d > SIZE_TABLE_MAX_ENTRIES:
+        """Every monotone path as an arc-indicator row, in lexicographic
+        order (x_0 most significant, 0 before 1), when its C(rows + cols - 2,
+        rows - 1) paths x d fit in ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps
+        the first of the exactly cheapest paths: the lexicographically
+        smallest, as in the DP. A path is the set of its rows - 1 south steps
+        among its rows + cols - 2 steps; step k leaves node (r, k - r), whose
+        arcs ``_arc_plan`` holds at [:, r, k]."""
+        steps = self.rows + self.cols - 2
+        if math.comb(steps, self.rows - 1) * self.d > SIZE_TABLE_MAX_ENTRIES:
             return None
-        return _grid_table(self.rows, self.cols)
+        picks = np.array(list(itertools.combinations(range(steps), self.rows - 1)))
+        south = np.zeros((len(picks), steps), dtype=bool)
+        south[np.arange(len(picks))[:, None], picks] = True
+        r = np.cumsum(south, axis=1) - south  # the row each step leaves from
+        arcs = self._arc_plan[(~south).view(np.uint8), r, np.arange(steps)]
+        table = np.zeros((len(picks), self.d))
+        table[np.arange(len(picks))[:, None], arcs] = 1.0
+        return table[np.lexsort(table.T[::-1])]
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Cheapest monotone paths, ties to the lexicographically smallest arc set.
 
         A backward recurrence over the anti-diagonals k = r + c, sink first,
-        for the whole batch at once: in the skewed layout of
-        ``_grid_arc_plan`` a diagonal is one slice, and a node's successors
-        sit on the next one, east at the same r and south at r + 1. East
-        wins only when strictly cheaper (the tie rule of the module
-        docstring), so each node keeps the smallest of its optimal suffixes.
-        The paths are rebuilt forward from the "go east" flags.
+        for the whole batch at once: in the skewed layout of ``_arc_plan`` a
+        diagonal is one slice, and a node's successors sit on the next one,
+        east at the same r and south at r + 1. East wins only when strictly
+        cheaper (the tie rule of the module docstring), so each node keeps
+        the smallest of its optimal suffixes. The paths are rebuilt forward
+        from the "go east" flags.
         """
         rows, diagonals = self.rows, self.rows + self.cols - 1
-        plan = _grid_arc_plan(self.rows, self.cols)
+        plan = self._arc_plan
         batch = costs.shape[0]
         padded = np.empty((self.d + 1, batch))
         padded[:-1] = costs.T
@@ -548,117 +540,6 @@ class ShortestPathOracle(ProblemOracle):
 # --- travelling salesperson -------------------------------------------------
 
 HELD_KARP_MAX_NODES = 13
-
-
-@lru_cache(maxsize=None)
-def _tour_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays of an n-node TSP, shared by every later call:
-    ``slots`` (2, d), the flat (i, j) and (j, i) positions in an (n, n)
-    matrix of each edge i < j, in cost order; ``edge_ids`` (n, n), the edge
-    index of each pair (the diagonal unused); ``successor`` (n,), the next
-    position around a tour."""
-    i, j = np.triu_indices(n, 1)  # the cost order: row-major upper triangle
-    slots = np.stack([i * n + j, j * n + i])
-    edge_ids = np.zeros(n * n, dtype=np.intp)
-    edge_ids[slots] = np.arange(len(i))
-    plan = (slots, edge_ids.reshape(n, n), np.roll(np.arange(n), -1))
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
-@lru_cache(maxsize=None)
-def _tour_relaxation(n: int) -> LinearProgram:
-    """Degree-2 relaxation shared by every n-node TSP: one row per node, at
-    1 on the node's n - 1 edges, with right-hand side 2."""
-    slots, edge_ids, _ = _tour_plan(n)
-    node, other = np.nonzero(~np.eye(n, dtype=bool))
-    degree = np.zeros((n, slots.shape[1]))
-    degree[node, edge_ids[node, other]] = 1.0
-    return _equality_relaxation(degree, np.full(n, 2.0))
-
-
-def _tour_indicators(n: int, tours: np.ndarray) -> np.ndarray:
-    """(T, d) edge indicators of (T, n) tours."""
-    slots, edge_ids, successor = _tour_plan(n)
-    x = np.zeros((len(tours), slots.shape[1]))
-    x[np.arange(len(tours))[:, None], edge_ids[tours, tours[:, successor]]] = 1.0
-    return x
-
-
-@lru_cache(maxsize=None)
-def _tour_table(n: int) -> np.ndarray:
-    """One read-only edge-indicator row per undirected n-node tour, in
-    Held-Karp's scan order: by the smallest (t[n-1], ..., t[1]) over the
-    tour's two orientations from node 0. Of the orientations (0, p) and
-    (0, reversed p) with p[0] < p[-1], the second ends in the smaller node
-    and its key is p itself, so these p, in permutation order, are sorted."""
-    tours = [(0,) + p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
-    table = _tour_indicators(n, np.array(tours))
-    table.setflags(write=False)  # shared by every later oracle of the size
-    if __debug__:
-        TspOracle(n)._check_feasible(table, "row {} of the decision table")
-    return table
-
-
-def _edge_matrices(n: int, costs: np.ndarray) -> np.ndarray:
-    """(B, n, n) symmetric distance matrices of a (B, d) edge-cost batch."""
-    dist = np.zeros((costs.shape[0], n * n))
-    upper, lower = _tour_plan(n)[0]
-    dist[:, upper] = costs
-    dist[:, lower] = costs
-    return dist.reshape(-1, n, n)
-
-
-@lru_cache(maxsize=None)
-def _popcount_layers(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """For each subset size 2..m: every (mask, last) pair with ``last`` in
-    ``mask``, masks ascending, and each pair's predecessor mask, ``mask``
-    without ``last``."""
-    masks = np.arange(1 << m)
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    sizes = bits.sum(axis=1)
-    layers = []
-    for size in range(2, m + 1):
-        rows, lasts = np.nonzero(bits[sizes == size])
-        layer = (masks[sizes == size][rows], lasts)
-        layer += (layer[0] ^ (1 << lasts),)
-        for arr in layer:
-            arr.setflags(write=False)  # shared by every later call
-        layers.append(layer)
-    return tuple(layers)
-
-
-def _held_karp_many(dist: np.ndarray) -> np.ndarray:
-    """Exact bitmask DP over a (B, n, n) distance batch, anchored at node 0,
-    one popcount layer at a time; each state takes the first-index argmin
-    over its predecessors. Returns the (B, n) tours, node 0 first."""
-    n = dist.shape[1]
-    m = n - 1  # nodes 1..n-1 in mask coordinates
-    full = 1 << m
-    batch = dist.shape[0]
-    dp = np.full((batch, full, m), np.inf)
-    parent = np.full((batch, full, m), -1, dtype=np.int8)
-    inner = dist[:, 1:, 1:]
-    dp[:, 1 << np.arange(m), np.arange(m)] = dist[:, 0, 1:]
-    for masks, lasts, rests in _popcount_layers(m):
-        # cand[b, s, prev] = dp[b, rest_s, prev] + dist[prev, last_s], with rest_s
-        # mask_s without last_s; predecessors outside rest_s sit at inf in dp
-        cand = dp[:, rests, :] + inner[:, :, lasts].transpose(0, 2, 1)
-        best = cand.argmin(axis=2)
-        dp[:, masks, lasts] = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
-        parent[:, masks, lasts] = best
-    # walk the parents back from the closing node, the whole batch per step
-    rows = np.arange(batch)
-    tours = np.zeros((batch, n), dtype=np.intp)
-    mask = np.full(batch, full - 1)
-    last = (dp[:, full - 1] + dist[:, 1:, 0]).argmin(axis=1)
-    for pos in range(n - 1, 0, -1):
-        tours[:, pos] = last + 1
-        nxt = parent[rows, mask, last].astype(np.intp)
-        mask ^= 1 << last
-        last = nxt
-    return tours
 
 
 def _nearest_neighbor_2opt(dist: np.ndarray) -> list[int]:
@@ -718,40 +599,134 @@ class TspOracle(ProblemOracle):
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 3:
             raise ValueError("a tour needs at least 3 nodes")
-        super().__init__(f"tsp{n_nodes}", _tour_plan(n_nodes)[0].shape[1])
+        super().__init__(f"tsp{n_nodes}", n_nodes * (n_nodes - 1) // 2)
         self.n_nodes = n_nodes
+        self._instance = (n_nodes,)
 
     @property
     def exact(self) -> bool:
         """True when Held-Karp solves, False when the heuristic does."""
         return self.n_nodes <= HELD_KARP_MAX_NODES
 
-    @cached_property
+    @_shared
+    def _tour_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only index arrays: ``slots`` (2, d), the flat (i, j) and
+        (j, i) positions in an (n, n) matrix of each edge i < j, in cost
+        order; ``edge_ids`` (n, n), the edge index of each pair (the diagonal
+        unused); ``successor`` (n,), the next position around a tour."""
+        n = self.n_nodes
+        i, j = np.triu_indices(n, 1)  # the cost order: row-major upper triangle
+        slots = np.stack([i * n + j, j * n + i])
+        edge_ids = np.zeros(n * n, dtype=np.intp)
+        edge_ids[slots] = np.arange(len(i))
+        plan = (slots, edge_ids.reshape(n, n), np.roll(np.arange(n), -1))
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
+
+    @_shared
     def relaxation(self) -> LinearProgram:
-        return _tour_relaxation(self.n_nodes)
+        """Degree-2 relaxation: one row per node, at 1 on the node's n - 1
+        edges, with right-hand side 2."""
+        n = self.n_nodes
+        _, edge_ids, _ = self._tour_plan
+        node, other = np.nonzero(~np.eye(n, dtype=bool))
+        degree = np.zeros((n, self.d))
+        degree[node, edge_ids[node, other]] = 1.0
+        return _equality_relaxation(degree, np.full(n, 2.0))
+
+    def _tour_indicators(self, tours: np.ndarray) -> np.ndarray:
+        """(T, d) edge indicators of (T, n) tours."""
+        _, edge_ids, successor = self._tour_plan
+        x = np.zeros((len(tours), self.d))
+        x[np.arange(len(tours))[:, None], edge_ids[tours, tours[:, successor]]] = 1.0
+        return x
 
     def _decision_table(self) -> np.ndarray | None:
-        """Every tour in Held-Karp's scan order (``_tour_table``, one per size
-        and process), when its (n - 1)! / 2 tours x d fit in
-        ``SIZE_TABLE_MAX_ENTRIES``. The scan keeps the first of the exactly
-        cheapest tours: the one Held-Karp returns."""
-        tours = math.factorial(self.n_nodes - 1) // 2
-        if tours * self.d > SIZE_TABLE_MAX_ENTRIES:
+        """One edge-indicator row per undirected tour, when its (n - 1)! / 2
+        tours x d fit in ``SIZE_TABLE_MAX_ENTRIES``, in Held-Karp's scan
+        order: by the smallest (t[n-1], ..., t[1]) over the tour's two
+        orientations from node 0, so the scan keeps the tour Held-Karp
+        returns. Of the orientations (0, p) and (0, reversed p) with p[0] <
+        p[-1], the second ends in the smaller node and its key is p itself,
+        so these p, in permutation order, are sorted."""
+        n = self.n_nodes
+        if math.factorial(n - 1) // 2 * self.d > SIZE_TABLE_MAX_ENTRIES:
             return None
-        return _tour_table(self.n_nodes)
+        tours = [(0,) + p for p in itertools.permutations(range(1, n)) if p[0] < p[-1]]
+        return self._tour_indicators(np.array(tours))
+
+    def _edge_matrices(self, costs: np.ndarray) -> np.ndarray:
+        """(B, n, n) symmetric distance matrices of a (B, d) edge-cost batch."""
+        n = self.n_nodes
+        dist = np.zeros((costs.shape[0], n * n))
+        upper, lower = self._tour_plan[0]
+        dist[:, upper] = costs
+        dist[:, lower] = costs
+        return dist.reshape(-1, n, n)
+
+    @_shared
+    def _popcount_layers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Held-Karp's subsets of the m = n - 1 nodes past node 0: for each
+        size 2..m, every (mask, last) pair with ``last`` in ``mask``, masks
+        ascending, and each pair's predecessor mask, ``mask`` without ``last``."""
+        m = self.n_nodes - 1
+        masks = np.arange(1 << m)
+        bits = (masks[:, None] >> np.arange(m)) & 1
+        sizes = bits.sum(axis=1)
+        layers = []
+        for size in range(2, m + 1):
+            rows, lasts = np.nonzero(bits[sizes == size])
+            layer = (masks[sizes == size][rows], lasts)
+            layer += (layer[0] ^ (1 << lasts),)
+            for arr in layer:
+                arr.setflags(write=False)
+            layers.append(layer)
+        return tuple(layers)
+
+    def _held_karp_many(self, dist: np.ndarray) -> np.ndarray:
+        """Exact bitmask DP over a (B, n, n) distance batch, anchored at node
+        0, one popcount layer at a time; each state takes the first-index
+        argmin over its predecessors. Returns the (B, n) tours, node 0 first."""
+        n = dist.shape[1]
+        m = n - 1  # nodes 1..n-1 in mask coordinates
+        full = 1 << m
+        batch = dist.shape[0]
+        dp = np.full((batch, full, m), np.inf)
+        parent = np.full((batch, full, m), -1, dtype=np.int8)
+        inner = dist[:, 1:, 1:]
+        dp[:, 1 << np.arange(m), np.arange(m)] = dist[:, 0, 1:]
+        for masks, lasts, rests in self._popcount_layers:
+            # cand[b, s, prev] = dp[b, rest_s, prev] + dist[prev, last_s], with rest_s
+            # mask_s without last_s; predecessors outside rest_s sit at inf in dp
+            cand = dp[:, rests, :] + inner[:, :, lasts].transpose(0, 2, 1)
+            best = cand.argmin(axis=2)
+            dp[:, masks, lasts] = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+            parent[:, masks, lasts] = best
+        # walk the parents back from the closing node, the whole batch per step
+        rows = np.arange(batch)
+        tours = np.zeros((batch, n), dtype=np.intp)
+        mask = np.full(batch, full - 1)
+        last = (dp[:, full - 1] + dist[:, 1:, 0]).argmin(axis=1)
+        for pos in range(n - 1, 0, -1):
+            tours[:, pos] = last + 1
+            nxt = parent[rows, mask, last].astype(np.intp)
+            mask ^= 1 << last
+            last = nxt
+        return tours
 
     def _solve_many(self, costs: np.ndarray) -> np.ndarray:
         """Held-Karp, in chunks of ``CHUNK_VALUES`` states, or the heuristic
         row by row."""
-        dist = _edge_matrices(self.n_nodes, costs)
+        dist = self._edge_matrices(costs)
         if self.exact:
             m = self.n_nodes - 1
             chunk = max(1, CHUNK_VALUES // ((1 << m) * m))
-            tours = np.concatenate([_held_karp_many(dist[lo:lo + chunk])
+            tours = np.concatenate([self._held_karp_many(dist[lo:lo + chunk])
                                     for lo in range(0, len(dist), chunk)])
         else:
             tours = np.array([_nearest_neighbor_2opt(matrix) for matrix in dist])
-        return _tour_indicators(self.n_nodes, tours)
+        return self._tour_indicators(tours)
 
 
 # --- registry ---------------------------------------------------------------

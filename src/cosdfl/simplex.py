@@ -86,6 +86,16 @@ class LinearProgram:
     def d(self) -> int:
         return self.constraint_matrix.shape[1]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the constraint set plus the phase-1 start it keeps once
+        solved, in closed form, so phase 1 need not run to count it: m'
+        rows (a row per constraint and per finite upper bound) over d
+        structural, m' slack and one rhs column, and the basis."""
+        rows = len(self.rhs) + int(np.isfinite(self.upper).sum())
+        start = rows * (self.d + rows + 1) * 8 + rows * np.dtype(int).itemsize
+        return self.constraint_matrix.nbytes + self.rhs.nbytes + self.upper.nbytes + start
+
     @cached_property
     def _start(self) -> tuple[np.ndarray, np.ndarray, int] | None:
         """The phase-1 result of :func:`_phase_one`, computed on first use."""

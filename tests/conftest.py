@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cosdfl import problems
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -14,3 +16,17 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty store of the oracles' derived state in place of the
+    process-wide one for the test; call it to put in another, of
+    ``max_bytes``, and get it back."""
+    def install(max_bytes=8 * problems.KNAPSACK_TABLE_MAX_ENTRIES):
+        store = problems._InstanceStore(max_bytes)
+        monkeypatch.setattr(problems, "_STORE", store)
+        return store
+
+    install()
+    return install

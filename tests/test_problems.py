@@ -12,7 +12,7 @@ from cosdfl.errors import DimensionMismatch
 from cosdfl.problems import (HELD_KARP_MAX_NODES, KnapsackOracle,
                              ShortestPathOracle, TspOracle, load_problem,
                              make_knapsack, problem_from_name)
-from cosdfl.simplex import SolveStatus, solve_lp
+from cosdfl.simplex import LinearProgram, SolveStatus, solve_lp
 
 import cosdfl.simplex as simplex_mod
 
@@ -31,15 +31,13 @@ KNAPSACK_PATHS = pytest.mark.parametrize("path", PATHS, ids=["table", "dp"])
 def solving_by(oracle, path):
     """``oracle``, made to solve by ``path``: its decision table, or its
     family's recurrence (the knapsack DP, the grid DP or Held-Karp). The
-    table is looked up on the first solve, so an unbounded knapsack budget
-    while looking it up forces a knapsack's table, and zero table budgets
-    force the recurrence; no other test does."""
+    table is looked up on the first solve, so unbounded table budgets while
+    looking it up force a table, and zero budgets force the recurrence; no
+    other test does."""
+    budget = np.inf if path == "table" else 0
     with pytest.MonkeyPatch.context() as mp:
-        if path == "table":
-            mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", np.inf)
-        else:
-            mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", 0)
-            mp.setattr(problems, "SIZE_TABLE_MAX_ENTRIES", 0)
+        mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", budget)
+        mp.setattr(problems, "SIZE_TABLE_MAX_ENTRIES", budget)
         assert (oracle.decision_table is None) is (path == "recurrence")
     return oracle
 
@@ -79,6 +77,17 @@ def test_knapsack_rejects_negative_weights():
         KnapsackOracle(weights=[[-1.0]], capacities=[1.0])
     with pytest.raises(DimensionMismatch):
         KnapsackOracle(weights=[[1.0, 2.0]], capacities=[3.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knapsack_rejects_non_finite_weights(bad):
+    # a NaN or inf weight would reach the LP relaxation's constraint matrix,
+    # or, under python -O, a table that no check reads
+    with pytest.raises(ValueError, match="weights contain non-finite entries"):
+        KnapsackOracle([[bad, 1.0]], [1.0])
+    payload = {"family": "knapsack", "params": {"weights": [[1.0, bad]], "capacities": [2.0]}}
+    with pytest.raises(ValueError, match="weights contain non-finite entries"):
+        problems.problem_from_dict(json.loads(json.dumps(payload)))
 
 
 @settings(max_examples=60)
@@ -291,7 +300,7 @@ def heuristic_tour(costs, n):
     The oracle runs the heuristic only above ``HELD_KARP_MAX_NODES`` nodes,
     so small instances reach it through the private function.
     """
-    dist = problems._edge_matrices(n, costs[None])[0]
+    dist = TspOracle(n)._edge_matrices(costs[None])[0]
     tour = problems._nearest_neighbor_2opt(dist)
     assert tour[0] == 0 and sorted(tour) == list(range(n))  # a tour from node 0
     return tour, float(sum(dist[a, b] for a, b in zip(tour, tour[1:] + tour[:1])))
@@ -558,7 +567,7 @@ def test_decision_table_equals_the_recurrence_on_generator_rows_and_spo_shifts(n
                                           recurrence.solve_many(costs), err_msg=f"seed {seed}")
 
 
-def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
+def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size(fresh_store):
     rng = np.random.default_rng(9)
     for first, second in [(ShortestPathOracle(3, 5), ShortestPathOracle(3, 5)),
                           (TspOracle(6), TspOracle(6))]:
@@ -566,26 +575,18 @@ def test_cached_plans_are_read_only_and_shared_by_oracles_of_one_size():
         x = first.solve_many(costs)
         np.testing.assert_array_equal(second.solve_many(costs), x)
         assert first.decision_table is second.decision_table
-    plans = [problems._grid_arc_plan(3, 5), problems._grid_table(3, 5),
-             problems._tour_table(6), *problems._tour_plan(6),
-             *(arr for layer in problems._popcount_layers(5) for arr in layer)]
-    assert problems._grid_arc_plan(3, 5) is plans[0]
+    grid, tour = ShortestPathOracle(3, 5), TspOracle(6)
+    plans = [grid._arc_plan, grid.decision_table, tour.decision_table, *tour._tour_plan,
+             *(arr for layer in tour._popcount_layers for arr in layer)]
+    assert ShortestPathOracle(3, 5)._arc_plan is plans[0]
     for arr in plans:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
 
 
-def fresh_knapsack_store(monkeypatch, max_bytes=1 << 22):
-    store = problems._InstanceStore(max_bytes)
-    monkeypatch.setattr(problems, "_KNAPSACK_STORE", store)
-    return store
-
-
-def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch):
+def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch, fresh_store):
     # grid and tour rows depend on the size alone; a knapsack's are its
     # weights, so it shares them with the oracles of its instance
-    problems._grid_relaxation.cache_clear()
-    problems._tour_relaxation.cache_clear()
     real, runs = simplex_mod._phase_one, []
 
     def recording(lp):
@@ -593,7 +594,6 @@ def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch)
         return real(lp)
 
     monkeypatch.setattr(simplex_mod, "_phase_one", recording)
-    fresh_knapsack_store(monkeypatch)
     for first, second, shared in [(ShortestPathOracle(3, 3), ShortestPathOracle(3, 3), True),
                                   (TspOracle(5), TspOracle(5), True),
                                   (problem_from_name("ks8", seed=2),
@@ -608,8 +608,7 @@ def test_oracles_of_one_size_share_one_relaxation_and_one_phase_one(monkeypatch)
         assert len(runs) == (1 if shared else 2)
 
 
-def test_oracles_of_one_knapsack_share_its_table_load_plan_and_relaxation(monkeypatch):
-    fresh_knapsack_store(monkeypatch)
+def test_oracles_of_one_knapsack_share_its_table_load_plan_and_relaxation(fresh_store):
     first, second, other = (problem_from_name("ks16", seed=s) for s in (0, 0, 1))
     again = KnapsackOracle(first.weights.tolist(), first.capacities.tolist())
     for name in ("decision_table", "_load_plan", "relaxation"):
@@ -633,20 +632,15 @@ def recording_checks(monkeypatch, family) -> list[str]:
     return checked
 
 
-def test_knapsack_table_is_checked_once_per_instance(monkeypatch):
-    fresh_knapsack_store(monkeypatch)
+def test_knapsack_table_is_checked_once_per_instance(monkeypatch, fresh_store):
     checked = recording_checks(monkeypatch, KnapsackOracle)
     for _ in range(3):
         problem_from_name("ks8", seed=0).decision_table
     assert checked == (["row {} of the decision table"] if __debug__ else [])
 
 
-@pytest.mark.parametrize("name, family, builder", [
-    ("sp3x4", ShortestPathOracle, "_grid_table"),
-    ("tsp6", TspOracle, "_tour_table"),
-])
-def test_size_table_is_checked_once_per_size(monkeypatch, name, family, builder):
-    getattr(problems, builder).cache_clear()
+@pytest.mark.parametrize("name, family", [("sp3x4", ShortestPathOracle), ("tsp6", TspOracle)])
+def test_size_table_is_checked_once_per_size(monkeypatch, fresh_store, name, family):
     checked = recording_checks(monkeypatch, family)
     for _ in range(3):
         oracle = problem_from_name(name)
@@ -654,12 +648,14 @@ def test_size_table_is_checked_once_per_size(monkeypatch, name, family, builder)
     assert checked == (["row {} of the decision table"] if __debug__ else [])
 
 
-def test_solving_by_forces_either_knapsack_path_after_the_other(monkeypatch):
-    # the table budget is part of the store's key, so a table built past the
-    # budget does not reach an oracle under the default budget, nor the
-    # reverse; ks48 is past the budget and ks16 within it
-    fresh_knapsack_store(monkeypatch, max_bytes=np.inf)
-    for name, default in (("ks16", "table"), ("ks48", "recurrence")):
+def test_solving_by_forces_either_knapsack_path_after_the_other(fresh_store):
+    # the table budgets are part of the store's key, so a table built past a
+    # budget does not reach an oracle under the default budgets, nor a None
+    # stored under zero budgets; ks48, sp8x8 and tsp9 are past their budget,
+    # and ks16, sp5x5 and tsp8 within it
+    fresh_store(max_bytes=np.inf)
+    for name, default in (("ks16", "table"), ("ks48", "recurrence"), ("sp5x5", "table"),
+                          ("sp8x8", "recurrence"), ("tsp8", "table"), ("tsp9", "recurrence")):
         forced = "recurrence" if default == "table" else "table"
         for path in (default, forced, default):
             oracle = solving_by(problem_from_name(name, seed=0), path)
@@ -668,29 +664,85 @@ def test_solving_by_forces_either_knapsack_path_after_the_other(monkeypatch):
         assert (plain.decision_table is None) is (default == "recurrence"), name
 
 
-def test_knapsack_store_stays_within_its_bytes(monkeypatch):
+def held_arrays(value) -> list[np.ndarray]:
+    """The arrays a stored value holds. A relaxation holds its constraint
+    set and the phase-1 start that its first solve keeps, run here if no
+    solve has run it yet."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in held_arrays(item)]
+    if isinstance(value, LinearProgram):
+        tableau, basis, _ = value._start
+        return [value.constraint_matrix, value.rhs, value.upper, tableau, basis]
+    return []
+
+
+def held_bytes(store) -> int:
+    return sum(arr.nbytes for entry in store.entries.values()
+               for value in entry.values() for arr in held_arrays(value))
+
+
+def test_knapsack_store_stays_within_its_bytes(fresh_store):
     # room for two or three ks16 tables (60-130 kB each on seeds 0-5)
-    store = fresh_knapsack_store(monkeypatch, max_bytes=320_000)
+    store = fresh_store(max_bytes=320_000)
     oracles = [problem_from_name("ks16", seed=s) for s in range(6)]
     for oracle in oracles:
         oracle.decision_table
-        held = [value for entry in store.entries.values() for value in entry.values()
-                if isinstance(value, np.ndarray)]
-        assert store.nbytes == sum(table.nbytes for table in held) <= store.max_bytes
+        assert store.nbytes == held_bytes(store) <= store.max_bytes
     assert 1 <= len(store.entries) < len(oracles)
     # the most recent instance is held, the first was evicted and is rebuilt
     assert problem_from_name("ks16", seed=5).decision_table is oracles[5].decision_table
     rebuilt = problem_from_name("ks16", seed=0).decision_table
     assert rebuilt is not oracles[0].decision_table
     np.testing.assert_array_equal(rebuilt, oracles[0].decision_table)
-    # a value past the bound is handed out and not kept
-    tiny = fresh_knapsack_store(monkeypatch, max_bytes=1_000)
+    # a value past the bound on its own (a ks32 table) is handed out and
+    # evicts nothing: the most recent ks16 instance is still held
+    assert problem_from_name("ks32", seed=0).decision_table.nbytes > store.max_bytes
+    assert problem_from_name("ks16", seed=0).decision_table is rebuilt
+    assert store.nbytes == held_bytes(store) <= store.max_bytes
+    tiny = fresh_store(max_bytes=1_000)
     assert problem_from_name("ks16", seed=0).decision_table is not None
     assert (tiny.nbytes, len(tiny.entries)) == (0, 0)
 
 
-def test_shared_knapsack_state_is_read_only(monkeypatch):
-    fresh_knapsack_store(monkeypatch)
+class CheckedStore(problems._InstanceStore):
+    """A store that checks its count after every lookup: the bytes it holds,
+    phase-1 starts included, and within its bound."""
+
+    def held(self, key, name, build):
+        value = super().held(key, name, build)
+        assert self.nbytes == held_bytes(self) <= self.max_bytes, (key[:2], name)
+        return value
+
+
+def test_store_counts_every_byte_it_holds_and_eviction_changes_no_result(monkeypatch):
+    # ks16 instances, the grids sp3x3-sp8x8 and the tours tsp5-tsp9 hold
+    # several MB of tables, plans, relaxations and phase-1 starts; a 512 kB
+    # store must evict, and keeps neither the sp7x7 table nor the sp8x8
+    # relaxation, each past the bound on its own
+    names = [("ks16", seed) for seed in range(4)]
+    names += [(f"sp{k}x{k}", 0) for k in range(3, 9)] + [(f"tsp{n}", 0) for n in range(5, 10)]
+    results = []
+    for bound in (np.inf, 1 << 19):
+        store = CheckedStore(bound)
+        monkeypatch.setattr(problems, "_STORE", store)
+        result = []
+        for name, seed in names:
+            oracle = problem_from_name(name, seed=seed)
+            if name.startswith("ks"):
+                oracle._load_plan
+            costs = np.random.default_rng(oracle.d).uniform(0.1, 2.0, size=(6, oracle.d))
+            solution = solve_lp(oracle.relaxation, costs[0], oracle.sense)
+            result += [oracle.solve_many(costs), solution.x, *solution.ranges]
+        results.append(result)
+        held = len(store.entries)
+        assert (held == len(names)) if bound == np.inf else (held < len(names))
+    for unbounded, bounded in zip(*results):
+        np.testing.assert_array_equal(bounded, unbounded)
+
+
+def test_shared_knapsack_state_is_read_only(fresh_store):
     oracle = problem_from_name("ks16", seed=0)
     steps, _ = oracle._load_plan
     arrays = [oracle.decision_table, *(arr for step in steps for arr in step),
@@ -746,7 +798,7 @@ def test_batched_feasibility_check_names_the_infeasible_row():
         solving_by(OneBadRowOracle(3, 4), "recurrence").solve_many(costs)
     # a table is checked whole where it is built, before any solve; here,
     # one whose path in row 3 lost its first arc
-    table = problems._grid_table(3, 4).copy()
+    table = ShortestPathOracle(3, 4).decision_table.copy()
     table[3, table[3].argmax()] = 0.0
     with pytest.raises(AssertionError, match="sp3x4: row 3 of the decision table"):
         ShortestPathOracle(3, 4)._check_feasible(table, "row {} of the decision table")

@@ -285,8 +285,8 @@ def test_relaxation_start_serves_every_objective(name, rng):
 
 def _assert_matches_dense(lp, c, sense):
     """Solve on ``lp`` and require the dense reference's status, vertex,
-    objective value, ranges and phase-1 start, bit for bit; returns the
-    reference's result."""
+    objective value, ranges and phase-1 start, bit for bit, and a start of
+    the size that ``lp.nbytes`` states; returns the reference's result."""
     ref = dense_tableau_simplex(lp.constraint_matrix, lp.rhs, lp.upper, c,
                                 sense is Sense.MAXIMIZE)
     sol = solve_lp(lp, c, sense)
@@ -297,6 +297,8 @@ def _assert_matches_dense(lp, c, sense):
         tableau, basis, _ = lp._start
         assert np.array_equal(tableau, ref.start[0])
         assert np.array_equal(basis, ref.start[1])
+        held = (lp.constraint_matrix, lp.rhs, lp.upper, tableau, basis)
+        assert lp.nbytes == sum(arr.nbytes for arr in held)
     if ref.status == "optimal":
         assert np.array_equal(sol.x, ref.x)
         assert sol.objective_value == ref.objective_value
