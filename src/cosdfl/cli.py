@@ -111,7 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         problem = problem_from_name(args.problem, seed=args.seed)
         dataset = generate(config.gen_spec(args.seed), problem)
-    trace, counts, report = fit(problem, dataset, spec, config.train_config(args.seed))
+    trace, counts, report, _ = fit(problem, dataset, spec, config.train_config(args.seed))
     if args.emit_costs:
         save_baseline_report(report, args.emit_costs)
     save_model(trace.best_model, args.out)

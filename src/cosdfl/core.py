@@ -4,9 +4,8 @@ Vectors are plain numpy float64 arrays. A :class:`Dataset` holds its
 instances as columns: features, true costs and the solver-derived caches
 (optimal decisions, cost ranges, weights) are each one array with a row per
 instance, validated once at construction. Every type here is immutable
-after construction (arrays are frozen via ``setflags``); a cache is attached
-by filling rows of a copied array for ``Dataset.attach``, which checks
-that cache alone and shares every other array; never by mutation.
+after construction (arrays are frozen via ``setflags``); ``Dataset.attach``
+returns a new dataset with the caches it is given, and nothing mutates one.
 """
 from __future__ import annotations
 
@@ -192,10 +191,9 @@ class Dataset:
 
     def uncached(self, cache: str, indices: Sequence[int]) -> list[int]:
         """The ``indices`` whose row of the named cache is not attached."""
-        rows = np.isnan(getattr(self, cache)[list(indices)])
-        if rows.ndim == 2:
-            rows = rows.any(axis=1)
-        return [i for i, missing in zip(indices, rows.tolist()) if missing]
+        indices = np.asarray(indices, dtype=int)
+        rows = np.isnan(getattr(self, cache)[indices])
+        return indices[rows.any(axis=1) if rows.ndim == 2 else rows].tolist()
 
 
 class Problem(Protocol):

@@ -1,12 +1,18 @@
 """Experiment orchestration: grids over (loss, seed), accounting, reports.
 
-Each grid cell is self-contained: it builds its own problem oracle and
-dataset from the cell seed, precomputes exactly the caches its loss needs
-(counting the solver calls spent), trains, and evaluates test regret. Cells
-share only the oracles' read-only derived state, which no cost decides
-(the ``problems`` module docstring says what is held and for how long).
-Every solve still runs and is counted by the cell's own oracle. Solver
-calls are attributed to four phases:
+Each grid cell builds its own problem oracle and dataset from the cell
+seed, precomputes exactly the caches its loss needs (counting the solver
+calls spent), trains, and evaluates test regret. Cells share two things,
+neither of which moves an output bit: the oracles' read-only derived state
+(the ``problems`` module docstring says what is held and for how long) and
+``_RUNS``, the solver-free training runs on the latest dataset. From it the
+baseline of a C or ``lawless:<w>`` cell, and the run of ``lawless:0``, reuse
+the run of an earlier same-seed cell under their unweighted loss when there
+is one, and the reusing cell's ``time_s`` is charged its measured seconds.
+It holds one dataset, so a grid pass that comes back to a seed after
+others, as every pass of the benchmark does, trains it anew. Every solve
+still runs and is counted by the cell's own oracle. Solver calls are
+attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -16,17 +22,11 @@ calls are attributed to four phases:
 Each phase count is the change of the integer ``problem.solves`` across
 that phase, read by ``SolveCounts.phase`` and nowhere else. Only two places
 advance it: the oracle's ``solve_many``, by one per cost row, and
-``attach_ranges``, by one per LP solve. Each LP solve is one ``solve_lp``
-call on the problem's ``relaxation``, which returns the vertex together
-with its cost ranges. The relaxation runs phase 1 of the simplex on its
-first solve and keeps the start; every call runs phase 2 and the ranging
-(about 0.25 ms per instance on sp5x5 and 1.5 ms on sp8x8, on 2 cores with
-numpy 2.4). Data generation and test-set evaluation happen
-outside the phases and are not counted (the latter is identical for every
-loss). Cells run one after another, seed by seed, and reports come back
-in (loss, seed) order, so re-running a config reproduces results exactly;
-wall-clock columns can be zeroed via ``deterministic_output`` to make the
-output files byte-identical across runs.
+``attach_ranges``, by one per LP solve. Data generation and test-set
+evaluation happen outside the phases and are not counted (the latter is
+identical for every loss). Cells run one after another, seed by seed, and
+reports come back in (loss, seed) order, so re-running a config reproduces
+results exactly (``write_results`` says how to zero the wall times).
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import NumericalBreakdown, SolveFailure, ZeroVector
 from .instance_costs import apply_instance_costs, compute_instance_costs
-from .losses import LossSpec, normalize, parse_loss
-from .model import Optimizer, TrainConfig, init_model, train
+from .losses import LossSpec, normalize, parse_loss, stack_loss_data
+from .model import Optimizer, TrainConfig, TrainTrace, init_model, train
 from .problems import ProblemOracle, problem_from_name
 from .simplex import LinearProgram, SolveStatus, solve_lp
 
@@ -55,9 +55,11 @@ from .simplex import LinearProgram, SolveStatus, solve_lp
 def attach_decisions(dataset: Dataset, problem: ProblemOracle,
                      splits: tuple[str, ...] = ("train", "val")) -> Dataset:
     """Fill in missing optimal decisions; one batched solve over the uncached
-    instances of ``splits``, one solve each."""
+    instances of ``splits``, one solve each; ``dataset`` itself when none is missing."""
     missing = dataset.uncached("x_star", [i for split in splits
                                           for i in dataset.split.part(split)])
+    if not missing:
+        return dataset
     x_star = dataset.x_star.copy()
     x_star[missing] = problem.solve_many(dataset.costs[missing])
     return dataset.attach(x_star=x_star)
@@ -74,9 +76,11 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
     mask against, normalized before any LP solve. A failed solve or a zero
     cost vector raises an error naming the instance and ``precompute_ranges``.
     """
-    lower, upper = dataset.lower.copy(), dataset.upper.copy()
     missing = dataset.uncached("lower", [i for split in splits
                                          for i in dataset.split.part(split)])
+    if not missing:
+        return dataset
+    lower, upper = dataset.lower.copy(), dataset.upper.copy()
     objectives = dataset.costs[missing]
     try:
         objectives = normalize(objectives, missing) if normalized else objectives
@@ -185,6 +189,46 @@ class RunReport:
 
 # --- single grid cell ----------------------------------------------------------
 
+class _RunMemo:
+    """Finished training runs on one dataset (features, costs and split),
+    emptied by a call on another. A run is held when it solves nothing and
+    its training rows carry no instance factor, keyed on what training reads
+    besides the dataset: the config, the sense, the unweighted spec and the
+    caches its O or O_S masks read."""
+
+    def __init__(self):
+        self.dataset = None  # (features, costs, split) of the held runs
+        self.runs: dict = {}
+
+    def trained(self, problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
+                cfg: TrainConfig) -> tuple[TrainTrace, float]:
+        """``train`` from ``init_model``, or the held run and its measured
+        seconds (0.0 when it trains)."""
+        held = self.dataset
+        if not (held and held[2] == dataset.split and np.array_equal(held[0], dataset.features)
+                and np.array_equal(held[1], dataset.costs)):
+            self.dataset, self.runs = (dataset.features, dataset.costs, dataset.split), {}
+        key = None
+        weighted = spec.instance_costs or spec.requires_baseline_regret
+        if not spec.spo_plus and not (weighted and stack_loss_data(
+                spec, dataset, dataset.split.train, problem.sense).factor is not None):
+            masks = (("x_star",) * spec.requires_decisions
+                     + ("lower", "upper") * spec.requires_ranges)
+            key = (cfg, problem.sense, spec.validation_variant(),
+                   *(getattr(dataset, cache).tobytes() for cache in masks))
+        if key in self.runs:
+            return self.runs[key]
+        t0 = time.perf_counter()
+        trace = train(init_model(dataset.k, problem.d, seed=cfg.seed), dataset, spec, cfg,
+                      problem)
+        if key is not None:
+            self.runs[key] = (trace, time.perf_counter() - t0)
+        return trace, 0.0
+
+
+_RUNS = _RunMemo()
+
+
 def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
         train_cfg: TrainConfig):
     """Attach the caches ``spec`` needs, then train a fresh model under it.
@@ -192,12 +236,14 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
     Fills optimal decisions and sensitivity ranges where required. An
     instance-weighted (C) or regret-weighted spec first trains a baseline
     under its unweighted validation loss; the baseline's report gives the
-    weights: the C weights, or the raw regrets. Returns the training trace,
-    the solver calls of the four phases, and the baseline report (None
-    unless ``spec`` weights its instances).
+    weights: the C weights, or the raw regrets. Both trainings go through
+    ``_RUNS``. Returns the training trace, the solver calls of the four
+    phases, the baseline report (None unless ``spec`` weights its instances)
+    and the measured seconds of the held runs reused in place of training.
     """
     counts = SolveCounts()
     report = None
+    reused_s = 0.0
     weighted = spec.instance_costs or spec.requires_baseline_regret
 
     # decisions: masks and spo+ need them on everything touched in epochs and
@@ -218,8 +264,7 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
 
     if weighted:
         base_spec = spec.validation_variant()
-        base_trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
-                           base_spec, train_cfg, problem)
+        base_trace, reused_s = _RUNS.trained(problem, dataset, base_spec, train_cfg)
         with counts.phase("instance_cost_solves", problem):
             report = compute_instance_costs(problem, base_trace.best_model, dataset,
                                             base_spec)
@@ -227,19 +272,20 @@ def fit(problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
                                        else report.regrets)
 
     with counts.phase("training_solves", problem):
-        trace = train(init_model(dataset.k, problem.d, seed=train_cfg.seed), dataset,
-                      spec, train_cfg, problem)
-    return trace, counts, report
+        trace, seconds = _RUNS.trained(problem, dataset, spec, train_cfg)
+    return trace, counts, report, reused_s + seconds
 
 
 def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
-    """One (loss, seed) cell: generate, precompute, train, evaluate."""
+    """One (loss, seed) cell: generate, precompute, train, evaluate. A reused
+    training run is charged to ``time_s`` at its measured seconds."""
     problem = problem_from_name(config.problem, seed=seed)
     dataset = generate(config.gen_spec(seed), problem)
     t0 = time.perf_counter()
-    trace, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(seed))
+    trace, counts, _, reused_s = fit(problem, dataset, parse_loss(loss),
+                                     config.train_config(seed))
     regret_abs = total_regret(problem, trace.best_model, dataset, split="test")
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0 + reused_s
     return RunReport(problem=config.problem, loss=loss, seed=seed,
                      regret_abs=regret_abs, regret_norm=None, time_s=elapsed,
                      counts=counts, exact=problem.exact,

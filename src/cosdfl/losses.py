@@ -232,11 +232,8 @@ class LossData:
     (no C or regret weight, or ``lawless:0``). ``safe_lo`` and
     ``safe_hi`` are set only for a spec with O or O_S: the open interval,
     per coordinate, inside which a prediction error is masked (the module
-    docstring says when that keeps X* optimal). A coordinate whose decision
-    survives any rise of its cost (x* = 1 under Maximize, x* = 0 under
-    Minimize) is safe on ``(lower, +inf)``, every other one on
-    ``(-inf, upper)``, where lower and upper are the O_S cost range, or the
-    true cost itself under O. ``tau`` is set only for a pinball-weighted
+    docstring says when that keeps X* optimal, ``stack_loss_data`` how it is
+    fixed). ``tau`` is set only for a pinball-weighted
     spec, ``x_star`` (X* itself) and ``true_value`` (each row's objective
     at X*, ``row_dots(true, x_star)``) only for spo+. Which of these fields is None
     decides, once per binding, which multiplies :func:`evaluate_loss_batch`

@@ -3,19 +3,13 @@
 The model is c_hat = W z + b, predicted for (n, k) feature rows in one
 stacked matrix-vector product. Training runs seeded mini-batch gradient
 descent (SGD or Adam) against any composed loss, bound to the training rows
-and to the validation rows once per run (``stack_loss_data`` fixes each
-one-sided coordinate's safe interval from X* and the problem sense). Each
-mini-batch is one call of the batched loss kernel, whose (B, d)
-prediction-gradients chain into W and b by one matrix product, with no
-autodiff. W and b are views of one (d, k + 1) array, which one optimizer
-step updates in place. A ``spo+`` mini-batch makes one batched oracle
-solve. Every epoch runs. Each epoch ends by holding its validation
-predictions and a parameter snapshot; the held epochs are scored in one
-kernel call over their stacked rows when ``VALIDATION_HOLD_BYTES`` are held
-and after the last epoch, with every value equal to that of a call per
-epoch. The trace keeps the snapshot of the epoch with the lowest validation
-loss, the earliest on a tie. Training is bit-for-bit reproducible per seed
-and config.
+and to the validation rows once per run. Each mini-batch is one call of the
+batched loss kernel, whose (B, d) prediction-gradients chain into W and b
+by one matrix product, with no autodiff. A ``spo+`` mini-batch makes one
+batched oracle solve. Every epoch runs, and its validation is scored with
+other epochs' in one kernel call (``_PendingValidation``). The trace keeps
+the snapshot of the epoch with the lowest validation loss, the earliest on
+a tie. Training is bit-for-bit reproducible per seed and config.
 """
 from __future__ import annotations
 

@@ -24,16 +24,11 @@ the budget), counting every array and each relaxation's full footprint:
 its constraint set and the phase-1 start it keeps after its first solve
 (``LinearProgram.nbytes``, in closed form, so counting runs no LP). It
 evicts the least recently used instance first; a value past the bound on
-its own is built, handed out and not kept. So the cells of a grid, and later
-benchmark passes over the same instance or size, look the state up:
-``harness.run_experiment`` runs a grid's cells seed-major, so all the
-cells of a knapsack instance run while it is held, and both benchmark
-workloads fit (0.13 MB, and 1.1 MB for spo-inloop at seed 0) and evict
-nothing. The trade is at large sizes: sp15x15's 9.0 MB phase-1 start,
-sp20x20's 28.9 MB start with its 4.85 MB constraint matrix and tsp50's
-27.1 MB start are not kept, so their phase 1 runs once per ranging cell
-rather than once per process (0.98, 0.57 and 0.10 s on a 2-core machine,
-where a sp20x20 ``mse+o_s+s`` cell takes 71 s).
+its own is built, handed out and not kept. ``harness.run_experiment`` runs
+a grid's cells seed-major, so all the cells of a knapsack instance run
+while it is held. The phase-1 starts of sp15x15 (9.0 MB), sp20x20 and tsp50
+(about 28 MB each) are past the bound, so their phase 1 runs once per
+ranging cell rather than once per process.
 
 Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
 (B, d) 0/1 decisions and counts B solves, by one of two paths. When the

@@ -19,14 +19,11 @@ falling back to Bland's rule once the degenerate-pivot budget is exhausted.
 
 The tableau is mostly zeros (sp5x5: 88 x 129, about 6% nonzero), so a pivot
 updates only the rows with a nonzero entry in the pivot column; any other
-row would get ``x - 0 * p = x``. Each updated entry gets the product and the
-difference a full rank-1 update computes, so on a finite tableau every entry
-equals the dense update's, every pivot choice is the same, and so are the
-vertex, its value and the ranges. Only the sign of a zero can differ: the
-dense update turns ``-0.0 - 0 * p`` into ``+0.0`` when ``0 * p`` is ``-0.0``.
-No comparison or division here tells the two zeros apart.
-``tests/brute.py:dense_tableau_simplex`` keeps the dense loop as the
-reference.
+row would get ``x - 0 * p``, which on a finite tableau is ``x`` up to the
+sign of a zero, and no comparison or division here tells the two zeros
+apart. The rows it updates get the dense update's products and differences,
+so every pivot, vertex, value and range is that of the dense loop,
+``tests/brute.py:dense_tableau_simplex``, the reference.
 """
 from __future__ import annotations
 

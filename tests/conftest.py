@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cosdfl import problems
+from cosdfl import harness, problems
 
 settings.register_profile(
     "default",
@@ -27,6 +27,19 @@ def fresh_store(monkeypatch):
         store = problems._InstanceStore(max_bytes)
         monkeypatch.setattr(problems, "_STORE", store)
         return store
+
+    install()
+    return install
+
+
+@pytest.fixture
+def fresh_runs(monkeypatch):
+    """An empty memo of training runs in place of the process-wide one for
+    the test; call it to put in another empty one, and get it back."""
+    def install():
+        memo = harness._RunMemo()
+        monkeypatch.setattr(harness, "_RUNS", memo)
+        return memo
 
     install()
     return install

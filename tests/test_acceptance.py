@@ -263,7 +263,7 @@ def test_criterion_05_instance_cost_identity():
     problem = problem_from_name("sp5x5", seed=0)
     config = ExperimentConfig(problem="sp5x5", losses=("mse+c",), seeds=(0,))
     dataset = generate(config.gen_spec(0), problem)
-    _, _, report = fit(problem, dataset, parse_loss("mse+c"), config.train_config(0))
+    _, _, report, _ = fit(problem, dataset, parse_loss("mse+c"), config.train_config(0))
     pos = report.positive_regret
     weighted = math.fsum(report.costs[pos] * report.base_losses[pos])
     total = math.fsum(report.regrets[pos])

@@ -179,7 +179,7 @@ def test_every_solve_of_fit_lands_in_one_phase(loss):
     problem = make_knapsack(d=6, seed=0)
     dataset = generate(config.gen_spec(0), problem)
     before = problem.solves
-    _, counts, _ = fit(problem, dataset, parse_loss(loss), config.train_config(0))
+    _, counts, _, _ = fit(problem, dataset, parse_loss(loss), config.train_config(0))
     assert problem.solves - before == sum(astuple(counts))
 
 
