@@ -1,18 +1,21 @@
 """Experiment orchestration: grids over (loss, seed), accounting, reports.
 
-Each grid cell builds its own problem oracle and dataset from the cell
-seed, precomputes exactly the caches its loss needs (counting the solver
+Each grid cell builds its own problem oracle from the cell seed, gets its
+dataset, precomputes exactly the caches its loss needs (counting the solver
 calls spent), trains, and evaluates test regret. Cells share two things,
 neither of which moves an output bit: the oracles' read-only derived state
 (the ``problems`` module docstring says what is held and for how long) and
-``_RUNS``, the solver-free training runs on the latest dataset. From it the
-baseline of a C or ``lawless:<w>`` cell, and the run of ``lawless:0``, reuse
-the run of an earlier same-seed cell under their unweighted loss when there
-is one, and the reusing cell's ``time_s`` is charged its measured seconds.
-It holds one dataset, so a grid pass that comes back to a seed after
-others, as every pass of the benchmark does, trains it anew. Every solve
-still runs and is counted by the cell's own oracle. Solver calls are
-attributed to four phases:
+``_RUNS``, the latest generated dataset and the solver-free training runs
+on it. Consecutive cells with the same ``GenSpec`` and d share the dataset:
+a seed's cells of one problem in a seed-major grid, and in the benchmark
+each ``spo+`` cell with its ``mse`` cell. From the runs the baseline of a C
+or ``lawless:<w>`` cell, and the run of ``lawless:0``, reuse the run of an
+earlier same-seed cell under their unweighted loss when there is one, and
+the reusing cell's ``time_s`` is charged its measured seconds. It holds one
+dataset, so a grid pass that comes back to a seed after others, as every
+pass of the benchmark does over its 5 or 9 seeds, generates and trains it
+anew. Every solve still runs and is counted by the cell's own oracle.
+Solver calls are attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
   precompute_ranges     one relaxed LP solve per instance needing ranges
@@ -44,7 +47,7 @@ from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import NumericalBreakdown, SolveFailure, ZeroVector
 from .instance_costs import apply_instance_costs, compute_instance_costs
-from .losses import LossSpec, normalize, parse_loss, stack_loss_data
+from .losses import LossSpec, instance_factor, normalize, parse_loss
 from .model import Optimizer, TrainConfig, TrainTrace, init_model, train
 from .problems import ProblemOracle, problem_from_name
 from .simplex import LinearProgram, SolveStatus, solve_lp
@@ -190,28 +193,44 @@ class RunReport:
 # --- single grid cell ----------------------------------------------------------
 
 class _RunMemo:
-    """Finished training runs on one dataset (features, costs and split),
-    emptied by a call on another. A run is held when it solves nothing and
-    its training rows carry no instance factor, keyed on what training reads
-    besides the dataset: the config, the sense, the unweighted spec and the
-    caches its O or O_S masks read."""
+    """The dataset ``run_single`` generated last, and the finished training
+    runs on one dataset (features, costs and split), emptied by a call on
+    another. Consecutive cells with the same ``GenSpec`` and d share the
+    dataset: a seed's cells of one problem in a seed-major grid, and each
+    benchmark ``spo+`` cell with its ``mse`` cell; a later pass over 5 or 9
+    seeds comes back to it only after the others, so it generates it anew.
+    A run is held when it solves nothing and its training rows carry no
+    instance factor, keyed on what training reads besides the dataset: the
+    config, the sense, the unweighted spec and the caches its O or O_S masks
+    read."""
 
     def __init__(self):
+        self.latest = None, None  # (GenSpec, d) and the Dataset they generated
         self.dataset = None  # (features, costs, split) of the held runs
         self.runs: dict = {}
+
+    def generated(self, spec: GenSpec, problem: ProblemOracle) -> Dataset:
+        """``generate(spec, problem)``, held while consecutive calls ask for
+        the same ``(spec, problem.d)``, its only inputs; a new dataset
+        empties the held runs."""
+        key = (spec, problem.d)
+        if self.latest[0] != key:
+            dataset = generate(spec, problem)
+            self.latest = key, dataset
+            self.dataset, self.runs = (dataset.features, dataset.costs, dataset.split), {}
+        return self.latest[1]
 
     def trained(self, problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
                 cfg: TrainConfig) -> tuple[TrainTrace, float]:
         """``train`` from ``init_model``, or the held run and its measured
         seconds (0.0 when it trains)."""
         held = self.dataset
-        if not (held and held[2] == dataset.split and np.array_equal(held[0], dataset.features)
-                and np.array_equal(held[1], dataset.costs)):
+        if not (held and held[2] == dataset.split
+                and (held[0] is dataset.features or np.array_equal(held[0], dataset.features))
+                and (held[1] is dataset.costs or np.array_equal(held[1], dataset.costs))):
             self.dataset, self.runs = (dataset.features, dataset.costs, dataset.split), {}
         key = None
-        weighted = spec.instance_costs or spec.requires_baseline_regret
-        if not spec.spo_plus and not (weighted and stack_loss_data(
-                spec, dataset, dataset.split.train, problem.sense).factor is not None):
+        if not spec.spo_plus and instance_factor(spec, dataset, dataset.split.train) is None:
             masks = (("x_star",) * spec.requires_decisions
                      + ("lower", "upper") * spec.requires_ranges)
             key = (cfg, problem.sense, spec.validation_variant(),
@@ -280,7 +299,7 @@ def run_single(config: ExperimentConfig, loss: str, seed: int) -> RunReport:
     """One (loss, seed) cell: generate, precompute, train, evaluate. A reused
     training run is charged to ``time_s`` at its measured seconds."""
     problem = problem_from_name(config.problem, seed=seed)
-    dataset = generate(config.gen_spec(seed), problem)
+    dataset = _RUNS.generated(config.gen_spec(seed), problem)
     t0 = time.perf_counter()
     trace, counts, _, reused_s = fit(problem, dataset, parse_loss(loss),
                                      config.train_config(seed))

@@ -251,23 +251,25 @@ class LossData:
     true_value: np.ndarray | None = None
 
 
-def _instance_factors(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray | None:
-    """The C or regret weight of each row; None when there is none."""
-    if spec.instance_costs or spec.requires_baseline_regret:
-        missing = dataset.uncached("weights", indices)
-        if missing and spec.instance_costs:
-            raise MissingInstanceCost(f"loss has component C but instance {missing[0]} "
-                                      "carries no cost weight")
-        if missing:
-            raise MissingBaselineRegret("regret-weighted loss requires the cached "
-                                        f"baseline regret of instance {missing[0]}")
-        weights = dataset.weights[indices]
-        if spec.instance_costs:
-            return weights
+def instance_factor(spec: LossSpec, dataset: Dataset, indices) -> np.ndarray | None:
+    """The C or regret weight of each of the rows ``indices``; None when
+    ``spec`` weights no instance or every weight is exactly 1."""
+    if not (spec.instance_costs or spec.requires_baseline_regret):
+        return None
+    indices = np.asarray(indices, dtype=int)
+    missing = dataset.uncached("weights", indices)
+    if missing and spec.instance_costs:
+        raise MissingInstanceCost(f"loss has component C but instance {missing[0]} "
+                                  "carries no cost weight")
+    if missing:
+        raise MissingBaselineRegret("regret-weighted loss requires the cached "
+                                    f"baseline regret of instance {missing[0]}")
+    factor = dataset.weights[indices]
+    if not spec.instance_costs:
         # (w * C + (1 - w)), with C the raw baseline regret, not a ratio
         w = spec.lawless_w
-        return w * weights + (1.0 - w)
-    return None
+        factor = w * factor + (1.0 - w)
+    return None if np.all(factor == 1.0) else factor  # a factor of ones multiplies nothing
 
 
 def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> LossData:
@@ -278,9 +280,7 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
     true cost vector is (near) zero, here, before any evaluation.
     """
     indices = np.asarray(indices, dtype=int)
-    factor = _instance_factors(spec, dataset, indices)
-    if factor is not None and np.all(factor == 1.0):
-        factor = None  # a factor of ones multiplies nothing
+    factor = instance_factor(spec, dataset, indices)
     true = dataset.costs[indices]
     if spec.scale_invariant:
         true = normalize(true, indices)

@@ -18,12 +18,14 @@ Pivoting is deterministic: Dantzig's rule with smallest-index tie-breaking,
 falling back to Bland's rule once the degenerate-pivot budget is exhausted.
 
 The tableau is mostly zeros (sp5x5: 88 x 129, about 6% nonzero), so a pivot
-updates only the rows with a nonzero entry in the pivot column; any other
-row would get ``x - 0 * p``, which on a finite tableau is ``x`` up to the
+updates only the entries whose row has a nonzero pivot-column entry and
+whose column has a nonzero pivot-row entry; any other entry would get
+``x - 0 * p`` or ``x - c * 0``, which on a finite tableau is ``x`` up to the
 sign of a zero, and no comparison or division here tells the two zeros
-apart. The rows it updates get the dense update's products and differences,
-so every pivot, vertex, value and range is that of the dense loop,
-``tests/brute.py:dense_tableau_simplex``, the reference.
+apart. The entries it updates get the dense update's products and
+differences, so every pivot, value and range is that of the dense loop,
+``tests/brute.py:dense_tableau_simplex``, the reference, and so is every
+vertex coordinate under ``==`` (a zero may carry the other sign).
 """
 from __future__ import annotations
 
@@ -115,20 +117,24 @@ class SimplexSolution:
 
 
 def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Pivot on ``(row, col)`` in place, updating only the rows that change.
+    """Pivot on ``(row, col)`` in place, updating only the entries that change.
 
-    A row whose pivot-column entry is zero would get ``x - 0 * p = x`` in
-    every entry, so only the rows with a nonzero entry are updated, with the
-    same products and differences as a full rank-1 update.
+    An entry whose row has a zero pivot-column entry, or whose column has a
+    zero pivot-row entry, would get ``x - 0 * p`` or ``x - c * 0``, so only
+    the entries in both a nonzero row and a nonzero column are updated, in
+    one indexed update, with the same products and differences as a full
+    rank-1 update.
     """
-    tableau[row] /= tableau[row, col]
+    pivot = tableau[row]
+    pivot /= pivot[col]
     column = tableau[:, col]
     column[row] = 0.0
     rows = column.nonzero()[0]
-    tableau[rows] -= column[rows, None] * tableau[row]
+    cols = pivot.nonzero()[0]
+    tableau[rows[:, None], cols] -= column[rows, None] * pivot[cols]
     # the pivot column becomes the unit vector; no rounding residue is left
     column[:] = 0.0
-    tableau[row, col] = 1.0
+    pivot[col] = 1.0
     basis[row] = col
 
 

@@ -9,10 +9,13 @@ name holds state that a call can change, whether an instance of a class the
 package defines or a value a function of its module writes to. State that
 outlives an oracle goes through the store, which is bounded and counts its
 bytes; ``cached_property`` lives and dies with its object and is allowed.
-The run memo holds the training runs of one dataset rather than a bounded
-number of them: a benchmark pass over several data seeds comes back to its
-first dataset only after the others, so a later pass trains every run the
-first one trained, where an LRU could hand it the earlier pass's runs.
+The run memo holds one generated dataset and the training runs on it rather
+than a bounded number of them. Consecutive cells with the same ``GenSpec``
+and d share them: a seed's cells of one problem in a seed-major grid, and
+each benchmark ``spo+`` cell with its ``mse`` cell. A benchmark pass over
+its 5 or 9 data seeds comes back to its first dataset only after the
+others, so a later pass generates every dataset and trains every run the
+first one did, where an LRU could hand it the earlier pass's.
 """
 import ast
 from pathlib import Path

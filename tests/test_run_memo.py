@@ -138,3 +138,38 @@ def test_a_reusing_cell_is_charged_the_reused_seconds(fresh_runs):
     reports = {r.loss: r for r in run_experiment(config)}
     (_, seconds), = harness._RUNS.runs.values()
     assert reports["lawless:0"].time_s >= seconds > 0.0
+
+
+def test_a_seed_is_generated_once_per_pass(fresh_runs, monkeypatch):
+    generated = []
+    real = harness.generate
+
+    def counted(spec, problem):
+        generated.append((spec.seed, problem.d))
+        return real(spec, problem)
+
+    monkeypatch.setattr(harness, "generate", counted)
+    losses = ("mse", "mse+c", "mse+o+s", "lawless:0", "lawless:0.4", "spo+")
+    configs = [ExperimentConfig(problem=problem, losses=losses, seeds=(0, 1), **TOY)
+               for problem in ("sp3x3", "ks8")]
+    passes = [[run_experiment(config) for config in configs] for _ in range(2)]
+    # sp3x3 has d = 12 and ks8 d = 8
+    assert generated == 2 * [(0, 12), (1, 12), (0, 8), (1, 8)]
+
+    real_single = harness.run_single
+
+    def alone(config, loss, seed):
+        fresh_runs()  # every cell generates and trains its own
+        return real_single(config, loss, seed)
+
+    monkeypatch.setattr(harness, "run_single", alone)
+    for config, *reports in zip(configs, *passes):
+        expected = run_experiment(config)
+        for shared in reports:
+            assert [drop_time(r) for r in shared] == [drop_time(r) for r in expected]
+
+
+def drop_time(report) -> dict:
+    fields = dict(vars(report))
+    assert fields.pop("time_s") > 0.0
+    return fields
