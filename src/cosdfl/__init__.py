@@ -14,7 +14,7 @@ from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
                      MissingInstanceCost, MissingOptimalDecision,
                      MissingRanges, NonFiniteGradient, NonFiniteLoss,
                      NumericalBreakdown, SolveFailure, ZeroVector)
-from .harness import (ExperimentConfig, MonotonicityReport, RunReport,
+from .harness import (ExperimentConfig, MonotonicityStep, RunReport,
                       SolveCounts, aggregate_rows, attach_decisions, attach_ranges,
                       build_monotonicity, component_subset_losses, fit,
                       pareto_flags, run_experiment, run_single,

@@ -1,12 +1,4 @@
-"""Core domain types: senses, datasets, and regret.
-
-Vectors are plain numpy float64 arrays. A :class:`Dataset` holds its
-instances as columns: features, true costs and the solver-derived caches
-(optimal decisions, cost ranges, weights) are each one array with a row per
-instance, validated once at construction. Every type here is immutable
-after construction (arrays are frozen via ``setflags``); ``Dataset.attach``
-returns a new dataset with the caches it is given, and nothing mutates one.
-"""
+"""Core domain types: senses, datasets, and regret."""
 from __future__ import annotations
 
 import json

@@ -4,17 +4,8 @@ Each grid cell builds its own problem oracle from the cell seed, gets its
 dataset, precomputes exactly the caches its loss needs (counting the solver
 calls spent), trains, and evaluates test regret. Cells share two things,
 neither of which moves an output bit: the oracles' read-only derived state
-(the ``problems`` module docstring says what is held and for how long) and
-``_RUNS``, the latest generated dataset and the solver-free training runs
-on it. Consecutive cells with the same ``GenSpec`` and d share the dataset:
-a seed's cells of one problem in a seed-major grid, and in the benchmark
-each ``spo+`` cell with its ``mse`` cell. From the runs the baseline of a C
-or ``lawless:<w>`` cell, and the run of ``lawless:0``, reuse the run of an
-earlier same-seed cell under their unweighted loss when there is one, and
-the reusing cell's ``time_s`` is charged its measured seconds. It holds one
-dataset, so a grid pass that comes back to a seed after others, as every
-pass of the benchmark does over its 5 or 9 seeds, generates and trains it
-anew. Every solve still runs and is counted by the cell's own oracle.
+(``problems._STORE``) and ``_RUNS`` (``_RunMemo``). Every solve still runs
+and is counted by the cell's own oracle.
 Solver calls are attributed to four phases:
 
   precompute_n_star     optimal decisions filled in for train/val instances
@@ -194,19 +185,18 @@ class RunReport:
 
 class _RunMemo:
     """The dataset ``run_single`` generated last, and the finished training
-    runs on one dataset (features, costs and split), emptied by a call on
-    another. Consecutive cells with the same ``GenSpec`` and d share the
+    runs on it. Consecutive cells with the same ``GenSpec`` and d share the
     dataset: a seed's cells of one problem in a seed-major grid, and each
     benchmark ``spo+`` cell with its ``mse`` cell; a later pass over 5 or 9
     seeds comes back to it only after the others, so it generates it anew.
-    A run is held when it solves nothing and its training rows carry no
-    instance factor, keyed on what training reads besides the dataset: the
-    config, the sense, the unweighted spec and the caches its O or O_S masks
-    read."""
+    A run is held when it trains on the held dataset (``attach`` shares its
+    features), solves nothing and its training rows carry no instance
+    factor, keyed on what training reads besides the dataset: the config,
+    the sense, the unweighted spec and the caches its O or O_S masks read."""
 
     def __init__(self):
-        self.latest = None, None  # (GenSpec, d) and the Dataset they generated
-        self.dataset = None  # (features, costs, split) of the held runs
+        self.key = None  # the (GenSpec, d) that generated ``dataset``
+        self.dataset: Dataset | None = None
         self.runs: dict = {}
 
     def generated(self, spec: GenSpec, problem: ProblemOracle) -> Dataset:
@@ -214,23 +204,18 @@ class _RunMemo:
         the same ``(spec, problem.d)``, its only inputs; a new dataset
         empties the held runs."""
         key = (spec, problem.d)
-        if self.latest[0] != key:
-            dataset = generate(spec, problem)
-            self.latest = key, dataset
-            self.dataset, self.runs = (dataset.features, dataset.costs, dataset.split), {}
-        return self.latest[1]
+        if self.key != key:
+            self.key, self.dataset, self.runs = key, generate(spec, problem), {}
+        return self.dataset
 
     def trained(self, problem: ProblemOracle, dataset: Dataset, spec: LossSpec,
                 cfg: TrainConfig) -> tuple[TrainTrace, float]:
         """``train`` from ``init_model``, or the held run and its measured
         seconds (0.0 when it trains)."""
-        held = self.dataset
-        if not (held and held[2] == dataset.split
-                and (held[0] is dataset.features or np.array_equal(held[0], dataset.features))
-                and (held[1] is dataset.costs or np.array_equal(held[1], dataset.costs))):
-            self.dataset, self.runs = (dataset.features, dataset.costs, dataset.split), {}
         key = None
-        if not spec.spo_plus and instance_factor(spec, dataset, dataset.split.train) is None:
+        if (self.dataset is not None and dataset.features is self.dataset.features
+                and not spec.spo_plus
+                and instance_factor(spec, dataset, dataset.split.train) is None):
             masks = (("x_star",) * spec.requires_decisions
                      + ("lower", "upper") * spec.requires_ranges)
             key = (cfg, problem.sense, spec.validation_variant(),
@@ -466,18 +451,6 @@ class MonotonicityStep:
     regression: bool
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    base: str
-    subset_means: dict[str, float]
-    steps: tuple[MonotonicityStep, ...]
-    tolerance: float
-
-    @property
-    def regressions(self) -> tuple[MonotonicityStep, ...]:
-        return tuple(s for s in self.steps if s.regression)
-
-
 def component_subset_losses(base: str) -> list[str]:
     """The eight loss names formed by adding subsets of c, o, s to a base."""
     subsets = [frozenset(s) for r in range(4)
@@ -492,7 +465,7 @@ DESK_LOSSES = {"sp5x5": (*component_subset_losses("mse"), "mae+o+s", "spo+", *LA
 
 
 def build_monotonicity(subset_means: dict[str, float], base: str = "mse",
-                       tolerance: float = 0.05) -> MonotonicityReport:
+                       tolerance: float = 0.05) -> tuple[MonotonicityStep, ...]:
     """Walk every component addition order over precomputed subset means.
 
     ``subset_means`` must hold the mean normalized regret of all eight
@@ -513,18 +486,17 @@ def build_monotonicity(subset_means: dict[str, float], base: str = "mse",
                 order=">".join(order), loss=name, mean_norm=mean,
                 previous_norm=prev, regression=bool(mean > prev * (1.0 + tolerance))))
             prev = mean
-    return MonotonicityReport(base=base, subset_means=dict(subset_means),
-                              steps=tuple(steps), tolerance=tolerance)
+    return tuple(steps)
 
 
-def write_monotonicity(report: MonotonicityReport, out_dir) -> Path:
+def write_monotonicity(steps: tuple[MonotonicityStep, ...], out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "monotonicity.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["order", "loss", "mean_norm", "previous_norm", "regression"])
-        for s in report.steps:
+        for s in steps:
             writer.writerow([s.order, s.loss, repr(s.mean_norm),
                              repr(s.previous_norm), str(s.regression).lower()])
     return path

@@ -1,15 +1,4 @@
-"""Per-instance cost weights derived from a baseline model's decision regret.
-
-The weight of a training instance is the ratio of the baseline's regret to
-its base loss, so that re-weighted base loss totals exactly match total
-regret over the instances where the baseline actually regrets anything.
-Instances with zero regret receive the mean weight of the regretting ones;
-a (pathological) near-zero base loss with positive regret is capped at the
-99th percentile of the finite weights instead of exploding. The same
-baseline pass reports the raw regrets, which are the weights of the
-regret-weighted (lawless) loss. The pass is one prediction call, one
-batched loss evaluation and one batched solve over the training split.
-"""
+"""Per-instance cost weights derived from a baseline model's decision regret."""
 from __future__ import annotations
 
 import json
@@ -57,6 +46,12 @@ def save_baseline_report(report: BaselineReport, path) -> None:
 
 def _costs_from_values(base_losses: np.ndarray, regrets: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The weight of each instance, the ratio of the baseline's regret to its
+    base loss, so that re-weighted base losses total the regret over the
+    instances where the baseline regrets anything. Instances with zero
+    regret get the mean weight of the regretting ones; a near-zero base loss
+    with positive regret is capped at the 99th percentile of the finite
+    weights. Also returns the capped flags, and whether no instance regrets."""
     positive = regrets > 0.0
     n = regrets.shape[0]
     degenerate = np.zeros(n, dtype=bool)

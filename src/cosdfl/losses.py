@@ -10,20 +10,11 @@ components:
   S   evaluate on L2-normalized vectors so only the predicted direction
       matters.
 
-There is one implementation, :func:`evaluate_loss_batch`, which returns the
-values and prediction-gradients of a whole mini-batch in one array pass;
-one row is the batch ``c_hat[None]``. :func:`stack_loss_data` binds a spec
-to a set of dataset rows once, as a :class:`LossData`: the spec, the true
-costs (normalized under S), the C or regret weights, tau, and for O and O_S
-one open safe interval per coordinate, fixed by X*, the problem sense and
-(O_S) the cost ranges. A prediction error inside its coordinate's safe
-interval is masked. Under O the interval ends at the true cost, so a move
-of that one coordinate keeps X* optimal. Under O_S it is the coordinate's
-basis range in the LP relaxation, which keeps the relaxation's vertex
-optimal, so it is sound for X* when that vertex is X* (README gives the
-share of such instances per family). Stacking also raises the
-missing-cache errors. Only ``spo+`` needs the solver:
-:func:`spo_plus_batch` makes one batched oracle solve per mini-batch.
+:func:`stack_loss_data` binds a spec to a set of dataset rows once, as a
+:class:`LossData`, and :func:`evaluate_loss_batch`, the one implementation,
+returns the values and prediction-gradients of a whole mini-batch in one
+array pass. Only ``spo+`` needs the solver: :func:`spo_plus_batch` makes one
+batched oracle solve per mini-batch.
 
 Masks and pinball indicators are treated as locally constant, so the
 gradient is the almost-everywhere derivative (zero subgradient on the
@@ -229,15 +220,16 @@ class LossData:
     Row r describes dataset instance ``indices[r]``. ``true`` holds the true
     costs in evaluation space (unit-norm rows when the spec has S) and
     ``factor`` the C or regret weight, or None when every row's weight is 1
-    (no C or regret weight, or ``lawless:0``). ``safe_lo`` and
-    ``safe_hi`` are set only for a spec with O or O_S: the open interval,
-    per coordinate, inside which a prediction error is masked (the module
-    docstring says when that keeps X* optimal, ``stack_loss_data`` how it is
-    fixed). ``tau`` is set only for a pinball-weighted
-    spec, ``x_star`` (X* itself) and ``true_value`` (each row's objective
-    at X*, ``row_dots(true, x_star)``) only for spo+. Which of these fields is None
-    decides, once per binding, which multiplies :func:`evaluate_loss_batch`
-    makes: a mask, a pinball weight, a row weight, or none of them.
+    (no C or regret weight, or ``lawless:0``). ``safe_lo`` and ``safe_hi``
+    are set only for a spec with O or O_S: the open interval, per
+    coordinate, inside which a prediction error is masked
+    (``coordinate_weights`` says when that keeps X* optimal,
+    ``stack_loss_data`` how it is fixed). ``tau`` is set only for a
+    pinball-weighted spec, ``x_star`` (X* itself) and ``true_value`` (each
+    row's objective at X*, ``row_dots(true, x_star)``) only for spo+. Which
+    of these fields is None decides, once per binding, which multiplies
+    :func:`evaluate_loss_batch` makes: a mask, a pinball weight, a row
+    weight, or none of them.
     """
 
     spec: LossSpec
@@ -329,7 +321,8 @@ def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarra
     Under O the interval ends at the true cost; under O_S it is widened to
     the coefficient's basis range in the LP relaxation, so that coordinate
     is masked whenever the prediction stays above the range's lower
-    endpoint, which keeps the relaxation's vertex (not always X*) optimal.
+    endpoint, which keeps the relaxation's vertex (not always X*; README
+    gives the share of instances where it is X*) optimal.
     """
     if data.safe_lo is not None:
         safe = (predicted > data.safe_lo[rows]) & (predicted < data.safe_hi[rows])

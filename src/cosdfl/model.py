@@ -6,10 +6,8 @@ descent (SGD or Adam) against any composed loss, bound to the training rows
 and to the validation rows once per run. Each mini-batch is one call of the
 batched loss kernel, whose (B, d) prediction-gradients chain into W and b
 by one matrix product, with no autodiff. A ``spo+`` mini-batch makes one
-batched oracle solve. Every epoch runs, and its validation is scored with
-other epochs' in one kernel call (``_PendingValidation``). The trace keeps
-the snapshot of the epoch with the lowest validation loss, the earliest on
-a tie. Training is bit-for-bit reproducible per seed and config.
+batched oracle solve. Training is bit-for-bit reproducible per seed and
+config.
 """
 from __future__ import annotations
 
@@ -139,7 +137,6 @@ class TrainTrace:
     records: tuple[EpochRecord, ...]
     best_epoch: int
     best_model: LinearModel
-    final_model: LinearModel
 
     @property
     def best_val_loss(self) -> float:
@@ -334,5 +331,4 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
         settle(pending.score())
 
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
-                      best_model=LinearModel(best[:, :k], best[:, k]),
-                      final_model=LinearModel(w, b))
+                      best_model=LinearModel(best[:, :k], best[:, k]))

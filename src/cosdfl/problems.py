@@ -15,69 +15,14 @@ the recurrences, the tables and the relaxations all read.
 An oracle's derived state (its relaxation, decision table and index plans)
 depends on its instance alone, never on costs: on the size for a grid or a
 TSP, on the weights and capacities for a knapsack. It is built on first use
-and held in one process-wide store, ``_STORE``, keyed on the family, the
-instance and the table budgets in effect (a budget decides whether a table
-exists). Every oracle of the instance shares it read-only, keeps its own
+and held in one process-wide store, ``_STORE``, keyed on the family and the
+instance. Every oracle of the instance shares it read-only, keeps its own
 reference for its life, and keeps its own ``solves``. The store holds at
-most ``8 * KNAPSACK_TABLE_MAX_ENTRIES`` bytes (4 MB, one knapsack table at
-the budget), counting every array and each relaxation's full footprint:
-its constraint set and the phase-1 start it keeps after its first solve
-(``LinearProgram.nbytes``, in closed form, so counting runs no LP). It
-evicts the least recently used instance first; a value past the bound on
-its own is built, handed out and not kept. ``harness.run_experiment`` runs
-a grid's cells seed-major, so all the cells of a knapsack instance run
-while it is held. The phase-1 starts of sp15x15 (9.0 MB), sp20x20 and tsp50
-(about 28 MB each) are past the bound, so their phase 1 runs once per
-ranging cell rather than once per process.
-
-Oracles solve in batches: ``solve_many(C)`` maps a (B, d) cost batch to the
-(B, d) 0/1 decisions and counts B solves, by one of two paths. When the
-oracle has a ``decision_table``, every feasible decision as a row in the
-family's tie order, ``solve_many`` scores the batch against it (C @ T.T, in
-chunks of ``CHUNK_VALUES``) and takes, per row, the first table row
-in the tie band of the best value. A table is looked up on the first solve,
-never in ``__init__``, and kept under two budgets of table entries (rows x
-d). A knapsack's table lies within ``KNAPSACK_TABLE_MAX_ENTRIES``, which
-takes ks8-ks32 at the generator's settings; grid and exact-TSP tables lie
-within ``SIZE_TABLE_MAX_ENTRIES``, which takes sp3x3-sp7x7 and tsp3-tsp8; the
-path and tour counts are known in closed form, so nothing is built past
-the budget. Otherwise the family's recurrence, ``_solve_many``, solves:
-the knapsack DP over the distinct remaining capacities that subsets reach,
-item by item, one backward pass for the best values and one forward pass
-for the decisions; the grid DP over anti-diagonals of nodes (r + c = k,
-sink first), rebuilding the paths in rows + cols - 2 forward steps;
-Held-Karp one popcount layer of subsets at a time, then one backtrack step
-per tour position; the TSP heuristic row by row. The recurrences read
-index plans held like the tables: the knapsack's loads per item, the
-grid's arc indices per diagonal, Held-Karp's layers with their predecessor
-masks and the TSP edge slots. The knapsack DP runs in chunks of
-``KNAPSACK_DP_CHUNK_VALUES`` load values, a budget of its own. Under
-``__debug__`` the decisions are checked against the constraint rows of
-``relaxation`` in one array test, to ``FEASIBILITY_TOL``, the tolerance
-every knapsack load is held to, where they are made: a whole table when it
-is built, once per store key, and each batch that a recurrence solves. A
-scan returns table rows only.
-
-Ties are broken the same way on both paths, so repeated solves of tied
-instances are reproducible, and a table holds its rows in the order that
-makes its first row in the band the recurrence's decision:
-
-- knapsack: the lexicographically smallest decision vector (x_0 most
-  significant, 0 before 1) among those within ``KNAPSACK_TIE_TOL`` *
-  max(1, |best|) of the best value; the table is in lexicographic order.
-- grid: the lexicographically smallest of the exactly cheapest paths; the
-  table is every monotone path in lexicographic order. The DP needs no set
-  comparison: at node (r, c) every arc of either branch has an index at
-  least that of the node's east arc, which only the east branch holds, so
-  south wins a tie and east wins only when strictly cheaper.
-- exact TSP: Held-Karp's scan order. It takes the smallest closing node,
-  then at each state the first-index predecessor, so of the exactly
-  cheapest tours it returns the one with the lexicographically smallest
-  (t[n-1], ..., t[1]) over its two orientations from node 0; the table has
-  one row per undirected tour, sorted by that key.
-
-The TSP heuristic can miss the optimum, so regret scored against it
-(``core.instance_regrets``) is a lower bound on the true regret.
+most 4 MB, counted by ``_nbytes``. ``harness.run_experiment`` runs a grid's
+cells seed-major, so all the cells of a knapsack instance run while it is
+held. The phase-1 starts of sp15x15 (9.0 MB), sp20x20 and tsp50 (about
+28 MB each) are past the bound, so their phase 1 runs once per ranging cell
+rather than once per process.
 """
 from __future__ import annotations
 
@@ -103,8 +48,9 @@ KNAPSACK_TIE_TOL = 1e-9  # values this fraction of max(1, |best|) below the best
 
 def _shared(build):
     """A cached property whose value, ``build(oracle)``, every oracle of the
-    instance shares through ``_derived``, under the property's name."""
-    prop = cached_property(lambda oracle: oracle._derived(build.__name__, lambda: build(oracle)))
+    instance shares through ``_STORE``, under the property's name."""
+    prop = cached_property(lambda oracle: _STORE.held(
+        (type(oracle), oracle._instance), build.__name__, lambda: build(oracle)))
     prop.__doc__ = build.__doc__
     return prop
 
@@ -113,15 +59,11 @@ class ProblemOracle:
     """Base oracle: counts solves, checks feasibility, exposes the relaxation.
 
     A family validates its instance data in ``__init__``, passes its name
-    and cost dimension ``d`` up, sets ``_instance``, gives its
-    ``relaxation`` and implements ``_solve_many``, its recurrence, on a
-    validated (B, d) cost batch. A family whose feasible decisions are few
-    enough also gives a table (``_decision_table``), which ``solve_many``
-    scans in place of the recurrence. The module docstring says how derived
-    state is shared.
-
-    ``solves`` is the package's one solve count, never reset; see
-    ``harness`` for what advances it and ``SolveCounts.phase`` for its reader.
+    and cost dimension ``d`` up, sets ``_instance``, and gives its
+    ``relaxation``, its recurrence ``_solve_many`` on a validated (B, d)
+    cost batch, and ``_decision_table``, None past its table budget.
+    ``solves`` is the package's one solve count, never reset; ``harness``
+    says what advances it.
     """
 
     sense: Sense
@@ -136,7 +78,9 @@ class ProblemOracle:
         self.solves = 0
 
     def solve_many(self, costs: np.ndarray) -> np.ndarray:
-        """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves."""
+        """(B, d) 0/1 decisions for a (B, d) cost batch; counts B solves. A
+        family with a ``decision_table`` scans it, and otherwise runs its
+        recurrence, whose decisions are checked under ``__debug__``."""
         costs = np.asarray(costs, dtype=float)
         if costs.ndim != 2 or costs.shape[1] != self.d:
             raise DimensionMismatch(f"costs must be a (B, {self.d}) batch, "
@@ -171,15 +115,6 @@ class ProblemOracle:
                 self._check_feasible(table, "row {} of the decision table")
         return table
 
-    def _decision_table(self) -> np.ndarray | None:
-        return None
-
-    def _derived(self, name: str, build):
-        """``build()``, held in ``_STORE`` for every oracle of the instance
-        under the table budgets in effect, which decide whether a table exists."""
-        key = (type(self), self._instance, KNAPSACK_TABLE_MAX_ENTRIES, SIZE_TABLE_MAX_ENTRIES)
-        return _STORE.held(key, name, build)
-
     def _scan(self, table: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Per cost row, the first table row whose value is within ``tie_tol``
         * max(1, |best|) of the best value: with the rows in tie order, the
@@ -196,16 +131,12 @@ class ProblemOracle:
             values.argmax(axis=1, out=picks[lo:lo + chunk])
         return table[picks]
 
-    @cached_property
-    def _load_limits(self) -> np.ndarray:
-        """``rhs + FEASIBILITY_TOL`` of ``relaxation``, read-only."""
-        return frozen_array(self.relaxation.rhs + FEASIBILITY_TOL)
-
     def _check_feasible(self, decisions: np.ndarray, row_name: str) -> None:
         """Every row is 0/1 and meets the constraint rows of ``relaxation``;
         a failure names the first bad row, as ``row_name.format(index)``."""
         binary = (decisions == 0.0) | (decisions == 1.0)
-        within = decisions @ self.relaxation.constraint_matrix.T <= self._load_limits
+        within = (decisions @ self.relaxation.constraint_matrix.T
+                  <= self.relaxation.rhs + FEASIBILITY_TOL)
         if not (binary.all() and within.all()):
             ok = binary.all(axis=1) & within.all(axis=1)
             raise AssertionError(f"{self.name}: {row_name.format(int(np.argmin(ok)))} "
@@ -299,8 +230,8 @@ class KnapsackOracle(ProblemOracle):
     """0/1 knapsack with q resource dimensions: maximize c'x, Wx <= cap.
 
     ``weights`` is a finite, non-negative (q, d) matrix and ``capacities`` a
-    non-negative (q,) vector; the oracle is named ``ks{d}``. A set fits when
-    each load is at most its capacity plus ``FEASIBILITY_TOL``.
+    non-negative (q,) vector; the oracle is named ``ks{d}``. ``_load_plan``
+    says which sets fit.
     """
 
     sense = Sense.MAXIMIZE
@@ -336,37 +267,38 @@ class KnapsackOracle(ProblemOracle):
         that takes an item of non-positive cost is preceded by the same set
         without it.
 
-        Subsets grow item by item in index order, each taking the remaining
-        capacity down one item at a time, as ``_load_plan`` does. Only the
-        remaining capacities are kept until the count is known to fit, so a
-        knapsack past the budget never holds a partial table.
+        Subsets grow item by item along ``_load_plan``, so the table and the
+        DP see the same feasible sets. The subsets of each load are counted
+        first, so a knapsack past the budget builds no row.
         """
-        remaining = self.capacities[None, :]
-        grown_from = []  # per item j: the subsets that j was added to
-        for j in range(self.d):
-            fits = np.all(self.weights[:, j] <= remaining + FEASIBILITY_TOL, axis=1)
-            parents = np.flatnonzero(fits)
-            if (len(remaining) + len(parents)) * self.d > KNAPSACK_TABLE_MAX_ENTRIES:
-                return None
-            grown_from.append(parents)
-            remaining = np.vstack([remaining, remaining[parents] - self.weights[:, j]])
-        table = np.zeros((len(remaining), self.d))
-        start = 1
-        for j, parents in enumerate(grown_from):
-            table[start:start + len(parents)] = table[parents]
-            table[start:start + len(parents), j] = 1.0
-            start += len(parents)
+        steps, _ = self._load_plan
+        count = np.ones(1)  # per load before item j, the subsets that reach it
+        for skip, take in steps:
+            fits = take >= 0
+            count = np.bincount(np.concatenate([skip, take[fits]]),
+                                weights=np.concatenate([count, count[fits]]))
+        if count.sum() * self.d > KNAPSACK_TABLE_MAX_ENTRIES:
+            return None
+        table = np.zeros((int(count.sum()), self.d))
+        load = np.zeros(1, dtype=np.intp)  # per subset so far, its load before item j
+        for j, (skip, take) in enumerate(steps):
+            parents = np.flatnonzero(take[load] >= 0)
+            grown = slice(len(load), len(load) + len(parents))
+            table[grown] = table[parents]
+            table[grown, j] = 1.0
+            load = np.concatenate([skip[load], take[load[parents]]])
         return table[np.lexsort(table.T[::-1])]
 
     @_shared
     def _load_plan(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
         """The distinct remaining capacities (loads) that subsets reach,
-        taken down item by item with the table's fit rule, so both paths
-        see the same feasible sets. Per item j, the (skip, take) indices of
-        each load before j among the loads after j, take -1 where j does
-        not fit; then the number of loads after the last item. Equal loads
-        have equal futures, so loads are few where subsets are not: at most
-        229 per item on generator knapsacks up to ks256."""
+        taken down item by item: item j fits a load when each of its
+        weights is at most that load plus ``FEASIBILITY_TOL``. Per item j,
+        the (skip, take) indices of each load before j among the loads after
+        j, take -1 where j does not fit; then the number of loads after the
+        last item. Equal loads have equal futures, so loads are few where
+        subsets are not: at most 229 per item on generator knapsacks up to
+        ks256."""
         remaining = self.capacities[None, :]
         steps = []
         for j in range(self.d):
@@ -500,9 +432,10 @@ class ShortestPathOracle(ProblemOracle):
         for the whole batch at once: in the skewed layout of ``_arc_plan`` a
         diagonal is one slice, and a node's successors sit on the next one,
         east at the same r and south at r + 1. East wins only when strictly
-        cheaper (the tie rule of the module docstring), so each node keeps
-        the smallest of its optimal suffixes. The paths are rebuilt forward
-        from the "go east" flags.
+        cheaper: at node (r, c) every arc of either branch has an index at
+        least that of the node's east arc, which only the east branch holds,
+        so south wins a tie and each node keeps the smallest of its optimal
+        suffixes. The paths are rebuilt forward from the "go east" flags.
         """
         rows, diagonals = self.rows, self.rows + self.cols - 1
         plan = self._arc_plan

@@ -4,28 +4,14 @@ Solves ``opt c'x  s.t.  Ax <= b, 0 <= x <= u`` with a full-tableau pivot
 loop (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 3.3).
 A :class:`LinearProgram` holds only the constraint set; the objective and
 its sense are arguments of :func:`solve_lp`, so one relaxation serves every
-instance of a problem. Phase 1 reads only the constraint set, so it
-runs once per :class:`LinearProgram`, on its first solve: the feasible
-tableau and basis it ends on (or its infeasibility verdict) are kept,
-read-only, on the program. Each :func:`solve_lp` call runs phase 2 and the
-ranging on a copy of them. An optimal solve also returns, for every
-objective coefficient, the interval of single-coordinate perturbations under
-which the final basis (and therefore the returned vertex) stays optimal.
-Those intervals come from the terminal tableau alone, by ratio tests over
-all basic columns at once; no re-solves.
+instance of a problem. An optimal solve also returns, for every objective
+coefficient, the interval of single-coordinate perturbations under which
+the final basis (and therefore the returned vertex) stays optimal. Those
+intervals come from the terminal tableau alone, by ratio tests over all
+basic columns at once; no re-solves.
 
 Pivoting is deterministic: Dantzig's rule with smallest-index tie-breaking,
 falling back to Bland's rule once the degenerate-pivot budget is exhausted.
-
-The tableau is mostly zeros (sp5x5: 88 x 129, about 6% nonzero), so a pivot
-updates only the entries whose row has a nonzero pivot-column entry and
-whose column has a nonzero pivot-row entry; any other entry would get
-``x - 0 * p`` or ``x - c * 0``, which on a finite tableau is ``x`` up to the
-sign of a zero, and no comparison or division here tells the two zeros
-apart. The entries it updates get the dense update's products and
-differences, so every pivot, value and range is that of the dense loop,
-``tests/brute.py:dense_tableau_simplex``, the reference, and so is every
-vertex coordinate under ``==`` (a zero may carry the other sign).
 """
 from __future__ import annotations
 
@@ -119,11 +105,16 @@ class SimplexSolution:
 def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Pivot on ``(row, col)`` in place, updating only the entries that change.
 
-    An entry whose row has a zero pivot-column entry, or whose column has a
-    zero pivot-row entry, would get ``x - 0 * p`` or ``x - c * 0``, so only
-    the entries in both a nonzero row and a nonzero column are updated, in
-    one indexed update, with the same products and differences as a full
-    rank-1 update.
+    The tableau is mostly zeros (sp5x5: 88 x 129, about 6% nonzero). An
+    entry whose row has a zero pivot-column entry, or whose column has a
+    zero pivot-row entry, would get ``x - 0 * p`` or ``x - c * 0``, which on
+    a finite tableau is ``x`` up to the sign of a zero, and no comparison or
+    division here tells the two zeros apart. So only the entries in both a
+    nonzero row and a nonzero column are updated, in one indexed update,
+    with the dense update's products and differences: every pivot, value and
+    range is that of ``tests/brute.py:dense_tableau_simplex``, the reference,
+    and so is every vertex coordinate under ``==`` (a zero may carry the
+    other sign).
     """
     pivot = tableau[row]
     pivot /= pivot[col]

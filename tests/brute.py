@@ -583,8 +583,7 @@ def brute_spo_plus_train(model, dataset, config, problem):
             best_val, best_epoch = train_loss, epoch
             best_w, best_b = w.copy(), b.copy()
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
-                      best_model=LinearModel(best_w, best_b),
-                      final_model=LinearModel(w, b))
+                      best_model=LinearModel(best_w, best_b))
 
 
 # --- solver-free training --------------------------------------------------------
@@ -703,5 +702,4 @@ def brute_solver_free_train(model, dataset, spec, config, maximize: bool):
             best_val, best_epoch = val_loss, epoch
             best_w, best_b = w.copy(), b.copy()
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
-                      best_model=LinearModel(best_w, best_b),
-                      final_model=LinearModel(w, b))
+                      best_model=LinearModel(best_w, best_b))

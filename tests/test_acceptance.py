@@ -368,14 +368,15 @@ def test_criterion_09_component_monotonicity(desk_sp_study):
     clean = all(clean_seeds(reports, loss) == STUDY_SEEDS for loss in losses)
     rows = {row["loss"]: row.get("regret_norm_mean") for row in aggregate_rows(reports)}
     means = {loss: math.nan if rows[loss] is None else rows[loss] for loss in losses}
-    mono = build_monotonicity(means, base="mse", tolerance=0.05)
-    worst = max(mono.steps, key=lambda s: s.mean_norm / max(s.previous_norm, 1e-12))
+    steps = build_monotonicity(means, base="mse", tolerance=0.05)
+    regressions = [step for step in steps if step.regression]
+    worst = max(steps, key=lambda s: s.mean_norm / max(s.previous_norm, 1e-12))
     previous = previous_subset(worst)
     se = paired_ratio_se(reports, worst.loss, previous)
-    ok = clean and not mono.regressions
+    ok = clean and not regressions
     assert verdict(9, ok, (
         f"component additions within 5% over all 6 orders: "
-        f"{len(mono.regressions)} regressions; worst step {previous} -> "
+        f"{len(regressions)} regressions; worst step {previous} -> "
         f"{worst.loss} {worst.previous_norm:.3f}->{worst.mean_norm:.3f}, "
         f"per-seed ratio SE {se:.3f} over {len(STUDY_SEEDS)} seeds"
         f"{'' if clean else ' (failed cells)'}"))

@@ -201,7 +201,7 @@ def test_train_rejects_generation_flags_next_to_dataset(tmp_path, monkeypatch, c
     assert not (tmp_path / "m.bin").exists()
 
 
-def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):
+def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data.json"
     main(["generate", "--problem", "ks6", "--seed", "0", "--out", str(data),
           *GEN_ARGS])
@@ -210,7 +210,10 @@ def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch):
     code = main(["train", "--problem", "ks6", "--loss", "mse",
                  "--dataset", str(data), "--out", str(tmp_path / "m.bin"),
                  "--emit-costs", str(tmp_path / "c.json"), *TRAIN_ARGS])
-    assert code != 0
+    # a usage error: exit 2 and one error line, as for every other one
+    assert code == 2
+    assert capsys.readouterr().err == ("error: --emit-costs requires a loss with "
+                                       "instance weighting (+c)\n")
 
 
 @pytest.mark.parametrize("loss", ["mse+c+o+s", "spo+"])
@@ -284,25 +287,25 @@ def test_monotonicity_report_structure(tmp_path, monkeypatch):
         reports.extend(real_run(config))
         return reports
 
-    def build(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
+    def build(means, **kwargs):
+        built.append((means, real_build(means, **kwargs)))
+        return built[-1][1]
 
     monkeypatch.setattr(cli, "run_experiment", run)
     monkeypatch.setattr(cli, "build_monotonicity", build)
     main(["monotonicity", "--problem", "ks6", "--seeds", "0", "--tolerance", "0.05",
           "--out-dir", str(tmp_path), *GEN_ARGS, *TRAIN_ARGS])
-    [report] = built
-    assert set(report.subset_means) == {
+    [(means, steps)] = built
+    assert set(means) == {
         "mse", "mse+c", "mse+o", "mse+s", "mse+c+o", "mse+c+s", "mse+o+s",
         "mse+c+o+s"}
-    assert len(report.steps) == 18  # 6 orders x 3 additions
-    orders = {s.order for s in report.steps}
+    assert len(steps) == 18  # 6 orders x 3 additions
+    orders = {s.order for s in steps}
     assert len(orders) == 6
     # every order ends at the full composition with the same shared mean
-    finals = {s.mean_norm for s in report.steps if s.loss == "mse+c+o+s"}
+    finals = {s.mean_norm for s in steps if s.loss == "mse+c+o+s"}
     assert len(finals) == 1
-    for step in report.steps:
+    for step in steps:
         assert step.regression == (step.mean_norm > step.previous_norm * 1.05)
     assert len(reports) == 8
 

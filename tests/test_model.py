@@ -49,7 +49,6 @@ def deterministic_fields(trace):
         tuple((r.epoch, r.train_loss, r.val_loss) for r in trace.records),
         trace.best_epoch,
         trace.best_model.weights.tobytes(), trace.best_model.bias.tobytes(),
-        trace.final_model.weights.tobytes(), trace.final_model.bias.tobytes(),
     )
 
 
@@ -145,11 +144,11 @@ def test_validation_ignores_instance_weights():
     config = TrainConfig(epochs=3, batch_size=4, seed=0)
     trace = train(init_model(3, 6, seed=0), dataset, parse_loss("mse+c"),
                   config, problem)
-    snapshot = trace.final_model
+    snapshot = trace.best_model
     data = stack_loss_data(parse_loss("mse"), dataset, dataset.split.val, problem.sense)
     predicted = snapshot.predict(dataset.features[list(dataset.split.val)])
     manual = float(np.mean(evaluate_loss_batch(predicted, data, slice(None))[0]))
-    assert trace.records[-1].val_loss == pytest.approx(manual, rel=1e-9)
+    assert trace.best_val_loss == pytest.approx(manual, rel=1e-9)
 
 
 def test_spo_plus_merges_validation_and_counts_solves():
@@ -331,7 +330,7 @@ def test_best_model_is_the_start_when_no_epoch_improves():
 
 def test_a_trace_with_no_best_epoch_reads_an_infinite_best_loss():
     start = init_model(2, 3, seed=0)
-    trace = TrainTrace(records=(), best_epoch=-1, best_model=start, final_model=start)
+    trace = TrainTrace(records=(), best_epoch=-1, best_model=start)
     assert trace.best_val_loss == np.inf
 
 

@@ -10,12 +10,13 @@ package defines or a value a function of its module writes to. State that
 outlives an oracle goes through the store, which is bounded and counts its
 bytes; ``cached_property`` lives and dies with its object and is allowed.
 The run memo holds one generated dataset and the training runs on it rather
-than a bounded number of them. Consecutive cells with the same ``GenSpec``
-and d share them: a seed's cells of one problem in a seed-major grid, and
-each benchmark ``spo+`` cell with its ``mse`` cell. A benchmark pass over
-its 5 or 9 data seeds comes back to its first dataset only after the
-others, so a later pass generates every dataset and trains every run the
-first one did, where an LRU could hand it the earlier pass's.
+than a bounded number of them, and holds no run on a dataset that it did
+not generate (a ``fit`` caller's own dataset trains). Consecutive cells
+with the same ``GenSpec`` and d share them: a seed's cells of one problem in
+a seed-major grid, and each benchmark ``spo+`` cell with its ``mse`` cell.
+A benchmark pass over its 5 or 9 data seeds comes back to its first dataset
+only after the others, so a later pass generates every dataset and trains
+every run the first one did, where an LRU could hand it the earlier pass's.
 """
 import ast
 from pathlib import Path

@@ -33,11 +33,13 @@ def solving_by(oracle, path):
     family's recurrence (the knapsack DP, the grid DP or Held-Karp). The
     table is looked up on the first solve, so unbounded table budgets while
     looking it up force a table, and zero budgets force the recurrence; no
-    other test does."""
+    other test does. The lookup goes to a store of its own, so no other
+    oracle of the instance gets the forced table, or its absence."""
     budget = np.inf if path == "table" else 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", budget)
         mp.setattr(problems, "SIZE_TABLE_MAX_ENTRIES", budget)
+        mp.setattr(problems, "_STORE", problems._InstanceStore(problems._STORE.max_bytes))
         assert (oracle.decision_table is None) is (path == "recurrence")
     return oracle
 
@@ -649,10 +651,10 @@ def test_size_table_is_checked_once_per_size(monkeypatch, fresh_store, name, fam
 
 
 def test_solving_by_forces_either_knapsack_path_after_the_other(fresh_store):
-    # the table budgets are part of the store's key, so a table built past a
-    # budget does not reach an oracle under the default budgets, nor a None
-    # stored under zero budgets; ks48, sp8x8 and tsp9 are past their budget,
-    # and ks16, sp5x5 and tsp8 within it
+    # solving_by looks the table up in a store of its own, so a table built
+    # past a budget does not reach an oracle under the default budgets, nor a
+    # None built under zero budgets; ks48, sp8x8 and tsp9 are past their
+    # budget, and ks16, sp5x5 and tsp8 within it
     fresh_store(max_bytes=np.inf)
     for name, default in (("ks16", "table"), ("ks48", "recurrence"), ("sp5x5", "table"),
                           ("sp8x8", "recurrence"), ("tsp8", "table"), ("tsp9", "recurrence")):
@@ -662,6 +664,21 @@ def test_solving_by_forces_either_knapsack_path_after_the_other(fresh_store):
             assert (oracle.decision_table is None) is (path == "recurrence"), name
         plain = problem_from_name(name, seed=0)
         assert (plain.decision_table is None) is (default == "recurrence"), name
+
+
+@pytest.mark.parametrize("name, seed", [("ks8", 0), ("ks16", 3), ("ks24", 1)])
+def test_knapsack_table_is_built_exactly_up_to_its_budget(monkeypatch, fresh_store,
+                                                          name, seed):
+    # the subsets are counted before any row is built: a table of R rows
+    # builds at a budget of R * d entries and not at one entry fewer
+    rows, d = problem_from_name(name, seed=seed).decision_table.shape
+    for budget, built in ((rows * d, True), (rows * d - 1, False)):
+        fresh_store()
+        monkeypatch.setattr(problems, "KNAPSACK_TABLE_MAX_ENTRIES", budget)
+        table = problem_from_name(name, seed=seed).decision_table
+        assert (table is not None) is built, budget
+        if built:
+            assert table.shape == (rows, d)
 
 
 def held_arrays(value) -> list[np.ndarray]:

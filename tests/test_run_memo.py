@@ -1,9 +1,10 @@
 """The memo of solver-free training runs reuses runs without changing a bit.
 
-``harness._RUNS`` holds the finished runs of one dataset. Reusing them must
-leave every output of a grid as it is when each cell trains its own runs,
-later passes over a grid must train as much as the first, and a run that
-training would see differently must miss.
+``harness._RUNS`` holds the finished runs on the dataset it generated last.
+Reusing them must leave every output of a grid as it is when each cell
+trains its own runs, later passes over a grid must train as much as the
+first, a run that training would see differently must miss, and a run on a
+dataset the memo did not generate is never held.
 """
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def grid_outcomes(config: ExperimentConfig, before_cell) -> list[tuple]:
         for loss in config.losses:
             before_cell()
             problem = problem_from_name(config.problem, seed=seed)
-            dataset = generate(config.gen_spec(seed), problem)
+            dataset = harness._RUNS.generated(config.gen_spec(seed), problem)
             trace, counts, _, _ = fit(problem, dataset, parse_loss(loss),
                                       config.train_config(seed))
             out.append((loss, seed, total_regret(problem, trace.best_model, dataset, "test"),
@@ -84,9 +85,9 @@ def test_later_passes_train_as_much_as_the_first(fresh_runs, train_calls, monkey
         assert len(stored) == len(memo.runs)
         held.extend(spec.name for spec, _ in stored)
         # the memo holds one dataset, this cell's: every held run trained on it
-        cell = generate(config.gen_spec(seed), problem_from_name("ks6", seed))
+        assert memo.key == (config.gen_spec(seed), 6)
         for _, dataset in stored:
-            assert np.array_equal(dataset.features, cell.features)
+            assert dataset.features is memo.dataset.features
         return report
 
     monkeypatch.setattr(harness, "run_single", watched)
@@ -105,9 +106,9 @@ def test_later_passes_train_as_much_as_the_first(fresh_runs, train_calls, monkey
 def test_a_run_is_held_once_per_key(fresh_runs, train_calls):
     config = ExperimentConfig(problem="sp3x3", losses=("mse",), seeds=(0,), **TOY)
     problem = problem_from_name("sp3x3", seed=0)
-    dataset = generate(config.gen_spec(0), problem)
-    cfg = config.train_config(0)
     memo = harness._RUNS
+    dataset = memo.generated(config.gen_spec(0), problem)
+    cfg = config.train_config(0)
     mse, _ = memo.trained(problem, dataset, parse_loss("mse"), cfg)
     # a C spec whose weights are all exactly 1 trains as mse does
     ones = dataset.attach(weights=np.ones(dataset.n))
@@ -127,10 +128,33 @@ def test_a_run_is_held_once_per_key(fresh_runs, train_calls):
     memo.trained(problem, decided, parse_loss("spo+"), cfg)
     assert len(train_calls) == 7
     assert len(memo.runs) == 4  # mse at two configs and o_s+s on two ranges
-    # another dataset empties the memo before its run is held
-    other = generate(config.gen_spec(1), problem)
+    # another generated dataset empties the memo before its run is held
+    other = memo.generated(config.gen_spec(1), problem)
+    assert memo.runs == {}
     memo.trained(problem, other, parse_loss("mse"), cfg)
-    assert len(memo.runs) == 1 and np.array_equal(memo.dataset[0], other.features)
+    assert len(memo.runs) == 1
+
+
+def test_a_run_on_a_dataset_the_memo_did_not_generate_is_never_held(fresh_runs,
+                                                                    train_calls):
+    config = ExperimentConfig(problem="ks6", losses=("mse",), seeds=(0,), **TOY)
+    problem = problem_from_name("ks6", seed=0)
+    memo = harness._RUNS
+    cfg = config.train_config(0)
+    mse = parse_loss("mse")
+    # an equal dataset that the memo did not hand out, before and after it
+    # generated one, trains every time and is not held
+    own = generate(config.gen_spec(0), problem)
+    memo.trained(problem, own, mse, cfg)
+    held = memo.generated(config.gen_spec(0), problem)
+    assert np.array_equal(own.features, held.features) and own.features is not held.features
+    memo.trained(problem, own, mse, cfg)
+    fit(problem, own, parse_loss("lawless:0"), cfg)
+    assert (len(train_calls), memo.runs) == (3, {})
+    # the generated dataset, or one attached from it, is held
+    memo.trained(problem, held, mse, cfg)
+    memo.trained(problem, held.attach(weights=np.ones(held.n)), parse_loss("mse+c"), cfg)
+    assert (len(train_calls), len(memo.runs)) == (4, 1)
 
 
 def test_a_reusing_cell_is_charged_the_reused_seconds(fresh_runs):
