@@ -17,8 +17,7 @@ from .errors import (CosdflError, DimensionMismatch, MissingBaselineRegret,
 from .harness import (ExperimentConfig, MonotonicityStep, RunReport,
                       SolveCounts, aggregate_rows, attach_decisions, attach_ranges,
                       build_monotonicity, component_subset_losses, fit,
-                      pareto_flags, run_experiment, run_single,
-                      sensitivity_soundness_check, write_results)
+                      pareto_flags, run_experiment, run_single, write_results)
 from .instance_costs import (BaselineReport, apply_instance_costs,
                              compute_instance_costs)
 from .losses import (BaseError, LossData, LossSpec, OneSidedMode, base_error,

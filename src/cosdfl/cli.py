@@ -7,7 +7,6 @@ Subcommands:
   experiment         run a (loss x seed) grid and write results.csv
   desk               run the desk grids of both problems, with the sweep ratio
   monotonicity       check that adding loss components never hurts
-  sensitivity-check  verify LP cost ranges against re-solves on random LPs
 
 The process exits 0 only when every requested run succeeded.
 """
@@ -23,8 +22,7 @@ from .datagen import GenSpec, generate
 from .errors import CosdflError, DimensionMismatch
 from .harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig, attach_decisions,
                       build_monotonicity, component_subset_losses, fit,
-                      run_experiment, sensitivity_soundness_check,
-                      write_monotonicity, write_results)
+                      run_experiment, write_monotonicity, write_results)
 from .instance_costs import save_baseline_report
 from .losses import parse_loss
 from .model import load_model, save_model
@@ -203,17 +201,6 @@ def _cmd_monotonicity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sensitivity_check(args: argparse.Namespace) -> int:
-    checks, failures = sensitivity_soundness_check(
-        n_lps=args.n_lps, max_size=args.max_size, seed=args.seed)
-    print(f"{checks} range-endpoint checks across {args.n_lps} random LPs, "
-          f"{len(failures)} failures")
-    for f in failures[:10]:
-        print(f"  trial={f.trial} coord={f.coordinate} point={f.point!r} "
-              f"gap={f.gap:.3e}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosdfl",
@@ -257,14 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_args(p)
     _add_train_args(p)
     p.add_argument("--normalize-against", default=ExperimentConfig.normalize_against)
-    p.add_argument("--deterministic-output", action="store_true",
-                   help="zero wall-clock columns so outputs are byte-identical")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("desk", help="run the desk grids: DESK_LOSSES on sp5x5 and ks16")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
-    p.add_argument("--deterministic-output", action="store_true")
     p.add_argument("--out-dir", required=True, help="each grid goes to <out-dir>/<problem>")
     p.set_defaults(func=_cmd_desk)
 
@@ -279,16 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed fractional regression per added component")
     _add_gen_args(p)
     _add_train_args(p)
-    p.add_argument("--deterministic-output", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_monotonicity)
-
-    p = sub.add_parser("sensitivity-check",
-                       help="re-solve random LPs at range endpoints")
-    p.add_argument("--n-lps", type=int, default=200)
-    p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sensitivity_check)
 
     return parser
 

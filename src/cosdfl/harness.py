@@ -20,7 +20,7 @@ advance it: the oracle's ``solve_many``, by one per cost row, and
 evaluation happen outside the phases and are not counted (the latter is
 identical for every loss). Cells run one after another, seed by seed, and
 reports come back in (loss, seed) order, so re-running a config reproduces
-results exactly (``write_results`` says how to zero the wall times).
+results exactly.
 """
 from __future__ import annotations
 
@@ -34,14 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Sense, total_regret
+from .core import Dataset, total_regret
 from .datagen import GenSpec, generate
 from .errors import NumericalBreakdown, SolveFailure, ZeroVector
 from .instance_costs import apply_instance_costs, compute_instance_costs
 from .losses import LossSpec, instance_factor, normalize, parse_loss
 from .model import Optimizer, TrainConfig, TrainTrace, init_model, train
 from .problems import ProblemOracle, problem_from_name
-from .simplex import LinearProgram, SolveStatus, solve_lp
+from .simplex import solve_lp
 
 
 # --- cache attachment --------------------------------------------------------
@@ -115,7 +115,6 @@ class ExperimentConfig:
     batch_size: int = TrainConfig.batch_size
     optimizer: str = TrainConfig.optimizer.value
     normalize_against: str = "mse"
-    deterministic_output: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(self.losses))
@@ -135,6 +134,10 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and above 0, "
+                             f"got {self.learning_rate}")
+        self.gen_spec(self.seeds[0])  # GenSpec checks the data settings
 
     def gen_spec(self, seed: int) -> GenSpec:
         return GenSpec(n_train=self.n_train, n_val=self.n_val, n_test=self.n_test,
@@ -335,17 +338,17 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
 # --- output files ----------------------------------------------------------------
 
 RESULTS_COLUMNS = ("problem", "loss", "seed", "regret_abs", "regret_norm",
-                   "time_s", "solves_pre", "solves_train", "exact")
+                   "solves_pre", "solves_train", "exact")
 
 
 def write_results(reports: list[RunReport], out_dir,
                   config: ExperimentConfig) -> list[dict]:
     """Write results.csv (schema above), runs.json with full breakdowns,
-    config.json and pareto.csv; return the ``aggregate_rows``. Wall times are
-    zeroed under ``config.deterministic_output``."""
+    config.json, pareto.csv and times.json; return the ``aggregate_rows``.
+    times.json holds every wall-clock reading, so the other four files are
+    the same on every run of one config."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    zero_time = config.deterministic_output
     with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)
@@ -354,7 +357,6 @@ def write_results(reports: list[RunReport], out_dir,
                 r.problem, r.loss, r.seed,
                 repr(r.regret_abs),
                 "" if r.regret_norm is None else repr(r.regret_norm),
-                f"{0.0 if zero_time else r.time_s:.3f}",
                 r.counts.pre_total, r.counts.training_solves,
                 str(bool(r.exact)).lower(),
             ])
@@ -362,22 +364,22 @@ def write_results(reports: list[RunReport], out_dir,
         json.dump([{
             "problem": r.problem, "loss": r.loss, "seed": r.seed,
             "regret_abs": r.regret_abs, "regret_norm": r.regret_norm,
-            "time_s": None if zero_time else r.time_s,
             "counts": asdict(r.counts), "exact": r.exact,
             "best_val_loss": r.best_val_loss, "error": r.error,
         } for r in reports], fh, indent=2)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(config), fh, indent=2)
+    with open(out / "times.json", "w", encoding="utf-8") as fh:
+        json.dump([{"loss": r.loss, "seed": r.seed, "time_s": r.time_s}
+                   for r in reports], fh, indent=2)
     rows = aggregate_rows(reports)
     with open(out / "pareto.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["loss", "regret_abs_mean", "solves_mean", "time_s_mean",
-                         "pareto_optimal"])
+        writer.writerow(["loss", "regret_abs_mean", "solves_mean", "pareto_optimal"])
         for row in rows:
             if row["n"]:
                 writer.writerow([row["loss"], repr(row["regret_abs_mean"]),
                                  repr(row["solves_mean"]),
-                                 f"{0.0 if zero_time else row['time_s_mean']:.3f}",
                                  str(row["pareto_optimal"]).lower()])
     return rows
 
@@ -500,59 +502,3 @@ def write_monotonicity(steps: tuple[MonotonicityStep, ...], out_dir) -> Path:
             writer.writerow([s.order, s.loss, repr(s.mean_norm),
                              repr(s.previous_norm), str(s.regression).lower()])
     return path
-
-
-# --- LP ranging soundness (used by the sensitivity-check subcommand) ---------------
-
-@dataclass(frozen=True)
-class RangingFailure:
-    trial: int
-    coordinate: int
-    point: float
-    gap: float
-
-
-def sensitivity_soundness_check(n_lps: int = 200, max_size: int = 8,
-                                seed: int = 0) -> tuple[int, list[RangingFailure]]:
-    """Solve random box-bounded LPs and verify their cost ranges.
-
-    For every coordinate, the objective is re-solved at each finite range
-    endpoint (and the midpoint when both are finite); the original decision
-    vector must still be optimal there, i.e. its perturbed objective must
-    match the re-solved optimum to 1e-7 relative tolerance. Returns the
-    number of point checks performed and the list of failures.
-    """
-    rng = np.random.default_rng(seed)
-    checks = 0
-    failures: list[RangingFailure] = []
-    for trial in range(n_lps):
-        m = int(rng.integers(1, max_size + 1))
-        d = int(rng.integers(1, max_size + 1))
-        a = rng.uniform(0.1, 2.0, size=(m, d))
-        b = rng.uniform(1.0, 6.0, size=m)
-        c = rng.normal(0.0, 2.0, size=d)
-        sense = Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE
-        upper = np.where(rng.random(d) < 0.5, rng.uniform(0.5, 3.0, size=d), np.inf)
-        lp = LinearProgram(a, b, upper)
-        solution = solve_lp(lp, c, sense)
-        assert solution.status is SolveStatus.OPTIMAL, "random box LP must be solvable"
-        lower, upper = solution.ranges
-        for j in range(d):
-            points = []
-            lo, hi = lower[j], upper[j]
-            if np.isfinite(lo):
-                points.append(lo)
-            if np.isfinite(hi):
-                points.append(hi)
-            if np.isfinite(lo) and np.isfinite(hi):
-                points.append(0.5 * (lo + hi))
-            for point in points:
-                perturbed = c.copy()
-                perturbed[j] = point
-                re_solved = solve_lp(lp, perturbed, sense)
-                checks += 1
-                original_value = float(perturbed @ solution.x)
-                gap = abs(original_value - re_solved.objective_value)
-                if gap > 1e-7 * max(1.0, abs(re_solved.objective_value)):
-                    failures.append(RangingFailure(trial, j, float(point), gap))
-    return checks, failures

@@ -22,8 +22,7 @@ from cosdfl.datagen import generate
 from cosdfl.harness import (DESK_LOSSES, LAWLESS_SWEEP, ExperimentConfig,
                             aggregate_rows, build_monotonicity,
                             component_subset_losses, fit, run_experiment,
-                            run_single, sensitivity_soundness_check,
-                            write_results)
+                            run_single, write_results)
 from cosdfl.losses import (evaluate_loss_batch, normalize, parse_loss,
                            stack_loss_data)
 from cosdfl.problems import (ShortestPathOracle, TspOracle, make_knapsack,
@@ -31,6 +30,7 @@ from cosdfl.problems import (ShortestPathOracle, TspOracle, make_knapsack,
 from cosdfl.simplex import solve_lp
 
 from brute import (brute_knapsack, brute_shortest_path, brute_tsp)
+from lp_check import sensitivity_soundness_check
 
 DESK_SEEDS = (0, 1, 2, 3, 4)
 STUDY_SEEDS = tuple(range(20))
@@ -404,12 +404,16 @@ def test_criterion_10_lawless_comparison(desk_sp_study):
 def test_criterion_11_deterministic_results(tmp_path):
     config = ExperimentConfig(problem="ks6", losses=("mse", "mse+c"),
                               seeds=(0, 1), n_train=10, n_val=4, n_test=6,
-                              k=4, epochs=2, batch_size=4,
-                              deterministic_output=True)
+                              k=4, epochs=2, batch_size=4)
+    written = []
     for name in ("first", "second"):
         write_results(run_experiment(config), tmp_path / name, config)
-    first = (tmp_path / "first" / "results.csv").read_bytes()
-    second = (tmp_path / "second" / "results.csv").read_bytes()
-    ok = first == second and len(first) > 0
-    assert verdict(11, ok, f"repeated experiment config: results.csv "
-                           f"byte-identical ({len(first)} bytes)")
+        # times.json holds the wall clocks, the one file that may differ
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / name).iterdir())
+                        if p.name != "times.json"})
+    first, second = written
+    size = sum(map(len, first.values()))
+    ok = first == second and len(first) == 4 and size > 0
+    assert verdict(11, ok, f"repeated experiment config: {', '.join(first)} "
+                           f"byte-identical ({size} bytes)")

@@ -99,7 +99,7 @@ def test_readme_commands_parse():
                 words = shlex.split(line, comments=True)
                 commands.append(cli.build_parser().parse_args(words[1:]).command)
     assert sorted(set(commands)) == ["desk", "eval", "experiment", "generate",
-                                     "monotonicity", "sensitivity-check", "train"]
+                                     "monotonicity", "train"]
 
 
 def test_train_eval_roundtrip(tmp_path):
@@ -243,17 +243,35 @@ def test_experiment_outputs(tmp_path):
     assert (out / "runs.json").exists()
 
 
-def test_experiment_deterministic_flag_byte_identical(tmp_path):
-    args = ["experiment", "--problem", "ks6", "--losses", "mse", "--seeds",
-            "0", *GEN_ARGS, *TRAIN_ARGS, "--deterministic-output"]
-    assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
-    assert main([*args, "--out-dir", str(tmp_path / "b")]) == 0
-    for name in ("results.csv", "pareto.csv", "runs.json"):
-        first = (tmp_path / "a" / name).read_bytes()
-        assert first == (tmp_path / "b" / name).read_bytes(), name
-    with open(tmp_path / "a" / "pareto.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["time_s_mean"] for row in rows] == ["0.000"]
+def test_experiment_outputs_byte_identical_apart_from_times(tmp_path):
+    # two seeds, so the second run trains anew: the run memo holds one dataset
+    args = ["experiment", "--problem", "ks6", "--losses", "mse,mse+c", "--seeds",
+            "0,1", *GEN_ARGS, *TRAIN_ARGS]
+    written = []
+    for name in ("a", "b"):
+        assert main([*args, "--out-dir", str(tmp_path / name)]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    first, second = written
+    assert sorted(first) == ["config.json", "pareto.csv", "results.csv", "runs.json",
+                             "times.json"]
+    times = [json.loads(files.pop("times.json")) for files in written]
+    assert first == second
+    assert [(t["loss"], t["seed"]) for t in times[0]] == [
+        ("mse", 0), ("mse", 1), ("mse+c", 0), ("mse+c", 1)]
+    assert all(t["time_s"] > 0.0 for t in times[0] + times[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--problem", "ks6", "--losses", "mse", "--deterministic-output",
+     "--out-dir", "x"],
+    ["desk", "--deterministic-output", "--out-dir", "x"],
+    ["monotonicity", "--problem", "ks6", "--deterministic-output", "--out-dir", "x"],
+    ["sensitivity-check"]], ids=["experiment", "desk", "monotonicity", "sensitivity-check"])
+def test_removed_flag_and_subcommand_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: cosdfl" in capsys.readouterr().err
 
 
 def test_monotonicity_writes_report(tmp_path):
@@ -267,8 +285,7 @@ def test_monotonicity_writes_report(tmp_path):
 
 
 def test_monotonicity_is_the_experiment_grid(tmp_path):
-    common = ["--problem", "ks6", "--seeds", "0,1", *GEN_ARGS, *TRAIN_ARGS,
-              "--deterministic-output"]
+    common = ["--problem", "ks6", "--seeds", "0,1", *GEN_ARGS, *TRAIN_ARGS]
     assert main(["monotonicity", "--base", "mse", *common,
                  "--out-dir", str(tmp_path / "mono")]) in (0, 1)
     assert main(["experiment", "--losses", ",".join(harness.component_subset_losses("mse")),
@@ -329,11 +346,6 @@ def test_monotonicity_fails_on_a_failed_cell(tmp_path, monkeypatch, capsys):
     assert "no component made regret worse" not in captured.out
 
 
-def test_sensitivity_check_exit_code():
-    assert main(["sensitivity-check", "--n-lps", "20", "--max-size", "5",
-                 "--seed", "2"]) == 0
-
-
 def test_unknown_loss_is_an_error(tmp_path):
     code = main(["experiment", "--problem", "ks6", "--losses", "nope",
                  "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
@@ -359,6 +371,20 @@ def test_experiment_rejects_a_repeated_or_empty_seed_list(tmp_path, capsys, seed
                  "--seeds", seeds, "--out-dir", str(tmp_path / "x"), *GEN_ARGS])
     assert code == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "-1"], "learning_rate must be finite and above 0, got -1.0"),
+    (["--n-train", "0"], "need a non-empty training split and non-negative sizes")],
+    ids=["negative-lr", "no-training-rows"])
+def test_experiment_rejects_bad_settings_before_any_cell(tmp_path, capsys, flags, message):
+    # --lr -1 used to train by gradient ascent and exit 0, and --n-train 0
+    # used to fail every cell, exit 1 and still write the result files
+    code = main(["experiment", "--problem", "ks6", "--losses", "mse", "--seeds", "0",
+                 "--out-dir", str(tmp_path / "x"), *GEN_ARGS, *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -11,14 +11,15 @@ from cosdfl.errors import NumericalBreakdown, SolveFailure, ZeroVector
 from cosdfl.harness import (RESULTS_COLUMNS, ExperimentConfig, RunReport,
                             SolveCounts, aggregate_rows, attach_decisions,
                             attach_ranges, fit, pareto_flags, run_experiment,
-                            run_single, sensitivity_soundness_check,
-                            write_results)
+                            run_single, write_results)
 from cosdfl.losses import normalize, parse_loss
 from cosdfl.problems import ShortestPathOracle, make_knapsack
 from cosdfl.simplex import SimplexSolution, SolveStatus
 
 import cosdfl.harness as harness_mod
 import cosdfl.simplex as simplex_mod
+
+from lp_check import sensitivity_soundness_check
 
 
 TINY = dict(n_train=10, n_val=4, n_test=6, k=4, epochs=2, batch_size=4)
@@ -48,6 +49,26 @@ def test_experiment_config_names_a_count_below_one(field):
     tiny_config(**{field: 1})
 
 
+def test_experiment_config_rejects_a_learning_rate_not_above_zero():
+    # a negative rate used to train by gradient ascent, and zero not at all
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=(r"^learning_rate must be finite and "
+                                              rf"above 0, got {bad}$")):
+            tiny_config(learning_rate=bad)
+    tiny_config(learning_rate=1e-9)
+
+
+def test_experiment_config_checks_the_data_settings(monkeypatch):
+    # each used to fail every cell of the grid; GenSpec is built once up front
+    for field, bad in (("k", 0), ("deg", 0), ("n_train", 0), ("n_test", -1),
+                       ("noise_width", -1.0), ("noise_width", 1.0)):
+        with pytest.raises(ValueError):
+            tiny_config(**{field: bad})
+    built = []
+    monkeypatch.setattr(harness_mod, "GenSpec",
+                        lambda **fields: built.append(fields) or GenSpec(**fields))
+    tiny_config(seeds=(3, 1, 2))
+    assert [fields["seed"] for fields in built] == [3]
 
 
 def test_experiment_config_rejects_repeated_and_empty_grids():
@@ -225,24 +246,30 @@ def test_run_experiment_captures_cell_failures(monkeypatch):
 
 
 def test_write_results_schema_and_determinism_flag(tmp_path):
-    config = tiny_config(losses=("mse",), seeds=(0, 1), deterministic_output=True)
+    config = tiny_config(losses=("mse",), seeds=(0, 1))
     reports = run_experiment(config)
     write_results(reports, tmp_path, config)
     with open(tmp_path / "results.csv") as fh:
         rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == RESULTS_COLUMNS
+    assert tuple(rows[0]) == RESULTS_COLUMNS == (
+        "problem", "loss", "seed", "regret_abs", "regret_norm", "solves_pre",
+        "solves_train", "exact")
     assert len(rows) == 3
     for row in rows[1:]:
         assert row[0] == "ks6"
-        assert row[5] == "0.000"  # wall time zeroed
-        assert row[8] == "true"
+        assert row[7] == "true"
         float(row[3])  # regret parses
     runs = json.loads((tmp_path / "runs.json").read_text())
     assert [r["seed"] for r in runs] == [0, 1]
-    assert runs[0]["time_s"] is None
+    assert "time_s" not in runs[0]
     assert set(runs[0]["counts"]) == {"precompute_n_star", "precompute_ranges",
                                       "instance_cost_solves", "training_solves"}
     assert json.loads((tmp_path / "config.json").read_text())["seeds"] == [0, 1]
+    # every wall-clock reading is in times.json, one entry per report, in order
+    assert json.loads((tmp_path / "times.json").read_text()) == [
+        {"loss": r.loss, "seed": r.seed, "time_s": r.time_s} for r in reports]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "pareto.csv", "results.csv", "runs.json", "times.json"]
 
 
 def test_pareto_flags_frozen():
@@ -267,13 +294,13 @@ def test_write_results_flags_pareto_on_solves_not_time(tmp_path):
 
     # the slow run with fewer solves is flagged; the fast one with more is not
     reports = [report("a", 1.0, 10, 0, 5.0), report("b", 1.0, 10, 5, 0.1)]
-    config = tiny_config(deterministic_output=True)
+    config = tiny_config()
     rows = write_results(reports, tmp_path, config)
     assert [(r["loss"], r["solves_mean"], r["pareto_optimal"]) for r in rows] == [
         ("a", 10.0, True), ("b", 15.0, False)]
     assert (tmp_path / "pareto.csv").read_text().splitlines() == [
-        "loss,regret_abs_mean,solves_mean,time_s_mean,pareto_optimal",
-        "a,1.0,10.0,0.000,true", "b,1.0,15.0,0.000,false"]
+        "loss,regret_abs_mean,solves_mean,pareto_optimal",
+        "a,1.0,10.0,true", "b,1.0,15.0,false"]
     # a loss whose every run failed is a row with n = 0 and no point
     failed = replace(reports[0], loss="c", error="boom")
     rows = write_results([*reports, failed], tmp_path / "failed", config)
