@@ -135,10 +135,12 @@ def _parse_list(text: str) -> list[str]:
 def _run_grid(config: ExperimentConfig, out: Path) -> tuple[int, list[dict]]:
     """Run ``config``'s (loss x seed) grid, write its files to ``out``, and
     print the per-loss summary and the failed cells. Returns the exit code
-    and the ``aggregate_rows``. An empty loss list is an error, raised
-    before any cell runs or any file is written."""
+    and the ``aggregate_rows``. An empty loss list or test split is an
+    error, raised before any cell runs or any file is written."""
     if not config.losses:
         raise ValueError("losses is empty: a grid needs at least one loss")
+    if config.n_test < 1:  # no test instance, no regret to score
+        raise ValueError(f"n_test must be at least 1 in a grid, got {config.n_test}")
     reports = run_experiment(config)
     rows = write_results(reports, out, config)
     for row in rows:

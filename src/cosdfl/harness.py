@@ -20,13 +20,14 @@ advance it: the oracle's ``solve_many``, by one per cost row, and
 evaluation happen outside the phases and are not counted (the latter is
 identical for every loss). Cells run one after another, seed by seed, and
 reports come back in (loss, seed) order, so re-running a config reproduces
-results exactly.
+results exactly; ``_POOL`` workers on the spare CPUs share ranging LPs.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -34,14 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, total_regret
+from .core import Dataset, Sense, total_regret
 from .datagen import GenSpec, generate
 from .errors import NumericalBreakdown, SolveFailure, ZeroVector
 from .instance_costs import apply_instance_costs, compute_instance_costs
 from .losses import LossSpec, instance_factor, normalize, parse_loss
 from .model import Optimizer, TrainConfig, TrainTrace, init_model, train
 from .problems import ProblemOracle, problem_from_name
-from .simplex import solve_lp
+from .simplex import LinearProgram, solve_lp
 
 
 # --- cache attachment --------------------------------------------------------
@@ -64,11 +65,12 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
                   normalized: bool = False) -> Dataset:
     """Attach objective-coefficient ranges from the problem's LP relaxation.
 
-    One ``solve_lp`` call per instance without ranges, each advancing
-    ``problem.solves`` by one. With ``normalized`` the ranging objective is
-    the unit-norm cost vector, which is what scale-invariant losses must
-    mask against, normalized before any LP solve. A failed solve or a zero
-    cost vector raises an error naming the instance and ``precompute_ranges``.
+    One ``solve_lp`` call per instance without ranges, in this process or a
+    ``_POOL`` worker, bit for bit alike, each advancing ``problem.solves``
+    by one. With ``normalized`` the ranging objective is the unit-norm cost
+    vector, which is what scale-invariant losses must mask against,
+    normalized before any LP solve. A failed solve or a zero cost vector
+    raises an error naming the (first) instance and ``precompute_ranges``.
     """
     missing = dataset.uncached("lower", [i for split in splits
                                          for i in dataset.split.part(split)])
@@ -80,18 +82,124 @@ def attach_ranges(dataset: Dataset, problem: ProblemOracle,
         objectives = normalize(objectives, missing) if normalized else objectives
     except ZeroVector as exc:
         raise ZeroVector(f"precompute_ranges: {exc}") from exc
-    for i, objective in zip(missing, objectives):
-        try:
-            solution = solve_lp(problem.relaxation, objective, problem.sense)
-        except NumericalBreakdown as exc:
-            raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i}: "
-                               f"{exc}") from exc
-        if solution.ranges is None:
-            raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i} is "
-                               f"{solution.status.value}")
-        lower[i], upper[i] = solution.ranges
+    for i, outcome in zip(missing, _POOL.outcomes(problem.relaxation, objectives,
+                                                  problem.sense)):
+        if isinstance(outcome, str):
+            raise SolveFailure(f"precompute_ranges: LP relaxation of instance {i}{outcome}")
+        lower[i], upper[i] = outcome
     problem.solves += len(missing)
     return dataset.attach(lower=lower, upper=upper)
+
+
+def _range_outcome(lp: LinearProgram, objective: np.ndarray, sense: Sense):
+    """``solve_lp``'s ranges, or why it gave none as an error message's end."""
+    try:
+        solution = solve_lp(lp, objective, sense)
+    except NumericalBreakdown as exc:
+        return f": {exc}"
+    return f" is {solution.status.value}" if solution.ranges is None else solution.ranges
+
+
+class _RangingPool:
+    """Worker processes that share ``attach_ranges``' LPs; the README says
+    why each rule holds. One per CPU of the process's affinity set but one,
+    so at most ``os.cpu_count() - 1`` (``size`` is a test seam), forked on
+    the first call that shares and daemonic, each pinned to a CPU of its
+    own; none without CPU affinity or beside other threads. Only an LP of
+    at most ``MAX_BYTES`` is shared, with the parent pinned to the other
+    CPUs during the call. It solves rows from the back, the first running
+    phase 1, and a worker gets the LP, start included, with its first chunk
+    of ``CHUNK`` rows from the front. A worker reads EOF when the parent
+    dies; an error in a call stops the workers."""
+    CHUNK = 4
+    MAX_BYTES = 1 << 21  # holds sp10x10 (1.98 MB), whose products ran on one BLAS thread
+
+    def __init__(self, size: int | None = None):
+        self.size, self.workers, self.cpus = size, None, set()
+
+    def _start(self) -> None:
+        import multiprocessing
+        import threading
+        self.workers, ends = [], []  # (pipe end, process) pairs
+        if not (hasattr(os, "sched_setaffinity") and threading.active_count() == 1):
+            return  # affinity is Linux's, and fork is always there
+        cpus = sorted(os.sched_getaffinity(0))
+        size = len(cpus) - 1 if self.size is None else self.size
+        self.cpus = set(cpus[:len(cpus) - size] or cpus)  # the parent's during a call
+        for k in range(size):
+            end, theirs = multiprocessing.Pipe()
+            ends.append(end)
+            worker = multiprocessing.get_context("fork").Process(
+                target=_serve, args=(theirs, ends, cpus[-1 - k % len(cpus)]), daemon=True)
+            worker.start()
+            theirs.close()
+            self.workers.append((end, worker))
+
+    def close(self) -> None:
+        for end, worker in self.workers or ():
+            end.close()
+            worker.terminate()
+            worker.join()
+        self.workers = None
+
+    def outcomes(self, lp: LinearProgram, objectives: np.ndarray, sense: Sense) -> list:
+        """``_range_outcome`` of each row of ``objectives``, in row order."""
+        shared = lp.nbytes <= self.MAX_BYTES
+        if shared and self.workers is None:
+            self._start()
+        if not (shared and self.workers):
+            return [_range_outcome(lp, row, sense) for row in objectives]
+        from multiprocessing.connection import wait
+        outcomes, front, back, busy = [None] * len(objectives), 0, len(objectives) - 1, {}
+        outcomes[back] = _range_outcome(lp, objectives[back], sense)  # runs phase 1
+
+        def hand_out(end, message_lp):
+            nonlocal front
+            busy[end], front = front, min(front + self.CHUNK, back)
+            end.send((message_lp, sense, objectives[busy[end]:front]))
+
+        own = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, self.cpus)
+        try:
+            for end, _ in self.workers[:-(-back // self.CHUNK)]:  # a first chunk each
+                hand_out(end, lp)
+            while busy or front < back:
+                for end in wait(list(busy), timeout=0 if front < back else None):
+                    first, reply = busy.pop(end), end.recv()
+                    outcomes[first:first + len(reply)] = reply
+                    if front < back:
+                        hand_out(end, None)
+                if front < back:
+                    back -= 1
+                    outcomes[back] = _range_outcome(lp, objectives[back], sense)
+            for end, _ in self.workers:
+                end.send(None)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.sched_setaffinity(0, own)
+        return outcomes
+
+
+def _serve(end, parent_ends: list, cpu: int) -> None:
+    """A ranging worker on ``cpu``: solve chunks on the call's LP until EOF."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    os.sched_setaffinity(0, {cpu})
+    for parent_end in parent_ends:
+        parent_end.close()
+    try:
+        while True:
+            message = end.recv()  # (lp, or None for the call's lp, sense, rows)
+            lp = message and (message[0] or lp)  # None ends the call: keep nothing
+            if message:
+                end.send([_range_outcome(lp, row, message[1]) for row in message[2]])
+    except (EOFError, OSError):
+        return
+
+
+_POOL = _RangingPool()
 
 
 # --- configuration and reports ------------------------------------------------
@@ -188,10 +296,7 @@ class RunReport:
 
 class _RunMemo:
     """The dataset ``run_single`` generated last, and the finished training
-    runs on it. Consecutive cells with the same ``GenSpec`` and d share the
-    dataset: a seed's cells of one problem in a seed-major grid, and each
-    benchmark ``spo+`` cell with its ``mse`` cell; a later pass over 5 or 9
-    seeds comes back to it only after the others, so it generates it anew.
+    runs on it, shared by consecutive cells with the same ``GenSpec`` and d.
     A run is held when it trains on the held dataset (``attach`` shares its
     features), solves nothing and its training rows carry no instance
     factor, keyed on what training reads besides the dataset: the config,
@@ -349,17 +454,11 @@ def write_results(reports: list[RunReport], out_dir,
     the same on every run of one config."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.problem, r.loss, r.seed,
-                repr(r.regret_abs),
-                "" if r.regret_norm is None else repr(r.regret_norm),
-                r.counts.pre_total, r.counts.training_solves,
-                str(bool(r.exact)).lower(),
-            ])
+    _write_csv(out / "results.csv", RESULTS_COLUMNS, ([
+        r.problem, r.loss, r.seed, repr(r.regret_abs),
+        "" if r.regret_norm is None else repr(r.regret_norm),
+        r.counts.pre_total, r.counts.training_solves, str(bool(r.exact)).lower(),
+    ] for r in reports))
     with open(out / "runs.json", "w", encoding="utf-8") as fh:
         json.dump([{
             "problem": r.problem, "loss": r.loss, "seed": r.seed,
@@ -373,15 +472,17 @@ def write_results(reports: list[RunReport], out_dir,
         json.dump([{"loss": r.loss, "seed": r.seed, "time_s": r.time_s}
                    for r in reports], fh, indent=2)
     rows = aggregate_rows(reports)
-    with open(out / "pareto.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["loss", "regret_abs_mean", "solves_mean", "pareto_optimal"])
-        for row in rows:
-            if row["n"]:
-                writer.writerow([row["loss"], repr(row["regret_abs_mean"]),
-                                 repr(row["solves_mean"]),
-                                 str(row["pareto_optimal"]).lower()])
+    _write_csv(out / "pareto.csv", ("loss", "regret_abs_mean", "solves_mean", "pareto_optimal"),
+               ([row["loss"], repr(row["regret_abs_mean"]), repr(row["solves_mean"]),
+                 str(row["pareto_optimal"]).lower()] for row in rows if row["n"]))
     return rows
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def aggregate_rows(reports: list[RunReport]) -> list[dict]:
@@ -418,20 +519,12 @@ def pareto_flags(points: list[tuple[float, float]]) -> list[bool]:
     """Flag (regret, solves) points not dominated by any other point.
 
     Point j dominates i when it is no worse on both axes and strictly
-    better on at least one. Solves, not seconds, measure the cost: the
-    paper states its efficiency in solves, and they are deterministic.
+    better on at least one, so no point dominates itself or its equal.
+    Solves, not seconds, measure the cost: the paper states its efficiency
+    in solves, and they are deterministic.
     """
-    flags = []
-    for i, (reg_i, s_i) in enumerate(points):
-        dominated = False
-        for j, (reg_j, s_j) in enumerate(points):
-            if i == j:
-                continue
-            if reg_j <= reg_i and s_j <= s_i and (reg_j < reg_i or s_j < s_i):
-                dominated = True
-                break
-        flags.append(not dominated)
-    return flags
+    return [not any(reg_j <= reg_i and s_j <= s_i and (reg_j < reg_i or s_j < s_i)
+                    for reg_j, s_j in points) for reg_i, s_i in points]
 
 
 # --- component monotonicity --------------------------------------------------------
@@ -495,10 +588,7 @@ def write_monotonicity(steps: tuple[MonotonicityStep, ...], out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "monotonicity.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["order", "loss", "mean_norm", "previous_norm", "regression"])
-        for s in steps:
-            writer.writerow([s.order, s.loss, repr(s.mean_norm),
-                             repr(s.previous_norm), str(s.regression).lower()])
+    _write_csv(path, ("order", "loss", "mean_norm", "previous_norm", "regression"),
+               ([s.order, s.loss, repr(s.mean_norm), repr(s.previous_norm),
+                 str(s.regression).lower()] for s in steps))
     return path

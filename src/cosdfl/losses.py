@@ -136,10 +136,8 @@ class LossSpec:
         if self.scale_invariant:
             parts.append("s")
         if self.tau is not None:
-            if np.isscalar(self.tau):
-                parts.append(f"tau:{self.tau:g}")
-            else:
-                parts.append("tau:" + ",".join(f"{v:g}" for v in self.tau))
+            taus = (self.tau,) if np.isscalar(self.tau) else self.tau
+            parts.append("tau:" + ",".join(f"{v:g}" for v in taus))
         return "+".join(parts)
 
 

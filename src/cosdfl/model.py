@@ -152,11 +152,10 @@ class _PendingValidation:
     parameters; once ``VALIDATION_HOLD_BYTES`` are held the buffer is
     ``full``. ``score`` evaluates every held epoch in one
     ``evaluate_loss_batch`` call over the stacked rows, empties the buffer
-    and returns each epoch's record and snapshot, in epoch order. The kernel
-    scores every row on its own, and each epoch's mean reduces its own
-    contiguous block of values, so every record is bit for bit that of one
-    call per epoch. A non-finite value raises NonFiniteLoss naming the first
-    epoch, and in it the first instance, that a call per epoch would name.
+    and returns each epoch's record and snapshot, in epoch order; each
+    epoch's mean reduces its own contiguous block of row values. A
+    non-finite value raises NonFiniteLoss naming the first epoch, and in it
+    the first instance, that a call per epoch would name.
     """
 
     def __init__(self, data: LossData, n_params: int):
@@ -200,11 +199,8 @@ class _AdamState:
 
     ``moments`` stacks m and v in one (2, *shape) array, and the decays,
     gains, bias corrections and buffers are stacked alike at full size, so a
-    step is ten ufunc calls on equal shapes, each element taking the textbook
-    operations in their textbook order: ``m = beta1 m + (1 - beta1) g`` and
-    ``v = beta2 v + ((1 - beta2) g) g`` as one decay, one gain product, one
-    product by g of the v half and one sum, m_hat and v_hat as one quotient,
-    then ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``: bit for bit.
+    step is ten ufunc calls on equal shapes, each element taking the
+    operations of ``tests/brute.py:_adam_step`` in their order.
     """
 
     def __init__(self, shape):

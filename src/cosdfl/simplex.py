@@ -111,10 +111,8 @@ def _pivot_once(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> N
     a finite tableau is ``x`` up to the sign of a zero, and no comparison or
     division here tells the two zeros apart. So only the entries in both a
     nonzero row and a nonzero column are updated, in one indexed update,
-    with the dense update's products and differences: every pivot, value and
-    range is that of ``tests/brute.py:dense_tableau_simplex``, the reference,
-    and so is every vertex coordinate under ``==`` (a zero may carry the
-    other sign).
+    with the dense update's products and differences (the reference is
+    ``tests/brute.py:dense_tableau_simplex``).
     """
     pivot = tableau[row]
     pivot /= pivot[col]

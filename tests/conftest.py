@@ -43,3 +43,21 @@ def fresh_runs(monkeypatch):
 
     install()
     return install
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Put in a ranging pool of ``size`` workers in place of the
+    process-wide one, and get it back. Its workers fork on its first call,
+    so they see what the test has patched by then; they stop at teardown."""
+    pools = []
+
+    def install(size):
+        pool = harness._RangingPool(size)
+        monkeypatch.setattr(harness, "_POOL", pool)
+        pools.append(pool)
+        return pool
+
+    yield install
+    for pool in pools:
+        pool.close()

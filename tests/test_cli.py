@@ -397,3 +397,26 @@ def test_experiment_rejects_an_empty_loss_list(tmp_path, capsys, losses):
     assert code == 2
     assert capsys.readouterr().err == "error: losses is empty: a grid needs at least one loss\n"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "monotonicity"])
+def test_grid_commands_reject_an_empty_test_split(tmp_path, capsys, command):
+    # --n-test 0 used to exit 0 with regret_abs 0.0 and regret_norm 1.0 for
+    # every loss, a grid that scored nothing; desk has no data flags and
+    # runs its grids through the same check
+    args = [command, "--problem", "ks6", "--seeds", "0", "--out-dir", str(tmp_path / "x"),
+            *GEN_ARGS, "--n-test", "0"]
+    code = main(args + (["--losses", "mse"] if command == "experiment" else []))
+    assert code == 2
+    assert capsys.readouterr().err == "error: n_test must be at least 1 in a grid, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_and_train_accept_an_empty_test_split(tmp_path):
+    data = tmp_path / "data.json"
+    assert main(["generate", "--problem", "ks6", "--out", str(data), *GEN_ARGS,
+                 "--n-test", "0"]) == 0
+    assert main(["train", "--problem", "ks6", "--loss", "mse", "--dataset", str(data),
+                 "--out", str(tmp_path / "model.json"), *TRAIN_ARGS]) == 0
+    assert main(["train", "--problem", "ks6", "--loss", "mse", "--out",
+                 str(tmp_path / "model2.json"), *GEN_ARGS, "--n-test", "0", *TRAIN_ARGS]) == 0

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from dataclasses import astuple, replace
 
@@ -95,22 +96,48 @@ def test_attach_decisions_fills_only_missing():
     assert ds.uncached("x_star", range(ds.n)) == list(ds.split.test)
 
 
-def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
+def log_calls(monkeypatch, owner, name, path, line):
+    """Patch ``owner.name`` to append ``line(*args)`` and the pid to ``path``
+    on each call; a worker forked after the patch writes there too."""
+    real = getattr(owner, name)
+
+    def logging(*args):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {line(*args)}\n")
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, logging)
+    return lambda: [text.split(" ", 1) for text in path.read_text().splitlines()]
+
+
+def test_attach_ranges_normalized_scales_like_objective(monkeypatch, fresh_pool, tmp_path):
     problem = make_knapsack(d=6, seed=0)
-    ds = generate(GenSpec(n_train=3, n_val=1, n_test=1, k=3, seed=0), problem)
-    real, solved_on = harness_mod.solve_lp, []
+    ds = generate(GenSpec(n_train=6, n_val=1, n_test=1, k=3, seed=0), problem)
+    relaxation = problem.relaxation
 
-    def recording(lp, objective, sense):
-        solved_on.append(lp)
-        return real(lp, objective, sense)
+    def which(lp, objective, sense):
+        # the parent solves on the relaxation itself, a worker on its copy,
+        # which carries the parent's phase-1 start
+        same = lp is relaxation or ("_start" in vars(lp) and np.array_equal(
+            lp.constraint_matrix, relaxation.constraint_matrix))
+        return f"{same} {objective.tobytes().hex()}"
 
-    monkeypatch.setattr(harness_mod, "solve_lp", recording)
+    calls = log_calls(monkeypatch, harness_mod, "solve_lp", tmp_path / "calls", which)
+    fresh_pool(1)
     raw = attach_ranges(ds, problem, ("train",), normalized=False)
-    assert problem.solves == 3  # one LP solve per instance
+    assert problem.solves == 6  # one LP solve per instance
     norm = attach_ranges(ds, problem, ("train",), normalized=True)
-    assert problem.solves == 6
-    # one solve_lp call per solve, all on the one cached relaxation
-    assert len(solved_on) == 6 and all(lp is problem.relaxation for lp in solved_on)
+    assert problem.solves == 12
+    # one solve_lp call per solve, all on the one cached relaxation, shared
+    # between the parent and the worker
+    logged = calls()
+    assert len(logged) == 12 and all(text.startswith("True ") for _, text in logged)
+    train = list(ds.split.train)
+    objectives = [*ds.costs[train], *normalize(ds.costs[train], train)]
+    assert sorted(text.split()[1] for _, text in logged) == sorted(
+        row.tobytes().hex() for row in objectives)
+    assert {pid for pid, _ in logged} == {str(os.getpid()),
+                                          str(harness_mod._POOL.workers[0][1].pid)}
     assert raw.uncached("lower", range(ds.n)) == list(ds.split.val + ds.split.test)
     for i in ds.split.train:
         c = ds.costs[i]
@@ -122,55 +149,90 @@ def test_attach_ranges_normalized_scales_like_objective(monkeypatch):
         assert np.all(norm.upper[i] >= normalize(c[None], [i])[0] - 1e-12)
 
 
-def test_attach_ranges_runs_phase_one_once(monkeypatch, fresh_store):
-    # phase 1 reads only the constraint set: one run per relaxation, then one
-    # phase 2 per instance; a fresh store, since an earlier test may have run
-    # sp3x3's phase 1 already on the relaxation that every sp3x3 oracle shares
+def test_attach_ranges_runs_phase_one_once(monkeypatch, fresh_store, fresh_pool, tmp_path):
+    # phase 1 reads only the constraint set: one run per relaxation, in the
+    # parent, then one phase 2 per instance in whichever process solves it;
+    # a fresh store, since an earlier test may have run sp3x3's phase 1
+    # already on the relaxation that every sp3x3 oracle shares
     problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=20, n_val=0, n_test=2, k=3, seed=0), problem)
-    real, phases = simplex_mod._run_simplex, []
-
-    def recording(tableau, basis, cost, degenerate_budget):
-        # phase 1 prices the artificial columns, which come last, at 1;
-        # phase 2 prices the slack columns, which come last, at 0
-        phases.append(1 if cost[-1] == 1.0 else 2)
-        return real(tableau, basis, cost, degenerate_budget)
-
-    monkeypatch.setattr(simplex_mod, "_run_simplex", recording)
+    # phase 1 prices the artificial columns, which come last, at 1;
+    # phase 2 prices the slack columns, which come last, at 0
+    phases = log_calls(monkeypatch, simplex_mod, "_run_simplex", tmp_path / "phases",
+                       lambda tableau, basis, cost, budget: 1 if cost[-1] == 1.0 else 2)
+    fresh_pool(1)
     before = problem.solves
     attach_ranges(ds, problem, ("train",))
-    assert phases.count(1) == 1 and phases.count(2) == 20
+    logged = phases()
+    assert [pid for pid, phase in logged if phase == "1"] == [str(os.getpid())]
+    assert sum(phase == "2" for _, phase in logged) == 20
+    assert str(harness_mod._POOL.workers[0][1].pid) in {pid for pid, _ in logged}
     assert problem.solves - before == 20
 
 
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
-def test_attach_ranges_error_names_instance_and_phase(monkeypatch, failure):
+def test_attach_ranges_error_names_instance_and_phase(monkeypatch, fresh_pool, failure):
+    # with a worker, instance 3 falls in its first chunk of four, and
+    # instance 5 is the first that the parent solves: the error names the
+    # first failing instance in index order, whichever process solved it
     problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
-    real, bad = harness_mod.solve_lp, ds.costs[3]
+    real, bad = harness_mod.solve_lp, []
 
-    def failing_on_instance_3(lp, objective, sense):
-        if not np.array_equal(objective, bad):
+    def failing_on_some(lp, objective, sense):
+        if not any(np.array_equal(objective, cost) for cost in bad):
             return real(lp, objective, sense)
         if failure == "breakdown":
             raise NumericalBreakdown("no pivot above 1e-10")
         return SimplexSolution(SolveStatus.INFEASIBLE, None, float("nan"))
 
-    monkeypatch.setattr(harness_mod, "solve_lp", failing_on_instance_3)
-    with pytest.raises(SolveFailure, match=r"^precompute_ranges: .*instance 3\b"):
-        attach_ranges(ds, problem)
+    monkeypatch.setattr(harness_mod, "solve_lp", failing_on_some)
+    message = {"breakdown": ": no pivot above 1e-10", "infeasible": " is infeasible"}[failure]
+    for workers in (0, 1):
+        for failing in ((3,), (3, 5)):
+            bad[:] = [ds.costs[i] for i in failing]  # before the workers fork
+            pool = fresh_pool(workers)
+            with pytest.raises(SolveFailure, match=(r"^precompute_ranges: LP relaxation of "
+                                                    rf"instance 3{message}$")):
+                attach_ranges(ds, problem)
+            assert problem.solves == 0 and len(pool.workers) == workers
+            pool.close()
 
 
-def test_attach_ranges_names_a_zero_cost_vector_before_any_solve(monkeypatch):
+def test_attach_ranges_names_the_first_instance_when_phase_one_breaks_down(
+        monkeypatch, fresh_store, fresh_pool):
+    # phase 1 runs on the first LP solved, which with workers is the last
+    # instance's, in the parent; every solve meets the breakdown, and the
+    # error names the first instance, as one process solving in index order
+    # does; a fresh store, so that sp3x3's relaxation has not run phase 1
+    problem = ShortestPathOracle(3, 3)
+    ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
+
+    def broken(lp):
+        raise NumericalBreakdown("phase 1: no pivot above 1e-10 releases row 0")
+
+    monkeypatch.setattr(simplex_mod, "_phase_one", broken)
+    for workers in (0, 1):
+        pool = fresh_pool(workers)
+        with pytest.raises(SolveFailure, match=(r"^precompute_ranges: LP relaxation of "
+                                                r"instance 0: phase 1: no pivot")):
+            attach_ranges(ds, problem)
+        assert problem.solves == 0
+        pool.close()
+
+
+def test_attach_ranges_names_a_zero_cost_vector_before_any_solve(monkeypatch, fresh_pool):
     problem = ShortestPathOracle(3, 3)
     ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
     costs = ds.costs.copy()
     costs[3] = 0.0
     monkeypatch.setattr(harness_mod, "solve_lp",
                         lambda *args: pytest.fail("an LP was solved"))
+    pool = fresh_pool(1)
     with pytest.raises(ZeroVector, match=r"^precompute_ranges: .*instance 3\b"):
         attach_ranges(replace(ds, costs=costs), problem, normalized=True)
     assert problem.solves == 0
+    assert pool.workers is None  # nothing was handed to a worker, or forked
 
 
 @pytest.mark.parametrize("loss,expected", [

@@ -1,11 +1,12 @@
-"""The package holds two process-wide memos: the derived-state store and
-the run memo.
+"""The package holds two process-wide memos, the derived-state store and
+the run memo, and one handle on the ranging workers.
 
 An AST scan of ``src/cosdfl/``: no function or method is decorated with
 ``functools.lru_cache`` or ``functools.cache``, under any import form;
 ``_InstanceStore`` is made exactly once, as ``problems._STORE``, and
-``_RunMemo`` exactly once, as ``harness._RUNS``; and no other module-level
-name holds state that a call can change, whether an instance of a class the
+``_RunMemo`` exactly once, as ``harness._RUNS``, and ``_RangingPool``
+exactly once, as ``harness._POOL``; and no other module-level name holds
+state that a call can change, whether an instance of a class the
 package defines or a value a function of its module writes to. State that
 outlives an oracle goes through the store, which is bounded and counts its
 bytes; ``cached_property`` lives and dies with its object and is allowed.
@@ -17,9 +18,18 @@ a seed-major grid, and each benchmark ``spo+`` cell with its ``mse`` cell.
 A benchmark pass over its 5 or 9 data seeds comes back to its first dataset
 only after the others, so a later pass generates every dataset and trains
 every run the first one did, where an LRU could hand it the earlier pass's.
+The ranging pool holds its size, its worker processes and the CPUs that
+the parent runs on during a call, and between calls no LP, objective or
+range: a worker gets the LP with the call and drops it at the call's end.
 """
 import ast
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
+
+from cosdfl import harness
+from cosdfl.datagen import GenSpec, generate
+from cosdfl.problems import problem_from_name
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cosdfl"
 MEMOS = {"lru_cache", "cache"}
@@ -102,8 +112,22 @@ def test_no_module_memoizes_outside_the_one_store():
             if constructions(tree, "_InstanceStore")} == {"problems.py": 1}
     assert {name: constructions(tree, "_RunMemo") for name, tree in trees.items()
             if constructions(tree, "_RunMemo")} == {"harness.py": 1}
+    assert {name: constructions(tree, "_RangingPool") for name, tree in trees.items()
+            if constructions(tree, "_RangingPool")} == {"harness.py": 1}
     classes = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
     assert {name: module_state(tree, classes) for name, tree in trees.items()
-            if module_state(tree, classes)} == {"harness.py": ["_RUNS"],
+            if module_state(tree, classes)} == {"harness.py": ["_POOL", "_RUNS"],
                                                 "problems.py": ["_STORE"]}
+
+
+def test_the_ranging_pool_holds_no_lp_result_between_calls(fresh_pool):
+    pool = fresh_pool(1)
+    problem = problem_from_name("sp3x3", seed=0)
+    dataset = generate(GenSpec(n_train=9, n_val=0, n_test=1, seed=0), problem)
+    for normalized in (False, True):
+        harness.attach_ranges(dataset, problem, ("train",), normalized=normalized)
+        assert set(vars(pool)) == {"size", "workers", "cpus"} and pool.size == 1
+        assert all(type(cpu) is int for cpu in pool.cpus)
+        (end, worker), = pool.workers
+        assert isinstance(end, Connection) and isinstance(worker, BaseProcess)
