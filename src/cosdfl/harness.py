@@ -246,6 +246,7 @@ class ExperimentConfig:
             raise ValueError(f"learning_rate must be finite and above 0, "
                              f"got {self.learning_rate}")
         self.gen_spec(self.seeds[0])  # GenSpec checks the data settings
+        self.train_config(self.seeds[0])  # and Optimizer the optimizer name
 
     def gen_spec(self, seed: int) -> GenSpec:
         return GenSpec(n_train=self.n_train, n_val=self.n_val, n_test=self.n_test,
@@ -412,8 +413,14 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     Failures in individual cells are captured on the report rather than
     aborting the grid. Normalized regret divides each run's absolute regret
     by the same-seed run of ``config.normalize_against`` when that loss is
-    part of the grid.
+    part of the grid. An empty loss list or test split is an error, raised
+    before any cell runs.
     """
+    if not config.losses:
+        raise ValueError("losses is empty: a grid needs at least one loss")
+    if config.n_test < 1:  # no test instance, no regret to score
+        raise ValueError(f"n_test must be at least 1 in a grid, got {config.n_test}")
+
     def cell(loss: str, seed: int) -> RunReport:
         try:
             return run_single(config, loss, seed)

@@ -55,46 +55,50 @@ class OneSidedMode(Enum):
     SENSITIVITY = "sensitivity"
 
 
+# The loss grammar: each name token in the order names list them, with the
+# LossSpec field it sets and the value it sets it to, where ``float`` reads
+# the number after ``token:``. ``cos`` is short for ``c+o+s``.
+_TOKENS = {"mse": ("base", BaseError.SQUARED), "mae": ("base", BaseError.ABSOLUTE),
+           "c": ("instance_costs", True), "o": ("one_sided", OneSidedMode.OPTIMAL),
+           "o_s": ("one_sided", OneSidedMode.SENSITIVITY), "s": ("scale_invariant", True),
+           "lawless": ("lawless_w", float), "tau": ("tau", float)}
+
+
 @dataclass(frozen=True)
 class LossSpec:
-    """Declarative description of a composed loss.
-
-    ``tau`` activates the generic asymmetric (pinball-weighted) form and is
-    mutually exclusive with the one-sided components, which are the special
-    case tau in {0, 1} chosen per coordinate from the optimal decision.
-    """
+    """Declarative description of a composed loss. ``tau`` gives the generic
+    asymmetric (pinball-weighted) form: weight ``tau`` on underprediction and
+    ``1 - tau`` on overprediction, alike on every coordinate."""
 
     base: BaseError = BaseError.SQUARED
     instance_costs: bool = False
     one_sided: OneSidedMode = OneSidedMode.OFF
     scale_invariant: bool = False
-    tau: float | tuple[float, ...] | None = None
+    tau: float | None = None
     lawless_w: float | None = None
     spo_plus: bool = False
 
     def __post_init__(self):
-        if self.spo_plus:
-            if (self.instance_costs or self.one_sided is not OneSidedMode.OFF
-                    or self.scale_invariant or self.tau is not None
-                    or self.lawless_w is not None):
-                raise ValueError("spo+ does not compose with other components")
-            return
-        if self.lawless_w is not None:
-            w = float(self.lawless_w)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError("lawless weight must lie in [0, 1]")
-            if (self.instance_costs or self.one_sided is not OneSidedMode.OFF
-                    or self.scale_invariant or self.tau is not None):
-                raise ValueError("the regret-weighted loss only composes with a base error")
-            object.__setattr__(self, "lawless_w", w)
-        if self.tau is not None:
-            if self.one_sided is not OneSidedMode.OFF:
-                raise ValueError("tau and one-sided masking both set the asymmetry; pick one")
-            taus = (self.tau,) if np.isscalar(self.tau) else tuple(self.tau)
-            if any(not 0.0 <= float(t) <= 1.0 for t in taus):
-                raise ValueError("tau values must lie in [0, 1]")
-            object.__setattr__(self, "tau", float(taus[0]) if np.isscalar(self.tau)
-                               else tuple(float(t) for t in taus))
+        # spo+ stands alone, lawless takes only a base, tau excludes O and
+        # O_S, and both weights lie in [0, 1]
+        tokens = [token for token, _ in self._named()]
+        if self.spo_plus and tokens[1:]:
+            raise ValueError("spo+ does not compose with other components")
+        if self.lawless_w is not None and tokens[2:]:
+            raise ValueError("the regret-weighted loss only composes with a base error")
+        if self.tau is not None and self.one_sided is not OneSidedMode.OFF:
+            raise ValueError("tau and one-sided masking both set the asymmetry; pick one")
+        for field, what in (("lawless_w", "lawless weight"), ("tau", "tau values")):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, float(getattr(self, field)))
+                if not 0.0 <= getattr(self, field) <= 1.0:
+                    raise ValueError(f"{what} must lie in [0, 1]")
+
+    def _named(self) -> list[tuple[str, object]]:
+        """(token, field value) of each ``_TOKENS`` entry this spec sets."""
+        return [(token, getattr(self, field)) for token, (field, value) in _TOKENS.items()
+                if (getattr(self, field) is not None if value is float
+                    else getattr(self, field) == value)]
 
     # -- requirements used by trainers and the harness ----------------------
 
@@ -122,29 +126,10 @@ class LossSpec:
     def name(self) -> str:
         if self.spo_plus:
             return "spo+"
-        base = "mse" if self.base is BaseError.SQUARED else "mae"
-        if self.lawless_w is not None:
-            tag = f"lawless:{self.lawless_w:g}"
-            return tag if self.base is BaseError.SQUARED else f"{base}+{tag}"
-        parts = [base]
-        if self.instance_costs:
-            parts.append("c")
-        if self.one_sided is OneSidedMode.OPTIMAL:
-            parts.append("o")
-        elif self.one_sided is OneSidedMode.SENSITIVITY:
-            parts.append("o_s")
-        if self.scale_invariant:
-            parts.append("s")
-        if self.tau is not None:
-            taus = (self.tau,) if np.isscalar(self.tau) else self.tau
-            parts.append("tau:" + ",".join(f"{v:g}" for v in taus))
-        return "+".join(parts)
-
-
-def _set_one_sided(kwargs: dict, mode: OneSidedMode) -> None:
-    if kwargs.get("one_sided", OneSidedMode.OFF) is not OneSidedMode.OFF:
-        raise ValueError("components o and o_s are mutually exclusive")
-    kwargs["one_sided"] = mode
+        parts = [f"{token}:{value:g}" if isinstance(value, float) else token
+                 for token, value in self._named()]
+        implied = self.lawless_w is not None and self.base is BaseError.SQUARED
+        return "+".join(parts[implied:])  # lawless:<w> implies the mse base
 
 
 def parse_loss(text: str) -> LossSpec:
@@ -153,37 +138,26 @@ def parse_loss(text: str) -> LossSpec:
     if text == "spo+":
         return LossSpec(spo_plus=True)
     tokens = text.split("+")
-    base = BaseError.SQUARED
-    start = 0
-    if tokens[0] in ("mse", "mae"):
-        base = BaseError.SQUARED if tokens[0] == "mse" else BaseError.ABSOLUTE
-        start = 1
-    elif not tokens[0].startswith("lawless:"):
+    if tokens[0].startswith("lawless:"):
+        tokens.insert(0, "mse")
+    if tokens[0] not in ("mse", "mae"):
         raise ValueError(f"loss string must start with mse, mae, lawless:<w>, "
                          f"or be spo+; got {text!r}")
-    kwargs: dict = {"base": base}
-    for token in tokens[start:]:
-        if token == "c":
-            kwargs["instance_costs"] = True
-        elif token == "o":
-            _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
-        elif token == "o_s":
-            _set_one_sided(kwargs, OneSidedMode.SENSITIVITY)
-        elif token == "s":
-            kwargs["scale_invariant"] = True
-        elif token == "cos":
-            kwargs["instance_costs"] = True
-            _set_one_sided(kwargs, OneSidedMode.OPTIMAL)
-            kwargs["scale_invariant"] = True
-        elif token.startswith("lawless:"):
-            kwargs["lawless_w"] = float(token.split(":", 1)[1])
-        elif token.startswith("tau:"):
-            spec = token.split(":", 1)[1]
-            vals = tuple(float(v) for v in spec.split(","))
-            kwargs["tau"] = vals[0] if len(vals) == 1 else vals
-        else:
-            raise ValueError(f"unknown loss component {token!r} in {text!r}")
-    return LossSpec(**kwargs)
+    fields = {"base": _TOKENS[tokens[0]][1]}
+    for token in tokens[1:]:
+        for part in ("c", "o", "s") if token == "cos" else (token,):
+            key, colon, arg = part.partition(":")
+            field, value = _TOKENS.get(key, ("base", None))
+            try:  # a base, a bad value or a missing or extra ":" is no component
+                if field == "base" or (value is float) != bool(colon):
+                    raise ValueError
+                value = float(arg) if colon else value
+            except ValueError:
+                raise ValueError(f"unknown loss component {token!r} in {text!r}") from None
+            if field == "one_sided" and field in fields:
+                raise ValueError("components o and o_s are mutually exclusive")
+            fields[field] = value
+    return LossSpec(**fields)
 
 
 # --- primitives --------------------------------------------------------------
@@ -236,7 +210,7 @@ class LossData:
     factor: np.ndarray | None
     safe_lo: np.ndarray | None = None
     safe_hi: np.ndarray | None = None
-    tau: np.ndarray | None = None
+    tau: float | None = None
     x_star: np.ndarray | None = None
     true_value: np.ndarray | None = None
 
@@ -299,11 +273,7 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
         fields["safe_lo"] = np.where(rise_safe, lower, -np.inf)
         fields["safe_hi"] = np.where(rise_safe, np.inf, upper)
     elif spec.tau is not None:
-        d = true.shape[1]
-        tau = np.full(d, spec.tau) if np.isscalar(spec.tau) else np.asarray(spec.tau, dtype=float)
-        if tau.shape[0] != d:
-            raise ValueError(f"tau must be scalar or length {d}")
-        fields["tau"] = tau
+        fields["tau"] = spec.tau
     return LossData(spec=spec, indices=indices, true=true, factor=factor, **fields)
 
 

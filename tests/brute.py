@@ -460,8 +460,7 @@ def brute_weights(spec, pred_eval, true_eval, x_star, lower, upper,
                 harmless = (selected and p < hi) or (unselected and p > lo)
             weights[j] = 0.0 if harmless else 1.0
         elif spec.tau is not None:
-            tau = spec.tau if np.isscalar(spec.tau) else spec.tau[j]
-            weights[j] = tau if p <= t else 1.0 - tau
+            weights[j] = spec.tau if p <= t else 1.0 - spec.tau
     return weights
 
 
@@ -599,7 +598,6 @@ def _bind_rows(spec, dataset, idx, maximize):
     """True costs (unit rows under S), row factors, safe intervals and tau
     of the rows ``idx``."""
     true = dataset.costs[idx]
-    d = true.shape[1]
     if spec.scale_invariant:
         true = true / np.sqrt(np.array([row @ row for row in true]))[:, None]
     factor = np.ones(len(idx))
@@ -617,8 +615,7 @@ def _bind_rows(spec, dataset, idx, maximize):
         bound["safe_lo"] = np.where(rise_safe, lower, -np.inf)
         bound["safe_hi"] = np.where(rise_safe, np.inf, upper)
     elif spec.tau is not None:
-        bound["tau"] = (np.full(d, spec.tau) if np.isscalar(spec.tau)
-                        else np.asarray(spec.tau, dtype=float))
+        bound["tau"] = spec.tau
     return bound
 
 

@@ -346,6 +346,23 @@ def test_monotonicity_fails_on_a_failed_cell(tmp_path, monkeypatch, capsys):
     assert "no component made regret worse" not in captured.out
 
 
+def test_monotonicity_passes_within_a_large_tolerance(tmp_path, monkeypatch, capsys):
+    # each added component raises regret by 10%, a regression at the default
+    # 5% but not at 1000%
+    def fake_run_single(config, loss, seed):
+        return harness.RunReport(problem=config.problem, loss=loss, seed=seed,
+                                 regret_abs=1.1 ** loss.count("+"), regret_norm=None,
+                                 time_s=0.0, counts=harness.SolveCounts(), exact=True)
+
+    monkeypatch.setattr(harness, "run_single", fake_run_single)
+    common = ["monotonicity", "--problem", "ks6", "--seeds", "0", *GEN_ARGS, *TRAIN_ARGS]
+    assert main(common + ["--out-dir", str(tmp_path / "strict")]) == 1
+    capsys.readouterr()
+    assert main(common + ["--tolerance", "10", "--out-dir", str(tmp_path / "loose")]) == 0
+    assert capsys.readouterr().out.endswith(
+        "no component made regret worse beyond tolerance (1000%) in any addition order\n")
+
+
 def test_unknown_loss_is_an_error(tmp_path):
     code = main(["experiment", "--problem", "ks6", "--losses", "nope",
                  "--seeds", "0", "--out-dir", str(tmp_path / "x"), *GEN_ARGS])

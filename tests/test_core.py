@@ -292,6 +292,17 @@ def test_attaching_one_range_bound_checks_it_against_the_other():
         no_caches().attach(weights=np.ones(2))
 
 
+def test_malformed_row_counts_and_names_are_errors():
+    with pytest.raises(ValueError, match="^unknown split part 'dev'$"):
+        Split(train=(0,)).part("dev")
+    with pytest.raises(DimensionMismatch, match="^2 cost rows for 3 feature rows$"):
+        Dataset(features=np.zeros((3, 1)), costs=np.ones((2, 3)), split=Split(train=(0,)))
+    with pytest.raises(TypeError, match="^'costs' is not a dataset cache$"):
+        no_caches().attach(costs=np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch, match="^x_star has 2 rows for 3 instances$"):
+        no_caches().attach(x_star=np.zeros((2, 3)))
+
+
 def test_an_attached_dataset_equals_the_replaced_one_field_for_field():
     columns = good_columns()
     caches = {name: columns[name] for name in ("x_star", "lower", "upper", "weights")}

@@ -86,6 +86,13 @@ def test_experiment_config_rejects_repeated_and_empty_grids():
     tiny_config(losses=("mse", "lawless:0"))  # equal training, distinct losses
 
 
+def test_experiment_config_rejects_an_unknown_optimizer():
+    # it used to construct, and then every cell of the grid failed
+    with pytest.raises(ValueError, match="^'foo' is not a valid Optimizer$"):
+        tiny_config(optimizer="foo")
+    tiny_config(optimizer="sgd")
+
+
 def test_attach_decisions_fills_only_missing():
     problem = make_knapsack(d=6, seed=0)
     ds = generate(GenSpec(n_train=4, n_val=2, n_test=2, k=3, seed=0), problem)
@@ -287,6 +294,29 @@ def test_run_experiment_sorts_and_normalizes():
     mse_row = aggregate_rows(reports)[0]
     assert mse_row["loss"] == "mse"
     assert mse_row["regret_norm_mean"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("losses, n_test, message", [
+    ((), 6, "losses is empty: a grid needs at least one loss"),
+    (("mse", "mse+o"), 0, "n_test must be at least 1 in a grid, got 0")],
+    ids=["no-loss", "no-test-split"])
+def test_run_experiment_rejects_a_grid_that_scores_nothing(monkeypatch, losses, n_test,
+                                                            message):
+    # no loss used to return [], and no test instance regret_abs 0.0 and
+    # regret_norm 1.0 for every cell
+    monkeypatch.setattr(harness_mod, "run_single", None)  # no cell may run
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(tiny_config(losses=losses, n_test=n_test))
+
+
+def test_regret_norm_against_a_normalizer_of_zero_regret(monkeypatch):
+    regrets = {"mse": 0.0, "mse+o": 0.0, "mse+c": 2.0}
+    monkeypatch.setattr(harness_mod, "run_single", lambda config, loss, seed: RunReport(
+        problem=config.problem, loss=loss, seed=seed, regret_abs=regrets[loss],
+        regret_norm=None, time_s=0.0, counts=SolveCounts(), exact=True))
+    reports = run_experiment(tiny_config(losses=tuple(regrets)))
+    assert {r.loss: r.regret_norm for r in reports} == {
+        "mse": 1.0, "mse+o": 1.0, "mse+c": float("inf")}
 
 
 def test_run_experiment_captures_cell_failures(monkeypatch):

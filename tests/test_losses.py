@@ -1,5 +1,6 @@
 import re
-from dataclasses import replace
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from cosdfl.core import Dataset, Sense, Split, instance_regrets
 from cosdfl.errors import (DimensionMismatch, MissingBaselineRegret,
                            MissingInstanceCost, MissingOptimalDecision,
                            MissingRanges, NonFiniteGradient, ZeroVector)
+from cosdfl.harness import DESK_LOSSES, component_subset_losses
 from cosdfl.losses import (BaseError, LossSpec, base_error, check_finite,
                            coordinate_weights, evaluate_loss_batch, normalize,
                            parse_loss, spo_plus_batch, stack_loss_data)
@@ -18,6 +20,9 @@ from cosdfl.problems import KnapsackOracle, ShortestPathOracle
 from cosdfl.simplex import solve_lp
 
 from brute import brute_loss, brute_weights
+from test_golden import LOSSES as GOLDEN_LOSSES, MULTIBATCH_LOSSES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fd_grad(f, x, h=1e-6):
@@ -69,25 +74,56 @@ def spo_plus(predicted, dataset, problem):
 
 # --- parsing and spec algebra --------------------------------------------------
 
+def program_loss_names():
+    """Every loss name the program, the golden files and the benchmark run."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
+    return {*(loss for losses in DESK_LOSSES.values() for loss in losses),
+            *component_subset_losses("mse"), *component_subset_losses("mae"),
+            *GOLDEN_LOSSES.split(","), *MULTIBATCH_LOSSES.split(","),
+            *(loss for grid in workloads.values() for _, losses in grid
+              for loss in losses)}
+
+
 def test_parse_canonical_names_roundtrip():
+    names = program_loss_names()
+    assert {"mse+c+o+s", "mae+o_s", "lawless:0.5", "spo+", "mae+o_s+s"} <= names
+    for name in names:
+        assert parse_loss(name).name == name
     for text, canonical in [
-        ("mse", "mse"), ("mae", "mae"), ("mse+c", "mse+c"),
-        ("mse+o", "mse+o"), ("mse+o_s", "mse+o_s"), ("mse+s", "mse+s"),
-        ("mse+cos", "mse+c+o+s"), ("mae+cos", "mae+c+o+s"),
-        ("mse+s+c+o", "mse+c+o+s"), ("mae+o_s+s", "mae+o_s+s"),
-        ("spo+", "spo+"), ("lawless:0.4", "lawless:0.4"),
-        ("lawless:0", "lawless:0"), ("mse+tau:0.3", "mse+tau:0.3"),
+        ("mse+cos", "mse+c+o+s"), ("mae+cos", "mae+c+o+s"), ("mse+s+c+o", "mse+c+o+s"),
+        ("mse+o_s", "mse+o_s"), ("mae+lawless:0.4", "mae+lawless:0.4"),
+        ("mse+lawless:0.4", "lawless:0.4"), ("mse+tau:0.3", "mse+tau:0.3"),
+        ("mae+tau:0.8", "mae+tau:0.8"), (" MSE+C ", "mse+c"),
     ]:
         spec = parse_loss(text)
         assert spec.name == canonical
         assert parse_loss(spec.name) == spec
 
 
+BAD_NAMES = {
+    "xyz": "loss string must start with mse, mae, lawless:<w>, or be spo+; got 'xyz'",
+    "mse+q": "unknown loss component 'q' in 'mse+q'",
+    "mse+o+o_s": "components o and o_s are mutually exclusive",
+    "mse+o+o": "components o and o_s are mutually exclusive",
+    "spo++c": "loss string must start with mse, mae, lawless:<w>, or be spo+; got 'spo++c'",
+    "lawless:1.5": "lawless weight must lie in [0, 1]",
+    "mse+tau:1.5": "tau values must lie in [0, 1]",
+    "mse+tau:0.5+o": "tau and one-sided masking both set the asymmetry; pick one",
+    "lawless:0.4+o": "the regret-weighted loss only composes with a base error",
+    # tau takes one value, the same on every coordinate
+    "mse+tau:0.1,0.9": "unknown loss component 'tau:0.1,0.9' in 'mse+tau:0.1,0.9'",
+}
+
+
 def test_parse_rejects_bad_compositions():
-    for bad in ["xyz", "mse+q", "mse+o+o_s", "spo++c", "lawless:1.5",
-                "mse+tau:0.5+o", "lawless:0.4+o"]:
-        with pytest.raises((ValueError, Exception)):
+    for bad, message in BAD_NAMES.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_loss(bad)
+
+
+def test_spo_plus_stands_alone():
+    with pytest.raises(ValueError, match=r"^spo\+ does not compose with other components$"):
+        LossSpec(spo_plus=True, instance_costs=True)
 
 
 def test_spec_requirement_flags():
@@ -376,8 +412,7 @@ def test_gradients_match_finite_differences():
 REFERENCE_SPECS = ([f"{b}{s}" for b in ("mse", "mae")
                     for s in ("", "+c", "+o", "+s", "+c+o", "+c+s", "+o+s", "+c+o+s")]
                    + ["mse+o_s", "mse+o_s+s", "mae+o_s", "mae+o_s+s", "mse+tau:0.7",
-                      "mae+tau:0.2", "tau per coordinate", "lawless:0",
-                      "lawless:0.4", "mae+lawless:0.4"])
+                      "mae+tau:0.2", "lawless:0", "lawless:0.4", "mae+lawless:0.4"])
 REFERENCE_ROWS = 32
 
 
@@ -387,10 +422,7 @@ def reference_case(name, seed):
     exactly-zero row."""
     rng = np.random.default_rng(seed)
     n, d = REFERENCE_ROWS, int(rng.integers(2, 9))
-    if name == "tau per coordinate":
-        spec = replace(parse_loss("mse+tau:0.5"), tau=tuple(rng.uniform(0.0, 1.0, d)))
-    else:
-        spec = parse_loss(name)
+    spec = parse_loss(name)
     true = rng.normal(0.0, 3.0, (n, d))
     # binary decisions, some off by rounding dust the Dataset snaps away
     x_star = rng.choice([0.0, 1.0, 1.0 - 5e-10, 5e-10, -5e-10],
