@@ -87,7 +87,7 @@ def _matrix(values, name: str, width: int | None = None) -> np.ndarray:
     for i, row in enumerate(rows):
         if np.ndim(row) != 1 or np.shape(row) != want:
             raise DimensionMismatch(f"{name} of instance {i} has shape {np.shape(row)}, "
-                                    f"expected {want}")
+                                    f"expected {want if np.ndim(row) == 1 else 'a 1-d row'}")
     raise DimensionMismatch(f"{name} must be a 2-dimensional array of rows")
 
 
@@ -295,6 +295,9 @@ def dataset_from_dict(payload: dict) -> Dataset:
     )
     k, d = int(payload["k"]), int(payload["d"])
     records = payload["instances"]
+    lacking = [(key, i) for i, rec in enumerate(records) for key in ("z", "c") if key not in rec]
+    if lacking:
+        raise KeyError(*lacking[0])
     missing = [np.nan] * d
     return Dataset(
         features=_matrix([rec["z"] for rec in records], "features", width=k),
@@ -312,6 +315,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_dict(json.load(fh))
+    return load_json(path, dataset_from_dict)
+
+
+def load_json(path, build):
+    """``build`` of JSON file ``path``; its KeyError(key[, instance]) becomes a ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except KeyError as exc:
+        key, *instance = exc.args
+        raise ValueError(f"{path} has no key {key!r}"
+                         + "".join(f" in instance {i}" for i in instance)) from None
 

@@ -102,16 +102,13 @@ def _range_outcome(lp: LinearProgram, objective: np.ndarray, sense: Sense):
 
 class _RangingPool:
     """Worker processes that share ``attach_ranges``' LPs; the README says
-    why each rule holds. One per CPU of the process's affinity set but one,
-    so at most ``os.cpu_count() - 1`` (``size`` is a test seam), forked on
-    the first call that shares and daemonic, each pinned to a CPU of its
-    own; none without CPU affinity or beside other threads. Only an LP of
-    at most ``MAX_BYTES`` is shared, with the parent pinned to the other
-    CPUs during the call. It solves rows from the back, the first running
-    phase 1, and a worker gets the LP, start included, with its first chunk
-    of ``CHUNK`` rows from the front. A worker reads EOF when the parent
-    dies; an error in a call stops the workers."""
-    CHUNK = 4
+    why each rule holds. One per spare CPU of the affinity set (``size`` is
+    a test seam), forked on the first call that shares, daemonic and pinned;
+    none without CPU affinity or beside other threads. An LP of at most
+    ``MAX_BYTES`` is shared, the parent pinned to the other CPUs: it solves
+    the last row (phase 1), then the first of one contiguous slice per
+    process, and each worker gets the LP, start included, and one slice in
+    one message. An error in a call stops the workers."""
     MAX_BYTES = 1 << 21  # holds sp10x10 (1.98 MB), whose products ran on one BLAS thread
 
     def __init__(self, size: int | None = None):
@@ -149,41 +146,27 @@ class _RangingPool:
             self._start()
         if not (shared and self.workers):
             return [_range_outcome(lp, row, sense) for row in objectives]
-        from multiprocessing.connection import wait
-        outcomes, front, back, busy = [None] * len(objectives), 0, len(objectives) - 1, {}
-        outcomes[back] = _range_outcome(lp, objectives[back], sense)  # runs phase 1
-
-        def hand_out(end, message_lp):
-            nonlocal front
-            busy[end], front = front, min(front + self.CHUNK, back)
-            end.send((message_lp, sense, objectives[busy[end]:front]))
-
+        last = _range_outcome(lp, objectives[-1], sense)  # runs phase 1
+        slices = np.array_split(objectives[:-1], len(self.workers) + 1)  # empty ones last
+        ends = [end for (end, _), rows in zip(self.workers, slices[1:]) if len(rows)]
         own = os.sched_getaffinity(0)
         os.sched_setaffinity(0, self.cpus)
         try:
-            for end, _ in self.workers[:-(-back // self.CHUNK)]:  # a first chunk each
-                hand_out(end, lp)
-            while busy or front < back:
-                for end in wait(list(busy), timeout=0 if front < back else None):
-                    first, reply = busy.pop(end), end.recv()
-                    outcomes[first:first + len(reply)] = reply
-                    if front < back:
-                        hand_out(end, None)
-                if front < back:
-                    back -= 1
-                    outcomes[back] = _range_outcome(lp, objectives[back], sense)
-            for end, _ in self.workers:
-                end.send(None)
+            for end, rows in zip(ends, slices[1:]):
+                end.send((lp, sense, rows))
+            outcomes = [_range_outcome(lp, row, sense) for row in slices[0]]
+            for end in ends:
+                outcomes += end.recv()
         except BaseException:
             self.close()
             raise
         finally:
             os.sched_setaffinity(0, own)
-        return outcomes
+        return outcomes + [last]
 
 
 def _serve(end, parent_ends: list, cpu: int) -> None:
-    """A ranging worker on ``cpu``: solve chunks on the call's LP until EOF."""
+    """A ranging worker on ``cpu``: answer each call's one message until EOF."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     os.sched_setaffinity(0, {cpu})
@@ -191,10 +174,9 @@ def _serve(end, parent_ends: list, cpu: int) -> None:
         parent_end.close()
     try:
         while True:
-            message = end.recv()  # (lp, or None for the call's lp, sense, rows)
-            lp = message and (message[0] or lp)  # None ends the call: keep nothing
-            if message:
-                end.send([_range_outcome(lp, row, message[1]) for row in message[2]])
+            lp, sense, rows = end.recv()
+            end.send([_range_outcome(lp, row, sense) for row in rows])
+            del lp, rows  # hold nothing between calls
     except (EOFError, OSError):
         return
 

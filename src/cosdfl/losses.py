@@ -143,7 +143,7 @@ def parse_loss(text: str) -> LossSpec:
     if tokens[0] not in ("mse", "mae"):
         raise ValueError(f"loss string must start with mse, mae, lawless:<w>, "
                          f"or be spo+; got {text!r}")
-    fields = {"base": _TOKENS[tokens[0]][1]}
+    fields, set_by = {"base": _TOKENS[tokens[0]][1]}, {}  # field -> its token
     for token in tokens[1:]:
         for part in ("c", "o", "s") if token == "cos" else (token,):
             key, colon, arg = part.partition(":")
@@ -154,9 +154,10 @@ def parse_loss(text: str) -> LossSpec:
                 value = float(arg) if colon else value
             except ValueError:
                 raise ValueError(f"unknown loss component {token!r} in {text!r}") from None
-            if field == "one_sided" and field in fields:
-                raise ValueError("components o and o_s are mutually exclusive")
-            fields[field] = value
+            if field in set_by:
+                raise ValueError(f"components {set_by[field]!r} and {token!r} of {text!r} "
+                                 f"both set {field}")
+            fields[field], set_by[field] = value, token
     return LossSpec(**fields)
 
 

@@ -27,7 +27,6 @@ rather than once per process.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from collections import OrderedDict
@@ -35,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Sense, as_vector, frozen_array
+from .core import Sense, as_vector, frozen_array, load_json
 from .errors import DimensionMismatch
 from .simplex import LinearProgram
 
@@ -720,5 +719,4 @@ def problem_from_dict(payload: dict, seed: int = 0) -> ProblemOracle:
 
 
 def load_problem(path, seed: int = 0) -> ProblemOracle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh), seed=seed)
+    return load_json(path, lambda payload: problem_from_dict(payload, seed=seed))

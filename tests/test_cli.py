@@ -201,6 +201,25 @@ def test_train_rejects_generation_flags_next_to_dataset(tmp_path, monkeypatch, c
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_files_without_a_key_are_usage_errors(tmp_path, capsys):
+    # each used to end in a KeyError traceback, the dataset one with exit 1
+    family, knapsack, data = (tmp_path / name for name in ("p.json", "k.json", "d.json"))
+    family.write_text(json.dumps({"params": {"d": 8}}))
+    knapsack.write_text(json.dumps({"family": "knapsack", "params": {}}))
+    assert main(["generate", "--problem", "ks8", "--out", str(data), *GEN_ARGS]) == 0
+    payload = json.loads(data.read_text())
+    del payload["split"]
+    data.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = str(tmp_path / "m.bin")
+    for extra in (["--problem", f"custom:{family}"], ["--problem", f"custom:{knapsack}"],
+                  ["--problem", "ks8", "--dataset", str(data)]):
+        assert main(["train", "--loss", "mse", "--out", out, *extra, *TRAIN_ARGS]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {family} has no key 'family'", f"error: {knapsack} has no key 'd'",
+        f"error: {data} has no key 'split'"]
+
+
 def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data.json"
     main(["generate", "--problem", "ks6", "--seed", "0", "--out", str(data),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosdfl.core import (REGRET_TOL, Dataset, Sense, Split, as_vector,
+from cosdfl.core import (REGRET_TOL, Dataset, Sense, Split, _matrix, as_vector,
                          dataset_to_dict, instance_regrets, load_dataset,
                          row_dots, save_dataset, total_regret)
 from cosdfl.errors import DimensionMismatch, SolveFailure
@@ -351,6 +351,13 @@ def test_binary_x_star_snaps_and_a_nan_row_marks_no_cache():
      "instance 1 has an x_star"),
     (lambda p: p["instances"][1].update(x_star=[1.0, 0.0]), DimensionMismatch, "instance 1"),
     (lambda p: p["split"].update(test=[1, 2]), ValueError, "split index 2"),
+    # a missing key names the file, and a record's its instance
+    (lambda p: p.pop("split"), ValueError, r"bad\.json has no key 'split'$"),
+    (lambda p: p.pop("k"), ValueError, r"bad\.json has no key 'k'$"),
+    (lambda p: p["instances"][1].pop("c"), ValueError,
+     r"bad\.json has no key 'c' in instance 1$"),
+    (lambda p: p["instances"][0].pop("z"), ValueError,
+     r"bad\.json has no key 'z' in instance 0$"),
 ])
 def test_load_dataset_rejects_malformed_rows(tmp_path, tiny_knapsack, edit, error, message):
     c = np.array([3.0, 4.0, 5.0, 6.0])
@@ -364,6 +371,19 @@ def test_load_dataset_rejects_malformed_rows(tmp_path, tiny_knapsack, edit, erro
     path.write_text(json.dumps(payload))
     with pytest.raises(error, match=message):
         load_dataset(path)
+
+
+def test_matrix_names_what_is_wrong_with_a_row():
+    with pytest.raises(DimensionMismatch, match=r"^features of instance 0 has shape "
+                                                r"\(2, 2\), expected a 1-d row$"):
+        _matrix(np.zeros((2, 2, 2)), "features")
+    with pytest.raises(DimensionMismatch, match=r"^costs of instance 1 has shape "
+                                                r"\(1,\), expected \(2,\)$"):
+        _matrix([[1.0, 2.0], [3.0]], "costs")
+    # no rows: a width gives them their shape, and without one there is none
+    assert _matrix([], "costs", width=3).shape == (0, 3)
+    with pytest.raises(DimensionMismatch, match="^costs must be a 2-dimensional array of rows$"):
+        _matrix([], "costs")
 
 
 @given(st.integers(0, 2 ** 6 - 1), st.integers(0, 2 ** 32 - 1))

@@ -179,7 +179,7 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch, fresh_store, fresh_pool,
 
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
 def test_attach_ranges_error_names_instance_and_phase(monkeypatch, fresh_pool, failure):
-    # with a worker, instance 3 falls in its first chunk of four, and
+    # with a worker, instance 3 falls in its slice (instances 3 and 4), and
     # instance 5 is the first that the parent solves: the error names the
     # first failing instance in index order, whichever process solved it
     problem = ShortestPathOracle(3, 3)
@@ -337,7 +337,7 @@ def test_run_experiment_captures_cell_failures(monkeypatch):
 
 
 
-def test_write_results_schema_and_determinism_flag(tmp_path):
+def test_write_results_schema_and_times_file(tmp_path):
     config = tiny_config(losses=("mse",), seeds=(0, 1))
     reports = run_experiment(config)
     write_results(reports, tmp_path, config)

@@ -103,8 +103,15 @@ def test_parse_canonical_names_roundtrip():
 BAD_NAMES = {
     "xyz": "loss string must start with mse, mae, lawless:<w>, or be spo+; got 'xyz'",
     "mse+q": "unknown loss component 'q' in 'mse+q'",
-    "mse+o+o_s": "components o and o_s are mutually exclusive",
-    "mse+o+o": "components o and o_s are mutually exclusive",
+    "mse+o+o_s": "components 'o' and 'o_s' of 'mse+o+o_s' both set one_sided",
+    "mse+o+o": "components 'o' and 'o' of 'mse+o+o' both set one_sided",
+    # a name sets each field at most once
+    "lawless:0.4+lawless:0.2": "components 'lawless:0.4' and 'lawless:0.2' of "
+                               "'lawless:0.4+lawless:0.2' both set lawless_w",
+    "mse+tau:0.3+tau:0.2": "components 'tau:0.3' and 'tau:0.2' of 'mse+tau:0.3+tau:0.2' "
+                           "both set tau",
+    "mse+c+c": "components 'c' and 'c' of 'mse+c+c' both set instance_costs",
+    "mse+cos+c": "components 'cos' and 'c' of 'mse+cos+c' both set instance_costs",
     "spo++c": "loss string must start with mse, mae, lawless:<w>, or be spo+; got 'spo++c'",
     "lawless:1.5": "lawless weight must lie in [0, 1]",
     "mse+tau:1.5": "tau values must lie in [0, 1]",

@@ -7,7 +7,7 @@ import pytest
 
 from cosdfl.core import Dataset, Sense, Split
 from cosdfl.datagen import GenSpec, generate
-from cosdfl.errors import NonFiniteLoss
+from cosdfl.errors import DimensionMismatch, NonFiniteLoss
 from cosdfl.harness import attach_decisions
 from cosdfl.losses import evaluate_loss_batch, parse_loss, stack_loss_data
 from cosdfl.model import (CHECKPOINT_MAGIC, LinearModel, Optimizer,
@@ -345,6 +345,12 @@ def test_sgd_optimizer_path():
 def test_linear_model_validation():
     with pytest.raises(Exception):
         LinearModel(weights=np.zeros((2, 3)), bias=np.zeros(5))
+    with pytest.raises(DimensionMismatch, match=r"^weights must be a \(d, k\) matrix$"):
+        LinearModel(weights=np.zeros(3), bias=np.zeros(3))
+    with pytest.raises(ValueError, match="^weights contain non-finite entries$"):
+        LinearModel(weights=np.array([[0.0, np.nan]]), bias=np.zeros(1))
+    with pytest.raises(DimensionMismatch, match=r"^features must be \(n, 3\), got \(4, 2\)$"):
+        init_model(3, 2).predict(np.zeros((4, 2)))
 
 
 @pytest.mark.parametrize("shape", [(6, 5), (7,)])

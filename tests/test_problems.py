@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def test_knapsack_rejects_negative_weights():
         KnapsackOracle(weights=[[-1.0]], capacities=[1.0])
     with pytest.raises(DimensionMismatch):
         KnapsackOracle(weights=[[1.0, 2.0]], capacities=[3.0, 3.0])
+    with pytest.raises(DimensionMismatch, match=r"^weights must be a \(q, d\) matrix$"):
+        KnapsackOracle(weights=[1.0, 2.0], capacities=[3.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -456,6 +459,19 @@ def test_custom_problem_json_loads_each_family(tmp_path):
         {"family": "tsp", "params": {"n_nodes": 6, "mode": "heuristic"}}))
     with pytest.raises(ValueError, match="'mode'"):
         load_problem(tmp_path / "tsp_mode.json")
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"params": {"d": 8}}, "family"),
+    ({"family": "knapsack", "params": {}}, "d"),
+    ({"family": "knapsack", "params": {"weights": [[1.0, 2.0]]}}, "capacities"),
+    ({"family": "shortest-path", "params": {"rows": 3}}, "cols"),
+])
+def test_custom_problem_without_a_key_names_the_file_and_the_key(tmp_path, payload, key):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has no key '{key}'$"):
+        problem_from_name(f"custom:{path}")
 
 
 def test_oracle_names_and_sizes():

@@ -2,10 +2,11 @@
 
 The ranges that come back through the workers equal those of one
 in-process ``solve_lp`` per instance, byte for byte, on generator rows of
-every solver family, with one or two workers and with none. The workers
-take each call's first rows, four per chunk, so every call with a worker
-uses ranges that a worker solved. A worker exits with its parent: at a
-normal exit, and within a few seconds of a SIGKILL.
+every solver family, with one or two workers and with none. The parent
+solves a call's last row, then the first of one contiguous slice per
+process; each worker gets a later slice in one message, so every call with
+a worker uses ranges that a worker solved. A worker exits with its parent:
+at a normal exit, and within a few seconds of a SIGKILL.
 """
 import os
 import signal
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cosdfl import harness
+from cosdfl import harness, simplex
 from cosdfl.datagen import GenSpec, generate
 from cosdfl.losses import normalize
 from cosdfl.problems import problem_from_name
@@ -43,6 +44,41 @@ def test_ranges_through_workers_equal_in_process_solves(fresh_pool, name, worker
         assert ranged.lower[rows].tobytes() == np.array([lo for lo, _ in direct]).tobytes()
         assert ranged.upper[rows].tobytes() == np.array([hi for _, hi in direct]).tobytes()
     assert len(pool.workers) == workers and all(w.is_alive() for _, w in pool.workers)
+
+
+def test_each_process_solves_one_contiguous_slice(fresh_store, fresh_pool, monkeypatch,
+                                                  tmp_path):
+    # every solve logs its process, its row and the length of the array it
+    # came in: the call's objectives in the parent, a message in the worker;
+    # an empty store gives a relaxation that has not run phase 1 yet
+    problem = problem_from_name("sp5x5", seed=0)
+    dataset = generate(GenSpec(n_train=9, n_val=0, n_test=1, seed=0), problem)
+    log = tmp_path / "solves.log"
+    range_outcome, phase_one = harness._range_outcome, simplex._phase_one
+
+    def write(line):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def logged_outcome(lp, objective, sense):
+        row = int(np.flatnonzero((dataset.costs == objective).all(axis=1))[0])
+        write(f"{row} {len(objective.base)}")
+        return range_outcome(lp, objective, sense)
+
+    def logged_phase_one(lp):
+        write("phase1")
+        return phase_one(lp)
+
+    monkeypatch.setattr(harness, "_range_outcome", logged_outcome)
+    monkeypatch.setattr(simplex, "_phase_one", logged_phase_one)
+    pool = fresh_pool(1)
+    harness.attach_ranges(dataset, problem, ("train",))
+    solves = {}  # the processes write to one log at once: one list each
+    for line in log.read_text().splitlines():
+        pid, solve = line.split(" ", 1)
+        solves.setdefault(int(pid), []).append(solve)
+    assert solves == {os.getpid(): ["8 9", "phase1"] + [f"{i} 9" for i in range(4)],
+                      pool.workers[0][1].pid: [f"{i} 4" for i in range(4, 8)]}
 
 
 RANGING_CHILD = """

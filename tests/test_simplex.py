@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosdfl import simplex
 from cosdfl.core import Sense
 from cosdfl.datagen import GenSpec, generate
-from cosdfl.errors import NumericalBreakdown
+from cosdfl.errors import DimensionMismatch, NumericalBreakdown
 from cosdfl.losses import normalize
 from cosdfl.problems import KnapsackOracle, ShortestPathOracle, problem_from_name
 from cosdfl.simplex import LinearProgram, SolveStatus, _run_simplex, solve_lp
@@ -22,6 +23,9 @@ def test_lp_validation():
         LinearProgram(np.array([[1.0]]), np.array([1.0]), upper=np.array([-1.0]))
     with pytest.raises(ValueError):
         LinearProgram(np.array([[np.inf]]), np.array([1.0]))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^constraint matrix must be 2-d, got shape \(2,\)$"):
+        LinearProgram(np.array([1.0, 1.0]), np.array([1.0]))
 
 
 def test_maximize_vertex_and_value():
@@ -348,3 +352,19 @@ def test_nan_reduced_cost_raises():
     tableau = np.array([[1.0, np.nan, 1.0, 1.0]])
     with pytest.raises(NumericalBreakdown, match="column 1"):
         _run_simplex(tableau, np.array([2]), np.array([-1.0, 0.0, 0.0]), 10)
+
+
+def test_pivot_below_tolerance_raises_under_blands_rule():
+    # minimizing -x under 1e-12 x <= 1: the one positive pivot-column entry
+    # is below PIVOT_TOL, so Dantzig's rule gives way to Bland's, which raises
+    lp = LinearProgram(np.array([[1e-12]]), np.array([1.0]))
+    with pytest.raises(NumericalBreakdown,
+                       match="^no pivot above 1e-10 in column 0 under Bland's rule$"):
+        solve_lp(lp, [-1.0], Sense.MINIMIZE)
+
+
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
+    lp = LinearProgram(np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(NumericalBreakdown, match="^simplex iteration limit exceeded$"):
+        solve_lp(lp, [1.0, 2.0], Sense.MAXIMIZE)
