@@ -319,10 +319,17 @@ def load_dataset(path) -> Dataset:
 
 
 def load_json(path, build):
-    """``build`` of JSON file ``path``; its KeyError(key[, instance]) becomes a ValueError."""
+    """``build`` of the object in JSON file ``path``. Any other top level, a
+    ValueError of ``build`` and its KeyError(key[, instance]) become a
+    ValueError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return build(json.load(fh))
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"holds a JSON {type(payload).__name__}, not an object")
+        return build(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except KeyError as exc:
         key, *instance = exc.args
         raise ValueError(f"{path} has no key {key!r}"

@@ -108,7 +108,8 @@ class _RangingPool:
     ``MAX_BYTES`` is shared, the parent pinned to the other CPUs: it solves
     the last row (phase 1), then the first of one contiguous slice per
     process, and each worker gets the LP, start included, and one slice in
-    one message. An error in a call stops the workers."""
+    one message. An error in a call stops the workers; when it is a broken
+    worker pipe, this process then solves the call's rows itself."""
     MAX_BYTES = 1 << 21  # holds sp10x10 (1.98 MB), whose products ran on one BLAS thread
 
     def __init__(self, size: int | None = None):
@@ -157,11 +158,16 @@ class _RangingPool:
             outcomes = [_range_outcome(lp, row, sense) for row in slices[0]]
             for end in ends:
                 outcomes += end.recv()
+        except (OSError, EOFError):  # a worker's pipe broke: this process solves the rows
+            self.close()
+            outcomes = None
         except BaseException:
             self.close()
             raise
         finally:
             os.sched_setaffinity(0, own)
+        if outcomes is None:
+            outcomes = [_range_outcome(lp, row, sense) for row in objectives[:-1]]
         return outcomes + [last]
 
 

@@ -27,13 +27,13 @@ CHECKPOINT_MAGIC = b"CDFLLM01"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# bytes of validation predictions and parameter snapshots held for one
-# scoring pass, 128 kB: twenty sp5x5 epochs at 10 validation rows (5.1 kB
-# each) fit in one pass, a desk-size sp5x5 run (50 rows, 18 kB) scores 7
-# epochs per pass. The kernel's temporaries peak near 6x the held bytes: a
-# desk sp5x5 mse run peaked at 0.8 MB (tracemalloc), against 0.2 MB with a
-# pass per epoch and 5.0 MB at 1 << 20, which also ran slower (17.2 against
-# 15.2 ms per run, best of 15)
+# bytes of parameter snapshots held, and of the validation predictions one
+# scoring pass makes from them, 128 kB: twenty sp5x5 epochs at 10 validation
+# rows (5.1 kB each) fit in one pass, a desk-size sp5x5 run (50 rows, 18 kB)
+# scores 7 epochs per pass. The kernel's temporaries peak near 6x these
+# bytes: a desk sp5x5 mse run peaked at 0.8 MB (tracemalloc), against 0.2 MB
+# with a pass per epoch and 5.0 MB at 1 << 20, which also ran slower (17.2
+# against 15.2 ms per run, best of 15)
 VALIDATION_HOLD_BYTES = 1 << 17
 
 
@@ -145,53 +145,35 @@ class TrainTrace:
         return self.records[self.best_epoch].val_loss if self.best_epoch >= 0 else np.inf
 
 
-class _PendingValidation:
-    """Epoch-end validation, scored for several epochs in one kernel call.
+def _score_validation(val_feats: np.ndarray, val_data: LossData,
+                      held: list) -> list[tuple[EpochRecord, np.ndarray]]:
+    """Each held ``(epoch, train_loss, seconds, params)`` epoch's record and
+    snapshot, in epoch order.
 
-    ``hold`` keeps an epoch's validation predictions and a copy of its
-    parameters; once ``VALIDATION_HOLD_BYTES`` are held the buffer is
-    ``full``. ``score`` evaluates every held epoch in one
-    ``evaluate_loss_batch`` call over the stacked rows, empties the buffer
-    and returns each epoch's record and snapshot, in epoch order; each
-    epoch's mean reduces its own contiguous block of row values. A
+    One stacked product predicts every held epoch, each slice ``val_feats @
+    w.T + b`` bit for bit, and one ``evaluate_loss_batch`` call scores them;
+    each epoch's mean reduces its own contiguous block of row values. A
     non-finite value raises NonFiniteLoss naming the first epoch, and in it
     the first instance, that a call per epoch would name.
     """
-
-    def __init__(self, data: LossData, n_params: int):
-        self.data = data
-        n_val, d = data.true.shape
-        self.capacity = max(1, VALIDATION_HOLD_BYTES // (8 * (n_val * d + n_params)))
-        self.held: list[tuple[int, float, float, np.ndarray, np.ndarray]] = []
-
-    @property
-    def full(self) -> bool:
-        return len(self.held) >= self.capacity
-
-    def hold(self, epoch: int, train_loss: float, seconds: float,
-             predictions: np.ndarray, params: np.ndarray) -> None:
-        self.held.append((epoch, train_loss, seconds, predictions, params.copy()))
-
-    def score(self) -> list[tuple[EpochRecord, np.ndarray]]:
-        held, self.held = self.held, []
-        if not held:
-            return []
-        n_val = len(self.data.indices)
-        rows = np.tile(np.arange(n_val), len(held))
-        try:
-            stacked = np.concatenate([predictions for _, _, _, predictions, _ in held])
-            values, _ = evaluate_loss_batch(stacked, self.data, rows)
-        except NonFiniteGradient:
-            for epoch, _, _, predictions, _ in held:
-                try:
-                    evaluate_loss_batch(predictions, self.data, slice(None))
-                except NonFiniteGradient as exc:
-                    raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
-            raise
-        means = values.reshape(len(held), n_val).mean(axis=1).tolist()
-        return [(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
-                             seconds=seconds), snapshot)
-                for (epoch, train_loss, seconds, _, snapshot), val_loss in zip(held, means)]
+    snapshots = np.stack([params for *_, params in held])
+    k = val_feats.shape[1]
+    predictions = val_feats @ snapshots[:, :, :k].transpose(0, 2, 1) + snapshots[:, None, :, k]
+    n_val = len(val_feats)
+    try:
+        values, _ = evaluate_loss_batch(predictions.reshape(len(held) * n_val, -1), val_data,
+                                        np.tile(np.arange(n_val), len(held)))
+    except NonFiniteGradient:
+        for (epoch, *_), epoch_predictions in zip(held, predictions):
+            try:
+                evaluate_loss_batch(epoch_predictions, val_data, slice(None))
+            except NonFiniteGradient as exc:
+                raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
+        raise
+    means = values.reshape(len(held), n_val).mean(axis=1).tolist()
+    return [(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
+                         seconds=seconds), snapshot)
+            for (epoch, train_loss, seconds, snapshot), val_loss in zip(held, means)]
 
 
 class _AdamState:
@@ -237,10 +219,11 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     instances into the training set and uses the epoch's mean training loss
     as its validation metric, so model selection never spends extra solver
     calls. Other specs are validated each epoch with the
-    loss stripped of per-instance weights (validation instances carry none),
-    scored in passes over several epochs (``_PendingValidation``). An
-    epoch's ``seconds`` is read when its training steps end, so it leaves
-    out validation.
+    loss stripped of per-instance weights (validation instances carry none):
+    each epoch's parameters are held, and ``_score_validation`` scores the
+    held epochs in passes of as many epochs as ``VALIDATION_HOLD_BYTES``
+    allows, and after the last epoch. An epoch's ``seconds`` is read when its
+    training steps end, so it leaves out validation.
     """
     train_idx = list(dataset.split.train)
     val_idx = list(dataset.split.val)
@@ -252,10 +235,9 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
 
     feats = dataset.features[train_idx]
     val_feats = dataset.features[val_idx]
-    val_spec = spec.validation_variant()
     data = stack_loss_data(spec, dataset, train_idx, problem.sense)
     if val_idx:
-        val_data = stack_loss_data(val_spec, dataset, val_idx, problem.sense)
+        val_data = stack_loss_data(spec.validation_variant(), dataset, val_idx, problem.sense)
 
     rng = np.random.default_rng(config.seed)
     k = model.k
@@ -271,7 +253,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     best_val = np.inf
     best_epoch = -1
     best = params.copy()
-    pending = _PendingValidation(val_data, params.size) if val_idx else None
+    held = []  # (epoch, train_loss, seconds, params copy) of epochs awaiting validation
+    capacity = max(1, VALIDATION_HOLD_BYTES // (8 * (len(val_idx) * model.d + params.size)))
     t_start = time.monotonic()
 
     def settle(scored) -> None:
@@ -301,8 +284,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
                     values, grads = evaluate_loss_batch(preds, data, batch)
                     loss_sum += float(np.add.reduce(values))
             except NonFiniteGradient as exc:
-                if pending is not None:
-                    pending.score()  # an earlier epoch's validation error comes first
+                if held:  # an earlier epoch's validation error comes first
+                    _score_validation(val_feats, val_data, held)
                 raise NonFiniteLoss(f"training batch of epoch {epoch}: {exc}") from exc
             # grads.T @ zb / B and grads.mean(axis=0), which is this sum over B
             np.matmul(grads.T, zb, out=gw)
@@ -316,15 +299,16 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
         train_loss = loss_sum / n
         seconds = time.monotonic() - t_start
 
-        if pending is None:
+        if not val_idx:
             settle([(EpochRecord(epoch=epoch, train_loss=train_loss,
                                  val_loss=train_loss, seconds=seconds), params)])
-        else:
-            pending.hold(epoch, train_loss, seconds, val_feats @ w.T + b, params)
-            if pending.full:
-                settle(pending.score())
-    if pending is not None:
-        settle(pending.score())
+            continue
+        held.append((epoch, train_loss, seconds, params.copy()))
+        if len(held) >= capacity:
+            settle(_score_validation(val_feats, val_data, held))
+            held = []
+    if held:
+        settle(_score_validation(val_feats, val_data, held))
 
     return TrainTrace(records=tuple(records), best_epoch=best_epoch,
                       best_model=LinearModel(best[:, :k], best[:, k]))

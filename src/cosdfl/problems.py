@@ -701,6 +701,8 @@ def problem_from_dict(payload: dict, seed: int = 0) -> ProblemOracle:
     """
     family = payload["family"]
     params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"params is a JSON {type(params).__name__}, not an object")
     if family == "knapsack":
         if "weights" in params:
             return KnapsackOracle(params["weights"], params["capacities"])

@@ -46,6 +46,21 @@ def test_generate_caches_decisions_on_train_and_val(tmp_path, monkeypatch):
                                   problems[0].solve_many(ds.costs[cached]))
 
 
+@pytest.mark.parametrize("loss, pre", [("mse+o", 0), ("mse+c+o", 20), ("mse+o_s", 25)])
+def test_training_on_cached_decisions_spends_only_the_solves_they_leave(tmp_path, capsys,
+                                                                        loss, pre):
+    # the 25 train and val decisions are in the file: mse+o solves nothing
+    # before training, mse+c+o only the regret solve of each of its 20
+    # training rows, and mse+o_s one ranging LP per train and val row
+    data = tmp_path / "data.json"
+    assert main(["generate", "--problem", "sp3x3", "--n-train", "20", "--n-val", "5",
+                 "--n-test", "5", "--cache-decisions", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--problem", "sp3x3", "--dataset", str(data), "--loss", loss,
+                 "--out", str(tmp_path / "m.bin")]) == 0
+    assert f"solves: pre={pre} train=0" in capsys.readouterr().out.splitlines()
+
+
 def test_experiment_flag_defaults_are_the_config_defaults(monkeypatch):
     class Stop(Exception):
         pass
@@ -218,6 +233,22 @@ def test_files_without_a_key_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {family} has no key 'family'", f"error: {knapsack} has no key 'd'",
         f"error: {data} has no key 'split'"]
+
+
+@pytest.mark.parametrize("payload, flags, message", [
+    ([1], ["--problem", "custom:{}"], "holds a JSON list"),
+    ({"family": "knapsack", "params": [8]}, ["--problem", "custom:{}"], "params is a JSON list"),
+    ([1], ["--problem", "ks8", "--dataset", "{}"], "holds a JSON list")],
+    ids=["problem-list", "params-list", "dataset-list"])
+def test_files_that_are_no_json_object_are_usage_errors(tmp_path, capsys, payload, flags,
+                                                        message):
+    # each used to end in a TypeError traceback with exit 1
+    bad, out = tmp_path / "bad.json", tmp_path / "m.bin"
+    bad.write_text(json.dumps(payload))
+    flags = [flag.format(bad) for flag in flags]
+    assert main(["train", "--loss", "mse", "--out", str(out), *flags, *TRAIN_ARGS]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}, not an object\n"
+    assert not out.exists()
 
 
 def test_emit_costs_requires_cost_weighting(tmp_path, monkeypatch, capsys):

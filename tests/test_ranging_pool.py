@@ -6,12 +6,14 @@ every solver family, with one or two workers and with none. The parent
 solves a call's last row, then the first of one contiguous slice per
 process; each worker gets a later slice in one message, so every call with
 a worker uses ranges that a worker solved. A worker exits with its parent:
-at a normal exit, and within a few seconds of a SIGKILL.
+at a normal exit, and within a few seconds of a SIGKILL. A call whose
+worker has died solves its rows in this process.
 """
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -148,3 +150,72 @@ def test_an_lp_past_the_bound_is_solved_in_process(fresh_pool):
     assert pool.workers is None
     direct = [solve_lp(problem.relaxation, c, problem.sense).ranges for c in dataset.costs[:12]]
     assert ranged.lower[:12].tobytes() == np.array([lo for lo, _ in direct]).tobytes()
+
+
+def in_process_ranges(problem, costs):
+    direct = [solve_lp(problem.relaxation, c, problem.sense).ranges for c in costs]
+    return np.array([lo for lo, _ in direct]), np.array([hi for _, hi in direct])
+
+
+def test_a_dead_worker_leaves_its_call_to_this_process(fresh_pool):
+    # a worker killed between calls breaks its pipe: the next call solves
+    # its rows in this process instead of failing the cell, and the call
+    # after it forks a fresh worker
+    problem = problem_from_name("sp5x5", seed=0)
+    dataset = generate(GenSpec(n_train=12, n_val=0, n_test=1, seed=0), problem)
+    lower, upper = in_process_ranges(problem, dataset.costs[:12])
+    pool = fresh_pool(1)
+    harness.attach_ranges(dataset, problem, ("train",))
+    dead = pool.workers[0][1]
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=10)
+    for call in ("in process", "fresh worker"):
+        before = problem.solves
+        ranged = harness.attach_ranges(dataset, problem, ("train",))
+        assert problem.solves - before == 12, call
+        assert ranged.lower[:12].tobytes() == lower.tobytes(), call
+        assert ranged.upper[:12].tobytes() == upper.tobytes(), call
+    assert [w.pid != dead.pid and w.is_alive() for _, w in pool.workers] == [True]
+
+
+def test_no_worker_forks_beside_another_thread(fresh_pool):
+    # a fork beside a running thread could copy a lock that thread holds
+    problem = problem_from_name("sp5x5", seed=0)
+    dataset = generate(GenSpec(n_train=6, n_val=0, n_test=1, seed=0), problem)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        pool = fresh_pool(1)
+        ranged = harness.attach_ranges(dataset, problem, ("train",))
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert pool.workers == []
+    lower, upper = in_process_ranges(problem, dataset.costs[:6])
+    assert ranged.lower[:6].tobytes() == lower.tobytes()
+    assert ranged.upper[:6].tobytes() == upper.tobytes()
+
+
+def test_any_other_error_stops_the_workers_and_propagates(fresh_pool, monkeypatch):
+    # Ctrl-C while the parent solves its slice: no fallback solve, and no
+    # worker left running
+    problem = problem_from_name("sp5x5", seed=0)
+    dataset = generate(GenSpec(n_train=12, n_val=0, n_test=1, seed=0), problem)
+    pool = fresh_pool(1)
+    harness.attach_ranges(dataset, problem, ("train",))
+    worker = pool.workers[0][1]
+    range_outcome, calls = harness._range_outcome, []
+
+    def interrupted(lp, objective, sense):
+        calls.append(objective)
+        if len(calls) == 2:  # the first row of the parent's slice, after the last row
+            raise KeyboardInterrupt
+        return range_outcome(lp, objective, sense)
+
+    monkeypatch.setattr(harness, "_range_outcome", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness.attach_ranges(dataset, problem, ("train",))
+    assert len(calls) == 2 and pool.workers is None
+    worker.join(timeout=10)
+    assert not worker.is_alive()
