@@ -226,15 +226,18 @@ class ExperimentConfig:
             if spec in specs:  # one cell per loss, or aggregate_rows counts a seed twice
                 raise ValueError(f"losses {specs[spec]!r} and {loss!r} are the same loss")
             specs[spec] = loss
+        try:  # a misspelt normalizer would leave every regret_norm empty
+            parse_loss(self.normalize_against)
+        except ValueError as exc:
+            raise ValueError(f"normalize_against: {exc}") from None
         problem_from_name(self.problem)  # and on a bad problem, before any cell
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and above 0, "
                              f"got {self.learning_rate}")
         self.gen_spec(self.seeds[0])  # GenSpec checks the data settings
-        self.train_config(self.seeds[0])  # and Optimizer the optimizer name
+        self.train_config(self.seeds[0])  # and TrainConfig the batch size and optimizer
 
     def gen_spec(self, seed: int) -> GenSpec:
         return GenSpec(n_train=self.n_train, n_val=self.n_val, n_test=self.n_test,

@@ -116,8 +116,6 @@ class LossSpec:
 
     def validation_variant(self) -> "LossSpec":
         """The loss used on validation instances, which carry no cost weights."""
-        if self.spo_plus:
-            return self
         return replace(self, instance_costs=False, lawless_w=None)
 
     # -- naming --------------------------------------------------------------
@@ -197,12 +195,11 @@ class LossData:
     are set only for a spec with O or O_S: the open interval, per
     coordinate, inside which a prediction error is masked
     (``coordinate_weights`` says when that keeps X* optimal,
-    ``stack_loss_data`` how it is fixed). ``tau`` is set only for a
-    pinball-weighted spec, ``x_star`` (X* itself) and ``true_value`` (each
-    row's objective at X*, ``row_dots(true, x_star)``) only for spo+. Which
-    of these fields is None decides, once per binding, which multiplies
-    :func:`evaluate_loss_batch` makes: a mask, a pinball weight, a row
-    weight, or none of them.
+    ``stack_loss_data`` how it is fixed). ``x_star`` (X* itself) and
+    ``true_value`` (each row's objective at X*, ``row_dots(true, x_star)``)
+    are set only for spo+. Which of these fields is None, and ``spec.tau``,
+    decide once per binding which multiplies :func:`evaluate_loss_batch`
+    makes: a mask, a pinball weight, a row weight, or none of them.
     """
 
     spec: LossSpec
@@ -211,7 +208,6 @@ class LossData:
     factor: np.ndarray | None
     safe_lo: np.ndarray | None = None
     safe_hi: np.ndarray | None = None
-    tau: float | None = None
     x_star: np.ndarray | None = None
     true_value: np.ndarray | None = None
 
@@ -273,8 +269,6 @@ def stack_loss_data(spec: LossSpec, dataset: Dataset, indices, sense: Sense) -> 
         rise_safe = x_star == (1.0 if sense is Sense.MAXIMIZE else 0.0)
         fields["safe_lo"] = np.where(rise_safe, lower, -np.inf)
         fields["safe_hi"] = np.where(rise_safe, np.inf, upper)
-    elif spec.tau is not None:
-        fields["tau"] = spec.tau
     return LossData(spec=spec, indices=indices, true=true, factor=factor, **fields)
 
 
@@ -296,8 +290,8 @@ def coordinate_weights(predicted: np.ndarray, data: LossData, rows) -> np.ndarra
     if data.safe_lo is not None:
         safe = (predicted > data.safe_lo[rows]) & (predicted < data.safe_hi[rows])
         return np.where(safe, 0.0, 1.0)
-    if data.tau is not None:
-        return np.where(predicted <= data.true[rows], data.tau, 1.0 - data.tau)
+    if data.spec.tau is not None:
+        return np.where(predicted <= data.true[rows], data.spec.tau, 1.0 - data.spec.tau)
     return None
 
 

@@ -12,7 +12,6 @@ config.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,9 +48,7 @@ class LinearModel:
         b = as_vector(self.bias, name="bias", length=w.shape[0])
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite entries")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen_array(w))
         object.__setattr__(self, "bias", frozen_array(b))
 
     @property
@@ -123,13 +120,21 @@ class TrainConfig:
     optimizer: Optimizer = Optimizer.ADAM
     seed: int = 0
 
+    def __post_init__(self):
+        # a rate of 0 or 0 epochs trains nothing; ExperimentConfig, which
+        # builds every grid's config, rejects both
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and at least 0, "
+                             f"got {self.learning_rate}")
+
 
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
     train_loss: float
     val_loss: float
-    seconds: float  # since training began, read when this epoch's steps end
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ class TrainTrace:
 
 def _score_validation(val_feats: np.ndarray, val_data: LossData,
                       held: list) -> list[tuple[EpochRecord, np.ndarray]]:
-    """Each held ``(epoch, train_loss, seconds, params)`` epoch's record and
+    """Each held ``(epoch, train_loss, params)`` epoch's record and
     snapshot, in epoch order.
 
     One stacked product predicts every held epoch, each slice ``val_feats @
@@ -171,9 +176,8 @@ def _score_validation(val_feats: np.ndarray, val_data: LossData,
                 raise NonFiniteLoss(f"validation after epoch {epoch}: {exc}") from exc
         raise
     means = values.reshape(len(held), n_val).mean(axis=1).tolist()
-    return [(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
-                         seconds=seconds), snapshot)
-            for (epoch, train_loss, seconds, snapshot), val_loss in zip(held, means)]
+    return [(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss), snapshot)
+            for (epoch, train_loss, snapshot), val_loss in zip(held, means)]
 
 
 class _AdamState:
@@ -222,8 +226,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     loss stripped of per-instance weights (validation instances carry none):
     each epoch's parameters are held, and ``_score_validation`` scores the
     held epochs in passes of as many epochs as ``VALIDATION_HOLD_BYTES``
-    allows, and after the last epoch. An epoch's ``seconds`` is read when its
-    training steps end, so it leaves out validation.
+    allows, and after the last epoch. The trace reads no clock: it is a pure
+    function of the inputs.
     """
     train_idx = list(dataset.split.train)
     val_idx = list(dataset.split.val)
@@ -253,9 +257,8 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
     best_val = np.inf
     best_epoch = -1
     best = params.copy()
-    held = []  # (epoch, train_loss, seconds, params copy) of epochs awaiting validation
+    held = []  # (epoch, train_loss, params copy) of epochs awaiting validation
     capacity = max(1, VALIDATION_HOLD_BYTES // (8 * (len(val_idx) * model.d + params.size)))
-    t_start = time.monotonic()
 
     def settle(scored) -> None:
         """Record scored epochs in epoch order; the first strict minimum wins."""
@@ -297,13 +300,12 @@ def train(model: LinearModel, dataset: Dataset, spec: LossSpec, config: TrainCon
             else:
                 adam.step(params, param_grad, config.learning_rate)
         train_loss = loss_sum / n
-        seconds = time.monotonic() - t_start
 
         if not val_idx:
-            settle([(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                 val_loss=train_loss, seconds=seconds), params)])
+            settle([(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=train_loss),
+                     params)])
             continue
-        held.append((epoch, train_loss, seconds, params.copy()))
+        held.append((epoch, train_loss, params.copy()))
         if len(held) >= capacity:
             settle(_score_validation(val_feats, val_data, held))
             held = []

@@ -670,25 +670,26 @@ def make_knapsack(d: int, seed: int, q: int = KNAPSACK_DIMS,
     return KnapsackOracle(weights, np.full(q, capacity))
 
 
-_KS_RE = re.compile(r"^ks(\d+)$")
-_SP_RE = re.compile(r"^sp(\d+)x(\d+)$")
-_TSP_RE = re.compile(r"^tsp(\d+)$")
+# (family, short-name pattern, the params key of each of its numbers)
+_SHORT_NAMES = (("knapsack", re.compile(r"^ks(\d+)$"), ("d",)),
+                ("shortest-path", re.compile(r"^sp(\d+)x(\d+)$"), ("rows", "cols")),
+                ("tsp", re.compile(r"^tsp(\d+)$"), ("n_nodes",)))
 
 
 def problem_from_name(name: str, seed: int = 0) -> ProblemOracle:
     """Build an oracle from a short name (ks32, sp5x5, tsp20, custom:<file>).
 
-    The seed only matters for knapsack, whose weights are sampled once per
-    problem instance.
+    A short name stands for the saved problem of its family whose params
+    are its numbers, and ``problem_from_dict`` builds it. The seed only
+    matters for knapsack, whose weights are sampled once per problem
+    instance.
     """
     if name.startswith("custom:"):
         return load_problem(name.split(":", 1)[1], seed=seed)
-    if (m := _KS_RE.match(name)):
-        return make_knapsack(int(m.group(1)), seed=seed)
-    if (m := _SP_RE.match(name)):
-        return ShortestPathOracle(int(m.group(1)), int(m.group(2)))
-    if (m := _TSP_RE.match(name)):
-        return TspOracle(int(m.group(1)))
+    for family, pattern, keys in _SHORT_NAMES:
+        if (m := pattern.match(name)):
+            params = dict(zip(keys, map(int, m.groups())))
+            return problem_from_dict({"family": family, "params": params}, seed=seed)
     raise ValueError(f"unknown problem name {name!r}; "
                      "expected ks<d>, sp<r>x<c>, tsp<n>, or custom:<file>")
 

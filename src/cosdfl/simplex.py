@@ -61,9 +61,7 @@ class LinearProgram:
             raise ValueError("constraint matrix contains non-finite entries")
         if np.any(np.isnan(hi)) or np.any(hi < 0.0):
             raise ValueError("upper bounds must be non-negative: finite or +inf")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "constraint_matrix", a)
+        object.__setattr__(self, "constraint_matrix", frozen_array(a))
         object.__setattr__(self, "rhs", frozen_array(b))
         object.__setattr__(self, "upper", frozen_array(hi))
 

@@ -576,8 +576,7 @@ def brute_spo_plus_train(model, dataset, config, problem):
                 w -= dw
                 b -= db
         train_loss = loss_sum / n
-        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=train_loss,
-                                   seconds=0.0))
+        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=train_loss))
         if train_loss < best_val:
             best_val, best_epoch = train_loss, epoch
             best_w, best_b = w.copy(), b.copy()
@@ -693,8 +692,7 @@ def brute_solver_free_train(model, dataset, spec, config, maximize: bool):
         values, _ = _plain_loss_batch(val_spec, val_data, val_feats @ w.T + b,
                                       slice(None))
         val_loss = float(np.mean(values))
-        records.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n,
-                                   val_loss=val_loss, seconds=0.0))
+        records.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_loss=val_loss))
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_w, best_b = w.copy(), b.copy()

@@ -5,7 +5,9 @@
 checks REF out with ``git worktree add`` into a temporary directory, runs
 one fixed set of commands with each tree's ``src`` on PYTHONPATH, and
 prints ``identical`` when every output file matches byte for byte, or else
-the first differing rows of each file that differs. The worktree is
+the first differing rows of each file that differs and, for a
+``results.csv``, every (problem, loss, seed) row whose ``regret_abs``
+moved, with both values, and their count. The worktree is
 removed at the end; the exit status is 0 only when the outputs are
 identical. Needs no network. Tier-1 does not run it: it takes a few
 minutes per tree.
@@ -19,6 +21,7 @@ the durations in the criterion lines. Each command's exit status is
 compared too; two seeds cannot resolve the monotonicity grid's tolerance,
 so it may exit 1 on both trees.
 """
+import csv
 import os
 import re
 import subprocess
@@ -82,6 +85,24 @@ def differences(ours: Path, theirs: Path, ref: str, rows: int = 3) -> list[str]:
         report.append(f"{name}: first difference at line {first + 1}")
         report += [f"  this tree: {line}" for line in lines_a[first:first + rows]]
         report += [f"  {ref}: {line}" for line in lines_b[first:first + rows]]
+        if name.name == "results.csv":
+            report += moved_regrets(a, b, ref)
+    return report
+
+
+def moved_regrets(ours: Path, theirs: Path, ref: str) -> list[str]:
+    """The count of rows in both files whose ``regret_abs`` differs, then
+    one line per such row with both values."""
+    def regrets(path: Path) -> dict:
+        with open(path, newline="") as fh:
+            return {(row["problem"], row["loss"], row["seed"]): row["regret_abs"]
+                    for row in csv.DictReader(fh)}
+
+    a, b = regrets(ours), regrets(theirs)
+    moved = [key for key in a if key in b and a[key] != b[key]]
+    report = [f"  regret_abs moved in {len(moved)} of {len(a)} rows "
+              f"(problem loss seed: this tree | {ref})"]
+    report += [f"    {' '.join(key)}: {a[key]} | {b[key]}" for key in moved]
     return report
 
 

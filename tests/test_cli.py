@@ -455,6 +455,20 @@ def test_experiment_rejects_bad_settings_before_any_cell(tmp_path, capsys, flags
     assert not (tmp_path / "x").exists()
 
 
+def test_experiment_rejects_a_misspelt_normalizer(tmp_path, capsys):
+    # it used to print regret_norm=n/a for every loss and exit 0; a
+    # normalizer that parses but is not in the grid still gives n/a
+    args = ["experiment", "--problem", "ks6", "--losses", "mse,mse+c", "--seeds", "0",
+            *GEN_ARGS, *TRAIN_ARGS]
+    assert main(args + ["--normalize-against", "msee", "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("error: normalize_against: loss string must start with "
+                                       "mse, mae, lawless:<w>, or be spo+; got 'msee'\n")
+    assert not (tmp_path / "x").exists()
+    assert main(args + ["--normalize-against", "mae", "--out-dir", str(tmp_path / "y")]) == 0
+    with open(tmp_path / "y" / "results.csv", newline="") as fh:
+        assert [row["regret_norm"] for row in csv.DictReader(fh)] == ["", ""]
+
+
 @pytest.mark.parametrize("losses", ["", " , "], ids=["empty", "blank"])
 def test_experiment_rejects_an_empty_loss_list(tmp_path, capsys, losses):
     # a loss list that parses to nothing used to write four files with no

@@ -177,6 +177,17 @@ def test_attach_ranges_runs_phase_one_once(monkeypatch, fresh_store, fresh_pool,
     assert problem.solves - before == 20
 
 
+def test_attach_ranges_returns_a_fully_ranged_dataset_as_it_is(monkeypatch, fresh_pool):
+    problem = ShortestPathOracle(5, 5)
+    fresh_pool(0)
+    ds = attach_ranges(generate(GenSpec(n_train=6, n_val=2, n_test=2, k=3, seed=0), problem),
+                       problem)
+    solves, calls = problem.solves, []
+    monkeypatch.setattr(harness_mod, "_range_outcome", lambda *args: calls.append(args))
+    assert attach_ranges(ds, problem) is ds
+    assert problem.solves == solves and calls == []
+
+
 @pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
 def test_attach_ranges_error_names_instance_and_phase(monkeypatch, fresh_pool, failure):
     # with a worker, instance 3 falls in its slice (instances 3 and 4), and

@@ -104,6 +104,19 @@ def test_train_config_defaults():
     assert config.optimizer is Optimizer.ADAM
 
 
+def test_train_config_rejects_settings_no_run_can_use():
+    # batch size -3 used to run no step and report a training loss of 0.0,
+    # 0 a bare range() error, and a negative rate ran gradient ascent
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"^batch_size must be at least 1, got {bad}$"):
+            TrainConfig(batch_size=bad)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=("^learning_rate must be finite and at least 0, "
+                                              f"got {bad}$")):
+            TrainConfig(learning_rate=bad)
+    TrainConfig(learning_rate=0.0, epochs=0, batch_size=1)  # a run that changes nothing
+
+
 def test_training_learns_linear_ground_truth():
     dataset, _ = linear_dataset()
     config = TrainConfig(epochs=60, batch_size=8, learning_rate=0.05, seed=0)
